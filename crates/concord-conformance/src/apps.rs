@@ -28,7 +28,11 @@ const SIGNAL_WAIT: Duration = Duration::from_secs(2);
 /// closes the one race virtual time can't remove on its own — the
 /// dispatcher thread needing wall time to observe an expired deadline —
 /// and makes the preemption *count* of a run an exact function of the
-/// workload: `ceil(service / quantum)` yields per request.
+/// workload: `ceil(service / quantum)` yields per request. The
+/// dispatcher only signals a slice someone is waiting behind, so use
+/// this mode with a guaranteed backlog
+/// ([`ArrivalKind::Burst`](crate::ArrivalKind::Burst)); a lone request
+/// would sit out [`SIGNAL_WAIT`] at every crossing.
 ///
 /// Note the clock is shared by all workers: concurrent slices both
 /// advance it, so per-request measurements are exact only in

@@ -4,10 +4,10 @@
 use crate::case::{ArrivalKind, CaseConfig, FaultKind};
 use concord_core::preempt::SignalAccounting;
 use concord_core::{
-    Clock, ConcordApp, FaultInjector, PolicyKind, Runtime, RuntimeConfig, ShardRollup,
-    ShardedRuntime, SpinApp, TelemetrySnapshot,
+    Clock, ConcordApp, FaultInjector, PolicyKind, Runtime, RuntimeConfig, RuntimeStats,
+    ShardRollup, ShardedRuntime, SpinApp, TelemetrySnapshot,
 };
-use concord_net::ring::ring;
+use concord_net::ring::{ring, Producer};
 use concord_net::{Collector, LoadGen, Request, Response, RttModel};
 use concord_sim::{
     simulate, Policy, PreemptMechanism, QueueDiscipline, SimParams, SimResult, SystemConfig,
@@ -15,11 +15,11 @@ use concord_sim::{
 use concord_workloads::arrival::Deterministic;
 use concord_workloads::dist::Dist;
 use concord_workloads::mix::{ClassSpec, Mix};
-use concord_workloads::{Poisson, Workload};
+use concord_workloads::{Poisson, TraceGenerator, Workload};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One per-worker counter row of a runtime execution — the full
 /// [`WorkerStatsSnapshot`](concord_core::WorkerStatsSnapshot), including
@@ -71,6 +71,9 @@ pub struct RuntimeObservation {
     pub telemetry_dropped: u64,
     /// Preemption signals stored to worker lines.
     pub signals_sent: u64,
+    /// Slice generations whose expiry the dispatcher saw with nobody
+    /// waiting (no signal sent for them at that point).
+    pub expiries_deferred: u64,
     /// Claimed expiries whose store the injector suppressed.
     pub signals_dropped_injected: u64,
     /// Slices that actually yielded.
@@ -143,6 +146,7 @@ pub fn injector_of(case: &CaseConfig) -> Option<Arc<FaultInjector>> {
         FaultKind::StallWorker { worker, stall_us } => {
             inj.stall_worker(worker % case.n_workers.max(1), stall_us * 1_000)
         }
+        FaultKind::StallDispatcher { stall_us } => inj.stall_dispatcher(stall_us * 1_000),
         FaultKind::PanicOn { request } => inj.panic_on(request % case.requests.max(1), 0),
     }
     Some(inj)
@@ -180,116 +184,211 @@ pub fn run_runtime_tuned<A: ConcordApp>(
     timeout: Duration,
     tune: impl FnOnce(&mut RuntimeConfig),
 ) -> RuntimeObservation {
-    let (req_tx, req_rx) = ring::<Request>(4096);
-    let (resp_tx, resp_rx) = ring::<Response>(4096);
-
-    let mut cfg = RuntimeConfig {
-        n_workers: case.n_workers,
-        num_shards: 1,
-        quantum: Duration::from_micros(case.quantum_us),
-        jbsq_depth: case.jbsq_depth,
-        work_conserving: case.work_conserving,
-        stack_size: 64 * 1024,
-        dispatcher_slice: Duration::from_micros(case.quantum_us),
-        max_in_flight: 16 * 1024,
-        policy: case.policy,
-        adaptive_quantum: false,
-        quantum_max: Duration::from_micros(case.quantum_us.max(100)),
-        quantum_control_interval: Duration::from_millis(10),
-        slo: Vec::new(),
-        telemetry_report_every: None,
-        probe_period: concord_core::config::DEFAULT_PROBE_PERIOD,
-        clock,
-        trace: true,
-        trace_ring_cap: concord_core::config::DEFAULT_TRACE_RING_CAP,
-        trace_retain: None,
-        fault_injector: None,
-    };
-    cfg.fault_injector = injector_of(case);
-    tune(&mut cfg);
-
-    let rt = Runtime::start(cfg, app, req_rx, resp_tx);
-
+    let mut rig = Rig::new(case, clock, app, tune);
     let rate = rate_of(case);
-    let gen = match case.arrival {
-        ArrivalKind::Poisson => LoadGen::start_with(
-            req_tx,
-            Poisson::with_rate(rate),
-            mix_of(case),
-            case.requests,
-            case.seed,
-        ),
-        ArrivalKind::Uniform => LoadGen::start_with(
-            req_tx,
-            Deterministic::with_rate(rate),
-            mix_of(case),
-            case.requests,
-            case.seed,
-        ),
+    let gen = if case.arrival == ArrivalKind::Burst {
+        // Every request sits in the RX ring before the dispatcher's
+        // first ingest pass, which then admits them all at once.
+        let mut trace =
+            TraceGenerator::new(Deterministic::with_rate(rate), mix_of(case), case.seed);
+        for _ in 0..case.requests {
+            let a = trace.next_arrival();
+            rig.push(Request {
+                id: a.id,
+                class: a.spec.class,
+                service_ns: a.spec.service_ns,
+                sent_at: Instant::now(),
+            });
+        }
+        rig.start();
+        None
+    } else {
+        rig.start();
+        let tx = rig.req_tx.take().expect("nothing pushed by hand");
+        let (mix, n, seed) = (mix_of(case), case.requests, case.seed);
+        Some(if case.arrival == ArrivalKind::Poisson {
+            LoadGen::start_with(tx, Poisson::with_rate(rate), mix, n, seed)
+        } else {
+            LoadGen::start_with(tx, Deterministic::with_rate(rate), mix, n, seed)
+        })
     };
-
     let expected = match case.fault {
         FaultKind::RejectTx(n) => case.requests.saturating_sub(u64::from(n)),
         _ => case.requests,
     };
-    let mut collector = Collector::new(resp_rx, RttModel::zero(), case.seed);
-    let collected_ok = collector.collect(expected, timeout);
-    let report = gen.join();
+    rig.collect(expected, timeout);
+    if let Some(gen) = gen {
+        let report = gen.join();
+        rig.sent = report.sent;
+        rig.rx_dropped = report.dropped;
+    }
+    rig.finish()
+}
 
-    let mut rt = rt;
-    rt.quiesce();
-    let stats = rt.stats();
-    let telemetry = rt.telemetry();
-    let acct = rt.signal_accounting();
+/// One case's runtime wired to its rings, driven step by step: tests
+/// that need a scripted arrival pattern (a closed loop, "B arrives while
+/// A has run three quanta") push requests and collect responses by hand
+/// and still get the full [`RuntimeObservation`] every oracle reads.
+/// Requests may be pushed before [`Rig::start`]; they are then all
+/// waiting in the RX ring when the dispatcher first polls it.
+pub struct Rig {
+    case: CaseConfig,
+    injector: Option<Arc<FaultInjector>>,
+    boot: Option<Box<dyn FnOnce() -> Runtime>>,
+    rt: Option<Runtime>,
+    req_tx: Option<Producer<Request>>,
+    collector: Collector,
+    sent: u64,
+    rx_dropped: u64,
+    expected: u64,
+    collected_ok: bool,
+}
 
-    let per_worker = stats
-        .per_worker
-        .iter()
-        .map(|w| {
-            let s = w.snapshot();
-            WorkerRow {
-                completed: s.completed,
-                preempted: s.preempted,
-                failed: s.failed,
-                queue_max: s.queue_max,
-                signals_consumed: s.signals_consumed,
-                signals_obsolete: s.signals_obsolete,
-                signals_stale: s.signals_stale,
-                trace_dropped: s.trace_dropped,
-            }
-        })
-        .collect();
+impl Rig {
+    /// Builds the case's runtime configuration (fault injector included),
+    /// lets `tune` adjust it, and wires the rings — without starting any
+    /// thread yet.
+    pub fn new<A: ConcordApp>(
+        case: &CaseConfig,
+        clock: Clock,
+        app: Arc<A>,
+        tune: impl FnOnce(&mut RuntimeConfig),
+    ) -> Self {
+        let (req_tx, req_rx) = ring::<Request>(4096);
+        let (resp_tx, resp_rx) = ring::<Response>(4096);
+        let injector = injector_of(case);
+        let mut cfg = RuntimeConfig {
+            n_workers: case.n_workers,
+            num_shards: 1,
+            quantum: Duration::from_micros(case.quantum_us),
+            jbsq_depth: case.jbsq_depth,
+            work_conserving: case.work_conserving,
+            stack_size: 64 * 1024,
+            dispatcher_slice: Duration::from_micros(case.quantum_us),
+            max_in_flight: 16 * 1024,
+            policy: case.policy,
+            adaptive_quantum: false,
+            quantum_max: Duration::from_micros(case.quantum_us.max(100)),
+            quantum_control_interval: Duration::from_millis(10),
+            slo: Vec::new(),
+            telemetry_report_every: None,
+            probe_period: concord_core::config::DEFAULT_PROBE_PERIOD,
+            clock,
+            trace: true,
+            trace_ring_cap: concord_core::config::DEFAULT_TRACE_RING_CAP,
+            trace_retain: None,
+            fault_injector: injector.clone(),
+        };
+        tune(&mut cfg);
+        Self {
+            case: case.clone(),
+            injector,
+            boot: Some(Box::new(move || Runtime::start(cfg, app, req_rx, resp_tx))),
+            rt: None,
+            req_tx: Some(req_tx),
+            collector: Collector::new(resp_rx, RttModel::zero(), case.seed),
+            sent: 0,
+            rx_dropped: 0,
+            expected: 0,
+            collected_ok: true,
+        }
+    }
 
-    let raw_trace = rt.take_trace();
-    let trace = raw_trace
-        .as_ref()
-        .map(concord_trace::TraceSummary::from_trace);
+    /// Starts the dispatcher and workers.
+    pub fn start(&mut self) {
+        let boot = self.boot.take().expect("rig already started");
+        self.rt = Some(boot());
+    }
 
-    RuntimeObservation {
-        case: case.clone(),
-        sent: report.sent,
-        rx_dropped: report.dropped,
-        received: collector.received(),
-        collected_ok,
-        expected,
-        ingested: stats.ingested.load(Ordering::Relaxed),
-        completed: stats.completed(),
-        failed: stats.failed.load(Ordering::Relaxed),
-        tx_dropped: stats.tx_dropped.load(Ordering::Relaxed),
-        telemetry_dropped: stats.telemetry_dropped.load(Ordering::Relaxed),
-        signals_sent: stats.signals_sent.load(Ordering::Relaxed),
-        signals_dropped_injected: stats.signals_dropped_injected.load(Ordering::Relaxed),
-        preemptions: stats.preemptions.load(Ordering::Relaxed),
-        work_conservation_violations: stats.work_conservation_violations.load(Ordering::Relaxed),
-        acct,
-        per_worker,
-        telemetry,
-        trace_dropped: stats.trace_dropped.load(Ordering::Relaxed),
-        admission_shed: stats.admission.as_ref().map_or(0, |a| a.shed()),
-        ingested_by_class: stats.ingested_by_class.nonzero(),
-        quanta_ns: rt.quanta().snapshot_ns().to_vec(),
-        trace,
-        raw_trace,
+    /// Enqueues one request on the RX ring (a full ring counts as an RX
+    /// drop, as with the open-loop generator).
+    pub fn push(&mut self, req: Request) {
+        let tx = self.req_tx.as_mut().expect("RX ring handed to a generator");
+        match tx.push(req) {
+            Ok(()) => self.sent += 1,
+            Err(_) => self.rx_dropped += 1,
+        }
+    }
+
+    /// Waits until `total` responses have arrived since the run began
+    /// (or `timeout` passes), returning whether they did.
+    pub fn collect(&mut self, total: u64, timeout: Duration) -> bool {
+        self.expected = total;
+        let ok = self.collector.collect(total, timeout);
+        self.collected_ok &= ok;
+        ok
+    }
+
+    /// The started runtime's live counters.
+    pub fn stats(&self) -> Arc<RuntimeStats> {
+        self.rt.as_ref().expect("rig not started").stats()
+    }
+
+    /// The case's fault injector, if the case schedules a fault.
+    pub fn injector(&self) -> Option<&Arc<FaultInjector>> {
+        self.injector.as_ref()
+    }
+
+    /// Quiesces the runtime and gathers everything the oracles read.
+    pub fn finish(mut self) -> RuntimeObservation {
+        let mut rt = self.rt.take().expect("rig not started");
+        rt.quiesce();
+        let stats = rt.stats();
+        let telemetry = rt.telemetry();
+        let acct = rt.signal_accounting();
+
+        let per_worker = stats
+            .per_worker
+            .iter()
+            .map(|w| {
+                let s = w.snapshot();
+                WorkerRow {
+                    completed: s.completed,
+                    preempted: s.preempted,
+                    failed: s.failed,
+                    queue_max: s.queue_max,
+                    signals_consumed: s.signals_consumed,
+                    signals_obsolete: s.signals_obsolete,
+                    signals_stale: s.signals_stale,
+                    trace_dropped: s.trace_dropped,
+                }
+            })
+            .collect();
+
+        let raw_trace = rt.take_trace();
+        let trace = raw_trace
+            .as_ref()
+            .map(concord_trace::TraceSummary::from_trace);
+
+        RuntimeObservation {
+            case: self.case,
+            sent: self.sent,
+            rx_dropped: self.rx_dropped,
+            received: self.collector.received(),
+            collected_ok: self.collected_ok,
+            expected: self.expected,
+            ingested: stats.ingested.load(Ordering::Relaxed),
+            completed: stats.completed(),
+            failed: stats.failed.load(Ordering::Relaxed),
+            tx_dropped: stats.tx_dropped.load(Ordering::Relaxed),
+            telemetry_dropped: stats.telemetry_dropped.load(Ordering::Relaxed),
+            signals_sent: stats.signals_sent.load(Ordering::Relaxed),
+            expiries_deferred: stats.expiries_deferred.load(Ordering::Relaxed),
+            signals_dropped_injected: stats.signals_dropped_injected.load(Ordering::Relaxed),
+            preemptions: stats.preemptions.load(Ordering::Relaxed),
+            work_conservation_violations: stats
+                .work_conservation_violations
+                .load(Ordering::Relaxed),
+            acct,
+            per_worker,
+            telemetry,
+            trace_dropped: stats.trace_dropped.load(Ordering::Relaxed),
+            admission_shed: stats.admission.as_ref().map_or(0, |a| a.shed()),
+            ingested_by_class: stats.ingested_by_class.nonzero(),
+            quanta_ns: rt.quanta().snapshot_ns().to_vec(),
+            trace,
+            raw_trace,
+        }
     }
 }
 

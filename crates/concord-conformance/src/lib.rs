@@ -37,7 +37,7 @@ pub mod oracles;
 pub use apps::{FrozenApp, VirtualSpinApp};
 pub use case::{ArrivalKind, CaseConfig, FaultKind};
 pub use harness::{
-    conf_shards, run_case, run_runtime, run_runtime_sharded, run_runtime_with, run_sim,
+    conf_shards, run_case, run_runtime, run_runtime_sharded, run_runtime_with, run_sim, Rig,
     RuntimeObservation, ShardedObservation,
 };
 pub use oracles::{

@@ -632,6 +632,12 @@ pub fn check_policy(obs: &RuntimeObservation) -> Vec<String> {
                     obs.preemptions
                 )
             });
+            check(&mut v, obs.expiries_deferred == 0, || {
+                format!(
+                    "fcfs: {} expiries observed with quantum policing disabled",
+                    obs.expiries_deferred
+                )
+            });
             check(&mut v, obs.acct.total() == 0, || {
                 format!(
                     "fcfs: signal fates recorded ({} consumed / {} obsolete / {} stale) \
@@ -930,6 +936,7 @@ mod tests {
             tx_dropped: 0,
             telemetry_dropped: 0,
             signals_sent: 3,
+            expiries_deferred: 0,
             signals_dropped_injected: 0,
             preemptions: 2,
             work_conservation_violations: 0,

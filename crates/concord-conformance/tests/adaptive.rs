@@ -43,11 +43,16 @@ fn bimodal_case() -> CaseConfig {
 /// a preemption signal — the retuned quantum's lower clamp and
 /// bucket-upper-bound targeting keep it strictly above the class's
 /// service time. Virtual time makes slice lengths exact, so "never" is
-/// an equality over the loss-free trace.
+/// an equality over the loss-free trace. The requests arrive as one
+/// burst: a long request is only signaled while another waits, and the
+/// quantum-awaiting app parks until it is, so every long must have
+/// company at each of its expiries — round-robin over a queue that was
+/// full from the first ingest pass guarantees that.
 #[test]
 fn adaptive_quanta_never_preempt_the_short_class() {
     use concord_trace::EventKind;
-    let case = bimodal_case();
+    let mut case = bimodal_case();
+    case.arrival = ArrivalKind::Burst;
     let clock = Arc::new(VirtualClock::new());
     // Chunk = half the (long-class) quantum so every expiry lands on a
     // chunk edge; the long class stays clamped at 100µs throughout.

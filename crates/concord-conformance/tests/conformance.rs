@@ -124,10 +124,14 @@ fn reject_tx_backpressure_counts_exactly() {
 /// Quantum expiries need the dispatcher to observe a *running* slice, so
 /// this test uses millisecond services (far above the OS timeslice) the
 /// way `long_requests_get_preempted` does — µs slices finish before a
-/// single-core host ever schedules the dispatcher mid-slice.
+/// single-core host ever schedules the dispatcher mid-slice. And they
+/// are only claimed while someone waits, so the requests arrive as one
+/// burst: 20 requests on two JBSQ(2) workers keep the central queue
+/// non-empty for ~16 of them, hundreds of claims for 5 drops.
 #[test]
 fn dropped_signals_are_fully_accounted() {
     let mut case = base_case();
+    case.arrival = ArrivalKind::Burst;
     case.quantum_us = 1_000;
     case.short_us = 20_000; // 20 ms — ~20 expiries per request
     case.long_us = 20_000;
@@ -146,10 +150,12 @@ fn dropped_signals_are_fully_accounted() {
 /// Delayed signal stores usually land after their slice ended — the
 /// stale-signal window PR 1 closed. The generation tag must divert every
 /// late store into the `stale`/`obsolete` fates, never into a foreign
-/// slice's yield.
+/// slice's yield. A burst keeps requests waiting (signals are only sent
+/// for a waiter's benefit), so the five delays are consumed early on.
 #[test]
 fn delayed_signals_resolve_to_harmless_fates() {
     let mut case = base_case();
+    case.arrival = ArrivalKind::Burst;
     case.quantum_us = 50;
     case.fault = FaultKind::DelaySignals {
         n: 5,
@@ -274,12 +280,18 @@ fn virtual_spin_measures_service_exactly() {
 
 /// Virtual-time preemption is exact: with the app parking at preemption
 /// points whenever a slice virtually outruns the quantum
-/// ([`VirtualSpinApp::awaiting_quantum`]), every expiry becomes a yield,
-/// so 400 µs services on a 50 µs quantum preempt *exactly* 8 times per
-/// request — an equality no wall-clock test could assert.
+/// ([`VirtualSpinApp::awaiting_quantum`]), every expiry *with a waiter*
+/// becomes a yield, so 400 µs services on a 50 µs quantum preempt
+/// *exactly* 8 times per request — an equality no wall-clock test could
+/// assert. All 20 requests are in the central queue from the first
+/// ingest pass (burst), and round-robin keeps them all there until each
+/// has yielded 8 times — the 8th right after its last chunk — so a
+/// waiter exists at every expiry; the final round only completes
+/// requests, with no virtual time passing and nothing left to expire.
 #[test]
 fn virtual_spin_preempts_deterministically() {
     let mut case = base_case();
+    case.arrival = ArrivalKind::Burst;
     case.n_workers = 1;
     case.jbsq_depth = 1;
     case.work_conserving = false;
@@ -287,7 +299,6 @@ fn virtual_spin_preempts_deterministically() {
     case.short_us = 400; // exactly 8 quanta per request
     case.long_us = 400;
     case.requests = 20;
-    case.load_pct = 20;
     let clock = Arc::new(VirtualClock::new());
     // Chunk = quantum/2 so every expiry lands on a chunk boundary.
     let app = Arc::new(VirtualSpinApp::awaiting_quantum(

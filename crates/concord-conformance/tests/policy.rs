@@ -119,11 +119,14 @@ fn fcfs_single_worker_is_fifo_with_zero_preemptions() {
 /// under quantum PS with a 100µs quantum, a 10µs request can never see
 /// a preemption signal — every `YIELD` in the trace belongs to a long
 /// request. Virtual time makes slice lengths exact, so this is
-/// deterministic, not statistical.
+/// deterministic, not statistical. Burst arrivals keep a waiter behind
+/// every long request's expiries (signals are only sent for a waiter,
+/// and the quantum-awaiting app parks until one comes).
 #[test]
 fn ps_quantum_never_preempts_short_requests() {
     use concord_trace::EventKind;
     let mut case = base_case();
+    case.arrival = ArrivalKind::Burst;
     case.n_workers = 1;
     case.jbsq_depth = 1;
     case.work_conserving = false;

@@ -15,7 +15,6 @@ use crate::telemetry::{CompletionRecord, TelemetryHandle, DISPATCHER};
 use crate::transport::{Egress, Ingress, SpscReceiver, SpscSender};
 use crate::worker::{TraceKind, WorkerMsg};
 use concord_net::Response;
-use concord_sync::MpmcQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -25,10 +24,14 @@ pub struct WorkerSlot {
     pub shared: Arc<WorkerShared>,
     /// Sender side of the worker's bounded local task queue.
     pub ring: SpscSender<Task>,
-    /// Receiver side of the worker's completion-telemetry lane.
-    pub telemetry: SpscReceiver<CompletionRecord>,
+    /// Receiver side of the worker's return ring: one message per
+    /// completion or yield, at most `inflight` of them outstanding.
+    pub from_worker: SpscReceiver<WorkerMsg>,
     /// Requests pushed but not yet completed/re-queued (JBSQ occupancy).
     pub inflight: usize,
+    /// Generation of the last slice whose expiry was observed with
+    /// nobody waiting (so `expiries_deferred` counts it once).
+    pub deferred_gen: Option<u64>,
 }
 
 /// Long-lived state of the dispatcher thread, generic over how requests
@@ -44,8 +47,6 @@ pub struct DispatcherLoop<A: ConcordApp, I: Ingress, E: Egress> {
     pub tx: E,
     /// Per-worker slots.
     pub workers: Vec<WorkerSlot>,
-    /// Channel from workers.
-    pub from_workers: Arc<MpmcQueue<WorkerMsg>>,
     /// Aggregated lifecycle telemetry (shared with `Runtime::telemetry`).
     pub telemetry: TelemetryHandle,
     /// Runtime time source.
@@ -150,7 +151,13 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         let mut in_system: usize = 0;
         let mut stolen: Option<Task> = None;
         let mut stack_pool: Vec<concord_uthread::stack::Stack> = Vec::with_capacity(STACK_POOL_CAP);
+        // Scratch for one drain pass over the return rings (step 1).
         let mut records: Vec<CompletionRecord> = Vec::with_capacity(64);
+        let mut preempt_latencies: Vec<u64> = Vec::with_capacity(64);
+        let mut responses: Vec<Response> = Vec::with_capacity(64);
+        // Taken once: cloning the context per iteration would bounce the
+        // refcount of the link table every shard's dispatcher shares.
+        let shard = self.shard.take();
         let mut admission_events: Vec<AdmissionEvent> = Vec::new();
         // Seeded from the loop's start so the first report waits one
         // full interval (see `ReportTimer`).
@@ -176,122 +183,64 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 }
             }
 
-            // 1. Quantum policing: signal workers whose slice expired
-            //    (§3.1 — the dispatcher owns *when*, the worker owns *how*).
-            //    The claim returns the expired slice's generation and the
-            //    signal carries it, so a worker that has already moved on
-            //    ignores the (now stale) signal.
-            //
-            //    Run-to-completion policies (`Fcfs`) skip the whole step:
-            //    no claims, no signals — zero preemptions by
-            //    construction, which the conformance suite asserts
-            //    exactly.
-            let policed = if policy.preempts() {
-                self.workers.len()
-            } else {
-                0
-            };
-            for i in 0..policed {
-                let claimed = self.workers[i].shared.claim_expired(&self.clock);
-                if let Some(gen) = claimed {
-                    progressed = true;
-                    #[cfg(feature = "fault-injection")]
-                    if let Some(inj) = self.cfg.fault_injector.as_deref() {
-                        if inj.take_drop_signal() {
-                            // The claim happened but the signal never
-                            // lands: a lost preemption, visible to the
-                            // oracles through this counter.
-                            self.stats
-                                .signals_dropped_injected
-                                .fetch_add(1, Ordering::Relaxed);
-                            continue;
-                        }
-                        if let Some(delay_ns) = inj.take_signal_delay() {
-                            deferred.push(DeferredSignal {
-                                worker: i,
-                                gen,
-                                due_ns: self.clock.now_ns().saturating_add(delay_ns),
-                            });
-                            continue;
-                        }
-                    }
-                    self.send_signal(i, gen);
-                }
-            }
-
-            // 1b. Deliver injected-delay signals whose release time has
-            //     passed. A delayed store typically lands after its slice
-            //     ended — exactly the stale-signal window the generation
-            //     tag defends against.
-            #[cfg(feature = "fault-injection")]
-            if !deferred.is_empty() {
-                let now = self.clock.now_ns();
-                let mut j = 0;
-                while j < deferred.len() {
-                    if deferred[j].due_ns <= now {
-                        let d = deferred.swap_remove(j);
-                        self.send_signal(d.worker, d.gen);
-                        progressed = true;
-                    } else {
-                        j += 1;
-                    }
-                }
-            }
-
-            // 2. Worker messages: completions free JBSQ slots and emit
+            // 1. Worker messages: completions free JBSQ slots and emit
             //    responses; requeues re-enter the central queue at the
             //    round-robin tail — behind later arrivals, the
             //    processor-sharing round-robin of the paper's quantum
             //    model (§3.1), *not* FCFS re-entry (see `central.rs`).
-            //    Telemetry rings drain *before* the response is emitted:
-            //    the worker pushed record-before-message, so anything the
+            //    One pass pops every return ring (at most k messages
+            //    each), folds the pass's telemetry under one lock, and
+            //    only then emits the responses — so anything the
             //    collector can observe is already aggregated.
-            while let Some(msg) = self.from_workers.pop() {
-                progressed = true;
-                match msg {
-                    WorkerMsg::Completed {
-                        worker,
-                        resp,
-                        stack,
-                    } => {
-                        self.workers[worker].inflight =
-                            self.workers[worker].inflight.saturating_sub(1);
-                        in_system = in_system.saturating_sub(1);
-                        if let Some(s) = stack {
-                            if stack_pool.len() < STACK_POOL_CAP && s.size() >= self.cfg.stack_size
-                            {
-                                stack_pool.push(s);
+            for w in 0..self.workers.len() {
+                while let Some(msg) = self.workers[w].from_worker.pop() {
+                    self.workers[w].inflight = self.workers[w].inflight.saturating_sub(1);
+                    match msg {
+                        WorkerMsg::Completed {
+                            record,
+                            resp,
+                            stack,
+                        } => {
+                            in_system = in_system.saturating_sub(1);
+                            if let Some(s) = stack {
+                                if stack_pool.len() < STACK_POOL_CAP
+                                    && s.size() >= self.cfg.stack_size
+                                {
+                                    stack_pool.push(s);
+                                }
                             }
+                            records.push(record);
+                            responses.push(resp);
                         }
-                        self.drain_telemetry(worker, &mut records);
-                        self.emit(resp);
-                    }
-                    WorkerMsg::Requeue {
-                        worker,
-                        task,
-                        preempt_latency_ns,
-                    } => {
-                        self.workers[worker].inflight =
-                            self.workers[worker].inflight.saturating_sub(1);
-                        self.stats.requeues.fetch_add(1, Ordering::Relaxed);
-                        // Signal-store → yield latency, measured from
-                        // stamps both sides already take. Aggregated here
-                        // (dispatcher thread) so workers never lock.
-                        self.telemetry
-                            .lock()
-                            .expect("lock poisoned")
-                            .record_preemption_latency(preempt_latency_ns);
-                        let key = policy.key(&task);
-                        central.push_requeued_prio(key, task);
+                        WorkerMsg::Requeue {
+                            task,
+                            preempt_latency_ns,
+                        } => {
+                            self.stats.requeues.fetch_add(1, Ordering::Relaxed);
+                            // Signal-store → yield latency, measured from
+                            // stamps both sides already take.
+                            preempt_latencies.push(preempt_latency_ns);
+                            let key = policy.key(&task);
+                            central.push_requeued_prio(key, task);
+                        }
                     }
                 }
             }
+            if !records.is_empty() || !preempt_latencies.is_empty() {
+                progressed = true;
+                self.fold_telemetry(&records, &preempt_latencies);
+                records.clear();
+                preempt_latencies.clear();
+                for resp in responses.drain(..) {
+                    self.emit(resp);
+                }
+            }
 
-            // 2b. Admission events: fold ingress-side sheds into the
-            //     trace (ADMIT_DROP, class in the generation field). Runs
-            //     unconditionally — also while stopping, and with tracing
-            //     disarmed — so the ingress-side event queue stays
-            //     bounded no matter what.
+            // 2. Admission events: fold ingress-side sheds into the
+            //    trace (ADMIT_DROP, class in the generation field). Runs
+            //    unconditionally — also while stopping, and with tracing
+            //    disarmed — so the ingress-side event queue stays
+            //    bounded no matter what.
             self.rx.drain_admission(&mut admission_events);
             for ev in admission_events.drain(..) {
                 self.trace_emit(ev.ts_ns, TraceKind::AdmitDrop, ev.id, u64::from(ev.class));
@@ -304,7 +253,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 // Tasks parked in this shard's own overflow ring still
                 // count against the cap: they were ingested here and may
                 // come back via reclaim.
-                let parked = self.shard.as_ref().map_or(0, |c| c.own().len());
+                let parked = shard.as_ref().map_or(0, |c| c.own().len());
                 while in_system + parked < self.cfg.max_in_flight {
                     let Some(req) = self.rx.poll() else { break };
                     self.stats.ingested.fetch_add(1, Ordering::Relaxed);
@@ -357,7 +306,105 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 progressed = true;
             }
 
-            // 5. Work conservation (§3.3): when every worker queue is full
+            // Injected dispatcher stall: with every worker queue full,
+            // busy-wait a stretch of clock time so completions and yields
+            // pile up in the return rings (k per worker, never more).
+            #[cfg(feature = "fault-injection")]
+            if let Some(inj) = self.cfg.fault_injector.as_deref() {
+                if self.all_workers_full() {
+                    if let Some(stall_ns) = inj.take_dispatcher_stall() {
+                        let until = self.clock.now_ns().saturating_add(stall_ns);
+                        while self.clock.now_ns() < until && !self.stop.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                        let backlog = self.workers.iter().map(|w| w.from_worker.len());
+                        inj.note_return_backlog(backlog.max().unwrap_or(0) as u64);
+                    }
+                }
+            }
+
+            // 5. Quantum policing: signal workers whose slice expired
+            //    (§3.1 — the dispatcher owns *when*, the worker owns *how*)
+            //    — but only when someone would run sooner for it: a
+            //    request waiting in the central queue or behind the slice
+            //    in that worker's own JBSQ ring. Preempting a request
+            //    nobody waits for only sends it round the requeue path
+            //    and straight back to the same worker. Runs after ingest
+            //    and dispatch so the arrival that opens the gate gets the
+            //    signal on this very iteration. The claim returns the
+            //    expired slice's generation and the signal carries it, so
+            //    a worker that has already moved on ignores the (now
+            //    stale) signal.
+            //
+            //    Run-to-completion policies (`Fcfs`) skip the whole step:
+            //    no claims, no signals — zero preemptions by
+            //    construction, which the conformance suite asserts
+            //    exactly.
+            let policed = if policy.preempts() {
+                self.workers.len()
+            } else {
+                0
+            };
+            for i in 0..policed {
+                let slot = &mut self.workers[i];
+                if central.is_empty() && slot.inflight <= 1 {
+                    // Nobody waiting: peek only, leaving the slice word
+                    // untouched so the expiry stays claimable.
+                    if let Some(gen) = slot.shared.peek_expired(&self.clock) {
+                        if slot.deferred_gen != Some(gen) {
+                            slot.deferred_gen = Some(gen);
+                            self.stats.expiries_deferred.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    continue;
+                }
+                let claimed = slot.shared.claim_expired(&self.clock);
+                if let Some(gen) = claimed {
+                    progressed = true;
+                    #[cfg(feature = "fault-injection")]
+                    if let Some(inj) = self.cfg.fault_injector.as_deref() {
+                        if inj.take_drop_signal() {
+                            // The claim happened but the signal never
+                            // lands: a lost preemption, visible to the
+                            // oracles through this counter.
+                            self.stats
+                                .signals_dropped_injected
+                                .fetch_add(1, Ordering::Relaxed);
+                            continue;
+                        }
+                        if let Some(delay_ns) = inj.take_signal_delay() {
+                            deferred.push(DeferredSignal {
+                                worker: i,
+                                gen,
+                                due_ns: self.clock.now_ns().saturating_add(delay_ns),
+                            });
+                            continue;
+                        }
+                    }
+                    self.send_signal(i, gen);
+                }
+            }
+
+            // 5b. Deliver injected-delay signals whose release time has
+            //     passed. A delayed store typically lands after its slice
+            //     ended — exactly the stale-signal window the generation
+            //     tag defends against.
+            #[cfg(feature = "fault-injection")]
+            if !deferred.is_empty() {
+                let now = self.clock.now_ns();
+                let mut j = 0;
+                while j < deferred.len() {
+                    if deferred[j].due_ns <= now {
+                        let d = deferred.swap_remove(j);
+                        self.send_signal(d.worker, d.gen);
+                        progressed = true;
+                    } else {
+                        j += 1;
+                    }
+                }
+            }
+
+            // 6. Work conservation (§3.3): when every worker queue is full
             //    and non-started work is queued, the dispatcher runs it
             //    itself, one self-preempting slice at a time.
             if self.cfg.work_conserving {
@@ -443,11 +490,11 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 }
             }
 
-            // 5b. Inter-shard steal path (sharded runtimes only; see
+            // 6b. Inter-shard steal path (sharded runtimes only; see
             //     `shard.rs` for the protocol). Only never-started tasks
             //     ever migrate, so JBSQ ≤ k and signal-generation
             //     invariants stay intact per shard.
-            if let Some(ctx) = self.shard.clone() {
+            if let Some(ctx) = shard.as_ref() {
                 let stopping = self.stop.load(Ordering::Acquire);
                 if ctx.links.len() > 1 && !stopping {
                     // Offload: workers saturated (work conservation has
@@ -544,16 +591,17 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 }
             }
 
-            // 6. Shutdown: once asked to stop and fully drained, release
+            // 7. Shutdown: once asked to stop and fully drained, release
             //    the workers and exit.
             if self.stop.load(Ordering::Acquire) && !progressed {
                 let drained = central.is_empty()
                     && stolen.is_none()
+                    // Every popped message freed its slot, so zero
+                    // in flight also means the return rings are empty.
                     && self.workers.iter().all(|w| w.inflight == 0)
-                    && self.from_workers.is_empty()
                     // Sharded: our own overflow ring must be empty too
                     // (the reclaim step above empties it while draining).
-                    && self.shard.as_ref().is_none_or(|c| c.own().is_empty());
+                    && shard.as_ref().is_none_or(|c| c.own().is_empty());
                 if drained {
                     // Flush any still-deferred injected signals so the
                     // signal accounting closes (they land in idle lines
@@ -561,11 +609,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     #[cfg(feature = "fault-injection")]
                     for d in deferred.drain(..) {
                         self.send_signal(d.worker, d.gen);
-                    }
-                    // Catch any record whose completion message was
-                    // handled before this loop iteration's drain.
-                    for i in 0..self.workers.len() {
-                        self.drain_telemetry(i, &mut records);
                     }
                     // Final trace drain for the dispatcher's own lane;
                     // worker lanes get a last sweep from Runtime::quiesce
@@ -580,7 +623,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 // Tripwire for the work-conservation oracle: this branch
                 // with runnable work queued and capacity available would
                 // mean the dispatch logic above regressed. The conditions
-                // mirror steps 4 and 5 exactly, so this is unreachable
+                // mirror steps 4 and 6 exactly, so this is unreachable
                 // today — the conformance suite asserts it stays that way.
                 if !central.is_empty()
                     && (self.pick_worker().is_some()
@@ -604,8 +647,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
     /// at least as fresh).
     fn send_signal(&mut self, worker: usize, gen: u64) {
         let now_ns = self.clock.now_ns();
-        self.workers[worker].shared.note_signal_sent(now_ns);
-        self.workers[worker].shared.line.signal(gen);
+        self.workers[worker].shared.signal(gen, now_ns);
         self.stats.signals_sent.fetch_add(1, Ordering::Relaxed);
         // SIGNAL_SENT identifies the *target worker* in the id field (the
         // request is not known to the signaling side) and the slice
@@ -669,23 +711,20 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
             .map(|(i, _)| i)
     }
 
-    /// Drains `worker`'s telemetry ring into the aggregate.
-    fn drain_telemetry(&mut self, worker: usize, scratch: &mut Vec<CompletionRecord>) {
-        scratch.clear();
-        if self.workers[worker]
-            .telemetry
-            .pop_batch(scratch, usize::MAX)
-            == 0
-        {
-            return;
-        }
+    /// Folds completion records and preemption latencies into the
+    /// aggregate under a single lock, then feeds the records to the
+    /// quantum controller.
+    fn fold_telemetry(&mut self, records: &[CompletionRecord], preempt_latencies: &[u64]) {
         let mut telemetry = self.telemetry.lock().expect("lock poisoned");
-        for r in scratch.iter() {
+        for r in records {
             telemetry.record(r);
+        }
+        for &ns in preempt_latencies {
+            telemetry.record_preemption_latency(ns);
         }
         drop(telemetry);
         if let Some(ctrl) = self.controller.as_mut() {
-            for r in scratch.iter() {
+            for r in records {
                 ctrl.observe(r.class, r.service_ns, r.sojourn_ns);
             }
         }
@@ -699,13 +738,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         stack_pool: &mut Vec<concord_uthread::stack::Stack>,
     ) {
         let record = CompletionRecord::from_task(&task, self.clock.now_ns(), DISPATCHER, failed);
-        self.telemetry
-            .lock()
-            .expect("lock poisoned")
-            .record(&record);
-        if let Some(ctrl) = self.controller.as_mut() {
-            ctrl.observe(record.class, record.service_ns, record.sojourn_ns);
-        }
+        self.fold_telemetry(&[record], &[]);
         let resp = task.response();
         self.emit(resp);
         if let Some(s) = task.recycle() {

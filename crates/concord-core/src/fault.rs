@@ -4,7 +4,7 @@
 //!
 //! A [`FaultInjector`] is handed to the runtime via
 //! `RuntimeConfig::builder().fault_injector(..)`
-//! and consulted at four seams:
+//! and consulted at five seams:
 //!
 //! - **Signal delivery** (dispatcher, after a successful expiry claim):
 //!   the next N preemption-signal stores can be *dropped* (the claim
@@ -17,6 +17,10 @@
 //! - **Worker stall**: a chosen worker busy-waits for N clock
 //!   nanoseconds before serving its next request, creating JBSQ
 //!   imbalance and work-conservation pressure on demand.
+//! - **Dispatcher stall**: once every worker queue is full, the
+//!   dispatcher busy-waits for N clock nanoseconds, so completions and
+//!   yields pile up in the per-worker return rings — the JBSQ bound `k`
+//!   is all that keeps those rings from overflowing.
 //! - **Handler panic**: a chosen (request id, slice ordinal) panics at
 //!   its first preemption point, inside the coroutine, exercising the
 //!   real panic-containment path end to end.
@@ -45,7 +49,7 @@ fn take_budget(budget: &AtomicU64) -> bool {
 }
 
 /// Deterministic fault schedule for one runtime instance. See the module
-/// docs for the four fault classes.
+/// docs for the fault classes.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     // Signal drops.
@@ -63,6 +67,10 @@ pub struct FaultInjector {
     stall_worker_plus_one: AtomicU64,
     stall_ns: AtomicU64,
     stalls_served: AtomicU64,
+    // Dispatcher stall: pending duration (0 = none) and the deepest
+    // return-ring backlog the dispatcher found when a stall ended.
+    dispatcher_stall_ns: AtomicU64,
+    return_backlog_max: AtomicU64,
     // Handler panic: request id (NO_PANIC = disarmed) and slice ordinal.
     panic_req_id: AtomicU64,
     panic_slice: AtomicU64,
@@ -111,6 +119,13 @@ impl FaultInjector {
         self.stall_ns.store(ns, Ordering::Release);
         self.stall_worker_plus_one
             .store(idx as u64 + 1, Ordering::Release);
+    }
+
+    /// Stall the dispatcher for `ns` nanoseconds of clock time the next
+    /// time every worker queue is full (k requests outstanding each).
+    /// One stall is pending at a time.
+    pub fn stall_dispatcher(&self, ns: u64) {
+        self.dispatcher_stall_ns.store(ns, Ordering::Release);
     }
 
     /// Panic inside the handler of request `req_id` at the start of slice
@@ -177,6 +192,19 @@ impl FaultInjector {
         }
     }
 
+    /// Dispatcher: nanoseconds to stall now, if a stall is pending.
+    pub fn take_dispatcher_stall(&self) -> Option<u64> {
+        match self.dispatcher_stall_ns.swap(0, Ordering::AcqRel) {
+            0 => None,
+            ns => Some(ns),
+        }
+    }
+
+    /// Dispatcher: the deepest return ring it found after a stall.
+    pub fn note_return_backlog(&self, depth: u64) {
+        self.return_backlog_max.fetch_max(depth, Ordering::AcqRel);
+    }
+
     /// Worker: is (`req_id`, `slice`) the armed panic target? Consumes
     /// the target when it matches.
     pub fn take_panic(&self, req_id: u64, slice: u32) -> bool {
@@ -226,6 +254,12 @@ impl FaultInjector {
         self.stalls_served.load(Ordering::Acquire)
     }
 
+    /// Deepest per-worker return-ring backlog observed at the end of a
+    /// dispatcher stall (0 if none was served).
+    pub fn return_backlog_max(&self) -> u64 {
+        self.return_backlog_max.load(Ordering::Acquire)
+    }
+
     /// Injected handler panics actually fired so far.
     pub fn panics_fired(&self) -> u64 {
         self.panics_fired.load(Ordering::Acquire)
@@ -268,6 +302,18 @@ mod tests {
         assert_eq!(f.take_stall(1), Some(7_000));
         assert_eq!(f.take_stall(1), None, "stall served once");
         assert_eq!(f.stalls_served(), 1);
+    }
+
+    #[test]
+    fn dispatcher_stall_is_served_once() {
+        let f = FaultInjector::new();
+        assert_eq!(f.take_dispatcher_stall(), None);
+        f.stall_dispatcher(9_000);
+        assert_eq!(f.take_dispatcher_stall(), Some(9_000));
+        assert_eq!(f.take_dispatcher_stall(), None, "stall served once");
+        f.note_return_backlog(2);
+        f.note_return_backlog(1);
+        assert_eq!(f.return_backlog_max(), 2);
     }
 
     #[test]

@@ -76,9 +76,12 @@ impl PreemptLine {
         Self::default()
     }
 
-    /// Dispatcher side: request that slice `gen` yield.
-    pub fn signal(&self, gen: u64) {
-        self.word.store(token(gen), Ordering::Release);
+    /// Dispatcher side: request that slice `gen` yield. Returns true if
+    /// the store overwrote a signal the worker had not looked at yet —
+    /// that signal can no longer be observed, so the caller owes it a
+    /// fate (see [`WorkerShared::signal`]).
+    pub fn signal(&self, gen: u64) -> bool {
+        self.word.swap(token(gen), Ordering::AcqRel) != 0
     }
 
     /// Worker side: cheap poll without consuming the signal. True only if
@@ -171,12 +174,10 @@ pub struct WorkerShared {
     obsolete: AtomicU64,
     /// Signals discarded because they carried a stale generation.
     stale: AtomicU64,
-    /// Clock stamp of the most recent signal store ([`note_signal_sent`]
-    /// — the dispatcher stamps *before* the store, so by the time a
-    /// worker observes the signal the stamp is in place). Feeds the
-    /// signal-to-yield preemption-latency histogram.
-    ///
-    /// [`note_signal_sent`]: WorkerShared::note_signal_sent
+    /// Clock stamp of the most recent signal store
+    /// ([`WorkerShared::signal`] — the dispatcher stamps *before* the
+    /// store, so by the time a worker observes the signal the stamp is
+    /// in place). Feeds the signal-to-yield preemption-latency histogram.
     signal_sent_ns: AtomicU64,
     /// Clock stamp taken when a preemption point consumed a signal;
     /// 0 = none pending. Swapped out by the worker's YIELD hook.
@@ -280,11 +281,22 @@ impl WorkerShared {
         }
     }
 
-    /// Dispatcher: stamp the clock time of a signal store, *before*
-    /// performing it ([`PreemptLine::signal`]); release/acquire on the
-    /// pair orders the stamp ahead of any observer of the signal.
-    pub fn note_signal_sent(&self, now_ns: u64) {
+    /// Dispatcher: signal slice `gen` to yield, stamping the clock time
+    /// of the store *before* performing it; release/acquire on the pair
+    /// orders the stamp ahead of any observer of the signal.
+    ///
+    /// A store that lands on a signal the worker never polled replaces
+    /// it. The dispatcher stores in claim order, so the replaced token
+    /// belonged to an older slice the worker has already left: it is
+    /// accounted stale here, keeping `sent == consumed + obsolete +
+    /// stale` exact. (Only the fault injector's *delayed* stores can
+    /// replace a newer token; that signal is then lost like a dropped
+    /// one, and is accounted the same way.)
+    pub fn signal(&self, gen: u64, now_ns: u64) {
         self.signal_sent_ns.store(now_ns, Ordering::Release);
+        if self.line.signal(gen) {
+            self.stale.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Clock stamp of the most recent signal store (0 = never signaled).
@@ -305,18 +317,30 @@ impl WorkerShared {
         self.line.signal(self.generation());
     }
 
-    /// Dispatcher: if the published deadline has passed, atomically claim
-    /// the slice (so each slice is signaled once) and return its
-    /// generation for the signal.
-    pub fn claim_expired(&self, clock: &Clock) -> Option<u64> {
+    /// The packed state of the running slice if its published deadline
+    /// has passed; `None` when idle or still inside its quantum.
+    fn expired_state(&self, clock: &Clock) -> Option<u64> {
         let state = self.slice.load(Ordering::Acquire);
         if state == IDLE {
             return None;
         }
-        let now_us = clock.now_ns() / 1_000;
-        if now_us < (state & DEADLINE_MASK) {
-            return None;
-        }
+        (clock.now_ns() / 1_000 >= (state & DEADLINE_MASK)).then_some(state)
+    }
+
+    /// Dispatcher: the generation of the running slice if its deadline
+    /// has passed, *without* claiming it — the slice word is left
+    /// untouched, so the expiry stays claimable by a later
+    /// [`claim_expired`](WorkerShared::claim_expired). Used when nobody
+    /// is waiting for the core and a signal would buy nothing.
+    pub fn peek_expired(&self, clock: &Clock) -> Option<u64> {
+        self.expired_state(clock).map(|s| s >> DEADLINE_BITS)
+    }
+
+    /// Dispatcher: if the published deadline has passed, atomically claim
+    /// the slice (so each slice is signaled once) and return its
+    /// generation for the signal.
+    pub fn claim_expired(&self, clock: &Clock) -> Option<u64> {
+        let state = self.expired_state(clock)?;
         // CAS on the full packed word: if the worker already moved to
         // another slice (different generation *or* deadline), the claim
         // fails and no signal is sent for it.
@@ -518,6 +542,27 @@ mod tests {
     }
 
     #[test]
+    fn peek_reports_expiry_and_leaves_it_claimable() {
+        let (clock, v) = Clock::manual();
+        let s = WorkerShared::new();
+        let gen = s.begin_slice(&clock, Duration::from_micros(5));
+        assert_eq!(s.peek_expired(&clock), None, "inside the quantum");
+        v.advance(Duration::from_micros(5));
+        assert_eq!(s.peek_expired(&clock), Some(gen & GEN_MASK));
+        assert_eq!(
+            s.peek_expired(&clock),
+            Some(gen & GEN_MASK),
+            "peek is idempotent"
+        );
+        assert_eq!(
+            s.claim_expired(&clock),
+            Some(gen & GEN_MASK),
+            "a peeked expiry is still claimable"
+        );
+        assert_eq!(s.peek_expired(&clock), None, "claimed slices read idle");
+    }
+
+    #[test]
     fn idle_worker_never_expires() {
         let (clock, v) = Clock::manual();
         let s = WorkerShared::new();
@@ -599,6 +644,35 @@ mod tests {
             }
         );
         assert_eq!(acc.total(), 3, "every signal accounted exactly once");
+    }
+
+    #[test]
+    fn overwritten_signal_is_accounted_stale() {
+        // Slice N's store is late; slice N+1 expires and is signaled
+        // before the worker ever polls: the second store replaces the
+        // first, which must still get a fate.
+        let (clock, v) = Clock::manual();
+        let s = WorkerShared::new();
+        s.begin_slice(&clock, Duration::ZERO);
+        v.advance(Duration::from_micros(1));
+        let n = s.claim_expired(&clock).expect("slice N expired");
+        s.end_slice();
+        s.begin_slice(&clock, Duration::ZERO);
+        v.advance(Duration::from_micros(1));
+        let n1 = s.claim_expired(&clock).expect("slice N+1 expired");
+        s.signal(n, clock.now_ns());
+        s.signal(n1, clock.now_ns());
+        assert!(s.take_signal_current(), "slice N+1's own signal survives");
+        s.end_slice();
+        assert_eq!(
+            s.signal_accounting(),
+            SignalAccounting {
+                consumed: 1,
+                obsolete: 0,
+                stale: 1
+            },
+            "two stores, two fates"
+        );
     }
 
     #[test]

@@ -9,20 +9,13 @@ use crate::preempt::{SignalAccounting, WorkerShared};
 use crate::quantum::{ControllerConfig, QuantumController, QuantumTable, SloState};
 use crate::stats::RuntimeStats;
 use crate::task::Task;
-use crate::telemetry::{CompletionRecord, Telemetry, TelemetryHandle, TelemetrySnapshot};
+use crate::telemetry::{Telemetry, TelemetryHandle, TelemetrySnapshot};
 use crate::transport::{spsc, Egress, Ingress};
 use crate::worker::{WorkerLoop, WorkerMsg};
-use concord_sync::MpmcQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::thread::JoinHandle;
-
-/// Capacity of each per-worker completion-telemetry ring. Records are
-/// drained on every completion message, so occupancy tracks the JBSQ
-/// depth (2 in the paper); the slack only matters if the dispatcher
-/// stalls badly, and then records drop (counted) rather than block.
-const TELEMETRY_RING_CAP: usize = 1024;
 
 /// A running Concord instance.
 ///
@@ -110,7 +103,6 @@ impl Runtime {
             Arc::new(s)
         };
         let telemetry: TelemetryHandle = Arc::new(Mutex::new(Telemetry::new()));
-        let from_workers: Arc<MpmcQueue<WorkerMsg>> = Arc::new(MpmcQueue::new());
 
         // Per-class quantum table (workers read it at slice start) and
         // SLO state (the admission gate reads the blown bits). With
@@ -172,20 +164,23 @@ impl Runtime {
             #[cfg(not(feature = "trace"))]
             let shared = Arc::new(WorkerShared::new());
             shared_lines.push(shared.clone());
+            // Both directions are bounded by JBSQ: at most k tasks are
+            // outstanding on a worker, and each comes back as exactly one
+            // message, so k slots suffice for the return ring too.
             let (task_tx, task_rx) = spsc::<Task>(config.jbsq_depth.max(1));
-            let (rec_tx, rec_rx) = spsc::<CompletionRecord>(TELEMETRY_RING_CAP);
+            let (msg_tx, msg_rx) = spsc::<WorkerMsg>(config.jbsq_depth.max(1));
             slots.push(WorkerSlot {
                 shared: shared.clone(),
                 ring: task_tx,
-                telemetry: rec_rx,
+                from_worker: msg_rx,
                 inflight: 0,
+                deferred_gen: None,
             });
             let wl = WorkerLoop {
                 idx,
                 shared,
                 local: task_rx,
-                to_dispatcher: from_workers.clone(),
-                telemetry: rec_tx,
+                to_dispatcher: msg_tx,
                 clock: clock.clone(),
                 quanta: quanta.clone(),
                 stop: workers_stop.clone(),
@@ -216,7 +211,6 @@ impl Runtime {
             rx: ingress,
             tx: egress,
             workers: slots,
-            from_workers,
             telemetry: telemetry.clone(),
             clock,
             stop: stop.clone(),
@@ -280,9 +274,10 @@ impl Runtime {
     /// delay, measured service time and sojourn histograms (p50/p99/p99.9
     /// accessors) plus slowdown.
     ///
-    /// Records flow worker → dispatcher ahead of the matching responses,
-    /// so a snapshot taken after the collector has observed `n` responses
-    /// covers at least those `n` requests.
+    /// Each record reaches the dispatcher inside its completion message
+    /// and is folded in before the response is emitted, so a snapshot
+    /// taken after the collector has observed `n` responses covers at
+    /// least those `n` requests.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut t = self.telemetry.lock().expect("lock poisoned");
         t.records_dropped = self.stats.telemetry_dropped.load(Ordering::Relaxed);

@@ -132,6 +132,12 @@ pub struct RuntimeStats {
     pub dispatcher_completed: AtomicU64,
     /// Preemption signals sent by the dispatcher.
     pub signals_sent: AtomicU64,
+    /// Slice generations whose quantum expiry the dispatcher observed
+    /// while nobody was waiting for that worker (central queue empty, no
+    /// second request in its JBSQ ring), so no signal was sent. Counted
+    /// once per generation; the expiry stays claimable, so a generation
+    /// counted here is still signaled if a waiter shows up later.
+    pub expiries_deferred: AtomicU64,
     /// Times a request actually yielded at a preemption point.
     pub preemptions: AtomicU64,
     /// Requests the dispatcher pushed to workers.
@@ -153,7 +159,9 @@ pub struct RuntimeStats {
     /// retry budget (collector gone or wedged). Every drop is a request
     /// the runtime completed but the client never heard about.
     pub tx_dropped: AtomicU64,
-    /// Completion telemetry records lost to a full per-worker ring.
+    /// Completion telemetry records lost in transit. Structurally 0: the
+    /// record rides inside the completion message, whose ring JBSQ keeps
+    /// from ever filling. Kept so scrapers and benchmarks keep parsing.
     pub telemetry_dropped: AtomicU64,
     /// Trace events lost to a full lane ring, summed across all tracks
     /// (workers and dispatcher). Always 0 without the `trace` feature.
@@ -220,6 +228,10 @@ impl RuntimeStats {
                 self.dispatcher_completed.load(Ordering::Relaxed),
             ),
             ("signals_sent", self.signals_sent.load(Ordering::Relaxed)),
+            (
+                "expiries_deferred",
+                self.expiries_deferred.load(Ordering::Relaxed),
+            ),
             ("preemptions", self.preemptions.load(Ordering::Relaxed)),
             ("requeues", self.requeues.load(Ordering::Relaxed)),
             ("stolen", self.stolen.load(Ordering::Relaxed)),
@@ -302,6 +314,7 @@ mod tests {
             "worker_completed",
             "dispatcher_completed",
             "signals_sent",
+            "expiries_deferred",
             "preemptions",
             "requeues",
             "stolen",

@@ -3,18 +3,20 @@
 //!
 //! Every [`Task`](crate::task::Task) carries clock stamps (ingest,
 //! first execution, per-slice busy time). When a request finishes, the
-//! serving worker folds the stamps into a tiny [`CompletionRecord`] and
-//! pushes it onto its private SPSC ring — a few nanoseconds, no locks, no
-//! allocation, no cache-line sharing with other workers. The dispatcher
-//! drains those rings on its normal message path and aggregates into a
+//! serving worker folds the stamps into a tiny [`CompletionRecord`] that
+//! rides inside the completion message on the worker's own SPSC return
+//! ring — a few nanoseconds, no locks, no allocation, no cache-line
+//! sharing with other workers. Each dispatcher drain pass over those
+//! rings folds its records (and the pass's preemption latencies) into a
 //! [`LatencyBreakdown`] (HDR histograms for queueing delay, service time,
-//! sojourn, plus the paper's slowdown metric); requests the dispatcher
-//! completes itself (§3.3 work conservation) are recorded directly.
+//! sojourn, plus the paper's slowdown metric) under one lock; requests
+//! the dispatcher completes itself (§3.3 work conservation) are recorded
+//! directly.
 //!
-//! Ordering guarantee: a worker pushes its record *before* the completion
-//! message, and the dispatcher records *before* emitting the response, so
-//! any response observable by the collector is already in the aggregate —
-//! `Runtime::telemetry()` taken after the last response arrives is exact.
+//! Ordering guarantee: the dispatcher folds a pass's records *before*
+//! emitting that pass's responses, so any response observable by the
+//! collector is already in the aggregate — `Runtime::telemetry()` taken
+//! after the last response arrives is exact.
 //!
 //! Each record carries its completion stamp, and the aggregate checks
 //! that stamps are non-decreasing per source (worker or dispatcher) —
@@ -147,8 +149,9 @@ pub struct Telemetry {
     pub recorded: u64,
     /// Contained-failure records among them.
     pub failures: u64,
-    /// Completion records lost to a full per-worker telemetry ring (only
-    /// possible if the dispatcher stalls for a long time).
+    /// Completion records lost in transit. Structurally 0 — a record
+    /// travels inside its completion message — and kept so reports and
+    /// scrapers keep parsing.
     pub records_dropped: u64,
     /// Records whose completion stamp ran backwards relative to an
     /// earlier record from the same source (oracle tripwire; must be 0).
@@ -210,7 +213,7 @@ impl Telemetry {
     }
 
     /// Folds one preemption's signal-store → yield latency into the
-    /// aggregate (the dispatcher calls this when it receives a requeue).
+    /// aggregate (the dispatcher calls this for each requeue it drained).
     pub fn record_preemption_latency(&mut self, latency_ns: u64) {
         self.preemption_latency.record(latency_ns.max(1));
     }
@@ -253,7 +256,7 @@ pub struct TelemetrySnapshot {
     pub recorded: u64,
     /// Contained-failure records among them.
     pub failures: u64,
-    /// Completion records lost to full telemetry rings.
+    /// Completion records lost in transit (structurally 0).
     pub records_dropped: u64,
     /// Per-source completion-stamp regressions observed (must be 0).
     pub timestamp_regressions: u64,

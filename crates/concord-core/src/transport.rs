@@ -26,7 +26,7 @@ use concord_net::{Request, Response};
 use std::sync::Arc;
 
 /// Internal single-producer/single-consumer channel used for the JBSQ
-/// per-worker task rings and the completion-telemetry lanes. An alias so
+/// per-worker task rings and the per-worker return rings. An alias so
 /// the scheduler (`dispatcher.rs`/`worker.rs`) names no concrete ring
 /// type; today it is backed by the `concord-net` descriptor ring.
 pub type SpscSender<T> = concord_net::ring::Producer<T>;

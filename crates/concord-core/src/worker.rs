@@ -9,25 +9,24 @@ use crate::task::{SliceEnd, Task};
 use crate::telemetry::CompletionRecord;
 use crate::transport::{SpscReceiver, SpscSender};
 use concord_net::Response;
-use concord_sync::MpmcQueue;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Messages workers send the dispatcher.
+/// Messages a worker sends the dispatcher over its own return ring (the
+/// ring identifies the worker). Each one frees a JBSQ slot.
 pub enum WorkerMsg {
-    /// A request finished on `worker`.
+    /// A request finished.
     Completed {
-        /// Worker index (frees one JBSQ slot).
-        worker: usize,
+        /// The request's lifecycle telemetry, folded into the aggregate
+        /// before the response is emitted.
+        record: CompletionRecord,
         /// Response descriptor for the TX ring.
         resp: Response,
         /// The task's stack, handed back for the dispatcher's pool.
         stack: Option<concord_uthread::stack::Stack>,
     },
-    /// A request yielded on `worker` and must be re-queued.
+    /// A request yielded and must be re-queued.
     Requeue {
-        /// Worker index (frees one JBSQ slot).
-        worker: usize,
         /// The suspended task.
         task: Task,
         /// Signal-store → yield latency of this preemption, nanoseconds
@@ -45,12 +44,9 @@ pub struct WorkerLoop {
     pub shared: Arc<WorkerShared>,
     /// The bounded local queue (JBSQ receiving side).
     pub local: SpscReceiver<Task>,
-    /// Channel back to the dispatcher.
-    pub to_dispatcher: Arc<MpmcQueue<WorkerMsg>>,
-    /// Lock-free lane for completion telemetry records, drained by the
-    /// dispatcher. Pushed *before* the completion message so a drained
-    /// message implies the record is visible.
-    pub telemetry: SpscSender<CompletionRecord>,
+    /// This worker's bounded return ring to the dispatcher (capacity ≥
+    /// the JBSQ depth `k`).
+    pub to_dispatcher: SpscSender<WorkerMsg>,
     /// Runtime time source for deadline arithmetic and telemetry stamps.
     pub clock: Clock,
     /// Per-class effective quanta, read once at each slice start. A
@@ -150,8 +146,7 @@ impl WorkerLoop {
                             }
                             self.trace_emit(yield_ns, TraceKind::Yield, task.req.id, gen);
                             let sent_ns = self.shared.last_signal_sent_ns();
-                            self.to_dispatcher.push(WorkerMsg::Requeue {
-                                worker: self.idx,
+                            self.send(WorkerMsg::Requeue {
                                 task,
                                 preempt_latency_ns: yield_ns.saturating_sub(sent_ns),
                             });
@@ -207,21 +202,26 @@ impl WorkerLoop {
     #[inline(always)]
     fn trace_emit(&mut self, _ts_ns: u64, _kind: TraceKind, _id: u64, _gen: u64) {}
 
-    /// Reports a finished (completed or failed) request: telemetry record
-    /// first, then the completion message that releases the JBSQ slot.
+    /// Reports a finished (completed or failed) request: one message
+    /// carrying the telemetry record, the response and the stack.
     fn finish(&mut self, task: Task, failed: bool) {
         let record = CompletionRecord::from_task(&task, self.clock.now_ns(), self.idx, failed);
-        if self.telemetry.push(record).is_err() {
-            // Ring full: the dispatcher has not drained in a long time.
-            // Losing a telemetry record must never block request flow.
-            self.stats.telemetry_dropped.fetch_add(1, Ordering::Relaxed);
-        }
         let resp = task.response();
-        self.to_dispatcher.push(WorkerMsg::Completed {
-            worker: self.idx,
+        self.send(WorkerMsg::Completed {
+            record,
             resp,
             stack: task.recycle(),
         });
+    }
+
+    /// Pushes one message onto the return ring. The ring cannot be full:
+    /// the dispatcher keeps at most `k` tasks outstanding on this worker,
+    /// each owes exactly one message, and a slot is only reused after
+    /// the dispatcher popped the message that freed it.
+    fn send(&mut self, msg: WorkerMsg) {
+        if self.to_dispatcher.push(msg).is_err() {
+            unreachable!("JBSQ bound guarantees return-ring capacity");
+        }
     }
 }
 

@@ -62,8 +62,10 @@ fn every_request_completes_exactly_once() {
 
 #[test]
 fn long_requests_get_preempted() {
-    // 20 ms requests at a 1 ms quantum: each must be signaled and yield
-    // many times, and still complete exactly once.
+    // 20 ms requests at a 1 ms quantum, all arriving within the first
+    // few milliseconds: with 20 requests on two JBSQ(2) workers someone
+    // is always waiting, so each must be signaled and yield many times,
+    // and still complete exactly once.
     let cfg = RuntimeConfig::builder()
         .small_test()
         .quantum(Duration::from_millis(1))
@@ -73,7 +75,7 @@ fn long_requests_get_preempted() {
         cfg,
         Arc::new(SpinApp::new()),
         fixed_us_mix(20_000.0),
-        40.0,
+        5_000.0,
         20,
     );
     assert_eq!(collector.received(), 20);

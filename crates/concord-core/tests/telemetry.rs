@@ -137,9 +137,10 @@ fn failures_are_recorded_not_lost() {
 
 #[test]
 fn preempted_requests_accumulate_service_across_slices() {
-    // 20 ms requests at a 1 ms quantum: heavily sliced, yet the measured
-    // service time must still cover the full spin (slices add up) and
-    // every request appears exactly once.
+    // 20 ms requests at a 1 ms quantum, arriving together so each has
+    // waiters behind it: heavily sliced, yet the measured service time
+    // must still cover the full spin (slices add up) and every request
+    // appears exactly once.
     let cfg = RuntimeConfig::builder()
         .small_test()
         .quantum(Duration::from_millis(1))
@@ -149,7 +150,7 @@ fn preempted_requests_accumulate_service_across_slices() {
         cfg,
         Arc::new(SpinApp::new()),
         fixed_us_mix(20_000.0),
-        40.0,
+        5_000.0,
         20,
     );
     assert!(stats.preemptions.load(Ordering::Relaxed) >= 20);

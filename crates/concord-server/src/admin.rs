@@ -113,6 +113,11 @@ impl AdminState {
                 |s: &Arc<concord_core::RuntimeStats>| s.signals_sent.load(Ordering::Relaxed)
             );
             shard_counter!(
+                "concord_preempt_deferred_total",
+                "Slice generations whose quantum expiry was seen with nobody waiting (not signaled)",
+                |s: &Arc<concord_core::RuntimeStats>| s.expiries_deferred.load(Ordering::Relaxed)
+            );
+            shard_counter!(
                 "concord_shard_offloaded_total",
                 "Tasks this shard shed into its overflow ring",
                 |s: &Arc<concord_core::RuntimeStats>| s.shard_offloaded.load(Ordering::Relaxed)
@@ -394,6 +399,7 @@ impl AdminState {
             shed += q.counters().shed();
         }
         let mut preemptions = 0u64;
+        let mut expiries_deferred = 0u64;
         let mut shards = Vec::with_capacity(self.observer.num_shards());
         let mut classes: std::collections::BTreeMap<u16, concord_core::ClassTelemetry> =
             std::collections::BTreeMap::new();
@@ -401,6 +407,7 @@ impl AdminState {
             let s = self.observer.stats(i);
             let t = self.observer.telemetry(i);
             preemptions += s.preemptions.load(Ordering::Relaxed);
+            expiries_deferred += s.expiries_deferred.load(Ordering::Relaxed);
             for (class, c) in &t.per_class {
                 classes.entry(*class).or_default().merge(c);
             }
@@ -412,6 +419,10 @@ impl AdminState {
                 (
                     "preemptions",
                     Json::U64(s.preemptions.load(Ordering::Relaxed)),
+                ),
+                (
+                    "expiries_deferred",
+                    Json::U64(s.expiries_deferred.load(Ordering::Relaxed)),
                 ),
                 ("stolen", Json::U64(row.steals_in)),
                 (
@@ -507,6 +518,7 @@ impl AdminState {
                     ("tx_dropped", Json::U64(rollup.total_tx_dropped())),
                     ("shed", Json::U64(shed)),
                     ("preemptions", Json::U64(preemptions)),
+                    ("expiries_deferred", Json::U64(expiries_deferred)),
                 ]),
             ),
             ("shards", Json::Arr(shards)),

@@ -168,6 +168,16 @@ fn scrape_agrees_with_server_report() {
         totals.get("completed").and_then(Json::as_f64),
         Some(completed)
     );
+    // Expiries seen with nobody waiting: one labeled series per shard,
+    // and the /statz total is their sum.
+    for shard in 0..2 {
+        let key = format!("concord_preempt_deferred_total{{shard=\"{shard}\"}}");
+        assert!(samples.contains_key(&key), "missing {key}:\n{text}");
+    }
+    assert_eq!(
+        totals.get("expiries_deferred").and_then(Json::as_f64),
+        Some(family_sum(&samples, "concord_preempt_deferred_total"))
+    );
     let shards = statz.get("shards").and_then(Json::as_arr).expect("shards");
     assert_eq!(shards.len(), 2, "one row per shard");
     let classes = statz

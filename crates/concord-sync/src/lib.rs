@@ -8,13 +8,14 @@
 //!   the SPSC ring indices in `concord-net` and the preemption word in
 //!   `concord-core`.
 //! * [`MpmcQueue`] — an unbounded multi-producer multi-consumer queue
-//!   for the runtime's control-plane messages (worker → dispatcher
-//!   completions, admission shed events). A `Mutex<VecDeque>` with an
-//!   atomic length kept outside the lock: the dispatcher polls these
-//!   queues in its idle loop, and the atomic lets the empty-poll case —
-//!   by far the most frequent — return without touching the lock. The
-//!   data plane (requests and responses) never goes through this type;
-//!   it rides the lock-free SPSC rings in `concord-net`.
+//!   for control-plane events off the request path (the admission
+//!   gate's shed events). A `Mutex<VecDeque>` with an atomic length kept
+//!   outside the lock: the dispatcher polls the queue every loop
+//!   iteration, and the atomic lets the empty-poll case — by far the
+//!   most frequent — return without touching the lock. The data plane
+//!   (requests, responses, and the workers' completions and yields)
+//!   never goes through this type; it rides the lock-free SPSC rings in
+//!   `concord-net`.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -68,6 +68,83 @@ fn bench_coroutine(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_task(c: &mut Criterion) {
+    use concord_core::task::Task;
+    use concord_core::transport::spsc;
+    use concord_core::SpinApp;
+    use concord_net::Request;
+    use concord_uthread::stack::Stack;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    // Zero service time: what is left is binding a request to a recycled
+    // stack, one slice, and taking the stack back.
+    let request = || Request {
+        id: 1,
+        class: 0,
+        service_ns: 0,
+        sent_at: std::time::Instant::now(),
+    };
+    let mut g = c.benchmark_group("task");
+    g.bench_function("create_run_recycle_same_thread", |b| {
+        let app = Arc::new(SpinApp::new());
+        let clock = Clock::monotonic();
+        let req = request();
+        let mut stack = Some(Stack::new(64 * 1024));
+        b.iter(|| {
+            let s = stack.take().expect("stack comes back from every task");
+            let mut task = Task::with_stack(app.clone(), req, s, 0);
+            black_box(task.run_slice(&clock));
+            stack = task.recycle();
+        });
+    });
+    // The shape of the real request path: the task is built on one thread
+    // (the dispatcher's role), run and taken apart on another (a worker's),
+    // and its stack comes back over an SPSC ring. Whatever the build
+    // allocates is freed on the other thread, so this row — unlike the
+    // one above — pays the allocator's cross-thread path and every
+    // reference count two cores share. One iteration is one task; with
+    // JBSQ(2)'s two stacks in flight the slower of the two threads sets
+    // the time.
+    g.bench_function("create_run_recycle_cross_thread", |b| {
+        let app = Arc::new(SpinApp::new());
+        let req = request();
+        let (mut task_tx, mut task_rx) = spsc::<Task>(2);
+        let (mut stack_tx, mut stack_rx) = spsc::<Stack>(2);
+        for _ in 0..2 {
+            assert!(stack_tx.push(Stack::new(64 * 1024)).is_ok());
+        }
+        let stop = Arc::new(AtomicBool::new(false));
+        let runner = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let clock = Clock::monotonic();
+                while !stop.load(Ordering::Acquire) {
+                    let Some(mut task) = task_rx.pop() else {
+                        std::hint::spin_loop();
+                        continue;
+                    };
+                    black_box(task.run_slice(&clock));
+                    let stack = task.recycle().expect("completed in one slice");
+                    assert!(stack_tx.push(stack).is_ok(), "two stacks, two slots");
+                }
+            })
+        };
+        b.iter(|| {
+            let stack = loop {
+                match stack_rx.pop() {
+                    Some(s) => break s,
+                    None => std::hint::spin_loop(),
+                }
+            };
+            let task = Task::with_stack(app.clone(), req, stack, 0);
+            assert!(task_tx.push(task).is_ok(), "two stacks, two slots");
+        });
+        stop.store(true, Ordering::Release);
+        runner.join().expect("runner thread");
+    });
+    g.finish();
+}
+
 fn bench_preempt(c: &mut Criterion) {
     let mut g = c.benchmark_group("preempt");
     // §3.1: one preemption-point check must stay in the ~nanosecond
@@ -277,6 +354,7 @@ criterion_group!(
     bench_histogram,
     bench_ring,
     bench_coroutine,
+    bench_task,
     bench_preempt,
     bench_central_queue,
     bench_trace,

@@ -61,6 +61,18 @@ impl Clock {
         }
     }
 
+    /// The wall-clock instant of reading `ns`: the epoch plus `ns`, with
+    /// no clock read, so a stamp already taken converts to the `Instant`
+    /// a [`Response`](concord_net::Response) carries for free. Virtual
+    /// time has no wall-clock image; a virtual clock answers with the
+    /// current instant.
+    pub fn instant_at(&self, ns: u64) -> Instant {
+        match &self.0 {
+            Source::Monotonic(epoch) => *epoch + Duration::from_nanos(ns),
+            Source::Virtual(_) => Instant::now(),
+        }
+    }
+
     /// True if this clock only moves when a test advances it.
     pub fn is_virtual(&self) -> bool {
         matches!(self.0, Source::Virtual(_))
@@ -124,6 +136,21 @@ mod tests {
         let a = c.now_ns();
         let b = c.now_ns();
         assert!(b >= a);
+    }
+
+    #[test]
+    fn instant_at_inverts_now_ns() {
+        let c = Clock::monotonic();
+        let before = Instant::now();
+        let ns = c.now_ns();
+        let after = Instant::now();
+        let at = c.instant_at(ns);
+        assert!(before <= at && at <= after, "epoch + reading = instant");
+        assert_eq!(
+            c.instant_at(ns + 1_500) - at,
+            Duration::from_nanos(1_500),
+            "no clock read: a pure function of the reading"
+        );
     }
 
     #[test]

@@ -10,12 +10,13 @@ use crate::preempt::{set_mode, PreemptMode, WorkerShared};
 use crate::quantum::{QuantumController, QuantumTable, SloState};
 use crate::shard::ShardContext;
 use crate::stats::RuntimeStats;
-use crate::task::{SliceEnd, Task};
+use crate::task::{Frame, SliceEnd, Task};
 use crate::telemetry::{CompletionRecord, TelemetryHandle, DISPATCHER};
 use crate::transport::{Egress, Ingress, SpscReceiver, SpscSender};
 use crate::worker::{TraceKind, WorkerMsg};
 use concord_net::Response;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::mem::take;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Dispatcher-side view of one worker.
@@ -32,6 +33,9 @@ pub struct WorkerSlot {
     /// Generation of the last slice whose expiry was observed with
     /// nobody waiting (so `expiries_deferred` counts it once).
     pub deferred_gen: Option<u64>,
+    /// Highest `inflight` published to the worker's `queue_max` row so
+    /// far; the shared counter is written only when this rises.
+    pub queue_high: usize,
 }
 
 /// Long-lived state of the dispatcher thread, generic over how requests
@@ -89,8 +93,84 @@ pub struct DispatcherLoop<A: ConcordApp, I: Ingress, E: Egress> {
 #[cfg(feature = "trace")]
 const TRACE_DRAIN_EVERY: u64 = 1024;
 
-/// Upper bound on pooled request stacks (64 KiB each by default).
-const STACK_POOL_CAP: usize = 256;
+/// Upper bound on pooled request frames (one 64 KiB stack each by
+/// default).
+const FRAME_POOL_CAP: usize = 256;
+
+/// Most requests one pass ingests: bounds both the arrivals scratch
+/// (never reallocated) and how stale the pass's clock reading can get
+/// before policing uses it. The rest of a burst waits in the RX ring
+/// for the next pass, a fraction of a microsecond away.
+const INGEST_BATCH: usize = 64;
+
+/// Returns a finished task's frame to the pool, unless the pool is full
+/// or the stack is smaller than the configured size.
+fn pool_frame(pool: &mut Vec<Frame>, frame: Option<Frame>, min_stack: usize) {
+    if let Some(f) = frame {
+        if pool.len() < FRAME_POOL_CAP && f.stack_size() >= min_stack {
+            pool.push(f);
+        }
+    }
+}
+
+/// Counter deltas the dispatcher accumulates in locals and publishes to
+/// the shared [`RuntimeStats`] at most once per loop pass each, so the
+/// per-request cost is a register increment instead of a locked
+/// read-modify-write on a line observers and workers also touch.
+#[derive(Default)]
+struct PassCounts {
+    ingested: u64,
+    /// Ingests of one class in a row: `(class, count)`.
+    class_run: (u16, u64),
+    stack_reuses: u64,
+    dispatched: u64,
+    worker_completed: u64,
+    requeues: u64,
+}
+
+impl PassCounts {
+    fn note_ingest(&mut self, class: u16, stats: &RuntimeStats) {
+        self.ingested += 1;
+        if self.class_run.0 != class {
+            self.flush_class_run(stats);
+            self.class_run.0 = class;
+        }
+        self.class_run.1 += 1;
+    }
+
+    fn flush_class_run(&mut self, stats: &RuntimeStats) {
+        let n = take(&mut self.class_run.1);
+        if n > 0 {
+            stats.ingested_by_class.add(self.class_run.0, n);
+        }
+    }
+
+    /// Publishes what the return rings delivered. Runs before the pass's
+    /// responses are emitted, so whoever has seen `n` responses reads
+    /// `completed() >= n`. Every requeue message is one preemption.
+    fn flush_returns(&mut self, stats: &RuntimeStats) {
+        publish(&stats.worker_completed, take(&mut self.worker_completed));
+        let requeues = take(&mut self.requeues);
+        publish(&stats.preemptions, requeues);
+        publish(&stats.requeues, requeues);
+    }
+
+    /// Publishes what ingest and JBSQ dispatch did this pass.
+    fn flush_ingest(&mut self, stats: &RuntimeStats) {
+        publish(&stats.ingested, take(&mut self.ingested));
+        self.flush_class_run(stats);
+        publish(&stats.stack_reuses, take(&mut self.stack_reuses));
+        publish(&stats.dispatched, take(&mut self.dispatched));
+    }
+}
+
+/// Adds a pass's delta to its shared counter; an empty delta costs no
+/// atomic operation.
+fn publish(counter: &AtomicU64, delta: u64) {
+    if delta > 0 {
+        counter.fetch_add(delta, Ordering::Relaxed);
+    }
+}
 
 /// Periodic-interval timer for the dispatcher's telemetry report.
 ///
@@ -150,7 +230,10 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         // O(1) instead of re-summing per poll.
         let mut in_system: usize = 0;
         let mut stolen: Option<Task> = None;
-        let mut stack_pool: Vec<concord_uthread::stack::Stack> = Vec::with_capacity(STACK_POOL_CAP);
+        let mut frame_pool: Vec<Frame> = Vec::with_capacity(FRAME_POOL_CAP);
+        let mut counts = PassCounts::default();
+        // One pass's arrivals, between their poll and their stamp.
+        let mut arrivals: Vec<concord_net::Request> = Vec::with_capacity(INGEST_BATCH);
         // Scratch for one drain pass over the return rings (step 1).
         let mut records: Vec<CompletionRecord> = Vec::with_capacity(64);
         let mut preempt_latencies: Vec<u64> = Vec::with_capacity(64);
@@ -199,16 +282,13 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                         WorkerMsg::Completed {
                             record,
                             resp,
-                            stack,
+                            frame,
                         } => {
                             in_system = in_system.saturating_sub(1);
-                            if let Some(s) = stack {
-                                if stack_pool.len() < STACK_POOL_CAP
-                                    && s.size() >= self.cfg.stack_size
-                                {
-                                    stack_pool.push(s);
-                                }
-                            }
+                            // A failed request is in `stats.failed`
+                            // (bumped by the worker), not here.
+                            counts.worker_completed += u64::from(!record.failed);
+                            pool_frame(&mut frame_pool, frame, self.cfg.stack_size);
                             records.push(record);
                             responses.push(resp);
                         }
@@ -216,7 +296,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                             task,
                             preempt_latency_ns,
                         } => {
-                            self.stats.requeues.fetch_add(1, Ordering::Relaxed);
+                            counts.requeues += 1;
                             // Signal-store → yield latency, measured from
                             // stamps both sides already take.
                             preempt_latencies.push(preempt_latency_ns);
@@ -228,6 +308,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
             }
             if !records.is_empty() || !preempt_latencies.is_empty() {
                 progressed = true;
+                counts.flush_returns(&self.stats);
                 self.fold_telemetry(&records, &preempt_latencies);
                 records.clear();
                 preempt_latencies.clear();
@@ -248,35 +329,56 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
 
             // 3. Ingest new arrivals (unless stopping or at the in-flight
             //    cap — the ingress then backs up and sheds, keeping the
-            //    open loop honest).
+            //    open loop honest). Poll first, read the clock after:
+            //    the reading is then no earlier than the moment any of
+            //    the batch was sent, so no request is stamped as
+            //    ingested before it arrived, however long the OS parked
+            //    this thread in between.
             if !self.stop.load(Ordering::Acquire) {
                 // Tasks parked in this shard's own overflow ring still
                 // count against the cap: they were ingested here and may
                 // come back via reclaim.
                 let parked = shard.as_ref().map_or(0, |c| c.own().len());
-                while in_system + parked < self.cfg.max_in_flight {
+                let room = self
+                    .cfg
+                    .max_in_flight
+                    .saturating_sub(in_system + parked)
+                    .min(INGEST_BATCH);
+                while arrivals.len() < room {
                     let Some(req) = self.rx.poll() else { break };
-                    self.stats.ingested.fetch_add(1, Ordering::Relaxed);
-                    self.stats.ingested_by_class.bump(req.class);
-                    in_system += 1;
-                    let now_ns = self.clock.now_ns();
-                    // ARRIVE carries the request's service time in
-                    // microseconds in the generation field (16 bits —
-                    // µs, not ns, so realistic sizes fit) so the
-                    // per-policy priority-inversion oracle can replay
-                    // dispatch decisions from the trace alone.
-                    self.trace_emit(now_ns, TraceKind::Arrive, req.id, req.service_ns / 1_000);
-                    let task = match stack_pool.pop() {
-                        Some(stack) => {
-                            self.stats.stack_reuses.fetch_add(1, Ordering::Relaxed);
-                            Task::with_stack(self.app.clone(), req, stack, now_ns)
-                        }
-                        None => Task::new(self.app.clone(), req, self.cfg.stack_size, now_ns),
-                    };
-                    let key = policy.key(&task);
-                    central.push_fresh_prio(key, task);
-                    progressed = true;
+                    arrivals.push(req);
                 }
+            }
+            // The pass's one clock read. It stamps this pass's arrivals
+            // (`ingested_at_ns`, ARRIVE), DISPATCH and STEAL events,
+            // drives quantum policing and the control plane. Taken after
+            // the return rings were popped and the RX side polled, it is
+            // no earlier than anything the pass has seen, which keeps
+            // the dispatcher's trace lane consistent with the workers'
+            // lanes and the clients' stamps. It moves forward only: to
+            // the fresh reading a signal store takes (step 5) and to the
+            // exit stamp of a slice the dispatcher runs itself (step 6).
+            let mut now_ns = self.clock.now_ns();
+            for req in arrivals.drain(..) {
+                counts.note_ingest(req.class, &self.stats);
+                in_system += 1;
+                // ARRIVE carries the request's service time in
+                // microseconds in the generation field (16 bits — µs,
+                // not ns, so realistic sizes fit) so the per-policy
+                // priority-inversion oracle can replay dispatch
+                // decisions from the trace alone.
+                self.trace_emit(now_ns, TraceKind::Arrive, req.id, req.service_ns / 1_000);
+                let frame = match frame_pool.pop() {
+                    Some(frame) => {
+                        counts.stack_reuses += 1;
+                        frame
+                    }
+                    None => Frame::new(&self.app, self.cfg.stack_size),
+                };
+                let task = Task::on_frame(frame, req, now_ns);
+                let key = policy.key(&task);
+                central.push_fresh_prio(key, task);
+                progressed = true;
             }
 
             // 4. JBSQ dispatch: shortest queue first, bounded by k.
@@ -285,26 +387,26 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     break;
                 };
                 let task = central.pop_next().expect("checked non-empty");
-                self.workers[target].inflight += 1;
-                self.stats.dispatched.fetch_add(1, Ordering::Relaxed);
-                if let Some(ws) = self.stats.per_worker.get(target) {
-                    ws.queue_max
-                        .fetch_max(self.workers[target].inflight as u64, Ordering::Relaxed);
+                let slot = &mut self.workers[target];
+                slot.inflight += 1;
+                counts.dispatched += 1;
+                if slot.inflight > slot.queue_high {
+                    slot.queue_high = slot.inflight;
+                    if let Some(ws) = self.stats.per_worker.get(target) {
+                        ws.queue_max
+                            .fetch_max(slot.inflight as u64, Ordering::Relaxed);
+                    }
                 }
                 // DISPATCH carries the target worker in the generation
                 // field so the replay oracle can rebuild per-worker JBSQ
                 // occupancy from the event stream alone.
-                #[cfg(feature = "trace")]
-                {
-                    let id = task.req.id;
-                    let now_ns = self.clock.now_ns();
-                    self.trace_emit(now_ns, TraceKind::Dispatch, id, target as u64);
-                }
+                self.trace_emit(now_ns, TraceKind::Dispatch, task.req.id, target as u64);
                 if let Err(_task) = self.workers[target].ring.push(task) {
                     unreachable!("JBSQ bound guarantees ring capacity");
                 }
                 progressed = true;
             }
+            counts.flush_ingest(&self.stats);
 
             // Injected dispatcher stall: with every worker queue full,
             // busy-wait a stretch of clock time so completions and yields
@@ -350,7 +452,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 if central.is_empty() && slot.inflight <= 1 {
                     // Nobody waiting: peek only, leaving the slice word
                     // untouched so the expiry stays claimable.
-                    if let Some(gen) = slot.shared.peek_expired(&self.clock) {
+                    if let Some(gen) = slot.shared.peek_expired(now_ns) {
                         if slot.deferred_gen != Some(gen) {
                             slot.deferred_gen = Some(gen);
                             self.stats.expiries_deferred.fetch_add(1, Ordering::Relaxed);
@@ -358,7 +460,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     }
                     continue;
                 }
-                let claimed = slot.shared.claim_expired(&self.clock);
+                let claimed = slot.shared.claim_expired(now_ns);
                 if let Some(gen) = claimed {
                     progressed = true;
                     #[cfg(feature = "fault-injection")]
@@ -381,7 +483,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                             continue;
                         }
                     }
-                    self.send_signal(i, gen);
+                    now_ns = self.send_signal(i, gen);
                 }
             }
 
@@ -396,7 +498,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 while j < deferred.len() {
                     if deferred[j].due_ns <= now {
                         let d = deferred.swap_remove(j);
-                        self.send_signal(d.worker, d.gen);
+                        now_ns = self.send_signal(d.worker, d.gen);
                         progressed = true;
                     } else {
                         j += 1;
@@ -415,12 +517,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     // found) pops from a stable end.
                     if let Some(task) = central.steal_not_started() {
                         self.stats.stolen.fetch_add(1, Ordering::Relaxed);
-                        #[cfg(feature = "trace")]
-                        {
-                            let id = task.req.id;
-                            let now_ns = self.clock.now_ns();
-                            self.trace_emit(now_ns, TraceKind::Steal, id, 0);
-                        }
+                        self.trace_emit(now_ns, TraceKind::Steal, task.req.id, 0);
                         stolen = Some(task);
                     }
                 }
@@ -433,15 +530,17 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                             crate::preempt::arm_injected_panic();
                         }
                     }
+                    // One clock read is both the self-preemption
+                    // deadline's origin and the slice's entry stamp.
+                    let start_ns = self.clock.now_ns();
                     set_mode(PreemptMode::DispatcherDeadline {
                         clock: self.clock.clone(),
-                        deadline_ns: self
-                            .clock
-                            .now_ns()
+                        deadline_ns: start_ns
                             .saturating_add(self.cfg.dispatcher_slice.as_nanos() as u64),
                     });
-                    let end = task.run_slice(&self.clock);
+                    let end = task.run_slice_from(&self.clock, start_ns);
                     set_mode(PreemptMode::None);
+                    now_ns = task.last_slice_end_ns;
                     // Work-conserving slices trace on the dispatcher's
                     // own track with generation 0: they are self-preempted
                     // against a deadline, not against a signal line, so
@@ -460,7 +559,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                 task.req.id,
                                 u64::from(task.slices),
                             );
-                            self.finish_stolen(task, false, &mut stack_pool);
+                            self.finish_stolen(task, false, &mut frame_pool);
                         }
                         // Saved to the dedicated buffer; resumed when the
                         // dispatcher is next idle. It can never migrate to
@@ -483,7 +582,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                 task.req.id,
                                 u64::from(task.slices),
                             );
-                            self.finish_stolen(task, true, &mut stack_pool);
+                            self.finish_stolen(task, true, &mut frame_pool);
                         }
                     }
                     progressed = true;
@@ -533,17 +632,12 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                 // Inter-shard steals carry `1 + victim`
                                 // in the gen field; the work-conserving
                                 // dispatcher steal above uses gen 0.
-                                #[cfg(feature = "trace")]
-                                {
-                                    let id = task.req.id;
-                                    let now_ns = self.clock.now_ns();
-                                    self.trace_emit(
-                                        now_ns,
-                                        TraceKind::Steal,
-                                        id,
-                                        1 + victim as u64,
-                                    );
-                                }
+                                self.trace_emit(
+                                    now_ns,
+                                    TraceKind::Steal,
+                                    task.req.id,
+                                    1 + victim as u64,
+                                );
                                 let key = policy.key(&task);
                                 central.push_fresh_prio(key, task);
                                 progressed = true;
@@ -572,21 +666,18 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 }
             }
 
-            // Control plane + periodic report: one clock read serves
-            // both. The controller retunes the per-class quanta and
+            // Control plane + periodic report, on the pass's clock
+            // reading. The controller retunes the per-class quanta and
             // refreshes the SLO verdicts at its own cadence.
-            if self.controller.is_some() || report.is_some() {
-                let now_ns = self.clock.now_ns();
-                if let Some(ctrl) = self.controller.as_mut() {
-                    ctrl.poll(now_ns, &self.quanta, &self.slo);
-                }
-                // Periodic human-readable telemetry report, if configured.
-                if let Some(timer) = report.as_mut() {
-                    if timer.due(now_ns) {
-                        let snap = self.telemetry.lock().expect("lock poisoned").snapshot();
-                        if snap.recorded > 0 {
-                            eprintln!("{}", snap.render());
-                        }
+            if let Some(ctrl) = self.controller.as_mut() {
+                ctrl.poll(now_ns, &self.quanta, &self.slo);
+            }
+            // Periodic human-readable telemetry report, if configured.
+            if let Some(timer) = report.as_mut() {
+                if timer.due(now_ns) {
+                    let snap = self.telemetry.lock().expect("lock poisoned").snapshot();
+                    if snap.recorded > 0 {
+                        eprintln!("{}", snap.render());
                     }
                 }
             }
@@ -644,8 +735,9 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
     /// Stores a preemption signal for `gen` on `worker`'s line, stamping
     /// the send time first (the stamp's Release store is ordered before
     /// the signal's, so a worker that consumed the signal reads a stamp
-    /// at least as fresh).
-    fn send_signal(&mut self, worker: usize, gen: u64) {
+    /// at least as fresh). Returns the stamp: signal→yield latency is
+    /// measured from it, so it is a fresh reading, not the pass's.
+    fn send_signal(&mut self, worker: usize, gen: u64) -> u64 {
         let now_ns = self.clock.now_ns();
         self.workers[worker].shared.signal(gen, now_ns);
         self.stats.signals_sent.fetch_add(1, Ordering::Relaxed);
@@ -654,6 +746,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         // generation in the gen field; the replay oracle matches it to
         // the target's YIELD by (worker, gen).
         self.trace_emit(now_ns, TraceKind::SignalSent, worker as u64, gen);
+        now_ns
     }
 
     /// Emits one scheduling event on the dispatcher's lane: a single
@@ -731,21 +824,12 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
     }
 
     /// Records and answers a request the dispatcher completed itself.
-    fn finish_stolen(
-        &mut self,
-        task: Task,
-        failed: bool,
-        stack_pool: &mut Vec<concord_uthread::stack::Stack>,
-    ) {
-        let record = CompletionRecord::from_task(&task, self.clock.now_ns(), DISPATCHER, failed);
+    fn finish_stolen(&mut self, task: Task, failed: bool, frame_pool: &mut Vec<Frame>) {
+        let record = CompletionRecord::from_task(&task, DISPATCHER, failed);
         self.fold_telemetry(&[record], &[]);
-        let resp = task.response();
+        let resp = task.response(&self.clock);
         self.emit(resp);
-        if let Some(s) = task.recycle() {
-            if stack_pool.len() < STACK_POOL_CAP {
-                stack_pool.push(s);
-            }
-        }
+        pool_frame(frame_pool, task.into_frame(), self.cfg.stack_size);
     }
 
     /// Pushes a response, retrying briefly if the TX ring is full; a

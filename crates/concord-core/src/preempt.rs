@@ -224,13 +224,20 @@ impl WorkerShared {
     /// this call carries a stale generation and is rejected at the
     /// preemption point.
     pub fn begin_slice(&self, clock: &Clock, quantum: Duration) -> u64 {
+        let quantum_ns = quantum.as_nanos().min(u64::MAX as u128) as u64;
+        self.begin_slice_at(clock.now_ns(), quantum_ns)
+    }
+
+    /// [`WorkerShared::begin_slice`] from a clock reading the caller
+    /// already holds — the worker passes the slice's entry stamp, so the
+    /// deadline and the task's telemetry share one clock read.
+    pub fn begin_slice_at(&self, start_ns: u64, quantum_ns: u64) -> u64 {
         let gen = self.gen.load(Ordering::Relaxed).wrapping_add(1);
         self.gen.store(gen, Ordering::Relaxed);
         if self.line.drain() {
             self.stale.fetch_add(1, Ordering::Relaxed);
         }
-        let quantum_ns = quantum.as_nanos().min(u64::MAX as u128) as u64;
-        let deadline_us = clock.now_ns().saturating_add(quantum_ns) / 1_000;
+        let deadline_us = start_ns.saturating_add(quantum_ns) / 1_000;
         self.slice.store(pack(gen, deadline_us), Ordering::Release);
         gen
     }
@@ -318,29 +325,32 @@ impl WorkerShared {
     }
 
     /// The packed state of the running slice if its published deadline
-    /// has passed; `None` when idle or still inside its quantum.
-    fn expired_state(&self, clock: &Clock) -> Option<u64> {
+    /// has passed by clock reading `now_ns`; `None` when idle or still
+    /// inside its quantum.
+    fn expired_state(&self, now_ns: u64) -> Option<u64> {
         let state = self.slice.load(Ordering::Acquire);
         if state == IDLE {
             return None;
         }
-        (clock.now_ns() / 1_000 >= (state & DEADLINE_MASK)).then_some(state)
+        (now_ns / 1_000 >= (state & DEADLINE_MASK)).then_some(state)
     }
 
     /// Dispatcher: the generation of the running slice if its deadline
-    /// has passed, *without* claiming it — the slice word is left
+    /// has passed by `now_ns` (the dispatcher's one clock reading per
+    /// pass; a reading taken before the slice began can never see it
+    /// expired), *without* claiming it — the slice word is left
     /// untouched, so the expiry stays claimable by a later
     /// [`claim_expired`](WorkerShared::claim_expired). Used when nobody
     /// is waiting for the core and a signal would buy nothing.
-    pub fn peek_expired(&self, clock: &Clock) -> Option<u64> {
-        self.expired_state(clock).map(|s| s >> DEADLINE_BITS)
+    pub fn peek_expired(&self, now_ns: u64) -> Option<u64> {
+        self.expired_state(now_ns).map(|s| s >> DEADLINE_BITS)
     }
 
-    /// Dispatcher: if the published deadline has passed, atomically claim
-    /// the slice (so each slice is signaled once) and return its
-    /// generation for the signal.
-    pub fn claim_expired(&self, clock: &Clock) -> Option<u64> {
-        let state = self.expired_state(clock)?;
+    /// Dispatcher: if the published deadline has passed by `now_ns`,
+    /// atomically claim the slice (so each slice is signaled once) and
+    /// return its generation for the signal.
+    pub fn claim_expired(&self, now_ns: u64) -> Option<u64> {
+        let state = self.expired_state(now_ns)?;
         // CAS on the full packed word: if the worker already moved to
         // another slice (different generation *or* deadline), the claim
         // fails and no signal is sent for it.
@@ -526,8 +536,12 @@ mod tests {
         let s = WorkerShared::new();
         let gen = s.begin_slice(&clock, Duration::ZERO); // expires immediately
         v.advance(Duration::from_micros(1));
-        assert_eq!(s.claim_expired(&clock), Some(gen & GEN_MASK));
-        assert_eq!(s.claim_expired(&clock), None, "second claim must fail");
+        assert_eq!(s.claim_expired(clock.now_ns()), Some(gen & GEN_MASK));
+        assert_eq!(
+            s.claim_expired(clock.now_ns()),
+            None,
+            "second claim must fail"
+        );
     }
 
     #[test]
@@ -536,9 +550,12 @@ mod tests {
         let s = WorkerShared::new();
         s.begin_slice(&clock, Duration::from_micros(100));
         v.advance(Duration::from_micros(99));
-        assert_eq!(s.claim_expired(&clock), None);
+        assert_eq!(s.claim_expired(clock.now_ns()), None);
         v.advance(Duration::from_micros(1));
-        assert!(s.claim_expired(&clock).is_some(), "deadline reached");
+        assert!(
+            s.claim_expired(clock.now_ns()).is_some(),
+            "deadline reached"
+        );
     }
 
     #[test]
@@ -546,20 +563,24 @@ mod tests {
         let (clock, v) = Clock::manual();
         let s = WorkerShared::new();
         let gen = s.begin_slice(&clock, Duration::from_micros(5));
-        assert_eq!(s.peek_expired(&clock), None, "inside the quantum");
+        assert_eq!(s.peek_expired(clock.now_ns()), None, "inside the quantum");
         v.advance(Duration::from_micros(5));
-        assert_eq!(s.peek_expired(&clock), Some(gen & GEN_MASK));
+        assert_eq!(s.peek_expired(clock.now_ns()), Some(gen & GEN_MASK));
         assert_eq!(
-            s.peek_expired(&clock),
+            s.peek_expired(clock.now_ns()),
             Some(gen & GEN_MASK),
             "peek is idempotent"
         );
         assert_eq!(
-            s.claim_expired(&clock),
+            s.claim_expired(clock.now_ns()),
             Some(gen & GEN_MASK),
             "a peeked expiry is still claimable"
         );
-        assert_eq!(s.peek_expired(&clock), None, "claimed slices read idle");
+        assert_eq!(
+            s.peek_expired(clock.now_ns()),
+            None,
+            "claimed slices read idle"
+        );
     }
 
     #[test]
@@ -567,7 +588,7 @@ mod tests {
         let (clock, v) = Clock::manual();
         let s = WorkerShared::new();
         v.advance(Duration::from_secs(1));
-        assert_eq!(s.claim_expired(&clock), None);
+        assert_eq!(s.claim_expired(clock.now_ns()), None);
     }
 
     #[test]
@@ -577,7 +598,11 @@ mod tests {
         s.begin_slice(&clock, Duration::ZERO);
         v.advance(Duration::from_micros(1));
         s.end_slice();
-        assert_eq!(s.claim_expired(&clock), None, "ended slice is unclaimable");
+        assert_eq!(
+            s.claim_expired(clock.now_ns()),
+            None,
+            "ended slice is unclaimable"
+        );
     }
 
     #[test]
@@ -590,7 +615,7 @@ mod tests {
         let s = WorkerShared::new();
         let _n = s.begin_slice(&clock, Duration::ZERO);
         v.advance(Duration::from_micros(1));
-        let claimed = s.claim_expired(&clock).expect("slice N expired");
+        let claimed = s.claim_expired(clock.now_ns()).expect("slice N expired");
         s.end_slice();
         let next = s.begin_slice(&clock, Duration::from_secs(60));
         s.line.signal(claimed); // the late write
@@ -620,14 +645,14 @@ mod tests {
         // Obsolete: signal lands after the work, consumed by end_slice.
         s.begin_slice(&clock, Duration::ZERO);
         v.advance(Duration::from_micros(1));
-        let gen = s.claim_expired(&clock).expect("expired");
+        let gen = s.claim_expired(clock.now_ns()).expect("expired");
         s.line.signal(gen);
         s.end_slice();
 
         // Stale: late signal from a claimed slice hits the next slice.
         s.begin_slice(&clock, Duration::ZERO);
         v.advance(Duration::from_micros(1));
-        let gen = s.claim_expired(&clock).expect("expired");
+        let gen = s.claim_expired(clock.now_ns()).expect("expired");
         s.end_slice();
         s.begin_slice(&clock, Duration::from_secs(60));
         s.line.signal(gen);
@@ -655,11 +680,11 @@ mod tests {
         let s = WorkerShared::new();
         s.begin_slice(&clock, Duration::ZERO);
         v.advance(Duration::from_micros(1));
-        let n = s.claim_expired(&clock).expect("slice N expired");
+        let n = s.claim_expired(clock.now_ns()).expect("slice N expired");
         s.end_slice();
         s.begin_slice(&clock, Duration::ZERO);
         v.advance(Duration::from_micros(1));
-        let n1 = s.claim_expired(&clock).expect("slice N+1 expired");
+        let n1 = s.claim_expired(clock.now_ns()).expect("slice N+1 expired");
         s.signal(n, clock.now_ns());
         s.signal(n1, clock.now_ns());
         assert!(s.take_signal_current(), "slice N+1's own signal survives");
@@ -681,7 +706,7 @@ mod tests {
         let s = WorkerShared::new();
         s.begin_slice(&clock, Duration::ZERO);
         v.advance(Duration::from_micros(1));
-        let gen = s.claim_expired(&clock).expect("expired");
+        let gen = s.claim_expired(clock.now_ns()).expect("expired");
         s.end_slice();
         s.line.signal(gen); // lands after the final end_slice
         s.sweep_pending();

@@ -175,6 +175,7 @@ impl Runtime {
                 from_worker: msg_rx,
                 inflight: 0,
                 deferred_gen: None,
+                queue_high: 0,
             });
             let wl = WorkerLoop {
                 idx,

@@ -23,7 +23,14 @@ impl ClassIngestCounters {
     /// Counts one ingested request of `class`.
     #[inline]
     pub fn bump(&self, class: u16) {
-        self.0[class_slot(class)].fetch_add(1, Ordering::Relaxed);
+        self.add(class, 1);
+    }
+
+    /// Counts `n` ingested requests of `class` (the dispatcher publishes
+    /// a run of same-class ingests with one add).
+    #[inline]
+    pub fn add(&self, class: u16, n: u64) {
+        self.0[class_slot(class)].fetch_add(n, Ordering::Relaxed);
     }
 
     /// The count for a slot.
@@ -55,7 +62,9 @@ impl ClassIngestCounters {
     }
 }
 
-/// Per-worker counters (one row per worker thread).
+/// Per-worker counters (one row per worker thread). Its worker is the
+/// only thread that writes a row per request: the dispatcher touches
+/// `queue_max` only when the high-water mark rises.
 #[derive(Debug, Default)]
 pub struct WorkerStats {
     /// Requests this worker completed.
@@ -126,7 +135,8 @@ impl WorkerStats {
 /// Shared atomic counters exposed by a running [`Runtime`](crate::Runtime).
 #[derive(Debug, Default)]
 pub struct RuntimeStats {
-    /// Requests completed by workers.
+    /// Requests completed by workers, counted by the dispatcher as it
+    /// pops their completion messages (before the response is emitted).
     pub worker_completed: AtomicU64,
     /// Requests completed by the work-conserving dispatcher (§3.3).
     pub dispatcher_completed: AtomicU64,
@@ -138,7 +148,8 @@ pub struct RuntimeStats {
     /// once per generation; the expiry stays claimable, so a generation
     /// counted here is still signaled if a waiter shows up later.
     pub expiries_deferred: AtomicU64,
-    /// Times a request actually yielded at a preemption point.
+    /// Times a request actually yielded at a preemption point on a
+    /// worker, counted by the dispatcher as it pops the requeue message.
     pub preemptions: AtomicU64,
     /// Requests the dispatcher pushed to workers.
     pub dispatched: AtomicU64,

@@ -7,32 +7,59 @@
 //! All lifecycle stamps are nanosecond readings of the runtime's
 //! [`Clock`], so under a virtual clock the queueing/service/sojourn
 //! telemetry is an exact, deterministic function of the schedule.
+//!
+//! Binding a request to a pooled [`Frame`] allocates nothing and writes
+//! no shared cache line: the coroutine's control block, the handler
+//! closure and what it returns live inside the frame's stack
+//! (`concord-uthread`), and the frame's application handle is *moved*
+//! into the closure and back out with its result, so the handle's
+//! reference count is touched only when a frame is first built.
 
 use crate::app::{ConcordApp, RequestContext};
 use crate::clock::Clock;
 use concord_net::{Request, Response};
 use concord_uthread::stack::Stack;
 use concord_uthread::{CoState, Coroutine};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Fields the coroutine closure writes and the runtime reads after
-/// completion.
-#[derive(Debug, Default)]
-pub struct TaskOutput {
-    /// Result code returned by the application.
-    pub result: AtomicU64,
+/// What the dispatcher pools between requests: a coroutine stack and the
+/// application handle that runs on it.
+pub struct Frame {
+    stack: Stack,
+    app: Arc<dyn ConcordApp>,
+}
+
+impl Frame {
+    /// A frame on a fresh stack of `stack_size` bytes. The only place the
+    /// request path clones the application handle.
+    pub fn new<A: ConcordApp>(app: &Arc<A>, stack_size: usize) -> Self {
+        Self {
+            stack: Stack::new(stack_size),
+            app: app.clone(),
+        }
+    }
+
+    /// Size of the frame's stack, bytes.
+    pub fn stack_size(&self) -> usize {
+        self.stack.size()
+    }
+}
+
+/// What the handler closure hands back through the coroutine frame.
+struct Outcome {
     /// Total preemptions this request experienced.
-    pub preemptions: AtomicU32,
+    preemptions: u32,
+    /// The application handle the closure ran, on its way back to the
+    /// pool.
+    app: Arc<dyn ConcordApp>,
 }
 
 /// One in-flight request.
 pub struct Task {
     /// The request descriptor.
     pub req: Request,
-    co: Coroutine,
-    output: Arc<TaskOutput>,
+    co: Coroutine<Outcome>,
     /// True once any thread has executed part of this task (the dispatcher
     /// may only steal non-started tasks, §3.3).
     pub started: bool,
@@ -45,12 +72,12 @@ pub struct Task {
     /// Number of slices executed so far.
     pub slices: u32,
     /// Clock reading when the most recent slice started (0 = never ran).
-    /// Reuses the entry stamp [`run_slice`](Task::run_slice) already
-    /// takes, so the tracer's RESUME events cost no extra clock read.
+    /// Feeds the tracer's RESUME events, so they cost no extra clock read.
     pub last_slice_start_ns: u64,
     /// Clock reading when the most recent slice ended (0 = never ran).
-    /// Reuses `run_slice`'s exit stamp; feeds YIELD/COMPLETE events and
-    /// the signal-to-yield preemption-latency histogram.
+    /// The one stamp behind YIELD/COMPLETE events, the signal-to-yield
+    /// preemption-latency histogram, the completion record and the
+    /// response's `finished_at`.
     pub last_slice_end_ns: u64,
 }
 
@@ -74,23 +101,25 @@ impl Task {
         Self::with_stack(app, req, Stack::new(stack_size), now_ns)
     }
 
-    /// Like [`Task::new`] but on a recycled stack (the pooled fast path).
+    /// Like [`Task::new`] but on a recycled stack.
     pub fn with_stack<A: ConcordApp>(app: Arc<A>, req: Request, stack: Stack, now_ns: u64) -> Self {
-        let output = Arc::new(TaskOutput::default());
-        let out = output.clone();
+        Self::on_frame(Frame { stack, app }, req, now_ns)
+    }
+
+    /// Binds `req` to a pooled frame (the dispatcher's fast path).
+    pub fn on_frame(frame: Frame, req: Request, now_ns: u64) -> Self {
+        let Frame { stack, app } = frame;
         let co = Coroutine::with_stack(stack, move |y| {
             let mut preemptions: u32 = 0;
-            let result = {
+            {
                 let mut ctx = RequestContext::new(y, &mut preemptions);
-                app.handle_request(&req, &mut ctx)
-            };
-            out.result.store(result, Ordering::Release);
-            out.preemptions.store(preemptions, Ordering::Release);
+                app.handle_request(&req, &mut ctx);
+            }
+            Outcome { preemptions, app }
         });
         Self {
             req,
             co,
-            output,
             started: false,
             ingested_at_ns: now_ns,
             first_run_ns: None,
@@ -101,19 +130,22 @@ impl Task {
         }
     }
 
-    /// Runs one slice (until the next yield or completion). The caller
-    /// must have installed the thread's [`PreemptMode`](crate::preempt::PreemptMode)
-    /// first.
+    /// Runs one slice (until the next yield or completion), reading the
+    /// clock for its entry stamp. The caller must have installed the
+    /// thread's [`PreemptMode`](crate::preempt::PreemptMode) first.
+    pub fn run_slice(&mut self, clock: &Clock) -> SliceEnd {
+        self.run_slice_from(clock, clock.now_ns())
+    }
+
+    /// [`Task::run_slice`] with the entry stamp `start_ns` the caller
+    /// already took for the slice's deadline, so a slice costs two clock
+    /// reads (entry, exit) in total.
     ///
     /// An application panic is contained here (the coroutine machinery
     /// already stopped it at the coroutine boundary): the slice reports
     /// [`SliceEnd::Failed`] instead of unwinding the runtime thread.
-    pub fn run_slice(&mut self, clock: &Clock) -> SliceEnd {
+    pub fn run_slice_from(&mut self, clock: &Clock, start_ns: u64) -> SliceEnd {
         self.started = true;
-        // Telemetry stamps: one clock read on entry, one on exit (§5's
-        // measurements all derive from these). ~20-25 ns per slice total
-        // on current hardware — far below the µs-scale slice lengths.
-        let start_ns = clock.now_ns();
         if self.first_run_ns.is_none() {
             self.first_run_ns = Some(start_ns);
         }
@@ -144,23 +176,35 @@ impl Task {
 
     /// Total preemptions recorded (valid after completion).
     pub fn preemptions(&self) -> u32 {
-        self.output.preemptions.load(Ordering::Acquire)
+        self.co.result().map_or(0, |o| o.preemptions)
     }
 
-    /// Recovers the stack for pooling (completed tasks only).
+    /// Recovers the stack for reuse (finished tasks only).
     pub fn recycle(self) -> Option<Stack> {
         self.co.into_stack()
     }
 
+    /// Recovers the whole frame for the dispatcher's pool. `None` unless
+    /// the handler returned: a panicked handler's application handle was
+    /// dropped by the unwind, and a suspended one still lives on the
+    /// stack.
+    pub fn into_frame(mut self) -> Option<Frame> {
+        let app = self.co.take_result()?.app;
+        let stack = self.co.into_stack()?;
+        Some(Frame { stack, app })
+    }
+
     /// Builds the response descriptor for this (completed) task, carrying
-    /// the server-measured queueing and busy times.
-    pub fn response(&self) -> Response {
+    /// the server-measured queueing and busy times. `finished_at` is the
+    /// final slice's exit stamp, the same instant the completion record
+    /// and the COMPLETE trace event carry.
+    pub fn response(&self, clock: &Clock) -> Response {
         Response {
             id: self.req.id,
             class: self.req.class,
             service_ns: self.req.service_ns,
             sent_at: self.req.sent_at,
-            finished_at: Instant::now(),
+            finished_at: clock.instant_at(self.last_slice_end_ns),
             queue_ns: self.queue_delay_ns(),
             busy_ns: self.busy_ns,
         }
@@ -173,7 +217,7 @@ mod tests {
     use crate::app::SpinApp;
     use crate::clock::VirtualClock;
     use crate::preempt::{set_mode, PreemptMode, WorkerShared};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn req(service_ns: u64) -> Request {
         Request {
@@ -214,7 +258,7 @@ mod tests {
         assert_eq!(t.run_slice(&clock), SliceEnd::Completed);
         assert!(t.started);
         assert_eq!(t.preemptions(), 0);
-        let resp = t.response();
+        let resp = t.response(&clock);
         assert_eq!(resp.id, 7);
         assert_eq!(resp.class, 1);
     }
@@ -304,7 +348,7 @@ mod tests {
         assert_eq!(t.queue_delay_ns(), 2_000_000, "queued exactly 2 ms");
         assert_eq!(t.busy_ns, 300_000, "executed exactly 300 µs");
         assert_eq!(t.slices, 1);
-        let resp = t.response();
+        let resp = t.response(&clock);
         assert_eq!(resp.queue_ns, 2_000_000);
         assert_eq!(resp.busy_ns, 300_000);
     }

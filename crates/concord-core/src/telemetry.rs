@@ -70,15 +70,17 @@ pub struct CompletionRecord {
 }
 
 impl CompletionRecord {
-    /// Builds the record for a task that just finished on `worker`, at
-    /// clock reading `now_ns`.
-    pub fn from_task(task: &Task, now_ns: u64, worker: usize, failed: bool) -> Self {
+    /// Builds the record for a task that just finished on `worker`. The
+    /// completion instant is the final slice's exit stamp — the one the
+    /// response's `finished_at` and the COMPLETE trace event carry too.
+    pub fn from_task(task: &Task, worker: usize, failed: bool) -> Self {
+        let end_ns = task.last_slice_end_ns;
         Self {
             queue_ns: task.queue_delay_ns(),
             service_ns: task.busy_ns,
-            sojourn_ns: now_ns.saturating_sub(task.ingested_at_ns),
+            sojourn_ns: end_ns.saturating_sub(task.ingested_at_ns),
             nominal_ns: task.req.service_ns,
-            completed_at_ns: now_ns,
+            completed_at_ns: end_ns,
             slices: task.slices,
             worker,
             class: task.req.class,

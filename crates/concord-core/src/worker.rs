@@ -5,7 +5,7 @@ use crate::clock::Clock;
 use crate::preempt::{set_mode, PreemptMode, WorkerShared};
 use crate::quantum::QuantumTable;
 use crate::stats::RuntimeStats;
-use crate::task::{SliceEnd, Task};
+use crate::task::{Frame, SliceEnd, Task};
 use crate::telemetry::CompletionRecord;
 use crate::transport::{SpscReceiver, SpscSender};
 use concord_net::Response;
@@ -13,7 +13,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Messages a worker sends the dispatcher over its own return ring (the
-/// ring identifies the worker). Each one frees a JBSQ slot.
+/// ring identifies the worker). Each one frees a JBSQ slot. The
+/// dispatcher counts them into `worker_completed` / `preemptions` as it
+/// pops them, so a worker's per-request counter writes stay on its own
+/// [`WorkerStats`](crate::stats::WorkerStats) row.
 pub enum WorkerMsg {
     /// A request finished.
     Completed {
@@ -22,8 +25,9 @@ pub enum WorkerMsg {
         record: CompletionRecord,
         /// Response descriptor for the TX ring.
         resp: Response,
-        /// The task's stack, handed back for the dispatcher's pool.
-        stack: Option<concord_uthread::stack::Stack>,
+        /// The task's stack and application handle, handed back for the
+        /// dispatcher's pool (`None` after a contained panic).
+        frame: Option<Frame>,
     },
     /// A request yielded and must be re-queued.
     Requeue {
@@ -68,6 +72,10 @@ pub struct WorkerLoop {
 impl WorkerLoop {
     /// Runs until stopped. Consumes the loop state.
     pub fn run(mut self) {
+        // Installed once: every slice this thread runs polls the same
+        // line, and preemption points are only reached from inside a
+        // slice.
+        set_mode(PreemptMode::Worker(self.shared.clone()));
         loop {
             // Injected stall: park this worker for a stretch of clock
             // time before serving anything else, creating JBSQ imbalance
@@ -86,21 +94,22 @@ impl WorkerLoop {
                 Some(mut task) => {
                     // Each slice gets a fresh generation: a late signal
                     // claimed against the previous slice carries the old
-                    // generation and cannot preempt this one.
+                    // generation and cannot preempt this one. One clock
+                    // read is both the quantum's origin and the slice's
+                    // entry stamp.
+                    let start_ns = self.clock.now_ns();
                     let gen = self
                         .shared
-                        .begin_slice(&self.clock, self.quanta.get(task.req.class));
-                    set_mode(PreemptMode::Worker(self.shared.clone()));
+                        .begin_slice_at(start_ns, self.quanta.get_ns(task.req.class));
                     #[cfg(feature = "fault-injection")]
                     if let Some(inj) = self.injector.as_deref() {
                         if inj.take_panic(task.req.id, task.slices) {
                             crate::preempt::arm_injected_panic();
                         }
                     }
-                    let end = task.run_slice(&self.clock);
+                    let end = task.run_slice_from(&self.clock, start_ns);
                     #[cfg(feature = "fault-injection")]
                     crate::preempt::disarm_injected_panic();
-                    set_mode(PreemptMode::None);
                     self.shared.end_slice();
                     // RESUME reuses the slice's entry stamp — the tracer
                     // adds no clock reads to the run path.
@@ -112,7 +121,6 @@ impl WorkerLoop {
                     );
                     match end {
                         SliceEnd::Completed => {
-                            self.stats.worker_completed.fetch_add(1, Ordering::Relaxed);
                             if let Some(ws) = self.stats.per_worker.get(self.idx) {
                                 ws.completed.fetch_add(1, Ordering::Relaxed);
                             }
@@ -125,7 +133,6 @@ impl WorkerLoop {
                             self.finish(task, false);
                         }
                         SliceEnd::Preempted => {
-                            self.stats.preemptions.fetch_add(1, Ordering::Relaxed);
                             if let Some(ws) = self.stats.per_worker.get(self.idx) {
                                 ws.preempted.fetch_add(1, Ordering::Relaxed);
                             }
@@ -203,14 +210,14 @@ impl WorkerLoop {
     fn trace_emit(&mut self, _ts_ns: u64, _kind: TraceKind, _id: u64, _gen: u64) {}
 
     /// Reports a finished (completed or failed) request: one message
-    /// carrying the telemetry record, the response and the stack.
+    /// carrying the telemetry record, the response and the frame.
     fn finish(&mut self, task: Task, failed: bool) {
-        let record = CompletionRecord::from_task(&task, self.clock.now_ns(), self.idx, failed);
-        let resp = task.response();
+        let record = CompletionRecord::from_task(&task, self.idx, failed);
+        let resp = task.response(&self.clock);
         self.send(WorkerMsg::Completed {
             record,
             resp,
-            stack: task.recycle(),
+            frame: task.into_frame(),
         });
     }
 

@@ -50,11 +50,11 @@ fn late_signal_replay_is_exact() {
 
         // 2. Dispatcher claims the expiry (single claim per slice).
         let claimed = shared
-            .claim_expired(&clock)
+            .claim_expired(clock.now_ns())
             .expect("zero-quantum slice must be claimable");
         assert_eq!(claimed, bait, "claim must return the bait generation");
         assert!(
-            shared.claim_expired(&clock).is_none(),
+            shared.claim_expired(clock.now_ns()).is_none(),
             "a slice may be claimed only once"
         );
 
@@ -159,7 +159,7 @@ fn late_signal_window_forced_by_handshake() {
                     // Claim the expired bait slice... but sit on the
                     // signal until the worker has moved on.
                     let gen = shared
-                        .claim_expired(&clock)
+                        .claim_expired(clock.now_ns())
                         .expect("bait slice has a zero quantum; claim must succeed");
                     claimed_gen.store(gen, Ordering::Relaxed);
                     phase.store(2, Ordering::Release);

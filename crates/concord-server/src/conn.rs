@@ -108,13 +108,20 @@ impl ConnWriter {
         let _ = self.binding.set(Binding { notify, slot, gen });
     }
 
-    /// Wakes the owning event loop (coalesced: one outstanding
-    /// notification at a time). No-op in the writer-thread model.
+    /// Wakes whoever flushes this connection. Bound to an event loop,
+    /// that is a dirty notification (coalesced: one outstanding at a
+    /// time) and the condvar is left alone — nobody ever waits on it, and
+    /// std's futex condvar makes every notify a `futex_wake` syscall, on
+    /// the dispatcher thread, per response. Unbound (thread-per-connection
+    /// model), it is the condvar the one writer thread waits on.
     fn nudge(&self) {
-        if let Some(b) = self.binding.get() {
-            if !self.queued.swap(true, Ordering::AcqRel) {
-                b.notify.notify(b.slot, b.gen);
+        match self.binding.get() {
+            Some(b) => {
+                if !self.queued.swap(true, Ordering::AcqRel) {
+                    b.notify.notify(b.slot, b.gen);
+                }
             }
+            None => self.wake.notify_all(),
         }
     }
 
@@ -149,7 +156,6 @@ impl ConnWriter {
         let _ = self
             .owed
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-        self.wake.notify_all();
         self.nudge();
     }
 
@@ -157,7 +163,6 @@ impl ConnWriter {
     /// once the outbox is drained and nothing more is owed.
     pub(crate) fn reader_done(&self) {
         self.read_closed.store(true, Ordering::Release);
-        self.wake.notify_all();
         self.nudge();
     }
 
@@ -174,7 +179,6 @@ impl ConnWriter {
             }
             q.push_back(frame);
         }
-        self.wake.notify_one();
         self.nudge();
         true
     }
@@ -198,7 +202,6 @@ impl ConnWriter {
 
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.wake.notify_all();
         self.nudge();
     }
 
@@ -407,5 +410,26 @@ mod tests {
         // Saturating settle: a spurious extra settle cannot underflow.
         w.settle_owed();
         assert!(w.retired(true));
+    }
+
+    #[test]
+    fn bound_writer_notifies_its_loop_once_per_burst() {
+        struct Count(AtomicU64);
+        impl ConnNotify for Count {
+            fn notify(&self, slot: u16, gen: u8) {
+                assert_eq!((slot, gen), (3, 1));
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let notified = Arc::new(Count(AtomicU64::new(0)));
+        let w = ConnWriter::new(64);
+        w.bind_notifier(notified.clone(), 3, 1);
+        assert!(w.enqueue(vec![1]));
+        assert!(w.enqueue(vec![2]));
+        w.settle_owed();
+        assert_eq!(notified.0.load(Ordering::SeqCst), 1, "coalesced");
+        w.clear_queued();
+        w.settle_owed();
+        assert_eq!(notified.0.load(Ordering::SeqCst), 2, "re-armed by the loop");
     }
 }

@@ -1,10 +1,52 @@
 //! The safe coroutine API over the raw context switch.
+//!
+//! A coroutine owns nothing but the [`Stack`] it was given: the control
+//! block, the entry closure and later the closure's return value all live
+//! at the top of that region, so creating one is pointer arithmetic plus
+//! a handful of stores and [`Coroutine::into_stack`] hands the whole
+//! reusable unit back.
+//!
+//! ```text
+//! stack.top() ──────────────────────────────────────────────
+//!    Header       co_sp, caller_sp, phase, slot, drop_entry,
+//!                 panic payload, the owning `Stack` handle
+//!    slot         the entry closure `F` until the first resume,
+//!                 its return value `R` once it returned
+//!                 (aligned for both)
+//!    boot frame   return address + six callee-saved registers
+//!                 (`arch::init_stack`), 16-byte aligned
+//!    ...          the coroutine's call stack grows down from here
+//! stack.base() ─────────────────────────────────────────────
+//! ```
+//!
+//! Every `unsafe` block below leans on the same three facts, referred to
+//! as (A), (B) and (C) in the `SAFETY` comments:
+//!
+//! - (A) **The frame is inside a live allocation.** `with_stack` checks
+//!   that header, slot and boot frame together take at most half of the
+//!   region before writing any of them, and the `Stack` that owns the
+//!   region is itself stored in the header: nothing frees the memory
+//!   until [`Coroutine::vacate`] moves that handle out, which is the last
+//!   thing a coroutine does with its frame.
+//! - (B) **One thread touches the frame at a time.** The header is
+//!   reached only through `&mut Coroutine` (`resume`, `take_result`,
+//!   `Drop`) or by code running *on* the coroutine (`co_main`,
+//!   `Yielder`), and the coroutine runs only while its owner is blocked
+//!   inside `resume`'s context switch. `Coroutine` is `Send` but not
+//!   `Sync`, and `Yielder` is neither.
+//! - (C) **`phase` says what the slot holds.** `Ready`: an initialised
+//!   `F`. `Returned`: an initialised `R`. Anything else: nothing. Each
+//!   transition that moves a value out of the slot changes the phase
+//!   first or in the same uninterruptible step, so no value is read or
+//!   dropped twice.
 
-use crate::arch::{concord_ctx_switch, init_stack};
-use crate::stack::Stack;
+use crate::arch::{concord_ctx_switch, init_stack, BOOT_FRAME_BYTES};
+use crate::stack::{Stack, STACK_ALIGN};
 use std::any::Any;
+use std::marker::PhantomData;
+use std::mem::{align_of, size_of, ManuallyDrop};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::ptr;
+use std::ptr::{self, NonNull};
 
 /// Result of a [`Coroutine::resume`] call.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -15,202 +57,358 @@ pub enum CoState {
     Complete,
 }
 
-/// Lifecycle of the control block.
+/// Lifecycle of the control block, and with it the contents of the slot.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Phase {
-    /// Created, never resumed.
+    /// Created, never resumed. The slot holds the entry closure.
     Ready,
     /// Currently executing (between resume and yield/return).
     Running,
     /// Yielded, waiting for the next resume.
     Suspended,
-    /// Closure returned (or panicked).
-    Done,
+    /// The closure returned. The slot holds its return value.
+    Returned,
+    /// The closure panicked, or its return value was taken.
+    Finished,
 }
 
-/// Heap-pinned control block shared between the caller and the coroutine.
+/// The control block at the top of the coroutine's own stack region.
 ///
-/// It must not move while the coroutine is alive: the coroutine's stack
-/// holds pointers to it (through `Yielder`), so `Coroutine` owns it behind
-/// a `Box` and never moves it out.
-type EntryFn = Box<dyn FnOnce(&mut Yielder) + Send + 'static>;
-
-struct Inner {
-    stack: Stack,
+/// Written once into raw stack memory by `with_stack` and from then on
+/// reached only through raw pointers: it never moves and is never dropped
+/// as a whole: `vacate` moves the `Stack` out, and `panic` is `Some` only
+/// between `co_main` storing a payload and the `resume` that switched to
+/// it taking it straight back out.
+struct Header {
     /// Saved stack pointer of the *coroutine* while it is suspended.
     co_sp: *mut u8,
     /// Saved stack pointer of the *caller* while the coroutine runs.
     caller_sp: *mut u8,
     phase: Phase,
-    /// The entry closure, consumed on first activation.
-    entry: Option<EntryFn>,
+    /// Where the entry closure, then its return value, lives.
+    slot: *mut u8,
+    /// Drops the entry closure in `slot`. The closure's type is erased
+    /// everywhere but here and in the monomorphised `co_main`.
+    drop_entry: unsafe fn(*mut u8),
     /// A panic payload captured inside the coroutine, re-thrown by resume.
     panic: Option<Box<dyn Any + Send>>,
+    /// The region this header lives in.
+    stack: Stack,
 }
 
-/// A stackful coroutine.
+/// A stackful coroutine whose closure returns `R`.
 ///
 /// The closure runs on its own stack and may call [`Yielder::yield_now`]
 /// at any depth; `resume` returns [`CoState::Suspended`] at each yield and
-/// [`CoState::Complete`] when the closure returns. A suspended coroutine
-/// may be sent to another thread and resumed there — this is how the
-/// Concord runtime migrates preempted requests between workers.
+/// [`CoState::Complete`] when the closure returns, after which
+/// [`Coroutine::take_result`] yields what it returned. A suspended
+/// coroutine may be sent to another thread and resumed there — this is
+/// how the Concord runtime migrates preempted requests between workers.
+///
+/// Creating, running and recycling a coroutine on a caller-provided
+/// [`Stack`] allocates nothing: control block, closure and return value
+/// live inside that stack.
 ///
 /// # Panics
 ///
 /// A panic inside the coroutine is caught at the coroutine boundary and
 /// re-thrown from the `resume` call that observed it.
 ///
-/// Dropping a coroutine that is merely `Suspended` frees its stack but
-/// does **not** run destructors of values live on that stack — the same
-/// contract as Shinjuku's contexts. Runtimes built on this type should
-/// drive every coroutine to completion.
-pub struct Coroutine {
-    inner: Box<Inner>,
+/// Dropping a coroutine that never ran drops its closure; dropping one
+/// that returned drops an untaken return value. Dropping a coroutine that
+/// is merely `Suspended` frees its stack but does **not** run destructors
+/// of values live on that stack — the same contract as Shinjuku's
+/// contexts. Runtimes built on this type should drive every coroutine to
+/// completion.
+pub struct Coroutine<R = ()> {
+    hdr: NonNull<Header>,
+    _result: PhantomData<R>,
 }
 
-// SAFETY: the entry closure is `Send`, the stack is owned, and `resume`
-// takes `&mut self`, so at most one thread ever executes the coroutine at
-// a time. Values the closure keeps on its stack across yields are part of
-// the closure's execution and were required to be `Send` via the closure
+// SAFETY: the entry closure and its return value are `Send`, the stack is
+// owned, and every method that touches the frame takes `&mut self`, so at
+// most one thread ever executes or inspects the coroutine at a time (B).
+// Values the closure keeps on its stack across yields are part of the
+// closure's execution and were required to be `Send` via the closure
 // bound.
-unsafe impl Send for Coroutine {}
+unsafe impl<R: Send> Send for Coroutine<R> {}
 
-impl Coroutine {
+/// The highest address `≤ below - size` that is a multiple of `align`
+/// (a power of two), or `None` on underflow.
+fn carve(below: usize, size: usize, align: usize) -> Option<usize> {
+    Some(below.checked_sub(size)? & !(align - 1))
+}
+
+impl<R: Send + 'static> Coroutine<R> {
     /// Creates a coroutine with a dedicated stack of `stack_size` bytes
     /// (rounded up to a minimum; see [`crate::stack::Stack::new`]).
     ///
     /// Nothing runs until the first [`Coroutine::resume`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Coroutine::with_stack`].
     pub fn new<F>(stack_size: usize, f: F) -> Self
     where
-        F: FnOnce(&mut Yielder) + Send + 'static,
+        F: FnOnce(&mut Yielder) -> R + Send + 'static,
     {
         Self::with_stack(Stack::new(stack_size), f)
     }
 
     /// Creates a coroutine on a caller-provided stack — the allocation-free
     /// path for runtimes that pool stacks across requests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the control block, the closure (or its return value) and
+    /// the boot frame together need more than half of `stack`; the stack
+    /// is freed.
     pub fn with_stack<F>(stack: Stack, f: F) -> Self
     where
-        F: FnOnce(&mut Yielder) + Send + 'static,
+        F: FnOnce(&mut Yielder) -> R + Send + 'static,
     {
-        let mut inner = Box::new(Inner {
-            stack,
-            co_sp: ptr::null_mut(),
-            caller_sp: ptr::null_mut(),
-            phase: Phase::Ready,
-            entry: Some(Box::new(f)),
-            panic: None,
-        });
-        let ctl: *mut Inner = &mut *inner;
-        // SAFETY: the stack was just allocated with ≥ MIN_STACK_SIZE bytes
-        // and an aligned top; `ctl` points into the heap `Box`, which stays
-        // pinned for the coroutine's lifetime (Inner is never moved out of
-        // the Box).
-        inner.co_sp = unsafe { init_stack(inner.stack.top(), ctl.cast()) };
-        Self { inner }
+        let base = stack.base();
+        let top = base as usize + stack.size();
+        let slot_size = size_of::<F>().max(size_of::<R>());
+        let slot_align = align_of::<F>().max(align_of::<R>());
+        let placed = carve(top, size_of::<Header>(), align_of::<Header>())
+            .and_then(|hdr| {
+                let slot = carve(hdr, slot_size, slot_align)?;
+                let boot_top = carve(slot, 0, STACK_ALIGN)?;
+                Some((hdr, slot, boot_top))
+            })
+            .filter(|&(_, _, boot_top)| top - boot_top + BOOT_FRAME_BYTES <= stack.size() / 2);
+        let Some((hdr, slot, boot_top)) = placed else {
+            panic!(
+                "coroutine frame ({slot_size}-byte closure/result slot) does not fit in half of a {}-byte stack",
+                stack.size()
+            );
+        };
+        // SAFETY (A): base ≤ boot_top - BOOT_FRAME_BYTES < boot_top ≤ slot
+        // ≤ hdr, hdr + size_of::<Header>() ≤ top and slot + slot_size ≤
+        // hdr were just checked, so all three offsets stay inside the
+        // region `stack` owns; `carve` aligned each address for its type.
+        // Nothing else refers to the region yet (B), and the writes
+        // establish (C) for `Phase::Ready`. `co_main::<F, R>` is the main
+        // function matching the `F` written to the slot.
+        unsafe {
+            let at = |addr: usize| base.add(addr - base as usize);
+            let hdr = at(hdr).cast::<Header>();
+            let slot = at(slot);
+            slot.cast::<F>().write(f);
+            hdr.write(Header {
+                co_sp: init_stack(at(boot_top), hdr.cast(), co_main::<F, R>),
+                caller_sp: ptr::null_mut(),
+                phase: Phase::Ready,
+                slot,
+                drop_entry: drop_entry::<F>,
+                panic: None,
+                stack,
+            });
+            Self {
+                hdr: NonNull::new_unchecked(hdr),
+                _result: PhantomData,
+            }
+        }
+    }
+}
+
+impl<R> Coroutine<R> {
+    fn phase(&self) -> Phase {
+        // SAFETY (A, B): the header is live and `&self` excludes the
+        // coroutine running.
+        unsafe { (*self.hdr.as_ptr()).phase }
     }
 
     /// Runs the coroutine until it yields or completes.
     pub fn resume(&mut self) -> CoState {
-        match self.inner.phase {
-            Phase::Done => return CoState::Complete,
-            Phase::Running => unreachable!("resume re-entered a running coroutine"),
-            Phase::Ready | Phase::Suspended => {}
-        }
-        self.inner.phase = Phase::Running;
-        let inner: *mut Inner = &mut *self.inner;
-        // SAFETY: `co_sp` was produced by `init_stack` (first resume) or by
-        // the coroutine's own yield switch; its stack is live and not
-        // executing anywhere (`&mut self` + phase checks guarantee this).
+        let hdr = self.hdr.as_ptr();
+        // SAFETY (A, B): the header is live and ours. `co_sp` was produced
+        // by `init_stack` (first resume) or by the coroutine's own yield
+        // switch; its stack is live and not executing anywhere (`&mut
+        // self` + the phase checks guarantee this).
         unsafe {
-            concord_ctx_switch(&mut (*inner).caller_sp, (*inner).co_sp);
-        }
-        // Back here: the coroutine yielded or finished.
-        if let Some(payload) = self.inner.panic.take() {
-            self.inner.phase = Phase::Done;
-            resume_unwind(payload);
-        }
-        match self.inner.phase {
-            Phase::Running => {
-                self.inner.phase = Phase::Suspended;
-                CoState::Suspended
+            match (*hdr).phase {
+                Phase::Returned | Phase::Finished => return CoState::Complete,
+                Phase::Running => unreachable!("resume re-entered a running coroutine"),
+                Phase::Ready | Phase::Suspended => {}
             }
-            Phase::Done => CoState::Complete,
-            _ => unreachable!("invalid phase after switch"),
+            (*hdr).phase = Phase::Running;
+            concord_ctx_switch(&mut (*hdr).caller_sp, (*hdr).co_sp);
+            // Back here: the coroutine yielded or finished.
+            if let Some(payload) = (*hdr).panic.take() {
+                resume_unwind(payload);
+            }
+            match (*hdr).phase {
+                Phase::Running => {
+                    (*hdr).phase = Phase::Suspended;
+                    CoState::Suspended
+                }
+                Phase::Returned => CoState::Complete,
+                _ => unreachable!("invalid phase after switch"),
+            }
         }
     }
 
     /// True once the closure has returned (or panicked).
     pub fn is_complete(&self) -> bool {
-        self.inner.phase == Phase::Done
+        matches!(self.phase(), Phase::Returned | Phase::Finished)
     }
 
     /// Size of this coroutine's stack, bytes.
     pub fn stack_size(&self) -> usize {
-        self.inner.stack.size()
+        // SAFETY (A, B): as in `phase`.
+        unsafe { (*self.hdr.as_ptr()).stack.size() }
+    }
+
+    /// What the closure returned, while it is still in the frame: `Some`
+    /// between normal completion and [`Coroutine::take_result`].
+    pub fn result(&self) -> Option<&R> {
+        let hdr = self.hdr.as_ptr();
+        // SAFETY (A, B, C): in `Returned` the slot holds an `R`; the
+        // borrow of `self` keeps `take_result`, `resume` and `Drop` away
+        // from it for as long as the reference lives.
+        unsafe { ((*hdr).phase == Phase::Returned).then(|| &*(*hdr).slot.cast::<R>()) }
+    }
+
+    /// Takes what the closure returned: `Some` once after the coroutine
+    /// completed normally, `None` before that, after a panic, and on
+    /// every later call.
+    pub fn take_result(&mut self) -> Option<R> {
+        let hdr = self.hdr.as_ptr();
+        // SAFETY (A, B, C): in `Returned` the slot holds an `R` written by
+        // `co_main::<_, R>`; flipping the phase first makes this the only
+        // read of it.
+        unsafe {
+            if (*hdr).phase != Phase::Returned {
+                return None;
+            }
+            (*hdr).phase = Phase::Finished;
+            Some((*hdr).slot.cast::<R>().read())
+        }
     }
 
     /// Recovers the stack for reuse.
     ///
-    /// Returns `Some` only when the coroutine has completed (or never ran):
-    /// a suspended coroutine's stack still holds live frames, so it is
-    /// dropped with the coroutine instead of being handed back.
+    /// Returns `Some` only when the coroutine has completed (or never
+    /// ran, in which case its closure is dropped here): a suspended
+    /// coroutine's stack still holds live frames, so it is dropped with
+    /// the coroutine instead of being handed back.
     pub fn into_stack(self) -> Option<Stack> {
-        match self.inner.phase {
-            Phase::Done | Phase::Ready => {
-                // Deconstruct the box without running any custom Drop
-                // (Inner has none); moving the stack out is plain field
-                // ownership transfer.
-                Some(self.inner.stack)
+        match self.phase() {
+            Phase::Running | Phase::Suspended => None,
+            Phase::Ready | Phase::Returned | Phase::Finished => {
+                let mut this = ManuallyDrop::new(self);
+                // SAFETY: `this` is never used again and its `Drop` never
+                // runs, so the frame is vacated exactly once.
+                Some(unsafe { this.vacate() })
             }
-            _ => None,
+        }
+    }
+
+    /// Drops whatever the slot still holds and moves the owning `Stack`
+    /// out of the header, ending the frame's life.
+    ///
+    /// # Safety
+    ///
+    /// Must be the last access to this coroutine's frame: the returned
+    /// `Stack` owns the memory `self.hdr` points into.
+    unsafe fn vacate(&mut self) -> Stack {
+        let hdr = self.hdr.as_ptr();
+        // SAFETY (A, B): the header is live until the `Stack` read out
+        // below is dropped, and that local is dropped last — also when a
+        // destructor below unwinds — so the slot and header are still
+        // mapped for every access here. (C) picks the destructor; the
+        // phase is overwritten before it runs, so nothing is dropped
+        // twice even if it panics.
+        unsafe {
+            let stack = ptr::read(&(*hdr).stack);
+            let phase = std::mem::replace(&mut (*hdr).phase, Phase::Finished);
+            match phase {
+                Phase::Ready => ((*hdr).drop_entry)((*hdr).slot),
+                Phase::Returned => ptr::drop_in_place((*hdr).slot.cast::<R>()),
+                Phase::Running | Phase::Suspended | Phase::Finished => {}
+            }
+            stack
         }
     }
 }
 
+impl<R> Drop for Coroutine<R> {
+    fn drop(&mut self) {
+        // SAFETY: `drop` is the last use of `self`; `into_stack` wraps
+        // the coroutine in `ManuallyDrop` before vacating it, so this
+        // does not run a second time.
+        drop(unsafe { self.vacate() });
+    }
+}
+
+/// Drops the entry closure of type `F` stored at `slot`.
+///
+/// # Safety
+///
+/// `slot` must hold an initialised `F` that is not used afterwards.
+unsafe fn drop_entry<F>(slot: *mut u8) {
+    // SAFETY: the caller's contract.
+    unsafe { ptr::drop_in_place(slot.cast::<F>()) }
+}
+
 /// Yield handle passed to the coroutine closure.
 pub struct Yielder {
-    inner: *mut Inner,
+    hdr: *mut Header,
 }
 
 impl Yielder {
     /// Suspends the coroutine; the pending [`Coroutine::resume`] returns
     /// [`CoState::Suspended`], and the next `resume` continues from here.
     pub fn yield_now(&mut self) {
-        // SAFETY: `inner` outlives the coroutine body (it is boxed and
-        // owned by the `Coroutine` that is currently blocked inside
-        // `resume` on this very control block).
+        let hdr = self.hdr;
+        // SAFETY (A, B): a `Yielder` exists only inside `co_main`, i.e.
+        // on the coroutine's own stack while its owner is blocked inside
+        // `resume` on this very header; `caller_sp` was saved by that
+        // resume.
         unsafe {
-            let inner = self.inner;
-            concord_ctx_switch(&mut (*inner).co_sp, (*inner).caller_sp);
+            concord_ctx_switch(&mut (*hdr).co_sp, (*hdr).caller_sp);
         }
     }
 }
 
-/// First-activation entry point, reached via the assembly trampoline.
+/// First-activation entry point, reached via the assembly trampoline with
+/// the header pointer `init_stack` stashed in the boot frame.
 ///
 /// # Safety
 ///
-/// Called only by `concord_co_entry` with the control-block pointer that
-/// `init_stack` stashed in the bootstrap frame.
-#[no_mangle]
-unsafe extern "C" fn concord_co_main(ctl: *mut u8) -> ! {
-    let inner: *mut Inner = ctl.cast();
+/// `ctl` must point at a live `Header` in `Phase::Running` whose slot
+/// holds an `F`, and the call must be running on that header's stack.
+unsafe extern "C" fn co_main<F, R>(ctl: *mut u8) -> !
+where
+    F: FnOnce(&mut Yielder) -> R,
+{
+    let hdr: *mut Header = ctl.cast();
     {
-        // SAFETY: `inner` is the live control block; we are the only code
-        // running on this coroutine right now.
-        let entry = unsafe { (*inner).entry.take().expect("entry closure present") };
-        let mut yielder = Yielder { inner };
+        // SAFETY (B, C): we are the only code running on this coroutine;
+        // `resume` set the phase to `Running` before switching here, so
+        // the slot's `F` is ours to move out and nobody will drop it in
+        // place.
+        let entry = unsafe { (*hdr).slot.cast::<F>().read() };
+        let mut yielder = Yielder { hdr };
         // Unwinding across the assembly frames below would be undefined
         // behavior, so catch everything here and ferry the payload back.
         let result = catch_unwind(AssertUnwindSafe(move || entry(&mut yielder)));
-        // SAFETY: as above; the closure has finished, nothing else aliases.
+        // SAFETY (B, C): the closure has finished, nothing else aliases
+        // the frame; the slot is empty (its `F` was consumed) and was
+        // sized and aligned for `R` by `with_stack`.
         unsafe {
-            if let Err(payload) = result {
-                (*inner).panic = Some(payload);
+            match result {
+                Ok(value) => {
+                    (*hdr).slot.cast::<R>().write(value);
+                    (*hdr).phase = Phase::Returned;
+                }
+                Err(payload) => {
+                    (*hdr).panic = Some(payload);
+                    (*hdr).phase = Phase::Finished;
+                }
             }
-            (*inner).phase = Phase::Done;
         }
     }
     // Hand control back to the caller forever; a completed coroutine can
@@ -218,7 +416,7 @@ unsafe extern "C" fn concord_co_main(ctl: *mut u8) -> ! {
     loop {
         // SAFETY: caller_sp was saved by the resume that activated us.
         unsafe {
-            concord_ctx_switch(&mut (*inner).co_sp, (*inner).caller_sp);
+            concord_ctx_switch(&mut (*hdr).co_sp, (*hdr).caller_sp);
         }
     }
 }

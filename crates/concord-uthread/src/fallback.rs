@@ -21,34 +21,38 @@ pub enum CoState {
     Complete,
 }
 
-enum FromCo {
+/// What the coroutine's thread tells its caller. `Yielded` carries no
+/// payload, so the yielder's end of the channel is the same type for
+/// every `R`.
+enum FromCo<R> {
     Yielded,
-    Finished(Option<Box<dyn Any + Send>>),
+    Finished(Result<R, Box<dyn Any + Send>>),
 }
 
-/// A coroutine backed by a parked OS thread.
-pub struct Coroutine {
+/// A coroutine backed by a parked OS thread, whose closure returns `R`.
+pub struct Coroutine<R = ()> {
     to_co: SyncSender<()>,
-    from_co: Receiver<FromCo>,
+    from_co: Receiver<FromCo<R>>,
     handle: Option<JoinHandle<()>>,
     complete: bool,
-    stack_size: usize,
-    /// Stack supplied via `with_stack`, handed back by `into_stack`.
+    /// What the closure returned, until [`Coroutine::take_result`].
+    result: Option<R>,
+    /// The stack this coroutine was given; `Some` until `into_stack`
+    /// (which consumes the coroutine) hands it back.
     pooled_stack: Option<Stack>,
 }
 
 /// Yield handle passed to the coroutine closure.
 pub struct Yielder {
-    notify: SyncSender<FromCo>,
+    /// Tells the caller the coroutine yielded.
+    notify: Box<dyn Fn() + Send>,
     wait: Receiver<()>,
 }
 
 impl Yielder {
     /// Suspends the coroutine until the next [`Coroutine::resume`].
     pub fn yield_now(&mut self) {
-        self.notify
-            .send(FromCo::Yielded)
-            .expect("caller side alive");
+        (self.notify)();
         // Block until resumed; if the Coroutine was dropped, park forever
         // is wrong — exit by panicking inside the (detached) thread.
         if self.wait.recv().is_err() {
@@ -61,27 +65,25 @@ impl Yielder {
 /// Marker payload used to unwind a dropped coroutine's thread.
 struct CoroutineDropped;
 
-impl Coroutine {
+impl<R: Send + 'static> Coroutine<R> {
+    /// Creates a coroutine. `stack_size` sizes the backing thread's stack.
+    pub fn new<F>(stack_size: usize, f: F) -> Self
+    where
+        F: FnOnce(&mut Yielder) -> R + Send + 'static,
+    {
+        Self::with_stack(Stack::new(stack_size), f)
+    }
+
     /// Creates a coroutine on a caller-provided stack. The fallback backend
     /// cannot point a thread at a foreign stack, so the stack only sizes
     /// the thread; it is returned by [`Coroutine::into_stack`] afterwards.
     pub fn with_stack<F>(stack: Stack, f: F) -> Self
     where
-        F: FnOnce(&mut Yielder) + Send + 'static,
+        F: FnOnce(&mut Yielder) -> R + Send + 'static,
     {
-        let size = stack.size();
-        let mut co = Self::new(size, f);
-        co.pooled_stack = Some(stack);
-        co
-    }
-
-    /// Creates a coroutine. `stack_size` sizes the backing thread's stack.
-    pub fn new<F>(stack_size: usize, f: F) -> Self
-    where
-        F: FnOnce(&mut Yielder) + Send + 'static,
-    {
+        let stack_size = stack.size();
         let (to_co, co_wait) = sync_channel::<()>(0);
-        let (co_notify, from_co) = sync_channel::<FromCo>(0);
+        let (co_notify, from_co) = sync_channel::<FromCo<R>>(0);
         let notify = co_notify.clone();
         let handle = std::thread::Builder::new()
             .stack_size(stack_size.max(64 * 1024))
@@ -92,16 +94,16 @@ impl Coroutine {
                     return;
                 }
                 let mut yielder = Yielder {
-                    notify: co_notify,
+                    notify: Box::new(move || {
+                        co_notify.send(FromCo::Yielded).expect("caller side alive");
+                    }),
                     wait: co_wait,
                 };
                 let result = catch_unwind(AssertUnwindSafe(move || f(&mut yielder)));
-                let payload = match result {
-                    Ok(()) => None,
-                    Err(p) if p.is::<CoroutineDropped>() => return,
-                    Err(p) => Some(p),
-                };
-                let _ = notify.send(FromCo::Finished(payload));
+                if matches!(&result, Err(p) if p.is::<CoroutineDropped>()) {
+                    return;
+                }
+                let _ = notify.send(FromCo::Finished(result));
             })
             .expect("spawn fallback coroutine thread");
         Self {
@@ -109,13 +111,27 @@ impl Coroutine {
             from_co,
             handle: Some(handle),
             complete: false,
-            stack_size,
-            pooled_stack: None,
+            result: None,
+            pooled_stack: Some(stack),
         }
     }
+}
 
-    /// Recovers the pooled stack, if one was supplied and the coroutine
-    /// has completed (or never ran).
+impl<R> Coroutine<R> {
+    /// What the closure returned, until [`Coroutine::take_result`] takes
+    /// it.
+    pub fn result(&self) -> Option<&R> {
+        self.result.as_ref()
+    }
+
+    /// Takes what the closure returned: `Some` once after the coroutine
+    /// completed normally, `None` before that, after a panic, and on
+    /// every later call.
+    pub fn take_result(&mut self) -> Option<R> {
+        self.result.take()
+    }
+
+    /// Recovers the stack, if the coroutine has completed (or never ran).
     pub fn into_stack(mut self) -> Option<Stack> {
         if self.complete || self.handle.is_some() {
             self.pooled_stack.take()
@@ -132,11 +148,12 @@ impl Coroutine {
         self.to_co.send(()).expect("coroutine thread alive");
         match self.from_co.recv().expect("coroutine reply") {
             FromCo::Yielded => CoState::Suspended,
-            FromCo::Finished(None) => {
+            FromCo::Finished(Ok(value)) => {
                 self.complete = true;
+                self.result = Some(value);
                 CoState::Complete
             }
-            FromCo::Finished(Some(payload)) => {
+            FromCo::Finished(Err(payload)) => {
                 self.complete = true;
                 resume_unwind(payload);
             }
@@ -150,11 +167,11 @@ impl Coroutine {
 
     /// Configured stack size, bytes.
     pub fn stack_size(&self) -> usize {
-        self.stack_size
+        self.pooled_stack.as_ref().map_or(0, Stack::size)
     }
 }
 
-impl Drop for Coroutine {
+impl<R> Drop for Coroutine<R> {
     fn drop(&mut self) {
         // Closing `to_co` unblocks a suspended coroutine, whose yielder
         // then unwinds its thread; join to avoid leaking threads.

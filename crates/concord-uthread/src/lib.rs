@@ -10,7 +10,12 @@
 //! - `arch` — the hand-written context switch: ~15 instructions on
 //!   x86_64 (push callee-saved registers, swap `rsp`, pop, `ret`);
 //! - `coroutine` — the safe API: create with a closure, [`Coroutine::resume`]
-//!   until [`CoState::Complete`], yield from inside via [`Yielder`].
+//!   until [`CoState::Complete`], yield from inside via [`Yielder`], read
+//!   what the closure returned with [`Coroutine::take_result`]. The
+//!   control block, the closure and its result live inside the stack the
+//!   coroutine was given, so a runtime that recycles stacks
+//!   ([`Coroutine::with_stack`] / [`Coroutine::into_stack`]) creates and
+//!   retires coroutines without touching the allocator.
 //!
 //! On non-x86_64 targets a functionally identical (but slower) OS-thread
 //! backed implementation is used, so the crate — and everything built on
@@ -26,12 +31,14 @@
 //!     for _ in 0..3 {
 //!         y.yield_now();
 //!     }
+//!     "done"
 //! });
 //! while co.resume() == CoState::Suspended {
 //!     steps += 1;
 //! }
 //! assert_eq!(steps, 3);
 //! assert_eq!(co.resume(), CoState::Complete);
+//! assert_eq!(co.take_result(), Some("done"));
 //! ```
 
 #![warn(missing_docs)]

@@ -627,6 +627,33 @@ mod tests {
         // Budget recovers: admissions resume.
         slo.set_blown(class_slot(1), false);
         assert!(matches!(q.offer(req(5, 1)), AdmitOutcome::Admitted));
+
+        // Budgeting the heavy class protects the short class under
+        // overload: a capacity-4 gate nobody drains is offered heavy
+        // (class 1) and short (class 0) arrivals in turn. Class-blind, it
+        // fills and turns a short away; with the heavy budget blown every
+        // heavy is shed at the door and the gate never fills.
+        for budgeted in [false, true] {
+            let q = queue(4, AdmissionPolicy::RejectNewest);
+            if budgeted {
+                let slo = Arc::new(SloState::new(&[(1, 100)]));
+                slo.set_blown(class_slot(1), true);
+                q.attach_slo(slo);
+            }
+            for id in 0..6u64 {
+                let class = u16::from(id % 2 == 0);
+                let out = q.offer(req(id, class));
+                match (budgeted, class) {
+                    (true, 1) => assert!(matches!(out, AdmitOutcome::SloShed), "{out:?}"),
+                    (true, _) => assert!(matches!(out, AdmitOutcome::Admitted), "{out:?}"),
+                    (false, _) => assert_eq!(matches!(out, AdmitOutcome::Rejected), id >= 4),
+                }
+            }
+            let pc = q.counters().per_class();
+            assert_eq!(pc[&0].rejected, if budgeted { 0 } else { 1 });
+            assert_eq!(pc[&1].slo_shed, if budgeted { 3 } else { 0 });
+            assert_eq!(q.len(), if budgeted { 3 } else { 4 });
+        }
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!               [--control-interval-ms MS] [--slo CLASS:P99_US[,..]]
 //!               [--admission-cap N]
 //!               [--admission-policy drop-newest|drop-oldest|reject]
-//!               [--ingress epoll|threads] [--loops N]
-//!               [--admin HOST:PORT] [--report-interval SECS]
+//!               [--loops N] [--admin HOST:PORT] [--report-interval SECS]
 //!               [--trace-retain SECS] [--oneshot] [--trace PATH]
 //! ```
 //!
@@ -17,9 +16,8 @@
 //! alias for one release; the flag was renamed so every Concord binary
 //! that binds a socket spells it the same way).
 //!
-//! `--ingress` selects the socket-servicing model: `epoll` (default)
-//! multiplexes all connections over a fixed pool of `--loops` I/O event
-//! loops; `threads` is the thread-per-connection baseline.
+//! All connections are multiplexed over a fixed pool of `--loops` epoll
+//! I/O event loops.
 //!
 //! `--admin HOST:PORT` starts the introspection plane beside the data
 //! plane: `GET /metrics` (Prometheus text), `GET /healthz`, `GET /statz`
@@ -60,7 +58,7 @@
 use concord_args::Parser;
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
 use concord_core::{ConcordApp, PolicyKind, RuntimeConfig};
-use concord_server::{IngressMode, Server, ServerConfig, ServerReport};
+use concord_server::{Server, ServerConfig, ServerReport};
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
@@ -78,7 +76,6 @@ struct Args {
     policy: PolicyKind,
     admission_cap: usize,
     admission_policy: AdmissionPolicy,
-    ingress: IngressMode,
     loops: usize,
     admin: Option<String>,
     report_interval: u64,
@@ -142,12 +139,6 @@ fn parse_args() -> Args {
         "reject",
         "overload response at the admission gate",
     )
-    .opt_default(
-        "ingress",
-        "epoll|threads",
-        "epoll",
-        "socket-servicing model",
-    )
     .opt_default("loops", "N", "0", "event loops (0 = one per 4 workers)")
     .opt(
         "admin",
@@ -203,14 +194,6 @@ fn parse_args() -> Args {
                 "drop-newest|drop-oldest|reject",
                 AdmissionPolicy::parse,
             )
-            .unwrap_or_else(|e| m.fatal(e))
-            .expect("defaulted"),
-        ingress: m
-            .choice("ingress", "epoll|threads", |v| match v {
-                "epoll" => Some(IngressMode::EventLoop),
-                "threads" => Some(IngressMode::Threads),
-                _ => None,
-            })
             .unwrap_or_else(|e| m.fatal(e))
             .expect("defaulted"),
         loops: m.require("loops").unwrap_or_else(|e| m.fatal(e)),
@@ -335,7 +318,6 @@ fn serve<A: ConcordApp>(args: &Args, app: Arc<A>) {
             capacity: args.admission_cap,
             policy: args.admission_policy,
         })
-        .ingress(args.ingress)
         .event_loops(args.loops);
     if let Some(admin) = &args.admin {
         builder = builder.admin(admin.clone());
@@ -371,7 +353,7 @@ fn serve<A: ConcordApp>(args: &Args, app: Arc<A>) {
     }
     if args.oneshot {
         // Serve until at least one client connected and all clients have
-        // half-closed (their readers exited), then drain and report.
+        // half-closed, then drain and report.
         while (server.accepted() == 0 || server.active_connections() > 0)
             && !concord_net::signal::shutdown_requested()
         {

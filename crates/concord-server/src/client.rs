@@ -2,9 +2,9 @@
 //!
 //! Reuses the workload machinery from `concord-workloads` (Poisson
 //! arrivals, the paper's service-time mixes) and reports the same
-//! slowdown percentiles as the in-process [`Collector`]
-//! (`concord_net::Collector`) so TCP runs are directly comparable to
-//! in-process runs.
+//! slowdown percentiles as the in-process
+//! [`Collector`](concord_net::Collector) so TCP runs are directly
+//! comparable to in-process runs.
 //!
 //! - **Open loop**: requests are sent on the generator's Poisson
 //!   schedule regardless of responses — the paper's methodology, which

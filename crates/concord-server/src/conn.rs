@@ -16,7 +16,7 @@
 //!   does not match the slot's current occupant is counted as an orphan
 //!   instead of being delivered to the wrong client.
 //!
-//! A slot is released only when its writer exits, and the writer exits
+//! A slot is released only when its connection retires, and it retires
 //! only once the client has half-closed *and* every response owed on
 //! the connection has been enqueued (or the server is shutting down).
 //! Releases therefore never race an owed in-flight response, which is
@@ -25,20 +25,11 @@
 //!
 //! The route-id bit layout itself (`16-bit slot | 8-bit generation |
 //! 40-bit client id`) lives in [`concord_wire::route`], shared with the
-//! rack front end; deprecated re-exports below keep old import paths
-//! compiling for one release.
+//! rack front end.
 
 use std::collections::VecDeque;
-use std::io::Write;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::Duration;
-
-#[deprecated(since = "0.1.0", note = "moved to concord_wire::route")]
-pub use concord_wire::route::{
-    route_id, split_route_id, CLIENT_ID_BITS, CLIENT_ID_MASK, GEN_BITS, MAX_CONNS,
-};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default bound on encoded frames a connection's outbox may hold
 /// before the egress reports backpressure to the dispatcher (which then
@@ -49,9 +40,8 @@ pub const DEFAULT_OUTBOX_CAP: usize = 64 * 1024;
 
 /// How a [`ConnWriter`] tells its owning I/O event loop that the
 /// connection needs service (a frame was enqueued, a book settled, the
-/// connection closed). Implemented by the event loop's shared state;
-/// absent in the thread-per-connection model, whose writer thread waits
-/// on the condvar instead.
+/// connection closed). Implemented by the event loop's shared state; a
+/// trait so the unit test can substitute a counting fake.
 pub(crate) trait ConnNotify: Send + Sync {
     /// Marks connection `(slot, gen)` dirty and wakes the loop.
     fn notify(&self, slot: u16, gen: u8);
@@ -65,21 +55,20 @@ struct Binding {
 
 /// A connection's outbox and retirement state: encoded frames queued for
 /// flushing, plus the books that decide when the connection may retire
-/// and release its slot. Flushed either by a dedicated writer thread
-/// (thread-per-connection model, [`ConnWriter::run`]) or by the owning
-/// I/O event loop (notified through [`ConnNotify`]).
+/// and release its slot. Flushed by the owning I/O event loop, which
+/// every enqueue, settle and close nudges through the bound notifier.
 pub struct ConnWriter {
     outbox: Mutex<VecDeque<Vec<u8>>>,
     cap: usize,
-    wake: Condvar,
     closed: AtomicBool,
     /// The client half-closed its sending side; no more requests can
-    /// arrive, so the writer exits once nothing more is owed.
+    /// arrive, so the connection retires once nothing more is owed.
     read_closed: AtomicBool,
     /// Admitted requests whose response has not yet reached the outbox.
-    /// Incremented by the reader at admission, decremented by the egress
-    /// at enqueue time (or when the admission gate evicts the request,
-    /// or when the dispatcher drops the response under backpressure).
+    /// Incremented by the event loop at admission, decremented by the
+    /// egress at enqueue time (or when the admission gate evicts the
+    /// request, or when the dispatcher drops the response under
+    /// backpressure).
     owed: AtomicU64,
     /// Event-loop binding, set once right after slot registration.
     binding: OnceLock<Binding>,
@@ -93,7 +82,6 @@ impl ConnWriter {
         Arc::new(Self {
             outbox: Mutex::new(VecDeque::new()),
             cap: cap.max(1),
-            wake: Condvar::new(),
             closed: AtomicBool::new(false),
             read_closed: AtomicBool::new(false),
             owed: AtomicU64::new(0),
@@ -108,20 +96,15 @@ impl ConnWriter {
         let _ = self.binding.set(Binding { notify, slot, gen });
     }
 
-    /// Wakes whoever flushes this connection. Bound to an event loop,
-    /// that is a dirty notification (coalesced: one outstanding at a
-    /// time) and the condvar is left alone — nobody ever waits on it, and
-    /// std's futex condvar makes every notify a `futex_wake` syscall, on
-    /// the dispatcher thread, per response. Unbound (thread-per-connection
-    /// model), it is the condvar the one writer thread waits on.
+    /// Wakes the event loop that flushes this connection with a dirty
+    /// notification (coalesced: one outstanding at a time). Before
+    /// [`ConnWriter::bind_notifier`] there is nobody to wake: the loop
+    /// binds right after registering the slot, before it reads a frame.
     fn nudge(&self) {
-        match self.binding.get() {
-            Some(b) => {
-                if !self.queued.swap(true, Ordering::AcqRel) {
-                    b.notify.notify(b.slot, b.gen);
-                }
+        if let Some(b) = self.binding.get() {
+            if !self.queued.swap(true, Ordering::AcqRel) {
+                b.notify.notify(b.slot, b.gen);
             }
-            None => self.wake.notify_all(),
         }
     }
 
@@ -136,12 +119,7 @@ impl ConnWriter {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Responses still owed to this connection.
-    pub(crate) fn owed(&self) -> u64 {
-        self.owed.load(Ordering::Acquire)
-    }
-
-    /// Reader-side: one admitted request now owes this connection a
+    /// Read path: one admitted request now owes this connection a
     /// response.
     pub(crate) fn note_owed(&self) {
         self.owed.fetch_add(1, Ordering::AcqRel);
@@ -159,7 +137,7 @@ impl ConnWriter {
         self.nudge();
     }
 
-    /// Reader-side: the client half-closed; the connection may retire
+    /// Read path: the client half-closed; the connection may retire
     /// once the outbox is drained and nothing more is owed.
     pub(crate) fn reader_done(&self) {
         self.read_closed.store(true, Ordering::Release);
@@ -190,11 +168,6 @@ impl ConnWriter {
         out.extend(q.drain(..n));
     }
 
-    /// Whether no frames are queued.
-    pub(crate) fn outbox_is_empty(&self) -> bool {
-        self.outbox.lock().expect("outbox lock").is_empty()
-    }
-
     /// Drops every queued frame (teardown of a dead connection).
     pub(crate) fn clear_outbox(&self) {
         self.outbox.lock().expect("outbox lock").clear();
@@ -205,47 +178,16 @@ impl ConnWriter {
         self.nudge();
     }
 
-    /// Whether the writer has nothing left to do: torn down, or the
-    /// client is done sending with the outbox drained and no response
-    /// still owed.
-    fn retired(&self, outbox_empty: bool) -> bool {
-        if !outbox_empty {
-            return false;
-        }
-        self.closed.load(Ordering::Acquire)
-            || (self.read_closed.load(Ordering::Acquire) && self.owed.load(Ordering::Acquire) == 0)
-    }
-
-    /// Drains the outbox to the socket until retired (see
-    /// [`ConnWriter::retired`]). The caller releases the slot afterwards.
-    pub(crate) fn run(&self, mut stream: TcpStream) {
-        let mut batch: Vec<Vec<u8>> = Vec::new();
-        loop {
-            {
-                let mut q = self.outbox.lock().expect("outbox lock");
-                while q.is_empty() && !self.retired(true) {
-                    let (guard, _) = self
-                        .wake
-                        .wait_timeout(q, Duration::from_millis(100))
-                        .expect("outbox wait");
-                    q = guard;
-                }
-                if q.is_empty() {
-                    return; // retired with nothing left to flush
-                }
-                batch.extend(q.drain(..));
-            }
-            for frame in batch.drain(..) {
-                if stream.write_all(&frame).is_err() {
-                    // Client is gone; further responses for this
-                    // connection become orphans at the egress.
-                    self.close();
-                    self.outbox.lock().expect("outbox lock").clear();
-                    return;
-                }
-            }
-            let _ = stream.flush();
-        }
+    /// Whether the outbox is empty for good: the connection is torn
+    /// down, or the client is done sending and no response is still
+    /// owed, and nothing is queued. The `owed` book is read *before* the
+    /// outbox: each response is enqueued before it is settled, so once
+    /// `owed == 0` the outbox contents are final and an empty check
+    /// cannot miss a late frame.
+    pub(crate) fn retired(&self) -> bool {
+        let done_sending = self.is_closed()
+            || (self.read_closed.load(Ordering::Acquire) && self.owed.load(Ordering::Acquire) == 0);
+        done_sending && self.outbox.lock().expect("outbox lock").is_empty()
     }
 }
 
@@ -336,8 +278,9 @@ impl ConnTable {
         t.slots.len() - t.free.len()
     }
 
-    /// Closes every live writer (shutdown path). Writers drain their
-    /// outboxes and exit; slots are not recycled — the table is dying.
+    /// Closes every live writer (shutdown path). The event loops flush
+    /// what is queued and retire them; slots are not recycled here — the
+    /// table is dying.
     pub fn close_all(&self) {
         let t = self.inner.lock().expect("conn table lock");
         for s in &t.slots {
@@ -400,16 +343,18 @@ mod tests {
     #[test]
     fn retirement_requires_half_close_and_settled_books() {
         let w = ConnWriter::new(64);
-        assert!(!w.retired(true), "open connection stays up");
+        assert!(!w.retired(), "open connection stays up");
         w.note_owed();
         w.reader_done();
-        assert!(!w.retired(true), "owed response pins the writer");
+        assert!(!w.retired(), "owed response pins the writer");
+        assert!(w.enqueue(vec![1]));
         w.settle_owed();
-        assert!(w.retired(true), "half-closed + settled => retired");
-        assert!(!w.retired(false), "non-empty outbox always pins");
+        assert!(!w.retired(), "non-empty outbox always pins");
+        w.take_batch(&mut VecDeque::new(), 1);
+        assert!(w.retired(), "half-closed + settled + drained => retired");
         // Saturating settle: a spurious extra settle cannot underflow.
         w.settle_owed();
-        assert!(w.retired(true));
+        assert!(w.retired());
     }
 
     #[test]

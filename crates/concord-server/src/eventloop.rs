@@ -1,5 +1,5 @@
-//! The event-loop ingress ([`IngressMode::EventLoop`]): a fixed pool of
-//! I/O threads multiplexing every connection through epoll.
+//! The ingress: a fixed pool of I/O threads multiplexing every
+//! connection through epoll.
 //!
 //! Each loop owns a [`Poller`], the listener (registered in every loop;
 //! the accept race is benign — losers see `WouldBlock`), an eventfd
@@ -7,9 +7,9 @@
 //!
 //! - **Reads** are level-triggered and batched: up to a few fills per
 //!   readiness event into the connection's compacting [`RecvBuf`], with
-//!   zero-copy frame decode straight out of the buffer. Admission,
-//!   RETRY answers, and the owed books work exactly as in the
-//!   thread-per-connection model.
+//!   zero-copy frame decode straight out of the buffer. Each request
+//!   is offered to its shard's admission gate: admitted, it enters the
+//!   connection's owed book; rejected, it is answered RETRY on the spot.
 //! - **Writes** coalesce: the dispatcher's egress enqueues encoded
 //!   frames into the connection's outbox and nudges the owning loop
 //!   through [`ConnNotify`]; the loop drains the outbox in batches
@@ -24,8 +24,6 @@
 //! from epoll entirely (level-triggered `EPOLLRDHUP` would re-report the
 //! half-close forever) and becomes purely notification-driven until its
 //! books settle.
-//!
-//! [`IngressMode::EventLoop`]: crate::server::IngressMode::EventLoop
 
 use crate::conn::{ConnNotify, ConnWriter};
 use crate::server::{FrontShared, ShardRoute};
@@ -230,8 +228,7 @@ impl EventLoop {
     }
 
     /// First observation of the stop flag: stop accepting, stop
-    /// reading. Every connection is treated as half-closed (mirroring
-    /// the reader threads, which exit at their next tick) and retires
+    /// reading. Every connection is treated as half-closed and retires
     /// once its books settle and its outbox flushes.
     fn check_stop(&mut self) {
         if self.stopping || !self.shared.stop.load(Ordering::Acquire) {
@@ -501,8 +498,8 @@ impl EventLoop {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    // Read error: same as a reader thread exiting — the
-                    // connection may still flush what it owes.
+                    // Read error: no more requests, but the connection
+                    // may still flush what it owes.
                     conn.read_eof = true;
                     writer.reader_done();
                     shared.active_conns.fetch_sub(1, Ordering::Relaxed);
@@ -572,17 +569,13 @@ impl EventLoop {
         }
     }
 
-    /// Retires the connection if nothing more will ever be sent on it.
-    /// The `owed` book is read *before* the outbox: each response is
-    /// enqueued before it is settled, so once `owed == 0` the outbox
-    /// contents are final and an empty check cannot miss a late frame.
+    /// Retires the connection if nothing more will ever be sent on it
+    /// (see [`ConnWriter::retired`]) and the write queue has flushed.
     fn maybe_retire(&mut self, slot: u16) -> bool {
         let Some(conn) = self.conns.get(&slot) else {
             return true;
         };
-        let w = &conn.writer;
-        let done_sending = w.is_closed() || (conn.read_eof && w.owed() == 0);
-        if done_sending && conn.wq.is_empty() && w.outbox_is_empty() {
+        if conn.wq.is_empty() && conn.writer.retired() {
             self.teardown_graceful(slot);
             return true;
         }

@@ -4,18 +4,15 @@
 //!
 //! - the wire protocol: the length-prefixed binary frames (version 1)
 //!   carrying requests and responses live in the [`concord_wire`] crate,
-//!   shared with the `concord-rack` front-end balancer; the [`wire`] and
-//!   [`buf`] modules here are deprecated re-export shims.
+//!   shared with the `concord-rack` front-end balancer.
 //! - [`server`]: a [`Server`] that binds a listener, routes each
 //!   connection to one of N scheduler shards (hash with a
 //!   power-of-two-choices fallback on admission-queue depth), feeds
 //!   decoded requests through a per-shard overload-aware admission gate
 //!   into a [`ShardedRuntime`](concord_core::ShardedRuntime), and routes
 //!   responses back to their originating connection through
-//!   generation-tagged slots ([`conn`]). Sockets are serviced by either
-//!   a pool of epoll event loops ([`eventloop`], the default) or the
-//!   original thread-per-connection model ([`threads`]), selected by
-//!   [`IngressMode`].
+//!   generation-tagged slots ([`conn`]). Sockets are serviced by a small
+//!   fixed pool of epoll event loops, whatever the connection count.
 //! - [`client`]: an open/closed-loop load generator reporting the same
 //!   slowdown percentiles as the in-process collector.
 //!
@@ -46,16 +43,13 @@
 #![warn(missing_docs)]
 
 pub mod admin;
-pub mod buf;
 pub mod client;
 pub mod conn;
 mod eventloop;
 pub mod server;
-mod threads;
-pub mod wire;
 
 pub use client::{ClientConfig, ClientReport};
 pub use concord_wire::{Frame, RequestFrame, ResponseFrame, Status, WireError};
 pub use server::{
-    ConfigError, IngressMode, RouterPolicy, Server, ServerConfig, ServerConfigBuilder, ServerReport,
+    ConfigError, RouterPolicy, Server, ServerConfig, ServerConfigBuilder, ServerReport,
 };

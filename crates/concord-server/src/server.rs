@@ -1,23 +1,14 @@
-//! The TCP front end: a listener served by either N I/O event loops
-//! (default) or the original thread-per-connection model, feeding
+//! The TCP front end: a listener served by N I/O event loops feeding
 //! per-shard admission gates.
 //!
-//! Both ingress modes ([`IngressMode`]) share everything below the
-//! socket layer — the generation-tagged connection table
-//! ([`crate::conn`]), the per-shard [`AdmissionQueue`] gates, the
-//! hash-with-P2C-fallback router, and the owed/settled retirement books
-//! — so they are behaviorally interchangeable and the benchmark binary
-//! can measure one against the other:
-//!
-//! - [`IngressMode::EventLoop`] (default, [`crate::eventloop`]): a small
-//!   fixed set of I/O threads multiplex every connection through epoll.
-//!   Reads are batched into per-connection compacting buffers
-//!   ([`concord_wire::RecvBuf`]), frames decode zero-copy, and outboxes
-//!   flush through coalesced `writev` calls. Connection count does not
-//!   change the thread count.
-//! - [`IngressMode::Threads`] ([`crate::threads`]): one reader and one
-//!   writer thread per connection, blocking reads with a timeout tick.
-//!   Kept as the measured baseline and as a portability fallback.
+//! A small fixed set of I/O threads multiplexes every connection through
+//! epoll. Reads are batched into per-connection compacting buffers
+//! ([`concord_wire::RecvBuf`]), frames decode zero-copy, and outboxes
+//! flush through coalesced `writev` calls; connection count does not
+//! change the thread count. Below the socket layer sit the
+//! generation-tagged connection table ([`crate::conn`]), the per-shard
+//! [`AdmissionQueue`] gates, the hash-with-P2C-fallback router, and the
+//! owed/settled retirement books.
 //!
 //! Responses are routed back to their connection through the request id:
 //! the server rewrites each client id into
@@ -33,6 +24,7 @@
 //! connection's outbox had no room for the RETRY.
 
 use crate::conn::{ConnTable, DEFAULT_OUTBOX_CAP};
+use crate::eventloop::LoopsFront;
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy, AdmissionQueue};
 use concord_core::transport::Egress;
 use concord_core::{
@@ -58,18 +50,6 @@ pub enum RouterPolicy {
     /// For tests that need deliberate skew — e.g. to exercise the
     /// inter-shard steal path.
     Pin(usize),
-}
-
-/// Which socket-servicing model the server runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum IngressMode {
-    /// Readiness-based event loops: a fixed pool of I/O threads
-    /// multiplexing all connections through epoll (Linux). The default.
-    #[default]
-    EventLoop,
-    /// One reader thread and one writer thread per connection. The
-    /// original model, kept as the measured baseline.
-    Threads,
 }
 
 /// A connection's routing decision inputs: two hashed candidates.
@@ -158,8 +138,7 @@ impl Egress for ServerEgress {
         // The dispatcher gave up on this response under backpressure
         // (`tx_dropped`). The connection will never see it, so settle the
         // owed book now — otherwise a half-closed connection whose last
-        // response was dropped would hold its slot (and, in the threads
-        // model, its writer thread) forever.
+        // response was dropped would hold its slot forever.
         let (slot, gen, _) = split_route_id(resp.id);
         if let Some(writer) = self.conns.lookup(slot, gen) {
             writer.settle_owed();
@@ -170,7 +149,7 @@ impl Egress for ServerEgress {
 /// Server configuration: the runtime underneath (whose `num_shards`
 /// decides how many dispatcher groups serve the listener), the
 /// admission gate in front of each shard, the connection router, and
-/// the socket-servicing model.
+/// the event-loop pool size.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Scheduler configuration; `runtime.num_shards` dispatcher+worker
@@ -180,11 +159,8 @@ pub struct ServerConfig {
     pub admission: AdmissionConfig,
     /// Connection-to-shard routing policy.
     pub router: RouterPolicy,
-    /// Socket-servicing model (default: [`IngressMode::EventLoop`]).
-    pub ingress: IngressMode,
-    /// I/O event-loop threads in [`IngressMode::EventLoop`]; `0` picks
-    /// a small count from the machine's parallelism. Ignored in
-    /// [`IngressMode::Threads`].
+    /// I/O event-loop threads; `0` picks a small count from the
+    /// machine's parallelism.
     pub event_loops: usize,
     /// Bound on encoded frames a connection's outbox may hold before
     /// the egress reports backpressure (default:
@@ -204,9 +180,8 @@ pub struct ServerConfig {
 
 impl ServerConfig {
     /// A configuration with everything but the runtime at its default:
-    /// a 4096-deep reject-newest gate per shard, hash+P2C routing, the
-    /// event-loop ingress with an auto-sized loop count, and the
-    /// standard outbox bound.
+    /// a 4096-deep reject-newest gate per shard, hash+P2C routing, an
+    /// auto-sized event-loop count, and the standard outbox bound.
     pub fn new(runtime: RuntimeConfig) -> ServerConfig {
         ServerConfig {
             runtime,
@@ -215,7 +190,6 @@ impl ServerConfig {
                 policy: AdmissionPolicy::RejectNewest,
             },
             router: RouterPolicy::HashP2c,
-            ingress: IngressMode::default(),
             event_loops: 0,
             outbox_cap: DEFAULT_OUTBOX_CAP,
             conn_setup_faults: Arc::new(AtomicU64::new(0)),
@@ -288,12 +262,6 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Sets the socket-servicing model.
-    pub fn ingress(mut self, ingress: IngressMode) -> Self {
-        self.cfg.ingress = ingress;
-        self
-    }
-
     /// Sets the I/O event-loop thread count (`0` = auto-size).
     pub fn event_loops(mut self, n: usize) -> Self {
         self.cfg.event_loops = n;
@@ -336,8 +304,7 @@ impl ServerConfigBuilder {
     }
 }
 
-/// State shared between the [`Server`] facade and its ingress front end
-/// (event loops or accept/reader/writer threads).
+/// State shared between the [`Server`] facade and its event loops.
 pub(crate) struct FrontShared {
     /// Stop taking new connections and new requests.
     pub(crate) stop: AtomicBool,
@@ -403,18 +370,13 @@ pub struct ServerReport {
     pub trace: Option<concord_core::trace::Trace>,
 }
 
-enum Front {
-    Threads(crate::threads::ThreadsFront),
-    Loops(crate::eventloop::LoopsFront),
-}
-
 /// A Concord runtime serving a wire-protocol TCP listener.
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<FrontShared>,
     orphaned: Arc<AtomicU64>,
     rt: ShardedRuntime,
-    front: Front,
+    front: LoopsFront,
     admin: Option<crate::admin::AdminPlane>,
 }
 
@@ -478,29 +440,17 @@ impl Server {
             setup_faults: cfg.conn_setup_faults.clone(),
         });
 
-        let front = match cfg.ingress {
-            IngressMode::Threads => Front::Threads(crate::threads::ThreadsFront::start(
-                listener,
-                shared.clone(),
-            )?),
-            IngressMode::EventLoop => {
-                let loops = if cfg.event_loops > 0 {
-                    cfg.event_loops
-                } else {
-                    // I/O is a small fraction of the work; a few loops
-                    // saturate the listener long before the scheduler.
-                    std::thread::available_parallelism()
-                        .map(|p| p.get() / 4)
-                        .unwrap_or(1)
-                        .clamp(1, 4)
-                };
-                Front::Loops(crate::eventloop::LoopsFront::start(
-                    listener,
-                    shared.clone(),
-                    loops,
-                )?)
-            }
+        let loops = if cfg.event_loops > 0 {
+            cfg.event_loops
+        } else {
+            // I/O is a small fraction of the work; a few loops
+            // saturate the listener long before the scheduler.
+            std::thread::available_parallelism()
+                .map(|p| p.get() / 4)
+                .unwrap_or(1)
+                .clamp(1, 4)
         };
+        let front = LoopsFront::start(listener, shared.clone(), loops)?;
 
         let admin = match &cfg.admin {
             Some(admin_addr) => {
@@ -583,17 +533,13 @@ impl Server {
     /// request complete, flush every connection's outbox, then join the
     /// ingress and return the final accounting.
     pub fn shutdown(mut self) -> ServerReport {
-        // 1. No new work: gates reject, the ingress stops accepting and
-        //    stops reading (event loops drop read interest; reader
-        //    threads wind down at their next timeout tick).
+        // 1. No new work: gates reject, the event loops stop accepting
+        //    and drop read interest.
         for a in self.shared.admissions.iter() {
             a.close();
         }
         self.shared.stop.store(true, Ordering::Release);
-        match &mut self.front {
-            Front::Threads(t) => t.stop_ingest(),
-            Front::Loops(l) => l.stop_ingest(),
-        }
+        self.front.stop_ingest();
         // 2. Graceful drain: wait for every dispatcher to ingest what its
         //    gate admitted, then quiesce the shards (concurrently — each
         //    drains its in-flight requests into the egress). Event loops
@@ -609,10 +555,7 @@ impl Server {
         //    closing after quiesce lets the ingress drain before exiting.
         self.shared.drain.store(true, Ordering::Release);
         self.shared.conns.close_all();
-        match &mut self.front {
-            Front::Threads(t) => t.finish(),
-            Front::Loops(l) => l.finish(),
-        }
+        self.front.finish();
         // The admin plane stayed up through the drain (scrapes keep
         // working while connections flush); stop it last.
         if let Some(a) = &mut self.admin {

@@ -1,15 +1,10 @@
 //! Failure injection at the ingress edge: connection-setup faults and
 //! real descriptor exhaustion (`RLIMIT_NOFILE`) must cost only the
-//! affected connection attempt — never the accept path itself.
-//!
-//! Regression: the thread-per-connection accept loop used
-//! `stream.try_clone().expect("clone stream")`, so the first EMFILE
-//! during connection setup panicked the accept thread and the server
-//! never accepted again. Post-fix the failed connection is refused (slot
-//! released, stream dropped, counted in `refused`) and accepting
-//! continues. The event loop never clones at all; under EMFILE it parks
-//! the listener and resumes once descriptors free up, accepting the
-//! connection that was waiting in the backlog.
+//! affected connection attempt — never the accept path itself. A
+//! connection whose setup fails is refused (slot released, stream
+//! dropped, counted in `refused`) and accepting continues; under EMFILE
+//! the event loop parks the listener and resumes once descriptors free
+//! up, accepting the connection that was waiting in the backlog.
 //!
 //! Everything runs inside ONE `#[test]` because the rlimit scenario
 //! lowers the process-wide descriptor limit; nothing else in this binary
@@ -17,7 +12,7 @@
 
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
 use concord_core::{RuntimeConfig, SpinApp};
-use concord_server::{IngressMode, Server, ServerConfig};
+use concord_server::{Server, ServerConfig};
 use concord_wire::frame::{self as wire, Frame};
 use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
@@ -66,7 +61,7 @@ fn open_fds() -> u64 {
     std::fs::read_dir("/proc/self/fd").expect("procfs").count() as u64
 }
 
-fn bind_server(mode: IngressMode, setup_faults: u64) -> Server {
+fn bind_server(setup_faults: u64) -> Server {
     Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -74,7 +69,6 @@ fn bind_server(mode: IngressMode, setup_faults: u64) -> Server {
                 capacity: 1024,
                 policy: AdmissionPolicy::RejectNewest,
             },
-            ingress: mode,
             event_loops: 1,
             conn_setup_faults: Arc::new(AtomicU64::new(setup_faults)),
             ..ServerConfig::new(
@@ -147,15 +141,15 @@ fn wait_idle(server: &Server) {
 /// Deterministic setup-fault injection: the first `n` accepted
 /// connections are refused as if setup had failed; accepting continues
 /// and the next connection serves normally.
-fn injected_faults_scenario(mode: IngressMode) {
+fn injected_faults_scenario() {
     const FAULTS: u64 = 3;
-    let server = bind_server(mode, FAULTS);
+    let server = bind_server(FAULTS);
     let addr = server.local_addr();
     for i in 0..FAULTS {
         let mut doomed = TcpStream::connect(addr).expect("connect doomed");
         assert!(
             observe_teardown(&mut doomed),
-            "[{mode:?}] refused connection {i} was not torn down"
+            "refused connection {i} was not torn down"
         );
     }
     let mut conn = TcpStream::connect(addr).expect("connect survivor");
@@ -165,73 +159,18 @@ fn injected_faults_scenario(mode: IngressMode) {
     wait_idle(&server);
 
     let report = server.shutdown();
-    assert_eq!(report.refused, FAULTS, "[{mode:?}] every fault counted");
-    assert_eq!(report.accepted, 1, "[{mode:?}] survivor accepted");
+    assert_eq!(report.refused, FAULTS, "every fault counted");
+    assert_eq!(report.accepted, 1, "survivor accepted");
     assert_eq!(report.orphaned_responses, 0);
 }
 
-/// Real descriptor exhaustion against the thread-per-connection ingress:
-/// accept() succeeds on the last free descriptor, the reader/writer
-/// split's `try_clone` hits EMFILE, and the server must refuse that
-/// connection and keep accepting. Pre-fix the accept thread panicked
-/// here and the final round trip times out.
-fn threads_emfile_scenario() {
-    let server = bind_server(IngressMode::Threads, 0);
-    let addr = server.local_addr();
-
-    // Warm up: one full exchange proves steady state, then retire it so
-    // its descriptors are gone before we start counting.
-    let mut warm = TcpStream::connect(addr).expect("connect warm");
-    warm.set_nodelay(true).expect("nodelay");
-    round_trip(&mut warm, 1, Duration::from_secs(10));
-    drop(warm);
-    wait_idle(&server);
-
-    let saved = nofile();
-    let _guard = LimitGuard(saved);
-    set_nofile(Rlimit {
-        cur: open_fds() + 32,
-        max: saved.max,
-    });
-    // Fill the table with ballast, then free exactly two descriptors:
-    // one for our client socket, one for the server's accept. The
-    // try_clone after accept has nothing left and fails with EMFILE.
-    let mut ballast = Vec::new();
-    while let Ok(f) = File::open("/dev/null") {
-        ballast.push(f);
-    }
-    ballast.pop();
-    ballast.pop();
-
-    let mut doomed = TcpStream::connect(addr).expect("connect under EMFILE");
-    let torn_down = observe_teardown(&mut doomed);
-    drop(doomed);
-
-    // Back to normal: the accept loop must still be alive.
-    drop(ballast);
-    drop(_guard);
-    let mut conn = TcpStream::connect(addr).expect("connect after EMFILE");
-    conn.set_nodelay(true).expect("nodelay");
-    round_trip(&mut conn, 2, Duration::from_secs(15));
-    drop(conn);
-    wait_idle(&server);
-
-    let report = server.shutdown();
-    assert!(torn_down, "[Threads] EMFILE connection was not torn down");
-    assert!(
-        report.refused >= 1,
-        "[Threads] the EMFILE connection was refused and counted"
-    );
-    assert_eq!(report.accepted, 2, "[Threads] warm + post-EMFILE");
-}
-
-/// The same exhaustion against the event loop: accept() itself returns
-/// EMFILE, the loop parks the listener, and — once descriptors free up —
+/// Real descriptor exhaustion: accept() itself returns EMFILE, the loop
+/// parks the listener, and — once descriptors free up —
 /// accepts the connection that waited in the backlog. Nothing is
 /// refused; the very stream that arrived during exhaustion completes a
 /// round trip.
 fn eventloop_emfile_scenario() {
-    let server = bind_server(IngressMode::EventLoop, 0);
+    let server = bind_server(0);
     let addr = server.local_addr();
 
     let mut warm = TcpStream::connect(addr).expect("connect warm");
@@ -270,15 +209,13 @@ fn eventloop_emfile_scenario() {
     let report = server.shutdown();
     assert_eq!(
         report.refused, 0,
-        "[EventLoop] EMFILE defers accepts, it refuses nothing"
+        "EMFILE defers accepts, it refuses nothing"
     );
-    assert_eq!(report.accepted, 2, "[EventLoop] warm + deferred");
+    assert_eq!(report.accepted, 2, "warm + deferred");
 }
 
 #[test]
 fn ingress_survives_setup_faults_and_descriptor_exhaustion() {
-    injected_faults_scenario(IngressMode::EventLoop);
-    injected_faults_scenario(IngressMode::Threads);
-    threads_emfile_scenario();
+    injected_faults_scenario();
     eventloop_emfile_scenario();
 }

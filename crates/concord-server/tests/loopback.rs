@@ -8,7 +8,7 @@ use concord_core::fault::FaultInjector;
 use concord_core::trace::EventKind;
 use concord_core::{RuntimeConfig, SpinApp};
 use concord_server::client::{self, ClientConfig};
-use concord_server::{IngressMode, RouterPolicy, Server, ServerConfig, ServerReport};
+use concord_server::{RouterPolicy, Server, ServerConfig, ServerReport};
 use concord_wire::frame::{self as wire, Frame, Status};
 use concord_workloads::mix;
 use std::collections::HashMap;
@@ -269,44 +269,6 @@ fn graceful_shutdown_while_idle_reports_cleanly() {
     assert_eq!(report.accepted, 0);
     assert_eq!(report.admission.offered(), 0);
     assert_eq!(report.orphaned_responses, 0);
-}
-
-/// The thread-per-connection ingress obeys exactly the same conservation
-/// laws as the event loop — the contract is ingress-independent.
-#[test]
-fn threads_ingress_conserves_the_same_laws() {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            ingress: IngressMode::Threads,
-            ..server_config(4, AdmissionPolicy::RejectNewest, 1)
-        },
-        Arc::new(SpinApp::new()),
-    )
-    .expect("bind loopback");
-    let addr = server.local_addr().to_string();
-    let report = client::run(
-        &addr,
-        &ClientConfig {
-            requests: 2_000,
-            rate_rps: 100_000.0,
-            window: 0,
-            seed: 13,
-        },
-        mix::bimodal_50_1_50_100(),
-    )
-    .expect("client run");
-    let server_report = server.shutdown();
-
-    assert!(report.rejected > 0, "overload must shed at the gate");
-    assert_eq!(report.unaccounted(), 0, "rejects are answered, not dropped");
-    assert_conservation(
-        &server_report,
-        report.sent,
-        report.completed,
-        report.rejected,
-    );
-    assert_trace_agreement(&server_report);
 }
 
 /// Decodes every complete frame in `buf`, returning `(ok, retry)`

@@ -15,18 +15,25 @@
 //!   transport, which answers the client with an explicit RETRY so the
 //!   client can back off instead of timing out.
 //!
-//! The queue is multi-producer (one TCP reader thread per connection) and
+//! The queue is multi-producer (the server's I/O event loops) and
 //! single-consumer (the dispatcher, through [`AdmissionIngress`]). Drops
 //! and rejects are recorded twice: in [`AdmissionCounters`] (folded into
 //! `RuntimeStats::snapshot()`) and as [`AdmissionEvent`]s the dispatcher
 //! drains into the tracer as `ADMIT_DROP` instants.
+//!
+//! Cost per request: a producer takes the queue mutex once per offer
+//! and bumps two relaxed atomics; the dispatcher takes it once per
+//! *batch* ([`AdmissionQueue::pop_batch`]). The queue's length is
+//! mirrored in an atomic, so an empty dispatcher pass, `len()`,
+//! `is_empty()` and the server's depth-comparing router never touch the
+//! mutex.
 
 use crate::clock::Clock;
-use crate::quantum::{fold_class, SloState};
+use crate::quantum::{class_slot, slot_class, SloState, CLASS_SLOTS};
 use concord_net::Request;
 use concord_sync::MpmcQueue;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, OnceLock};
 
@@ -133,7 +140,7 @@ pub struct AdmissionEvent {
     pub kind: AdmissionEventKind,
 }
 
-/// Per-class admission tallies (plain integers under the counters' lock).
+/// Per-class admission tallies: a point-in-time copy of one class's row.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClassAdmission {
     /// Requests of this class admitted.
@@ -149,10 +156,31 @@ pub struct ClassAdmission {
     pub slo_shed: u64,
 }
 
+/// One class's live tallies: [`ClassAdmission`] as atomics.
+#[derive(Default)]
+struct ClassRow {
+    admitted: AtomicU64,
+    dropped_newest: AtomicU64,
+    dropped_oldest: AtomicU64,
+    rejected: AtomicU64,
+    slo_shed: AtomicU64,
+}
+
+impl ClassRow {
+    fn load(&self) -> ClassAdmission {
+        ClassAdmission {
+            admitted: self.admitted.load(Ordering::Relaxed),
+            dropped_newest: self.dropped_newest.load(Ordering::Relaxed),
+            dropped_oldest: self.dropped_oldest.load(Ordering::Relaxed),
+            rejected: self.rejected.load(Ordering::Relaxed),
+            slo_shed: self.slo_shed.load(Ordering::Relaxed),
+        }
+    }
+}
+
 /// Shared admission counters, linked into
 /// [`RuntimeStats`](crate::stats::RuntimeStats) by `Runtime::start` so
 /// `snapshot()` reports them alongside the scheduler's own counters.
-#[derive(Default)]
 pub struct AdmissionCounters {
     /// Requests admitted into the queue.
     pub admitted: AtomicU64,
@@ -165,10 +193,24 @@ pub struct AdmissionCounters {
     /// Arrivals refused with RETRY because their class was blowing its
     /// p99 SLO budget.
     pub slo_shed: AtomicU64,
-    /// Keyed by the *folded* class (`crate::quantum::fold_class`), so
-    /// the map is bounded against client-controlled class churn and
-    /// every shard keys identically.
-    per_class: Mutex<BTreeMap<u16, ClassAdmission>>,
+    /// One row per class slot ([`crate::quantum::class_slot`]): fixed
+    /// size, so client-controlled class churn cannot grow it, every
+    /// shard keys identically, and a bump is one relaxed add with no
+    /// lock (same shape as `stats::ClassIngestCounters`).
+    per_class: [ClassRow; CLASS_SLOTS],
+}
+
+impl Default for AdmissionCounters {
+    fn default() -> Self {
+        Self {
+            admitted: AtomicU64::new(0),
+            dropped_newest: AtomicU64::new(0),
+            dropped_oldest: AtomicU64::new(0),
+            rejected: AtomicU64::new(0),
+            slo_shed: AtomicU64::new(0),
+            per_class: std::array::from_fn(|_| ClassRow::default()),
+        }
+    }
 }
 
 impl std::fmt::Debug for AdmissionCounters {
@@ -191,30 +233,16 @@ impl std::fmt::Debug for AdmissionCounters {
 
 impl AdmissionCounters {
     fn bump(&self, class: u16, kind: Option<AdmissionEventKind>) {
-        let mut per_class = self.per_class.lock().expect("lock poisoned");
-        let row = per_class.entry(fold_class(class)).or_default();
-        match kind {
-            None => {
-                self.admitted.fetch_add(1, Ordering::Relaxed);
-                row.admitted += 1;
-            }
-            Some(AdmissionEventKind::DroppedNewest) => {
-                self.dropped_newest.fetch_add(1, Ordering::Relaxed);
-                row.dropped_newest += 1;
-            }
-            Some(AdmissionEventKind::DroppedOldest) => {
-                self.dropped_oldest.fetch_add(1, Ordering::Relaxed);
-                row.dropped_oldest += 1;
-            }
-            Some(AdmissionEventKind::Rejected) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                row.rejected += 1;
-            }
-            Some(AdmissionEventKind::SloShed) => {
-                self.slo_shed.fetch_add(1, Ordering::Relaxed);
-                row.slo_shed += 1;
-            }
-        }
+        let row = &self.per_class[class_slot(class)];
+        let (total, of_class) = match kind {
+            None => (&self.admitted, &row.admitted),
+            Some(AdmissionEventKind::DroppedNewest) => (&self.dropped_newest, &row.dropped_newest),
+            Some(AdmissionEventKind::DroppedOldest) => (&self.dropped_oldest, &row.dropped_oldest),
+            Some(AdmissionEventKind::Rejected) => (&self.rejected, &row.rejected),
+            Some(AdmissionEventKind::SloShed) => (&self.slo_shed, &row.slo_shed),
+        };
+        total.fetch_add(1, Ordering::Relaxed);
+        of_class.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total requests shed (dropped either way, rejected, or SLO-shed).
@@ -230,9 +258,16 @@ impl AdmissionCounters {
         self.admitted.load(Ordering::Relaxed) + self.shed()
     }
 
-    /// Point-in-time copy of the per-class tallies.
+    /// Point-in-time copy of the per-class tallies, keyed by the
+    /// *folded* class ([`crate::quantum::fold_class`]); a class appears
+    /// once the gate has seen it.
     pub fn per_class(&self) -> BTreeMap<u16, ClassAdmission> {
-        self.per_class.lock().expect("lock poisoned").clone()
+        self.per_class
+            .iter()
+            .enumerate()
+            .map(|(slot, row)| (slot_class(slot), row.load()))
+            .filter(|(_, c)| *c != ClassAdmission::default())
+            .collect()
     }
 
     /// Counter rows in `RuntimeStats::snapshot()` shape: the four totals
@@ -260,7 +295,7 @@ impl AdmissionCounters {
                 self.slo_shed.load(Ordering::Relaxed),
             ),
         ];
-        for (class, c) in self.per_class.lock().expect("lock poisoned").iter() {
+        for (class, c) in self.per_class() {
             rows.push((format!("admit_class{class}_admitted"), c.admitted));
             if c.dropped_newest > 0 {
                 rows.push((
@@ -291,6 +326,12 @@ impl AdmissionCounters {
 pub struct AdmissionQueue {
     cfg: AdmissionConfig,
     inner: Mutex<VecDeque<Request>>,
+    /// `inner.len()`, stored under the lock after every change and read
+    /// without it. A reader may see a value one operation old: fine for
+    /// a depth gauge and a routing hint, and the dispatcher's empty
+    /// check is re-done on its next pass a fraction of a microsecond
+    /// later.
+    len: AtomicUsize,
     events: MpmcQueue<AdmissionEvent>,
     counters: Arc<AdmissionCounters>,
     closed: AtomicBool,
@@ -312,6 +353,7 @@ impl AdmissionQueue {
                 policy: cfg.policy,
             },
             inner: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
             events: MpmcQueue::new(),
             counters: Arc::new(AdmissionCounters::default()),
             closed: AtomicBool::new(false),
@@ -368,6 +410,7 @@ impl AdmissionQueue {
             let mut q = self.inner.lock().expect("lock poisoned");
             if q.len() < self.cfg.capacity {
                 q.push_back(req);
+                self.len.store(q.len(), Ordering::Release);
                 None
             } else {
                 match self.cfg.policy {
@@ -411,17 +454,36 @@ impl AdmissionQueue {
 
     /// Takes the next admitted request (dispatcher side).
     pub fn pop(&self) -> Option<Request> {
-        self.inner.lock().expect("lock poisoned").pop_front()
+        if self.is_empty() {
+            return None;
+        }
+        let mut q = self.inner.lock().expect("lock poisoned");
+        let req = q.pop_front();
+        self.len.store(q.len(), Ordering::Release);
+        req
+    }
+
+    /// Moves admitted requests, oldest first, into `out` until it holds
+    /// `room` of them or the queue is empty: one lock for the whole
+    /// batch, none when nothing waits.
+    pub fn pop_batch(&self, out: &mut Vec<Request>, room: usize) {
+        if self.is_empty() || out.len() >= room {
+            return;
+        }
+        let mut q = self.inner.lock().expect("lock poisoned");
+        let n = q.len().min(room - out.len());
+        out.extend(q.drain(..n));
+        self.len.store(q.len(), Ordering::Release);
     }
 
     /// Admitted requests not yet ingested.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("lock poisoned").len()
+        self.len.load(Ordering::Acquire)
     }
 
     /// Whether no admitted request is waiting.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().expect("lock poisoned").is_empty()
+        self.len() == 0
     }
 
     /// Stops admitting: every subsequent offer is `Rejected`. Idempotent.
@@ -458,6 +520,10 @@ impl AdmissionIngress {
 impl crate::transport::Ingress for AdmissionIngress {
     fn poll(&mut self) -> Option<Request> {
         self.queue.pop()
+    }
+
+    fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize) {
+        self.queue.pop_batch(out, room);
     }
 
     fn drain_admission(&mut self, out: &mut Vec<AdmissionEvent>) {
@@ -572,6 +638,33 @@ mod tests {
         assert_eq!(evs[0].kind, AdmissionEventKind::Rejected);
         let c = ing.admission_counters().expect("admitting ingress");
         assert_eq!(c.offered(), 2);
+    }
+
+    #[test]
+    fn batch_poll_keeps_order_respects_room_and_tracks_len() {
+        let q = queue(8, AdmissionPolicy::DropOldest);
+        for id in 0..8 {
+            q.offer(req(id, 0));
+        }
+        assert_eq!(q.len(), 8);
+        // An eviction swaps the head for the arrival: depth unchanged.
+        assert!(matches!(q.offer(req(8, 0)), AdmitOutcome::DroppedOldest(_)));
+        assert_eq!(q.len(), 8);
+        let mut ing = q.ingress();
+        // `room` bounds what the caller's scratch ends up holding, not
+        // what this call adds to it.
+        let mut out = vec![req(100, 0)];
+        ing.poll_batch(&mut out, 4);
+        let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [100, 1, 2, 3]);
+        assert_eq!(q.len(), 5);
+        ing.poll_batch(&mut out, 4);
+        assert_eq!(out.len(), 4, "no room, nothing taken");
+        out.clear();
+        ing.poll_batch(&mut out, 64);
+        let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
+        assert_eq!(ids, [4, 5, 6, 7, 8]);
+        assert!(q.is_empty() && q.pop().is_none());
     }
 
     #[test]

@@ -344,10 +344,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     .max_in_flight
                     .saturating_sub(in_system + parked)
                     .min(INGEST_BATCH);
-                while arrivals.len() < room {
-                    let Some(req) = self.rx.poll() else { break };
-                    arrivals.push(req);
-                }
+                self.rx.poll_batch(&mut arrivals, room);
             }
             // The pass's one clock read. It stamps this pass's arrivals
             // (`ingested_at_ns`, ARRIVE), DISPATCH and STEAL events,

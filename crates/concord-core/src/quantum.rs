@@ -64,6 +64,17 @@ pub fn fold_class(class: u16) -> u16 {
     }
 }
 
+/// The inverse of [`class_slot`], as a folded class id: the slot's own
+/// class, or [`OTHER_CLASS`] for the overflow slot.
+#[inline]
+pub fn slot_class(slot: usize) -> u16 {
+    if slot < MAX_TRACKED_CLASSES {
+        slot as u16
+    } else {
+        OTHER_CLASS
+    }
+}
+
 /// The effective preemption quantum per class, shared between the
 /// dispatcher (writer, via the controller) and the workers (readers, at
 /// slice start). A fixed-quantum runtime is just a table nobody writes.

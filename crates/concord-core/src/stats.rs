@@ -1,7 +1,7 @@
 //! Runtime counters.
 
 use crate::admission::AdmissionCounters;
-use crate::quantum::{class_slot, fold_class, CLASS_SLOTS};
+use crate::quantum::{class_slot, slot_class, CLASS_SLOTS};
 use crate::telemetry::OTHER_CLASS;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -49,14 +49,7 @@ impl ClassIngestCounters {
         (0..CLASS_SLOTS)
             .filter_map(|slot| {
                 let v = self.0[slot].load(Ordering::Relaxed);
-                (v > 0).then(|| {
-                    let class = if slot == CLASS_SLOTS - 1 {
-                        OTHER_CLASS
-                    } else {
-                        fold_class(slot as u16)
-                    };
-                    (class, v)
-                })
+                (v > 0).then(|| (slot_class(slot), v))
             })
             .collect()
     }

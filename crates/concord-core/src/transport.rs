@@ -42,15 +42,28 @@ pub fn spsc<T: Send>(cap: usize) -> (SpscSender<T>, SpscReceiver<T>) {
 
 /// A non-blocking source of requests for the dispatcher.
 ///
-/// `poll` is called from the dispatcher's hot loop and must never block:
-/// return `None` when nothing is pending. Implementations that gate
-/// arrivals through an [`AdmissionQueue`](crate::admission::AdmissionQueue)
-/// should also forward its counters and event stream so drops become
-/// visible in [`RuntimeStats`](crate::stats::RuntimeStats) and the trace.
+/// `poll` and `poll_batch` are called from the dispatcher's hot loop and
+/// must never block: return `None` (append nothing) when nothing is
+/// pending. Implementations that gate arrivals through an
+/// [`AdmissionQueue`](crate::admission::AdmissionQueue) should also
+/// forward its counters and event stream so drops become visible in
+/// [`RuntimeStats`](crate::stats::RuntimeStats) and the trace.
 pub trait Ingress: Send + 'static {
     /// Returns the next admitted request, or `None` if the transport has
     /// nothing pending right now.
     fn poll(&mut self) -> Option<Request>;
+
+    /// Appends pending requests to `out` until it holds `room` of them
+    /// or nothing more is pending: what the dispatcher calls once per
+    /// pass. Default: [`Ingress::poll`] in a loop, which is all a
+    /// lock-free ring needs; an ingress behind a lock overrides it to
+    /// take the lock once per batch instead of once per request.
+    fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize) {
+        while out.len() < room {
+            let Some(req) = self.poll() else { break };
+            out.push(req);
+        }
+    }
 
     /// Moves any admission events recorded since the last call into
     /// `out`. The dispatcher drains this every loop iteration and emits

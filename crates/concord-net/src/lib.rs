@@ -6,7 +6,7 @@
 //! to the server — descriptor rings carrying request/response packets and
 //! an open-loop Poisson load generator — entirely in process:
 //!
-//! - [`ring`] — a bounded single-producer/single-consumer descriptor ring
+//! - [`mod@ring`] — a bounded single-producer/single-consumer descriptor ring
 //!   built from scratch on atomics (the NIC RX/TX queue model);
 //! - [`packet`] — request/response descriptors with timestamps;
 //! - [`rtt`] — a fixed-plus-jitter round-trip-time model (the paper's
@@ -14,7 +14,7 @@
 //! - [`loadgen`] — an open-loop generator that paces arrivals according to
 //!   a `concord-workloads` trace and a collector that turns responses into
 //!   client-side latency/slowdown measurements.
-//! - [`poll`] (Linux) — a first-party epoll/eventfd/`writev` wrapper,
+//! - [`poll`] (Linux) — a first-party epoll/eventfd wrapper,
 //!   the readiness layer under `concord-server`'s event-loop ingress.
 //! - [`signal`] (Linux) — SIGINT/SIGTERM → shutdown-flag plumbing for
 //!   graceful server drain, bound through the same minimal FFI shim.

@@ -1,15 +1,15 @@
-//! A minimal first-party readiness-notification layer: `epoll`,
-//! `eventfd`, and `writev`, bound through a tiny `extern "C"` shim.
+//! A minimal first-party readiness-notification layer: `epoll` and
+//! `eventfd`, bound through a tiny `extern "C"` shim.
 //!
 //! The zero-dependency policy (DESIGN.md §2) rules out the `libc` crate,
 //! but the platform C library is already linked by `std` on every Linux
-//! target, so declaring the four syscall wrappers we need costs nothing
+//! target, so declaring the few syscall wrappers we need costs nothing
 //! and keeps the unsafe surface auditable in one screenful. Everything
 //! above this module is safe code: the wrappers validate their inputs
 //! (slices in, descriptors we opened ourselves) and surface errors as
 //! `std::io::Error` from `errno`.
 //!
-//! Three exports:
+//! Two exports:
 //!
 //! - [`Poller`] — an epoll instance. Register interest in a descriptor
 //!   under a caller-chosen 64-bit token, then [`Poller::wait`] for
@@ -17,16 +17,17 @@
 //!   reporting until drained, which is what makes the server's
 //!   state machines restartable after partial reads.
 //! - [`Waker`] — an `eventfd` that other threads write to pull a
-//!   blocked [`Poller::wait`] out of its sleep (the dispatcher kicks a
-//!   connection's event loop after enqueueing a response).
-//! - [`writev`] — vectored write, so an outbox of encoded frames
-//!   flushes in one syscall instead of one per frame.
+//!   blocked [`Poller::wait`] out of its sleep. A write is a syscall on
+//!   the writer's thread and a context switch on the sleeper's, so the
+//!   server's event loop arranges to be written to only while it is
+//!   actually asleep (`concord-server`'s `eventloop` module): with
+//!   requests in flight it polls with a zero timeout instead, and a
+//!   running loop is never woken.
 //!
 //! Linux-only, like the event-loop server built on it; the rest of the
 //! workspace (simulator, in-process rings) stays portable.
 
 use std::io;
-use std::io::IoSlice;
 use std::os::fd::RawFd;
 use std::os::raw::{c_int, c_uint, c_void};
 
@@ -80,7 +81,6 @@ extern "C" {
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn writev(fd: c_int, iov: *const c_void, iovcnt: c_int) -> isize;
     fn close(fd: c_int) -> c_int;
 }
 
@@ -310,25 +310,6 @@ impl Drop for Waker {
     }
 }
 
-/// Vectored write: flushes as much of `bufs` as the kernel accepts in
-/// one syscall. Returns the number of bytes written; `WouldBlock` when
-/// a non-blocking descriptor has no space.
-pub fn write_vectored(fd: RawFd, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-    if bufs.is_empty() {
-        return Ok(0);
-    }
-    // Linux caps iovcnt at IOV_MAX (1024); stay under it.
-    let cnt = bufs.len().min(1024);
-    // SAFETY: `IoSlice` is guaranteed ABI-compatible with `struct iovec`,
-    // and each slice points at valid initialized memory for its length.
-    let n = unsafe { writev(fd, bufs.as_ptr().cast(), cnt as c_int) };
-    if n < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(n as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,27 +376,6 @@ mod tests {
             0,
             "deleted descriptor must not report"
         );
-    }
-
-    #[test]
-    fn write_vectored_coalesces_buffers() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let client = TcpStream::connect(addr).expect("connect");
-        let (server, _) = listener.accept().expect("accept");
-
-        let bufs = [
-            IoSlice::new(b"one"),
-            IoSlice::new(b""),
-            IoSlice::new(b"two-three"),
-        ];
-        let n = write_vectored(server.as_raw_fd(), &bufs).expect("writev");
-        assert_eq!(n, 12);
-        drop(server);
-        let mut got = Vec::new();
-        let mut client = client;
-        client.read_to_end(&mut got).expect("read");
-        assert_eq!(got, b"onetwo-three");
     }
 
     #[test]

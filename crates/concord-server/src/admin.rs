@@ -11,8 +11,9 @@
 //! Routes:
 //!
 //! - `GET /metrics` — Prometheus text exposition 0.0.4: per-shard
-//!   scheduler/admission counters, front-end connection counters, and
-//!   the latency/preemption/slowdown histograms with cumulative buckets,
+//!   scheduler/admission counters, per-loop event-loop in-flight gauge
+//!   and sleep/wake-up counters, front-end connection counters, and the
+//!   latency/preemption/slowdown histograms with cumulative buckets,
 //!   plus per-class labeled series.
 //! - `GET /healthz` — liveness: `{"status":"ok"}` plus uptime.
 //! - `GET /statz` — the dashboard document `concord-top` renders:
@@ -153,6 +154,32 @@ impl AdminState {
                 "Requests waiting in the shard's admission queue",
                 labels,
                 move || qd.len() as u64,
+            );
+        }
+
+        for (i, ls) in self.shared.loops.iter().enumerate() {
+            let label = i.to_string();
+            let labels: &[(&str, &str)] = &[("loop", label.as_str())];
+            let l = ls.clone();
+            reg.gauge(
+                "concord_io_in_flight",
+                "Requests this event loop admitted whose response is not yet settled (the loop polls while > 0)",
+                labels,
+                move || l.in_flight(),
+            );
+            let l = ls.clone();
+            reg.counter(
+                "concord_io_loop_sleeps_total",
+                "Times this event loop blocked in epoll_wait with nothing in flight",
+                labels,
+                move || l.sleeps(),
+            );
+            let l = ls.clone();
+            reg.counter(
+                "concord_io_wakeups_total",
+                "Eventfd writes that woke this event loop from such a sleep",
+                labels,
+                move || l.wakeups(),
             );
         }
 

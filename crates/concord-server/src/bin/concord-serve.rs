@@ -237,6 +237,10 @@ fn print_report(report: &ServerReport, trace_path: Option<&std::path::Path>) {
         report.orphaned_responses,
         report.retries_dropped
     );
+    println!(
+        "io loops: slept {}  woken by eventfd {}  in flight at exit {} (owed {})",
+        report.io.loop_sleeps, report.io.wakeups, report.io.in_flight, report.io.owed
+    );
     for (shard, adm) in report.admission_per_shard.iter().enumerate() {
         println!(
             "admission shard {shard}: offered {}  shed {}",

@@ -228,7 +228,7 @@ pub fn run<W: Workload>(
     // Rate pacing comes from the trace generator's Poisson arrivals;
     // closed loop keeps the schedule but gates each send on a credit.
     let mut gen = TraceGenerator::new(Poisson::with_rate(cfg.rate_rps), workload, cfg.seed);
-    let mut out = Vec::with_capacity(wire::HEADER_LEN + 64);
+    let mut out = Vec::with_capacity(64);
     let mut by_class_sent: BTreeMap<u16, u64> = BTreeMap::new();
     let start = Instant::now();
     let mut sent = 0u64;

@@ -23,11 +23,18 @@
 //! what makes the 8-bit generation sufficient: stale ids can only be
 //! produced by responses that were already settled or counted.
 //!
+//! The *owed book* behind that rule ([`ConnWriter`]) is also what the
+//! owning event loop's mode rests on: every unit that enters a book
+//! enters the loop's in-flight count, and every unit that leaves —
+//! settled by the egress, shed at the gate, forfeited by a teardown —
+//! is reported back through the `ConnNotify::settled` hook, exactly once. The
+//! outbox beside it is a single byte buffer the egress encodes into in
+//! place and the loop swaps out whole.
+//!
 //! The route-id bit layout itself (`16-bit slot | 8-bit generation |
 //! 40-bit client id`) lives in [`concord_wire::route`], shared with the
 //! rack front end.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -38,13 +45,21 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// backpressure accounting deterministically.
 pub const DEFAULT_OUTBOX_CAP: usize = 64 * 1024;
 
-/// How a [`ConnWriter`] tells its owning I/O event loop that the
+/// How a [`ConnWriter`] reaches its owning I/O event loop: to say the
 /// connection needs service (a frame was enqueued, a book settled, the
-/// connection closed). Implemented by the event loop's shared state; a
-/// trait so the unit test can substitute a counting fake.
+/// connection closed), and to take settled requests out of the loop's
+/// in-flight count. Implemented by the event loop's shared state; a
+/// trait so the unit tests can substitute a counting fake.
 pub(crate) trait ConnNotify: Send + Sync {
-    /// Marks connection `(slot, gen)` dirty and wakes the loop.
+    /// Marks connection `(slot, gen)` dirty, waking the loop if it sleeps.
     fn notify(&self, slot: u16, gen: u8);
+
+    /// `n` requests the loop admitted are settled: answered, shed at the
+    /// gate, dropped under backpressure, or forfeited by a teardown.
+    /// Whoever takes a unit out of a connection's `owed` book reports it
+    /// here, so the loop's count is always the sum of its connections'
+    /// books.
+    fn settled(&self, n: u64);
 }
 
 struct Binding {
@@ -53,34 +68,59 @@ struct Binding {
     gen: u8,
 }
 
+/// Encoded frames waiting for the event loop, back to back in one
+/// buffer: the egress encodes into it in place, the loop swaps it for
+/// its own drained buffer and writes it out, so a response costs no
+/// allocation and a flush no gather list.
+#[derive(Default)]
+struct Outbox {
+    bytes: Vec<u8>,
+    frames: usize,
+}
+
+/// What became of a frame handed to [`ConnWriter::respond`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Queued {
+    /// Encoded into the outbox; the owed response is settled.
+    Yes,
+    /// The connection is gone: nothing encoded, the book settled anyway
+    /// (no response will ever be written for that request).
+    Closed,
+    /// Live connection, outbox at its bound: nothing encoded and nothing
+    /// settled — the caller retries or gives the request up itself.
+    Full,
+}
+
 /// A connection's outbox and retirement state: encoded frames queued for
 /// flushing, plus the books that decide when the connection may retire
 /// and release its slot. Flushed by the owning I/O event loop, which
 /// every enqueue, settle and close nudges through the bound notifier.
 pub struct ConnWriter {
-    outbox: Mutex<VecDeque<Vec<u8>>>,
+    outbox: Mutex<Outbox>,
     cap: usize,
     closed: AtomicBool,
     /// The client half-closed its sending side; no more requests can
     /// arrive, so the connection retires once nothing more is owed.
     read_closed: AtomicBool,
-    /// Admitted requests whose response has not yet reached the outbox.
-    /// Incremented by the event loop at admission, decremented by the
-    /// egress at enqueue time (or when the admission gate evicts the
-    /// request, or when the dispatcher drops the response under
-    /// backpressure).
+    /// Requests offered to the admission gate whose response has not yet
+    /// reached the outbox. Incremented by the event loop *before* the
+    /// offer; decremented by the egress at enqueue time, by the loop when
+    /// the gate sheds the request (or evicts it later), by the dispatcher
+    /// when it drops the response under backpressure, and zeroed by the
+    /// loop at teardown. Every unit taken out is reported to the loop
+    /// through [`ConnNotify::settled`].
     owed: AtomicU64,
     /// Event-loop binding, set once right after slot registration.
     binding: OnceLock<Binding>,
     /// Dedup flag: `true` while a dirty notification for this connection
-    /// is outstanding, so a burst of enqueues wakes the loop once.
+    /// is outstanding, so a burst of enqueues notifies the loop once.
     queued: AtomicBool,
 }
 
 impl ConnWriter {
     pub(crate) fn new(cap: usize) -> Arc<Self> {
         Arc::new(Self {
-            outbox: Mutex::new(VecDeque::new()),
+            outbox: Mutex::new(Outbox::default()),
             cap: cap.max(1),
             closed: AtomicBool::new(false),
             read_closed: AtomicBool::new(false),
@@ -96,14 +136,21 @@ impl ConnWriter {
         let _ = self.binding.set(Binding { notify, slot, gen });
     }
 
-    /// Wakes the event loop that flushes this connection with a dirty
-    /// notification (coalesced: one outstanding at a time). Before
-    /// [`ConnWriter::bind_notifier`] there is nobody to wake: the loop
-    /// binds right after registering the slot, before it reads a frame.
-    fn nudge(&self) {
+    /// Tells the event loop that flushes this connection it has work
+    /// here (coalesced: one notification outstanding at a time), then
+    /// reports `settled` requests to it — in that order, so the loop
+    /// cannot see its last request settle and go to sleep before the
+    /// notification that carries the response is on its dirty list.
+    /// Before [`ConnWriter::bind_notifier`] there is nobody to tell: the
+    /// loop binds right after registering the slot, before it reads a
+    /// frame.
+    fn nudge(&self, settled: u64) {
         if let Some(b) = self.binding.get() {
             if !self.queued.swap(true, Ordering::AcqRel) {
                 b.notify.notify(b.slot, b.gen);
+            }
+            if settled > 0 {
+                b.notify.settled(settled);
             }
         }
     }
@@ -119,63 +166,89 @@ impl ConnWriter {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Read path: one admitted request now owes this connection a
-    /// response.
+    /// Read path: one request is about to be offered to the admission
+    /// gate and will owe this connection a response. Counted *before*
+    /// the offer: the dispatcher can answer before `offer` returns, and
+    /// a settle that finds nothing owed saturates at zero, so counting
+    /// afterwards would leave the book one too high for good.
     pub(crate) fn note_owed(&self) {
         self.owed.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Settles one owed response (enqueued, evicted at the gate, or
-    /// dropped by the dispatcher under backpressure — in every case no
+    /// Settles one owed response (enqueued, shed or evicted at the gate,
+    /// or dropped by the dispatcher under backpressure — in every case no
     /// further response will come for that request). Saturates rather
-    /// than underflows: the egress can settle a response whose request
-    /// predates a reconnect.
+    /// than underflows: a teardown forfeits the whole book, and responses
+    /// still in flight then settle against zero.
     pub(crate) fn settle_owed(&self) {
-        let _ = self
+        let settled = self
             .owed
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1));
-        self.nudge();
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
+            .is_ok();
+        self.nudge(u64::from(settled));
+    }
+
+    /// Teardown ([`ConnTable::release`]): whatever the connection still
+    /// owes will never be written (late responses orphan at the egress),
+    /// so the book is emptied and the loop's in-flight count relieved of
+    /// it.
+    fn forfeit(&self) {
+        let forfeited = self.owed.swap(0, Ordering::AcqRel);
+        if forfeited > 0 {
+            if let Some(b) = self.binding.get() {
+                b.notify.settled(forfeited);
+            }
+        }
     }
 
     /// Read path: the client half-closed; the connection may retire
     /// once the outbox is drained and nothing more is owed.
     pub(crate) fn reader_done(&self) {
         self.read_closed.store(true, Ordering::Release);
-        self.nudge();
+        self.nudge(0);
     }
 
-    /// Queues one encoded frame. `false` means the connection is gone or
-    /// its outbox is full.
-    pub(crate) fn enqueue(&self, frame: Vec<u8>) -> bool {
-        if self.closed.load(Ordering::Acquire) {
-            return false;
+    /// Answers one owed request: `encode` appends the frame straight
+    /// into the outbox, the book is settled and the loop nudged, all in
+    /// one call (one lock, one notification, no allocation once the
+    /// buffer has grown). See [`Queued`] for what each outcome settled.
+    pub(crate) fn respond(&self, encode: impl FnOnce(&mut Vec<u8>)) -> Queued {
+        if self.is_closed() {
+            self.settle_owed();
+            return Queued::Closed;
         }
         {
             let mut q = self.outbox.lock().expect("outbox lock");
-            if q.len() >= self.cap {
-                return false;
+            if q.frames >= self.cap {
+                return Queued::Full;
             }
-            q.push_back(frame);
+            encode(&mut q.bytes);
+            q.frames += 1;
         }
-        self.nudge();
-        true
+        self.settle_owed();
+        Queued::Yes
     }
 
-    /// Moves up to `max` queued frames into `out` (event-loop flushing).
-    pub(crate) fn take_batch(&self, out: &mut VecDeque<Vec<u8>>, max: usize) {
+    /// Event-loop flushing: swaps the queued bytes into `drained`, which
+    /// must be empty (the loop hands back the buffer it has finished
+    /// writing, so the two ping-pong and neither is reallocated).
+    pub(crate) fn take_outbox(&self, drained: &mut Vec<u8>) {
+        debug_assert!(drained.is_empty());
         let mut q = self.outbox.lock().expect("outbox lock");
-        let n = q.len().min(max);
-        out.extend(q.drain(..n));
+        if q.frames > 0 {
+            std::mem::swap(&mut q.bytes, drained);
+            q.frames = 0;
+        }
     }
 
     /// Drops every queued frame (teardown of a dead connection).
     pub(crate) fn clear_outbox(&self) {
-        self.outbox.lock().expect("outbox lock").clear();
+        *self.outbox.lock().expect("outbox lock") = Outbox::default();
     }
 
     pub(crate) fn close(&self) {
         self.closed.store(true, Ordering::Release);
-        self.nudge();
+        self.nudge(0);
     }
 
     /// Whether the outbox is empty for good: the connection is torn
@@ -187,7 +260,12 @@ impl ConnWriter {
     pub(crate) fn retired(&self) -> bool {
         let done_sending = self.is_closed()
             || (self.read_closed.load(Ordering::Acquire) && self.owed.load(Ordering::Acquire) == 0);
-        done_sending && self.outbox.lock().expect("outbox lock").is_empty()
+        done_sending && self.outbox.lock().expect("outbox lock").frames == 0
+    }
+
+    /// Responses this connection is still owed.
+    pub(crate) fn owed(&self) -> u64 {
+        self.owed.load(Ordering::Acquire)
     }
 }
 
@@ -260,15 +338,24 @@ impl ConnTable {
 
     /// Retires a connection, making its slot reusable. A stale
     /// generation is a no-op (the slot was already recycled).
+    ///
+    /// The writer leaves the table closed and owing nothing, whoever
+    /// releases it: responses still in flight for it orphan at the
+    /// egress (which trusts a remembered writer only while it is open),
+    /// and what it owed is taken out of its loop's in-flight count.
     pub fn release(&self, slot: u16, gen: u8) {
         let mut t = self.inner.lock().expect("conn table lock");
         let Some(s) = t.slots.get_mut(slot as usize) else {
             return;
         };
-        if s.gen != gen || s.writer.is_none() {
+        if s.gen != gen {
             return;
         }
-        s.writer = None;
+        let Some(writer) = s.writer.take() else {
+            return;
+        };
+        writer.close();
+        writer.forfeit();
         t.free.push(slot);
     }
 
@@ -276,6 +363,17 @@ impl ConnTable {
     pub fn live(&self) -> usize {
         let t = self.inner.lock().expect("conn table lock");
         t.slots.len() - t.free.len()
+    }
+
+    /// Responses owed across every registered connection: the other side
+    /// of the event loops' in-flight ledger.
+    pub fn owed(&self) -> u64 {
+        let t = self.inner.lock().expect("conn table lock");
+        t.slots
+            .iter()
+            .filter_map(|s| s.writer.as_deref())
+            .map(ConnWriter::owed)
+            .sum()
     }
 
     /// Closes every live writer (shutdown path). The event loops flush
@@ -332,12 +430,69 @@ mod tests {
         assert_eq!(t.live(), 1);
     }
 
+    /// Counts what a bound writer tells its loop.
+    #[derive(Default)]
+    struct Count {
+        notified: AtomicU64,
+        settled: AtomicU64,
+    }
+
+    impl ConnNotify for Count {
+        fn notify(&self, slot: u16, gen: u8) {
+            assert_eq!((slot, gen), (3, 1));
+            self.notified.fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn settled(&self, n: u64) {
+            self.settled.fetch_add(n, Ordering::SeqCst);
+        }
+    }
+
+    fn bound(cap: usize) -> (Arc<ConnWriter>, Arc<Count>) {
+        let count = Arc::new(Count::default());
+        let w = ConnWriter::new(cap);
+        w.bind_notifier(count.clone(), 3, 1);
+        (w, count)
+    }
+
+    fn frame(bytes: &'static [u8]) -> impl FnOnce(&mut Vec<u8>) {
+        move |out| out.extend_from_slice(bytes)
+    }
+
     #[test]
-    fn outbox_backpressure_and_close() {
-        let w = ConnWriter::new(64);
-        assert!(w.enqueue(vec![1, 2, 3]));
+    fn outbox_is_one_buffer_bounded_in_frames() {
+        let (w, count) = bound(2);
+        for _ in 0..3 {
+            w.note_owed();
+        }
+        assert_eq!(w.respond(frame(b"one")), Queued::Yes);
+        assert_eq!(w.respond(frame(b"two-three")), Queued::Yes);
+        assert_eq!(
+            w.respond(|_| panic!("a full outbox encodes nothing")),
+            Queued::Full
+        );
+        assert_eq!(w.owed(), 1, "a refused frame settles nothing");
+        // The loop swaps the queued bytes for its drained buffer: frames
+        // back to back, and room for two more.
+        let mut drained = Vec::with_capacity(64);
+        w.take_outbox(&mut drained);
+        assert_eq!(drained, b"onetwo-three");
+        assert_eq!(w.respond(frame(b"four")), Queued::Yes);
+        assert_eq!(w.owed(), 0);
+        // The buffers ping-pong: what the loop handed in is what the
+        // next frame was encoded into.
+        let mut again = Vec::new();
+        w.take_outbox(&mut again);
+        assert_eq!((again.as_slice(), again.capacity()), (&b"four"[..], 64));
+        assert_eq!(count.settled.load(Ordering::SeqCst), 3);
+
         w.close();
-        assert!(!w.enqueue(vec![4]), "closed outbox refuses frames");
+        w.note_owed();
+        assert_eq!(
+            w.respond(|_| panic!("a closed outbox encodes nothing")),
+            Queued::Closed
+        );
+        assert_eq!(w.owed(), 0, "no response will come: settled anyway");
     }
 
     #[test]
@@ -347,10 +502,9 @@ mod tests {
         w.note_owed();
         w.reader_done();
         assert!(!w.retired(), "owed response pins the writer");
-        assert!(w.enqueue(vec![1]));
-        w.settle_owed();
+        assert_eq!(w.respond(frame(b"r")), Queued::Yes);
         assert!(!w.retired(), "non-empty outbox always pins");
-        w.take_batch(&mut VecDeque::new(), 1);
+        w.take_outbox(&mut Vec::new());
         assert!(w.retired(), "half-closed + settled + drained => retired");
         // Saturating settle: a spurious extra settle cannot underflow.
         w.settle_owed();
@@ -359,22 +513,41 @@ mod tests {
 
     #[test]
     fn bound_writer_notifies_its_loop_once_per_burst() {
-        struct Count(AtomicU64);
-        impl ConnNotify for Count {
-            fn notify(&self, slot: u16, gen: u8) {
-                assert_eq!((slot, gen), (3, 1));
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let notified = Arc::new(Count(AtomicU64::new(0)));
-        let w = ConnWriter::new(64);
-        w.bind_notifier(notified.clone(), 3, 1);
-        assert!(w.enqueue(vec![1]));
-        assert!(w.enqueue(vec![2]));
+        let (w, count) = bound(64);
+        w.note_owed();
+        w.note_owed();
+        assert_eq!(w.respond(frame(b"1")), Queued::Yes);
+        assert_eq!(w.respond(frame(b"2")), Queued::Yes);
         w.settle_owed();
-        assert_eq!(notified.0.load(Ordering::SeqCst), 1, "coalesced");
+        assert_eq!(count.notified.load(Ordering::SeqCst), 1, "coalesced");
         w.clear_queued();
         w.settle_owed();
-        assert_eq!(notified.0.load(Ordering::SeqCst), 2, "re-armed by the loop");
+        assert_eq!(
+            count.notified.load(Ordering::SeqCst),
+            2,
+            "re-armed by the loop"
+        );
+    }
+
+    /// Every unit that leaves the owed book is reported to the loop
+    /// exactly once, whichever way it leaves: settled one by one, or
+    /// forfeited in bulk at teardown — and a settle that finds the book
+    /// empty (a late response after the forfeit) reports nothing.
+    #[test]
+    fn every_owed_unit_is_reported_settled_exactly_once() {
+        let (w, count) = bound(64);
+        for _ in 0..5 {
+            w.note_owed();
+        }
+        w.settle_owed();
+        assert_eq!(w.respond(frame(b"r")), Queued::Yes);
+        assert_eq!(count.settled.load(Ordering::SeqCst), 2);
+        w.close();
+        w.forfeit();
+        assert_eq!((w.owed(), count.settled.load(Ordering::SeqCst)), (0, 5));
+        w.settle_owed();
+        assert_eq!(w.respond(frame(b"late")), Queued::Closed);
+        w.forfeit();
+        assert_eq!(count.settled.load(Ordering::SeqCst), 5, "nothing twice");
     }
 }

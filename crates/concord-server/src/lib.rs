@@ -51,5 +51,5 @@ pub mod server;
 pub use client::{ClientConfig, ClientReport};
 pub use concord_wire::{Frame, RequestFrame, ResponseFrame, Status, WireError};
 pub use server::{
-    ConfigError, RouterPolicy, Server, ServerConfig, ServerConfigBuilder, ServerReport,
+    ConfigError, IoStats, RouterPolicy, Server, ServerConfig, ServerConfigBuilder, ServerReport,
 };

@@ -3,12 +3,14 @@
 //!
 //! A small fixed set of I/O threads multiplexes every connection through
 //! epoll. Reads are batched into per-connection compacting buffers
-//! ([`concord_wire::RecvBuf`]), frames decode zero-copy, and outboxes
-//! flush through coalesced `writev` calls; connection count does not
-//! change the thread count. Below the socket layer sit the
-//! generation-tagged connection table ([`crate::conn`]), the per-shard
-//! [`AdmissionQueue`] gates, the hash-with-P2C-fallback router, and the
-//! owed/settled retirement books.
+//! ([`concord_wire::RecvBuf`]), frames decode zero-copy, and responses
+//! are encoded straight into a per-connection byte buffer the loop
+//! swaps out and writes; connection count does not change the thread
+//! count. A loop polls while requests it admitted are in flight and
+//! sleeps in `epoll_wait` only when none are ([`IoStats`]). Below the
+//! socket layer sit the generation-tagged connection table
+//! ([`crate::conn`]), the per-shard [`AdmissionQueue`] gates, the
+//! hash-with-P2C-fallback router, and the owed/settled retirement books.
 //!
 //! Responses are routed back to their connection through the request id:
 //! the server rewrites each client id into
@@ -23,8 +25,8 @@
 //! RETRY frame or counted in [`ServerReport::retries_dropped`] when the
 //! connection's outbox had no room for the RETRY.
 
-use crate::conn::{ConnTable, DEFAULT_OUTBOX_CAP};
-use crate::eventloop::LoopsFront;
+use crate::conn::{ConnTable, ConnWriter, Queued, DEFAULT_OUTBOX_CAP};
+use crate::eventloop::{LoopShared, LoopsFront};
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy, AdmissionQueue};
 use concord_core::transport::Egress;
 use concord_core::{
@@ -95,42 +97,67 @@ impl ShardRoute {
     }
 }
 
-/// The dispatcher's response sink: encodes each response and routes it
-/// to its connection's outbox by the id's slot and generation bits.
+/// The dispatcher's response sink: encodes each response straight into
+/// its connection's outbox, found by the id's slot and generation bits.
 pub struct ServerEgress {
     conns: Arc<ConnTable>,
     orphaned: Arc<AtomicU64>,
+    /// The writer this egress last saw live at each slot, with the
+    /// generation it answers to, so the [`ConnTable`] lock is taken when
+    /// a slot changes hands, not per response. A hit needs the
+    /// generation to match *and* the writer to be open: a closed writer
+    /// is looked up again, because after 256 reuses of its slot the same
+    /// generation names a different, live connection.
+    last_seen: Vec<Option<(u8, Arc<ConnWriter>)>>,
+}
+
+impl ServerEgress {
+    pub(crate) fn new(conns: Arc<ConnTable>, orphaned: Arc<AtomicU64>) -> Self {
+        Self {
+            conns,
+            orphaned,
+            last_seen: Vec::new(),
+        }
+    }
+
+    /// The writer registered at `slot` under `gen`, or `None` when that
+    /// connection is gone (the slot is free, or has been recycled under
+    /// another generation).
+    fn writer(&mut self, slot: u16, gen: u8) -> Option<&ConnWriter> {
+        let i = usize::from(slot);
+        if i >= self.last_seen.len() {
+            self.last_seen.resize(i + 1, None);
+        }
+        let seen = &mut self.last_seen[i];
+        if !matches!(seen, Some((g, w)) if *g == gen && !w.is_closed()) {
+            *seen = self.conns.lookup(slot, gen).map(|w| (gen, w));
+        }
+        seen.as_ref().map(|(_, w)| &**w)
+    }
 }
 
 impl Egress for ServerEgress {
     fn send(&mut self, resp: Response) -> Result<(), Response> {
         let (slot, gen, client_id) = split_route_id(resp.id);
-        let Some(writer) = self.conns.lookup(slot, gen) else {
-            // Connection gone, or the slot was recycled (stale
-            // generation): the response has no destination. Counted,
-            // never cross-delivered.
-            self.orphaned.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
+        let queued = match self.writer(slot, gen) {
+            Some(writer) => {
+                writer.respond(|out| wire::encode_response(out, client_id, &resp, Status::Ok))
+            }
+            None => Queued::Closed,
         };
-        if writer.is_closed() {
-            self.orphaned.fetch_add(1, Ordering::Relaxed);
-            writer.settle_owed();
-            return Ok(());
-        }
-        let mut buf = Vec::with_capacity(wire::HEADER_LEN + 64);
-        wire::encode_response(&mut buf, client_id, &resp, Status::Ok);
-        if writer.enqueue(buf) {
-            writer.settle_owed();
-            Ok(())
-        } else if writer.is_closed() {
-            self.orphaned.fetch_add(1, Ordering::Relaxed);
-            writer.settle_owed();
-            Ok(())
-        } else {
+        match queued {
+            Queued::Yes => Ok(()),
+            Queued::Closed => {
+                // Connection gone, or the slot was recycled (stale
+                // generation): the response has no destination. Counted,
+                // never cross-delivered.
+                self.orphaned.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
             // Live connection, full outbox: real backpressure. Hand the
             // response back so the dispatcher's retry-then-drop policy
             // (and its tx_dropped accounting) applies unchanged.
-            Err(resp)
+            Queued::Full => Err(resp),
         }
     }
 
@@ -140,7 +167,7 @@ impl Egress for ServerEgress {
         // owed book now — otherwise a half-closed connection whose last
         // response was dropped would hold its slot forever.
         let (slot, gen, _) = split_route_id(resp.id);
-        if let Some(writer) = self.conns.lookup(slot, gen) {
+        if let Some(writer) = self.writer(slot, gen) {
             writer.settle_owed();
         }
     }
@@ -311,6 +338,8 @@ pub(crate) struct FrontShared {
     /// Final drain: outboxes are flushed; force-retire stragglers.
     pub(crate) drain: AtomicBool,
     pub(crate) conns: Arc<ConnTable>,
+    /// Each event loop's cross-thread state, indexed by loop.
+    pub(crate) loops: Vec<Arc<LoopShared>>,
     pub(crate) admissions: Arc<Vec<Arc<AdmissionQueue>>>,
     pub(crate) router: RouterPolicy,
     pub(crate) outbox_cap: usize,
@@ -332,6 +361,64 @@ impl FrontShared {
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |v| v.checked_sub(1))
             .is_ok()
     }
+
+    /// A front end with no sockets behind it: `loops` event-loop states
+    /// nobody runs and one admission gate, for tests that drive the
+    /// books directly.
+    #[cfg(test)]
+    pub(crate) fn for_test(loops: usize, admission: AdmissionConfig) -> FrontShared {
+        FrontShared {
+            stop: AtomicBool::new(false),
+            drain: AtomicBool::new(false),
+            conns: Arc::new(ConnTable::new()),
+            loops: (0..loops)
+                .map(|_| LoopShared::new().expect("eventfd"))
+                .collect(),
+            admissions: Arc::new(vec![AdmissionQueue::new(
+                admission,
+                concord_core::Clock::monotonic(),
+            )]),
+            router: RouterPolicy::HashP2c,
+            outbox_cap: 4,
+            accepted: AtomicU64::new(0),
+            refused: AtomicU64::new(0),
+            active_conns: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            retries_dropped: AtomicU64::new(0),
+            setup_faults: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    pub(crate) fn io_stats(&self) -> IoStats {
+        IoStats {
+            in_flight: self.loops.iter().map(|l| l.in_flight()).sum(),
+            owed: self.conns.owed(),
+            loop_sleeps: self.loops.iter().map(|l| l.sleeps()).sum(),
+            wakeups: self.loops.iter().map(|l| l.wakeups()).sum(),
+        }
+    }
+}
+
+/// The I/O event loops' ledger and sleep/wake tallies, summed over the
+/// loops (`/metrics` has them per loop).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IoStats {
+    /// Requests offered to an admission gate whose response is not yet
+    /// settled (`concord_io_in_flight`). A loop polls while its share is
+    /// non-zero and sleeps in `epoll_wait` when it is zero.
+    pub in_flight: u64,
+    /// Responses owed across every registered connection. The same
+    /// ledger kept per connection: equal to `in_flight` whenever no
+    /// request is mid-admission or mid-settle, and both are zero once
+    /// the server is quiet.
+    pub owed: u64,
+    /// Times a loop blocked in `epoll_wait` with nothing in flight
+    /// (`concord_io_loop_sleeps_total`).
+    pub loop_sleeps: u64,
+    /// Eventfd writes that ended one of those sleeps
+    /// (`concord_io_wakeups_total`). A loop that is running is never
+    /// written to, so under sustained load this stays near zero.
+    pub wakeups: u64,
 }
 
 /// Final accounting of a server's life, returned by [`Server::shutdown`].
@@ -350,6 +437,8 @@ pub struct ServerReport {
     /// outbox was full. Every gate rejection is either a RETRY frame on
     /// the wire or counted here.
     pub retries_dropped: u64,
+    /// The event loops' ledger and sleep/wake tallies at exit.
+    pub io: IoStats,
     /// Shard 0's admission counters — the whole gate when
     /// `num_shards == 1`.
     pub admission: Arc<AdmissionCounters>,
@@ -418,27 +507,9 @@ impl Server {
             app,
             admissions.iter().map(|a| a.ingress()).collect(),
             (0..n_shards)
-                .map(|_| ServerEgress {
-                    conns: conns.clone(),
-                    orphaned: orphaned.clone(),
-                })
+                .map(|_| ServerEgress::new(conns.clone(), orphaned.clone()))
                 .collect(),
         );
-
-        let shared = Arc::new(FrontShared {
-            stop: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
-            conns,
-            admissions,
-            router: cfg.router,
-            outbox_cap: cfg.outbox_cap.max(1),
-            accepted: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            active_conns: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            retries_dropped: AtomicU64::new(0),
-            setup_faults: cfg.conn_setup_faults.clone(),
-        });
 
         let loops = if cfg.event_loops > 0 {
             cfg.event_loops
@@ -450,7 +521,26 @@ impl Server {
                 .unwrap_or(1)
                 .clamp(1, 4)
         };
-        let front = LoopsFront::start(listener, shared.clone(), loops)?;
+
+        let shared = Arc::new(FrontShared {
+            stop: AtomicBool::new(false),
+            drain: AtomicBool::new(false),
+            conns,
+            loops: (0..loops)
+                .map(|_| LoopShared::new())
+                .collect::<std::io::Result<_>>()?,
+            admissions,
+            router: cfg.router,
+            outbox_cap: cfg.outbox_cap.max(1),
+            accepted: AtomicU64::new(0),
+            refused: AtomicU64::new(0),
+            active_conns: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            retries_dropped: AtomicU64::new(0),
+            setup_faults: cfg.conn_setup_faults.clone(),
+        });
+
+        let front = LoopsFront::start(listener, shared.clone())?;
 
         let admin = match &cfg.admin {
             Some(admin_addr) => {
@@ -500,6 +590,11 @@ impl Server {
     /// sending while responses are still owed or flushing).
     pub fn live_slots(&self) -> usize {
         self.shared.conns.live()
+    }
+
+    /// The event loops' live ledger and sleep/wake tallies.
+    pub fn io_stats(&self) -> IoStats {
+        self.shared.io_stats()
     }
 
     /// Number of shards serving this listener.
@@ -568,6 +663,7 @@ impl Server {
             protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
             orphaned_responses: self.orphaned.load(Ordering::Relaxed),
             retries_dropped: self.shared.retries_dropped.load(Ordering::Relaxed),
+            io: self.shared.io_stats(),
             admission: self.shared.admissions[0].counters(),
             admission_per_shard: self
                 .shared
@@ -698,23 +794,125 @@ mod tests {
 
     #[test]
     fn setup_faults_count_down_to_zero() {
-        let shared = FrontShared {
-            stop: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
-            conns: Arc::new(ConnTable::new()),
-            admissions: Arc::new(Vec::new()),
-            router: RouterPolicy::HashP2c,
-            outbox_cap: 4,
-            accepted: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            active_conns: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            retries_dropped: AtomicU64::new(0),
-            setup_faults: Arc::new(AtomicU64::new(2)),
-        };
+        let shared = FrontShared::for_test(0, AdmissionConfig::default());
+        shared.setup_faults.store(2, Ordering::Relaxed);
         assert!(shared.take_setup_fault());
         assert!(shared.take_setup_fault());
         assert!(!shared.take_setup_fault(), "faults are consumed");
         assert!(!shared.take_setup_fault());
+    }
+
+    /// An egress over an empty table, and the response that answers
+    /// client id `cid` on connection `(slot, gen)`.
+    fn egress() -> (ServerEgress, Arc<ConnTable>, Arc<AtomicU64>) {
+        let conns = Arc::new(ConnTable::new());
+        let orphaned = Arc::new(AtomicU64::new(0));
+        (
+            ServerEgress::new(conns.clone(), orphaned.clone()),
+            conns,
+            orphaned,
+        )
+    }
+
+    fn answer(slot: u16, gen: u8, cid: u64) -> Response {
+        Response::completed(&req(concord_wire::route::route_id(slot, gen, cid)))
+    }
+
+    /// Client ids of the response frames queued on `w`, emptying it.
+    fn delivered(w: &ConnWriter) -> Vec<u64> {
+        let mut bytes = Vec::new();
+        w.take_outbox(&mut bytes);
+        let (mut ids, mut at) = (Vec::new(), 0);
+        while let Ok(Some((wire::Frame::Response(rf), used))) = wire::decode(&bytes[at..]) {
+            ids.push(rf.id);
+            at += used;
+        }
+        assert_eq!(at, bytes.len(), "whole frames only");
+        ids
+    }
+
+    #[test]
+    fn egress_orphans_a_recycled_slots_old_generation() {
+        let (mut egress, conns, orphaned) = egress();
+        let old = ConnWriter::new(8);
+        let (slot, gen) = conns.register(old.clone()).expect("slot");
+        old.note_owed();
+        egress.send(answer(slot, gen, 1)).expect("queued");
+        assert_eq!(delivered(&old), [1]);
+
+        // The connection goes away with a response still in flight and
+        // its slot is taken by a new one.
+        conns.release(slot, gen);
+        let new = ConnWriter::new(8);
+        let (slot2, gen2) = conns.register(new.clone()).expect("slot");
+        assert_eq!((slot2, gen2), (slot, gen.wrapping_add(1)));
+
+        egress
+            .send(answer(slot, gen, 2))
+            .expect("orphaned, not an error");
+        assert_eq!(orphaned.load(Ordering::Relaxed), 1);
+        assert!(delivered(&new).is_empty(), "never cross-delivered");
+        assert!(delivered(&old).is_empty());
+
+        // The new occupant's own traffic flows, and the old generation
+        // keeps orphaning afterwards (the remembered writer is the new
+        // one now, under its own generation).
+        new.note_owed();
+        egress.send(answer(slot, gen2, 3)).expect("queued");
+        egress.send(answer(slot, gen, 4)).expect("orphaned");
+        assert_eq!(delivered(&new), [3]);
+        assert_eq!(orphaned.load(Ordering::Relaxed), 2);
+    }
+
+    /// The generation is 8 bits: after 256 reuses of a slot the writer
+    /// the egress remembers and the slot's live occupant answer to the
+    /// same generation. A match on the generation alone would deliver
+    /// the occupant's responses into the dead writer; the remembered
+    /// writer being closed is what forces the fresh lookup.
+    #[test]
+    fn egress_never_revives_a_closed_writer_across_generation_wrap() {
+        let (mut egress, conns, orphaned) = egress();
+        let first = ConnWriter::new(8);
+        let (slot, gen) = conns.register(first.clone()).expect("slot");
+        first.note_owed();
+        egress.send(answer(slot, gen, 1)).expect("queued");
+        assert_eq!(delivered(&first), [1]);
+        conns.release(slot, gen);
+
+        // 255 occupants the egress never hears about, then the 256th.
+        for _ in 0..255 {
+            let w = ConnWriter::new(8);
+            let (s, g) = conns.register(w.clone()).expect("slot");
+            assert_eq!(s, slot);
+            conns.release(s, g);
+        }
+        let heir = ConnWriter::new(8);
+        assert_eq!(conns.register(heir.clone()), Some((slot, gen)), "wrapped");
+
+        heir.note_owed();
+        egress.send(answer(slot, gen, 2)).expect("queued");
+        assert_eq!(delivered(&heir), [2], "the live occupant is answered");
+        assert!(delivered(&first).is_empty(), "the dead writer stays dead");
+        assert_eq!((heir.owed(), orphaned.load(Ordering::Relaxed)), (0, 0));
+    }
+
+    /// `tx_dropped` from the egress's side: a one-frame outbox refuses
+    /// the second response, the dispatcher gives up on it, and
+    /// `on_drop` settles what the refused `send` left owed.
+    #[test]
+    fn egress_backpressure_settles_through_on_drop() {
+        let (mut egress, conns, orphaned) = egress();
+        let w = ConnWriter::new(1);
+        let (slot, gen) = conns.register(w.clone()).expect("slot");
+        w.note_owed();
+        w.note_owed();
+        egress.send(answer(slot, gen, 1)).expect("queued");
+        let refused = egress
+            .send(answer(slot, gen, 2))
+            .expect_err("outbox full: handed back");
+        assert_eq!(w.owed(), 1, "a refused response is still owed");
+        egress.on_drop(&refused);
+        assert_eq!((w.owed(), orphaned.load(Ordering::Relaxed)), (0, 0));
+        assert_eq!(delivered(&w), [1]);
     }
 }

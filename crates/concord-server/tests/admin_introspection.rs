@@ -100,6 +100,19 @@ fn scrape_agrees_with_server_report() {
     );
     let admitted = family_sum(&samples, "concord_admission_admitted_total");
     assert_eq!(admitted, ingested, "gate admitted == dispatcher ingested");
+    // The event loops' series: every response is settled, so nothing is
+    // in flight; each loop has slept (it parks whenever that gauge is
+    // zero); and the scrape agrees with the live accessor.
+    let io = server.io_stats();
+    assert_eq!(family_sum(&samples, "concord_io_in_flight"), 0.0);
+    assert_eq!((io.in_flight, io.owed), (0, 0));
+    let sleeps = family_sum(&samples, "concord_io_loop_sleeps_total");
+    assert!(sleeps >= 1.0 && sleeps <= io.loop_sleeps as f64, "{sleeps}");
+    assert!(
+        samples.contains_key("concord_io_wakeups_total{loop=\"0\"}"),
+        "per-loop series missing:\n{text}"
+    );
+    assert_eq!(family_sum(&samples, "concord_admission_depth"), 0.0);
     // Per-class completions (labeled series) sum to the global counter.
     let class_completed = family_sum(&samples, "concord_class_completed_total");
     assert_eq!(class_completed, completed, "class series sum to total");

@@ -51,6 +51,13 @@ fn stat(report: &ServerReport, name: &str) -> u64 {
 /// drop counter. Nothing vanishes silently.
 fn assert_conservation(report: &ServerReport, sent: u64, completed: u64, rejected: u64) {
     assert_eq!(report.protocol_errors, 0, "clean frames only");
+    // However each request left — answered, shed, dropped — it left the
+    // event loops' in-flight ledger too.
+    assert_eq!(
+        (report.io.in_flight, report.io.owed),
+        (0, 0),
+        "io ledger closes at zero"
+    );
 
     // Everything the client sent reached the admission gate.
     assert_eq!(report.admission.offered(), sent, "gate saw every frame");

@@ -71,6 +71,14 @@ impl RecvBuf {
         self.start == self.end
     }
 
+    /// Free bytes behind the buffered data. Non-zero right after a
+    /// [`RecvBuf::fill`] means the read came up short of the space it
+    /// was offered: the source has nothing more to give for now, and a
+    /// non-blocking reader can stop without probing for `WouldBlock`.
+    pub fn spare(&self) -> usize {
+        self.buf.len() - self.end
+    }
+
     /// Makes room to read more bytes: first by compacting the (at most
     /// one-frame) unconsumed tail to the front, then by growing up to
     /// [`RECV_BUF_MAX`]. Returns `false` if the buffer is full at the

@@ -662,12 +662,8 @@ pub fn check_policy(obs: &RuntimeObservation) -> Vec<String> {
         PolicyKind::Srpt { noise_pct } => {
             if replayable {
                 if let Some(t) = obs.raw_trace.as_ref() {
-                    let est = concord_core::Srpt {
-                        noise_pct,
-                        ..concord_core::Srpt::default()
-                    };
                     v.extend(check_fresh_priority(t, "srpt", |id, service_ns, _| {
-                        est.estimate(id, service_ns)
+                        concord_core::policy::srpt_estimate(noise_pct, id, service_ns)
                     }));
                 }
             }

@@ -282,3 +282,77 @@ fn sim_policies_order_short_class_tails_sanely() {
         "SRPT made shorts slower than FCFS: srpt p99 {s99:.2} vs fcfs p99 {f99:.2}"
     );
 }
+
+/// Regression: the sim used to map every `srpt:PCT` onto one exact-SRPT
+/// queue, dropping the estimate noise that is the point of the model.
+/// With classes of 10 µs and 14 µs, ±50 % estimates overlap, so noisy
+/// SRPT must schedule differently from exact SRPT.
+#[test]
+fn sim_srpt_honours_estimate_noise() {
+    let mut case = base_case();
+    case.short_us = 10;
+    case.long_us = 14;
+    case.quantum_us = 5;
+    case.requests = 4_000;
+    case.load_pct = 80;
+    let outcome = |noise_pct| {
+        let case = CaseConfig {
+            policy: PolicyKind::Srpt { noise_pct },
+            ..case.clone()
+        };
+        let r = run_sim(&case);
+        assert_eq!(r.completed, case.requests, "srpt:{noise_pct}");
+        let p99s: Vec<f64> = r.slowdown_by_class.iter().map(|c| c.p99()).collect();
+        (r.preemptions, p99s)
+    };
+    let (exact, noisy) = (outcome(0), outcome(50));
+    assert_ne!(exact, noisy, "srpt:50 scheduled exactly like srpt:0");
+}
+
+/// The simulator and the runtime's dispatcher key a request through the
+/// same `PolicyKind::key`, each converting its own state (cycles vs clock
+/// nanoseconds) into a `KeyInput`: equal requests get equal keys.
+#[test]
+fn sim_and_runtime_key_requests_identically() {
+    use concord_core::task::Task;
+    use concord_core::SpinApp;
+    use concord_sim::CostModel;
+    let cost = CostModel::paper_default();
+    let policies = [
+        PolicyKind::ALL.as_slice(),
+        &[
+            PolicyKind::Srpt { noise_pct: 50 },
+            PolicyKind::Boost { boost_us: 3 },
+        ],
+    ]
+    .concat();
+    for id in 0..16u64 {
+        let size_ns = if id % 2 == 0 { 10_000 } else { 14_000 };
+        let arrived_ns = 1_234_567 * id;
+        for attained_ns in [0, 3_000, 9_000] {
+            let req = concord_net::Request {
+                id,
+                class: 0,
+                service_ns: size_ns,
+                sent_at: std::time::Instant::now(),
+            };
+            let mut task = Task::new(Arc::new(SpinApp::new()), req, 16 * 1024, arrived_ns);
+            task.busy_ns = attained_ns;
+            let mut simulated = concord_sim::request::Request::new(
+                id,
+                0,
+                cost.ns_to_cycles(size_ns),
+                cost.ns_to_cycles(arrived_ns),
+            );
+            simulated.remaining -= cost.ns_to_cycles(attained_ns);
+            assert_eq!(task.key_input(), simulated.key_input(&cost));
+            for &policy in &policies {
+                assert_eq!(
+                    policy.key(task.key_input()),
+                    policy.key(simulated.key_input(&cost)),
+                    "{policy}: id {id}, attained {attained_ns} ns"
+                );
+            }
+        }
+    }
+}

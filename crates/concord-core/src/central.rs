@@ -1,19 +1,20 @@
-//! The dispatcher's central queue, with the scheduling policy made
-//! explicit in the data structure.
+//! The central queue and the JBSQ pick: the data structure and the
+//! worker choice that the runtime's dispatcher and `concord-sim` both
+//! schedule with.
 //!
 //! # Ordering: priority key, then sequence
 //!
-//! Every entry carries a `(key, seq)` pair: a priority key chosen by the
-//! active [`SchedPolicy`](crate::policy::SchedPolicy) at (re-)insertion
-//! time, and a monotonically increasing sequence number stamped by the
-//! queue. [`CentralQueue::pop_next`] always returns the smallest live
-//! `(key, seq)` pair, so *smaller key dispatches sooner* and ties
-//! resolve in insertion order.
+//! Every entry carries a `(key, seq)` pair: a priority key chosen by
+//! [`PolicyKind::key`](crate::policy::PolicyKind::key) at
+//! (re-)insertion time, and a monotonically increasing sequence number
+//! stamped by the queue. [`CentralQueue::pop_next`] always returns the
+//! smallest live `(key, seq)` pair, so *smaller key dispatches sooner*
+//! and ties resolve in insertion order.
 //!
-//! With every key 0 — the [`PsQuantum`](crate::policy::PsQuantum) and
-//! [`Fcfs`](crate::policy::Fcfs) policies — the order degenerates to
-//! pure sequence order, which is exactly the original hard-coded
-//! behavior of this queue (pinned by the golden-schedule tests below):
+//! With every key 0 — the `PsQuantum` and `Fcfs` policies — the order
+//! degenerates to pure sequence order, which is exactly the original
+//! hard-coded behavior of this queue (pinned by the golden-schedule
+//! tests below):
 //!
 //! - a fresh arrival enqueues at the tail;
 //! - a preempted request re-enters *behind everything currently
@@ -22,8 +23,7 @@
 //!   FCFS re-entry (which would resume a preempted request ahead of
 //!   requests that arrived after it).
 //!
-//! Keyed policies ([`Srpt`](crate::policy::Srpt),
-//! [`Boost`](crate::policy::Boost)) insert by key with a tail-backward
+//! Keyed policies (`Srpt`, `Boost`) insert by key with a tail-backward
 //! scan. Key-0 inserts stay O(1) (the seq stamp is monotone, so the
 //! tail is always the right spot); keyed inserts are O(distance from
 //! tail), which stays short because the queue drains in key order.
@@ -40,8 +40,26 @@
 //! best-priority not-started entry; the oldest one under key-0
 //! policies, the same victim the scan used to find), the not-started
 //! count a `len()`, and both O(1).
+//!
+//! # JBSQ(k) pick
+//!
+//! [`jbsq_pick`] is the one join-bounded-shortest-queue rule (§3.2): the
+//! shortest worker queue with room under `k`, lowest index on ties. A
+//! synchronous single queue is the same pick with `k = 1`.
 
 use std::collections::VecDeque;
+
+/// The JBSQ(k) dispatch target: the index of the shortest queue in
+/// `occupancy` still below `k`, lowest index on ties; `None` when every
+/// queue holds `k` (all full).
+pub fn jbsq_pick(occupancy: impl IntoIterator<Item = usize>, k: usize) -> Option<usize> {
+    occupancy
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, n)| n < k)
+        .min_by_key(|&(i, n)| (n, i))
+        .map(|(i, _)| i)
+}
 
 /// A priority- and sequence-ordered entry.
 struct Entry<T> {
@@ -237,8 +255,8 @@ mod tests {
     /// Golden schedule, single worker: drive the queue through the exact
     /// dispatch/preempt/requeue cycle the dispatcher performs for one
     /// worker with JBSQ depth 1, on a virtual timeline (each step is one
-    /// quantum). Pinned before the `SchedPolicy` extraction so the
-    /// `PsQuantum` refactor is provably behavior-preserving.
+    /// quantum). Pinned before the policy plane was extracted, so key-0
+    /// `PsQuantum` is provably the original round-robin.
     #[test]
     fn golden_single_worker_requeue_schedule() {
         let mut q = CentralQueue::new();
@@ -323,6 +341,17 @@ mod tests {
         assert_eq!(q.steal_not_started(), Some("short"));
         assert_eq!(q.take_youngest_not_started(), Some("long"));
         assert_eq!(q.pop_next(), Some("running"));
+    }
+
+    #[test]
+    fn jbsq_pick_takes_shortest_open_queue_lowest_index() {
+        assert_eq!(jbsq_pick([1, 0, 0], 2), Some(1));
+        assert_eq!(jbsq_pick([1, 2, 1], 2), Some(0));
+        assert_eq!(jbsq_pick([2, 2, 2], 2), None);
+        assert_eq!(jbsq_pick([], 2), None);
+        // k = 1 is the single queue: the first idle worker.
+        assert_eq!(jbsq_pick([1, 1, 0, 0], 1), Some(2));
+        assert_eq!(jbsq_pick([1, 1], 1), None);
     }
 
     #[test]

@@ -45,8 +45,9 @@ pub struct RuntimeConfig {
     pub max_in_flight: usize,
     /// Scheduling policy the dispatcher applies: queue ordering and
     /// whether quanta are policed. Defaults to
-    /// [`PolicyKind::PsQuantum`], the paper's quantum-based
-    /// processor sharing. See [`crate::policy`].
+    /// [`PolicyKind::PsQuantum`](crate::policy::PolicyKind::PsQuantum),
+    /// the paper's quantum-based processor sharing. See
+    /// [`crate::policy`].
     pub policy: crate::policy::PolicyKind,
     /// Whether the dispatcher retunes the per-class effective quantum
     /// every [`quantum_control_interval`](Self::quantum_control_interval)

@@ -3,7 +3,7 @@
 
 use crate::admission::AdmissionEvent;
 use crate::app::ConcordApp;
-use crate::central::CentralQueue;
+use crate::central::{jbsq_pick, CentralQueue};
 use crate::clock::Clock;
 use crate::config::RuntimeConfig;
 use crate::preempt::{set_mode, PreemptMode, WorkerShared};
@@ -217,11 +217,9 @@ struct DeferredSignal {
 impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
     /// Runs until stopped and drained. Consumes the loop state.
     pub fn run(mut self) {
-        // The scheduling policy: chooses every entry's priority key and
-        // whether quanta are policed at all. Instantiated once; the
-        // boxed call is off the per-iteration fast path (it runs only
-        // on enqueue).
-        let policy = self.cfg.policy.instantiate();
+        // The scheduling policy: chooses every entry's priority key
+        // (once per enqueue) and whether quanta are policed at all.
+        let policy = self.cfg.policy;
         let mut central: CentralQueue<Task> = CentralQueue::new();
         // Requests currently inside this shard: central queue + worker
         // rings + the dispatcher's own stolen slot + requeue messages in
@@ -300,7 +298,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                             // Signal-store → yield latency, measured from
                             // stamps both sides already take.
                             preempt_latencies.push(preempt_latency_ns);
-                            let key = policy.key(&task);
+                            let key = policy.key(task.key_input());
                             central.push_requeued_prio(key, task);
                         }
                     }
@@ -373,7 +371,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     None => Frame::new(&self.app, self.cfg.stack_size),
                 };
                 let task = Task::on_frame(frame, req, now_ns);
-                let key = policy.key(&task);
+                let key = policy.key(task.key_input());
                 central.push_fresh_prio(key, task);
                 progressed = true;
             }
@@ -613,7 +611,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                             Err(task) => {
                                 // Raced a concurrent capacity check; keep
                                 // the task local.
-                                let key = policy.key(&task);
+                                let key = policy.key(task.key_input());
                                 central.push_fresh_prio(key, task);
                                 break;
                             }
@@ -635,7 +633,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                     task.req.id,
                                     1 + victim as u64,
                                 );
-                                let key = policy.key(&task);
+                                let key = policy.key(task.key_input());
                                 central.push_fresh_prio(key, task);
                                 progressed = true;
                             }
@@ -654,7 +652,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     };
                     in_system += 1;
                     self.stats.shard_reclaimed.fetch_add(1, Ordering::Relaxed);
-                    let key = policy.key(&task);
+                    let key = policy.key(task.key_input());
                     central.push_fresh_prio(key, task);
                     progressed = true;
                     if !stopping {
@@ -786,19 +784,12 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
     fn drain_trace(&mut self) {}
 
     fn all_workers_full(&self) -> bool {
-        self.workers
-            .iter()
-            .all(|w| w.inflight >= self.cfg.jbsq_depth)
+        self.pick_worker().is_none()
     }
 
     /// Shortest-queue selection among workers with a free JBSQ slot.
     fn pick_worker(&self) -> Option<usize> {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.inflight < self.cfg.jbsq_depth)
-            .min_by_key(|(i, w)| (w.inflight, *i))
-            .map(|(i, _)| i)
+        jbsq_pick(self.workers.iter().map(|w| w.inflight), self.cfg.jbsq_depth)
     }
 
     /// Folds completion records and preemption latencies into the

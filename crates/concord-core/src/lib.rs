@@ -71,12 +71,12 @@ pub use admission::{
     AdmissionQueue, AdmitOutcome,
 };
 pub use app::{ConcordApp, RequestContext, SpinApp};
-pub use central::CentralQueue;
+pub use central::{jbsq_pick, CentralQueue};
 pub use clock::{Clock, VirtualClock};
 pub use config::{ConfigError, RuntimeBuilder, RuntimeConfig};
 #[cfg(feature = "fault-injection")]
 pub use fault::FaultInjector;
-pub use policy::{Boost, Fcfs, PolicyKind, PsQuantum, SchedPolicy, Srpt};
+pub use policy::{KeyInput, PolicyKind};
 pub use preempt::{LockDepthObserver, PreemptLine, SignalAccounting, SignalPoll};
 pub use quantum::{
     class_slot, fold_class, ControllerConfig, QuantumController, QuantumTable, SloState,

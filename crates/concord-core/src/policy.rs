@@ -1,29 +1,31 @@
-//! Pluggable scheduling policies for the dispatcher.
+//! Scheduling policies: the one place an ordering decision is written.
 //!
 //! The paper's thesis is that *approximate* optimal scheduling —
 //! quantum-based processor sharing with fast preemption — gets close to
 //! the true tail-optimal policy. Measuring "close to what" requires the
-//! baselines to be swappable, so the dispatcher's ordering decisions are
-//! factored out behind [`SchedPolicy`]:
+//! baselines to be swappable, so a policy is a small `Copy` value,
+//! [`PolicyKind`], with exactly two decisions on it:
 //!
-//! - **pick-next / requeue ordering** via [`SchedPolicy::key`]: every
-//!   entry in the central queue carries a priority key; the dispatcher
-//!   always pops the smallest `(key, seq)` pair, so a policy shapes the
-//!   schedule purely by choosing keys. Constant keys degrade to the
-//!   sequence order — exactly the old hard-coded behavior.
+//! - **pick-next / requeue ordering** via [`PolicyKind::key`]: every
+//!   entry in the central queue carries a priority key; the queue always
+//!   pops the smallest `(key, seq)` pair, so a policy shapes the schedule
+//!   purely by choosing keys. Constant keys degrade to the sequence
+//!   order — round-robin processor sharing.
 //! - **whether preemption signals are issued at all** via
-//!   [`SchedPolicy::preempts`]: run-to-completion baselines (Persephone)
+//!   [`PolicyKind::preempts`]: run-to-completion baselines (Persephone)
 //!   never interrupt a running request, which is a property of the
 //!   policy, not of the quantum length.
 //!
-//! Four policies ship:
+//! The key takes a plain [`KeyInput`] (id, size, attained service,
+//! arrival — nanoseconds), not a task, so the runtime's dispatcher and
+//! `concord-sim` order their queues with this same code:
 //!
 //! | policy       | key                                   | preempts |
 //! |--------------|---------------------------------------|----------|
-//! | [`PsQuantum`]| `0` (pure round-robin seq order)      | yes      |
-//! | [`Fcfs`]     | `0` (arrival order, run-to-completion)| **no**   |
-//! | [`Srpt`]     | noisy service estimate − attained     | yes      |
-//! | [`Boost`]    | arrival − b(size), b(s) = B²/s        | yes      |
+//! | `PsQuantum`  | `0` (pure round-robin seq order)      | yes      |
+//! | `Fcfs`       | `0` (arrival order, run-to-completion)| **no**   |
+//! | `Srpt`       | noisy size estimate − attained        | yes      |
+//! | `Boost`      | arrival − b(size), b(s) = B²/s        | yes      |
 //!
 //! `Srpt` follows the noisy-estimate model of Scully & Harchol-Balter,
 //! "How to Schedule Near-Optimally under Real-World Constraints": the
@@ -36,168 +38,44 @@
 //! which interpolates between FCFS (boost → 0) and SRPT (boost → ∞)
 //! and is tail-optimal in the light-tailed regime.
 
-use crate::task::Task;
 use concord_rng::{Rng, SeedableRng, SmallRng};
 
-/// A dispatcher-level scheduling policy.
-///
-/// Implementations must be cheap: [`key`](SchedPolicy::key) runs on the
-/// dispatcher's hot path once per (re-)enqueue. Keys are compared as
-/// `(key, seq)` with *smaller dispatched sooner*, and the sequence
-/// number breaks ties in insertion order, so any constant key yields
-/// the processor-sharing round-robin of the original dispatcher.
-pub trait SchedPolicy: Send + std::fmt::Debug {
-    /// Short stable name (used in logs, benches, and trace summaries).
-    fn name(&self) -> &'static str;
+/// Salt mixed into the per-request SRPT noise seed.
+const SRPT_NOISE_SALT: u64 = 0x5eed_5eed;
 
-    /// Whether the dispatcher polices quanta and sends preemption
-    /// signals at all. When `false` the runtime is run-to-completion:
-    /// zero signals are sent by construction, which the conformance
-    /// suite asserts exactly.
-    fn preempts(&self) -> bool {
-        true
-    }
+/// Boost parameter `B` for a bare `boost`, in microseconds.
+const DEFAULT_BOOST_US: u64 = 10;
 
-    /// Priority key for a task entering (or re-entering) the central
-    /// queue. Smaller is sooner; ties dispatch in insertion order.
-    fn key(&self, _task: &Task) -> u64 {
-        0
-    }
+/// What a policy key is computed from, all in nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyInput {
+    /// Request id (seeds the SRPT estimate's noise).
+    pub id: u64,
+    /// True service time.
+    pub size_ns: u64,
+    /// Service attained so far (0 for a fresh arrival).
+    pub attained_ns: u64,
+    /// When the request arrived.
+    pub arrived_ns: u64,
 }
 
-/// The paper's quantum-based processor-sharing policy (§3.1): every
-/// entry keyed 0, so service order is (re-)insertion order — textbook
-/// round-robin — and expired quanta trigger preemption signals.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PsQuantum;
-
-impl SchedPolicy for PsQuantum {
-    fn name(&self) -> &'static str {
-        "ps"
+/// The SRPT size estimate for request `id`: the true `size_ns` perturbed
+/// by a deterministic per-request multiplicative factor in
+/// `±noise_pct%` (seeded from a fixed salt `^ id`), never below 1.
+/// `noise_pct = 0` passes the size through.
+pub fn srpt_estimate(noise_pct: u32, id: u64, size_ns: u64) -> u64 {
+    if noise_pct == 0 {
+        return size_ns;
     }
+    let mut rng = SmallRng::seed_from_u64(SRPT_NOISE_SALT ^ id);
+    let pct = i64::from(rng.gen_range(-(noise_pct as i32)..=noise_pct as i32));
+    let shift = (size_ns as i64).saturating_mul(pct) / 100;
+    size_ns.saturating_add_signed(shift).max(1)
 }
 
-/// First-come-first-served, run-to-completion — the Persephone
-/// baseline. Arrival order (key 0) and no preemption signals: a
-/// dispatched request holds its worker until it completes.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Fcfs;
-
-impl SchedPolicy for Fcfs {
-    fn name(&self) -> &'static str {
-        "fcfs"
-    }
-
-    fn preempts(&self) -> bool {
-        false
-    }
-}
-
-/// Shortest-remaining-processing-time with noisy size estimates.
-///
-/// The key is the request's *estimated* service time minus the service
-/// it has already attained (`busy_ns`), so a preempted long request
-/// sinks toward the back while short fresh work jumps the queue. The
-/// estimate is the true `service_ns` perturbed by a deterministic
-/// per-request multiplicative factor in `±noise_pct%` (seeded from
-/// `noise_salt ^ request id`), modelling the bounded-error estimators
-/// of Scully & Harchol-Balter while keeping every run reproducible.
-/// `noise_pct = 0` is exact SRPT.
-#[derive(Debug, Clone, Copy)]
-pub struct Srpt {
-    /// Half-width of the multiplicative estimate error, in percent.
-    pub noise_pct: u32,
-    /// Salt mixed into the per-request noise seed.
-    pub noise_salt: u64,
-}
-
-impl Default for Srpt {
-    fn default() -> Self {
-        Self {
-            noise_pct: 0,
-            noise_salt: 0x5eed_5eed,
-        }
-    }
-}
-
-impl Srpt {
-    /// The (noisy) size estimate for a request, before subtracting
-    /// attained service.
-    pub fn estimate(&self, id: u64, service_ns: u64) -> u64 {
-        if self.noise_pct == 0 {
-            return service_ns;
-        }
-        let mut rng = SmallRng::seed_from_u64(self.noise_salt ^ id);
-        let pct = i64::from(rng.gen_range(-(self.noise_pct as i32)..=self.noise_pct as i32));
-        let shift = (service_ns as i64).saturating_mul(pct) / 100;
-        service_ns.saturating_add_signed(shift).max(1)
-    }
-}
-
-impl SchedPolicy for Srpt {
-    fn name(&self) -> &'static str {
-        "srpt"
-    }
-
-    fn key(&self, task: &Task) -> u64 {
-        let estimate = self.estimate(task.req.id, task.req.service_ns);
-        if task.busy_ns < estimate {
-            estimate - task.busy_ns
-        } else {
-            // Estimate exhausted: the request overran its (noisy) size
-            // prediction, so its true remaining work is unknown. Fall
-            // back to elapsed-time ordering — the key grows with
-            // attained service, so an overrunner keeps sinking behind
-            // fresh short work instead of pinning key 0 (= highest
-            // priority) forever.
-            task.busy_ns.max(1)
-        }
-    }
-}
-
-/// Boost scheduling (Yu & Scully): priority is the arrival time shifted
-/// *earlier* by `b(s) = B² / s` where `s` is the request's size and `B`
-/// is the boost parameter — short requests get a large head start,
-/// long requests almost none. With `B → 0` this is FCFS; with `B → ∞`
-/// it orders by size. `b` is applied to the remaining size on requeue,
-/// so attained service is respected like SRPT.
-#[derive(Debug, Clone, Copy)]
-pub struct Boost {
-    /// Boost parameter `B`, in microseconds.
-    pub boost_us: u64,
-}
-
-impl Default for Boost {
-    fn default() -> Self {
-        Self { boost_us: 10 }
-    }
-}
-
-impl SchedPolicy for Boost {
-    fn name(&self) -> &'static str {
-        "boost"
-    }
-
-    fn key(&self, task: &Task) -> u64 {
-        let b = self.boost_us * 1_000;
-        match task.req.service_ns.checked_sub(task.busy_ns) {
-            Some(remaining) if remaining > 0 => task
-                .ingested_at_ns
-                .saturating_sub(b.saturating_mul(b) / remaining),
-            // Size exhausted: clamping `remaining` to 1 here used to
-            // hand the overrunner a B²-nanosecond head start — the
-            // *largest possible* boost, priority inversion against
-            // genuinely short work. Fall back to elapsed-time ordering:
-            // no boost, and attained service pushes it ever later.
-            _ => task.ingested_at_ns.saturating_add(task.busy_ns),
-        }
-    }
-}
-
-/// Config-level policy selector: a small `Copy` value that lives in
-/// [`RuntimeConfig`](crate::config::RuntimeConfig) (which must stay
-/// `Clone` + `Debug` + struct-literal friendly) and is instantiated
-/// into a boxed [`SchedPolicy`] by the dispatcher at startup.
+/// The scheduling policy: a small `Copy` value that lives in
+/// [`RuntimeConfig`](crate::config::RuntimeConfig) and in the
+/// simulator's system config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// Quantum-based processor sharing (the paper's policy; default).
@@ -218,16 +96,47 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiates the policy object the dispatcher consults.
-    pub fn instantiate(self) -> Box<dyn SchedPolicy> {
+    /// Whether quanta are policed and preemption signals sent at all.
+    /// `false` (only `Fcfs`) is run-to-completion: zero signals by
+    /// construction, which the conformance suite asserts exactly.
+    pub fn preempts(self) -> bool {
+        self != PolicyKind::Fcfs
+    }
+
+    /// Priority key for a request entering (or re-entering) the central
+    /// queue. Smaller is sooner; ties dispatch in insertion order. Runs
+    /// once per enqueue on the dispatcher's hot path.
+    ///
+    /// - `PsQuantum`, `Fcfs`: 0.
+    /// - `Srpt`: the (noisy) size estimate minus attained service, so a
+    ///   preempted long request sinks toward the back while short fresh
+    ///   work jumps the queue.
+    /// - `Boost`: arrival minus `B² / remaining size`.
+    ///
+    /// A request that has overrun its size (estimate) has unknown true
+    /// remaining work; both keyed policies then fall back to
+    /// elapsed-time ordering, so attained service pushes it ever later
+    /// instead of pinning it at the front.
+    pub fn key(self, t: KeyInput) -> u64 {
         match self {
-            PolicyKind::PsQuantum => Box::new(PsQuantum),
-            PolicyKind::Fcfs => Box::new(Fcfs),
-            PolicyKind::Srpt { noise_pct } => Box::new(Srpt {
-                noise_pct,
-                ..Srpt::default()
-            }),
-            PolicyKind::Boost { boost_us } => Box::new(Boost { boost_us }),
+            PolicyKind::PsQuantum | PolicyKind::Fcfs => 0,
+            PolicyKind::Srpt { noise_pct } => {
+                let estimate = srpt_estimate(noise_pct, t.id, t.size_ns);
+                if t.attained_ns < estimate {
+                    estimate - t.attained_ns
+                } else {
+                    t.attained_ns.max(1)
+                }
+            }
+            PolicyKind::Boost { boost_us } => {
+                let b = boost_us.saturating_mul(1_000);
+                match t.size_ns.checked_sub(t.attained_ns) {
+                    Some(remaining) if remaining > 0 => {
+                        t.arrived_ns.saturating_sub(b.saturating_mul(b) / remaining)
+                    }
+                    _ => t.arrived_ns.saturating_add(t.attained_ns),
+                }
+            }
         }
     }
 
@@ -246,7 +155,7 @@ impl PolicyKind {
                 noise_pct: p.parse().ok()?,
             }),
             ("boost", None) => Some(PolicyKind::Boost {
-                boost_us: Boost::default().boost_us,
+                boost_us: DEFAULT_BOOST_US,
             }),
             ("boost", Some(b)) => Some(PolicyKind::Boost {
                 boost_us: b.parse().ok()?,
@@ -260,7 +169,9 @@ impl PolicyKind {
         PolicyKind::PsQuantum,
         PolicyKind::Fcfs,
         PolicyKind::Srpt { noise_pct: 0 },
-        PolicyKind::Boost { boost_us: 10 },
+        PolicyKind::Boost {
+            boost_us: DEFAULT_BOOST_US,
+        },
     ];
 }
 
@@ -278,24 +189,19 @@ impl std::fmt::Display for PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SpinApp;
-    use concord_net::Request;
-    use std::sync::Arc;
-    use std::time::Instant;
 
-    /// A task with the given nominal size, attained service, and ingest
-    /// stamp — the exact state the dispatcher's key computation sees on
-    /// a requeue.
-    fn task(id: u64, service_ns: u64, busy_ns: u64, ingested_at_ns: u64) -> Task {
-        let req = Request {
+    const SRPT: PolicyKind = PolicyKind::Srpt { noise_pct: 0 };
+    const BOOST: PolicyKind = PolicyKind::Boost { boost_us: 10 };
+
+    /// A request with the given size, attained service and arrival — the
+    /// exact state the dispatcher's key computation sees on a requeue.
+    fn input(id: u64, size_ns: u64, attained_ns: u64, arrived_ns: u64) -> KeyInput {
+        KeyInput {
             id,
-            class: 0,
-            service_ns,
-            sent_at: Instant::now(),
-        };
-        let mut t = Task::new(Arc::new(SpinApp::new()), req, 16 * 1024, ingested_at_ns);
-        t.busy_ns = busy_ns;
-        t
+            size_ns,
+            attained_ns,
+            arrived_ns,
+        }
     }
 
     /// Regression (pre-fix failure): a request that overran its SRPT
@@ -303,27 +209,26 @@ mod tests {
     /// — and beat every genuinely short fresh request forever.
     #[test]
     fn srpt_overrun_sinks_behind_fresh_short_work() {
-        let srpt = Srpt::default(); // exact estimates
-                                    // 10µs request that has already attained 12µs (estimate
-                                    // exhausted, still not done).
-        let overrun = task(1, 10_000, 12_000, 0);
+        // 10µs request that has already attained 12µs (estimate
+        // exhausted, still not done).
+        let overrun = input(1, 10_000, 12_000, 0);
         // Fresh 5µs request.
-        let fresh = task(2, 5_000, 0, 50_000);
+        let fresh = input(2, 5_000, 0, 50_000);
         assert!(
-            srpt.key(&overrun) > srpt.key(&fresh),
+            SRPT.key(overrun) > SRPT.key(fresh),
             "overrunner (key {}) must not outrank fresh short work (key {})",
-            srpt.key(&overrun),
-            srpt.key(&fresh)
+            SRPT.key(overrun),
+            SRPT.key(fresh)
         );
         // And the longer it overruns, the further back it goes.
-        let worse = task(1, 10_000, 30_000, 0);
-        assert!(srpt.key(&worse) > srpt.key(&overrun));
+        let worse = input(1, 10_000, 30_000, 0);
+        assert!(SRPT.key(worse) > SRPT.key(overrun));
         // Keys are never 0 (0 would pin the front of the queue).
-        assert!(srpt.key(&task(3, 10_000, 10_000, 0)) > 0);
+        assert!(SRPT.key(input(3, 10_000, 10_000, 0)) > 0);
         // Normal SRPT ordering is untouched while the estimate holds.
-        let half_done = task(4, 10_000, 6_000, 0);
-        assert_eq!(srpt.key(&half_done), 4_000);
-        assert!(srpt.key(&half_done) < srpt.key(&fresh));
+        let half_done = input(4, 10_000, 6_000, 0);
+        assert_eq!(SRPT.key(half_done), 4_000);
+        assert!(SRPT.key(half_done) < SRPT.key(fresh));
     }
 
     /// Regression (pre-fix failure): clamping `remaining` to 1 handed an
@@ -331,27 +236,26 @@ mod tests {
     /// policy can express — so it preempted ahead of short fresh work.
     #[test]
     fn boost_overrun_loses_its_headstart() {
-        let boost = Boost { boost_us: 10 };
         // Arrived at t=1ms, nominal 10µs, attained 10µs: exhausted.
-        let overrun = task(1, 10_000, 10_000, 1_000_000);
+        let overrun = input(1, 10_000, 10_000, 1_000_000);
         // Fresh 1µs request arriving 100µs later.
-        let fresh = task(2, 1_000, 0, 1_100_000);
+        let fresh = input(2, 1_000, 0, 1_100_000);
         assert!(
-            boost.key(&overrun) > boost.key(&fresh),
+            BOOST.key(overrun) > BOOST.key(fresh),
             "exhausted request (key {}) must not outrank a later short \
              arrival (key {})",
-            boost.key(&overrun),
-            boost.key(&fresh)
+            BOOST.key(overrun),
+            BOOST.key(fresh)
         );
-        // Pre-fix the exhausted key was ingested − B²/1 = 0 (saturated).
-        assert!(boost.key(&overrun) >= overrun.ingested_at_ns);
+        // Pre-fix the exhausted key was arrival − B²/1 = 0 (saturated).
+        assert!(BOOST.key(overrun) >= overrun.arrived_ns);
         // Attained service keeps pushing an overrunner later.
-        let worse = task(1, 10_000, 40_000, 1_000_000);
-        assert!(boost.key(&worse) > boost.key(&overrun));
+        let worse = input(1, 10_000, 40_000, 1_000_000);
+        assert!(BOOST.key(worse) > BOOST.key(overrun));
         // In-estimate behavior unchanged: remaining size sets the boost.
         let b = 10_000u64 * 10_000;
-        let in_flight = task(3, 10_000, 4_000, 1_000_000);
-        assert_eq!(boost.key(&in_flight), 1_000_000 - b / 6_000);
+        let in_flight = input(3, 10_000, 4_000, 1_000_000);
+        assert_eq!(BOOST.key(in_flight), 1_000_000 - b / 6_000);
     }
 
     #[test]
@@ -382,39 +286,56 @@ mod tests {
     #[test]
     fn only_fcfs_disables_preemption() {
         for kind in PolicyKind::ALL {
-            let policy = kind.instantiate();
-            assert_eq!(policy.preempts(), kind != PolicyKind::Fcfs, "policy {kind}");
+            assert_eq!(kind.preempts(), kind != PolicyKind::Fcfs, "policy {kind}");
         }
+    }
+
+    /// The round-robin policies key everything 0, whatever the request.
+    #[test]
+    fn round_robin_policies_key_zero() {
+        let r = input(9, 123_456, 7_000, 42_000);
+        assert_eq!(PolicyKind::PsQuantum.key(r), 0);
+        assert_eq!(PolicyKind::Fcfs.key(r), 0);
     }
 
     #[test]
     fn srpt_estimate_is_deterministic_and_bounded() {
-        let srpt = Srpt {
-            noise_pct: 20,
-            ..Srpt::default()
-        };
         for id in 0..200u64 {
             let s = 50_000;
-            let e1 = srpt.estimate(id, s);
-            let e2 = srpt.estimate(id, s);
+            let e1 = srpt_estimate(20, id, s);
+            let e2 = srpt_estimate(20, id, s);
             assert_eq!(e1, e2, "estimate must be deterministic per id");
             assert!(e1 >= s - s / 5 && e1 <= s + s / 5, "id {id}: {e1}");
         }
         // Exact mode passes sizes through untouched.
-        let exact = Srpt::default();
-        assert_eq!(exact.estimate(7, 12_345), 12_345);
+        assert_eq!(srpt_estimate(0, 7, 12_345), 12_345);
+        // The noisy key is the estimate minus attained service.
+        let noisy = PolicyKind::Srpt { noise_pct: 20 };
+        let e = srpt_estimate(20, 7, 50_000);
+        assert_eq!(noisy.key(input(7, 50_000, 1_000, 0)), e - 1_000);
+    }
+
+    /// A short request arriving after two long ones: a tiny B keeps
+    /// arrival order (FCFS), a large B lets size win (SRPT).
+    #[test]
+    fn boost_interpolates_fcfs_and_srpt() {
+        let long_a = input(0, 100_000, 0, 1_000_000);
+        let long_b = input(1, 100_000, 0, 2_000_000);
+        let short = input(2, 1_000, 0, 3_000_000);
+        let tiny = PolicyKind::Boost { boost_us: 1 };
+        assert!(tiny.key(long_a) < tiny.key(long_b));
+        assert!(tiny.key(long_b) < tiny.key(short));
+        let large = PolicyKind::Boost { boost_us: 100 };
+        assert!(large.key(short) < large.key(long_a));
+        assert!(large.key(long_a) < large.key(long_b));
     }
 
     #[test]
     fn boost_headstart_shrinks_with_size() {
-        let boost = Boost { boost_us: 10 };
-        let b = 10_000u64 * 10_000;
-        // b(s) = B²/s: a 1us request gets a 100ms head start, a 100us
-        // request only 1ms.
-        assert_eq!(b / 1_000, 100_000_000 / 1_000);
-        let short_shift = b / 1_000;
-        let long_shift = b / 100_000;
-        assert!(short_shift > long_shift * 50);
-        let _ = boost;
+        // b(s) = B²/s with B = 10µs: a fresh 1µs request gets a 100µs
+        // head start, a fresh 100µs request only 1µs.
+        let at = 1_000_000_000;
+        assert_eq!(BOOST.key(input(1, 1_000, 0, at)), at - 100_000);
+        assert_eq!(BOOST.key(input(2, 100_000, 0, at)), at - 1_000);
     }
 }

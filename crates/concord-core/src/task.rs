@@ -17,6 +17,7 @@
 
 use crate::app::{ConcordApp, RequestContext};
 use crate::clock::Clock;
+use crate::policy::KeyInput;
 use concord_net::{Request, Response};
 use concord_uthread::stack::Stack;
 use concord_uthread::{CoState, Coroutine};
@@ -172,6 +173,17 @@ impl Task {
         self.first_run_ns
             .map(|t| t.saturating_sub(self.ingested_at_ns))
             .unwrap_or(0)
+    }
+
+    /// What the policy keys this task by: its size, the service it has
+    /// attained and its ingest stamp.
+    pub fn key_input(&self) -> KeyInput {
+        KeyInput {
+            id: self.req.id,
+            size_ns: self.req.service_ns,
+            attained_ns: self.busy_ns,
+            arrived_ns: self.ingested_at_ns,
+        }
     }
 
     /// Total preemptions recorded (valid after completion).

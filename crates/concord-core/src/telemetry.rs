@@ -1,7 +1,7 @@
 //! Request-lifecycle telemetry: per-request latency breakdowns without
 //! slowing the hot path down.
 //!
-//! Every [`Task`](crate::task::Task) carries clock stamps (ingest,
+//! Every [`Task`] carries clock stamps (ingest,
 //! first execution, per-slice busy time). When a request finishes, the
 //! serving worker folds the stamps into a tiny [`CompletionRecord`] that
 //! rides inside the completion message on the worker's own SPSC return

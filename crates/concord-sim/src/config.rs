@@ -1,8 +1,14 @@
 //! System configuration: which scheduling mechanisms a simulated runtime
 //! uses. The paper's three systems (Shinjuku, Persephone-FCFS, Concord) and
 //! its §5.4 ablations are all presets over the same knobs.
+//!
+//! The scheduling policy is not a sim-side knob: it is `concord-core`'s
+//! [`PolicyKind`], the value the runtime's dispatcher takes. Every preset
+//! uses `PsQuantum` (key 0: FIFO order, preempted requests rejoin at the
+//! tail) except Persephone, which is `Fcfs` run-to-completion.
 
 use crate::cost::CostModel;
+use concord_core::PolicyKind;
 
 /// How (and whether) workers are preempted at quantum expiry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,25 +95,6 @@ impl QueueDiscipline {
     }
 }
 
-/// Ordering of the central queue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Policy {
-    /// First come, first served; preempted requests re-join at the tail,
-    /// which approximates processor sharing when combined with preemption.
-    Fcfs,
-    /// Shortest remaining processing time first (§3.1 notes Concord's
-    /// dispatcher-centric design makes such policies easy to add).
-    Srpt,
-    /// Boost scheduling (Yu & Scully, "Strongly Tail-Optimal Scheduling
-    /// in the Light-Tailed M/G/1"): ordered by arrival time shifted
-    /// earlier by `boost² / remaining` cycles — FCFS as `boost → 0`,
-    /// size-based as `boost → ∞`.
-    Boost {
-        /// Boost parameter `B`, in cycles.
-        boost: u64,
-    },
-}
-
 /// Mirror of the runtime's adaptive per-class quantum controller
 /// (`concord-core`'s `quantum` module), in nanoseconds of simulated
 /// time. The simulator drives the *same* controller type in the cycle
@@ -148,8 +135,10 @@ pub struct SystemConfig {
     pub preemption: PreemptMechanism,
     /// Queue discipline between dispatcher and workers.
     pub queue: QueueDiscipline,
-    /// Central queue policy.
-    pub policy: Policy,
+    /// Scheduling policy: central-queue keys and whether quanta are
+    /// policed — `concord-core`'s own [`PolicyKind`], so the sim orders
+    /// its queue with the runtime dispatcher's code.
+    pub policy: PolicyKind,
     /// Whether the dispatcher steals application work when all worker
     /// queues are full (§3.3). Stolen requests run with rdtsc
     /// instrumentation and cannot migrate back to workers.
@@ -181,7 +170,7 @@ impl SystemConfig {
             quantum_ns,
             preemption: PreemptMechanism::Ipi,
             queue: QueueDiscipline::SingleQueue,
-            policy: Policy::Fcfs,
+            policy: PolicyKind::PsQuantum,
             work_conserving: false,
             dispatcher_check_ns: 1_000,
             dispatcher_batch: 1,
@@ -199,7 +188,7 @@ impl SystemConfig {
             quantum_ns: 0,
             preemption: PreemptMechanism::None,
             queue: QueueDiscipline::SingleQueue,
-            policy: Policy::Fcfs,
+            policy: PolicyKind::Fcfs,
             work_conserving: false,
             dispatcher_check_ns: 1_000,
             dispatcher_batch: 1,
@@ -217,7 +206,7 @@ impl SystemConfig {
             quantum_ns,
             preemption: PreemptMechanism::Coop,
             queue: QueueDiscipline::Jbsq(2),
-            policy: Policy::Fcfs,
+            policy: PolicyKind::PsQuantum,
             work_conserving: true,
             dispatcher_check_ns: 1_000,
             dispatcher_batch: 1,
@@ -271,8 +260,8 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the central-queue policy.
-    pub fn with_policy(mut self, policy: Policy) -> Self {
+    /// Sets the scheduling policy.
+    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
         self
     }
@@ -290,9 +279,13 @@ impl SystemConfig {
         self
     }
 
-    /// The quantum in cycles (`u64::MAX` when preemption is disabled).
+    /// The quantum in cycles (`u64::MAX` when preemption is disabled:
+    /// no mechanism, no quantum, or a run-to-completion policy).
     pub fn quantum_cycles(&self) -> u64 {
-        if self.preemption == PreemptMechanism::None || self.quantum_ns == 0 {
+        if self.preemption == PreemptMechanism::None
+            || self.quantum_ns == 0
+            || !self.policy.preempts()
+        {
             u64::MAX
         } else {
             self.cost.ns_to_cycles(self.quantum_ns)
@@ -333,6 +326,20 @@ mod tests {
     fn quantum_cycles_uses_clock() {
         let c = SystemConfig::concord(4, 5_000);
         assert_eq!(c.quantum_cycles(), 10_000); // 5µs at 2GHz
+    }
+
+    /// A run-to-completion policy disables the quantum but keeps the
+    /// preset's mechanism (and so its instrumentation cost).
+    #[test]
+    fn fcfs_policy_disables_the_quantum() {
+        assert_eq!(SystemConfig::persephone_fcfs(14).policy, PolicyKind::Fcfs);
+        let c = SystemConfig::concord(4, 5_000).with_policy(PolicyKind::Fcfs);
+        assert_eq!(c.quantum_cycles(), u64::MAX);
+        assert_eq!(c.preemption, PreemptMechanism::Coop);
+        for kind in PolicyKind::ALL {
+            let c = SystemConfig::concord(4, 5_000).with_policy(kind);
+            assert_eq!(c.quantum_cycles() == u64::MAX, !kind.preempts(), "{kind}");
+        }
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! 3. **Dispatcher work conservation** — whether the dispatcher runs
 //!    application requests when all worker queues are full.
 //!
+//! The scheduling decisions themselves are not modelled but reused: the
+//! simulated dispatcher queues, keys, picks and steals with
+//! `concord-core`'s [`CentralQueue`](concord_core::CentralQueue),
+//! [`PolicyKind`](concord_core::PolicyKind) and
+//! [`jbsq_pick`](concord_core::jbsq_pick), the runtime's own code.
+//!
 //! Every cost is a calibrated cycle constant from the paper ([`CostModel`]),
 //! and every run is deterministic given a seed, so the `figN` harnesses in
 //! `concord-bench` regenerate the paper's figures reproducibly on any host.
@@ -44,7 +50,7 @@ pub mod request;
 pub mod result;
 pub mod system;
 
-pub use config::{Policy, PreemptMechanism, QueueDiscipline, SystemConfig};
+pub use config::{PreemptMechanism, QueueDiscipline, SystemConfig};
 pub use cost::CostModel;
 pub use result::SimResult;
 pub use system::{

@@ -1,7 +1,14 @@
-//! Request state and the central queue.
+//! Simulated request state.
+//!
+//! The simulator has no queue or ordering rule of its own: its central
+//! queue is `concord-core`'s [`CentralQueue`](concord_core::CentralQueue)
+//! over [`ReqId`]s, keyed by the configured
+//! [`PolicyKind`](concord_core::PolicyKind) from
+//! [`Request::key_input`], exactly as the runtime's dispatcher keys its
+//! tasks.
 
-use crate::config::Policy;
-use std::collections::VecDeque;
+use crate::cost::CostModel;
+use concord_core::KeyInput;
 
 /// Index of a request in the simulation's arena.
 pub type ReqId = usize;
@@ -22,14 +29,6 @@ pub struct Request {
     pub arrival: u64,
     /// How many times this request has been preempted.
     pub preemptions: u32,
-    /// True once any thread has executed part of this request. The
-    /// work-conserving dispatcher may only steal non-started requests
-    /// (§3.3: instruction pointers differ between the two instrumented
-    /// code versions).
-    pub started: bool,
-    /// True if the dispatcher owns this request (it can then never migrate
-    /// back to a worker).
-    pub dispatcher_owned: bool,
     /// Completion timestamp, cycles.
     pub completion: Option<u64>,
 }
@@ -44,8 +43,6 @@ impl Request {
             remaining: service_cycles.max(1),
             arrival,
             preemptions: 0,
-            started: false,
-            dispatcher_owned: false,
             completion: None,
         }
     }
@@ -54,189 +51,24 @@ impl Request {
     pub fn sojourn(&self) -> Option<u64> {
         self.completion.map(|c| c.saturating_sub(self.arrival))
     }
-}
 
-/// The central queue maintained by the dispatcher, ordered per [`Policy`].
-///
-/// FCFS is a plain FIFO; preempted requests re-join at the tail, which is
-/// what approximates processor sharing (§3.1). SRPT keeps the queue sorted
-/// by remaining work (insertion position found by linear scan from the
-/// tail — queues are short in regimes where SRPT matters).
-#[derive(Debug)]
-pub struct CentralQueue {
-    policy: Policy,
-    queue: VecDeque<ReqId>,
-}
-
-impl CentralQueue {
-    /// Creates an empty queue with the given policy.
-    pub fn new(policy: Policy) -> Self {
-        Self {
-            policy,
-            queue: VecDeque::new(),
+    /// What the policy keys this request by — size, attained service and
+    /// arrival — in nanoseconds of simulated time, the units of the
+    /// runtime's `Task::key_input`.
+    pub fn key_input(&self, cost: &CostModel) -> KeyInput {
+        let ns = |cycles: u64| cost.cycles_to_ns(cycles) as u64;
+        KeyInput {
+            id: self.id,
+            size_ns: ns(self.service),
+            attained_ns: ns(self.service - self.remaining),
+            arrived_ns: ns(self.arrival),
         }
-    }
-
-    /// Number of queued requests.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True if no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Enqueues a new or preempted request. `requests` is the arena (needed
-    /// for SRPT ordering).
-    pub fn push(&mut self, id: ReqId, requests: &[Request]) {
-        match self.policy {
-            Policy::Fcfs => self.queue.push_back(id),
-            Policy::Srpt => {
-                let key = requests[id].remaining;
-                // Insert before the first entry with strictly greater
-                // remaining work, scanning from the back (new arrivals are
-                // usually near the tail).
-                let mut pos = self.queue.len();
-                while pos > 0 && requests[self.queue[pos - 1]].remaining > key {
-                    pos -= 1;
-                }
-                self.queue.insert(pos, id);
-            }
-            Policy::Boost { boost } => {
-                // Arrival time boosted (shifted earlier) by b(s) = B²/s
-                // on the remaining size: short work jumps the queue by a
-                // bounded head start, long work barely moves.
-                let key = |r: &Request| {
-                    r.arrival
-                        .saturating_sub(boost.saturating_mul(boost) / r.remaining.max(1))
-                };
-                let k = key(&requests[id]);
-                let mut pos = self.queue.len();
-                while pos > 0 && key(&requests[self.queue[pos - 1]]) > k {
-                    pos -= 1;
-                }
-                self.queue.insert(pos, id);
-            }
-        }
-    }
-
-    /// Pops the head request.
-    pub fn pop(&mut self) -> Option<ReqId> {
-        self.queue.pop_front()
-    }
-
-    /// Removes and returns the first *non-started* request, if any — the
-    /// only kind the work-conserving dispatcher may take (§3.3).
-    pub fn pop_first_non_started(&mut self, requests: &[Request]) -> Option<ReqId> {
-        let pos = self.queue.iter().position(|&id| !requests[id].started)?;
-        self.queue.remove(pos)
-    }
-
-    /// Immutable view of the queued ids (head first), for tests.
-    pub fn iter(&self) -> impl Iterator<Item = ReqId> + '_ {
-        self.queue.iter().copied()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn arena(remainings: &[u64]) -> Vec<Request> {
-        remainings
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| Request::new(i as u64, 0, r, 0))
-            .collect()
-    }
-
-    #[test]
-    fn fcfs_is_fifo() {
-        let reqs = arena(&[30, 10, 20]);
-        let mut q = CentralQueue::new(Policy::Fcfs);
-        for i in 0..3 {
-            q.push(i, &reqs);
-        }
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn srpt_orders_by_remaining() {
-        let reqs = arena(&[30, 10, 20]);
-        let mut q = CentralQueue::new(Policy::Srpt);
-        for i in 0..3 {
-            q.push(i, &reqs);
-        }
-        assert_eq!(q.pop(), Some(1)); // remaining 10
-        assert_eq!(q.pop(), Some(2)); // remaining 20
-        assert_eq!(q.pop(), Some(0)); // remaining 30
-    }
-
-    #[test]
-    fn srpt_ties_keep_arrival_order() {
-        let reqs = arena(&[10, 10, 10]);
-        let mut q = CentralQueue::new(Policy::Srpt);
-        for i in 0..3 {
-            q.push(i, &reqs);
-        }
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn boost_interpolates_fcfs_and_srpt() {
-        // A short request (1k cycles) arriving well after two longs
-        // (100k cycles each).
-        let mk = |arrivals: &[(u64, u64)]| {
-            arrivals
-                .iter()
-                .enumerate()
-                .map(|(i, &(svc, arr))| Request::new(i as u64, 0, svc, arr))
-                .collect::<Vec<_>>()
-        };
-        let reqs = mk(&[
-            (100_000, 1_000_000),
-            (100_000, 2_000_000),
-            (1_000, 3_000_000),
-        ]);
-        // Tiny boost: arrival order, like FCFS.
-        let mut q = CentralQueue::new(Policy::Boost { boost: 10 });
-        for i in 0..3 {
-            q.push(i, &reqs);
-        }
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        // Large boost: the short request's b(s) = B²/s head start
-        // dominates its later arrival, like SRPT.
-        let mut q = CentralQueue::new(Policy::Boost { boost: 100_000 });
-        for i in 0..3 {
-            q.push(i, &reqs);
-        }
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-    }
-
-    #[test]
-    fn steal_skips_started_requests() {
-        let mut reqs = arena(&[10, 20, 30]);
-        reqs[0].started = true;
-        reqs[1].started = true;
-        let mut q = CentralQueue::new(Policy::Fcfs);
-        for i in 0..3 {
-            q.push(i, &reqs);
-        }
-        assert_eq!(q.pop_first_non_started(&reqs), Some(2));
-        // The started ones remain, in order.
-        assert_eq!(q.pop(), Some(0));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop_first_non_started(&reqs), None);
-    }
 
     #[test]
     fn request_sojourn() {
@@ -251,5 +83,22 @@ mod tests {
         let r = Request::new(0, 0, 0, 0);
         assert_eq!(r.service, 1);
         assert_eq!(r.remaining, 1);
+    }
+
+    #[test]
+    fn key_input_is_in_nanoseconds() {
+        let cost = CostModel::paper_default(); // 2 GHz
+        let mut r = Request::new(7, 0, 20_000, 4_000);
+        r.remaining = 5_000;
+        let k = r.key_input(&cost);
+        assert_eq!(
+            k,
+            KeyInput {
+                id: 7,
+                size_ns: 10_000,
+                attained_ns: 7_500,
+                arrived_ns: 2_000,
+            }
+        );
     }
 }

@@ -16,9 +16,10 @@
 
 use crate::config::{PreemptMechanism, QueueDiscipline, SystemConfig};
 use crate::engine::EventQueue;
-use crate::request::{CentralQueue, ReqId, Request};
+use crate::request::{ReqId, Request};
 use crate::result::SimResult;
 use concord_core::quantum::{ControllerConfig, QuantumController, QuantumTable, SloState};
+use concord_core::{jbsq_pick, CentralQueue};
 use concord_metrics::{Histogram, SlowdownTracker, Summary};
 use concord_workloads::arrival::Poisson;
 use concord_workloads::{Arrival, RecordedTrace, TraceGenerator, Workload};
@@ -191,7 +192,8 @@ struct Sim<'a> {
     clock: u64,
     events: EventQueue<Event>,
     requests: Vec<Request>,
-    central: CentralQueue,
+    /// The runtime dispatcher's own queue type, over arena indices.
+    central: CentralQueue<ReqId>,
     workers: Vec<WorkerSim>,
     disp: DispatcherSim,
     warmup_cutoff: u64,
@@ -371,7 +373,7 @@ fn run_simulation<'a>(
         clock: 0,
         events: EventQueue::new(),
         requests: Vec::with_capacity(requests as usize),
-        central: CentralQueue::new(cfg.policy),
+        central: CentralQueue::new(),
         workers: (0..cfg.n_workers).map(|_| WorkerSim::new()).collect(),
         disp: DispatcherSim::new(),
         warmup_cutoff: (requests as f64 * warmup_frac) as u64,
@@ -477,8 +479,15 @@ impl<'a> Sim<'a> {
     }
 
     fn all_worker_queues_full(&self) -> bool {
-        let k = self.cfg.queue.depth();
-        self.workers.iter().all(|w| w.inflight >= k)
+        self.pick_dispatch_target().is_none()
+    }
+
+    /// The policy's priority key for `req`, from its state in
+    /// nanoseconds — the same `PolicyKind::key` the runtime calls.
+    fn key(&self, req: ReqId) -> u64 {
+        self.cfg
+            .policy
+            .key(self.requests[req].key_input(&self.cfg.cost))
     }
 
     // --- Main loop ---------------------------------------------------------
@@ -595,7 +604,6 @@ impl<'a> Sim<'a> {
         w.slice_start = app_begin;
         let epoch = w.epoch;
 
-        self.requests[req].started = true;
         if self.requests[req].id >= self.warmup_cutoff {
             self.feed_gap.record(gap);
         }
@@ -826,7 +834,7 @@ impl<'a> Sim<'a> {
         // 2. Dispatch the head request if a worker can take it.
         if !self.central.is_empty() {
             if let Some(worker) = self.pick_dispatch_target() {
-                let req = self.central.pop().expect("checked non-empty");
+                let req = self.central.pop_next().expect("checked non-empty");
                 self.workers[worker].inflight += 1;
                 self.max_jbsq_inflight = self
                     .max_jbsq_inflight
@@ -869,9 +877,9 @@ impl<'a> Sim<'a> {
         // 4. Work conservation: resume the stolen request, or steal one.
         if self.cfg.work_conserving {
             if self.disp.stolen.is_none() && self.all_worker_queues_full() {
-                if let Some(req) = self.central.pop_first_non_started(&self.requests) {
-                    self.requests[req].started = true;
-                    self.requests[req].dispatcher_owned = true;
+                // Never-started work only (§3.3): the queue keeps it
+                // apart, so the victim is its best-ranked fresh entry.
+                if let Some(req) = self.central.steal_not_started() {
                     self.disp.stolen = Some(req);
                     self.trace_ev(
                         self.disp_track(),
@@ -894,19 +902,13 @@ impl<'a> Sim<'a> {
         None
     }
 
-    /// Chooses the worker to dispatch to, or `None` if all are full.
+    /// Chooses the worker to dispatch to, or `None` if all are full: the
+    /// runtime's JBSQ pick, with `k = 1` for a single queue.
     fn pick_dispatch_target(&self) -> Option<usize> {
-        let k = self.cfg.queue.depth();
-        match self.cfg.queue {
-            QueueDiscipline::SingleQueue => self.workers.iter().position(|w| w.inflight == 0),
-            QueueDiscipline::Jbsq(_) => self
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.inflight < k)
-                .min_by_key(|(i, w)| (w.inflight, *i))
-                .map(|(i, _)| i),
-        }
+        jbsq_pick(
+            self.workers.iter().map(|w| usize::from(w.inflight)),
+            usize::from(self.cfg.queue.depth()),
+        )
     }
 
     fn on_dispatcher_done(&mut self) {
@@ -961,7 +963,8 @@ impl<'a> Sim<'a> {
                                 self.requests[req].id,
                                 0,
                             );
-                            self.central.push(req, &self.requests);
+                            let key = self.key(req);
+                            self.central.push_fresh_prio(key, req);
                         }
                         Duty::Completion { worker } => {
                             self.workers[worker].inflight =
@@ -970,7 +973,8 @@ impl<'a> Sim<'a> {
                         Duty::Requeue { worker, req } => {
                             self.workers[worker].inflight =
                                 self.workers[worker].inflight.saturating_sub(1);
-                            self.central.push(req, &self.requests);
+                            let key = self.key(req);
+                            self.central.push_requeued_prio(key, req);
                         }
                     }
                 }
@@ -1093,7 +1097,7 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Policy;
+    use concord_core::PolicyKind;
     use concord_workloads::mix;
 
     fn params(rate: f64, n: u64) -> SimParams {
@@ -1298,14 +1302,14 @@ mod tests {
 
     #[test]
     fn srpt_policy_favors_short_requests() {
-        let fcfs = SystemConfig::concord(4, 5_000).with_policy(Policy::Fcfs);
-        let srpt = SystemConfig::concord(4, 5_000).with_policy(Policy::Srpt);
+        let ps = SystemConfig::concord(4, 5_000);
+        let srpt = ps.clone().with_policy(PolicyKind::Srpt { noise_pct: 0 });
         // Near saturation so queueing matters: mean 50.5µs on 4 workers.
         let rate = 0.85 * 4.0 / 50.5e-6;
-        let rf = simulate(&fcfs, mix::bimodal_50_1_50_100(), &params(rate, 30_000));
+        let rp = simulate(&ps, mix::bimodal_50_1_50_100(), &params(rate, 30_000));
         let rs = simulate(&srpt, mix::bimodal_50_1_50_100(), &params(rate, 30_000));
         // SRPT should not raise the median (short requests dominate counts).
-        assert!(rs.median_slowdown() <= rf.median_slowdown() + 0.5);
+        assert!(rs.median_slowdown() <= rp.median_slowdown() + 0.5);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! case index, overridable case count via `PROPTEST_CASES`), so a failure
 //! message's `case` number is sufficient to replay it exactly.
 
-use concord_sim::{simulate, Policy, PreemptMechanism, QueueDiscipline, SimParams, SystemConfig};
+use concord_core::PolicyKind;
+use concord_sim::{simulate, PreemptMechanism, QueueDiscipline, SimParams, SystemConfig};
 use concord_workloads::dist::Dist;
 use concord_workloads::mix::{ClassSpec, Mix};
 use concord_workloads::Gen;
@@ -41,7 +42,7 @@ fn arb_config(g: &mut Gen) -> SystemConfig {
         QueueDiscipline::Jbsq(4),
     ]);
     cfg.work_conserving = g.bool();
-    cfg.policy = if g.bool() { Policy::Srpt } else { Policy::Fcfs };
+    cfg.policy = *g.pick(&PolicyKind::ALL);
     cfg.name = "prop".into();
     cfg
 }

@@ -12,10 +12,10 @@
 //! cargo run --release --example heavy_tail
 //! ```
 
-use concord::core::{Runtime, RuntimeConfig, SpinApp};
+use concord::core::{PolicyKind, Runtime, RuntimeConfig, SpinApp};
 use concord::net::{ring, Collector, LoadGen, Request, Response, RttModel};
 use concord::sim::experiments::{ideal_capacity_rps, PAPER_WORKERS};
-use concord::sim::{simulate, Policy, SimParams, SystemConfig};
+use concord::sim::{simulate, SimParams, SystemConfig};
 use concord::workloads::dist::Dist;
 use concord::workloads::mix::{ClassSpec, Mix};
 use concord::workloads::Workload;
@@ -60,7 +60,7 @@ fn main() {
             SystemConfig::shinjuku(PAPER_WORKERS, 5_000),
             SystemConfig::concord(PAPER_WORKERS, 5_000),
             SystemConfig::concord(PAPER_WORKERS, 5_000)
-                .with_policy(Policy::Srpt)
+                .with_policy(PolicyKind::Srpt { noise_pct: 0 })
                 .named("Concord (SRPT)"),
         ] {
             let r = simulate(&cfg, pareto_mix(), &SimParams::new(rate, requests, 42));

@@ -1,16 +1,17 @@
 //! Scheduling-policy exploration (§3.1: Concord's dispatcher-centric
 //! design supports arbitrary policies).
 //!
-//! Compares FCFS against SRPT on the heavy-tailed Bimodal(99.5:0.5,
-//! 0.5:500) workload, and sweeps the JBSQ queue depth k to show why the
-//! paper picks k = 2.
+//! Compares the four policies of `concord-core` (the simulator takes the
+//! runtime's `PolicyKind` directly) on Bimodal(50:1, 50:100), and sweeps
+//! the JBSQ queue depth k to show why the paper picks k = 2.
 //!
 //! ```text
 //! cargo run --release --example policy_explorer
 //! ```
 
+use concord::core::PolicyKind;
 use concord::sim::experiments::{ideal_capacity_rps, Fidelity, PAPER_WORKERS};
-use concord::sim::{simulate, Policy, QueueDiscipline, SimParams, SystemConfig};
+use concord::sim::{simulate, QueueDiscipline, SimParams, SystemConfig};
 use concord::workloads::dist::Dist;
 use concord::workloads::mix::{self, ClassSpec, Mix};
 use concord::workloads::Workload;
@@ -30,7 +31,7 @@ fn main() {
     );
     let wl2 = mix::bimodal_50_1_50_100();
     let cap2 = ideal_capacity_rps(PAPER_WORKERS, wl2.mean_service_ns());
-    for policy in [Policy::Fcfs, Policy::Srpt] {
+    for policy in PolicyKind::ALL {
         let cfg = SystemConfig::concord(PAPER_WORKERS, 5_000).with_policy(policy);
         let r = simulate(
             &cfg,
@@ -39,7 +40,7 @@ fn main() {
         );
         println!(
             "{:<10} {:>10.2} {:>14.1} {:>14}",
-            format!("{policy:?}"),
+            policy.to_string(),
             r.median_slowdown(),
             r.p999_slowdown(),
             r.preemptions

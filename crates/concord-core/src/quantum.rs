@@ -418,7 +418,7 @@ mod tests {
         let (short_q, heavy_q) = *history.last().unwrap();
         // Distinct stable values: the short class's quantum covers its
         // service in one slice; the heavy class's is much longer.
-        assert!(short_q >= 1_000 && short_q <= 4_000, "short {short_q}");
+        assert!((1_000..=4_000).contains(&short_q), "short {short_q}");
         assert!(heavy_q >= 64_000, "heavy {heavy_q}");
         assert!(heavy_q >= 8 * short_q, "distinct: {short_q} vs {heavy_q}");
         // No flapping: the last 10 intervals hold the same values.
@@ -510,7 +510,7 @@ mod tests {
         }
         // p25 sits in the 1µs mode; upper bound covers it.
         let p25 = s.percentile_upper(25).unwrap();
-        assert!(p25 >= 1_000 && p25 <= 2_048, "{p25}");
+        assert!((1_000..=2_048).contains(&p25), "{p25}");
         // p99 reaches the heavy mode.
         let p99 = s.percentile_upper(99).unwrap();
         assert!(p99 >= 100_000, "{p99}");

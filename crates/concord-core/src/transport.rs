@@ -99,12 +99,14 @@ pub trait Egress: Send + 'static {
     fn send(&mut self, resp: Response) -> Result<(), Response>;
 
     /// Called exactly once when the dispatcher gives up on a response
-    /// after its bounded retry (the `tx_dropped` path). Transports that
-    /// keep per-connection books — `concord-server` counts every
-    /// admitted request as *owed* a response until one is enqueued —
-    /// settle them here, so a dropped response can never pin a
-    /// connection's resources forever. Must not block. Default: no-op
-    /// (the NIC-model rings have no books).
+    /// after its bounded retry, or at once when the fault injector
+    /// rejects it (the `tx_dropped` path). Transports that keep
+    /// per-request books settle them here, so a dropped response can
+    /// never pin a connection's resources forever: `concord-server`'s
+    /// event loop counts every request it admitted as *owed* until its
+    /// answer arrives, and this hook pushes the request id into that
+    /// loop's settle inbox instead. Must not block. Default: no-op (the
+    /// NIC-model rings have no books).
     fn on_drop(&mut self, resp: &Response) {
         let _ = resp;
     }

@@ -5,6 +5,9 @@ use concord_kv::{Db, DbOptions, Snapshot};
 use concord_testkit::prelude::*;
 use std::collections::BTreeMap;
 
+/// The reference the store is checked against: key bytes to value bytes.
+type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
 #[derive(Clone, Debug)]
 enum Op {
     Put(u16, u16),
@@ -47,7 +50,7 @@ proptest! {
             memtable_flush_bytes: 256, // flush often to exercise runs
             max_runs: 3,               // compact often too
         });
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut model = Model::new();
         for op in &ops {
             match op {
                 Op::Put(k, v) => {
@@ -87,7 +90,7 @@ proptest! {
             memtable_flush_bytes: 512,
             max_runs: 4,
         });
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut model = Model::new();
         for op in &ops {
             match op {
                 Op::Put(k, v) => {
@@ -126,8 +129,8 @@ proptest! {
             memtable_flush_bytes: 256,
             max_runs: 3,
         });
-        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
-        let mut snaps: Vec<(Snapshot<'_>, BTreeMap<Vec<u8>, Vec<u8>>)> = Vec::new();
+        let mut model = Model::new();
+        let mut snaps: Vec<(Snapshot<'_>, Model)> = Vec::new();
         for op in &ops {
             match op {
                 Op::Put(k, v) => {

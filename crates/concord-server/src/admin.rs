@@ -12,7 +12,7 @@
 //!
 //! - `GET /metrics` — Prometheus text exposition 0.0.4: per-shard
 //!   scheduler/admission counters, per-loop event-loop in-flight gauge
-//!   and sleep/wake-up counters, front-end connection counters, and the
+//!   and sleep counter, front-end connection counters, and the
 //!   latency/preemption/slowdown histograms with cumulative buckets,
 //!   plus per-class labeled series.
 //! - `GET /healthz` — liveness: `{"status":"ok"}` plus uptime.
@@ -31,7 +31,7 @@ use concord_obs::json::Json;
 use concord_obs::registry::{HistSample, MetricKind, MetricsRegistry, ScalarSample};
 use std::io;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,7 +41,6 @@ use std::time::Instant;
 pub(crate) struct AdminState {
     shared: Arc<FrontShared>,
     observer: ShardObserver,
-    orphaned: Arc<AtomicU64>,
     policy: String,
     started: Instant,
     registry: MetricsRegistry,
@@ -51,13 +50,11 @@ impl AdminState {
     pub(crate) fn new(
         shared: Arc<FrontShared>,
         observer: ShardObserver,
-        orphaned: Arc<AtomicU64>,
         policy: String,
     ) -> Arc<AdminState> {
         let state = AdminState {
             shared,
             observer,
-            orphaned,
             policy,
             started: Instant::now(),
             registry: MetricsRegistry::new(),
@@ -174,13 +171,6 @@ impl AdminState {
                 labels,
                 move || l.sleeps(),
             );
-            let l = ls.clone();
-            reg.counter(
-                "concord_io_wakeups_total",
-                "Eventfd writes that woke this event loop from such a sleep",
-                labels,
-                move || l.wakeups(),
-            );
         }
 
         let sh = self.shared.clone();
@@ -218,12 +208,12 @@ impl AdminState {
             &[],
             move || sh.retries_dropped.load(Ordering::Relaxed),
         );
-        let orphaned = self.orphaned.clone();
+        let sh = self.shared.clone();
         reg.counter(
             "concord_orphaned_responses_total",
-            "Responses whose connection was gone at emit time",
+            "Responses whose connection was gone when they reached its event loop",
             &[],
-            move || orphaned.load(Ordering::Relaxed),
+            move || sh.orphaned.load(Ordering::Relaxed),
         );
         let started = self.started;
         reg.gauge(

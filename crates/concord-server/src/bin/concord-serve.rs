@@ -238,8 +238,8 @@ fn print_report(report: &ServerReport, trace_path: Option<&std::path::Path>) {
         report.retries_dropped
     );
     println!(
-        "io loops: slept {}  woken by eventfd {}  in flight at exit {} (owed {})",
-        report.io.loop_sleeps, report.io.wakeups, report.io.in_flight, report.io.owed
+        "io loops: slept {}  in flight at exit {}",
+        report.io.loop_sleeps, report.io.in_flight
     );
     for (shard, adm) in report.admission_per_shard.iter().enumerate() {
         println!(

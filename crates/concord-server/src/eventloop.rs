@@ -3,100 +3,88 @@
 //!
 //! Each loop owns a [`Poller`], the listener (registered in every loop;
 //! the accept race is benign — losers see `WouldBlock`), an eventfd
-//! [`Waker`], and the state machines of the connections it accepted:
+//! [`Waker`] that only stop and drain write, and — the one-owner rule —
+//! everything about the connections it accepted: their sockets, their
+//! slots in its own [`ConnTable`] (loop `i` of `n` hands out the slots
+//! `s % n == i`), every connection's owed count and outbox, and its
+//! `in_flight` count, all plain fields no other thread touches.
 //!
 //! - **Reads** are level-triggered and batched: up to a few fills per
 //!   readiness event into the connection's compacting [`RecvBuf`], with
 //!   zero-copy frame decode straight out of the buffer; a fill that
 //!   leaves room in the buffer has drained the socket and ends the
-//!   batch. Each request is counted into the connection's owed book and
-//!   the loop's in-flight count, *then* offered to its shard's admission
-//!   gate: admitted, it stays counted until its response is settled;
-//!   rejected, it is answered RETRY on the spot and taken back.
-//! - **Writes** coalesce: the dispatcher's egress encodes each response
-//!   straight into the connection's outbox — one byte buffer — and
-//!   nudges the owning loop through [`ConnNotify`]; the loop swaps the
-//!   buffer for the one it has finished writing and hands it to the
-//!   socket in a single `write`, falling back to `EPOLLOUT` interest
-//!   only when the socket fills.
-//! - **Retirement** follows the shared books: a connection leaves when
-//!   the client has half-closed, nothing is owed, and its outbox has
-//!   flushed — then the slot recycles (generation bump). Protocol
-//!   errors and write failures abort the connection immediately, and
-//!   what it still owed is forfeited.
+//!   batch. Each request is offered to its shard's admission gate and
+//!   the outcome booked on the spot: admitted, it is owed an answer and
+//!   counted in flight; rejected, it is answered RETRY into the outbox.
+//! - **Answers** come back on one SPSC ring of responses per shard
+//!   dispatcher, the same mechanism as the in-process TX ring. The loop
+//!   pops them, encodes each straight into its connection's outbox,
+//!   settles the books, and writes every outbox it touched in the same
+//!   pass: one `write` per connection, `EPOLLOUT` interest only when the
+//!   socket fills.
+//! - **Retirement**: a connection leaves when the client has
+//!   half-closed, nothing is owed, and its outbox has flushed. Protocol
+//!   errors and write failures abort it at once; either way its slot
+//!   stays held until every answer still owed on it has arrived (and
+//!   orphaned), so a route id never outlives its slot's generation.
 //!
 //! A half-closed connection that still owes responses is *deregistered*
 //! from epoll entirely (level-triggered `EPOLLRDHUP` would re-report the
-//! half-close forever) and becomes purely notification-driven until its
-//! books settle.
+//! half-close forever) and is serviced when an answer or settle for it
+//! arrives.
+//!
+//! # Three one-way channels
+//!
+//! Everything that happens to a loop's requests on another thread
+//! reaches it through one of three channels, each with one writer side
+//! and the loop as its only reader:
+//!
+//! - the admission gate it feeds (requests out);
+//! - one response ring per (shard dispatcher, loop) pair (answers in):
+//!   [`ServerEgress::send`](crate::server::ServerEgress) pushes onto the
+//!   ring of the loop that owns the answer's slot;
+//! - the loop's settle inbox (request ids in), for the two rare settles
+//!   that happen elsewhere: a response the dispatcher gave up on
+//!   (`Egress::on_drop`), and a `DropOldest` eviction by whichever loop's
+//!   arrival pushed the request out of the gate. It is a mutex-guarded
+//!   `Vec` behind an atomic flag, so a pass with nothing in it takes no
+//!   lock.
 //!
 //! # Two modes, one fact
 //!
 //! A loop is in one of two modes, and which one is a function of its
-//! `in_flight` count alone — requests it has offered to a gate whose
-//! response is not yet settled, i.e. the sum of its connections' owed
-//! books. There is no spin budget, linger or poll interval to tune.
+//! `in_flight` count alone — requests it admitted that are not yet
+//! settled, i.e. the sum of its slots' owed counts. There is no spin
+//! budget, linger or poll interval to tune.
 //!
-//! - **`in_flight > 0`: poll.** Somebody is waiting on this loop and
-//!   the answer is microseconds away, so it never blocks:
-//!   `epoll_wait(0)`, service what is ready and what is dirty, and on an
-//!   empty pass take the same `yield_now` step the dispatcher and the
-//!   workers take. Notifiers find it running and pay no syscall.
+//! - **`in_flight > 0`: poll.** Somebody is waiting on this loop and the
+//!   answer is microseconds away, so it never blocks: `epoll_wait(0)`,
+//!   pop the rings and the inbox, service what is ready, and on an empty
+//!   pass take the same `yield_now` step the dispatcher and the workers
+//!   take.
 //! - **`in_flight == 0`: sleep.** Nobody is waiting; the loop blocks in
-//!   `epoll_wait` until a socket is ready or a notifier wakes it, and
-//!   uses no CPU meanwhile.
+//!   `epoll_wait` until a socket is ready, and uses no CPU meanwhile.
 //!
-//! Who writes what: `in_flight` is incremented only by the loop itself
-//! (so it can only leave zero on the loop's own thread — no wake-up is
-//! ever needed for *that*) and decremented, through
-//! [`ConnNotify::settled`], by whoever takes a unit out of an owed book:
-//! the dispatcher's egress (response enqueued, or dropped under
-//! backpressure), a loop shedding or evicting at the gate, the owning
-//! loop's teardown (forfeit). `owed` follows the same events per
-//! connection. `queued` (per connection: a notification is outstanding)
-//! is set by notifiers and cleared by the loop before it services the
-//! connection. `asleep` is set by the loop before it blocks and cleared
-//! by the loop when it is back, or by the one notifier that claims the
-//! wake-up.
-//!
-//! # The wake-up hand-shake
-//!
-//! A notifier pushes `(slot, gen)` onto the loop's dirty list, then
-//! `swap`s `asleep` to `false` and writes the eventfd only if it was
-//! `true`. The loop, before blocking, stores `asleep = true` and *then*
-//! looks at the dirty list once more, blocking only if it is empty; when
-//! it is back it stores `asleep = false` before it next drains the list.
-//!
-//! No notification is left behind a blocked loop. Both sides touch the
-//! list under its mutex, so the notifier's push and the loop's second
-//! look are ordered one way or the other. If the push comes first, the
-//! look sees the entry and the loop does not block. If the look comes
-//! first, then the loop's store of `true` (sequenced before its look)
-//! happens-before the notifier's swap (sequenced after its push), so the
-//! swap reads `true` — unless another notifier's swap got there first,
-//! in which case *that* one writes the eventfd — and the loop's
-//! `epoll_wait` returns. And because the swap leaves `false` behind, the
-//! notifiers that follow write nothing: a sleeping loop is woken once, a
-//! running loop never. (The only waste the protocol allows is a
-//! notifier claiming an announcement the loop then takes back on its
-//! second look: one eventfd write that ends no sleep.)
-//!
-//! Stop and drain are flags read once per pass, not dirty entries, so
-//! `Server::shutdown` writes the eventfd unconditionally instead.
+//! No wake-up is ever needed for an answer. Every ring item and inbox
+//! entry settles a request the loop still counts in `in_flight`, which
+//! only the loop itself moves, so nothing can arrive for a loop that is
+//! asleep. Stop and drain are flags read once per pass, and
+//! `Server::shutdown` writes the eventfd for them.
 
-use crate::conn::{ConnNotify, ConnWriter, Queued};
+use crate::conn::{owner, ConnTable, Outbox};
 use crate::server::{FrontShared, ShardRoute};
 use concord_core::admission::AdmitOutcome;
 use concord_net::poll::{Events, Interest, Poller, Waker};
-use concord_net::Request;
-use concord_wire::frame::{self as wire, Frame};
+use concord_net::ring::Consumer;
+use concord_net::{Request, Response};
+use concord_wire::frame::{self as wire, Frame, Status};
 use concord_wire::route::{route_id, split_route_id};
 use concord_wire::RecvBuf;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -119,92 +107,68 @@ fn conn_token(slot: u16, gen: u8) -> u64 {
     u64::from(slot) | (u64::from(gen) << 16)
 }
 
-/// Per-loop state reachable from other threads: the dirty-connection
-/// list, the in-flight count that picks the loop's mode, and the
-/// `asleep` flag and waker that pull it out of a blocking `epoll_wait`.
-/// This is what a [`ConnWriter`] nudges when the dispatcher enqueues a
-/// response. See the module docs for the protocol.
+/// Per-loop state other threads can reach: the settle inbox, the
+/// eventfd stop and drain write, and what the loop publishes for
+/// observers once per pass.
 pub(crate) struct LoopShared {
-    dirty: Mutex<Vec<(u16, u8)>>,
     waker: Waker,
-    /// Requests this loop offered to an admission gate whose response is
-    /// not yet settled: the sum of its connections' `owed` books.
-    /// Incremented only by the loop itself (next to
-    /// [`ConnWriter::note_owed`]); decremented through
-    /// [`ConnNotify::settled`] by whoever settles or forfeits.
+    /// Ids of this loop's requests settled on another thread.
+    inbox: Mutex<Vec<u64>>,
+    /// `inbox` is non-empty. Set and cleared under its lock, read by the
+    /// loop every pass without it: a stale `false` only puts the take
+    /// off to a later pass, and the loop keeps polling until then,
+    /// because the settled request is still counted in flight.
+    inbox_pending: AtomicBool,
     in_flight: AtomicU64,
-    /// `true` from the loop's announcement that it is about to block
-    /// until it is back — or until a notifier claims the wake-up by
-    /// swapping it to `false`, which is what makes the eventfd write
-    /// happen once per sleep, not once per notification.
-    asleep: AtomicBool,
+    live: AtomicUsize,
     sleeps: AtomicU64,
-    wakeups: AtomicU64,
 }
 
 impl LoopShared {
     pub(crate) fn new() -> std::io::Result<Arc<LoopShared>> {
         Ok(Arc::new(LoopShared {
-            dirty: Mutex::new(Vec::new()),
             waker: Waker::new()?,
+            inbox: Mutex::new(Vec::new()),
+            inbox_pending: AtomicBool::new(false),
             in_flight: AtomicU64::new(0),
-            asleep: AtomicBool::new(false),
+            live: AtomicUsize::new(0),
             sleeps: AtomicU64::new(0),
-            wakeups: AtomicU64::new(0),
         }))
     }
 
-    /// Requests in flight through this loop right now.
+    /// Another thread settles request `id`, which this loop admitted:
+    /// no answer will come for it. The loop still counts it in flight,
+    /// so it is polling and needs no wake-up.
+    pub(crate) fn settle(&self, id: u64) {
+        let mut ids = self.inbox.lock().expect("inbox lock");
+        ids.push(id);
+        self.inbox_pending.store(true, Ordering::Release);
+    }
+
+    /// Loop side: swaps the inbox into `into` (which is empty), taking
+    /// the lock only when something is there.
+    fn take_settled(&self, into: &mut Vec<u64>) {
+        if !self.inbox_pending.load(Ordering::Acquire) {
+            return;
+        }
+        let mut ids = self.inbox.lock().expect("inbox lock");
+        std::mem::swap(&mut *ids, into);
+        self.inbox_pending.store(false, Ordering::Relaxed);
+    }
+
+    /// Requests in flight through this loop as of its last pass.
     pub(crate) fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Acquire)
+        self.in_flight.load(Ordering::Relaxed)
+    }
+
+    /// Slots the loop held as of its last pass.
+    pub(crate) fn live(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
     }
 
     /// Times the loop has blocked in `epoll_wait`.
     pub(crate) fn sleeps(&self) -> u64 {
         self.sleeps.load(Ordering::Relaxed)
-    }
-
-    /// Eventfd writes notifiers have paid to end one of those sleeps.
-    pub(crate) fn wakeups(&self) -> u64 {
-        self.wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Loop side, with nothing in flight: announces the sleep, then
-    /// looks at the dirty list once more (the order the module docs'
-    /// safety argument rests on). `true` means nothing is pending and
-    /// the caller may block; it must call [`LoopShared::awake`] when it
-    /// is back, *before* it next drains the dirty list.
-    fn may_sleep(&self) -> bool {
-        self.asleep.store(true, Ordering::SeqCst);
-        if self.dirty.lock().expect("dirty lock").is_empty() {
-            self.sleeps.fetch_add(1, Ordering::Relaxed);
-            true
-        } else {
-            self.awake();
-            false
-        }
-    }
-
-    /// Loop side: back from (or not going to) sleep. Notifiers stop
-    /// writing the eventfd from here on.
-    fn awake(&self) {
-        self.asleep.store(false, Ordering::SeqCst);
-    }
-}
-
-impl ConnNotify for LoopShared {
-    fn notify(&self, slot: u16, gen: u8) {
-        self.dirty.lock().expect("dirty lock").push((slot, gen));
-        // A running loop drains the list on its next pass and is never
-        // written to; a sleeping one is woken by whoever gets here first.
-        if self.asleep.swap(false, Ordering::SeqCst) {
-            self.wakeups.fetch_add(1, Ordering::Relaxed);
-            self.waker.wake();
-        }
-    }
-
-    fn settled(&self, n: u64) {
-        self.in_flight.fetch_sub(n, Ordering::AcqRel);
     }
 }
 
@@ -216,24 +180,27 @@ pub(crate) struct LoopsFront {
 
 impl LoopsFront {
     /// Starts one event loop per entry of `shared.loops`, each with the
-    /// listener registered.
+    /// listener registered and `rings[i]` — its response ring from each
+    /// shard — to drain.
     pub(crate) fn start(
         listener: TcpListener,
         shared: Arc<FrontShared>,
+        rings: Vec<Vec<Consumer<Response>>>,
     ) -> std::io::Result<LoopsFront> {
         let listener = Arc::new(listener);
         let mut handles = Vec::new();
-        for (i, ls) in shared.loops.iter().enumerate() {
+        for ((i, ls), rings) in shared.loops.iter().enumerate().zip(rings) {
             let poller = Poller::new()?;
             poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
             poller.add(ls.waker.fd(), TOKEN_WAKER, Interest::READ)?;
+            let table = ConnTable::new(i, shared.loops.len(), shared.outbox_cap);
             let lp = EventLoop {
                 poller,
                 listener: listener.clone(),
                 shared: shared.clone(),
                 loop_shared: ls.clone(),
                 conns: HashMap::new(),
-                dirty: Vec::new(),
+                books: Books::new(table, rings),
                 listener_registered: true,
                 park_until: None,
                 stopping: false,
@@ -248,9 +215,9 @@ impl LoopsFront {
         Ok(LoopsFront { shared, handles })
     }
 
-    /// Stop and drain are flags the loops read once per pass, not dirty
-    /// entries, so the `asleep` hand-shake does not cover them: write
-    /// the eventfd unconditionally (it stays readable until drained).
+    /// Stop and drain are flags the loops read once per pass: write the
+    /// eventfd so a sleeping loop gets to read them (it stays readable
+    /// until drained).
     fn wake_all(&self) {
         for ls in &self.shared.loops {
             ls.waker.wake();
@@ -264,9 +231,9 @@ impl LoopsFront {
         self.wake_all();
     }
 
-    /// Joins the loops. Called after the drain flag is set and the
-    /// connection table closed; loops exit once every connection has
-    /// retired (or the drain grace period force-closes stragglers).
+    /// Joins the loops. Called after the drain flag is set; loops exit
+    /// once every connection has retired and every answer has arrived
+    /// (or the drain grace period force-closes stragglers).
     pub(crate) fn finish(&mut self) {
         self.wake_all();
         for h in self.handles.drain(..) {
@@ -275,21 +242,122 @@ impl LoopsFront {
     }
 }
 
-/// One connection's event-loop state machine.
+/// One loop's books, kept on its own thread: the slot table (every owed
+/// count, every outbox, `in_flight`) and the receiving ends of the
+/// channels that settle its requests. No sockets: the unit tests drive
+/// it by hand.
+struct Books {
+    table: ConnTable,
+    /// One response ring per shard, indexed by shard.
+    rings: Vec<Consumer<Response>>,
+    /// Scratch the settle inbox is swapped into.
+    settled: Vec<u64>,
+    /// Connections an answer or settle reached since they were last
+    /// serviced: the loop flushes them, and retires the finished ones,
+    /// before the pass ends.
+    touched: Vec<u16>,
+}
+
+impl Books {
+    fn new(table: ConnTable, rings: Vec<Consumer<Response>>) -> Self {
+        Self {
+            table,
+            rings,
+            settled: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Offers one decoded request from a live connection to its shard's
+    /// gate and books the outcome: admitted, the request is owed an
+    /// answer; shed with RETRY, it is answered on the spot, and a RETRY
+    /// that finds the outbox full is counted so the rejection stays
+    /// conserved; evicting an older request, that one is settled by the
+    /// loop that admitted it.
+    fn admit(&mut self, shared: &FrontShared, route: ShardRoute, req: Request) {
+        let (slot, gen, cid) = split_route_id(req.id);
+        let (class, service_ns) = (req.class, req.service_ns);
+        match shared.admissions[route.pick(&shared.admissions)].offer(req) {
+            AdmitOutcome::Admitted => self.table.owe(slot),
+            AdmitOutcome::DroppedOldest(old) => {
+                self.table.owe(slot);
+                let (victim, _, _) = split_route_id(old.id);
+                shared.loops[owner(victim, shared.loops.len())].settle(old.id);
+            }
+            AdmitOutcome::Rejected | AdmitOutcome::SloShed => {
+                let queued = self
+                    .table
+                    .outbox(slot, gen)
+                    .is_some_and(|out| out.push(|b| wire::encode_retry(b, cid, class, service_ns)));
+                if !queued {
+                    shared.retries_dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            AdmitOutcome::DroppedNewest => {}
+        }
+    }
+
+    /// Takes in what the other threads settled since the last pass:
+    /// every shard's answers, then the settle inbox. An answer is
+    /// encoded into its connection's outbox — after `flush` has given a
+    /// full one's socket the chance to take what waits — or dropped
+    /// into its shard's `tx_dropped` if the outbox stays full, or
+    /// counted orphaned if the connection is gone; each settles its
+    /// request. Returns whether anything arrived.
+    fn drain(
+        &mut self,
+        shared: &FrontShared,
+        ls: &LoopShared,
+        mut flush: impl FnMut(u16, &mut Outbox),
+    ) -> bool {
+        let mut arrived = false;
+        for (shard, ring) in self.rings.iter_mut().enumerate() {
+            while let Some(resp) = ring.pop() {
+                arrived = true;
+                let (slot, gen, cid) = split_route_id(resp.id);
+                match self.table.outbox(slot, gen) {
+                    Some(out) => {
+                        if out.is_full() {
+                            flush(slot, out);
+                        }
+                        if !out.push(|b| wire::encode_response(b, cid, &resp, Status::Ok)) {
+                            shared.stats[shard]
+                                .tx_dropped
+                                .fetch_add(1, Ordering::Relaxed);
+                        } else if out.frames() == 1 {
+                            self.touched.push(slot);
+                        }
+                    }
+                    // The connection is gone: counted, never delivered.
+                    None => {
+                        shared.orphaned.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                self.table.settle(slot, gen);
+            }
+        }
+        ls.take_settled(&mut self.settled);
+        for id in self.settled.drain(..) {
+            arrived = true;
+            let (slot, gen, _) = split_route_id(id);
+            self.table.settle(slot, gen);
+            self.touched.push(slot);
+        }
+        arrived
+    }
+}
+
+/// One connection's socket-side state machine. Its books live in the
+/// loop's [`ConnTable`] under its slot.
 struct Conn {
     stream: TcpStream,
     gen: u8,
     route: ShardRoute,
-    writer: Arc<ConnWriter>,
     rbuf: RecvBuf,
-    /// Bytes swapped out of the outbox: `wbuf[woff..]` is still to be
-    /// written. Handed back to the outbox, emptied, at the next swap.
-    wbuf: Vec<u8>,
-    woff: usize,
     /// The socket refused bytes; `EPOLLOUT` interest is armed.
     want_write: bool,
     /// Current epoll registration (`None` = deregistered; the
-    /// connection is purely notification-driven).
+    /// connection is serviced when an answer or settle reaches it).
     interest: Option<Interest>,
     /// The client half-closed (or the server stopped reading).
     read_eof: bool,
@@ -299,61 +367,17 @@ struct Conn {
 enum Verdict {
     /// Still serving.
     Keep,
-    /// Nothing more will ever be sent: retire and recycle the slot.
+    /// Nothing more will ever be sent: tear down.
     Retire,
-    /// Protocol error, write failure or lost registration: abort.
+    /// Write failure or lost registration: abort.
     Abort,
-}
-
-/// Offers one decoded request to its shard's admission gate and keeps
-/// the books around the offer: the request is counted as owed (and in
-/// flight) *before* the gate sees it, and taken back if the gate sheds
-/// it. A shed-with-RETRY is answered on the spot; a RETRY that finds the
-/// outbox full is counted so the rejection stays conserved.
-fn admit(
-    shared: &FrontShared,
-    ls: &LoopShared,
-    writer: &ConnWriter,
-    route: ShardRoute,
-    req: Request,
-) {
-    writer.note_owed();
-    ls.in_flight.fetch_add(1, Ordering::AcqRel);
-    let (id, class, service_ns) = (req.id, req.class, req.service_ns);
-    let shard = route.pick(&shared.admissions);
-    match shared.admissions[shard].offer(req) {
-        AdmitOutcome::Admitted => {}
-        AdmitOutcome::Rejected | AdmitOutcome::SloShed => {
-            let (_, _, cid) = split_route_id(id);
-            match writer.respond(|out| wire::encode_retry(out, cid, class, service_ns)) {
-                Queued::Yes => {}
-                Queued::Closed => {
-                    shared.retries_dropped.fetch_add(1, Ordering::Relaxed);
-                }
-                Queued::Full => {
-                    shared.retries_dropped.fetch_add(1, Ordering::Relaxed);
-                    writer.settle_owed();
-                }
-            }
-        }
-        AdmitOutcome::DroppedNewest => writer.settle_owed(),
-        AdmitOutcome::DroppedOldest(old) => {
-            // Admitted by evicting an older queued request: settle the
-            // evicted connection's books (it may live on another loop,
-            // whose in-flight count its writer's binding relieves).
-            let (vslot, vgen, _) = split_route_id(old.id);
-            if let Some(victim) = shared.conns.lookup(vslot, vgen) {
-                victim.settle_owed();
-            }
-        }
-    }
 }
 
 impl Conn {
     /// Reads and decodes as much as fairness allows, offering each
     /// request to its gate. Returns `true` on a protocol error (caller
     /// aborts the connection).
-    fn read(&mut self, slot: u16, shared: &FrontShared, ls: &LoopShared) -> bool {
+    fn read(&mut self, slot: u16, books: &mut Books, shared: &FrontShared) -> bool {
         let mut fills = 0;
         while fills < FILLS_PER_EVENT && !self.read_eof {
             match self.rbuf.fill(&mut self.stream) {
@@ -374,8 +398,7 @@ impl Conn {
                         match wire::decode(&self.rbuf.data()[at..]) {
                             Ok(Some((Frame::Request(rf), consumed))) => {
                                 let id = route_id(slot, self.gen, rf.id);
-                                let req = rf.into_request(id, arrived);
-                                admit(shared, ls, &self.writer, self.route, req);
+                                books.admit(shared, self.route, rf.into_request(id, arrived));
                                 at += consumed;
                             }
                             Ok(Some((Frame::Response(_), _))) | Err(_) => {
@@ -414,33 +437,17 @@ impl Conn {
     fn reader_done(&mut self, shared: &FrontShared) {
         if !self.read_eof {
             self.read_eof = true;
-            self.writer.reader_done();
             shared.active_conns.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    /// Whether everything swapped out of the outbox is on the wire.
-    fn flushed(&self) -> bool {
-        self.woff == self.wbuf.len()
-    }
-
-    /// Writes the outbox to the socket: whatever the egress has encoded
-    /// since the last swap goes out in one `write`. `false` on a write
-    /// error (the connection is dead).
-    fn flush(&mut self) -> bool {
-        loop {
-            if self.flushed() {
-                self.wbuf.clear();
-                self.woff = 0;
-                self.writer.take_outbox(&mut self.wbuf);
-                if self.wbuf.is_empty() {
-                    self.want_write = false;
-                    return true;
-                }
-            }
-            match self.stream.write(&self.wbuf[self.woff..]) {
+    /// Writes the outbox to the socket until it is empty or the socket
+    /// is full. `false` on a write error (the connection is dead).
+    fn flush(&mut self, out: &mut Outbox) -> bool {
+        while !out.unsent().is_empty() {
+            match self.stream.write(out.unsent()) {
                 Ok(0) => return false,
-                Ok(n) => self.woff += n,
+                Ok(n) => out.advance(n),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     // The socket is full; `sync_interest` arms `EPOLLOUT`.
                     self.want_write = true;
@@ -450,26 +457,14 @@ impl Conn {
                 Err(_) => return false,
             }
         }
-    }
-
-    /// Flush, retire if the books allow (see [`ConnWriter::retired`]),
-    /// and reconcile epoll interest.
-    fn service(&mut self, slot: u16, poller: &Poller, stopping: bool) -> Verdict {
-        if !self.flush() {
-            Verdict::Abort
-        } else if self.flushed() && self.writer.retired() {
-            Verdict::Retire
-        } else if self.sync_interest(slot, poller, stopping) {
-            Verdict::Keep
-        } else {
-            Verdict::Abort
-        }
+        self.want_write = false;
+        true
     }
 
     /// Reconciles the epoll registration with what the connection
     /// actually waits on. A half-closed connection with nothing queued
-    /// deregisters entirely and is revived by dirty notifications.
-    /// `false` when the registration could not be changed.
+    /// deregisters entirely. `false` when the registration could not be
+    /// changed.
     fn sync_interest(&mut self, slot: u16, poller: &Poller, stopping: bool) -> bool {
         let want_read = !self.read_eof && !stopping;
         let want = match (want_read, self.want_write) {
@@ -505,8 +500,7 @@ struct EventLoop {
     shared: Arc<FrontShared>,
     loop_shared: Arc<LoopShared>,
     conns: HashMap<u16, Conn>,
-    /// Scratch the shared dirty list is swapped into, one lock per pass.
-    dirty: Vec<(u16, u8)>,
+    books: Books,
     listener_registered: bool,
     park_until: Option<Instant>,
     stopping: bool,
@@ -530,13 +524,16 @@ impl EventLoop {
                     }
                 }
             }
-            let nudged = self.service_dirty();
+            let arrived = self.take_answers();
             self.check_park();
             self.check_drain();
-            if self.stopping && self.conns.is_empty() {
+            self.publish();
+            let drained = self.books.table.in_flight() == 0
+                || self.drain_deadline.is_some_and(|d| Instant::now() >= d);
+            if self.stopping && self.conns.is_empty() && drained {
                 return;
             }
-            if ready == 0 && !nudged {
+            if ready == 0 && !arrived {
                 // An empty pass: the same step the dispatcher and the
                 // workers take when they find nothing to do.
                 std::thread::yield_now();
@@ -545,16 +542,13 @@ impl EventLoop {
     }
 
     /// One `epoll_wait`, in the mode the in-flight count picks. With
-    /// requests in flight it is a poll: their responses are at most a
-    /// few microseconds away, and a blocked loop would cost the
-    /// dispatcher an eventfd write per batch and this thread a sleep
-    /// and a wake-up. With none in flight nobody is waiting on this
-    /// loop, so it blocks — until a socket is ready, a notifier claims
-    /// the wake-up, or a stop/park tick is due. Returns the number of
+    /// requests in flight it is a poll: their answers are at most a few
+    /// microseconds away, on rings only a running loop reads. With none
+    /// in flight nobody is waiting on this loop, so it blocks — until a
+    /// socket is ready or a stop/park tick is due. Returns the number of
     /// events delivered.
     fn wait(&self, events: &mut Events) -> usize {
-        let ls = &self.loop_shared;
-        if ls.in_flight() > 0 || !ls.may_sleep() {
+        if self.books.table.in_flight() > 0 {
             return self.poller.wait(events, 0).unwrap_or(0);
         }
         let timeout_ms = if self.stopping {
@@ -564,9 +558,39 @@ impl EventLoop {
         } else {
             -1
         };
-        let ready = self.poller.wait(events, timeout_ms).unwrap_or(0);
-        ls.awake();
-        ready
+        self.loop_shared.sleeps.fetch_add(1, Ordering::Relaxed);
+        self.poller.wait(events, timeout_ms).unwrap_or(0)
+    }
+
+    /// Takes in the pass's answers and settles, then services every
+    /// connection they reached: flushed in the same pass, retired if
+    /// done. Returns whether anything arrived.
+    fn take_answers(&mut self) -> bool {
+        let conns = &mut self.conns;
+        let arrived = self
+            .books
+            .drain(&self.shared, &self.loop_shared, |slot, out| {
+                if let Some(conn) = conns.get_mut(&slot) {
+                    // A failed write leaves the outbox full; the service
+                    // below meets the same error and aborts.
+                    conn.flush(out);
+                }
+            });
+        let mut touched = std::mem::take(&mut self.books.touched);
+        for slot in touched.drain(..) {
+            self.service(slot);
+        }
+        self.books.touched = touched;
+        arrived
+    }
+
+    /// Publishes what observers read: `Server::io_stats`, `live_slots`
+    /// and the admin plane. Plain stores to lines only this loop writes.
+    fn publish(&self) {
+        let ls = &self.loop_shared;
+        ls.in_flight
+            .store(self.books.table.in_flight(), Ordering::Relaxed);
+        ls.live.store(self.books.table.live(), Ordering::Relaxed);
     }
 
     /// First observation of the stop flag: stop accepting, stop
@@ -587,7 +611,7 @@ impl EventLoop {
             if let Some(conn) = self.conns.get_mut(&slot) {
                 conn.reader_done(&self.shared);
             }
-            self.service_books(slot);
+            self.service(slot);
         }
     }
 
@@ -654,28 +678,22 @@ impl EventLoop {
                         drop(stream);
                         continue;
                     }
-                    let writer = ConnWriter::new(self.shared.outbox_cap);
-                    let Some((slot, gen)) = self.shared.conns.register(writer.clone()) else {
+                    let Some((slot, gen)) = self.books.table.register() else {
                         self.shared.refused.fetch_add(1, Ordering::Relaxed);
                         drop(stream);
                         continue;
                     };
-                    if stream.set_nonblocking(true).is_err() {
-                        self.shared.conns.release(slot, gen);
+                    if stream.set_nonblocking(true).is_err()
+                        || self
+                            .poller
+                            .add(stream.as_raw_fd(), conn_token(slot, gen), Interest::READ)
+                            .is_err()
+                    {
+                        self.books.table.close(slot, gen);
                         self.shared.refused.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    if self
-                        .poller
-                        .add(stream.as_raw_fd(), conn_token(slot, gen), Interest::READ)
-                        .is_err()
-                    {
-                        self.shared.conns.release(slot, gen);
-                        self.shared.refused.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    writer.bind_notifier(self.loop_shared.clone(), slot, gen);
                     let route = ShardRoute::new(
                         slot,
                         gen,
@@ -688,10 +706,7 @@ impl EventLoop {
                             stream,
                             gen,
                             route,
-                            writer,
                             rbuf: RecvBuf::new(),
-                            wbuf: Vec::new(),
-                            woff: 0,
                             want_write: false,
                             interest: Some(Interest::READ),
                             read_eof: false,
@@ -720,55 +735,37 @@ impl EventLoop {
         if conn.gen != gen {
             return;
         }
-        let verdict = if hangup {
-            // Hard hangup (both directions dead): nothing more can be
-            // delivered; a flush would only fail.
-            Verdict::Abort
-        } else if readable && !conn.read_eof && conn.read(slot, &self.shared, &self.loop_shared) {
-            // Malformed frame: the stream is unsynchronized beyond it.
-            Verdict::Abort
+        // A hard hangup (both directions dead) can deliver nothing more;
+        // a malformed frame leaves the stream unsynchronized beyond it.
+        if hangup || (readable && !conn.read_eof && conn.read(slot, &mut self.books, &self.shared))
+        {
+            self.teardown(slot, true);
         } else {
-            conn.service(slot, &self.poller, self.stopping)
+            self.service(slot);
+        }
+    }
+
+    /// Flush, retire if the client is done and nothing is owed, and
+    /// reconcile epoll interest.
+    fn service(&mut self, slot: u16) {
+        let Some(conn) = self.conns.get_mut(&slot) else {
+            return;
         };
-        self.apply(slot, verdict);
-    }
-
-    /// Services every connection nudged since the last pass: each entry
-    /// is one coalesced notification from an enqueue/settle/close on
-    /// that connection. Returns whether there was any.
-    fn service_dirty(&mut self) -> bool {
-        let mut dirty = std::mem::take(&mut self.dirty);
-        std::mem::swap(
-            &mut *self.loop_shared.dirty.lock().expect("dirty lock"),
-            &mut dirty,
-        );
-        let nudged = !dirty.is_empty();
-        for (slot, gen) in dirty.drain(..) {
-            let Some(conn) = self.conns.get_mut(&slot) else {
-                continue;
-            };
-            if conn.gen != gen {
-                continue;
-            }
-            // Re-arm the coalescing flag *before* servicing: an enqueue
-            // racing the flush below re-queues the connection.
-            conn.writer.clear_queued();
-            let verdict = conn.service(slot, &self.poller, self.stopping);
-            self.apply(slot, verdict);
-        }
-        self.dirty = dirty;
-        nudged
-    }
-
-    /// Flush, retire if the books allow, and reconcile epoll interest.
-    fn service_books(&mut self, slot: u16) {
-        if let Some(conn) = self.conns.get_mut(&slot) {
-            let verdict = conn.service(slot, &self.poller, self.stopping);
-            self.apply(slot, verdict);
-        }
-    }
-
-    fn apply(&mut self, slot: u16, verdict: Verdict) {
+        let owed = self.books.table.owed(slot);
+        let out = self
+            .books
+            .table
+            .outbox(slot, conn.gen)
+            .expect("a live connection has an outbox");
+        let verdict = if !conn.flush(out) {
+            Verdict::Abort
+        } else if conn.read_eof && owed == 0 && out.is_empty() {
+            Verdict::Retire
+        } else if conn.sync_interest(slot, &self.poller, self.stopping) {
+            Verdict::Keep
+        } else {
+            Verdict::Abort
+        };
         match verdict {
             Verdict::Keep => {}
             Verdict::Retire => self.teardown(slot, false),
@@ -776,15 +773,11 @@ impl EventLoop {
         }
     }
 
-    /// Removes the connection and recycles its slot. A clean retirement
-    /// (`abort == false`) has nothing queued and nothing owed unless the
-    /// server is shutting down. An abort — protocol error, write
+    /// Removes the connection. A clean retirement (`abort == false`) has
+    /// nothing queued and nothing owed. An abort — protocol error, write
     /// failure, hard hangup, drain deadline — discards queued frames.
-    /// Either way responses still in flight orphan at the egress, and
-    /// [`ConnTable::release`](crate::conn::ConnTable::release) closes
-    /// the writer and forfeits what it still owes: left in the loop's
-    /// in-flight count it would keep the loop polling for responses
-    /// that will never be written.
+    /// Either way the slot stays held until every answer still owed on
+    /// it has arrived, and those answers orphan.
     fn teardown(&mut self, slot: u16, abort: bool) {
         let Some(conn) = self.conns.remove(&slot) else {
             return;
@@ -796,314 +789,229 @@ impl EventLoop {
             if !conn.read_eof {
                 self.shared.active_conns.fetch_sub(1, Ordering::Relaxed);
             }
-            conn.writer.clear_outbox();
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
-        self.shared.conns.release(slot, conn.gen);
+        self.books.table.close(slot, conn.gen);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{RouterPolicy, ServerEgress};
+    use crate::server::{response_rings, RouterPolicy, ServerEgress};
     use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
     use concord_core::transport::Egress;
-    use concord_net::Response;
 
-    /// A front end nobody runs: the books are driven by hand, one real
-    /// call at a time, and read back exactly.
+    /// A front end nobody runs, with its dispatchers' egress: every
+    /// loop's books are driven by hand on this thread, one real call at
+    /// a time, and read back exactly. Nothing is ever written to a
+    /// socket, so an outbox empties only when the test says so.
     struct Rig {
         shared: FrontShared,
-        /// `(loop, writer)` of every connection made, live or not.
-        conns: Vec<(usize, Arc<ConnWriter>)>,
+        /// Indexed by shard.
+        egress: Vec<ServerEgress>,
+        /// Indexed by loop.
+        books: Vec<Books>,
     }
 
-    struct TestConn {
-        on_loop: usize,
-        slot: u16,
-        gen: u8,
-        writer: Arc<ConnWriter>,
+    fn gate(capacity: usize, policy: AdmissionPolicy) -> AdmissionConfig {
+        AdmissionConfig { capacity, policy }
     }
 
     impl Rig {
-        fn new(loops: usize, capacity: usize, policy: AdmissionPolicy) -> Rig {
+        /// `loops` loops in front of one gate per entry of `gates`,
+        /// every outbox bounded at `outbox_cap` frames.
+        fn new(loops: usize, gates: &[AdmissionConfig], outbox_cap: usize) -> Rig {
+            let shared = FrontShared::for_test(loops, gates);
+            let (egress, rings) = response_rings(gates.len(), &shared.loops);
+            let books = rings
+                .into_iter()
+                .enumerate()
+                .map(|(i, r)| Books::new(ConnTable::new(i, loops, outbox_cap), r))
+                .collect();
             Rig {
-                shared: FrontShared::for_test(loops, AdmissionConfig { capacity, policy }),
-                conns: Vec::new(),
+                shared,
+                egress,
+                books,
             }
         }
 
-        /// What `accept_burst` does to the books: register, bind.
-        fn connect(&mut self, on_loop: usize, outbox_cap: usize) -> TestConn {
-            let writer = ConnWriter::new(outbox_cap);
-            let (slot, gen) = self.shared.conns.register(writer.clone()).expect("slot");
-            writer.bind_notifier(self.shared.loops[on_loop].clone(), slot, gen);
-            self.conns.push((on_loop, writer.clone()));
-            TestConn {
-                on_loop,
-                slot,
-                gen,
-                writer,
-            }
+        /// What `accept_burst` does to the books.
+        fn connect(&mut self, on_loop: usize) -> (u16, u8) {
+            self.books[on_loop].table.register().expect("slot")
         }
 
-        /// What `Conn::read` does with one decoded request.
-        fn request(&self, c: &TestConn, cid: u64) {
+        /// What `Conn::read` does with one decoded request, sent to the
+        /// gate of `shard`.
+        fn request(&mut self, (slot, gen): (u16, u8), shard: usize, cid: u64) {
             let req = Request {
-                id: route_id(c.slot, c.gen, cid),
+                id: route_id(slot, gen, cid),
                 class: 0,
                 service_ns: 1_000,
                 sent_at: Instant::now(),
             };
-            let route = ShardRoute::new(c.slot, c.gen, 1, RouterPolicy::HashP2c);
-            admit(
-                &self.shared,
-                &self.shared.loops[c.on_loop],
-                &c.writer,
-                route,
-                req,
-            );
+            let route = ShardRoute::new(slot, gen, 1, RouterPolicy::Pin(shard));
+            let on_loop = owner(slot, self.books.len());
+            self.books[on_loop].admit(&self.shared, route, req);
         }
 
-        /// What `EventLoop::teardown` does to the books.
-        fn teardown(&self, c: &TestConn) {
-            self.shared.conns.release(c.slot, c.gen);
-        }
-
-        fn egress(&self) -> ServerEgress {
-            ServerEgress::new(self.shared.conns.clone(), Arc::new(AtomicU64::new(0)))
-        }
-
-        /// The dispatcher and the runtime in one line: everything the
-        /// gate admitted is answered.
-        fn serve_all(&self, egress: &mut ServerEgress) -> u64 {
+        /// The dispatcher of `shard` answers everything its gate
+        /// admitted.
+        fn serve(&mut self, shard: usize) -> u64 {
             let mut served = 0;
-            while let Some(req) = self.shared.admissions[0].pop() {
-                egress.send(Response::completed(&req)).expect("room");
+            while let Some(req) = self.shared.admissions[shard].pop() {
+                self.egress[shard]
+                    .send(Response::completed(&req))
+                    .expect("ring room");
                 served += 1;
             }
             served
         }
 
-        /// Per loop, `(in_flight, Σ owed over its connections)`.
-        fn ledger(&self) -> Vec<(u64, u64)> {
-            (0..self.shared.loops.len())
-                .map(|l| {
-                    let owed = self.conns.iter().filter(|(on, _)| *on == l);
-                    (
-                        self.shared.loops[l].in_flight(),
-                        owed.map(|(_, w)| w.owed()).sum(),
-                    )
-                })
-                .collect()
+        /// One pass of loop `l` taking in what was settled elsewhere.
+        fn drain(&mut self, l: usize) {
+            let books = &mut self.books[l];
+            books.drain(&self.shared, &self.shared.loops[l], |_, _| {});
+            books.touched.clear();
+        }
+
+        /// Writes `(slot, gen)`'s outbox out whole; the client ids and
+        /// statuses of the frames it held.
+        fn flush(&mut self, (slot, gen): (u16, u8)) -> Vec<(u64, Status)> {
+            let l = owner(slot, self.books.len());
+            let out = self.books[l].table.outbox(slot, gen).expect("live");
+            let (mut frames, mut at) = (Vec::new(), 0);
+            while let Ok(Some((Frame::Response(rf), used))) = wire::decode(&out.unsent()[at..]) {
+                frames.push((rf.id, rf.status));
+                at += used;
+            }
+            assert_eq!(at, out.unsent().len(), "whole frames only");
+            out.advance(at);
+            frames
+        }
+
+        /// Loop `l`'s `(in_flight, Σ owed)` over live and torn-down
+        /// connections alike.
+        fn ledger(&self, l: usize) -> (u64, u64) {
+            let t = &self.books[l].table;
+            (t.in_flight(), t.owed_total())
+        }
+
+        /// `(retries_dropped, tx_dropped on shard 0, orphaned)`.
+        fn counters(&self) -> (u64, u64, u64) {
+            let s = &self.shared;
+            (
+                s.retries_dropped.load(Ordering::Relaxed),
+                s.stats[0].tx_dropped.load(Ordering::Relaxed),
+                s.orphaned.load(Ordering::Relaxed),
+            )
         }
     }
 
+    /// Every way a request can leave loop 0's books, one step at a time,
+    /// with `in_flight == Σ owed` and the drop counters checked after
+    /// each.
     #[test]
-    fn ledger_balances_through_completion_retry_and_backpressure() {
-        // A 2-deep reject gate in front of a 1-frame outbox.
-        let mut rig = Rig::new(1, 2, AdmissionPolicy::RejectNewest);
-        let mut egress = rig.egress();
-        let c = rig.connect(0, 1);
+    fn the_ledger_balances_after_every_step() {
+        // Gate 0 rejects past two, gate 1 evicts its oldest past one;
+        // every outbox holds one frame.
+        let gates = [
+            gate(2, AdmissionPolicy::RejectNewest),
+            gate(1, AdmissionPolicy::DropOldest),
+        ];
+        let mut rig = Rig::new(2, &gates, 1);
+        let a = rig.connect(0);
 
-        // Two admitted, in flight; the third is shed, and its RETRY is
-        // its answer: counted before the offer, taken back after it.
-        for cid in 0..3 {
-            rig.request(&c, cid);
+        // Admit, then answer.
+        rig.request(a, 0, 0);
+        assert_eq!(rig.ledger(0), (1, 1));
+        assert_eq!(rig.serve(0), 1);
+        assert_eq!(rig.ledger(0), (1, 1), "on the ring, not yet taken in");
+        rig.drain(0);
+        assert_eq!(rig.ledger(0), (0, 0));
+        assert_eq!(rig.flush(a), [(0, Status::Ok)]);
+
+        // A RETRY into a full outbox: two admitted, the third shed and
+        // answered RETRY (filling the outbox), the fourth's RETRY has
+        // nowhere to go and is counted.
+        for cid in 1..=4 {
+            rig.request(a, 0, cid);
         }
-        assert_eq!(rig.ledger(), [(2, 2)]);
-        assert_eq!(rig.shared.retries_dropped.load(Ordering::Relaxed), 0);
-        // The RETRY fills the outbox; the next shed's RETRY has nowhere
-        // to go, is counted, and is taken back all the same.
-        rig.request(&c, 3);
-        assert_eq!(rig.ledger(), [(2, 2)]);
-        assert_eq!(rig.shared.retries_dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(rig.ledger(0), (2, 2));
+        assert_eq!(rig.counters(), (1, 0, 0));
 
-        // Backpressure: the first response is refused while the RETRY
-        // sits in the outbox; the dispatcher drops it (`tx_dropped`).
+        // An answer into a full outbox: dropped, counted in the shard's
+        // `tx_dropped`, and settled all the same.
         let first = rig.shared.admissions[0].pop().expect("admitted");
-        let refused = egress
+        rig.egress[0]
             .send(Response::completed(&first))
-            .expect_err("one-frame outbox");
-        assert_eq!(rig.ledger(), [(2, 2)], "refused is still owed");
-        egress.on_drop(&refused);
-        assert_eq!(rig.ledger(), [(1, 1)]);
+            .expect("ring room");
+        rig.drain(0);
+        assert_eq!(rig.ledger(0), (1, 1));
+        assert_eq!(rig.counters(), (1, 1, 0));
+        assert_eq!(rig.flush(a), [(3, Status::Retry)]);
+        assert_eq!(rig.serve(0), 1);
+        rig.drain(0);
+        assert_eq!(rig.ledger(0), (0, 0));
+        assert_eq!(rig.flush(a), [(2, Status::Ok)]);
 
-        // Normal completion, once the loop has flushed.
-        c.writer.take_outbox(&mut Vec::new());
-        assert_eq!(rig.serve_all(&mut egress), 1);
-        assert_eq!(rig.ledger(), [(0, 0)]);
-        assert!(!c.writer.retired(), "the client may send more");
-        c.writer.take_outbox(&mut Vec::new());
-        c.writer.reader_done();
-        assert!(c.writer.retired(), "half-closed, settled, flushed");
+        // An injected TX drop: the dispatcher gives up on the answer and
+        // the inbox settles it.
+        rig.request(a, 0, 5);
+        let lost = rig.shared.admissions[0].pop().expect("admitted");
+        rig.egress[0].on_drop(&Response::completed(&lost));
+        assert_eq!(rig.ledger(0), (1, 1), "in the inbox, not yet taken in");
+        rig.drain(0);
+        assert_eq!(rig.ledger(0), (0, 0));
+        assert!(rig.flush(a).is_empty());
+
+        // A `DropOldest` eviction by another loop: loop 1's arrival
+        // pushes loop 0's request out of gate 1, and loop 0's inbox
+        // settles it.
+        rig.request(a, 1, 6);
+        let b = rig.connect(1);
+        rig.request(b, 1, 0);
+        assert_eq!((rig.ledger(0), rig.ledger(1)), ((1, 1), (1, 1)));
+        rig.drain(0);
+        assert_eq!((rig.ledger(0), rig.ledger(1)), ((0, 0), (1, 1)));
+        assert_eq!(rig.serve(1), 1);
+        rig.drain(1);
+        assert_eq!(rig.ledger(1), (0, 0));
+        assert_eq!(rig.flush(b), [(0, Status::Ok)]);
+
+        // An abort with answers still outstanding: they stay in flight
+        // until they arrive, then orphan.
+        rig.request(a, 0, 7);
+        rig.request(a, 0, 8);
+        rig.books[0].table.close(a.0, a.1);
+        assert_eq!(rig.ledger(0), (2, 2));
+        assert_eq!(rig.books[0].table.live(), 1, "the slot is still held");
+        assert_eq!(rig.serve(0), 2);
+        rig.drain(0);
+        assert_eq!(rig.ledger(0), (0, 0));
+        assert_eq!(rig.counters(), (1, 1, 2));
+        assert_eq!(rig.books[0].table.live(), 0);
     }
 
+    /// Regression: an abort used to free the slot at once, so the next
+    /// accept reissued it while answers for the old connection were
+    /// still in the runtime.
     #[test]
-    fn eviction_relieves_the_loop_the_victim_lives_on() {
-        let mut rig = Rig::new(2, 2, AdmissionPolicy::DropOldest);
-        let mut egress = rig.egress();
-        let a = rig.connect(0, 8);
-        let b = rig.connect(1, 8);
-        rig.request(&a, 0);
-        rig.request(&a, 1);
-        assert_eq!(rig.ledger(), [(2, 2), (0, 0)]);
-        // Loop 1 admits by evicting loop 0's oldest: loop 1's count
-        // rises, loop 0's falls, and loop 0 is told (it has a book to
-        // re-read, possibly a connection to retire).
-        rig.request(&b, 0);
-        assert_eq!(rig.ledger(), [(1, 1), (1, 1)]);
-        assert_eq!(
-            *rig.shared.loops[0].dirty.lock().unwrap(),
-            [(a.slot, a.gen)]
-        );
-        // A victim whose connection is already gone has been forfeited.
-        rig.teardown(&a);
-        assert_eq!(rig.ledger(), [(0, 0), (1, 1)]);
-        rig.request(&b, 1);
-        rig.request(&b, 2);
-        assert_eq!(rig.ledger(), [(0, 0), (2, 2)], "evicted b's own oldest");
-        assert_eq!(rig.serve_all(&mut egress), 2);
-        assert_eq!(rig.ledger(), [(0, 0), (0, 0)]);
-    }
-
-    #[test]
-    fn teardown_forfeits_what_is_in_flight_and_late_answers_orphan() {
-        let mut rig = Rig::new(1, 16, AdmissionPolicy::RejectNewest);
-        let orphaned = Arc::new(AtomicU64::new(0));
-        let mut egress = ServerEgress::new(rig.shared.conns.clone(), orphaned.clone());
-        let c = rig.connect(0, 8);
-        for cid in 0..5 {
-            rig.request(&c, cid);
+    fn a_slot_is_not_reissued_while_answers_are_owed_on_it() {
+        const K: u64 = 3;
+        let mut rig = Rig::new(1, &[gate(16, AdmissionPolicy::RejectNewest)], 8);
+        let a = rig.connect(0);
+        for cid in 0..K {
+            rig.request(a, 0, cid);
         }
-        let early = rig.shared.admissions[0].pop().expect("admitted");
-        egress.send(Response::completed(&early)).expect("queued");
-        assert_eq!(rig.ledger(), [(4, 4)]);
-        // Abort with four requests inside the runtime: the loop must
-        // not go on polling for answers it could never write.
-        rig.teardown(&c);
-        assert_eq!(rig.ledger(), [(0, 0)]);
-        assert_eq!(rig.serve_all(&mut egress), 4);
-        assert_eq!(orphaned.load(Ordering::Relaxed), 4);
-        assert_eq!(rig.ledger(), [(0, 0)], "late answers settle nothing twice");
-        // The slot's next occupant starts from clean books.
-        let next = rig.connect(0, 8);
-        assert_eq!((next.slot, next.gen), (c.slot, c.gen.wrapping_add(1)));
-        rig.request(&next, 0);
-        assert_eq!(rig.ledger(), [(1, 1)]);
-        assert_eq!(rig.serve_all(&mut egress), 1);
-        assert_eq!(rig.ledger(), [(0, 0)]);
-    }
-
-    /// Regression (owed before offered): `note_owed` used to run after
-    /// `offer` returned, so a dispatcher that answered first settled
-    /// against an empty book (saturating at 0) and the late `note_owed`
-    /// left the connection owing one response for ever — its slot
-    /// pinned until shutdown, and now its loop polling for ever too.
-    #[test]
-    fn a_dispatcher_that_answers_first_cannot_unbalance_the_books() {
-        const REQUESTS: u64 = 1_000_000;
-        let mut rig = Rig::new(1, 64, AdmissionPolicy::RejectNewest);
-        let c = rig.connect(0, usize::MAX);
-        let done = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut egress = rig.egress();
-                let mut flushed = Vec::new();
-                while !done.load(Ordering::Acquire) || !rig.shared.admissions[0].is_empty() {
-                    rig.serve_all(&mut egress);
-                    flushed.clear();
-                    c.writer.take_outbox(&mut flushed);
-                }
-            });
-            for cid in 0..REQUESTS {
-                rig.request(&c, cid);
-            }
-            done.store(true, Ordering::Release);
-        });
-        assert_eq!(rig.shared.admissions[0].counters().offered(), REQUESTS);
-        assert_eq!(rig.ledger(), [(0, 0)]);
-    }
-
-    /// An epoll instance watching the loop's eventfd, to see whether a
-    /// wake-up is pending without consuming it.
-    fn eventfd_watch(ls: &LoopShared) -> (Poller, Events) {
-        let poller = Poller::new().expect("epoll");
-        poller
-            .add(ls.waker.fd(), TOKEN_WAKER, Interest::READ)
-            .expect("add");
-        (poller, Events::with_capacity(4))
-    }
-
-    #[test]
-    fn a_running_loop_is_never_written_to_and_a_sleeping_one_once() {
-        let ls = LoopShared::new().expect("eventfd");
-        let (poller, mut events) = eventfd_watch(&ls);
-        for slot in 0..100 {
-            ls.notify(slot, 0);
-        }
-        assert_eq!(ls.wakeups(), 0);
-        assert_eq!(poller.wait(&mut events, 0).expect("poll"), 0);
-        assert!(!ls.may_sleep(), "a pending entry keeps the loop up");
-        assert_eq!(ls.dirty.lock().unwrap().len(), 100);
-        ls.dirty.lock().unwrap().clear();
-
-        assert!(ls.may_sleep());
-        for slot in 0..100 {
-            ls.notify(slot, 0);
-        }
-        assert_eq!(ls.wakeups(), 1, "the first notifier claims the wake-up");
-        assert_eq!(poller.wait(&mut events, 0).expect("poll"), 1);
-        ls.waker.drain();
-        ls.awake();
-        assert_eq!(poller.wait(&mut events, 0).expect("poll"), 0);
-        assert_eq!((ls.sleeps(), ls.dirty.lock().unwrap().len()), (1, 100));
-    }
-
-    /// The lost wake-up, hunted: a notifier and a loop that tries to
-    /// sleep after every entry it consumes, in lock step so that each of
-    /// a million notifications lands somewhere around one announcement —
-    /// before it, between it and the second look, or into the blocked
-    /// `epoll_wait`. Whenever the loop does block, a wake-up must be
-    /// pending or on its way: a timeout with an entry on the list is the
-    /// bug.
-    #[test]
-    fn no_notification_is_left_behind_a_blocked_loop() {
-        const ROUNDS: u64 = 1_000_000;
-        let ls = LoopShared::new().expect("eventfd");
-        let consumed = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for round in 0..ROUNDS {
-                    ls.notify(0, 0);
-                    while consumed.load(Ordering::Acquire) <= round {
-                        std::hint::spin_loop();
-                    }
-                }
-            });
-            let (poller, mut events) = eventfd_watch(&ls);
-            let mut blocked = 0u64;
-            while consumed.load(Ordering::Relaxed) < ROUNDS {
-                if ls.may_sleep() {
-                    let woken = poller.wait(&mut events, 10_000).expect("wait");
-                    ls.awake();
-                    assert_eq!(woken, 1, "entry left behind a blocked loop");
-                    ls.waker.drain();
-                    blocked += 1;
-                }
-                let n = std::mem::take(&mut *ls.dirty.lock().unwrap()).len();
-                consumed.fetch_add(n as u64, Ordering::Release);
-            }
-            // Every block was ended by an eventfd write, and no
-            // notification wrote more than once. (Writes can outnumber
-            // blocks: a notifier may claim an announcement the loop
-            // then takes back on its second look. The eventfd is then
-            // readable for nothing, which costs the next sleep one
-            // early return and loses nothing.)
-            assert!(blocked > 0, "the loop never got to sleep");
-            assert_eq!(ls.sleeps(), blocked);
-            assert!((blocked..=ROUNDS).contains(&ls.wakeups()));
-        });
+        rig.books[0].table.close(a.0, a.1);
+        let b = rig.connect(0);
+        assert_ne!(b.0, a.0, "the slot is held by what it is owed");
+        assert_eq!(rig.serve(0), K);
+        rig.drain(0);
+        assert_eq!(rig.counters(), (0, 0, K), "the late answers orphan");
+        assert!(rig.flush(b).is_empty(), "never cross-delivered");
+        let c = rig.connect(0);
+        assert_eq!(c, (a.0, a.1.wrapping_add(1)), "then the slot comes back");
     }
 }

@@ -2,30 +2,33 @@
 //! per-shard admission gates.
 //!
 //! A small fixed set of I/O threads multiplexes every connection through
-//! epoll. Reads are batched into per-connection compacting buffers
-//! ([`concord_wire::RecvBuf`]), frames decode zero-copy, and responses
-//! are encoded straight into a per-connection byte buffer the loop
-//! swaps out and writes; connection count does not change the thread
-//! count. A loop polls while requests it admitted are in flight and
-//! sleeps in `epoll_wait` only when none are ([`IoStats`]). Below the
-//! socket layer sit the generation-tagged connection table
-//! ([`crate::conn`]), the per-shard [`AdmissionQueue`] gates, the
-//! hash-with-P2C-fallback router, and the owed/settled retirement books.
+//! epoll; connection count does not change the thread count. Each
+//! connection has one owner, the loop that accepted it: reads are
+//! batched into its compacting buffer ([`concord_wire::RecvBuf`]),
+//! frames decode zero-copy, and its answers are encoded into its outbox
+//! and written by that loop alone. A loop polls while requests it
+//! admitted are in flight and sleeps in `epoll_wait` only when none are
+//! ([`IoStats`]). Below the socket layer sit each loop's
+//! generation-tagged slot table ([`crate::conn`]), the per-shard
+//! [`AdmissionQueue`] gates and the hash-with-P2C-fallback router.
 //!
 //! Responses are routed back to their connection through the request id:
 //! the server rewrites each client id into
 //! `slot << 48 | generation << 40 | client_id` before ingest and strips
 //! it again at encode time, so the runtime stays oblivious to
-//! connections. The generation tag makes id reuse safe: a response for
-//! a connection whose slot has since been recycled is counted as an
-//! orphan instead of being delivered to the wrong client.
+//! connections. The dispatcher's [`ServerEgress`] only routes: the slot
+//! names the owning loop, and the response goes onto that loop's SPSC
+//! ring, as in-process responses go onto the TX ring. A slot is held
+//! until every answer owed on it has arrived, so an answer for a
+//! connection that is gone is counted as an orphan, never delivered to
+//! the slot's next occupant.
 //!
 //! The front end keeps one conservation law of its own on top of the
 //! runtime's: every admission-gate rejection is either answered with a
 //! RETRY frame or counted in [`ServerReport::retries_dropped`] when the
 //! connection's outbox had no room for the RETRY.
 
-use crate::conn::{ConnTable, ConnWriter, Queued, DEFAULT_OUTBOX_CAP};
+use crate::conn::{owner, DEFAULT_OUTBOX_CAP};
 use crate::eventloop::{LoopShared, LoopsFront};
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy, AdmissionQueue};
 use concord_core::transport::Egress;
@@ -33,8 +36,8 @@ use concord_core::{
     AdmissionCounters, ConcordApp, RuntimeConfig, RuntimeStats, ShardRollup, ShardedRuntime,
     TelemetrySnapshot,
 };
+use concord_net::ring::{ring, Consumer, Producer};
 use concord_net::Response;
-use concord_wire::frame::{self as wire, Status};
 use concord_wire::route::{split_route_id, GEN_BITS};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -97,80 +100,58 @@ impl ShardRoute {
     }
 }
 
-/// The dispatcher's response sink: encodes each response straight into
-/// its connection's outbox, found by the id's slot and generation bits.
+/// Responses one shard's dispatcher may have waiting for one event loop
+/// before [`ServerEgress::send`] reports backpressure.
+const RESPONSE_RING: usize = 4096;
+
+/// The dispatcher's response sink: a router, like the in-process TX
+/// ring it stands in for. Each response goes onto this dispatcher's ring
+/// to the event loop that owns the response's slot (the slot in the
+/// route id names it), which encodes it into the connection's outbox.
 pub struct ServerEgress {
-    conns: Arc<ConnTable>,
-    orphaned: Arc<AtomicU64>,
-    /// The writer this egress last saw live at each slot, with the
-    /// generation it answers to, so the [`ConnTable`] lock is taken when
-    /// a slot changes hands, not per response. A hit needs the
-    /// generation to match *and* the writer to be open: a closed writer
-    /// is looked up again, because after 256 reuses of its slot the same
-    /// generation names a different, live connection.
-    last_seen: Vec<Option<(u8, Arc<ConnWriter>)>>,
-}
-
-impl ServerEgress {
-    pub(crate) fn new(conns: Arc<ConnTable>, orphaned: Arc<AtomicU64>) -> Self {
-        Self {
-            conns,
-            orphaned,
-            last_seen: Vec::new(),
-        }
-    }
-
-    /// The writer registered at `slot` under `gen`, or `None` when that
-    /// connection is gone (the slot is free, or has been recycled under
-    /// another generation).
-    fn writer(&mut self, slot: u16, gen: u8) -> Option<&ConnWriter> {
-        let i = usize::from(slot);
-        if i >= self.last_seen.len() {
-            self.last_seen.resize(i + 1, None);
-        }
-        let seen = &mut self.last_seen[i];
-        if !matches!(seen, Some((g, w)) if *g == gen && !w.is_closed()) {
-            *seen = self.conns.lookup(slot, gen).map(|w| (gen, w));
-        }
-        seen.as_ref().map(|(_, w)| &**w)
-    }
+    /// Indexed by loop.
+    rings: Vec<Producer<Response>>,
+    loops: Vec<Arc<LoopShared>>,
 }
 
 impl Egress for ServerEgress {
     fn send(&mut self, resp: Response) -> Result<(), Response> {
-        let (slot, gen, client_id) = split_route_id(resp.id);
-        let queued = match self.writer(slot, gen) {
-            Some(writer) => {
-                writer.respond(|out| wire::encode_response(out, client_id, &resp, Status::Ok))
-            }
-            None => Queued::Closed,
-        };
-        match queued {
-            Queued::Yes => Ok(()),
-            Queued::Closed => {
-                // Connection gone, or the slot was recycled (stale
-                // generation): the response has no destination. Counted,
-                // never cross-delivered.
-                self.orphaned.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            // Live connection, full outbox: real backpressure. Hand the
-            // response back so the dispatcher's retry-then-drop policy
-            // (and its tx_dropped accounting) applies unchanged.
-            Queued::Full => Err(resp),
-        }
+        let (slot, _, _) = split_route_id(resp.id);
+        let n = self.rings.len();
+        self.rings[owner(slot, n)].push(resp)
     }
 
     fn on_drop(&mut self, resp: &Response) {
-        // The dispatcher gave up on this response under backpressure
-        // (`tx_dropped`). The connection will never see it, so settle the
-        // owed book now — otherwise a half-closed connection whose last
-        // response was dropped would hold its slot forever.
-        let (slot, gen, _) = split_route_id(resp.id);
-        if let Some(writer) = self.writer(slot, gen) {
-            writer.settle_owed();
-        }
+        // The dispatcher gave up on this response (`tx_dropped`): the
+        // loop that admitted the request still counts it in flight, and
+        // its settle inbox takes it off.
+        let (slot, _, _) = split_route_id(resp.id);
+        self.loops[owner(slot, self.loops.len())].settle(resp.id);
     }
+}
+
+/// One response ring per (shard, loop) pair: shard `s`'s egress gets the
+/// producing ends, indexed by loop; loop `l` gets the consuming ends,
+/// indexed by shard.
+pub(crate) fn response_rings(
+    shards: usize,
+    loops: &[Arc<LoopShared>],
+) -> (Vec<ServerEgress>, Vec<Vec<Consumer<Response>>>) {
+    let mut consumers: Vec<Vec<_>> = loops.iter().map(|_| Vec::new()).collect();
+    let egress = (0..shards)
+        .map(|_| ServerEgress {
+            rings: consumers
+                .iter_mut()
+                .map(|c| {
+                    let (tx, rx) = ring(RESPONSE_RING);
+                    c.push(rx);
+                    tx
+                })
+                .collect(),
+            loops: loops.to_vec(),
+        })
+        .collect();
+    (egress, consumers)
 }
 
 /// Server configuration: the runtime underneath (whose `num_shards`
@@ -189,10 +170,11 @@ pub struct ServerConfig {
     /// I/O event-loop threads; `0` picks a small count from the
     /// machine's parallelism.
     pub event_loops: usize,
-    /// Bound on encoded frames a connection's outbox may hold before
-    /// the egress reports backpressure (default:
-    /// [`DEFAULT_OUTBOX_CAP`]). Tests shrink it to exercise the
-    /// backpressure accounting deterministically.
+    /// Bound on encoded frames a connection's outbox may hold; an
+    /// answer that finds it full after a flush is dropped and counted in
+    /// the shard's `tx_dropped`, a RETRY in `retries_dropped` (default:
+    /// [`DEFAULT_OUTBOX_CAP`]). Tests shrink it to exercise that
+    /// accounting deterministically.
     pub outbox_cap: usize,
     /// Failure injection: each accepted connection consumes one unit
     /// and is refused while the counter is positive, as if the process
@@ -335,12 +317,14 @@ impl ServerConfigBuilder {
 pub(crate) struct FrontShared {
     /// Stop taking new connections and new requests.
     pub(crate) stop: AtomicBool,
-    /// Final drain: outboxes are flushed; force-retire stragglers.
+    /// Final drain: every answer is on its ring; force-retire stragglers.
     pub(crate) drain: AtomicBool,
-    pub(crate) conns: Arc<ConnTable>,
     /// Each event loop's cross-thread state, indexed by loop.
     pub(crate) loops: Vec<Arc<LoopShared>>,
-    pub(crate) admissions: Arc<Vec<Arc<AdmissionQueue>>>,
+    pub(crate) admissions: Vec<Arc<AdmissionQueue>>,
+    /// Each shard's runtime counters: a loop that drops an answer on a
+    /// full outbox counts it in that shard's `tx_dropped`.
+    pub(crate) stats: Vec<Arc<RuntimeStats>>,
     pub(crate) router: RouterPolicy,
     pub(crate) outbox_cap: usize,
     pub(crate) accepted: AtomicU64,
@@ -351,10 +335,38 @@ pub(crate) struct FrontShared {
     /// RETRY answers that could not be queued because the connection's
     /// outbox was full (part of the rejection conservation law).
     pub(crate) retries_dropped: AtomicU64,
+    /// Answers whose connection was gone when they reached its loop.
+    pub(crate) orphaned: AtomicU64,
     pub(crate) setup_faults: Arc<AtomicU64>,
 }
 
 impl FrontShared {
+    fn new(
+        loops: Vec<Arc<LoopShared>>,
+        admissions: Vec<Arc<AdmissionQueue>>,
+        stats: Vec<Arc<RuntimeStats>>,
+        router: RouterPolicy,
+        outbox_cap: usize,
+        setup_faults: Arc<AtomicU64>,
+    ) -> FrontShared {
+        FrontShared {
+            stop: AtomicBool::new(false),
+            drain: AtomicBool::new(false),
+            loops,
+            admissions,
+            stats,
+            router,
+            outbox_cap: outbox_cap.max(1),
+            accepted: AtomicU64::new(0),
+            refused: AtomicU64::new(0),
+            active_conns: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+            retries_dropped: AtomicU64::new(0),
+            orphaned: AtomicU64::new(0),
+            setup_faults,
+        }
+    }
+
     /// Consumes one injected connection-setup fault, if armed.
     pub(crate) fn take_setup_fault(&self) -> bool {
         self.setup_faults
@@ -363,81 +375,64 @@ impl FrontShared {
     }
 
     /// A front end with no sockets behind it: `loops` event-loop states
-    /// nobody runs and one admission gate, for tests that drive the
-    /// books directly.
+    /// nobody runs and one shard per entry of `gates`, for tests that
+    /// drive the books directly.
     #[cfg(test)]
-    pub(crate) fn for_test(loops: usize, admission: AdmissionConfig) -> FrontShared {
-        FrontShared {
-            stop: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
-            conns: Arc::new(ConnTable::new()),
-            loops: (0..loops)
+    pub(crate) fn for_test(loops: usize, gates: &[AdmissionConfig]) -> FrontShared {
+        FrontShared::new(
+            (0..loops)
                 .map(|_| LoopShared::new().expect("eventfd"))
                 .collect(),
-            admissions: Arc::new(vec![AdmissionQueue::new(
-                admission,
-                concord_core::Clock::monotonic(),
-            )]),
-            router: RouterPolicy::HashP2c,
-            outbox_cap: 4,
-            accepted: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            active_conns: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            retries_dropped: AtomicU64::new(0),
-            setup_faults: Arc::new(AtomicU64::new(0)),
-        }
+            gates
+                .iter()
+                .map(|&g| AdmissionQueue::new(g, concord_core::Clock::monotonic()))
+                .collect(),
+            gates.iter().map(|_| Arc::default()).collect(),
+            RouterPolicy::HashP2c,
+            DEFAULT_OUTBOX_CAP,
+            Arc::new(AtomicU64::new(0)),
+        )
     }
 
     pub(crate) fn io_stats(&self) -> IoStats {
         IoStats {
             in_flight: self.loops.iter().map(|l| l.in_flight()).sum(),
-            owed: self.conns.owed(),
             loop_sleeps: self.loops.iter().map(|l| l.sleeps()).sum(),
-            wakeups: self.loops.iter().map(|l| l.wakeups()).sum(),
         }
     }
 }
 
-/// The I/O event loops' ledger and sleep/wake tallies, summed over the
-/// loops (`/metrics` has them per loop).
+/// The I/O event loops' ledger and sleep tally, summed over the loops
+/// (`/metrics` has them per loop), as of each loop's last pass.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoStats {
-    /// Requests offered to an admission gate whose response is not yet
-    /// settled (`concord_io_in_flight`). A loop polls while its share is
-    /// non-zero and sleeps in `epoll_wait` when it is zero.
+    /// Requests admitted through a loop and not yet settled — answered,
+    /// dropped or evicted (`concord_io_in_flight`). A loop polls while
+    /// its share is non-zero and sleeps in `epoll_wait` when it is zero;
+    /// it is zero once the server is quiet.
     pub in_flight: u64,
-    /// Responses owed across every registered connection. The same
-    /// ledger kept per connection: equal to `in_flight` whenever no
-    /// request is mid-admission or mid-settle, and both are zero once
-    /// the server is quiet.
-    pub owed: u64,
     /// Times a loop blocked in `epoll_wait` with nothing in flight
     /// (`concord_io_loop_sleeps_total`).
     pub loop_sleeps: u64,
-    /// Eventfd writes that ended one of those sleeps
-    /// (`concord_io_wakeups_total`). A loop that is running is never
-    /// written to, so under sustained load this stays near zero.
-    pub wakeups: u64,
 }
 
 /// Final accounting of a server's life, returned by [`Server::shutdown`].
 pub struct ServerReport {
     /// Connections accepted and fully set up.
     pub accepted: u64,
-    /// Connections refused: all 65,536 slots live, or connection setup
-    /// failed (descriptor exhaustion, injected setup fault).
+    /// Connections refused: every slot held, or connection setup failed
+    /// (descriptor exhaustion, injected setup fault).
     pub refused: u64,
     /// Connections torn down on a malformed frame.
     pub protocol_errors: u64,
-    /// Responses whose connection was gone (or whose slot had been
-    /// recycled) at emit time — counted loss, never cross-delivery.
+    /// Responses whose connection was gone when they reached its event
+    /// loop — counted loss, never cross-delivery.
     pub orphaned_responses: u64,
     /// Admission-gate RETRY answers dropped because the connection's
     /// outbox was full. Every gate rejection is either a RETRY frame on
     /// the wire or counted here.
     pub retries_dropped: u64,
-    /// The event loops' ledger and sleep/wake tallies at exit.
+    /// The event loops' ledger and sleep tally at exit.
     pub io: IoStats,
     /// Shard 0's admission counters — the whole gate when
     /// `num_shards == 1`.
@@ -463,7 +458,6 @@ pub struct ServerReport {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<FrontShared>,
-    orphaned: Arc<AtomicU64>,
     rt: ShardedRuntime,
     front: LoopsFront,
     admin: Option<crate::admin::AdminPlane>,
@@ -495,23 +489,10 @@ impl Server {
 
         let policy_name = cfg.runtime.policy.to_string();
         let n_shards = cfg.runtime.num_shards.max(1);
-        let admissions: Arc<Vec<Arc<AdmissionQueue>>> = Arc::new(
-            (0..n_shards)
-                .map(|_| AdmissionQueue::new(cfg.admission, cfg.runtime.clock.clone()))
-                .collect(),
-        );
-        let conns = Arc::new(ConnTable::new());
-        let orphaned = Arc::new(AtomicU64::new(0));
-        let rt = ShardedRuntime::start(
-            cfg.runtime,
-            app,
-            admissions.iter().map(|a| a.ingress()).collect(),
-            (0..n_shards)
-                .map(|_| ServerEgress::new(conns.clone(), orphaned.clone()))
-                .collect(),
-        );
-
-        let loops = if cfg.event_loops > 0 {
+        let admissions: Vec<Arc<AdmissionQueue>> = (0..n_shards)
+            .map(|_| AdmissionQueue::new(cfg.admission, cfg.runtime.clock.clone()))
+            .collect();
+        let n_loops = if cfg.event_loops > 0 {
             cfg.event_loops
         } else {
             // I/O is a small fraction of the work; a few loops
@@ -521,35 +502,31 @@ impl Server {
                 .unwrap_or(1)
                 .clamp(1, 4)
         };
+        let loops = (0..n_loops)
+            .map(|_| LoopShared::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let (egress, rings) = response_rings(n_shards, &loops);
+        let rt = ShardedRuntime::start(
+            cfg.runtime,
+            app,
+            admissions.iter().map(|a| a.ingress()).collect(),
+            egress,
+        );
 
-        let shared = Arc::new(FrontShared {
-            stop: AtomicBool::new(false),
-            drain: AtomicBool::new(false),
-            conns,
-            loops: (0..loops)
-                .map(|_| LoopShared::new())
-                .collect::<std::io::Result<_>>()?,
+        let shared = Arc::new(FrontShared::new(
+            loops,
             admissions,
-            router: cfg.router,
-            outbox_cap: cfg.outbox_cap.max(1),
-            accepted: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            active_conns: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            retries_dropped: AtomicU64::new(0),
-            setup_faults: cfg.conn_setup_faults.clone(),
-        });
-
-        let front = LoopsFront::start(listener, shared.clone())?;
+            (0..n_shards).map(|s| rt.stats(s)).collect(),
+            cfg.router,
+            cfg.outbox_cap,
+            cfg.conn_setup_faults.clone(),
+        ));
+        let front = LoopsFront::start(listener, shared.clone(), rings)?;
 
         let admin = match &cfg.admin {
             Some(admin_addr) => {
-                let state = crate::admin::AdminState::new(
-                    shared.clone(),
-                    rt.observer(),
-                    orphaned.clone(),
-                    policy_name,
-                );
+                let state =
+                    crate::admin::AdminState::new(shared.clone(), rt.observer(), policy_name);
                 Some(crate::admin::AdminPlane::start(admin_addr, state)?)
             }
             None => None,
@@ -558,7 +535,6 @@ impl Server {
         Ok(Server {
             local_addr,
             shared,
-            orphaned,
             rt,
             front,
             admin,
@@ -586,13 +562,14 @@ impl Server {
         self.shared.active_conns.load(Ordering::Relaxed)
     }
 
-    /// Connections currently holding a slot (the client may be done
-    /// sending while responses are still owed or flushing).
+    /// Slots currently held: by a live connection (the client may be
+    /// done sending while responses are still owed or flushing), or by
+    /// answers still owed on a torn-down one.
     pub fn live_slots(&self) -> usize {
-        self.shared.conns.live()
+        self.shared.loops.iter().map(|l| l.live()).sum()
     }
 
-    /// The event loops' live ledger and sleep/wake tallies.
+    /// The event loops' live ledger and sleep tally.
     pub fn io_stats(&self) -> IoStats {
         self.shared.io_stats()
     }
@@ -646,10 +623,10 @@ impl Server {
         self.rt.quiesce();
         let trace = self.rt.take_trace();
         let telemetry = self.rt.telemetry(0);
-        // 3. Flush: every response the runtime emitted is in an outbox;
-        //    closing after quiesce lets the ingress drain before exiting.
+        // 3. Flush: every response the runtime emitted is on a loop's
+        //    ring; each loop takes its answers in, flushes, and exits
+        //    once its connections have retired.
         self.shared.drain.store(true, Ordering::Release);
-        self.shared.conns.close_all();
         self.front.finish();
         // The admin plane stayed up through the drain (scrapes keep
         // working while connections flush); stop it last.
@@ -661,7 +638,7 @@ impl Server {
             accepted: self.shared.accepted.load(Ordering::Relaxed),
             refused: self.shared.refused.load(Ordering::Relaxed),
             protocol_errors: self.shared.protocol_errors.load(Ordering::Relaxed),
-            orphaned_responses: self.orphaned.load(Ordering::Relaxed),
+            orphaned_responses: self.shared.orphaned.load(Ordering::Relaxed),
             retries_dropped: self.shared.retries_dropped.load(Ordering::Relaxed),
             io: self.shared.io_stats(),
             admission: self.shared.admissions[0].counters(),
@@ -794,7 +771,7 @@ mod tests {
 
     #[test]
     fn setup_faults_count_down_to_zero() {
-        let shared = FrontShared::for_test(0, AdmissionConfig::default());
+        let shared = FrontShared::for_test(0, &[]);
         shared.setup_faults.store(2, Ordering::Relaxed);
         assert!(shared.take_setup_fault());
         assert!(shared.take_setup_fault());
@@ -802,117 +779,25 @@ mod tests {
         assert!(!shared.take_setup_fault());
     }
 
-    /// An egress over an empty table, and the response that answers
-    /// client id `cid` on connection `(slot, gen)`.
-    fn egress() -> (ServerEgress, Arc<ConnTable>, Arc<AtomicU64>) {
-        let conns = Arc::new(ConnTable::new());
-        let orphaned = Arc::new(AtomicU64::new(0));
-        (
-            ServerEgress::new(conns.clone(), orphaned.clone()),
-            conns,
-            orphaned,
-        )
-    }
-
-    fn answer(slot: u16, gen: u8, cid: u64) -> Response {
-        Response::completed(&req(concord_wire::route::route_id(slot, gen, cid)))
-    }
-
-    /// Client ids of the response frames queued on `w`, emptying it.
-    fn delivered(w: &ConnWriter) -> Vec<u64> {
-        let mut bytes = Vec::new();
-        w.take_outbox(&mut bytes);
-        let (mut ids, mut at) = (Vec::new(), 0);
-        while let Ok(Some((wire::Frame::Response(rf), used))) = wire::decode(&bytes[at..]) {
-            ids.push(rf.id);
-            at += used;
+    /// Each dispatcher's answers go onto its ring to the loop that owns
+    /// the answer's slot, and nowhere else.
+    #[test]
+    fn egress_routes_each_answer_to_its_slots_loop() {
+        let shared = FrontShared::for_test(3, &[]);
+        let (mut egress, mut rings) = response_rings(2, &shared.loops);
+        assert_eq!((egress.len(), rings.len(), rings[0].len()), (2, 3, 2));
+        for slot in 0..6u16 {
+            let id = concord_wire::route::route_id(slot, 0, 7);
+            egress[1]
+                .send(Response::completed(&req(id)))
+                .expect("ring room");
         }
-        assert_eq!(at, bytes.len(), "whole frames only");
-        ids
-    }
-
-    #[test]
-    fn egress_orphans_a_recycled_slots_old_generation() {
-        let (mut egress, conns, orphaned) = egress();
-        let old = ConnWriter::new(8);
-        let (slot, gen) = conns.register(old.clone()).expect("slot");
-        old.note_owed();
-        egress.send(answer(slot, gen, 1)).expect("queued");
-        assert_eq!(delivered(&old), [1]);
-
-        // The connection goes away with a response still in flight and
-        // its slot is taken by a new one.
-        conns.release(slot, gen);
-        let new = ConnWriter::new(8);
-        let (slot2, gen2) = conns.register(new.clone()).expect("slot");
-        assert_eq!((slot2, gen2), (slot, gen.wrapping_add(1)));
-
-        egress
-            .send(answer(slot, gen, 2))
-            .expect("orphaned, not an error");
-        assert_eq!(orphaned.load(Ordering::Relaxed), 1);
-        assert!(delivered(&new).is_empty(), "never cross-delivered");
-        assert!(delivered(&old).is_empty());
-
-        // The new occupant's own traffic flows, and the old generation
-        // keeps orphaning afterwards (the remembered writer is the new
-        // one now, under its own generation).
-        new.note_owed();
-        egress.send(answer(slot, gen2, 3)).expect("queued");
-        egress.send(answer(slot, gen, 4)).expect("orphaned");
-        assert_eq!(delivered(&new), [3]);
-        assert_eq!(orphaned.load(Ordering::Relaxed), 2);
-    }
-
-    /// The generation is 8 bits: after 256 reuses of a slot the writer
-    /// the egress remembers and the slot's live occupant answer to the
-    /// same generation. A match on the generation alone would deliver
-    /// the occupant's responses into the dead writer; the remembered
-    /// writer being closed is what forces the fresh lookup.
-    #[test]
-    fn egress_never_revives_a_closed_writer_across_generation_wrap() {
-        let (mut egress, conns, orphaned) = egress();
-        let first = ConnWriter::new(8);
-        let (slot, gen) = conns.register(first.clone()).expect("slot");
-        first.note_owed();
-        egress.send(answer(slot, gen, 1)).expect("queued");
-        assert_eq!(delivered(&first), [1]);
-        conns.release(slot, gen);
-
-        // 255 occupants the egress never hears about, then the 256th.
-        for _ in 0..255 {
-            let w = ConnWriter::new(8);
-            let (s, g) = conns.register(w.clone()).expect("slot");
-            assert_eq!(s, slot);
-            conns.release(s, g);
+        for (l, from) in rings.iter_mut().enumerate() {
+            assert!(from[0].pop().is_none(), "shard 0 answered nothing");
+            let slots: Vec<u16> = std::iter::from_fn(|| from[1].pop())
+                .map(|r| split_route_id(r.id).0)
+                .collect();
+            assert_eq!(slots, [l as u16, l as u16 + 3]);
         }
-        let heir = ConnWriter::new(8);
-        assert_eq!(conns.register(heir.clone()), Some((slot, gen)), "wrapped");
-
-        heir.note_owed();
-        egress.send(answer(slot, gen, 2)).expect("queued");
-        assert_eq!(delivered(&heir), [2], "the live occupant is answered");
-        assert!(delivered(&first).is_empty(), "the dead writer stays dead");
-        assert_eq!((heir.owed(), orphaned.load(Ordering::Relaxed)), (0, 0));
-    }
-
-    /// `tx_dropped` from the egress's side: a one-frame outbox refuses
-    /// the second response, the dispatcher gives up on it, and
-    /// `on_drop` settles what the refused `send` left owed.
-    #[test]
-    fn egress_backpressure_settles_through_on_drop() {
-        let (mut egress, conns, orphaned) = egress();
-        let w = ConnWriter::new(1);
-        let (slot, gen) = conns.register(w.clone()).expect("slot");
-        w.note_owed();
-        w.note_owed();
-        egress.send(answer(slot, gen, 1)).expect("queued");
-        let refused = egress
-            .send(answer(slot, gen, 2))
-            .expect_err("outbox full: handed back");
-        assert_eq!(w.owed(), 1, "a refused response is still owed");
-        egress.on_drop(&refused);
-        assert_eq!((w.owed(), orphaned.load(Ordering::Relaxed)), (0, 0));
-        assert_eq!(delivered(&w), [1]);
     }
 }

@@ -1,13 +1,12 @@
 //! The event loop's two modes and the ledger that picks between them,
 //! watched from outside through [`Server::io_stats`]: a loop polls while
 //! requests it admitted are in flight and sleeps in `epoll_wait` when
-//! none are, so `in_flight` must equal what its connections are owed
-//! after every kind of exit a request can take — and return to zero, or
-//! the loop would spin for ever.
+//! none are, so `in_flight` must return to zero after every kind of
+//! exit a request can take, or the loop would spin for ever.
 //!
-//! The exact, single-stepped versions of these scenarios (and the wake
-//! protocol's interleaving test) are unit tests beside the code in
-//! `eventloop.rs`; here the real loops, dispatcher and sockets run.
+//! The exact, single-stepped version of these scenarios is the ledger
+//! test beside the code in `eventloop.rs`; here the real loops,
+//! dispatcher and sockets run.
 
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
 use concord_core::{RuntimeConfig, SpinApp};
@@ -58,11 +57,11 @@ fn wait_for(server: &Server, what: &str, cond: impl Fn(&IoStats) -> bool) -> IoS
     }
 }
 
-/// The loops are parked, not spinning: nothing in flight, nothing owed,
-/// and the sleep counter stands still (a loop that had gone round even
-/// once more would have counted another sleep).
+/// The loops are parked, not spinning: nothing in flight, and the sleep
+/// counter stands still (a loop that had gone round even once more
+/// would have counted another sleep).
 fn assert_parked(server: &Server) {
-    wait_for(server, "quiescence", |io| io.in_flight == 0 && io.owed == 0);
+    wait_for(server, "quiescence", |io| io.in_flight == 0);
     // Let a loop that is still finishing its last pass go to sleep.
     std::thread::sleep(Duration::from_millis(50));
     let before = server.io_stats();
@@ -88,18 +87,15 @@ fn read_to_close(conn: &mut TcpStream) -> Vec<(u64, wire::Status)> {
 }
 
 #[test]
-fn an_idle_loop_sleeps_and_a_saturated_one_is_never_woken() {
+fn an_idle_loop_sleeps_and_a_loaded_one_goes_back_to_sleep() {
     let server = start_server(reject_at(4096), 1);
     // Fresh server: the loop went to sleep once and stays there.
     wait_for(&server, "the first sleep", |io| io.loop_sleeps >= 1);
     assert_parked(&server);
 
-    // A closed loop keeps requests in flight, so the loop keeps
-    // polling: the dispatcher's notifications find it running and pay
-    // no eventfd write. (A handful can still land in the gap where the
-    // window momentarily drains and the loop dozes off.)
+    // A closed loop keeps requests in flight, so the loop keeps polling
+    // its response ring; every answer reaches the client.
     const REQUESTS: u64 = 60_000;
-    let before = server.io_stats();
     let report = client::run(
         &server.local_addr().to_string(),
         &ClientConfig {
@@ -111,17 +107,11 @@ fn an_idle_loop_sleeps_and_a_saturated_one_is_never_woken() {
     )
     .expect("client run");
     assert_eq!(report.completed, REQUESTS);
-    let after = server.io_stats();
-    let wakeups = after.wakeups - before.wakeups;
-    assert!(
-        wakeups < REQUESTS / 100,
-        "{wakeups} eventfd writes for {REQUESTS} requests: the loop is being woken per batch"
-    );
 
     // And once the load stops, so does the loop.
     assert_parked(&server);
     let report = server.shutdown();
-    assert_eq!((report.io.in_flight, report.io.owed), (0, 0));
+    assert_eq!(report.io.in_flight, 0);
 }
 
 #[test]
@@ -152,12 +142,12 @@ fn retries_and_half_close_leave_nothing_in_flight() {
     });
     assert_parked(&server);
     let report = server.shutdown();
-    assert_eq!((report.io.in_flight, report.io.owed), (0, 0));
+    assert_eq!(report.io.in_flight, 0);
     assert_eq!(report.orphaned_responses, 0);
 }
 
 #[test]
-fn an_abort_forfeits_what_is_in_flight() {
+fn an_abort_holds_its_slot_until_the_late_answers_orphan() {
     let server = start_server(reject_at(4096), 1);
     let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
     conn.set_nodelay(true).expect("nodelay");
@@ -171,19 +161,27 @@ fn an_abort_forfeits_what_is_in_flight() {
     wait_for(&server, "requests in flight", |io| io.in_flight > REQS / 2);
     // ...when the client poisons the stream and the connection aborts.
     conn.write_all(&[0xFF; 64]).expect("send garbage");
-    wait_for(&server, "the abort", |_| server.live_slots() == 0);
-    // The ledger is relieved at once — the runtime is still busy with
-    // the requests, whose answers will orphan — and the loop sleeps
-    // instead of polling for them.
-    let io = server.io_stats();
-    assert_eq!((io.in_flight, io.owed), (0, 0), "forfeited at teardown");
+    wait_for(&server, "the abort", |_| server.active_connections() == 0);
+    // The runtime is still busy with the requests: the loop keeps
+    // counting them, and their slot stays held, so the next connection
+    // gets another one.
     assert!(server.stats().completed() < REQS, "still in the runtime");
+    assert!(server.io_stats().in_flight > 0, "answers still owed");
+    let next = TcpStream::connect(server.local_addr()).expect("connect");
+    wait_for(&server, "the next accept", |_| server.accepted() == 2);
+    assert_eq!(server.live_slots(), 2, "the aborted slot is not reissued");
+    drop(next);
+    // Once the late answers have arrived and orphaned, the slot comes
+    // home and the loop sleeps again.
+    wait_for(&server, "the slots to come home", |_| {
+        server.live_slots() == 0
+    });
     assert_parked(&server);
 
     let report = server.shutdown();
     assert_eq!(report.protocol_errors, 1);
     assert!(report.orphaned_responses > 0, "late answers orphan");
-    assert_eq!((report.io.in_flight, report.io.owed), (0, 0));
+    assert_eq!(report.io.in_flight, 0);
 }
 
 #[test]
@@ -244,5 +242,5 @@ fn evictions_across_loops_and_shutdown_mid_flight_balance() {
     wait_for(&server, "requests in flight", |io| io.in_flight > 0);
     let report = server.shutdown();
     assert_eq!(read_to_close(&mut conn).len(), 4, "drained, not dropped");
-    assert_eq!((report.io.in_flight, report.io.owed), (0, 0));
+    assert_eq!(report.io.in_flight, 0);
 }

@@ -53,11 +53,7 @@ fn assert_conservation(report: &ServerReport, sent: u64, completed: u64, rejecte
     assert_eq!(report.protocol_errors, 0, "clean frames only");
     // However each request left — answered, shed, dropped — it left the
     // event loops' in-flight ledger too.
-    assert_eq!(
-        (report.io.in_flight, report.io.owed),
-        (0, 0),
-        "io ledger closes at zero"
-    );
+    assert_eq!(report.io.in_flight, 0, "io ledger closes at zero");
 
     // Everything the client sent reached the admission gate.
     assert_eq!(report.admission.offered(), sent, "gate saw every frame");
@@ -156,7 +152,10 @@ fn loopback_zero_loss_below_admission_threshold() {
     assert_eq!(report.sent, 1_000);
     assert_eq!(report.unaccounted(), 0, "zero silent loss below threshold");
     assert_eq!(report.completed, 1_000, "nothing rejected at 2% load");
-    assert!(report.slowdown.len() > 0, "slowdown percentiles populated");
+    assert!(
+        !report.slowdown.is_empty(),
+        "slowdown percentiles populated"
+    );
     assert_conservation(
         &server_report,
         report.sent,

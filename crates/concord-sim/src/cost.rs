@@ -203,7 +203,7 @@ mod tests {
         // §2.2.1 reports ≈21% for probes every ~200 instructions.
         let c = CostModel::paper_default();
         let o = c.rdtsc_proc_overhead();
-        assert!(o >= 0.12 && o < 0.35, "rdtsc overhead={o}");
+        assert!((0.12..0.35).contains(&o), "rdtsc overhead={o}");
     }
 
     #[test]

@@ -1158,7 +1158,7 @@ mod tests {
         let r = simulate(&cfg, mix::bimodal_50_1_50_100(), &params(20_000.0, 8_000));
         let mean = r.quantum_mean_us();
         // Cooperative preemption is one-sided: achieved ≥ quantum, but close.
-        assert!(mean >= 4.9 && mean < 7.0, "mean achieved quantum={mean}µs");
+        assert!((4.9..7.0).contains(&mean), "mean achieved quantum={mean}µs");
     }
 
     #[test]

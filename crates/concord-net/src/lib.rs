@@ -15,7 +15,12 @@
 //!   a `concord-workloads` trace and a collector that turns responses into
 //!   client-side latency/slowdown measurements.
 //! - [`poll`] (Linux) — a first-party epoll/eventfd wrapper,
-//!   the readiness layer under `concord-server`'s event-loop ingress.
+//!   the readiness layer under every TCP endpoint in the workspace.
+//! - [`endpoint`] (Linux) — the non-blocking socket endpoint on that
+//!   poller, written once for the server's event loops, the rack proxy
+//!   and the admin HTTP listener: a frame-bounded outbox, the flush that
+//!   writes it, the interest reconcile, and a listener that parks on
+//!   accept failures.
 //! - [`signal`] (Linux) — SIGINT/SIGTERM → shutdown-flag plumbing for
 //!   graceful server drain, bound through the same minimal FFI shim.
 //! - [`sock`] (Linux) — `SO_REUSEADDR` listener binding so a restarted
@@ -24,6 +29,8 @@
 
 #![warn(missing_docs)]
 
+#[cfg(target_os = "linux")]
+pub mod endpoint;
 pub mod loadgen;
 pub mod packet;
 #[cfg(target_os = "linux")]

@@ -9,7 +9,14 @@
 //! half-sent simply costs that one connection. The data plane never
 //! sees this thread — handlers read counters the runtime publishes
 //! anyway.
+//!
+//! The sockets are [`concord_net::endpoint`]'s, as on the data plane: a
+//! connection reads its request, encodes the response into an
+//! [`Outbox`] of one frame and flushes it, waiting for writability only
+//! if the socket fills; the listener parks when `accept` fails (e.g. on
+//! descriptor exhaustion), so the admin thread never spins on it.
 
+use concord_net::endpoint::{flush, Flush, Listener, Outbox, Registration};
 use concord_net::poll::{Events, Interest, Poller, Waker};
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read, Write};
@@ -79,34 +86,30 @@ impl HttpResponse {
         }
     }
 
-    fn serialize(&self) -> Vec<u8> {
-        let head = format!(
+    fn encode(&self, out: &mut Vec<u8>) {
+        write!(
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             self.status,
             self.reason(),
             self.content_type,
             self.body.len()
-        );
-        let mut out = head.into_bytes();
+        )
+        .expect("writing to a Vec");
         out.extend_from_slice(&self.body);
-        out
     }
 }
 
 /// The request handler the listener dispatches to.
 pub type Handler = Arc<dyn Fn(&HttpRequest) -> HttpResponse + Send + Sync>;
 
-enum ConnState {
-    Reading,
-    Writing,
-}
-
+/// One admin connection: reading its request while the outbox is
+/// empty, writing the response once it holds one.
 struct Conn {
     stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    state: ConnState,
+    request: Vec<u8>,
+    out: Outbox,
+    reg: Registration,
 }
 
 /// The admin HTTP listener: owns its poller thread; dropping (or calling
@@ -128,7 +131,7 @@ impl HttpServer {
         let stop = Arc::new(AtomicBool::new(false));
         let waker = Arc::new(Waker::new()?);
         let poller = Poller::new()?;
-        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+        let listener = Listener::register(listener, &poller, TOKEN_LISTENER)?;
         poller.add(waker.fd(), TOKEN_WAKER, Interest::READ)?;
         let thread = {
             let stop = stop.clone();
@@ -175,7 +178,7 @@ const TOKEN_WAKER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
 
 fn run(
-    listener: TcpListener,
+    mut listener: Listener,
     poller: Poller,
     waker: Arc<Waker>,
     stop: Arc<AtomicBool>,
@@ -185,139 +188,94 @@ fn run(
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     while !stop.load(Ordering::Acquire) {
-        if poller.wait(&mut events, WAIT_MS).is_err() {
+        if poller
+            .wait(&mut events, listener.timeout_ms(WAIT_MS))
+            .is_err()
+        {
             break;
         }
-        // Collect first: handling may mutate the conn map.
-        let fired: Vec<_> = events.iter().collect();
-        for ev in fired {
+        // Connections may have queued while the listener was parked.
+        let mut accept = listener.check_park(&poller);
+        for ev in events.iter() {
             match ev.token {
                 TOKEN_WAKER => waker.drain(),
-                TOKEN_LISTENER => loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let token = next_token;
-                            next_token += 1;
-                            if poller
-                                .add(stream.as_raw_fd(), token, Interest::READ)
-                                .is_ok()
-                            {
-                                conns.insert(
-                                    token,
-                                    Conn {
-                                        stream,
-                                        rbuf: Vec::new(),
-                                        wbuf: Vec::new(),
-                                        wpos: 0,
-                                        state: ConnState::Reading,
-                                    },
-                                );
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(_) => break,
-                    }
-                },
+                TOKEN_LISTENER => accept = true,
                 token => {
                     let done = match conns.get_mut(&token) {
-                        Some(conn) => drive_conn(conn, &poller, token, &handler, ev.hangup),
+                        Some(conn) => drive_conn(conn, &poller, &handler, ev.hangup),
                         None => continue,
                     };
                     if done {
-                        if let Some(conn) = conns.remove(&token) {
-                            let _ = poller.delete(conn.stream.as_raw_fd());
-                        }
+                        // Closing the socket drops its registration.
+                        conns.remove(&token);
                     }
                 }
             }
         }
-    }
-    for (_, conn) in conns.drain() {
-        let _ = poller.delete(conn.stream.as_raw_fd());
+        if !accept {
+            continue;
+        }
+        while let Some(stream) = listener.accept(&poller) {
+            if stream.set_nonblocking(true).is_err() {
+                continue;
+            }
+            let mut reg = Registration::new(stream.as_raw_fd(), next_token);
+            if reg.sync(&poller, true, false) {
+                let conn = Conn {
+                    stream,
+                    request: Vec::new(),
+                    out: Outbox::new(1),
+                    reg,
+                };
+                conns.insert(next_token, conn);
+                next_token += 1;
+            }
+        }
     }
 }
 
 /// Advances one connection; returns true when it should be closed.
-fn drive_conn(
-    conn: &mut Conn,
-    poller: &Poller,
-    token: u64,
-    handler: &Handler,
-    hangup: bool,
-) -> bool {
-    match conn.state {
-        ConnState::Reading => {
-            let mut buf = [0u8; 4096];
-            // EOF is not an instant drop: a client may half-close after
-            // sending a complete request and still await the response.
-            let mut eof = hangup;
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        eof = true;
+fn drive_conn(conn: &mut Conn, poller: &Poller, handler: &Handler, hangup: bool) -> bool {
+    if conn.out.is_empty() {
+        let mut buf = [0u8; 4096];
+        // EOF is not an instant drop: a client may half-close after
+        // sending a complete request and still await the response.
+        let mut eof = hangup;
+        let mut too_large = false;
+        loop {
+            match conn.stream.read(&mut buf) {
+                Ok(0) => {
+                    eof = true;
+                    break;
+                }
+                Ok(n) => {
+                    conn.request.extend_from_slice(&buf[..n]);
+                    if conn.request.len() > MAX_HEAD + MAX_BODY {
+                        too_large = true;
                         break;
                     }
-                    Ok(n) => {
-                        conn.rbuf.extend_from_slice(&buf[..n]);
-                        if conn.rbuf.len() > MAX_HEAD + MAX_BODY {
-                            return respond(
-                                conn,
-                                poller,
-                                token,
-                                HttpResponse::text(413, "request too large\n"),
-                            );
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => return true,
                 }
-            }
-            match try_parse(&conn.rbuf) {
-                Parse::Incomplete => eof, // half request + peer gone: drop
-                Parse::Bad(msg) => respond(conn, poller, token, HttpResponse::text(400, msg)),
-                Parse::Done(req) => {
-                    let resp = handler(&req);
-                    respond(conn, poller, token, resp)
-                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return true,
             }
         }
-        ConnState::Writing => flush(conn),
+        let resp = if too_large {
+            HttpResponse::text(413, "request too large\n")
+        } else {
+            match try_parse(&conn.request) {
+                Parse::Incomplete => return eof, // half request + peer gone: drop
+                Parse::Bad(msg) => HttpResponse::text(400, msg),
+                Parse::Done(req) => handler(&req),
+            }
+        };
+        conn.out.push(|b| resp.encode(b));
     }
-}
-
-/// Queues a response and starts flushing; returns true when the
-/// connection is finished and should be closed.
-fn respond(conn: &mut Conn, poller: &Poller, token: u64, resp: HttpResponse) -> bool {
-    conn.wbuf = resp.serialize();
-    conn.wpos = 0;
-    conn.state = ConnState::Writing;
-    if flush(conn) {
-        return true;
+    match flush(&mut conn.stream, &mut conn.out) {
+        // Partial write: wait for writability, reading nothing more.
+        Flush::Blocked => !conn.reg.sync(poller, false, true),
+        Flush::Done | Flush::Failed => true,
     }
-    // Partial write: wait for writability.
-    poller
-        .modify(conn.stream.as_raw_fd(), token, Interest::WRITE)
-        .is_err()
-}
-
-/// Writes as much of the pending response as the socket accepts;
-/// returns true once fully flushed (or the peer is gone).
-fn flush(conn: &mut Conn) -> bool {
-    while conn.wpos < conn.wbuf.len() {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => return true,
-            Ok(n) => conn.wpos += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return true,
-        }
-    }
-    let _ = conn.stream.flush();
-    true
 }
 
 enum Parse {

@@ -10,6 +10,8 @@ use std::error::Error;
 use std::fmt;
 use std::time::Duration;
 
+use concord_net::endpoint::DEFAULT_OUTBOX_CAP;
+
 use crate::balance::BackendSpec;
 use crate::proxy::MAX_PENDING;
 
@@ -21,8 +23,9 @@ pub struct RackConfig {
     /// Capacity of the pending-request table (in-flight cap across all
     /// backends). Full table ⇒ counted local rejection.
     pub pending_cap: usize,
-    /// Per-connection outbound buffer cap in bytes; a client that stops
-    /// reading past this is disconnected rather than ballooning memory.
+    /// Per-client-connection outbox cap in frames; a client that stops
+    /// reading past this is disconnected rather than ballooning memory,
+    /// and its answers still owed count as `relay_dropped`.
     pub outbox_cap: usize,
     /// How often the prober scrapes backend `/statz` and retries dead
     /// backends' connections.
@@ -44,7 +47,7 @@ impl RackConfig {
         RackConfigBuilder {
             backends,
             pending_cap: 65_536,
-            outbox_cap: 4 << 20,
+            outbox_cap: DEFAULT_OUTBOX_CAP,
             probe_interval: Duration::from_millis(100),
             stale_after: Duration::from_secs(1),
             admin: None,
@@ -106,8 +109,8 @@ impl RackConfigBuilder {
         self
     }
 
-    /// Caps each client connection's outbound buffer in bytes
-    /// (default 4 MiB).
+    /// Caps each client connection's outbox in frames (default
+    /// [`DEFAULT_OUTBOX_CAP`], 65 536).
     pub fn outbox_cap(mut self, cap: usize) -> Self {
         self.outbox_cap = cap;
         self

@@ -22,16 +22,22 @@
 //! *responses* that matched no pending entry (duplicates, or responses
 //! racing a failover), not requests, so it can tick without any request
 //! going unaccounted.
+//!
+//! Sockets go through [`concord_net::endpoint`], like the server's:
+//! every connection encodes frames straight into an [`Outbox`] bounded
+//! in frames and keeps a [`Registration`] that wants `EPOLLOUT` while
+//! the outbox holds anything (the rack writes on writability); the
+//! client listener parks on accept failures instead of spinning.
 
-use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use concord_net::endpoint::{flush, Flush, Listener, Outbox, Registration};
 use concord_net::poll::{Events, Interest, Poller, Waker};
 use concord_wire::frame::{self as wire, Frame, Status};
 pub use concord_wire::route::MAX_PENDING;
@@ -206,15 +212,24 @@ impl PendingTable {
 /// One client connection's loop-private state.
 struct ClientConn {
     stream: TcpStream,
-    fd: RawFd,
     recv: RecvBuf,
-    out: VecDeque<u8>,
+    /// Answers for the client, bounded at `RackConfig::outbox_cap`
+    /// frames.
+    out: Outbox,
+    /// Deregistered when half-closed with nothing queued.
+    reg: Registration,
     route: RackRoute,
     inflight: u64,
     read_closed: bool,
-    /// The interest currently registered with the poller (`None` =
-    /// deregistered: half-closed with no queued output).
-    registered: Option<Interest>,
+}
+
+impl ClientConn {
+    /// Waits on exactly what is left: reads until half-close, writes
+    /// while answers are queued.
+    fn sync(&mut self, poller: &Poller) {
+        self.reg
+            .sync(poller, !self.read_closed, !self.out.is_empty());
+    }
 }
 
 struct ClientSlot {
@@ -225,10 +240,11 @@ struct ClientSlot {
 /// One backend connection's loop-private state.
 struct BackendConn {
     stream: TcpStream,
-    fd: RawFd,
     recv: RecvBuf,
-    out: VecDeque<u8>,
-    registered: Interest,
+    /// Forwarded requests, bounded at `RackConfig::pending_cap` frames:
+    /// each holds a pending entry until the backend answers it.
+    out: Outbox,
+    reg: Registration,
 }
 
 /// Final accounting a rack reports at shutdown.
@@ -423,6 +439,7 @@ impl Drop for Rack {
 /// Everything the proxy loop owns.
 struct Loop {
     poller: Poller,
+    listener: Listener,
     shared: Arc<RackShared>,
     cfg: RackConfig,
     pending: PendingTable,
@@ -454,20 +471,15 @@ impl Loop {
             let Some(stream) = self.shared.table.get(idx).take_stream() else {
                 continue;
             };
-            let fd = stream.as_raw_fd();
-            if self
-                .poller
-                .add(fd, backend_token(idx), Interest::READ)
-                .is_err()
-            {
+            let mut reg = Registration::new(stream.as_raw_fd(), backend_token(idx));
+            if !reg.sync(&self.poller, true, false) {
                 continue; // prober will retry
             }
             self.backends[idx] = Some(BackendConn {
                 stream,
-                fd,
                 recv: RecvBuf::new(),
-                out: VecDeque::new(),
-                registered: Interest::READ,
+                out: Outbox::new(self.cfg.pending_cap),
+                reg,
             });
             self.shared.table.get(idx).mark_connected();
         }
@@ -477,10 +489,10 @@ impl Loop {
     /// pending on it: each parked request is answered RETRY so the
     /// client can resend to whichever backend the rack picks next.
     fn backend_died(&mut self, idx: usize) {
-        let Some(conn) = self.backends[idx].take() else {
+        let Some(mut conn) = self.backends[idx].take() else {
             return;
         };
-        let _ = self.poller.delete(conn.fd);
+        conn.reg.sync(&self.poller, false, false);
         drop(conn);
         self.shared.table.get(idx).mark_dead();
         let drained = self.pending.drain_backend(idx);
@@ -600,42 +612,17 @@ impl Loop {
         let Some(conn) = self.backends[idx].as_mut() else {
             return;
         };
-        if !flush(&mut conn.stream, &mut conn.out) {
+        if flush(&mut conn.stream, &mut conn.out) == Flush::Failed {
             self.backend_died(idx);
             return;
         }
-        self.sync_backend_interest(idx);
-    }
-
-    fn sync_backend_interest(&mut self, idx: usize) {
-        let Some(conn) = self.backends[idx].as_mut() else {
-            return;
-        };
-        let want = if conn.out.is_empty() {
-            Interest::READ
-        } else {
-            Interest::READ_WRITE
-        };
-        if want != conn.registered
-            && self
-                .poller
-                .modify(conn.fd, backend_token(idx), want)
-                .is_ok()
-        {
-            conn.registered = want;
-        }
+        conn.reg.sync(&self.poller, true, !conn.out.is_empty());
     }
 
     // ---- client connections --------------------------------------------
 
-    fn accept_clients(&mut self, listener: &TcpListener) {
-        loop {
-            let stream = match listener.accept() {
-                Ok((s, _)) => s,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
+    fn accept_clients(&mut self) {
+        while let Some(stream) = self.listener.accept(&self.poller) {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
@@ -650,24 +637,19 @@ impl Loop {
                 }
             };
             let gen = self.clients[slot as usize].gen;
-            let fd = stream.as_raw_fd();
-            if self
-                .poller
-                .add(fd, client_token(slot, gen), Interest::READ)
-                .is_err()
-            {
+            let mut reg = Registration::new(stream.as_raw_fd(), client_token(slot, gen));
+            if !reg.sync(&self.poller, true, false) {
                 self.client_free.push(slot);
                 continue;
             }
             self.clients[slot as usize].conn = Some(ClientConn {
                 stream,
-                fd,
                 recv: RecvBuf::new(),
-                out: VecDeque::new(),
+                out: Outbox::new(self.cfg.outbox_cap),
+                reg,
                 route,
                 inflight: 0,
                 read_closed: false,
-                registered: Some(Interest::READ),
             });
             self.shared
                 .active_connections
@@ -675,25 +657,15 @@ impl Loop {
         }
     }
 
-    fn client(&mut self, slot: u32, gen: u16) -> Option<&mut ClientConn> {
-        let s = self.clients.get_mut(slot as usize)?;
-        if s.gen != gen {
-            return None;
-        }
-        s.conn.as_mut()
-    }
-
     /// Closes a client now, regardless of in-flight state. Bumping the
     /// generation makes late responses count as `relay_dropped` instead
     /// of landing on a recycled slot — the misdelivery guard.
     fn close_client(&mut self, slot: u32) {
         let s = &mut self.clients[slot as usize];
-        let Some(conn) = s.conn.take() else {
+        let Some(mut conn) = s.conn.take() else {
             return;
         };
-        if conn.registered.is_some() {
-            let _ = self.poller.delete(conn.fd);
-        }
+        conn.reg.sync(&self.poller, false, false);
         s.gen = s.gen.wrapping_add(1);
         self.client_free.push(slot);
         self.shared
@@ -714,41 +686,37 @@ impl Loop {
         }
     }
 
-    /// Appends a response for `entry`'s client if it is still the same
-    /// connection; returns whether the bytes were queued. Also settles
-    /// the client's in-flight count either way.
+    /// Encodes a response for `entry`'s client into its outbox if it is
+    /// still the same connection; returns whether it was queued. Also
+    /// settles the client's in-flight count either way.
     fn answer_client(&mut self, entry: &PendingEntry, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
-        let cap = self.cfg.outbox_cap;
-        let Some(conn) = self.client(entry.client_slot, entry.client_gen) else {
-            self.totals().relay_dropped.fetch_add(1, Ordering::Relaxed);
+        let totals = &self.shared.totals;
+        let Some(conn) = client(&mut self.clients, entry.client_slot, entry.client_gen) else {
+            totals.relay_dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         };
         conn.inflight = conn.inflight.saturating_sub(1);
-        let mut buf = Vec::new();
-        encode(&mut buf);
-        if conn.out.len() + buf.len() > cap {
+        if !conn.out.push(encode) {
             // The client stopped reading; cut it loose rather than
             // buffer without bound. Its remaining in-flight responses
             // will count as relay_dropped.
-            self.totals().relay_dropped.fetch_add(1, Ordering::Relaxed);
+            totals.relay_dropped.fetch_add(1, Ordering::Relaxed);
             self.close_client(entry.client_slot);
             return false;
         }
-        conn.out.extend(buf.iter());
-        self.sync_client_interest(entry.client_slot, entry.client_gen);
-        self.retire_if_done(entry.client_slot);
+        conn.sync(&self.poller);
         true
     }
 
     fn client_readable(&mut self, slot: u32, gen: u16) {
         loop {
-            let Some(conn) = self.client(slot, gen) else {
+            let Some(conn) = client(&mut self.clients, slot, gen) else {
                 return;
             };
             match conn.recv.fill(&mut conn.stream) {
                 Ok(0) => {
                     conn.read_closed = true;
-                    self.sync_client_interest(slot, gen);
+                    conn.sync(&self.poller);
                     self.retire_if_done(slot);
                     return;
                 }
@@ -777,14 +745,8 @@ impl Loop {
         loop {
             // Field-precise borrows: `conn` out of `self.clients`,
             // payload into the disjoint `self.scratch`.
-            let Some(sref) = self.clients.get_mut(slot as usize) else {
-                return true;
-            };
-            if sref.gen != gen {
+            let Some(conn) = client(&mut self.clients, slot, gen) else {
                 return true; // closed mid-batch (outbox overflow)
-            }
-            let Some(conn) = sref.conn.as_mut() else {
-                return true;
             };
             let (id, class, service_ns, consumed) = match wire::decode(conn.recv.data()) {
                 Ok(Some((Frame::Request(rf), consumed))) => {
@@ -809,8 +771,7 @@ impl Loop {
     /// answer RETRY locally. The request payload is in `self.scratch`.
     fn handle_request(&mut self, slot: u32, gen: u16, id: u64, class: u16, service_ns: u64) {
         let draining = self.shared.draining.load(Ordering::Acquire);
-        let route = self
-            .client(slot, gen)
+        let route = client(&mut self.clients, slot, gen)
             .map(|c| c.route)
             .unwrap_or(RackRoute { primary: 0, alt: 0 });
         let picked = if draining {
@@ -818,14 +779,14 @@ impl Loop {
         } else {
             self.shared.table.pick(route)
         };
-        let target = picked.and_then(|idx| {
-            // The prober may believe a backend is up before this loop
-            // has adopted its socket; treat that window as not-up.
-            if self.backends[idx].is_some() {
-                Some(idx)
-            } else {
-                None
-            }
+        // The prober may believe a backend is up before this loop has
+        // adopted its socket; treat that window as not-up. So is a full
+        // outbox: a forward stays counted in it until the whole buffer
+        // is written, so `pending_cap` bounds it only while it drains.
+        let target = picked.filter(|&idx| {
+            self.backends[idx]
+                .as_ref()
+                .is_some_and(|b| !b.out.is_full())
         });
         let Some(idx) = target else {
             self.reject_local(slot, gen, id, class, service_ns);
@@ -846,97 +807,55 @@ impl Loop {
         self.sync_pending_gauge();
         let pid = pending_id(pslot, pgen);
         let conn = self.backends[idx].as_mut().expect("picked a live backend");
-        let mut buf = Vec::new();
-        wire::encode_request(&mut buf, pid, class, service_ns, &self.scratch);
-        conn.out.extend(buf.iter());
+        let scratch = &self.scratch;
+        let queued = conn
+            .out
+            .push(|b| wire::encode_request(b, pid, class, service_ns, scratch));
+        debug_assert!(queued, "picked a backend with outbox room");
+        conn.reg.sync(&self.poller, true, true);
         self.totals().forwarded.fetch_add(1, Ordering::Relaxed);
         self.shared.table.get(idx).note_forwarded();
-        if let Some(c) = self.client(slot, gen) {
+        if let Some(c) = client(&mut self.clients, slot, gen) {
             c.inflight += 1;
         }
-        self.sync_backend_interest(idx);
     }
 
     /// Answers RETRY from the rack itself and counts the rejection.
     fn reject_local(&mut self, slot: u32, gen: u16, id: u64, class: u16, service_ns: u64) {
         self.totals().rejected_local.fetch_add(1, Ordering::Relaxed);
-        let cap = self.cfg.outbox_cap;
-        let Some(conn) = self.client(slot, gen) else {
+        let Some(conn) = client(&mut self.clients, slot, gen) else {
             return;
         };
-        let mut buf = Vec::new();
-        wire::encode_retry(&mut buf, id, class, service_ns);
-        if conn.out.len() + buf.len() > cap {
+        if !conn
+            .out
+            .push(|b| wire::encode_retry(b, id, class, service_ns))
+        {
             self.close_client(slot);
             return;
         }
-        conn.out.extend(buf.iter());
-        self.sync_client_interest(slot, gen);
+        conn.sync(&self.poller);
     }
 
     fn client_writable(&mut self, slot: u32, gen: u16) {
-        let Some(conn) = self.client(slot, gen) else {
+        let Some(conn) = client(&mut self.clients, slot, gen) else {
             return;
         };
-        if !flush(&mut conn.stream, &mut conn.out) {
+        if flush(&mut conn.stream, &mut conn.out) == Flush::Failed {
             self.close_client(slot);
             return;
         }
-        self.sync_client_interest(slot, gen);
+        conn.sync(&self.poller);
         self.retire_if_done(slot);
-    }
-
-    /// Re-registers a client for exactly the events it needs: READ
-    /// until half-close, WRITE while output is queued, deregistered
-    /// when neither (level-triggered epoll would spin otherwise).
-    fn sync_client_interest(&mut self, slot: u32, gen: u16) {
-        let Some(sref) = self.clients.get_mut(slot as usize) else {
-            return;
-        };
-        if sref.gen != gen {
-            return;
-        }
-        let Some(conn) = sref.conn.as_mut() else {
-            return;
-        };
-        let want = match (!conn.read_closed, !conn.out.is_empty()) {
-            (true, true) => Some(Interest::READ_WRITE),
-            (true, false) => Some(Interest::READ),
-            (false, true) => Some(Interest::WRITE),
-            (false, false) => None,
-        };
-        if want == conn.registered {
-            return;
-        }
-        let token = client_token(slot, gen);
-        let ok = match (conn.registered, want) {
-            (Some(_), Some(w)) => self.poller.modify(conn.fd, token, w).is_ok(),
-            (None, Some(w)) => self.poller.add(conn.fd, token, w).is_ok(),
-            (Some(_), None) => self.poller.delete(conn.fd).is_ok(),
-            (None, None) => true,
-        };
-        if ok {
-            conn.registered = want;
-        }
     }
 }
 
-/// Writes as much of `out` as the socket will take. Returns `false` on
-/// a fatal write error.
-fn flush(stream: &mut TcpStream, out: &mut VecDeque<u8>) -> bool {
-    while !out.is_empty() {
-        let (front, _) = out.as_slices();
-        match stream.write(front) {
-            Ok(0) => return false,
-            Ok(n) => {
-                out.drain(..n);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return true,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return false,
-        }
+/// The open client connection at `slot`, if `gen` still names it.
+fn client(clients: &mut [ClientSlot], slot: u32, gen: u16) -> Option<&mut ClientConn> {
+    let s = clients.get_mut(slot as usize)?;
+    if s.gen != gen {
+        return None;
     }
-    true
+    s.conn.as_mut()
 }
 
 fn proxy_loop(
@@ -949,14 +868,14 @@ fn proxy_loop(
     poller
         .add(waker.fd(), TOKEN_WAKER, Interest::READ)
         .expect("register waker");
-    poller
-        .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-        .expect("register listener");
+    let listener =
+        Listener::register(listener, &poller, TOKEN_LISTENER).expect("register listener");
 
     let n_backends = shared.table.len();
     let drain_grace = cfg.drain_grace;
     let mut lp = Loop {
         poller,
+        listener,
         shared,
         pending: PendingTable::new(cfg.pending_cap),
         cfg,
@@ -967,17 +886,13 @@ fn proxy_loop(
     };
 
     let mut events = Events::with_capacity(1024);
-    let mut listening = true;
     let mut drain_deadline: Option<Instant> = None;
 
     loop {
         // Shutdown: stop accepting, reject new work, drain in-flight.
         if lp.shared.stop.load(Ordering::Acquire) && drain_deadline.is_none() {
             lp.shared.draining.store(true, Ordering::Release);
-            if listening {
-                let _ = lp.poller.delete(listener.as_raw_fd());
-                listening = false;
-            }
+            lp.listener.close(&lp.poller);
             drain_deadline = Some(Instant::now() + drain_grace);
         }
         if let Some(deadline) = drain_deadline {
@@ -991,9 +906,12 @@ fn proxy_loop(
         }
 
         lp.adopt_backends();
+        if lp.listener.check_park(&lp.poller) {
+            lp.accept_clients();
+        }
 
         let timeout = if drain_deadline.is_some() { 10 } else { 100 };
-        let n = match lp.poller.wait(&mut events, timeout) {
+        let n = match lp.poller.wait(&mut events, lp.listener.timeout_ms(timeout)) {
             Ok(n) => n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => panic!("rack epoll_wait: {e}"),
@@ -1001,12 +919,10 @@ fn proxy_loop(
         if n == 0 {
             continue;
         }
-        let batch: Vec<_> = events.iter().collect();
-        for ev in batch {
+        for ev in events.iter() {
             match ev.token {
                 TOKEN_WAKER => waker.drain(),
-                TOKEN_LISTENER if listening => lp.accept_clients(&listener),
-                TOKEN_LISTENER => {}
+                TOKEN_LISTENER => lp.accept_clients(),
                 t if t & CLIENT_TAG != 0 => {
                     let slot = (t & 0xFFFF_FFFF) as u32;
                     let gen = ((t >> 32) & 0xFFFF) as u16;

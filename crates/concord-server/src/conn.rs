@@ -25,89 +25,20 @@
 //! for a freed slot from one for its live occupant.
 //!
 //! Every book here is a plain field of the owning loop's `ConnTable`:
-//! a slot's `owed` count, its connection's `Outbox`, and the loop's
+//! a slot's `owed` count, its connection's [`Outbox`] (the shared
+//! `concord_net::endpoint` one, bounded in frames), and the loop's
 //! `in_flight`, which always equals the sum of `owed` over its slots.
 //!
 //! The route-id bit layout itself (`16-bit slot | 8-bit generation |
 //! 40-bit client id`) lives in [`concord_wire::route`], shared with the
 //! rack front end.
 
+use concord_net::endpoint::Outbox;
 use concord_wire::route::MAX_CONNS;
-
-/// Default bound on encoded frames a connection's outbox may hold. An
-/// answer that finds the outbox at the bound after the loop has tried
-/// to flush it is dropped and counted in the shard's `tx_dropped`, and a
-/// RETRY in that position in `retries_dropped`. Tests shrink it
-/// (`ServerConfig::outbox_cap`) to exercise that accounting
-/// deterministically.
-pub const DEFAULT_OUTBOX_CAP: usize = 64 * 1024;
 
 /// The event loop (of `loops`) that owns `slot`.
 pub(crate) fn owner(slot: u16, loops: usize) -> usize {
     usize::from(slot) % loops
-}
-
-/// Encoded frames waiting for the socket, back to back in one buffer:
-/// answers and RETRYs are encoded into it in place, the loop writes
-/// [`Outbox::unsent`] and [`Outbox::advance`]s past what the socket
-/// took. Once everything is written the buffer is emptied and reused, so
-/// a response costs no allocation and a flush no gather list.
-pub(crate) struct Outbox {
-    bytes: Vec<u8>,
-    sent: usize,
-    frames: usize,
-    cap: usize,
-}
-
-impl Outbox {
-    fn new(cap: usize) -> Self {
-        Self {
-            bytes: Vec::new(),
-            sent: 0,
-            frames: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    /// Appends one frame, unless `cap` frames already wait.
-    pub(crate) fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> bool {
-        if self.is_full() {
-            return false;
-        }
-        encode(&mut self.bytes);
-        self.frames += 1;
-        true
-    }
-
-    /// Whether `cap` frames wait, so the next [`Outbox::push`] would fail.
-    pub(crate) fn is_full(&self) -> bool {
-        self.frames >= self.cap
-    }
-
-    /// Whether every frame pushed is on the wire.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.frames == 0
-    }
-
-    /// Frames waiting in the buffer (a partly written one included).
-    pub(crate) fn frames(&self) -> usize {
-        self.frames
-    }
-
-    /// The bytes still to be written.
-    pub(crate) fn unsent(&self) -> &[u8] {
-        &self.bytes[self.sent..]
-    }
-
-    /// The socket took `n` more bytes.
-    pub(crate) fn advance(&mut self, n: usize) {
-        self.sent += n;
-        if self.sent == self.bytes.len() {
-            self.bytes.clear();
-            self.sent = 0;
-            self.frames = 0;
-        }
-    }
 }
 
 struct Slot {
@@ -290,23 +221,5 @@ mod tests {
         let mut last = ConnTable::new(2, 3, 64);
         let held = std::iter::from_fn(|| last.register()).count();
         assert_eq!(held, (MAX_CONNS - 2).div_ceil(3));
-    }
-
-    #[test]
-    fn outbox_is_one_buffer_bounded_in_frames() {
-        let mut out = Outbox::new(2);
-        assert!(out.push(|b| b.extend_from_slice(b"one")));
-        assert!(out.push(|b| b.extend_from_slice(b"two-three")));
-        assert!(out.is_full());
-        assert!(!out.push(|_| panic!("a full outbox encodes nothing")));
-        // A partial write frees no frame: the buffer empties whole.
-        out.advance(5);
-        assert_eq!((out.unsent(), out.frames()), (&b"o-three"[..], 2));
-        let grown = out.bytes.capacity();
-        out.advance(7);
-        assert!(out.is_empty() && out.unsent().is_empty());
-        assert!(out.push(|b| b.extend_from_slice(b"four")));
-        assert_eq!(out.unsent(), b"four");
-        assert_eq!(out.bytes.capacity(), grown, "the buffer is reused");
     }
 }

@@ -1,8 +1,10 @@
 //! The ingress: a fixed pool of I/O threads multiplexing every
 //! connection through epoll.
 //!
-//! Each loop owns a [`Poller`], the listener (registered in every loop;
-//! the accept race is benign — losers see `WouldBlock`), an eventfd
+//! Each loop owns a [`Poller`], a [`Listener`] over the shared socket
+//! (registered in every loop; the accept race is benign — losers see
+//! `WouldBlock` — and parked out of the poller for a beat when `accept`
+//! fails, e.g. on descriptor exhaustion), an eventfd
 //! [`Waker`] that only stop and drain write, and — the one-owner rule —
 //! everything about the connections it accepted: their sockets, their
 //! slots in its own [`ConnTable`] (loop `i` of `n` hands out the slots
@@ -21,7 +23,9 @@
 //!   pops them, encodes each straight into its connection's outbox,
 //!   settles the books, and writes every outbox it touched in the same
 //!   pass: one `write` per connection, `EPOLLOUT` interest only when the
-//!   socket fills.
+//!   socket fills. The outbox, the write loop and the interest reconcile
+//!   are [`concord_net::endpoint`]'s, shared with the rack proxy and the
+//!   admin listener.
 //! - **Retirement**: a connection leaves when the client has
 //!   half-closed, nothing is owed, and its outbox has flushed. Protocol
 //!   errors and write failures abort it at once; either way its slot
@@ -71,9 +75,10 @@
 //! asleep. Stop and drain are flags read once per pass, and
 //! `Server::shutdown` writes the eventfd for them.
 
-use crate::conn::{owner, ConnTable, Outbox};
+use crate::conn::{owner, ConnTable};
 use crate::server::{FrontShared, ShardRoute};
 use concord_core::admission::AdmitOutcome;
+use concord_net::endpoint::{flush, Flush, Listener, Outbox, Registration};
 use concord_net::poll::{Events, Interest, Poller, Waker};
 use concord_net::ring::Consumer;
 use concord_net::{Request, Response};
@@ -81,7 +86,7 @@ use concord_wire::frame::{self as wire, Frame, Status};
 use concord_wire::route::{route_id, split_route_id};
 use concord_wire::RecvBuf;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Write};
+use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -96,9 +101,6 @@ const TOKEN_WAKER: u64 = u64::MAX - 1;
 /// Socket fills per readiness event before yielding to other
 /// connections (level-triggering re-reports leftover data).
 const FILLS_PER_EVENT: usize = 4;
-/// How long an accept failure (e.g. descriptor exhaustion) parks the
-/// listener before retrying, instead of spinning on the error.
-const ACCEPT_PARK: Duration = Duration::from_millis(20);
 /// Grace period after shutdown's final drain begins; stragglers whose
 /// clients won't drain their sockets are force-closed past it.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
@@ -191,18 +193,16 @@ impl LoopsFront {
         let mut handles = Vec::new();
         for ((i, ls), rings) in shared.loops.iter().enumerate().zip(rings) {
             let poller = Poller::new()?;
-            poller.add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
+            let listener = Listener::register(listener.clone(), &poller, TOKEN_LISTENER)?;
             poller.add(ls.waker.fd(), TOKEN_WAKER, Interest::READ)?;
             let table = ConnTable::new(i, shared.loops.len(), shared.outbox_cap);
             let lp = EventLoop {
                 poller,
-                listener: listener.clone(),
+                listener,
                 shared: shared.clone(),
                 loop_shared: ls.clone(),
                 conns: HashMap::new(),
                 books: Books::new(table, rings),
-                listener_registered: true,
-                park_until: None,
                 stopping: false,
                 drain_deadline: None,
             };
@@ -354,11 +354,9 @@ struct Conn {
     gen: u8,
     route: ShardRoute,
     rbuf: RecvBuf,
-    /// The socket refused bytes; `EPOLLOUT` interest is armed.
-    want_write: bool,
-    /// Current epoll registration (`None` = deregistered; the
-    /// connection is serviced when an answer or settle reaches it).
-    interest: Option<Interest>,
+    /// Deregistered once half-closed with nothing queued; the
+    /// connection is then serviced when an answer or settle reaches it.
+    reg: Registration,
     /// The client half-closed (or the server stopped reading).
     read_eof: bool,
 }
@@ -440,69 +438,15 @@ impl Conn {
             shared.active_conns.fetch_sub(1, Ordering::Relaxed);
         }
     }
-
-    /// Writes the outbox to the socket until it is empty or the socket
-    /// is full. `false` on a write error (the connection is dead).
-    fn flush(&mut self, out: &mut Outbox) -> bool {
-        while !out.unsent().is_empty() {
-            match self.stream.write(out.unsent()) {
-                Ok(0) => return false,
-                Ok(n) => out.advance(n),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    // The socket is full; `sync_interest` arms `EPOLLOUT`.
-                    self.want_write = true;
-                    return true;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        self.want_write = false;
-        true
-    }
-
-    /// Reconciles the epoll registration with what the connection
-    /// actually waits on. A half-closed connection with nothing queued
-    /// deregisters entirely. `false` when the registration could not be
-    /// changed.
-    fn sync_interest(&mut self, slot: u16, poller: &Poller, stopping: bool) -> bool {
-        let want_read = !self.read_eof && !stopping;
-        let want = match (want_read, self.want_write) {
-            (true, true) => Some(Interest::READ_WRITE),
-            (true, false) => Some(Interest::READ),
-            (false, true) => Some(Interest::WRITE),
-            (false, false) => None,
-        };
-        if want == self.interest {
-            return true;
-        }
-        let fd = self.stream.as_raw_fd();
-        let token = conn_token(slot, self.gen);
-        let ok = match (self.interest, want) {
-            (None, Some(i)) => poller.add(fd, token, i).is_ok(),
-            (Some(_), Some(i)) => poller.modify(fd, token, i).is_ok(),
-            (Some(_), None) => {
-                let _ = poller.delete(fd);
-                true
-            }
-            (None, None) => true,
-        };
-        if ok {
-            self.interest = want;
-        }
-        ok
-    }
 }
 
 struct EventLoop {
     poller: Poller,
-    listener: Arc<TcpListener>,
+    listener: Listener,
     shared: Arc<FrontShared>,
     loop_shared: Arc<LoopShared>,
     conns: HashMap<u16, Conn>,
     books: Books,
-    listener_registered: bool,
-    park_until: Option<Instant>,
     stopping: bool,
     drain_deadline: Option<Instant>,
 }
@@ -525,7 +469,10 @@ impl EventLoop {
                 }
             }
             let arrived = self.take_answers();
-            self.check_park();
+            if self.listener.check_park(&self.poller) {
+                // Connections may have queued while parked.
+                self.accept_burst();
+            }
             self.check_drain();
             self.publish();
             let drained = self.books.table.in_flight() == 0
@@ -545,18 +492,16 @@ impl EventLoop {
     /// requests in flight it is a poll: their answers are at most a few
     /// microseconds away, on rings only a running loop reads. With none
     /// in flight nobody is waiting on this loop, so it blocks — until a
-    /// socket is ready or a stop/park tick is due. Returns the number of
-    /// events delivered.
+    /// socket is ready, or the stop tick or the listener's park is due.
+    /// Returns the number of events delivered.
     fn wait(&self, events: &mut Events) -> usize {
         if self.books.table.in_flight() > 0 {
             return self.poller.wait(events, 0).unwrap_or(0);
         }
         let timeout_ms = if self.stopping {
             10
-        } else if self.park_until.is_some() {
-            5
         } else {
-            -1
+            self.listener.timeout_ms(-1)
         };
         self.loop_shared.sleeps.fetch_add(1, Ordering::Relaxed);
         self.poller.wait(events, timeout_ms).unwrap_or(0)
@@ -573,7 +518,7 @@ impl EventLoop {
                 if let Some(conn) = conns.get_mut(&slot) {
                     // A failed write leaves the outbox full; the service
                     // below meets the same error and aborts.
-                    conn.flush(out);
+                    let _ = flush(&mut conn.stream, out);
                 }
             });
         let mut touched = std::mem::take(&mut self.books.touched);
@@ -601,11 +546,7 @@ impl EventLoop {
             return;
         }
         self.stopping = true;
-        if self.listener_registered {
-            let _ = self.poller.delete(self.listener.as_raw_fd());
-            self.listener_registered = false;
-        }
-        self.park_until = None;
+        self.listener.close(&self.poller);
         let slots: Vec<u16> = self.conns.keys().copied().collect();
         for slot in slots {
             if let Some(conn) = self.conns.get_mut(&slot) {
@@ -634,97 +575,43 @@ impl EventLoop {
         }
     }
 
-    fn check_park(&mut self) {
-        if let Some(t) = self.park_until {
-            if Instant::now() >= t {
-                self.park_until = None;
-                if !self.stopping && !self.listener_registered {
-                    self.listener_registered = self
-                        .poller
-                        .add(self.listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-                        .is_ok();
-                    if self.listener_registered {
-                        // Connections may have queued while parked.
-                        self.accept_burst();
-                    } else {
-                        self.park_until = Some(Instant::now() + ACCEPT_PARK);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deregisters the listener for a beat instead of spinning on a
-    /// failing `accept` (descriptor exhaustion reports per-attempt).
-    fn park_listener(&mut self) {
-        if self.listener_registered {
-            let _ = self.poller.delete(self.listener.as_raw_fd());
-            self.listener_registered = false;
-        }
-        self.park_until = Some(Instant::now() + ACCEPT_PARK);
-    }
-
+    /// Takes every connection waiting in the backlog. A connection
+    /// whose setup fails is refused; an `accept` failure parks the
+    /// listener and leaves the rest in the backlog.
     fn accept_burst(&mut self) {
-        if self.stopping || !self.listener_registered {
-            return;
-        }
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if self.shared.take_setup_fault() {
-                        // Injected setup failure (modeling descriptor
-                        // exhaustion mid-setup): refuse deterministically.
-                        self.shared.refused.fetch_add(1, Ordering::Relaxed);
-                        drop(stream);
-                        continue;
-                    }
-                    let Some((slot, gen)) = self.books.table.register() else {
-                        self.shared.refused.fetch_add(1, Ordering::Relaxed);
-                        drop(stream);
-                        continue;
-                    };
-                    if stream.set_nonblocking(true).is_err()
-                        || self
-                            .poller
-                            .add(stream.as_raw_fd(), conn_token(slot, gen), Interest::READ)
-                            .is_err()
-                    {
-                        self.books.table.close(slot, gen);
-                        self.shared.refused.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let route = ShardRoute::new(
-                        slot,
-                        gen,
-                        self.shared.admissions.len(),
-                        self.shared.router,
-                    );
-                    self.conns.insert(
-                        slot,
-                        Conn {
-                            stream,
-                            gen,
-                            route,
-                            rbuf: RecvBuf::new(),
-                            want_write: false,
-                            interest: Some(Interest::READ),
-                            read_eof: false,
-                        },
-                    );
-                    self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-                    self.shared.active_conns.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    // EMFILE/ENFILE or similar: the connection stays in
-                    // the backlog (deferred, not refused); park so the
-                    // loop doesn't busy-spin on the failing accept.
-                    self.park_listener();
-                    return;
-                }
+        while let Some(stream) = self.listener.accept(&self.poller) {
+            if self.shared.take_setup_fault() {
+                // Injected setup failure (modeling descriptor
+                // exhaustion mid-setup): refuse deterministically.
+                self.shared.refused.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
+            let Some((slot, gen)) = self.books.table.register() else {
+                self.shared.refused.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
+            let mut reg = Registration::new(stream.as_raw_fd(), conn_token(slot, gen));
+            if stream.set_nonblocking(true).is_err() || !reg.sync(&self.poller, true, false) {
+                self.books.table.close(slot, gen);
+                self.shared.refused.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            let route =
+                ShardRoute::new(slot, gen, self.shared.admissions.len(), self.shared.router);
+            self.conns.insert(
+                slot,
+                Conn {
+                    stream,
+                    gen,
+                    route,
+                    rbuf: RecvBuf::new(),
+                    reg,
+                    read_eof: false,
+                },
+            );
+            self.shared.accepted.fetch_add(1, Ordering::Relaxed);
+            self.shared.active_conns.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -757,11 +644,13 @@ impl EventLoop {
             .table
             .outbox(slot, conn.gen)
             .expect("a live connection has an outbox");
-        let verdict = if !conn.flush(out) {
+        // Reads stop at half-close (and at stop, which half-closes every
+        // connection); `EPOLLOUT` is armed while the socket holds bytes back.
+        let verdict = if flush(&mut conn.stream, out) == Flush::Failed {
             Verdict::Abort
         } else if conn.read_eof && owed == 0 && out.is_empty() {
             Verdict::Retire
-        } else if conn.sync_interest(slot, &self.poller, self.stopping) {
+        } else if conn.reg.sync(&self.poller, !conn.read_eof, !out.is_empty()) {
             Verdict::Keep
         } else {
             Verdict::Abort
@@ -779,12 +668,10 @@ impl EventLoop {
     /// Either way the slot stays held until every answer still owed on
     /// it has arrived, and those answers orphan.
     fn teardown(&mut self, slot: u16, abort: bool) {
-        let Some(conn) = self.conns.remove(&slot) else {
+        let Some(mut conn) = self.conns.remove(&slot) else {
             return;
         };
-        if conn.interest.is_some() {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-        }
+        conn.reg.sync(&self.poller, false, false);
         if abort {
             if !conn.read_eof {
                 self.shared.active_conns.fetch_sub(1, Ordering::Relaxed);

@@ -28,7 +28,7 @@
 //! RETRY frame or counted in [`ServerReport::retries_dropped`] when the
 //! connection's outbox had no room for the RETRY.
 
-use crate::conn::{owner, DEFAULT_OUTBOX_CAP};
+use crate::conn::owner;
 use crate::eventloop::{LoopShared, LoopsFront};
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy, AdmissionQueue};
 use concord_core::transport::Egress;
@@ -36,6 +36,7 @@ use concord_core::{
     AdmissionCounters, ConcordApp, RuntimeConfig, RuntimeStats, ShardRollup, ShardedRuntime,
     TelemetrySnapshot,
 };
+use concord_net::endpoint::DEFAULT_OUTBOX_CAP;
 use concord_net::ring::{ring, Consumer, Producer};
 use concord_net::Response;
 use concord_wire::route::{split_route_id, GEN_BITS};

@@ -253,10 +253,9 @@ fn bench_trace(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("trace");
     // The emit hot path the workers pay per scheduling event: one clock
-    // stamp is already in hand, so this is pack + SPSC ring write. Run
-    // `cargo bench -p concord-bench --no-default-features -- preempt` to
-    // compare should_yield/probe costs with tracing compiled out — the
-    // feature gate must make the difference indistinguishable.
+    // stamp is already in hand, so this is pack + SPSC ring write. The
+    // `preempt` group is the probe fast path beside it: `should_yield`'s
+    // empty poll touches no trace state.
     g.bench_function("emit_hot_path", |b| {
         let (mut collector, mut lanes) = TraceCollector::new(1, 64 * 1024);
         let mut lane = lanes.remove(0);

@@ -148,15 +148,9 @@ fn system_by_name(name: &str, workers: usize, quantum_ns: u64) -> SystemConfig {
     }
 }
 
-/// Writes `trace` to `path`: Perfetto trace-event JSON for a `.json`
-/// extension, the compact binary format otherwise.
+/// Writes `trace` to `path` (format by extension) and reports the outcome.
 fn write_trace(trace: &concord_trace::Trace, path: &std::path::Path) {
-    let res = if path.extension().is_some_and(|e| e == "json") {
-        concord_trace::perfetto::write_json(trace, path)
-    } else {
-        concord_trace::binary::write_file(trace, path)
-    };
-    match res {
+    match concord_trace::write_path(trace, path) {
         Ok(()) => println!(
             "trace: {} events on {} tracks -> {}",
             trace.records.len(),
@@ -197,16 +191,10 @@ fn run_runtime(args: &Args, workload: Mix, quantum_ns: u64, rate: f64) {
     let telemetry = rt.telemetry();
     if let Some(path) = &args.trace {
         rt.quiesce();
-        #[cfg(feature = "trace")]
         match rt.take_trace() {
             Some(trace) => write_trace(&trace, path),
             None => eprintln!("trace: tracer disarmed in RuntimeConfig, nothing to write"),
         }
-        #[cfg(not(feature = "trace"))]
-        eprintln!(
-            "trace: compiled out (build with the `trace` feature), not writing {}",
-            path.display()
-        );
     }
     let stats = rt.shutdown();
 
@@ -341,16 +329,10 @@ fn run_runtime_sharded(args: &Args, workload: Mix, quantum_ns: u64, rate: f64) {
     let _ = merger.join();
 
     if let Some(path) = &args.trace {
-        #[cfg(feature = "trace")]
         match rt.take_trace() {
             Some(trace) => write_trace(&trace, path),
             None => eprintln!("trace: tracer disarmed in RuntimeConfig, nothing to write"),
         }
-        #[cfg(not(feature = "trace"))]
-        eprintln!(
-            "trace: compiled out (build with the `trace` feature), not writing {}",
-            path.display()
-        );
     }
     let rollup = rt.shutdown();
 

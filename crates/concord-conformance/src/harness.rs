@@ -150,6 +150,39 @@ pub fn injector_of(case: &CaseConfig) -> Option<Arc<FaultInjector>> {
     Some(inj)
 }
 
+/// The runtime configuration a case runs under, traced with the whole
+/// run retained: `shards` dispatcher+worker groups, time from `clock`,
+/// faults from `injector`.
+fn config_of(
+    case: &CaseConfig,
+    shards: usize,
+    clock: Clock,
+    injector: Option<Arc<FaultInjector>>,
+) -> RuntimeConfig {
+    RuntimeConfig {
+        n_workers: case.n_workers,
+        num_shards: shards,
+        quantum: Duration::from_micros(case.quantum_us),
+        jbsq_depth: case.jbsq_depth,
+        work_conserving: case.work_conserving,
+        stack_size: 64 * 1024,
+        dispatcher_slice: Duration::from_micros(case.quantum_us),
+        max_in_flight: 16 * 1024,
+        policy: case.policy,
+        adaptive_quantum: false,
+        quantum_max: Duration::from_micros(case.quantum_us.max(100)),
+        quantum_control_interval: Duration::from_millis(10),
+        slo: Vec::new(),
+        telemetry_report_every: None,
+        probe_period: concord_core::config::DEFAULT_PROBE_PERIOD,
+        clock,
+        trace: true,
+        trace_ring_cap: concord_core::config::DEFAULT_TRACE_RING_CAP,
+        trace_retain: None,
+        fault_injector: injector,
+    }
+}
+
 /// Runs the case through the real multi-threaded runtime (wall clock,
 /// spin server) and returns the oracle inputs. Never hangs: collection
 /// is bounded by `timeout` and shutdown always drains.
@@ -255,28 +288,7 @@ impl Rig {
         let (req_tx, req_rx) = ring::<Request>(4096);
         let (resp_tx, resp_rx) = ring::<Response>(4096);
         let injector = injector_of(case);
-        let mut cfg = RuntimeConfig {
-            n_workers: case.n_workers,
-            num_shards: 1,
-            quantum: Duration::from_micros(case.quantum_us),
-            jbsq_depth: case.jbsq_depth,
-            work_conserving: case.work_conserving,
-            stack_size: 64 * 1024,
-            dispatcher_slice: Duration::from_micros(case.quantum_us),
-            max_in_flight: 16 * 1024,
-            policy: case.policy,
-            adaptive_quantum: false,
-            quantum_max: Duration::from_micros(case.quantum_us.max(100)),
-            quantum_control_interval: Duration::from_millis(10),
-            slo: Vec::new(),
-            telemetry_report_every: None,
-            probe_period: concord_core::config::DEFAULT_PROBE_PERIOD,
-            clock,
-            trace: true,
-            trace_ring_cap: concord_core::config::DEFAULT_TRACE_RING_CAP,
-            trace_retain: None,
-            fault_injector: injector.clone(),
-        };
+        let mut cfg = config_of(case, 1, clock, injector.clone());
         tune(&mut cfg);
         Self {
             case: case.clone(),
@@ -439,28 +451,7 @@ pub fn run_runtime_sharded(
     let (req_tx, mut req_rx) = ring::<Request>(4096);
     let (merged_tx, resp_rx) = ring::<Response>(8192);
 
-    let cfg = RuntimeConfig {
-        n_workers: case.n_workers,
-        num_shards: shards,
-        quantum: Duration::from_micros(case.quantum_us),
-        jbsq_depth: case.jbsq_depth,
-        work_conserving: case.work_conserving,
-        stack_size: 64 * 1024,
-        dispatcher_slice: Duration::from_micros(case.quantum_us),
-        max_in_flight: 16 * 1024,
-        policy: case.policy,
-        adaptive_quantum: false,
-        quantum_max: Duration::from_micros(case.quantum_us.max(100)),
-        quantum_control_interval: Duration::from_millis(10),
-        slo: Vec::new(),
-        telemetry_report_every: None,
-        probe_period: concord_core::config::DEFAULT_PROBE_PERIOD,
-        clock: Clock::monotonic(),
-        trace: true,
-        trace_ring_cap: concord_core::config::DEFAULT_TRACE_RING_CAP,
-        trace_retain: None,
-        fault_injector: None,
-    };
+    let cfg = config_of(case, shards, Clock::monotonic(), None);
 
     let mut shard_req_tx = Vec::with_capacity(shards);
     let mut shard_req_rx = Vec::with_capacity(shards);

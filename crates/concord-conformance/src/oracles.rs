@@ -236,7 +236,7 @@ pub fn check_trace(obs: &RuntimeObservation) -> Vec<String> {
     use concord_trace::EventKind;
     let mut v = Vec::new();
     let Some(s) = obs.trace.as_ref() else {
-        return v; // tracer disarmed or compiled out
+        return v; // tracer disarmed
     };
 
     check(&mut v, s.monotone_violations == 0, || {
@@ -1069,7 +1069,7 @@ mod tests {
 
     #[test]
     fn absent_trace_passes_trace_oracle() {
-        // trace: None models a lossy build (feature off / disarmed);
+        // trace: None models a disarmed tracer;
         // the replay oracle must be a no-op, not a failure.
         let v = check_trace(&clean_obs());
         assert!(v.is_empty(), "{v:?}");

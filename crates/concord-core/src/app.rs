@@ -1,8 +1,11 @@
-//! The application interface (paper §4.1) and the synthetic spin server.
+//! The application interface (paper §4.1), the synthetic spin server and
+//! the key-value server.
 
 use crate::preempt;
+use concord_kv::Db;
 use concord_net::Request;
 use concord_uthread::Yielder;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The three-callback application API of §4.1.
@@ -134,6 +137,89 @@ impl ConcordApp for SpinApp {
         let busy = Duration::from_nanos(req.service_ns);
         ctx.spin_for(busy, Duration::from_micros(1));
         u64::from(ctx.preemptions())
+    }
+}
+
+/// Keys [`KvApp`] pre-loads (the paper populates 15 000, §5.3).
+const KV_KEYS: u64 = 15_000;
+/// Rows one SCAN step reads between preemption points.
+const KV_SCAN_CHUNK: usize = 512;
+
+fn kv_key(i: u64) -> Vec<u8> {
+    format!("user{i:012}").into_bytes()
+}
+
+/// The paper's LevelDB-style key-value application (§5.3): an in-memory
+/// `concord-kv` store pre-loaded with 15 000 keys, whose lock depth gates
+/// preemption through [`LockDepthObserver`](crate::LockDepthObserver).
+/// Request classes follow `concord_workloads::mix::zippydb()`: GET = 0,
+/// PUT = 1, DELETE = 2, SCAN = 3; any other class is a GET.
+pub struct KvApp {
+    db: Db,
+}
+
+impl KvApp {
+    /// Builds and pre-loads the store.
+    pub fn new() -> Self {
+        let db = Db::new().with_lock_observer(Arc::new(crate::LockDepthObserver));
+        for i in 0..KV_KEYS {
+            db.put(kv_key(i), format!("value-{i:016}").into_bytes());
+        }
+        db.flush();
+        Self { db }
+    }
+
+    /// The store, for its operation counters.
+    pub fn db(&self) -> &Db {
+        &self.db
+    }
+}
+
+impl Default for KvApp {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl ConcordApp for KvApp {
+    fn handle_request(&self, req: &Request, ctx: &mut RequestContext<'_, '_>) -> u64 {
+        let k = kv_key(req.id.wrapping_mul(2_654_435_761) % KV_KEYS);
+        match req.class {
+            1 => {
+                self.db.put(k, format!("updated-{}", req.id).into_bytes());
+                ctx.preempt_point();
+                1
+            }
+            2 => {
+                self.db.delete(k);
+                ctx.preempt_point();
+                1
+            }
+            3 => {
+                // SCAN: walk the store in chunks, yielding between
+                // chunks — never while the store's lock is held.
+                let mut rows = 0u64;
+                let mut from: Vec<u8> = Vec::new();
+                loop {
+                    let chunk = self.db.scan(&from, KV_SCAN_CHUNK);
+                    rows += chunk.len() as u64;
+                    ctx.preempt_point();
+                    match chunk.last() {
+                        Some((last_key, _)) if chunk.len() == KV_SCAN_CHUNK => {
+                            from = last_key.to_vec();
+                            from.push(0);
+                        }
+                        _ => break,
+                    }
+                }
+                rows
+            }
+            _ => {
+                let hit = self.db.get(&k).is_some();
+                ctx.preempt_point();
+                u64::from(hit)
+            }
+        }
     }
 }
 
@@ -300,5 +386,35 @@ mod tests {
         let (result, took) = co.take_result().expect("returned");
         assert_eq!(result, 0, "the result code is the preemption count");
         assert!(took >= Duration::from_micros(100), "took {took:?}");
+    }
+
+    /// GET = 0, PUT = 1, DELETE = 2, SCAN = 3, all on one key: the
+    /// result codes follow the store's contents.
+    #[test]
+    fn kv_app_serves_every_class() {
+        set_mode(PreemptMode::None);
+        let app = Arc::new(KvApp::new());
+        let a = app.clone();
+        let mut co = Coroutine::new(64 * 1024, move |y| {
+            let mut preemptions = 0;
+            let mut ctx = RequestContext::new(y, &mut preemptions);
+            let mut run = |class| {
+                let req = Request {
+                    id: 7,
+                    class,
+                    service_ns: 0,
+                    sent_at: Instant::now(),
+                };
+                a.handle_request(&req, &mut ctx)
+            };
+            [run(0), run(3), run(2), run(0), run(3), run(1), run(0)]
+        });
+        assert_eq!(co.resume(), CoState::Complete);
+        assert_eq!(
+            co.take_result().expect("returned"),
+            [1, KV_KEYS, 1, 0, KV_KEYS - 1, 1, 1]
+        );
+        let s = app.db().stats();
+        assert_eq!((s.gets, s.puts, s.deletes), (3, KV_KEYS + 1, 1));
     }
 }

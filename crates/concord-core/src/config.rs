@@ -75,13 +75,11 @@ pub struct RuntimeConfig {
     /// Whether the scheduling-event tracer is armed. On by default (the
     /// tracer is designed to be left on); setting it false skips lane
     /// construction entirely, so emit hooks see no lane and cost one
-    /// branch. Compiling without the `trace` feature removes even that.
-    #[cfg(feature = "trace")]
+    /// branch.
     pub trace: bool,
     /// Capacity of each per-track trace ring, in events (16 bytes each).
     /// Rings absorb bursts between periodic collector drains; overflow is
     /// drop-and-count, never a stall.
-    #[cfg(feature = "trace")]
     pub trace_ring_cap: usize,
     /// Flight-recorder mode: when set, the trace collector retains only
     /// this much trailing wall time of events (older records age out at
@@ -89,7 +87,6 @@ pub struct RuntimeConfig {
     /// tracer armed with bounded memory and export the last N seconds on
     /// demand. `None` (the default) accumulates the whole run, which is
     /// what batch experiments and the conformance oracles want.
-    #[cfg(feature = "trace")]
     pub trace_retain: Option<Duration>,
     /// Deterministic fault schedule consulted by the dispatcher and
     /// workers (conformance testing only; `None` in production).
@@ -98,7 +95,6 @@ pub struct RuntimeConfig {
 }
 
 /// Default per-track trace-ring capacity (events).
-#[cfg(feature = "trace")]
 pub const DEFAULT_TRACE_RING_CAP: usize = 64 * 1024;
 
 /// Default preemption-probe period assumed by the presets (1 µs, the
@@ -207,11 +203,8 @@ impl RuntimeBuilder {
                 slo: Vec::new(),
                 telemetry_report_every: None,
                 clock: Clock::monotonic(),
-                #[cfg(feature = "trace")]
                 trace: true,
-                #[cfg(feature = "trace")]
                 trace_ring_cap: DEFAULT_TRACE_RING_CAP,
-                #[cfg(feature = "trace")]
                 trace_retain: None,
                 #[cfg(feature = "fault-injection")]
                 fault_injector: None,
@@ -350,14 +343,12 @@ impl RuntimeBuilder {
     }
 
     /// Arms or disarms the scheduling-event tracer.
-    #[cfg(feature = "trace")]
     pub fn trace(mut self, on: bool) -> Self {
         self.cfg.trace = on;
         self
     }
 
     /// Sets the per-track trace-ring capacity (clamped to ≥ 1).
-    #[cfg(feature = "trace")]
     pub fn trace_ring_cap(mut self, cap: usize) -> Self {
         self.cfg.trace_ring_cap = cap.max(1);
         self
@@ -366,7 +357,6 @@ impl RuntimeBuilder {
     /// Switches the tracer into flight-recorder mode: keep only the
     /// trailing `window` of events (see
     /// [`RuntimeConfig::trace_retain`]).
-    #[cfg(feature = "trace")]
     pub fn trace_retain(mut self, window: Duration) -> Self {
         self.cfg.trace_retain = Some(window);
         self
@@ -579,7 +569,6 @@ mod tests {
         assert_eq!(RuntimeConfig::small_test().telemetry_report_every, None);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn trace_defaults_on_and_builders_apply() {
         let c = RuntimeConfig::paper_defaults(2);

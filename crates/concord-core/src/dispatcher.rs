@@ -13,11 +13,12 @@ use crate::stats::RuntimeStats;
 use crate::task::{Frame, SliceEnd, Task};
 use crate::telemetry::{CompletionRecord, TelemetryHandle, DISPATCHER};
 use crate::transport::{Egress, Ingress, SpscReceiver, SpscSender};
-use crate::worker::{TraceKind, WorkerMsg};
+use crate::worker::WorkerMsg;
 use concord_net::Response;
+use concord_trace::{EventKind, TraceCollector, TraceEvent, TraceLane};
 use std::mem::take;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Dispatcher-side view of one worker.
 pub struct WorkerSlot {
@@ -79,18 +80,15 @@ pub struct DispatcherLoop<A: ConcordApp, I: Ingress, E: Egress> {
     /// The dispatcher's own scheduling-event lane (`None` when tracing is
     /// disarmed). Carries ARRIVE/DISPATCH/SIGNAL_SENT/STEAL/TX_DROP and
     /// the work-conserving slice events.
-    #[cfg(feature = "trace")]
-    pub trace: Option<concord_trace::TraceLane>,
+    pub trace: Option<TraceLane>,
     /// Collector holding the consumer side of every trace lane; the
     /// dispatcher drains it periodically so rings never sit full across a
     /// long run. `None` when tracing is disarmed.
-    #[cfg(feature = "trace")]
-    pub trace_collector: Option<Arc<std::sync::Mutex<concord_trace::TraceCollector>>>,
+    pub trace_collector: Option<Arc<Mutex<TraceCollector>>>,
 }
 
 /// Drain the trace collector every this-many dispatcher loop iterations.
 /// Power of two so the check is a mask.
-#[cfg(feature = "trace")]
 const TRACE_DRAIN_EVERY: u64 = 1024;
 
 /// Upper bound on pooled request frames (one 64 KiB stack each by
@@ -248,7 +246,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
             .map(|every| ReportTimer::new(every, self.clock.now_ns()));
         #[cfg(feature = "fault-injection")]
         let mut deferred: Vec<DeferredSignal> = Vec::new();
-        #[cfg(feature = "trace")]
         let mut iter: u64 = 0;
         loop {
             let mut progressed = false;
@@ -256,12 +253,9 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
             // 0. Periodic trace drain: move events out of the per-track
             //    rings so sustained runs don't overflow them. Cheap (a
             //    mask test) on the 1023 iterations out of 1024 it skips.
-            #[cfg(feature = "trace")]
-            {
-                iter = iter.wrapping_add(1);
-                if iter & (TRACE_DRAIN_EVERY - 1) == 0 {
-                    self.drain_trace();
-                }
+            iter = iter.wrapping_add(1);
+            if iter & (TRACE_DRAIN_EVERY - 1) == 0 {
+                self.drain_trace();
             }
 
             // 1. Worker messages: completions free JBSQ slots and emit
@@ -322,7 +316,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
             //    bounded no matter what.
             self.rx.drain_admission(&mut admission_events);
             for ev in admission_events.drain(..) {
-                self.trace_emit(ev.ts_ns, TraceKind::AdmitDrop, ev.id, u64::from(ev.class));
+                self.trace_emit(ev.ts_ns, EventKind::AdmitDrop, ev.id, u64::from(ev.class));
             }
 
             // 3. Ingest new arrivals (unless stopping or at the in-flight
@@ -362,7 +356,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 // not ns, so realistic sizes fit) so the per-policy
                 // priority-inversion oracle can replay dispatch
                 // decisions from the trace alone.
-                self.trace_emit(now_ns, TraceKind::Arrive, req.id, req.service_ns / 1_000);
+                self.trace_emit(now_ns, EventKind::Arrive, req.id, req.service_ns / 1_000);
                 let frame = match frame_pool.pop() {
                     Some(frame) => {
                         counts.stack_reuses += 1;
@@ -395,7 +389,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 // DISPATCH carries the target worker in the generation
                 // field so the replay oracle can rebuild per-worker JBSQ
                 // occupancy from the event stream alone.
-                self.trace_emit(now_ns, TraceKind::Dispatch, task.req.id, target as u64);
+                self.trace_emit(now_ns, EventKind::Dispatch, task.req.id, target as u64);
                 if let Err(_task) = self.workers[target].ring.push(task) {
                     unreachable!("JBSQ bound guarantees ring capacity");
                 }
@@ -512,7 +506,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     // found) pops from a stable end.
                     if let Some(task) = central.steal_not_started() {
                         self.stats.stolen.fetch_add(1, Ordering::Relaxed);
-                        self.trace_emit(now_ns, TraceKind::Steal, task.req.id, 0);
+                        self.trace_emit(now_ns, EventKind::Steal, task.req.id, 0);
                         stolen = Some(task);
                     }
                 }
@@ -541,7 +535,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     // against a deadline, not against a signal line, so
                     // there is no generation to tag. Timestamps reuse the
                     // slice's own entry/exit stamps — no extra clock reads.
-                    self.trace_emit(task.last_slice_start_ns, TraceKind::Resume, task.req.id, 0);
+                    self.trace_emit(task.last_slice_start_ns, EventKind::Resume, task.req.id, 0);
                     match end {
                         SliceEnd::Completed => {
                             in_system = in_system.saturating_sub(1);
@@ -550,7 +544,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                 .fetch_add(1, Ordering::Relaxed);
                             self.trace_emit(
                                 task.last_slice_end_ns,
-                                TraceKind::Complete,
+                                EventKind::Complete,
                                 task.req.id,
                                 u64::from(task.slices),
                             );
@@ -562,7 +556,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                         SliceEnd::Preempted => {
                             self.trace_emit(
                                 task.last_slice_end_ns,
-                                TraceKind::Yield,
+                                EventKind::Yield,
                                 task.req.id,
                                 0,
                             );
@@ -573,7 +567,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                             self.stats.failed.fetch_add(1, Ordering::Relaxed);
                             self.trace_emit(
                                 task.last_slice_end_ns,
-                                TraceKind::Complete,
+                                EventKind::Complete,
                                 task.req.id,
                                 u64::from(task.slices),
                             );
@@ -629,7 +623,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                 // dispatcher steal above uses gen 0.
                                 self.trace_emit(
                                     now_ns,
-                                    TraceKind::Steal,
+                                    EventKind::Steal,
                                     task.req.id,
                                     1 + victim as u64,
                                 );
@@ -740,32 +734,26 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         // request is not known to the signaling side) and the slice
         // generation in the gen field; the replay oracle matches it to
         // the target's YIELD by (worker, gen).
-        self.trace_emit(now_ns, TraceKind::SignalSent, worker as u64, gen);
+        self.trace_emit(now_ns, EventKind::SignalSent, worker as u64, gen);
         now_ns
     }
 
     /// Emits one scheduling event on the dispatcher's lane: a single
     /// wait-free ring push. Overflow increments `trace_dropped` and drops
-    /// the event — never blocks. Compiles to nothing without the `trace`
-    /// feature.
-    #[cfg(feature = "trace")]
+    /// the event — never blocks. A disarmed tracer has no lane: one
+    /// branch.
     #[inline]
-    fn trace_emit(&mut self, ts_ns: u64, kind: TraceKind, id: u64, gen: u64) {
+    fn trace_emit(&mut self, ts_ns: u64, kind: EventKind, id: u64, gen: u64) {
         if let Some(lane) = self.trace.as_mut() {
-            if !lane.emit(concord_trace::TraceEvent::new(ts_ns, kind, id, gen)) {
+            if !lane.emit(TraceEvent::new(ts_ns, kind, id, gen)) {
                 self.stats.trace_dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn trace_emit(&mut self, _ts_ns: u64, _kind: TraceKind, _id: u64, _gen: u64) {}
-
     /// Drains every trace lane into the collector. The fault injector can
     /// stall scheduled drains to simulate a wedged collector — emits then
     /// overflow (drop-and-count) but no thread ever blocks on tracing.
-    #[cfg(feature = "trace")]
     fn drain_trace(&mut self) {
         let Some(collector) = self.trace_collector.as_ref() else {
             return;
@@ -778,10 +766,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         }
         collector.lock().expect("lock poisoned").drain();
     }
-
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn drain_trace(&mut self) {}
 
     fn all_workers_full(&self) -> bool {
         self.pick_worker().is_none()
@@ -849,11 +833,8 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         // transport settles its per-connection books, and the first
         // drop is announced.
         self.tx.on_drop(&r);
-        #[cfg(feature = "trace")]
-        {
-            let now_ns = self.clock.now_ns();
-            self.trace_emit(now_ns, TraceKind::TxDrop, r.id, 0);
-        }
+        let now_ns = self.clock.now_ns();
+        self.trace_emit(now_ns, EventKind::TxDrop, r.id, 0);
         let dropped_before = self.stats.tx_dropped.fetch_add(1, Ordering::Relaxed);
         if dropped_before == 0 && !self.stats.tx_drop_logged.swap(true, Ordering::Relaxed) {
             eprintln!(

@@ -17,6 +17,13 @@
 //! [`RequestContext::spin_for`] that embed the checks), which exercises
 //! the identical runtime machinery.
 //!
+//! Every runtime carries the scheduling-event tracer ([`trace`]): one
+//! wait-free ring per worker and one for the dispatcher, read back with
+//! [`Runtime::take_trace`]. [`RuntimeBuilder::trace`] is its only switch;
+//! a disarmed runtime builds no rings and each hook costs one `None`
+//! branch. The one cargo feature, `fault-injection`, compiles in the
+//! conformance harness's `FaultInjector`.
+//!
 //! # Examples
 //!
 //! ```
@@ -70,7 +77,7 @@ pub use admission::{
     AdmissionConfig, AdmissionCounters, AdmissionEvent, AdmissionIngress, AdmissionPolicy,
     AdmissionQueue, AdmitOutcome,
 };
-pub use app::{ConcordApp, RequestContext, SpinApp};
+pub use app::{ConcordApp, KvApp, RequestContext, SpinApp};
 pub use central::{jbsq_pick, CentralQueue};
 pub use clock::{Clock, VirtualClock};
 pub use config::{ConfigError, RuntimeBuilder, RuntimeConfig};
@@ -95,5 +102,4 @@ pub use transport::{Egress, Ingress};
 /// [`Trace`](concord_trace::Trace), the Perfetto/binary exporters and
 /// [`TraceSummary`](concord_trace::TraceSummary) without a separate
 /// dependency edge.
-#[cfg(feature = "trace")]
 pub use concord_trace as trace;

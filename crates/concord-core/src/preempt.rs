@@ -181,11 +181,9 @@ pub struct WorkerShared {
     signal_sent_ns: AtomicU64,
     /// Clock stamp taken when a preemption point consumed a signal;
     /// 0 = none pending. Swapped out by the worker's YIELD hook.
-    #[cfg(feature = "trace")]
     signal_seen_ns: AtomicU64,
     /// Time source for the SIGNAL_SEEN stamp. Read only on the consumed
     /// path (an actual preemption), never on the 1-load Empty fast path.
-    #[cfg(feature = "trace")]
     trace_clock: Clock,
 }
 
@@ -200,9 +198,7 @@ impl WorkerShared {
             obsolete: AtomicU64::new(0),
             stale: AtomicU64::new(0),
             signal_sent_ns: AtomicU64::new(0),
-            #[cfg(feature = "trace")]
             signal_seen_ns: AtomicU64::new(0),
-            #[cfg(feature = "trace")]
             trace_clock: Clock::monotonic(),
         }
     }
@@ -210,7 +206,6 @@ impl WorkerShared {
     /// Creates idle shared state whose SIGNAL_SEEN stamps use `clock` —
     /// the runtime passes its configured clock so trace timestamps share
     /// one timeline.
-    #[cfg(feature = "trace")]
     pub fn with_clock(clock: Clock) -> Self {
         Self {
             trace_clock: clock,
@@ -276,7 +271,6 @@ impl WorkerShared {
                 // Stamp the moment the probe saw the signal. Costs one
                 // clock read, only on the (rare) consumed path — the
                 // Empty fast path above stays a single relaxed load.
-                #[cfg(feature = "trace")]
                 self.signal_seen_ns
                     .store(self.trace_clock.now_ns().max(1), Ordering::Release);
                 true
@@ -313,7 +307,6 @@ impl WorkerShared {
 
     /// Worker: take the pending SIGNAL_SEEN stamp, if a preemption point
     /// recorded one since the last call (0 = none).
-    #[cfg(feature = "trace")]
     pub fn take_signal_seen_ns(&self) -> u64 {
         self.signal_seen_ns.swap(0, Ordering::AcqRel)
     }

@@ -12,6 +12,7 @@ use crate::task::Task;
 use crate::telemetry::{Telemetry, TelemetryHandle, TelemetrySnapshot};
 use crate::transport::{spsc, Egress, Ingress};
 use crate::worker::{WorkerLoop, WorkerMsg};
+use concord_trace::{Trace, TraceCollector};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -34,8 +35,7 @@ pub struct Runtime {
     workers: Vec<JoinHandle<()>>,
     /// Scheduling-event collector; `None` when the tracer is disarmed
     /// via `RuntimeConfig::builder().trace(..)`.
-    #[cfg(feature = "trace")]
-    trace: Option<Arc<Mutex<concord_trace::TraceCollector>>>,
+    trace: Option<Arc<Mutex<TraceCollector>>>,
 }
 
 impl Runtime {
@@ -140,29 +140,23 @@ impl Runtime {
         // One emit lane per track (workers 0..n, dispatcher last); the
         // collector owns every consumer side and is drained by the
         // dispatcher periodically and by quiesce() at the end.
-        #[cfg(feature = "trace")]
         let (trace_collector, trace_lanes) = if config.trace {
-            let (mut c, lanes) =
-                concord_trace::TraceCollector::new(config.n_workers, config.trace_ring_cap);
+            let (mut c, lanes) = TraceCollector::new(config.n_workers, config.trace_ring_cap);
             c.set_retain_window_ns(config.trace_retain.map(|w| w.as_nanos() as u64));
             (Some(Arc::new(Mutex::new(c))), lanes)
         } else {
             (None, Vec::new())
         };
-        #[cfg(feature = "trace")]
         let mut trace_lanes = trace_lanes.into_iter();
 
         let mut slots = Vec::with_capacity(config.n_workers);
         let mut worker_handles = Vec::with_capacity(config.n_workers);
         let mut shared_lines = Vec::with_capacity(config.n_workers);
         for idx in 0..config.n_workers {
-            // With tracing compiled in the shared state carries the
-            // runtime clock so the preemption point can stamp the moment
-            // a probe consumes a signal.
-            #[cfg(feature = "trace")]
+            // The shared state carries the runtime clock so the
+            // preemption point can stamp the moment a probe consumes a
+            // signal.
             let shared = Arc::new(WorkerShared::with_clock(clock.clone()));
-            #[cfg(not(feature = "trace"))]
-            let shared = Arc::new(WorkerShared::new());
             shared_lines.push(shared.clone());
             // Both directions are bounded by JBSQ: at most k tasks are
             // outstanding on a worker, and each comes back as exactly one
@@ -186,7 +180,6 @@ impl Runtime {
                 quanta: quanta.clone(),
                 stop: workers_stop.clone(),
                 stats: stats.clone(),
-                #[cfg(feature = "trace")]
                 trace: trace_lanes.next(),
                 #[cfg(feature = "fault-injection")]
                 injector: config.fault_injector.clone(),
@@ -204,7 +197,6 @@ impl Runtime {
 
         // Lane order is workers 0..n then the dispatcher's, so after the
         // worker loop the iterator holds exactly the dispatcher lane.
-        #[cfg(feature = "trace")]
         let dispatcher_lane = trace_lanes.next();
 
         let dl = DispatcherLoop {
@@ -221,9 +213,7 @@ impl Runtime {
             controller,
             slo: slo.clone(),
             shard,
-            #[cfg(feature = "trace")]
             trace: dispatcher_lane,
-            #[cfg(feature = "trace")]
             trace_collector: trace_collector.clone(),
             cfg: config,
         };
@@ -241,7 +231,6 @@ impl Runtime {
             shared: shared_lines,
             dispatcher: Some(dispatcher),
             workers: worker_handles,
-            #[cfg(feature = "trace")]
             trace: trace_collector,
         }
     }
@@ -329,7 +318,6 @@ impl Runtime {
         }
         // Sweep any events still parked in worker lanes (the dispatcher's
         // final drain ran before the workers were released).
-        #[cfg(feature = "trace")]
         if let Some(c) = &self.trace {
             c.lock().expect("lock poisoned").drain();
         }
@@ -340,8 +328,7 @@ impl Runtime {
     /// `RuntimeConfig::builder().trace(..)`. Call after [`Runtime::quiesce`] for
     /// a complete trace; calling mid-run yields whatever the collector
     /// has drained so far plus everything still parked in the lanes.
-    #[cfg(feature = "trace")]
-    pub fn take_trace(&self) -> Option<concord_trace::Trace> {
+    pub fn take_trace(&self) -> Option<Trace> {
         self.trace
             .as_ref()
             .map(|c| c.lock().expect("lock poisoned").take_trace())
@@ -368,7 +355,6 @@ impl Runtime {
             telemetry: self.telemetry.clone(),
             quanta: self.quanta.clone(),
             slo: self.slo.clone(),
-            #[cfg(feature = "trace")]
             trace: self.trace.clone(),
         }
     }
@@ -386,8 +372,7 @@ pub struct RuntimeObserver {
     telemetry: TelemetryHandle,
     quanta: Arc<QuantumTable>,
     slo: Arc<SloState>,
-    #[cfg(feature = "trace")]
-    trace: Option<Arc<Mutex<concord_trace::TraceCollector>>>,
+    trace: Option<Arc<Mutex<TraceCollector>>>,
 }
 
 impl RuntimeObserver {
@@ -418,8 +403,7 @@ impl RuntimeObserver {
     /// Freezes and copies the flight-recorder window (drain + compact +
     /// clone) without consuming the collector — the recorder keeps
     /// rolling. `None` when tracing is disarmed.
-    #[cfg(feature = "trace")]
-    pub fn trace_snapshot(&self) -> Option<concord_trace::Trace> {
+    pub fn trace_snapshot(&self) -> Option<Trace> {
         self.trace
             .as_ref()
             .map(|c| c.lock().expect("lock poisoned").snapshot_window())

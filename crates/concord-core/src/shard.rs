@@ -319,7 +319,6 @@ impl ShardedRuntime {
     /// one, with the shard id packed into each record's track word
     /// (`track = shard << 16 | lane`). Returns `None` when tracing is
     /// disarmed.
-    #[cfg(feature = "trace")]
     pub fn take_trace(&self) -> Option<concord_trace::Trace> {
         let traces: Vec<concord_trace::Trace> = self
             .shards
@@ -333,7 +332,6 @@ impl ShardedRuntime {
     }
 
     /// One shard's own (unmerged) trace, tracks `0..=n_workers`.
-    #[cfg(feature = "trace")]
     pub fn take_shard_trace(&self, shard: usize) -> Option<concord_trace::Trace> {
         self.shards[shard].take_trace()
     }
@@ -416,7 +414,6 @@ impl ShardObserver {
     /// trace (`track = shard << 16 | lane`) without consuming any
     /// collector — the recorders keep rolling. Returns `None` when
     /// tracing is disarmed.
-    #[cfg(feature = "trace")]
     pub fn trace_snapshot(&self) -> Option<concord_trace::Trace> {
         let traces: Vec<concord_trace::Trace> = self
             .shards

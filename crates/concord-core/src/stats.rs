@@ -78,8 +78,8 @@ pub struct WorkerStats {
     /// Stale-generation signals rejected (copied at shutdown).
     pub signals_stale: AtomicU64,
     /// Trace events this worker dropped on a full lane ring (tracer
-    /// overflow is drop-and-count, never a stall). Always 0 without the
-    /// `trace` feature.
+    /// overflow is drop-and-count, never a stall). Always 0 with the
+    /// tracer disarmed.
     pub trace_dropped: AtomicU64,
 }
 
@@ -168,7 +168,7 @@ pub struct RuntimeStats {
     /// from ever filling. Kept so scrapers and benchmarks keep parsing.
     pub telemetry_dropped: AtomicU64,
     /// Trace events lost to a full lane ring, summed across all tracks
-    /// (workers and dispatcher). Always 0 without the `trace` feature.
+    /// (workers and dispatcher). Always 0 with the tracer disarmed.
     pub trace_dropped: AtomicU64,
     /// Preemption signals suppressed by the fault injector (claimed
     /// expiries whose store was deliberately never performed). Always 0

@@ -9,6 +9,7 @@ use crate::task::{Frame, SliceEnd, Task};
 use crate::telemetry::CompletionRecord;
 use crate::transport::{SpscReceiver, SpscSender};
 use concord_net::Response;
+use concord_trace::{EventKind, TraceEvent, TraceLane};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -62,8 +63,7 @@ pub struct WorkerLoop {
     pub stats: Arc<RuntimeStats>,
     /// This worker's scheduling-event lane (`None` when tracing is
     /// disarmed). Emits are wait-free; overflow is drop-and-count.
-    #[cfg(feature = "trace")]
-    pub trace: Option<concord_trace::TraceLane>,
+    pub trace: Option<TraceLane>,
     /// Deterministic fault schedule (conformance testing only).
     #[cfg(feature = "fault-injection")]
     pub injector: Option<Arc<crate::fault::FaultInjector>>,
@@ -115,7 +115,7 @@ impl WorkerLoop {
                     // adds no clock reads to the run path.
                     self.trace_emit(
                         task.last_slice_start_ns,
-                        TraceKind::Resume,
+                        EventKind::Resume,
                         task.req.id,
                         gen,
                     );
@@ -126,7 +126,7 @@ impl WorkerLoop {
                             }
                             self.trace_emit(
                                 task.last_slice_end_ns,
-                                TraceKind::Complete,
+                                EventKind::Complete,
                                 task.req.id,
                                 u64::from(task.slices),
                             );
@@ -141,17 +141,14 @@ impl WorkerLoop {
                             // probe consumed the signal; the dispatcher
                             // stamped the store itself just before making
                             // it. Both stamps precede the yield.
-                            #[cfg(feature = "trace")]
-                            {
-                                let seen_ns = self.shared.take_signal_seen_ns();
-                                self.trace_emit(
-                                    if seen_ns == 0 { yield_ns } else { seen_ns },
-                                    TraceKind::SignalSeen,
-                                    task.req.id,
-                                    gen,
-                                );
-                            }
-                            self.trace_emit(yield_ns, TraceKind::Yield, task.req.id, gen);
+                            let seen_ns = self.shared.take_signal_seen_ns();
+                            self.trace_emit(
+                                if seen_ns == 0 { yield_ns } else { seen_ns },
+                                EventKind::SignalSeen,
+                                task.req.id,
+                                gen,
+                            );
+                            self.trace_emit(yield_ns, EventKind::Yield, task.req.id, gen);
                             let sent_ns = self.shared.last_signal_sent_ns();
                             self.send(WorkerMsg::Requeue {
                                 task,
@@ -168,7 +165,7 @@ impl WorkerLoop {
                             }
                             self.trace_emit(
                                 task.last_slice_end_ns,
-                                TraceKind::Complete,
+                                EventKind::Complete,
                                 task.req.id,
                                 u64::from(task.slices),
                             );
@@ -190,13 +187,12 @@ impl WorkerLoop {
 
     /// Emits one scheduling event on this worker's lane: a single
     /// wait-free ring push. Overflow increments `trace_dropped` (global
-    /// and per-worker) and drops the event — never blocks. Compiles to
-    /// nothing without the `trace` feature.
-    #[cfg(feature = "trace")]
+    /// and per-worker) and drops the event — never blocks. A disarmed
+    /// tracer has no lane: one branch.
     #[inline]
-    fn trace_emit(&mut self, ts_ns: u64, kind: TraceKind, id: u64, gen: u64) {
+    fn trace_emit(&mut self, ts_ns: u64, kind: EventKind, id: u64, gen: u64) {
         if let Some(lane) = self.trace.as_mut() {
-            if !lane.emit(concord_trace::TraceEvent::new(ts_ns, kind, id, gen)) {
+            if !lane.emit(TraceEvent::new(ts_ns, kind, id, gen)) {
                 self.stats.trace_dropped.fetch_add(1, Ordering::Relaxed);
                 if let Some(ws) = self.stats.per_worker.get(self.idx) {
                     ws.trace_dropped.fetch_add(1, Ordering::Relaxed);
@@ -204,10 +200,6 @@ impl WorkerLoop {
             }
         }
     }
-
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn trace_emit(&mut self, _ts_ns: u64, _kind: TraceKind, _id: u64, _gen: u64) {}
 
     /// Reports a finished (completed or failed) request: one message
     /// carrying the telemetry record, the response and the frame.
@@ -230,28 +222,4 @@ impl WorkerLoop {
             unreachable!("JBSQ bound guarantees return-ring capacity");
         }
     }
-}
-
-/// Event-kind alias so call sites compile identically with and without
-/// the `trace` feature (the no-op stub still type-checks its arguments).
-#[cfg(feature = "trace")]
-pub(crate) use concord_trace::EventKind as TraceKind;
-
-/// Mirror of `concord_trace::EventKind` for feature-off builds: the
-/// variants worker/dispatcher hooks name must exist so the no-op
-/// `trace_emit` stubs type-check; the compiler then erases everything.
-#[cfg(not(feature = "trace"))]
-#[derive(Clone, Copy, Debug)]
-#[allow(missing_docs, dead_code)]
-pub(crate) enum TraceKind {
-    Arrive,
-    Dispatch,
-    SignalSent,
-    SignalSeen,
-    Yield,
-    Resume,
-    Steal,
-    Complete,
-    TxDrop,
-    AdmitDrop,
 }

@@ -274,12 +274,7 @@ fn print_report(report: &ServerReport, trace_path: Option<&std::path::Path>) {
     }
     println!("{}", report.telemetry.render());
     if let (Some(path), Some(trace)) = (trace_path, report.trace.as_ref()) {
-        let res = if path.extension().is_some_and(|e| e == "json") {
-            concord_core::trace::perfetto::write_json(trace, path)
-        } else {
-            concord_core::trace::binary::write_file(trace, path)
-        };
-        match res {
+        match concord_core::trace::write_path(trace, path) {
             Ok(()) => println!(
                 "trace: {} records -> {}",
                 trace.records.len(),
@@ -386,84 +381,10 @@ fn main() {
     let args = parse_args();
     match args.app.as_str() {
         "spin" => serve(&args, Arc::new(concord_core::SpinApp::new())),
-        "kv" => serve(&args, Arc::new(kv::KvApp::new())),
+        "kv" => serve(&args, Arc::new(concord_core::KvApp::new())),
         other => {
             eprintln!("concord-serve: invalid --app '{other}' (expected spin|kv)");
             exit(2);
-        }
-    }
-}
-
-/// A self-contained KV app over `concord-kv`, mirroring the `kv_server`
-/// example: GET=class 0, PUT=1, DELETE=2, SCAN=3 against a pre-loaded
-/// store (§5.3's ZippyDB setup).
-mod kv {
-    use concord_core::{ConcordApp, LockDepthObserver, RequestContext};
-    use concord_kv::Db;
-    use concord_net::Request;
-    use std::sync::Arc;
-
-    const KEYS: u64 = 15_000;
-    const SCAN_CHUNK: usize = 512;
-
-    fn key(i: u64) -> Vec<u8> {
-        format!("user{i:012}").into_bytes()
-    }
-
-    pub struct KvApp {
-        db: Db,
-    }
-
-    impl KvApp {
-        pub fn new() -> Self {
-            let db = Db::new().with_lock_observer(Arc::new(LockDepthObserver));
-            for i in 0..KEYS {
-                db.put(key(i), format!("value-{i:016}").into_bytes());
-            }
-            db.flush();
-            Self { db }
-        }
-    }
-
-    impl ConcordApp for KvApp {
-        fn handle_request(&self, req: &Request, ctx: &mut RequestContext<'_, '_>) -> u64 {
-            let k = key(req.id.wrapping_mul(2_654_435_761) % KEYS);
-            match req.class {
-                1 => {
-                    self.db.put(k, format!("updated-{}", req.id).into_bytes());
-                    ctx.preempt_point();
-                    1
-                }
-                2 => {
-                    self.db.delete(k);
-                    ctx.preempt_point();
-                    1
-                }
-                3 => {
-                    // SCAN: walk the store in chunks, yielding between
-                    // chunks — never while the store's lock is held.
-                    let mut rows = 0u64;
-                    let mut from: Vec<u8> = Vec::new();
-                    loop {
-                        let chunk = self.db.scan(&from, SCAN_CHUNK);
-                        rows += chunk.len() as u64;
-                        ctx.preempt_point();
-                        match chunk.last() {
-                            Some((last_key, _)) if chunk.len() == SCAN_CHUNK => {
-                                from = last_key.to_vec();
-                                from.push(0);
-                            }
-                            _ => break,
-                        }
-                    }
-                    rows
-                }
-                _ => {
-                    let hit = self.db.get(&k).is_some();
-                    ctx.preempt_point();
-                    u64::from(hit)
-                }
-            }
         }
     }
 }

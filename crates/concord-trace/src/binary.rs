@@ -40,7 +40,7 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Deserializes a trace written by [`write`]. Rejects bad magic, unknown
+/// Deserializes a trace written by [`write()`]. Rejects bad magic, unknown
 /// versions, and records with unknown event kinds.
 pub fn read(r: &mut impl Read) -> io::Result<Trace> {
     let mut magic = [0u8; 4];

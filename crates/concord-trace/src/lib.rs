@@ -17,7 +17,8 @@
 //! - [`perfetto`]: Chrome/Perfetto trace-event JSON export
 //!   (hand-rolled, no JSON dependency).
 //! - [`binary`]: a compact binary format (`CTRC`) for archival and the
-//!   `concord-trace` analyzer binary.
+//!   `concord-trace` analyzer binary. [`write_path`] picks one of the
+//!   two by file extension.
 //! - [`TraceSummary`]: trace-derived observables — the signal-to-yield
 //!   preemption-latency histogram, per-worker queue-depth timelines, the
 //!   dispatcher work-conservation gauge (`Overhead_d`) — plus
@@ -38,3 +39,13 @@ pub use derive::{split_shards, ShardTraceSummary, TraceSummary};
 pub use event::{
     lane_of, merge_shard_traces, pack_track, shard_of, EventKind, Trace, TraceEvent, TraceRecord,
 };
+
+/// Writes `trace` to `path`: Perfetto trace-event JSON when the path ends
+/// in `.json`, the compact binary format otherwise.
+pub fn write_path(trace: &Trace, path: &std::path::Path) -> std::io::Result<()> {
+    if path.extension().is_some_and(|e| e == "json") {
+        perfetto::write_json(trace, path)
+    } else {
+        binary::write_file(trace, path)
+    }
+}

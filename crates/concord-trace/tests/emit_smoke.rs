@@ -1,6 +1,8 @@
 //! Emit hot-path smoke bound and end-to-end format roundtrips.
 
-use concord_trace::{binary, perfetto, EventKind, TraceCollector, TraceEvent, TraceSummary};
+use concord_trace::{
+    binary, perfetto, write_path, EventKind, TraceCollector, TraceEvent, TraceSummary,
+};
 use std::time::Instant;
 
 /// The emit path must stay in wait-free territory: a push onto a
@@ -54,4 +56,27 @@ fn binary_then_summary_roundtrip() {
     let json = perfetto::to_json(&back);
     assert!(json.contains("\"traceEvents\""));
     assert_eq!(json.matches("\"ph\":\"X\"").count(), 10);
+}
+
+/// `write_path` picks Perfetto JSON for a `.json` path and the binary
+/// format for anything else.
+#[test]
+fn write_path_chooses_the_format_by_extension() {
+    let (mut col, mut lanes) = TraceCollector::new(1, 16);
+    lanes[1].emit(TraceEvent::new(5, EventKind::Arrive, 1, 0));
+    let trace = col.take_trace();
+    let dir = std::env::temp_dir();
+    let json = dir.join(format!("concord-write-path-{}.json", std::process::id()));
+    let bin = dir.join(format!("concord-write-path-{}.ctrc", std::process::id()));
+
+    write_path(&trace, &json).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&json).unwrap(),
+        perfetto::to_json(&trace)
+    );
+    write_path(&trace, &bin).unwrap();
+    assert_eq!(binary::read_file(&bin).unwrap().records, trace.records);
+
+    std::fs::remove_file(json).unwrap();
+    std::fs::remove_file(bin).unwrap();
 }

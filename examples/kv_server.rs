@@ -2,97 +2,19 @@
 //!
 //! Serves the ZippyDB production mix — 78% GET, 13% PUT, 6% DELETE,
 //! 3% SCAN — against an in-memory LSM store whose internal lock depth
-//! gates preemption (the paper's "4 lines of code" integration).
+//! gates preemption (the paper's "4 lines of code" integration). The
+//! application is `concord_core::KvApp`, the one `concord-serve --app kv`
+//! hosts.
 //!
 //! ```text
 //! cargo run --release --example kv_server
 //! ```
 
-use concord::core::{ConcordApp, LockDepthObserver, RequestContext, Runtime, RuntimeConfig};
-use concord::kv::Db;
+use concord::core::{KvApp, Runtime, RuntimeConfig};
 use concord::net::{ring, Collector, LoadGen, Request, Response, RttModel};
 use concord::workloads::mix;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Class indices matching `concord_workloads::mix::zippydb()`.
-const GET: u16 = 0;
-const PUT: u16 = 1;
-const DELETE: u16 = 2;
-// Class 3 is SCAN.
-
-const KEYS: u64 = 15_000;
-
-struct KvServer {
-    db: Db,
-    scanned_rows: AtomicU64,
-}
-
-impl KvServer {
-    fn new() -> Self {
-        // The paper populates 15,000 unique keys and keeps everything in
-        // memory (§5.3); the lock observer wires the store's mutexes into
-        // the runtime's preemption-safety counter.
-        let db = Db::new().with_lock_observer(Arc::new(LockDepthObserver));
-        for i in 0..KEYS {
-            db.put(key(i), format!("value-{i:016}").into_bytes());
-        }
-        db.flush();
-        Self {
-            db,
-            scanned_rows: AtomicU64::new(0),
-        }
-    }
-}
-
-fn key(i: u64) -> Vec<u8> {
-    format!("user{i:012}").into_bytes()
-}
-
-impl ConcordApp for KvServer {
-    fn handle_request(&self, req: &Request, ctx: &mut RequestContext<'_, '_>) -> u64 {
-        let k = key(req.id * 2_654_435_761 % KEYS);
-        match req.class {
-            GET => {
-                let hit = self.db.get(&k).is_some();
-                ctx.preempt_point();
-                u64::from(hit)
-            }
-            PUT => {
-                self.db.put(k, format!("updated-{}", req.id).into_bytes());
-                ctx.preempt_point();
-                1
-            }
-            DELETE => {
-                self.db.delete(k);
-                ctx.preempt_point();
-                1
-            }
-            _ => {
-                // SCAN: walk the whole database in chunks, yielding at
-                // preemption points *between* chunks — never while the
-                // store's lock is held.
-                let mut rows = 0u64;
-                let mut from: Vec<u8> = Vec::new();
-                loop {
-                    let chunk = self.db.scan(&from, 512);
-                    rows += chunk.len() as u64;
-                    ctx.preempt_point();
-                    match chunk.last() {
-                        Some((last_key, _)) if chunk.len() == 512 => {
-                            from = last_key.to_vec();
-                            from.push(0);
-                        }
-                        _ => break,
-                    }
-                }
-                self.scanned_rows.fetch_add(rows, Ordering::Relaxed);
-                rows
-            }
-        }
-    }
-}
 
 fn main() {
     let requests = 2_000u64;
@@ -101,7 +23,7 @@ fn main() {
     let (req_tx, req_rx) = ring::<Request>(8192);
     let (resp_tx, resp_rx) = ring::<Response>(8192);
 
-    let app = Arc::new(KvServer::new());
+    let app = Arc::new(KvApp::new());
     let config = RuntimeConfig::builder()
         .small_test()
         .quantum(Duration::from_micros(500))
@@ -118,7 +40,7 @@ fn main() {
     let stats = rt.shutdown();
     assert!(ok, "timed out waiting for responses");
 
-    let db_stats = app.db.stats();
+    let db_stats = app.db().stats();
     println!("\nstore:");
     println!(
         "  gets={} puts={} deletes={} scans={}",
@@ -127,10 +49,6 @@ fn main() {
     println!(
         "  runs={} flushes={} compactions={}",
         db_stats.runs, db_stats.flushes, db_stats.compactions
-    );
-    println!(
-        "  rows returned by scans: {}",
-        app.scanned_rows.load(Ordering::Relaxed)
     );
 
     println!(

@@ -56,12 +56,7 @@ fn main() {
         rt.quiesce();
         if let Some(t) = rt.take_trace() {
             let path = Path::new(&path);
-            let res = if path.extension().is_some_and(|e| e == "json") {
-                trace::perfetto::write_json(&t, path)
-            } else {
-                trace::binary::write_file(&t, path)
-            };
-            match res {
+            match trace::write_path(&t, path) {
                 Ok(()) => println!(
                     "\nwrote {} trace events to {}",
                     t.records.len(),

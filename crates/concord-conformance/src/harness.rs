@@ -436,95 +436,21 @@ pub struct ShardedObservation {
     pub trace: Option<concord_trace::ShardTraceSummary>,
 }
 
-/// Runs a fault-free case through a [`ShardedRuntime`]: a splitter thread
-/// round-robins the load generator's stream across the shards' ingress
-/// rings, a merger thread funnels every shard's egress into the single
-/// collector ring, and the quiescent rollup plus the merged trace feed
+/// Runs a fault-free case through a [`ShardedRuntime`]: the load
+/// generator deals arrivals round-robin over the shards' ingress rings,
+/// the collector drains every shard's egress ring, and the quiescent
+/// rollup plus the merged trace feed
 /// [`check_sharded`](crate::oracles::check_sharded).
 pub fn run_runtime_sharded(
     case: &CaseConfig,
     shards: usize,
     timeout: Duration,
 ) -> ShardedObservation {
-    use std::sync::atomic::AtomicBool;
     let shards = shards.max(1);
-    let (req_tx, mut req_rx) = ring::<Request>(4096);
-    let (merged_tx, resp_rx) = ring::<Response>(8192);
-
+    let (req_tx, req_rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| ring::<Request>(4096)).unzip();
+    let (resp_tx, resp_rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| ring::<Response>(4096)).unzip();
     let cfg = config_of(case, shards, Clock::monotonic(), None);
-
-    let mut shard_req_tx = Vec::with_capacity(shards);
-    let mut shard_req_rx = Vec::with_capacity(shards);
-    let mut shard_resp_tx = Vec::with_capacity(shards);
-    let mut shard_resp_rx = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = ring::<Request>(4096);
-        shard_req_tx.push(tx);
-        shard_req_rx.push(rx);
-        let (tx, rx) = ring::<Response>(4096);
-        shard_resp_tx.push(tx);
-        shard_resp_rx.push(rx);
-    }
-    let srt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), shard_req_rx, shard_resp_tx);
-
-    let stop = Arc::new(AtomicBool::new(false));
-    // Splitter: round-robin the single generator stream across shards,
-    // never dropping (spin on a momentarily full shard ring).
-    let splitter = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            let mut next = 0usize;
-            loop {
-                match req_rx.pop() {
-                    Some(mut req) => loop {
-                        match shard_req_tx[next % shards].push(req) {
-                            Ok(()) => {
-                                next += 1;
-                                break;
-                            }
-                            // A full shard ring after shutdown means the
-                            // run already timed out; don't wedge the join.
-                            Err(_) if stop.load(Ordering::Acquire) => break,
-                            Err(back) => {
-                                req = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    },
-                    None if stop.load(Ordering::Acquire) => return,
-                    None => std::thread::sleep(Duration::from_micros(50)),
-                }
-            }
-        })
-    };
-    // Merger: funnel every shard's egress into the collector's ring.
-    let merger = {
-        let stop = stop.clone();
-        let mut merged_tx = merged_tx;
-        std::thread::spawn(move || loop {
-            let mut idle = true;
-            for rx in shard_resp_rx.iter_mut() {
-                while let Some(mut resp) = rx.pop() {
-                    idle = false;
-                    loop {
-                        match merged_tx.push(resp) {
-                            Ok(()) => break,
-                            Err(back) => {
-                                resp = back;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                }
-            }
-            if idle {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-        })
-    };
+    let mut srt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), req_rx, resp_tx);
 
     let rate = rate_of(case);
     let gen = LoadGen::start_with(
@@ -538,12 +464,7 @@ pub fn run_runtime_sharded(
     let collected_ok = collector.collect(case.requests, timeout);
     let report = gen.join();
 
-    let mut srt = srt;
     srt.quiesce();
-    stop.store(true, Ordering::Release);
-    splitter.join().expect("splitter thread");
-    merger.join().expect("merger thread");
-    let received = collector.received();
     let trace = srt
         .take_trace()
         .map(|t| concord_trace::ShardTraceSummary::from_trace(&t));
@@ -552,7 +473,7 @@ pub fn run_runtime_sharded(
         shards,
         sent: report.sent,
         rx_dropped: report.dropped,
-        received,
+        received: collector.received(),
         collected_ok,
         rollup: srt.rollup(),
         trace,

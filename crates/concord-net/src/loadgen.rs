@@ -6,6 +6,10 @@
 //! as a saturated NIC queue would. [`Collector`] drains the TX ring and
 //! produces client-side latency and slowdown distributions, adding a
 //! modeled RTT to every sample.
+//!
+//! Both take one ring or several: a sharded server has one RX and one TX
+//! ring per shard, so the generator deals arrivals round-robin over its
+//! producers and the collector drains every consumer.
 
 use crate::packet::{Request, Response};
 use crate::ring::{Consumer, Producer};
@@ -33,11 +37,28 @@ pub struct LoadGen {
     handle: JoinHandle<LoadGenReport>,
 }
 
+/// A single ring is the one-shard case of the ring list [`LoadGen`] deals
+/// over.
+impl<T: Send> From<Producer<T>> for Vec<Producer<T>> {
+    fn from(tx: Producer<T>) -> Self {
+        vec![tx]
+    }
+}
+
+/// A single ring is the one-shard case of the ring list [`Collector`]
+/// drains.
+impl<T: Send> From<Consumer<T>> for Vec<Consumer<T>> {
+    fn from(rx: Consumer<T>) -> Self {
+        vec![rx]
+    }
+}
+
 impl LoadGen {
     /// Starts generating `count` requests at `rate_rps` (Poisson gaps)
-    /// into `tx`. The trace is fully determined by `seed`.
+    /// into `tx` — one ring, or several dealt round-robin. The trace is
+    /// fully determined by `seed`.
     pub fn start<W>(
-        tx: Producer<Request>,
+        tx: impl Into<Vec<Producer<Request>>>,
         workload: W,
         rate_rps: f64,
         count: u64,
@@ -50,9 +71,10 @@ impl LoadGen {
     }
 
     /// Starts generating `count` requests with an arbitrary arrival
-    /// process (Poisson, deterministic, MMPP bursts, ...).
+    /// process (Poisson, deterministic, MMPP bursts, ...). Arrival `i`
+    /// goes to ring `i % rings`; a full ring drops it.
     pub fn start_with<A, W>(
-        mut tx: Producer<Request>,
+        tx: impl Into<Vec<Producer<Request>>>,
         arrivals: A,
         workload: W,
         count: u64,
@@ -62,6 +84,8 @@ impl LoadGen {
         A: ArrivalProcess + Send + 'static,
         W: Workload + Send + 'static,
     {
+        let mut tx = tx.into();
+        assert!(!tx.is_empty(), "load generator needs a ring");
         let handle = std::thread::Builder::new()
             .name("concord-loadgen".into())
             .spawn(move || {
@@ -69,7 +93,7 @@ impl LoadGen {
                 let start = Instant::now();
                 let mut sent = 0u64;
                 let mut dropped = 0u64;
-                for _ in 0..count {
+                for i in 0..count {
                     let a = gen.next_arrival();
                     let due = start + Duration::from_nanos(a.time_ns);
                     // Coarse wait via sleep, fine wait via yielding: this
@@ -94,7 +118,8 @@ impl LoadGen {
                         sent_at: Instant::now(),
                     };
                     // Open loop: a full ring is a drop, not back-pressure.
-                    match tx.push(req) {
+                    let lane = (i % tx.len() as u64) as usize;
+                    match tx[lane].push(req) {
                         Ok(()) => sent += 1,
                         Err(_) => dropped += 1,
                     }
@@ -117,7 +142,7 @@ impl LoadGen {
 
 /// Client-side response collector.
 pub struct Collector {
-    rx: Consumer<Response>,
+    rx: Vec<Consumer<Response>>,
     rtt: RttModel,
     rng: concord_rng::SmallRng,
     slowdown: SlowdownTracker,
@@ -127,10 +152,11 @@ pub struct Collector {
 }
 
 impl Collector {
-    /// Creates a collector reading from `rx` and charging `rtt` per sample.
-    pub fn new(rx: Consumer<Response>, rtt: RttModel, seed: u64) -> Self {
+    /// Creates a collector reading from `rx` — one ring, or several — and
+    /// charging `rtt` per sample.
+    pub fn new(rx: impl Into<Vec<Consumer<Response>>>, rtt: RttModel, seed: u64) -> Self {
         Self {
-            rx,
+            rx: rx.into(),
             rtt,
             rng: seeded_rng(seed),
             slowdown: SlowdownTracker::new(),
@@ -140,20 +166,22 @@ impl Collector {
         }
     }
 
-    /// Drains currently available responses; returns how many were
-    /// recorded.
+    /// Drains currently available responses from every ring; returns how
+    /// many were recorded.
     pub fn poll(&mut self) -> usize {
         let mut n = 0;
-        while let Some(resp) = self.rx.pop() {
-            let e2e = resp.sojourn_ns() + self.rtt.sample(&mut self.rng);
-            self.latency_ns.record(e2e);
-            self.slowdown.record(resp.service_ns, e2e);
-            self.by_class
-                .entry(resp.class)
-                .or_default()
-                .record(resp.service_ns, e2e);
-            self.received += 1;
-            n += 1;
+        for ring in 0..self.rx.len() {
+            while let Some(resp) = self.rx[ring].pop() {
+                let e2e = resp.sojourn_ns() + self.rtt.sample(&mut self.rng);
+                self.latency_ns.record(e2e);
+                self.slowdown.record(resp.service_ns, e2e);
+                self.by_class
+                    .entry(resp.class)
+                    .or_default()
+                    .record(resp.service_ns, e2e);
+                self.received += 1;
+                n += 1;
+            }
         }
         n
     }
@@ -358,6 +386,24 @@ mod tests {
         assert!(c.collect(1, Duration::from_secs(5)));
         h.join().expect("producer thread");
         assert_eq!(c.received(), 1);
+    }
+
+    #[test]
+    fn arrivals_are_dealt_round_robin_and_every_ring_is_drained() {
+        let (tx0, rx0) = ring::<Request>(1024);
+        let (tx1, rx1) = ring::<Request>(1024);
+        let (resp_tx0, resp_rx0) = ring::<Response>(1024);
+        let (resp_tx1, resp_rx1) = ring::<Response>(1024);
+        let server0 = echo_server(rx0, resp_tx0, 500);
+        let server1 = echo_server(rx1, resp_tx1, 500);
+        let gen = LoadGen::start(vec![tx0, tx1], mix::fixed_1us(), 200_000.0, 1_000, 13);
+        let mut c = Collector::new(vec![resp_rx0, resp_rx1], RttModel::zero(), 13);
+        assert!(c.collect(1_000, Duration::from_secs(20)));
+        let report = gen.join();
+        assert_eq!((report.sent, report.dropped), (1_000, 0));
+        assert_eq!(server0.join().expect("server 0"), 500);
+        assert_eq!(server1.join().expect("server 1"), 500);
+        assert_eq!(c.received(), 1_000);
     }
 
     #[test]

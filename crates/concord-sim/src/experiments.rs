@@ -1,8 +1,8 @@
 //! Named experiment drivers — one function per paper figure.
 //!
 //! Each `figN` function returns a [`Table`] whose series match the lines in
-//! the paper's figure of the same number; the `concord-bench` harness
-//! binaries print these tables, and integration tests assert the figures'
+//! the paper's figure of the same number; the `concord-bench` `repro`
+//! binary prints these tables, and integration tests assert the figures'
 //! qualitative claims (who wins, by roughly what factor, where crossovers
 //! fall) at reduced fidelity.
 
@@ -115,6 +115,56 @@ where
 
 /// The paper's standard worker count (§5.1).
 pub const PAPER_WORKERS: usize = 14;
+
+/// Throughput at the 50× SLO for Persephone, Shinjuku and Concord on every
+/// (workload, quantum) pair of §5.2–§5.3, with Concord's gain over
+/// Shinjuku — the headline percentages of the paper's abstract.
+pub fn capacities(fid: &Fidelity) -> String {
+    use std::fmt::Write;
+    // (workload, quanta, search ceiling): the search runs 25% past the
+    // workers' ideal capacity unless a ceiling is given.
+    type Case = (fn() -> Mix, &'static [u64], Option<f64>);
+    let cases: [Case; 6] = [
+        (mix::bimodal_50_1_50_100, &[5_000, 2_000], None),
+        (mix::bimodal_995_05_05_500, &[5_000, 2_000], None),
+        (mix::tpcc, &[10_000], None),
+        (mix::leveldb_get_scan, &[5_000, 2_000], None),
+        (mix::zippydb, &[5_000], None),
+        // Dispatcher-bound near 4 MRps, far below 14 workers' ideal.
+        (mix::fixed_1us, &[5_000], Some(5_000_000.0)),
+    ];
+    let mut out = format!(
+        "{:<34} {:>6} {:>14} {:>14} {:>14} {:>8}\n",
+        "workload", "q(us)", "Persephone", "Shinjuku", "Concord", "gain"
+    );
+    for (make, quanta, ceiling) in cases {
+        let wl = make();
+        let max_rps =
+            ceiling.unwrap_or(1.25 * ideal_capacity_rps(PAPER_WORKERS, wl.mean_service_ns()));
+        let cap = |cfg| capacity_at_slo(&cfg, make, max_rps, fid).map_or(0.0, |r| r.capacity);
+        for &q in quanta {
+            let p = cap(SystemConfig::persephone_fcfs(PAPER_WORKERS));
+            let s = cap(SystemConfig::shinjuku(PAPER_WORKERS, q));
+            let c = cap(SystemConfig::concord(PAPER_WORKERS, q));
+            let gain = if s > 0.0 {
+                100.0 * (c / s - 1.0)
+            } else {
+                f64::NAN
+            };
+            let _ = writeln!(
+                out,
+                "{:<34} {:>6} {:>13.0}k {:>13.0}k {:>13.0}k {:>+7.0}%",
+                wl.name(),
+                q / 1_000,
+                p / 1e3,
+                s / 1e3,
+                c / 1e3,
+                gain
+            );
+        }
+    }
+    out
+}
 
 // ---------------------------------------------------------------------------
 // Fig. 2 — preemption-mechanism overhead vs quantum (no-op handlers).

@@ -8,9 +8,10 @@
 //!
 //! `summarize` prints the derived observables; `export` writes
 //! Perfetto/chrome://tracing JSON; `check` re-runs the trace-visible
-//! invariants and exits non-zero on any violation.
+//! invariants — per shard, for a merged multi-shard trace — and exits
+//! non-zero on any violation.
 
-use concord_trace::{binary, perfetto, TraceSummary};
+use concord_trace::{binary, perfetto, ShardTraceSummary, TraceSummary};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -80,13 +81,17 @@ fn main() {
                 }
             }
             let trace = load(&input);
-            let summary = TraceSummary::from_trace(&trace);
+            let summary = ShardTraceSummary::from_trace(&trace);
             let violations = summary.check(jbsq);
             if violations.is_empty() {
                 println!(
                     "ok: {} events, {} matched preemptions, no violations",
                     trace.len(),
-                    summary.matched_preemptions
+                    summary
+                        .per_shard
+                        .iter()
+                        .map(|s| s.matched_preemptions)
+                        .sum::<u64>()
                 );
             } else {
                 for v in &violations {

@@ -60,8 +60,9 @@
 //! ```
 //!
 //! For serving the same runtime over real TCP, see [`server`]. For the
-//! paper reproduction itself, see the `concord-bench` harness binaries
-//! (`fig2` … `fig15`, `table1`, `capacities`, `ablations`) and
+//! paper reproduction itself, see the `concord-bench` crate's `repro`
+//! binary (`repro --list` names every table and figure; `repro all
+//! standard --check results` re-runs them against `results/`) and
 //! EXPERIMENTS.md.
 
 #![warn(missing_docs)]

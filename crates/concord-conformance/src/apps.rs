@@ -122,3 +122,37 @@ impl ConcordApp for FrozenApp {
         0
     }
 }
+
+/// Wraps an application so that the handler of one request panics on
+/// entry, inside its coroutine, and every other request goes to the inner
+/// app. The panic fires wherever the request runs — a worker or the
+/// dispatcher's stolen slice — so the runtime's containment path is the
+/// one under test. This is how a case's `PanicOn` fault is injected.
+pub struct PanicOnApp<A> {
+    inner: Arc<A>,
+    req_id: u64,
+}
+
+impl<A: ConcordApp> PanicOnApp<A> {
+    /// Wraps `inner`, panicking in the handler of request `req_id`.
+    pub fn new(inner: Arc<A>, req_id: u64) -> Self {
+        Self { inner, req_id }
+    }
+}
+
+impl<A: ConcordApp> ConcordApp for PanicOnApp<A> {
+    fn setup(&self) {
+        self.inner.setup();
+    }
+
+    fn setup_worker(&self, core: usize) {
+        self.inner.setup_worker(core);
+    }
+
+    fn handle_request(&self, req: &Request, ctx: &mut RequestContext<'_, '_>) -> u64 {
+        if req.id == self.req_id {
+            panic!("injected panic in the handler of request {}", req.id);
+        }
+        self.inner.handle_request(req, ctx)
+    }
+}

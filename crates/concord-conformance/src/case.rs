@@ -57,8 +57,8 @@ pub enum FaultKind {
         /// Microseconds to stall.
         stall_us: u64,
     },
-    /// Force a panic at the first preemption point of the given request's
-    /// first slice (exercises contained-failure accounting).
+    /// Panic on entry to the given request's handler (exercises
+    /// contained-failure accounting).
     PanicOn {
         /// Request id (taken modulo the case's request count).
         request: u64,

@@ -1,6 +1,7 @@
 //! Case execution: drive one [`CaseConfig`] through the real runtime and
 //! the simulator, and collect everything the oracles need.
 
+use crate::apps::PanicOnApp;
 use crate::case::{ArrivalKind, CaseConfig, FaultKind};
 use concord_core::preempt::SignalAccounting;
 use concord_core::{
@@ -130,12 +131,13 @@ pub fn rate_of(case: &CaseConfig) -> f64 {
     (case.n_workers as f64 / mean_s) * (case.load_pct as f64 / 100.0)
 }
 
-/// Builds the fault injector for a case; `None` when the case is
-/// fault-free.
+/// Builds the fault injector for a case; `None` when the case schedules
+/// no runtime fault (fault-free, or a handler panic, which [`Rig::new`]
+/// injects by wrapping the app in a [`PanicOnApp`]).
 pub fn injector_of(case: &CaseConfig) -> Option<Arc<FaultInjector>> {
     let inj = Arc::new(FaultInjector::new());
     match case.fault {
-        FaultKind::None => return None,
+        FaultKind::None | FaultKind::PanicOn { .. } => return None,
         FaultKind::DropSignals(n) => inj.drop_next_signals(u64::from(n)),
         FaultKind::DelaySignals { n, delay_us } => {
             inj.delay_next_signals(u64::from(n), delay_us * 1_000)
@@ -145,7 +147,6 @@ pub fn injector_of(case: &CaseConfig) -> Option<Arc<FaultInjector>> {
             inj.stall_worker(worker % case.n_workers.max(1), stall_us * 1_000)
         }
         FaultKind::StallDispatcher { stall_us } => inj.stall_dispatcher(stall_us * 1_000),
-        FaultKind::PanicOn { request } => inj.panic_on(request % case.requests.max(1), 0),
     }
     Some(inj)
 }
@@ -277,8 +278,9 @@ pub struct Rig {
 
 impl Rig {
     /// Builds the case's runtime configuration (fault injector included),
-    /// lets `tune` adjust it, and wires the rings — without starting any
-    /// thread yet.
+    /// lets `tune` adjust it, wraps `app` in a [`PanicOnApp`] when the
+    /// case injects a handler panic, and wires the rings — without
+    /// starting any thread yet.
     pub fn new<A: ConcordApp>(
         case: &CaseConfig,
         clock: Clock,
@@ -290,10 +292,17 @@ impl Rig {
         let injector = injector_of(case);
         let mut cfg = config_of(case, 1, clock, injector.clone());
         tune(&mut cfg);
+        let boot: Box<dyn FnOnce() -> Runtime> = match case.fault {
+            FaultKind::PanicOn { request } => {
+                let app = Arc::new(PanicOnApp::new(app, request % case.requests.max(1)));
+                Box::new(move || Runtime::start(cfg, app, req_rx, resp_tx))
+            }
+            _ => Box::new(move || Runtime::start(cfg, app, req_rx, resp_tx)),
+        };
         Self {
             case: case.clone(),
             injector,
-            boot: Some(Box::new(move || Runtime::start(cfg, app, req_rx, resp_tx))),
+            boot: Some(boot),
             rt: None,
             req_tx: Some(req_tx),
             collector: Collector::new(resp_rx, RttModel::zero(), case.seed),
@@ -583,6 +592,8 @@ mod tests {
         assert!(injector_of(&c).is_none());
         c.fault = FaultKind::DropSignals(2);
         assert!(injector_of(&c).is_some());
+        c.fault = FaultKind::PanicOn { request: 3 };
+        assert!(injector_of(&c).is_none(), "the app wrapper injects panics");
     }
 
     #[test]

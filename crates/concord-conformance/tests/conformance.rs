@@ -1,5 +1,5 @@
 //! The conformance suite: corpus replay, a seeded random sweep with
-//! shrinking, exact fault-injection expectations, and virtual-time
+//! shrinking, exact fault injection expectations, and virtual-time
 //! executions where latency assertions become equalities.
 //!
 //! Budget: the random sweep runs `PROPTEST_CASES` cases (default 16; CI
@@ -16,6 +16,7 @@ use concord_conformance::{
 };
 use concord_core::clock::VirtualClock;
 use concord_core::Clock;
+use concord_trace::EventKind;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -212,6 +213,41 @@ fn injected_panic_is_contained_and_rows_sum_to_globals() {
         sum_failed, obs.failed,
         "the failure is attributed to its worker"
     );
+}
+
+/// A steal must not dodge the fault. One worker at JBSQ(1) under a
+/// burst: request 0 fills the worker's queue, so the dispatcher steals
+/// request 1 and runs it on its own slice. The panic aimed at request 1
+/// must fire there and be contained on the dispatcher's row.
+#[test]
+fn injected_panic_on_a_stolen_slice_is_contained_on_the_dispatcher() {
+    let mut case = base_case();
+    case.n_workers = 1;
+    case.jbsq_depth = 1;
+    case.work_conserving = true;
+    case.arrival = ArrivalKind::Burst;
+    case.requests = 20;
+    case.fault = FaultKind::PanicOn { request: 1 };
+    let clock = Arc::new(VirtualClock::new());
+    let app = Arc::new(VirtualSpinApp::new(clock.clone(), 5_000));
+    let obs = run_runtime_with(&case, Clock::from_virtual(clock), app, TIMEOUT);
+    assert!(obs.collected_ok, "collector timed out");
+    let trace = obs.raw_trace.as_ref().expect("trace enabled");
+    assert!(
+        trace
+            .records
+            .iter()
+            .any(|r| r.ev.kind() == EventKind::Steal && r.ev.id() == 1),
+        "request 1 must run on the dispatcher's stolen slice"
+    );
+    assert_eq!(obs.failed, 1, "exactly the injected panic fails");
+    assert_eq!(
+        obs.dispatcher_failed(),
+        1,
+        "the failure is the dispatcher's"
+    );
+    let v = check_runtime(&obs);
+    assert!(v.is_empty(), "oracles: {v:?}");
 }
 
 // --------------------------------------------------------- virtual time

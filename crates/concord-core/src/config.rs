@@ -89,8 +89,8 @@ pub struct RuntimeConfig {
     /// what batch experiments and the conformance oracles want.
     pub trace_retain: Option<Duration>,
     /// Deterministic fault schedule consulted by the dispatcher and
-    /// workers (conformance testing only; `None` in production).
-    #[cfg(feature = "fault-injection")]
+    /// workers (conformance testing only; `None` in production, where each
+    /// seam costs one `None` branch).
     pub fault_injector: Option<std::sync::Arc<crate::fault::FaultInjector>>,
 }
 
@@ -206,7 +206,6 @@ impl RuntimeBuilder {
                 trace: true,
                 trace_ring_cap: DEFAULT_TRACE_RING_CAP,
                 trace_retain: None,
-                #[cfg(feature = "fault-injection")]
                 fault_injector: None,
             },
         }
@@ -363,7 +362,6 @@ impl RuntimeBuilder {
     }
 
     /// Installs a fault schedule for this runtime (conformance testing).
-    #[cfg(feature = "fault-injection")]
     pub fn fault_injector(mut self, injector: std::sync::Arc<crate::fault::FaultInjector>) -> Self {
         self.cfg.fault_injector = Some(injector);
         self
@@ -583,7 +581,6 @@ mod tests {
         assert_eq!(c.trace_ring_cap, 1, "ring cap clamps to 1");
     }
 
-    #[cfg(feature = "fault-injection")]
     #[test]
     fn fault_injector_defaults_off_and_installs() {
         use crate::fault::FaultInjector;

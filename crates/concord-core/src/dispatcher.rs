@@ -205,7 +205,6 @@ impl ReportTimer {
 
 /// A preemption signal the fault injector deferred: deliver to `worker`
 /// for generation `gen` once the clock reaches `due_ns`.
-#[cfg(feature = "fault-injection")]
 struct DeferredSignal {
     worker: usize,
     gen: u64,
@@ -244,7 +243,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
             .cfg
             .telemetry_report_every
             .map(|every| ReportTimer::new(every, self.clock.now_ns()));
-        #[cfg(feature = "fault-injection")]
         let mut deferred: Vec<DeferredSignal> = Vec::new();
         let mut iter: u64 = 0;
         loop {
@@ -400,14 +398,10 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
             // Injected dispatcher stall: with every worker queue full,
             // busy-wait a stretch of clock time so completions and yields
             // pile up in the return rings (k per worker, never more).
-            #[cfg(feature = "fault-injection")]
             if let Some(inj) = self.cfg.fault_injector.as_deref() {
                 if self.all_workers_full() {
                     if let Some(stall_ns) = inj.take_dispatcher_stall() {
-                        let until = self.clock.now_ns().saturating_add(stall_ns);
-                        while self.clock.now_ns() < until && !self.stop.load(Ordering::Acquire) {
-                            std::thread::yield_now();
-                        }
+                        crate::fault::stall(&self.clock, stall_ns, &self.stop);
                         let backlog = self.workers.iter().map(|w| w.from_worker.len());
                         inj.note_return_backlog(backlog.max().unwrap_or(0) as u64);
                     }
@@ -452,7 +446,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 let claimed = slot.shared.claim_expired(now_ns);
                 if let Some(gen) = claimed {
                     progressed = true;
-                    #[cfg(feature = "fault-injection")]
                     if let Some(inj) = self.cfg.fault_injector.as_deref() {
                         if inj.take_drop_signal() {
                             // The claim happened but the signal never
@@ -480,7 +473,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
             //     passed. A delayed store typically lands after its slice
             //     ended — exactly the stale-signal window the generation
             //     tag defends against.
-            #[cfg(feature = "fault-injection")]
             if !deferred.is_empty() {
                 let now = self.clock.now_ns();
                 let mut j = 0;
@@ -511,14 +503,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     }
                 }
                 if let Some(mut task) = stolen.take() {
-                    // The injected-panic target must fire wherever the
-                    // request runs — a steal must not dodge the fault.
-                    #[cfg(feature = "fault-injection")]
-                    if let Some(inj) = self.cfg.fault_injector.as_deref() {
-                        if inj.take_panic(task.req.id, task.slices) {
-                            crate::preempt::arm_injected_panic();
-                        }
-                    }
                     // One clock read is both the self-preemption
                     // deadline's origin and the slice's entry stamp.
                     let start_ns = self.clock.now_ns();
@@ -686,7 +670,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     // Flush any still-deferred injected signals so the
                     // signal accounting closes (they land in idle lines
                     // and are swept as obsolete after the join).
-                    #[cfg(feature = "fault-injection")]
                     for d in deferred.drain(..) {
                         self.send_signal(d.worker, d.gen);
                     }
@@ -758,7 +741,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         let Some(collector) = self.trace_collector.as_ref() else {
             return;
         };
-        #[cfg(feature = "fault-injection")]
         if let Some(inj) = self.cfg.fault_injector.as_deref() {
             if inj.take_trace_drain_stall() {
                 return;
@@ -810,9 +792,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
     /// [`RuntimeStats::tx_dropped`] and logged once per runtime. The
     /// fault injector can zero the retry budget to force the drop path.
     fn emit(&mut self, resp: Response) {
-        #[cfg_attr(not(feature = "fault-injection"), allow(unused_mut))]
         let mut budget = 10_000;
-        #[cfg(feature = "fault-injection")]
         if let Some(inj) = self.cfg.fault_injector.as_deref() {
             if inj.take_tx_reject() {
                 budget = 0;

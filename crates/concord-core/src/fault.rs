@@ -1,10 +1,9 @@
-//! Fault injection for the conformance harness (feature
-//! `fault-injection`; compiled out entirely otherwise, so the production
-//! hot paths carry zero cost).
+//! Fault injection for the conformance harness.
 //!
-//! A [`FaultInjector`] is handed to the runtime via
-//! `RuntimeConfig::builder().fault_injector(..)`
-//! and consulted at five seams:
+//! A [`FaultInjector`] is a runtime handle: it is handed to the runtime via
+//! `RuntimeConfig::builder().fault_injector(..)`, and a runtime without
+//! one pays a single `None` branch at each seam. It is consulted at five
+//! seams:
 //!
 //! - **Signal delivery** (dispatcher, after a successful expiry claim):
 //!   the next N preemption-signal stores can be *dropped* (the claim
@@ -21,19 +20,21 @@
 //!   dispatcher busy-waits for N clock nanoseconds, so completions and
 //!   yields pile up in the per-worker return rings — the JBSQ bound `k`
 //!   is all that keeps those rings from overflowing.
-//! - **Handler panic**: a chosen (request id, slice ordinal) panics at
-//!   its first preemption point, inside the coroutine, exercising the
-//!   real panic-containment path end to end.
+//! - **Trace-collector stall**: the next N periodic trace drains are
+//!   skipped, so lane rings fill and emits take the drop-and-count path.
+//!
+//! A panicking handler is application behaviour, not a runtime seam: the
+//! conformance harness injects it by wrapping the application, so the
+//! preemption probe carries no fault hook.
 //!
 //! All knobs are "next-N budgets" stored in atomics: tests set them,
-//! runtime threads consume them with a decrement-if-positive CAS, and
-//! matching `*_injected` counters record what actually fired so oracles
-//! can balance the books.
+//! runtime threads consume them with a decrement-if-positive CAS. What
+//! fired is counted — dropped signals in
+//! `RuntimeStats::signals_dropped_injected`, TX rejects and skipped
+//! drains on the injector — so oracles can balance the books.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Sentinel for "no panic target armed".
-const NO_PANIC: u64 = u64::MAX;
+use crate::clock::Clock;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Consumes one unit from a budget counter. Returns true if a unit was
 /// taken (the fault should fire).
@@ -48,17 +49,24 @@ fn take_budget(budget: &AtomicU64) -> bool {
     false
 }
 
+/// Busy-waits until `ns` nanoseconds of `clock` time pass or `stop` is
+/// set, so an injected stall can never wedge shutdown.
+pub(crate) fn stall(clock: &Clock, ns: u64, stop: &AtomicBool) {
+    let until = clock.now_ns().saturating_add(ns);
+    while clock.now_ns() < until && !stop.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
+}
+
 /// Deterministic fault schedule for one runtime instance. See the module
 /// docs for the fault classes.
 #[derive(Debug, Default)]
 pub struct FaultInjector {
     // Signal drops.
     drop_signal_budget: AtomicU64,
-    signals_dropped: AtomicU64,
     // Signal delays.
     delay_signal_budget: AtomicU64,
     signal_delay_ns: AtomicU64,
-    signals_delayed: AtomicU64,
     // TX rejects.
     tx_reject_budget: AtomicU64,
     tx_rejected: AtomicU64,
@@ -66,15 +74,10 @@ pub struct FaultInjector {
     // duration in a second word; 0 means none pending.
     stall_worker_plus_one: AtomicU64,
     stall_ns: AtomicU64,
-    stalls_served: AtomicU64,
     // Dispatcher stall: pending duration (0 = none) and the deepest
     // return-ring backlog the dispatcher found when a stall ended.
     dispatcher_stall_ns: AtomicU64,
     return_backlog_max: AtomicU64,
-    // Handler panic: request id (NO_PANIC = disarmed) and slice ordinal.
-    panic_req_id: AtomicU64,
-    panic_slice: AtomicU64,
-    panics_fired: AtomicU64,
     // Trace-collector stalls: skip the next N periodic trace drains, so
     // lane rings fill and the drop-and-count overflow path is exercised.
     trace_drain_stall_budget: AtomicU64,
@@ -84,10 +87,7 @@ pub struct FaultInjector {
 impl FaultInjector {
     /// An injector with no faults scheduled.
     pub fn new() -> Self {
-        Self {
-            panic_req_id: AtomicU64::new(NO_PANIC),
-            ..Self::default()
-        }
+        Self::default()
     }
 
     // --- Test-side scheduling ------------------------------------------
@@ -128,15 +128,6 @@ impl FaultInjector {
         self.dispatcher_stall_ns.store(ns, Ordering::Release);
     }
 
-    /// Panic inside the handler of request `req_id` at the start of slice
-    /// ordinal `slice` (0 = first slice). Fires at the request's first
-    /// preemption point in that slice, inside its coroutine, so the
-    /// runtime's containment path is the one under test.
-    pub fn panic_on(&self, req_id: u64, slice: u32) {
-        self.panic_slice.store(u64::from(slice), Ordering::Release);
-        self.panic_req_id.store(req_id, Ordering::Release);
-    }
-
     /// Skip the next `n` periodic trace-collector drains. With small lane
     /// rings this forces overflow, proving emit stays wait-free
     /// (drop-and-count) when the collector is wedged.
@@ -149,22 +140,13 @@ impl FaultInjector {
 
     /// Dispatcher: should this signal store be dropped?
     pub fn take_drop_signal(&self) -> bool {
-        let fire = take_budget(&self.drop_signal_budget);
-        if fire {
-            self.signals_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        fire
+        take_budget(&self.drop_signal_budget)
     }
 
     /// Dispatcher: should this signal store be deferred, and by how many
     /// nanoseconds?
     pub fn take_signal_delay(&self) -> Option<u64> {
-        if take_budget(&self.delay_signal_budget) {
-            self.signals_delayed.fetch_add(1, Ordering::Relaxed);
-            Some(self.signal_delay_ns.load(Ordering::Acquire))
-        } else {
-            None
-        }
+        take_budget(&self.delay_signal_budget).then(|| self.signal_delay_ns.load(Ordering::Acquire))
     }
 
     /// Dispatcher: should this response emission fail?
@@ -180,16 +162,10 @@ impl FaultInjector {
     /// stall is pending for this worker.
     pub fn take_stall(&self, idx: usize) -> Option<u64> {
         let want = idx as u64 + 1;
-        if self
-            .stall_worker_plus_one
+        self.stall_worker_plus_one
             .compare_exchange(want, 0, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok()
-        {
-            self.stalls_served.fetch_add(1, Ordering::Relaxed);
-            Some(self.stall_ns.load(Ordering::Acquire))
-        } else {
-            None
-        }
+            .then(|| self.stall_ns.load(Ordering::Acquire))
     }
 
     /// Dispatcher: nanoseconds to stall now, if a stall is pending.
@@ -205,24 +181,6 @@ impl FaultInjector {
         self.return_backlog_max.fetch_max(depth, Ordering::AcqRel);
     }
 
-    /// Worker: is (`req_id`, `slice`) the armed panic target? Consumes
-    /// the target when it matches.
-    pub fn take_panic(&self, req_id: u64, slice: u32) -> bool {
-        if self.panic_req_id.load(Ordering::Acquire) != req_id
-            || self.panic_slice.load(Ordering::Acquire) != u64::from(slice)
-        {
-            return false;
-        }
-        let fire = self
-            .panic_req_id
-            .compare_exchange(req_id, NO_PANIC, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok();
-        if fire {
-            self.panics_fired.fetch_add(1, Ordering::Relaxed);
-        }
-        fire
-    }
-
     /// Dispatcher: should this periodic trace drain be skipped?
     pub fn take_trace_drain_stall(&self) -> bool {
         let fire = take_budget(&self.trace_drain_stall_budget);
@@ -234,35 +192,15 @@ impl FaultInjector {
 
     // --- Observability (for oracles) -----------------------------------
 
-    /// Signal stores dropped so far.
-    pub fn signals_dropped(&self) -> u64 {
-        self.signals_dropped.load(Ordering::Acquire)
-    }
-
-    /// Signal stores delayed so far.
-    pub fn signals_delayed(&self) -> u64 {
-        self.signals_delayed.load(Ordering::Acquire)
-    }
-
     /// Response emissions force-failed so far.
     pub fn tx_rejected(&self) -> u64 {
         self.tx_rejected.load(Ordering::Acquire)
-    }
-
-    /// Worker stalls actually served so far.
-    pub fn stalls_served(&self) -> u64 {
-        self.stalls_served.load(Ordering::Acquire)
     }
 
     /// Deepest per-worker return-ring backlog observed at the end of a
     /// dispatcher stall (0 if none was served).
     pub fn return_backlog_max(&self) -> u64 {
         self.return_backlog_max.load(Ordering::Acquire)
-    }
-
-    /// Injected handler panics actually fired so far.
-    pub fn panics_fired(&self) -> u64 {
-        self.panics_fired.load(Ordering::Acquire)
     }
 
     /// Periodic trace drains skipped so far.
@@ -282,7 +220,6 @@ mod tests {
         assert!(f.take_drop_signal());
         assert!(f.take_drop_signal());
         assert!(!f.take_drop_signal());
-        assert_eq!(f.signals_dropped(), 2);
     }
 
     #[test]
@@ -291,7 +228,6 @@ mod tests {
         f.delay_next_signals(1, 5_000);
         assert_eq!(f.take_signal_delay(), Some(5_000));
         assert_eq!(f.take_signal_delay(), None);
-        assert_eq!(f.signals_delayed(), 1);
     }
 
     #[test]
@@ -301,7 +237,6 @@ mod tests {
         assert_eq!(f.take_stall(0), None, "worker 0 not targeted");
         assert_eq!(f.take_stall(1), Some(7_000));
         assert_eq!(f.take_stall(1), None, "stall served once");
-        assert_eq!(f.stalls_served(), 1);
     }
 
     #[test]
@@ -314,17 +249,6 @@ mod tests {
         f.note_return_backlog(2);
         f.note_return_backlog(1);
         assert_eq!(f.return_backlog_max(), 2);
-    }
-
-    #[test]
-    fn panic_matches_request_and_slice() {
-        let f = FaultInjector::new();
-        f.panic_on(42, 1);
-        assert!(!f.take_panic(42, 0), "wrong slice");
-        assert!(!f.take_panic(7, 1), "wrong request");
-        assert!(f.take_panic(42, 1));
-        assert!(!f.take_panic(42, 1), "target consumed");
-        assert_eq!(f.panics_fired(), 1);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! wait-free ring per worker and one for the dispatcher, read back with
 //! [`Runtime::take_trace`]. [`RuntimeBuilder::trace`] is its only switch;
 //! a disarmed runtime builds no rings and each hook costs one `None`
-//! branch. The one cargo feature, `fault-injection`, compiles in the
-//! conformance harness's `FaultInjector`.
+//! branch. The conformance harness's [`FaultInjector`] is a runtime
+//! handle the same way: [`RuntimeBuilder::fault_injector`] installs it,
+//! and without one each fault seam is one `None` branch.
 //!
 //! # Examples
 //!
@@ -60,7 +61,6 @@ pub mod central;
 pub mod clock;
 pub mod config;
 pub mod dispatcher;
-#[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod policy;
 pub mod preempt;
@@ -81,7 +81,6 @@ pub use app::{ConcordApp, KvApp, RequestContext, SpinApp};
 pub use central::{jbsq_pick, CentralQueue};
 pub use clock::{Clock, VirtualClock};
 pub use config::{ConfigError, RuntimeBuilder, RuntimeConfig};
-#[cfg(feature = "fault-injection")]
 pub use fault::FaultInjector;
 pub use policy::{KeyInput, PolicyKind};
 pub use preempt::{LockDepthObserver, PreemptLine, SignalAccounting, SignalPoll};

@@ -445,27 +445,6 @@ thread_local! {
         const { std::cell::RefCell::new(PreemptMode::None) };
 }
 
-#[cfg(feature = "fault-injection")]
-thread_local! {
-    /// Armed by the worker loop when the fault injector targets the slice
-    /// about to run; the next preemption point on this thread panics
-    /// (inside the request's coroutine).
-    static INJECTED_PANIC: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Arms a forced panic at this thread's next preemption point (fault
-/// injection only; see [`FaultInjector::panic_on`](crate::fault::FaultInjector::panic_on)).
-#[cfg(feature = "fault-injection")]
-pub fn arm_injected_panic() {
-    INJECTED_PANIC.with(|c| c.set(true));
-}
-
-/// Disarms a pending injected panic (worker loop cleanup after a slice).
-#[cfg(feature = "fault-injection")]
-pub fn disarm_injected_panic() {
-    INJECTED_PANIC.with(|c| c.set(false));
-}
-
 /// Installs the preemption mode for the slice about to run on this thread.
 pub fn set_mode(mode: PreemptMode) {
     MODE.with(|m| *m.borrow_mut() = mode);
@@ -475,10 +454,6 @@ pub fn set_mode(mode: PreemptMode) {
 /// generation is pending (or the dispatcher deadline passed) *and* no lock
 /// is held. Consumes the signal.
 pub fn should_yield() -> bool {
-    #[cfg(feature = "fault-injection")]
-    if INJECTED_PANIC.with(|c| c.replace(false)) {
-        panic!("fault-injection: forced panic at preemption point");
-    }
     if lock_depth() != 0 {
         return false;
     }
@@ -757,19 +732,5 @@ mod tests {
         o.unlocked();
         o.unlocked();
         assert_eq!(lock_depth(), 0);
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn injected_panic_fires_once_at_next_point() {
-        std::thread::spawn(|| {
-            set_mode(PreemptMode::None);
-            arm_injected_panic();
-            let fired = std::panic::catch_unwind(should_yield).is_err();
-            assert!(fired, "armed panic must fire");
-            assert!(!should_yield(), "disarmed after firing");
-        })
-        .join()
-        .expect("injected-panic thread");
     }
 }

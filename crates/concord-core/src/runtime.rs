@@ -181,7 +181,6 @@ impl Runtime {
                 stop: workers_stop.clone(),
                 stats: stats.clone(),
                 trace: trace_lanes.next(),
-                #[cfg(feature = "fault-injection")]
                 injector: config.fault_injector.clone(),
             };
             let app_for_worker = app.clone();

@@ -172,7 +172,7 @@ pub struct RuntimeStats {
     pub trace_dropped: AtomicU64,
     /// Preemption signals suppressed by the fault injector (claimed
     /// expiries whose store was deliberately never performed). Always 0
-    /// without the `fault-injection` feature.
+    /// without a fault injector.
     pub signals_dropped_injected: AtomicU64,
     /// Tasks this shard shed into its own overflow ring for idle
     /// siblings to steal. Always 0 on unsharded runtimes.

@@ -65,7 +65,6 @@ pub struct WorkerLoop {
     /// disarmed). Emits are wait-free; overflow is drop-and-count.
     pub trace: Option<TraceLane>,
     /// Deterministic fault schedule (conformance testing only).
-    #[cfg(feature = "fault-injection")]
     pub injector: Option<Arc<crate::fault::FaultInjector>>,
 }
 
@@ -79,15 +78,10 @@ impl WorkerLoop {
         loop {
             // Injected stall: park this worker for a stretch of clock
             // time before serving anything else, creating JBSQ imbalance
-            // on demand. The stop flag still breaks the wait so shutdown
-            // cannot wedge.
-            #[cfg(feature = "fault-injection")]
+            // on demand.
             if let Some(inj) = self.injector.as_deref() {
                 if let Some(stall_ns) = inj.take_stall(self.idx) {
-                    let until = self.clock.now_ns().saturating_add(stall_ns);
-                    while self.clock.now_ns() < until && !self.stop.load(Ordering::Acquire) {
-                        std::thread::yield_now();
-                    }
+                    crate::fault::stall(&self.clock, stall_ns, &self.stop);
                 }
             }
             match self.local.pop() {
@@ -101,15 +95,7 @@ impl WorkerLoop {
                     let gen = self
                         .shared
                         .begin_slice_at(start_ns, self.quanta.get_ns(task.req.class));
-                    #[cfg(feature = "fault-injection")]
-                    if let Some(inj) = self.injector.as_deref() {
-                        if inj.take_panic(task.req.id, task.slices) {
-                            crate::preempt::arm_injected_panic();
-                        }
-                    }
                     let end = task.run_slice_from(&self.clock, start_ns);
-                    #[cfg(feature = "fault-injection")]
-                    crate::preempt::disarm_injected_panic();
                     self.shared.end_slice();
                     // RESUME reuses the slice's entry stamp — the tracer
                     // adds no clock reads to the run path.

@@ -1,7 +1,6 @@
 //! End-to-end tests of the always-on scheduling-event tracer: emit
 //! wait-freedom under a stalled collector, trace/counter agreement at
-//! quiescence, and the disarmed path. The stalled-collector scenario
-//! needs the `fault-injection` feature; the rest run in every build.
+//! quiescence, and the disarmed path.
 
 use concord_core::trace::{EventKind, TraceSummary};
 use concord_core::{Runtime, RuntimeConfig, SpinApp};
@@ -40,7 +39,6 @@ fn drive(cfg: RuntimeConfig, count: u64, rate_rps: f64, us: f64) -> (Runtime, Co
 /// every scheduled drain) and the per-track rings are tiny. Workers must
 /// keep completing requests at full speed — emits drop and count, they
 /// never block.
-#[cfg(feature = "fault-injection")]
 #[test]
 fn stalled_collector_never_blocks_workers() {
     let inj = Arc::new(concord_core::FaultInjector::new());

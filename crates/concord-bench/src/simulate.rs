@@ -56,13 +56,12 @@ struct Args {
 }
 
 const SYSTEMS: &str = "concord|shinjuku|persephone|coop-sq|coop-jbsq";
-const WORKLOADS: &str = "bimodal50|bimodal995|fixed1|tpcc|leveldb|zippydb";
 const POLICIES: &str = "ps|fcfs|srpt[:PCT]|boost[:US]";
 
 fn parser() -> Parser {
     Parser::new("repro simulate", "One run in the simulator or the runtime.")
         .opt_default("system", SYSTEMS, "concord", "simulated system")
-        .opt_default("workload", WORKLOADS, "bimodal50", "service-time mix")
+        .opt_default("workload", mix::NAMES, "bimodal50", "service-time mix")
         .opt("rate", "RPS", "offered requests/sec (overrides --load)")
         .opt_default("load", "FRACTION", "0.7", "fraction of ideal capacity")
         .opt_default("quantum", "US", "5", "scheduling quantum, microseconds")
@@ -100,18 +99,6 @@ fn chosen<T>(
     Ok(m.choice(flag, names, f)?.expect("flag has a default"))
 }
 
-fn workload_by_name(name: &str) -> Option<Mix> {
-    Some(match name {
-        "bimodal50" => mix::bimodal_50_1_50_100(),
-        "bimodal995" => mix::bimodal_995_05_05_500(),
-        "fixed1" => mix::fixed_1us(),
-        "tpcc" => mix::tpcc(),
-        "leveldb" => mix::leveldb_get_scan(),
-        "zippydb" => mix::zippydb(),
-        _ => return None,
-    })
-}
-
 fn system_by_name(name: &str, workers: usize, quantum_ns: u64) -> Option<SystemConfig> {
     Some(match name {
         "concord" => SystemConfig::concord(workers, quantum_ns),
@@ -137,7 +124,7 @@ fn parse(argv: &[String]) -> Result<Option<Args>, ArgError> {
     let q_ns = (quantum_us * 1_000.0) as u64;
     Ok(Some(Args {
         system: chosen(&m, "system", SYSTEMS, |s| system_by_name(s, workers, q_ns))?,
-        workload: chosen(&m, "workload", WORKLOADS, workload_by_name)?,
+        workload: chosen(&m, "workload", mix::NAMES, mix::by_name)?,
         rate: m.get("rate").map(|_| positive(&m, "rate")).transpose()?,
         load: positive(&m, "load")?,
         quantum_us,

@@ -10,6 +10,11 @@
 //! Both take one ring or several: a sharded server has one RX and one TX
 //! ring per shard, so the generator deals arrivals round-robin over its
 //! producers and the collector drains every consumer.
+//!
+//! Every load client shares two pieces: [`pace_until`], the open-loop
+//! schedule's wait, and [`Tally`], the latency/slowdown/per-class record
+//! a client keeps. The TCP client (`concord_server::client`) uses both,
+//! so its numbers and the in-process ones are the same measurement.
 
 use crate::packet::{Request, Response};
 use crate::ring::{Consumer, Producer};
@@ -17,7 +22,7 @@ use crate::rtt::RttModel;
 use concord_metrics::{Histogram, SlowdownTracker};
 use concord_workloads::arrival::{ArrivalProcess, Poisson};
 use concord_workloads::{seeded_rng, TraceGenerator, Workload};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -30,6 +35,77 @@ pub struct LoadGenReport {
     pub dropped: u64,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
+}
+
+/// Waits until `due`: a coarse sleep while more than 200 µs remain, then
+/// yields the time slice until it passes. This host may be single-core,
+/// so pure spinning would starve the server under test.
+pub fn pace_until(due: Instant) {
+    loop {
+        let now = Instant::now();
+        if now >= due {
+            return;
+        }
+        let left = due - now;
+        if left > Duration::from_micros(200) {
+            std::thread::sleep(left - Duration::from_micros(100));
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// One request class's client-side tally.
+#[derive(Clone, Debug, Default)]
+pub struct ClassTally {
+    /// Requests sent in this class (clients that see their sends).
+    pub sent: u64,
+    /// Completed answers received.
+    pub completed: u64,
+    /// RETRY (admission-rejected) answers received.
+    pub rejected: u64,
+    /// Slowdown of this class's completions.
+    pub slowdown: SlowdownTracker,
+}
+
+/// What a load client measures: the end-to-end latency and slowdown
+/// distributions and per-class tallies.
+#[derive(Clone, Debug)]
+pub struct Tally {
+    /// End-to-end latency, nanoseconds: 3 significant figures up to
+    /// 2^42 ns (≈73 minutes).
+    pub latency_ns: Histogram,
+    /// Latency over nominal service time.
+    pub slowdown: SlowdownTracker,
+    /// Per-class tallies, keyed by class id.
+    pub by_class: BTreeMap<u16, ClassTally>,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Self {
+            latency_ns: Histogram::with_max(3, 1 << 42),
+            slowdown: SlowdownTracker::new(),
+            by_class: BTreeMap::new(),
+        }
+    }
+}
+
+impl Tally {
+    /// Records one completion of `class`, nominally `service_ns` long,
+    /// answered `latency_ns` after it was sent.
+    pub fn completed(&mut self, class: u16, service_ns: u64, latency_ns: u64) {
+        self.latency_ns.record(latency_ns);
+        self.slowdown.record(service_ns, latency_ns);
+        let c = self.by_class.entry(class).or_default();
+        c.completed += 1;
+        c.slowdown.record(service_ns, latency_ns);
+    }
+
+    /// Records one RETRY answer of `class`.
+    pub fn rejected(&mut self, class: u16) {
+        self.by_class.entry(class).or_default().rejected += 1;
+    }
 }
 
 /// An open-loop load generator running on its own thread.
@@ -95,22 +171,7 @@ impl LoadGen {
                 let mut dropped = 0u64;
                 for i in 0..count {
                     let a = gen.next_arrival();
-                    let due = start + Duration::from_nanos(a.time_ns);
-                    // Coarse wait via sleep, fine wait via yielding: this
-                    // host may be single-core, so pure spinning would
-                    // starve the server under test.
-                    loop {
-                        let now = Instant::now();
-                        if now >= due {
-                            break;
-                        }
-                        let left = due - now;
-                        if left > Duration::from_micros(200) {
-                            std::thread::sleep(left - Duration::from_micros(100));
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
+                    pace_until(start + Duration::from_nanos(a.time_ns));
                     let req = Request {
                         id: a.id,
                         class: a.spec.class,
@@ -145,9 +206,7 @@ pub struct Collector {
     rx: Vec<Consumer<Response>>,
     rtt: RttModel,
     rng: concord_rng::SmallRng,
-    slowdown: SlowdownTracker,
-    latency_ns: Histogram,
-    by_class: HashMap<u16, SlowdownTracker>,
+    tally: Tally,
     received: u64,
 }
 
@@ -159,9 +218,7 @@ impl Collector {
             rx: rx.into(),
             rtt,
             rng: seeded_rng(seed),
-            slowdown: SlowdownTracker::new(),
-            latency_ns: Histogram::with_max(3, 1 << 42),
-            by_class: HashMap::new(),
+            tally: Tally::default(),
             received: 0,
         }
     }
@@ -173,12 +230,7 @@ impl Collector {
         for ring in 0..self.rx.len() {
             while let Some(resp) = self.rx[ring].pop() {
                 let e2e = resp.sojourn_ns() + self.rtt.sample(&mut self.rng);
-                self.latency_ns.record(e2e);
-                self.slowdown.record(resp.service_ns, e2e);
-                self.by_class
-                    .entry(resp.class)
-                    .or_default()
-                    .record(resp.service_ns, e2e);
+                self.tally.completed(resp.class, resp.service_ns, e2e);
                 self.received += 1;
                 n += 1;
             }
@@ -235,19 +287,10 @@ impl Collector {
         self.received
     }
 
-    /// Client-observed slowdown distribution.
-    pub fn slowdown(&self) -> &SlowdownTracker {
-        &self.slowdown
-    }
-
-    /// Client-observed end-to-end latency distribution (nanoseconds).
-    pub fn latency_ns(&self) -> &Histogram {
-        &self.latency_ns
-    }
-
-    /// Per-request-class slowdown distributions, keyed by class id.
-    pub fn slowdown_by_class(&self) -> &HashMap<u16, SlowdownTracker> {
-        &self.by_class
+    /// Everything recorded so far: client-observed end-to-end latency,
+    /// slowdown, and per-class rows.
+    pub fn tally(&self) -> &Tally {
+        &self.tally
     }
 }
 
@@ -307,10 +350,11 @@ mod tests {
         assert!(c.collect(1_000, Duration::from_secs(30)));
         gen.join();
         server.join().expect("server");
-        let by_class = c.slowdown_by_class();
+        let by_class = &c.tally().by_class;
         assert_eq!(by_class.len(), 2, "two classes in the bimodal");
-        let total: u64 = by_class.values().map(|t| t.len()).sum();
+        let total: u64 = by_class.values().map(|t| t.slowdown.len()).sum();
         assert_eq!(total, 1_000);
+        assert!(by_class.values().all(|t| t.completed == t.slowdown.len()));
     }
 
     #[test]
@@ -351,7 +395,7 @@ mod tests {
         gen.join();
         server.join().expect("server");
         // Every sample includes the 1 ms modeled RTT.
-        assert!(c.latency_ns().min() >= 1_000_000);
+        assert!(c.tally().latency_ns.min() >= 1_000_000);
     }
 
     #[test]

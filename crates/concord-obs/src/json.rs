@@ -1,8 +1,8 @@
 //! A minimal JSON value type with a renderer and a recursive-descent
-//! parser — enough for `/statz`/`/healthz` bodies and the `concord-top`
-//! dashboard, keeping the workspace free of third-party dependencies.
+//! parser — the workspace's one JSON writer: `/statz`/`/healthz` bodies,
+//! the `concord-top` dashboard and the Perfetto trace export, keeping
+//! the workspace free of third-party dependencies.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// A JSON value. Objects preserve insertion order (the renderer is used
@@ -62,7 +62,9 @@ impl Json {
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Appends compact JSON text to `out`, so a caller can stream many
+    /// values into one buffer without building a tree of all of them.
+    pub fn render_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -153,14 +155,6 @@ impl Json {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Object fields as an ordered map view (for tests).
-    pub fn as_map(&self) -> Option<BTreeMap<&str, &Json>> {
-        match self {
-            Json::Obj(fields) => Some(fields.iter().map(|(k, v)| (k.as_str(), v)).collect()),
             _ => None,
         }
     }

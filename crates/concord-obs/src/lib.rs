@@ -17,8 +17,11 @@
 //! - [`http`] — a zero-dependency, single-threaded HTTP/1.1 admin
 //!   listener built on the `concord-net` poller (Linux only, like the
 //!   poller itself).
-//! - [`json`] — a hand-rolled JSON writer/parser for `/statz` bodies
-//!   (the workspace has no third-party dependencies by policy).
+//! - [`admin`] — the admin plane both the server and the rack serve on
+//!   that listener: `/metrics`, `/healthz` and a tier's own route table.
+//! - [`json`] — the workspace's one JSON writer/parser: `/statz` bodies,
+//!   the dashboard, and the Perfetto trace export (the workspace has no
+//!   third-party dependencies by policy).
 //!
 //! The `concord-top` and `concord-scrape` binaries in this crate poll
 //! those endpoints from outside the process.
@@ -26,6 +29,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(target_os = "linux")]
+pub mod admin;
 pub mod client;
 pub mod expo;
 #[cfg(target_os = "linux")]

@@ -8,6 +8,11 @@
 //! scrape can cause is whatever the closure itself takes (e.g. the
 //! telemetry mutex the dispatcher folds records under — the same brief
 //! lock `Runtime::telemetry()` has always taken).
+//!
+//! Series whose label sets only appear as traffic does (per-class rows)
+//! cannot be registered up front; a per-scrape source
+//! ([`MetricsRegistry::per_scrape`]) appends them to each snapshot in the
+//! same pass. A fixed series is the one-sample case of the same source.
 
 use concord_metrics::Histogram;
 use std::sync::Mutex;
@@ -22,35 +27,13 @@ pub enum MetricKind {
     Gauge,
 }
 
-type ReadFn = Box<dyn Fn() -> u64 + Send + Sync>;
-type HistFn = Box<dyn Fn() -> Histogram + Send + Sync>;
-
-struct ScalarSource {
-    name: String,
-    help: String,
-    kind: MetricKind,
-    labels: Vec<(String, String)>,
-    read: ReadFn,
-}
-
-struct HistSource {
-    name: String,
-    help: String,
-    labels: Vec<(String, String)>,
-    read: HistFn,
-}
-
-#[derive(Default)]
-struct Inner {
-    scalars: Vec<ScalarSource>,
-    hists: Vec<HistSource>,
-}
+type Source = Box<dyn Fn(&mut MetricsSnapshot) + Send + Sync>;
 
 /// A registry of metric sources, registered once at startup and read in
 /// one coherent pass per scrape.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    inner: Mutex<Inner>,
+    sources: Mutex<Vec<Source>>,
 }
 
 fn owned_labels(labels: &[(&str, &str)]) -> Vec<(String, String)> {
@@ -97,17 +80,19 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         read: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .scalars
-            .push(ScalarSource {
-                name: name.to_string(),
-                help: help.to_string(),
-                kind,
-                labels: owned_labels(labels),
-                read: Box::new(read),
-            });
+        let sample = ScalarSample {
+            name: name.to_string(),
+            help: help.to_string(),
+            kind,
+            labels: owned_labels(labels),
+            value: 0,
+        };
+        self.per_scrape(move |snap| {
+            snap.scalars.push(ScalarSample {
+                value: read(),
+                ..sample.clone()
+            })
+        });
     }
 
     /// Registers a histogram series. `read` returns a point-in-time copy
@@ -119,55 +104,37 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         read: impl Fn() -> Histogram + Send + Sync + 'static,
     ) {
-        self.inner
+        let (name, help, labels) = (name.to_string(), help.to_string(), owned_labels(labels));
+        self.per_scrape(move |snap| {
+            snap.hists
+                .push(HistSample::new(&name, &help, labels.clone(), &read()))
+        });
+    }
+
+    /// Registers a per-scrape source: `read` runs at each snapshot, in
+    /// registration order with every other source, and appends its
+    /// samples (see [`MetricsSnapshot::push_scalar`]).
+    pub fn per_scrape(&self, read: impl Fn(&mut MetricsSnapshot) + Send + Sync + 'static) {
+        self.sources
             .lock()
             .expect("registry lock")
-            .hists
-            .push(HistSource {
-                name: name.to_string(),
-                help: help.to_string(),
-                labels: owned_labels(labels),
-                read: Box::new(read),
-            });
+            .push(Box::new(read));
     }
 
     /// Evaluates every registered source in one pass and returns the
     /// resulting coherent snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().expect("registry lock");
-        let scalars = inner
-            .scalars
-            .iter()
-            .map(|s| ScalarSample {
-                name: s.name.clone(),
-                help: s.help.clone(),
-                kind: s.kind,
-                labels: s.labels.clone(),
-                value: (s.read)(),
-            })
-            .collect();
-        let hists = inner
-            .hists
-            .iter()
-            .map(|h| {
-                let hist = (h.read)();
-                HistSample {
-                    name: h.name.clone(),
-                    help: h.help.clone(),
-                    labels: h.labels.clone(),
-                    buckets: hist.cumulative().collect(),
-                    count: hist.len(),
-                    sum: hist.sum(),
-                }
-            })
-            .collect();
-        MetricsSnapshot { scalars, hists }
+        let mut snap = MetricsSnapshot::default();
+        for read in self.sources.lock().expect("registry lock").iter() {
+            read(&mut snap);
+        }
+        snap
     }
 
-    /// Number of registered series (scalars + histograms).
+    /// Number of registered sources (one per fixed series, one per
+    /// per-scrape source).
     pub fn len(&self) -> usize {
-        let inner = self.inner.lock().expect("registry lock");
-        inner.scalars.len() + inner.hists.len()
+        self.sources.lock().expect("registry lock").len()
     }
 
     /// Whether no source has been registered.
@@ -208,13 +175,53 @@ pub struct HistSample {
     pub sum: u128,
 }
 
+impl HistSample {
+    /// The sample of histogram `h` as series `name{labels}`.
+    fn new(name: &str, help: &str, labels: Vec<(String, String)>, h: &Histogram) -> HistSample {
+        HistSample {
+            name: name.to_string(),
+            help: help.to_string(),
+            labels,
+            buckets: h.cumulative().collect(),
+            count: h.len(),
+            sum: h.sum(),
+        }
+    }
+}
+
 /// A coherent point-in-time read of every registered source.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// All scalar series, in registration order.
     pub scalars: Vec<ScalarSample>,
     /// All histogram series, in registration order.
     pub hists: Vec<HistSample>,
+}
+
+impl MetricsSnapshot {
+    /// Appends one scalar series (for per-scrape sources).
+    pub fn push_scalar(
+        &mut self,
+        name: &str,
+        help: &str,
+        kind: MetricKind,
+        labels: &[(&str, &str)],
+        value: u64,
+    ) {
+        self.scalars.push(ScalarSample {
+            name: name.to_string(),
+            help: help.to_string(),
+            kind,
+            labels: owned_labels(labels),
+            value,
+        });
+    }
+
+    /// Appends one histogram series (for per-scrape sources).
+    pub fn push_hist(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
+        self.hists
+            .push(HistSample::new(name, help, owned_labels(labels), h));
+    }
 }
 
 #[cfg(test)]
@@ -259,6 +266,28 @@ mod tests {
             assert!(pair[1].0 > pair[0].0);
             assert!(pair[1].1 >= pair[0].1);
         }
+    }
+
+    #[test]
+    fn per_scrape_sources_append_after_fixed_series() {
+        let reg = MetricsRegistry::new();
+        reg.counter("fixed_total", "", &[], || 1);
+        let n = Arc::new(AtomicU64::new(0));
+        let src = n.clone();
+        reg.per_scrape(move |snap| {
+            for class in 0..src.load(Ordering::Relaxed) {
+                let c = class.to_string();
+                snap.push_scalar("class_total", "", MetricKind::Counter, &[("class", &c)], 7);
+                snap.push_hist("class_ns", "", &[("class", &c)], &Histogram::new(3));
+            }
+        });
+        assert_eq!(reg.snapshot().scalars.len(), 1);
+        n.store(2, Ordering::Relaxed);
+        let snap = reg.snapshot();
+        let names: Vec<&str> = snap.scalars.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["fixed_total", "class_total", "class_total"]);
+        assert_eq!(snap.scalars[2].labels, vec![("class".into(), "1".into())]);
+        assert_eq!(snap.hists.len(), 2);
     }
 
     #[test]

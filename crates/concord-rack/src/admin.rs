@@ -1,5 +1,5 @@
 //! The rack's admin plane: the same introspection surface a backend
-//! exposes, one tier up.
+//! exposes, one tier up, served by [`concord_obs::admin`].
 //!
 //! Routes:
 //!
@@ -7,186 +7,125 @@
 //!   and per-backend series.
 //! - `GET /statz` — one JSON document: rack totals, the conservation
 //!   counters, and every backend's state/depth/in-flight view.
-//! - `GET /healthz` — `200` while at least one backend is accepting
-//!   work, `503` otherwise (a rack that can only reject is not healthy).
+//! - `GET /healthz` — `"ok"` (200) while at least one backend is
+//!   accepting work, `"unavailable"` (503) otherwise (a rack that can
+//!   only reject is not healthy).
 //! - `POST /backend/<i>/drain` — stop routing *new* work to backend
 //!   `<i>`; in-flight requests finish normally.
 //! - `POST /backend/<i>/undrain` — resume routing to backend `<i>`.
 
 use std::io;
-use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use concord_obs::admin::{self, Route};
 use concord_obs::json::Json;
-use concord_obs::{render_prometheus, HttpRequest, HttpResponse, HttpServer, MetricsRegistry};
+use concord_obs::{HttpResponse, HttpServer, MetricsRegistry};
 
 use crate::balance::BackendState;
 use crate::proxy::RackShared;
 
-struct AdminState {
-    shared: Arc<RackShared>,
-    registry: MetricsRegistry,
-    started: Instant,
+/// Binds the admin listener on `addr` and serves the rack routes.
+pub(crate) fn serve(addr: &str, shared: Arc<RackShared>) -> io::Result<HttpServer> {
+    let started = Instant::now();
+    let registry = MetricsRegistry::new();
+    register_rack(&registry, &shared);
+    let healthy = {
+        let s = Arc::clone(&shared);
+        move || s.table.iter().any(|b| b.accepting())
+    };
+    let statz = {
+        let s = Arc::clone(&shared);
+        move |_: &_| statz(&s, started)
+    };
+    let drain = move |req: &concord_obs::HttpRequest| drain_control(&shared, &req.path);
+    admin::serve(
+        addr,
+        registry,
+        healthy,
+        vec![
+            Route::exact("GET", "/statz", statz),
+            Route::prefix("POST", "/backend/", drain),
+        ],
+    )
 }
 
-impl AdminState {
-    fn new(shared: Arc<RackShared>) -> AdminState {
-        let registry = MetricsRegistry::new();
-        register_rack(&registry, &shared);
-        AdminState {
-            shared,
-            registry,
-            started: Instant::now(),
-        }
-    }
+fn statz(s: &RackShared, started: Instant) -> HttpResponse {
+    let n = |a: &AtomicU64| Json::U64(a.load(Ordering::Relaxed));
+    let t = &s.totals;
+    let backends: Vec<Json> = (0..s.table.len())
+        .map(|i| {
+            let b = s.table.get(i);
+            Json::obj(vec![
+                ("backend", Json::U64(i as u64)),
+                ("addr", Json::Str(b.addr().into())),
+                (
+                    "admin",
+                    b.admin().map_or(Json::Null, |a| Json::Str(a.into())),
+                ),
+                ("state", Json::Str(b.state().name().into())),
+                ("estimated_depth", Json::U64(s.table.estimated_depth(i))),
+                ("inflight", Json::U64(b.inflight())),
+                ("forwarded", Json::U64(b.forwarded())),
+                ("deaths", Json::U64(b.deaths())),
+            ])
+        })
+        .collect();
+    let rack = Json::obj(vec![
+        ("uptime_s", Json::U64(started.elapsed().as_secs())),
+        ("backends", Json::U64(s.table.len() as u64)),
+        ("active_connections", n(&s.active_connections)),
+        ("pending", n(&s.pending_now)),
+        ("draining", Json::Bool(s.draining.load(Ordering::Relaxed))),
+    ]);
+    let totals = Json::obj(vec![
+        ("requests_in", n(&t.requests_in)),
+        ("forwarded", n(&t.forwarded)),
+        ("rejected_local", n(&t.rejected_local)),
+        ("relayed_ok", n(&t.relayed_ok)),
+        ("relayed_failed", n(&t.relayed_failed)),
+        ("relayed_retry", n(&t.relayed_retry)),
+        ("failed_over", n(&t.failed_over)),
+        ("relay_dropped", n(&t.relay_dropped)),
+        ("orphaned", n(&t.orphaned)),
+        ("protocol_errors", n(&t.protocol_errors)),
+        ("conns_accepted", n(&t.conns_accepted)),
+        ("conns_closed", n(&t.conns_closed)),
+    ]);
+    let doc = Json::obj(vec![
+        ("rack", rack),
+        ("totals", totals),
+        ("backends", Json::Arr(backends)),
+    ]);
+    HttpResponse::ok("application/json", doc.render())
+}
 
-    fn metrics(&self) -> HttpResponse {
-        let text = render_prometheus(&self.registry.snapshot());
-        HttpResponse::ok("text/plain; version=0.0.4", text)
+/// `POST /backend/<i>/drain` and `/backend/<i>/undrain`.
+fn drain_control(shared: &RackShared, path: &str) -> HttpResponse {
+    let rest = path.strip_prefix("/backend/").unwrap_or("");
+    let (idx_str, action) = match rest.split_once('/') {
+        Some(parts) => parts,
+        None => return HttpResponse::text(404, "not found"),
+    };
+    let Ok(idx) = idx_str.parse::<usize>() else {
+        return HttpResponse::text(400, "backend index must be a number");
+    };
+    if idx >= shared.table.len() {
+        return HttpResponse::text(404, "no such backend");
     }
-
-    fn healthz(&self) -> HttpResponse {
-        let accepting = self.shared.table.iter().any(|b| b.accepting());
-        let body = Json::obj(vec![
-            (
-                "status",
-                Json::Str(if accepting { "ok" } else { "unavailable" }.into()),
-            ),
-            ("uptime_s", Json::U64(self.started.elapsed().as_secs())),
-        ])
-        .render();
-        HttpResponse {
-            status: if accepting { 200 } else { 503 },
-            content_type: "application/json".into(),
-            body: body.into_bytes(),
-        }
+    let b = shared.table.get(idx);
+    match action {
+        "drain" => b.request_drain(),
+        "undrain" => b.clear_drain(),
+        _ => return HttpResponse::text(404, "not found"),
     }
-
-    fn statz(&self) -> HttpResponse {
-        let s = &self.shared;
-        let t = &s.totals;
-        let backends: Vec<Json> = (0..s.table.len())
-            .map(|i| {
-                let b = s.table.get(i);
-                Json::obj(vec![
-                    ("backend", Json::U64(i as u64)),
-                    ("addr", Json::Str(b.addr().into())),
-                    (
-                        "admin",
-                        b.admin().map_or(Json::Null, |a| Json::Str(a.into())),
-                    ),
-                    ("state", Json::Str(b.state().name().into())),
-                    ("estimated_depth", Json::U64(s.table.estimated_depth(i))),
-                    ("inflight", Json::U64(b.inflight())),
-                    ("forwarded", Json::U64(b.forwarded())),
-                    ("deaths", Json::U64(b.deaths())),
-                ])
-            })
-            .collect();
-        let doc = Json::obj(vec![
-            (
-                "rack",
-                Json::obj(vec![
-                    ("uptime_s", Json::U64(self.started.elapsed().as_secs())),
-                    ("backends", Json::U64(s.table.len() as u64)),
-                    (
-                        "active_connections",
-                        Json::U64(s.active_connections.load(Ordering::Relaxed)),
-                    ),
-                    ("pending", Json::U64(s.pending_now.load(Ordering::Relaxed))),
-                    ("draining", Json::Bool(s.draining.load(Ordering::Relaxed))),
-                ]),
-            ),
-            (
-                "totals",
-                Json::obj(vec![
-                    (
-                        "requests_in",
-                        Json::U64(t.requests_in.load(Ordering::Relaxed)),
-                    ),
-                    ("forwarded", Json::U64(t.forwarded.load(Ordering::Relaxed))),
-                    (
-                        "rejected_local",
-                        Json::U64(t.rejected_local.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "relayed_ok",
-                        Json::U64(t.relayed_ok.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "relayed_failed",
-                        Json::U64(t.relayed_failed.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "relayed_retry",
-                        Json::U64(t.relayed_retry.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "failed_over",
-                        Json::U64(t.failed_over.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "relay_dropped",
-                        Json::U64(t.relay_dropped.load(Ordering::Relaxed)),
-                    ),
-                    ("orphaned", Json::U64(t.orphaned.load(Ordering::Relaxed))),
-                    (
-                        "protocol_errors",
-                        Json::U64(t.protocol_errors.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "conns_accepted",
-                        Json::U64(t.conns_accepted.load(Ordering::Relaxed)),
-                    ),
-                    (
-                        "conns_closed",
-                        Json::U64(t.conns_closed.load(Ordering::Relaxed)),
-                    ),
-                ]),
-            ),
-            ("backends", Json::Arr(backends)),
-        ]);
-        HttpResponse::ok("application/json", doc.render())
-    }
-
-    /// `POST /backend/<i>/drain` and `/backend/<i>/undrain`.
-    fn drain_control(&self, path: &str) -> HttpResponse {
-        let rest = path.strip_prefix("/backend/").unwrap_or("");
-        let (idx_str, action) = match rest.split_once('/') {
-            Some(parts) => parts,
-            None => return HttpResponse::text(404, "not found"),
-        };
-        let Ok(idx) = idx_str.parse::<usize>() else {
-            return HttpResponse::text(400, "backend index must be a number");
-        };
-        if idx >= self.shared.table.len() {
-            return HttpResponse::text(404, "no such backend");
-        }
-        let b = self.shared.table.get(idx);
-        match action {
-            "drain" => b.request_drain(),
-            "undrain" => b.clear_drain(),
-            _ => return HttpResponse::text(404, "not found"),
-        }
-        let body = Json::obj(vec![
-            ("backend", Json::U64(idx as u64)),
-            ("state", Json::Str(b.state().name().into())),
-        ])
-        .render();
-        HttpResponse::ok("application/json", body)
-    }
-
-    fn handle(&self, req: &HttpRequest) -> HttpResponse {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/metrics") => self.metrics(),
-            ("GET", "/healthz") => self.healthz(),
-            ("GET", "/statz") => self.statz(),
-            ("POST", path) if path.starts_with("/backend/") => self.drain_control(path),
-            _ => HttpResponse::text(404, "not found"),
-        }
-    }
+    let body = Json::obj(vec![
+        ("backend", Json::U64(idx as u64)),
+        ("state", Json::Str(b.state().name().into())),
+    ])
+    .render();
+    HttpResponse::ok("application/json", body)
 }
 
 /// Registers every rack metric against live closures over the shared
@@ -315,30 +254,5 @@ fn register_rack(reg: &MetricsRegistry, shared: &Arc<RackShared>) {
             labels,
             move || s.table.get(i).deaths(),
         );
-    }
-}
-
-/// The rack admin HTTP server; dropped (or [`AdminPlane::shutdown`]) to
-/// stop it.
-pub struct AdminPlane {
-    server: HttpServer,
-}
-
-impl AdminPlane {
-    /// Binds the admin listener on `addr` and serves the rack routes.
-    pub fn start(addr: &str, shared: Arc<RackShared>) -> io::Result<AdminPlane> {
-        let state = Arc::new(AdminState::new(shared));
-        let server = HttpServer::bind(addr, Arc::new(move |req: &HttpRequest| state.handle(req)))?;
-        Ok(AdminPlane { server })
-    }
-
-    /// The bound admin address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.server.local_addr()
-    }
-
-    /// Stops the admin listener.
-    pub fn shutdown(self) {
-        self.server.shutdown();
     }
 }

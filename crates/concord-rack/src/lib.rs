@@ -24,7 +24,7 @@
 //! - [`probe`] — background `/statz` scraping and dead-backend
 //!   reconnection.
 //! - [`admin`] — the rack's own `/metrics`, `/statz`, `/healthz`, and
-//!   per-backend drain control.
+//!   per-backend drain control, on `concord_obs::admin` like a backend's.
 //! - [`config`] — [`RackConfig::builder`], the validated way in.
 
 #![warn(missing_docs)]

@@ -44,7 +44,6 @@ pub use concord_wire::route::MAX_PENDING;
 use concord_wire::route::{pending_id, split_pending_id};
 use concord_wire::RecvBuf;
 
-use crate::admin::AdminPlane;
 use crate::balance::{BackendTable, RackRoute};
 use crate::config::RackConfig;
 use crate::probe;
@@ -336,7 +335,7 @@ pub struct Rack {
     admin_addr: Option<SocketAddr>,
     proxy: Option<JoinHandle<RackReport>>,
     prober: Option<JoinHandle<()>>,
-    admin: Option<AdminPlane>,
+    admin: Option<concord_obs::HttpServer>,
 }
 
 impl Rack {
@@ -357,7 +356,7 @@ impl Rack {
         let waker = Arc::new(Waker::new()?);
 
         let admin = match cfg.admin.as_deref() {
-            Some(addr) => Some(AdminPlane::start(addr, Arc::clone(&shared))?),
+            Some(addr) => Some(crate::admin::serve(addr, Arc::clone(&shared))?),
             None => None,
         };
         let admin_addr = admin.as_ref().map(|a| a.local_addr());

@@ -66,6 +66,9 @@ fn admin_plane_reports_and_controls_backends() {
     // /healthz: healthy while anything accepts.
     let (code, _) = fetch(&admin, "GET", "/healthz", FETCH_TIMEOUT).expect("healthz");
     assert_eq!(code, 200);
+    // Routing is on the bare path: a query string changes nothing.
+    let (code, body) = fetch(&admin, "GET", "/healthz?verbose=1", FETCH_TIMEOUT).expect("query");
+    assert_eq!(code, 200, "{}", String::from_utf8_lossy(&body));
 
     // /statz: both backends healthy, conservation counters present.
     let statz = get_json(&admin, "/statz");

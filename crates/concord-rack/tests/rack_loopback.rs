@@ -166,7 +166,8 @@ fn kill_and_restart_preserves_every_request() {
 
     // Client side: every request got exactly one response. A response
     // delivered to the wrong connection would leave a hole in one
-    // client's per-id ledger — unaccounted > 0 — so this is also the
+    // client's per-id ledger — unaccounted > 0 — and land in the other
+    // client's as an unexpected answer, so this is also the
     // zero-misdelivery assertion.
     for (i, r) in reports.iter().enumerate() {
         assert_eq!(r.sent, PER_CLIENT, "client {i} sent everything");
@@ -176,6 +177,7 @@ fn kill_and_restart_preserves_every_request() {
             "client {i} lost responses: {}",
             r.render()
         );
+        assert_eq!(r.unexpected, 0, "client {i} misdelivered: {}", r.render());
     }
 
     // Rack side + ledger agreement: the conformance oracle checks the

@@ -8,27 +8,19 @@
 //! Open loop by default (requests go out on a Poisson schedule whether
 //! or not responses came back — the paper's methodology); pass
 //! `--closed-window N` for a closed loop with at most `N` outstanding
-//! requests. Workload names match the `simulate` binary:
-//! `bimodal50 | bimodal995 | fixed1 | tpcc | leveldb | zippydb`.
+//! requests. Workload names are `repro simulate`'s
+//! (`concord_workloads::mix::NAMES`).
 //!
-//! Exits non-zero if any request went entirely unaccounted (no
-//! response, no reject) — the smoke-test contract.
+//! Exits 3 if any request went entirely unaccounted (no response, no
+//! reject) or any answer was unexpected (a duplicate, or an id never
+//! sent) — the smoke-test contract.
 
 use concord_args::Parser;
 use concord_server::{client, ClientConfig};
-use concord_workloads::mix::{self, Mix};
+use concord_workloads::mix;
 use std::process::exit;
 
-struct Args {
-    addr: String,
-    cfg: ClientConfig,
-    workload: String,
-}
-
-const WORKLOADS: &str = "bimodal50|bimodal995|fixed1|tpcc|leveldb|zippydb";
-
-fn parse_args() -> Args {
-    let defaults = ClientConfig::default();
+fn main() {
     let m = Parser::new("concord-client", "Load generator for concord-serve.")
         .opt_default("addr", "HOST:PORT", "127.0.0.1:7070", "server to load")
         .opt("requests", "N", "total requests to send")
@@ -38,10 +30,10 @@ fn parse_args() -> Args {
             "N",
             "closed loop with N outstanding (0 = open loop)",
         )
-        .opt_default("workload", WORKLOADS, "fixed1", "service-time mix")
+        .opt_default("workload", mix::NAMES, "fixed1", "service-time mix")
         .opt("seed", "N", "workload RNG seed")
         .parse_env();
-    let mut cfg = defaults;
+    let mut cfg = ClientConfig::default();
     if let Some(v) = m.opt("requests").unwrap_or_else(|e| m.fatal(e)) {
         cfg.requests = v;
     }
@@ -54,55 +46,35 @@ fn parse_args() -> Args {
     if let Some(v) = m.opt("seed").unwrap_or_else(|e| m.fatal(e)) {
         cfg.seed = v;
     }
-    Args {
-        addr: m.get("addr").expect("defaulted").to_string(),
-        cfg,
-        workload: m.get("workload").expect("defaulted").to_string(),
-    }
-}
-
-fn workload_by_name(name: &str) -> Option<Mix> {
-    match name {
-        "bimodal50" => Some(mix::bimodal_50_1_50_100()),
-        "bimodal995" => Some(mix::bimodal_995_05_05_500()),
-        "fixed1" => Some(mix::fixed_1us()),
-        "tpcc" => Some(mix::tpcc()),
-        "leveldb" => Some(mix::leveldb_get_scan()),
-        "zippydb" => Some(mix::zippydb()),
-        _ => None,
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    let Some(workload) = workload_by_name(&args.workload) else {
-        eprintln!(
-            "concord-client: invalid --workload '{}' (expected {WORKLOADS})",
-            args.workload
-        );
-        exit(2);
-    };
-    let mode = if args.cfg.window > 0 {
-        format!("closed (window {})", args.cfg.window)
+    let workload = m
+        .choice("workload", mix::NAMES, mix::by_name)
+        .unwrap_or_else(|e| m.fatal(e))
+        .expect("flag has a default");
+    let addr = m.get("addr").expect("defaulted");
+    let mode = if cfg.window > 0 {
+        format!("closed (window {})", cfg.window)
     } else {
-        format!("open ({} rps)", args.cfg.rate_rps)
+        format!("open ({} rps)", cfg.rate_rps)
     };
     println!(
-        "loading {} with {} x {} [{} loop, seed {}]",
-        args.addr, args.cfg.requests, args.workload, mode, args.cfg.seed
+        "loading {addr} with {} x {} [{mode} loop, seed {}]",
+        cfg.requests,
+        m.get("workload").expect("defaulted"),
+        cfg.seed
     );
-    let report = match client::run(&args.addr, &args.cfg, workload) {
+    let report = match client::run(addr, &cfg, workload) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("concord-client: {}: {e}", args.addr);
+            eprintln!("concord-client: {addr}: {e}");
             exit(1);
         }
     };
     print!("{}", report.render());
-    if report.unaccounted() > 0 {
+    if report.unaccounted() > 0 || report.unexpected > 0 {
         eprintln!(
-            "concord-client: {} requests unaccounted for (silent loss)",
-            report.unaccounted()
+            "concord-client: {} requests unaccounted for (silent loss), {} unexpected answers",
+            report.unaccounted(),
+            report.unexpected
         );
         exit(3);
     }

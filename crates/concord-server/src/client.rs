@@ -1,9 +1,9 @@
 //! Open/closed-loop load client for the wire protocol.
 //!
 //! Reuses the workload machinery from `concord-workloads` (Poisson
-//! arrivals, the paper's service-time mixes) and reports the same
-//! slowdown percentiles as the in-process
-//! [`Collector`](concord_net::Collector) so TCP runs are directly
+//! arrivals, the paper's service-time mixes) and the in-process
+//! [`Collector`](concord_net::Collector)'s pacing rule
+//! ([`pace_until`]) and record ([`Tally`]), so TCP runs are directly
 //! comparable to in-process runs.
 //!
 //! - **Open loop**: requests are sent on the generator's Poisson
@@ -11,8 +11,12 @@
 //!   is what exposes queueing collapse under overload.
 //! - **Closed loop** (`window > 0`): at most `window` requests are
 //!   outstanding; a completion or reject returns its credit.
+//!
+//! Each request id is answered once: its first answer takes its slot,
+//! and any other answer (a duplicate, or an id never sent) is counted in
+//! [`ClientReport::unexpected`] and nowhere else.
 
-use concord_metrics::{Histogram, SlowdownTracker};
+use concord_net::loadgen::{pace_until, Tally};
 use concord_wire::frame::{self as wire, Frame, Status};
 use concord_workloads::arrival::Poisson;
 use concord_workloads::trace::TraceGenerator;
@@ -53,17 +57,6 @@ impl Default for ClientConfig {
     }
 }
 
-/// Per-class tallies observed by the client.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClassTally {
-    /// Requests sent in this class.
-    pub sent: u64,
-    /// Ok responses received.
-    pub completed: u64,
-    /// RETRY (admission-rejected) responses received.
-    pub rejected: u64,
-}
-
 /// What one load run observed, from the wire side.
 pub struct ClientReport {
     /// Requests written to the socket.
@@ -74,14 +67,14 @@ pub struct ClientReport {
     pub rejected: u64,
     /// Failed-status responses received.
     pub failed: u64,
+    /// Answers for an id never sent or already answered; they touch
+    /// nothing else in the report.
+    pub unexpected: u64,
     /// Wall-clock from first send to last response (or drain timeout).
     pub elapsed: Duration,
-    /// Client-measured sojourn time (send → response arrival), ns.
-    pub sojourn_ns: Histogram,
-    /// Client-measured slowdown (sojourn / nominal service time).
-    pub slowdown: SlowdownTracker,
-    /// Per-class tallies, keyed by service class.
-    pub by_class: BTreeMap<u16, ClassTally>,
+    /// Client-measured sojourn (send → response arrival, ns), slowdown
+    /// and per-class tallies.
+    pub tally: Tally,
 }
 
 impl ClientReport {
@@ -105,34 +98,36 @@ impl ClientReport {
     pub fn render(&self) -> String {
         let mut s = String::new();
         s.push_str(&format!(
-            "sent {}  completed {}  rejected {}  failed {}  unaccounted {}\n",
+            "sent {}  completed {}  rejected {}  failed {}  unaccounted {}  unexpected {}\n",
             self.sent,
             self.completed,
             self.rejected,
             self.failed,
-            self.unaccounted()
+            self.unaccounted(),
+            self.unexpected
         ));
         s.push_str(&format!(
             "elapsed {:.3}s  goodput {:.0} req/s\n",
             self.elapsed.as_secs_f64(),
             self.goodput_rps()
         ));
-        if !self.sojourn_ns.is_empty() {
+        let (sojourn, slowdown) = (&self.tally.latency_ns, &self.tally.slowdown);
+        if !sojourn.is_empty() {
             s.push_str(&format!(
                 "sojourn ns: p50 {}  p99 {}  p99.9 {}  max {}\n",
-                self.sojourn_ns.percentile(50.0),
-                self.sojourn_ns.percentile(99.0),
-                self.sojourn_ns.percentile(99.9),
-                self.sojourn_ns.max()
+                sojourn.percentile(50.0),
+                sojourn.percentile(99.0),
+                sojourn.percentile(99.9),
+                sojourn.max()
             ));
             s.push_str(&format!(
                 "slowdown: p50 {:.2}  p99 {:.2}  p99.9 {:.2}\n",
-                self.slowdown.at_quantile(0.50),
-                self.slowdown.p99(),
-                self.slowdown.p999()
+                slowdown.at_quantile(0.50),
+                slowdown.p99(),
+                slowdown.p999()
             ));
         }
-        for (class, t) in &self.by_class {
+        for (class, t) in &self.tally.by_class {
             s.push_str(&format!(
                 "class {class}: sent {}  completed {}  rejected {}\n",
                 t.sent, t.completed, t.rejected
@@ -142,13 +137,12 @@ impl ClientReport {
     }
 }
 
-/// In-flight bookkeeping shared between the sending thread and the
-/// response reader, indexed by the sequential request id.
-struct Inflight {
-    sent_at: Mutex<Vec<Option<Instant>>>,
-    /// Nominal service time per id, for slowdown (immutable after send,
-    /// but written by the sender — hence the lock above covers both).
-    service_ns: Mutex<Vec<u64>>,
+/// One sent request awaiting its answer.
+#[derive(Clone, Copy)]
+struct Slot {
+    sent_at: Instant,
+    /// Nominal service time, the slowdown denominator.
+    service_ns: u64,
 }
 
 struct Credits {
@@ -172,20 +166,19 @@ impl Credits {
 }
 
 struct ReaderShared {
-    inflight: Inflight,
+    /// In-flight bookkeeping shared between the sending thread and the
+    /// response reader, indexed by the sequential request id: the
+    /// sender fills a slot before writing the request, its first answer
+    /// takes it.
+    inflight: Mutex<Vec<Option<Slot>>>,
     credits: Option<Credits>,
     completed: AtomicU64,
     rejected: AtomicU64,
     failed: AtomicU64,
-    /// Nanos since `epoch` of the last response, for drain-idle detection.
+    unexpected: AtomicU64,
+    /// Nanos since the run started of the last response, for drain-idle
+    /// detection.
     last_progress_ns: AtomicU64,
-}
-
-/// Results accumulated by the reader thread.
-struct ReaderStats {
-    sojourn_ns: Histogram,
-    slowdown: SlowdownTracker,
-    by_class: BTreeMap<u16, ClassTally>,
 }
 
 /// Runs one load generation pass against `addr` using `workload` for
@@ -202,10 +195,7 @@ pub fn run<W: Workload>(
 
     let n = cfg.requests as usize;
     let shared = Arc::new(ReaderShared {
-        inflight: Inflight {
-            sent_at: Mutex::new(vec![None; n]),
-            service_ns: Mutex::new(vec![0; n]),
-        },
+        inflight: Mutex::new(vec![None; n]),
         credits: (cfg.window > 0).then(|| Credits {
             avail: Mutex::new(cfg.window),
             ret: Condvar::new(),
@@ -213,15 +203,16 @@ pub fn run<W: Workload>(
         completed: AtomicU64::new(0),
         rejected: AtomicU64::new(0),
         failed: AtomicU64::new(0),
+        unexpected: AtomicU64::new(0),
         last_progress_ns: AtomicU64::new(0),
     });
-    let epoch = Instant::now();
+    let start = Instant::now();
 
     let reader = {
         let shared = shared.clone();
         std::thread::Builder::new()
             .name("concord-client-reader".into())
-            .spawn(move || reader_loop(reader_stream, shared, epoch))
+            .spawn(move || reader_loop(reader_stream, shared, start))
             .expect("spawn client reader")
     };
 
@@ -230,7 +221,6 @@ pub fn run<W: Workload>(
     let mut gen = TraceGenerator::new(Poisson::with_rate(cfg.rate_rps), workload, cfg.seed);
     let mut out = Vec::with_capacity(64);
     let mut by_class_sent: BTreeMap<u16, u64> = BTreeMap::new();
-    let start = Instant::now();
     let mut sent = 0u64;
     let mut stream = stream;
     for i in 0..cfg.requests {
@@ -239,18 +229,12 @@ pub fn run<W: Workload>(
             credits.take();
         } else {
             // Open loop: hold to the schedule even if the server lags.
-            let due = start + Duration::from_nanos(arrival.time_ns);
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
+            pace_until(start + Duration::from_nanos(arrival.time_ns));
         }
-        {
-            let mut at = shared.inflight.sent_at.lock().expect("sent_at lock");
-            let mut svc = shared.inflight.service_ns.lock().expect("service_ns lock");
-            at[i as usize] = Some(Instant::now());
-            svc[i as usize] = arrival.spec.service_ns;
-        }
+        shared.inflight.lock().expect("inflight lock")[i as usize] = Some(Slot {
+            sent_at: Instant::now(),
+            service_ns: arrival.spec.service_ns,
+        });
         out.clear();
         wire::encode_request(
             &mut out,
@@ -280,59 +264,48 @@ pub fn run<W: Workload>(
             break;
         }
         let last = shared.last_progress_ns.load(Ordering::Relaxed);
-        let idle_since = if last == 0 {
-            start
-        } else {
-            epoch + Duration::from_nanos(last)
-        };
-        if idle_since.elapsed() > DRAIN_IDLE_TIMEOUT {
+        if (start + Duration::from_nanos(last)).elapsed() > DRAIN_IDLE_TIMEOUT {
             break;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
     let elapsed = start.elapsed();
     let _ = stream.shutdown(Shutdown::Both);
-    let mut stats = reader.join().expect("client reader");
+    let mut tally = reader.join().expect("client reader");
 
     for (class, sent) in by_class_sent {
-        stats.by_class.entry(class).or_default().sent = sent;
+        tally.by_class.entry(class).or_default().sent = sent;
     }
     Ok(ClientReport {
         sent,
         completed: shared.completed.load(Ordering::Relaxed),
         rejected: shared.rejected.load(Ordering::Relaxed),
         failed: shared.failed.load(Ordering::Relaxed),
+        unexpected: shared.unexpected.load(Ordering::Relaxed),
         elapsed,
-        sojourn_ns: stats.sojourn_ns,
-        slowdown: stats.slowdown,
-        by_class: stats.by_class,
+        tally,
     })
 }
 
-fn reader_loop(mut stream: TcpStream, shared: Arc<ReaderShared>, epoch: Instant) -> ReaderStats {
+fn reader_loop(mut stream: TcpStream, shared: Arc<ReaderShared>, start: Instant) -> Tally {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut stats = ReaderStats {
-        // 3 significant figures up to ~73 minutes of sojourn.
-        sojourn_ns: Histogram::with_max(3, 1 << 42),
-        slowdown: SlowdownTracker::new(),
-        by_class: BTreeMap::new(),
-    };
+    let mut tally = Tally::default();
     let mut buf = concord_wire::RecvBuf::new();
     loop {
         match buf.fill(&mut stream) {
-            Ok(0) => return stats,
+            Ok(0) => return tally,
             Ok(_) => {
                 let mut at = 0;
                 loop {
                     match wire::decode(&buf.data()[at..]) {
                         Ok(Some((Frame::Response(rf), consumed))) => {
                             at += consumed;
-                            record_response(&rf, &shared, &mut stats, epoch);
+                            record_response(&rf, &shared, &mut tally, start);
                         }
                         Ok(Some((Frame::Request(_), _))) | Err(_) => {
                             // Server sent garbage; nothing sane to do but
                             // stop reading.
-                            return stats;
+                            return tally;
                         }
                         Ok(None) => break,
                     }
@@ -344,7 +317,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<ReaderShared>, epoch: Instant)
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue;
             }
-            Err(_) => return stats,
+            Err(_) => return tally,
         }
     }
 }
@@ -352,38 +325,36 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<ReaderShared>, epoch: Instant)
 fn record_response(
     rf: &wire::ResponseFrame<'_>,
     shared: &ReaderShared,
-    stats: &mut ReaderStats,
-    epoch: Instant,
+    tally: &mut Tally,
+    start: Instant,
 ) {
     let now = Instant::now();
     shared.last_progress_ns.store(
-        now.duration_since(epoch).as_nanos() as u64,
+        now.duration_since(start).as_nanos() as u64,
         Ordering::Relaxed,
     );
+    let slot = shared
+        .inflight
+        .lock()
+        .expect("inflight lock")
+        .get_mut(rf.id as usize)
+        .and_then(Option::take);
+    let Some(slot) = slot else {
+        shared.unexpected.fetch_add(1, Ordering::Relaxed);
+        return;
+    };
     if let Some(credits) = &shared.credits {
         credits.put();
     }
-    let idx = rf.id as usize;
-    let tally = stats.by_class.entry(rf.class).or_default();
     match rf.status {
         Status::Ok => {
             shared.completed.fetch_add(1, Ordering::Relaxed);
-            tally.completed += 1;
-            let (sent_at, nominal_ns) = {
-                let at = shared.inflight.sent_at.lock().expect("sent_at lock");
-                let svc = shared.inflight.service_ns.lock().expect("service_ns lock");
-                match at.get(idx).copied().flatten() {
-                    Some(t) => (t, svc.get(idx).copied().unwrap_or(rf.service_ns)),
-                    None => return, // unknown id: ignore rather than skew stats
-                }
-            };
-            let sojourn = now.duration_since(sent_at).as_nanos() as u64;
-            stats.sojourn_ns.record(sojourn.max(1));
-            stats.slowdown.record(nominal_ns.max(1), sojourn.max(1));
+            let sojourn = now.duration_since(slot.sent_at).as_nanos() as u64;
+            tally.completed(rf.class, slot.service_ns, sojourn);
         }
         Status::Retry => {
             shared.rejected.fetch_add(1, Ordering::Relaxed);
-            tally.rejected += 1;
+            tally.rejected(rf.class);
         }
         Status::Failed => {
             shared.failed.fetch_add(1, Ordering::Relaxed);
@@ -410,6 +381,55 @@ mod tests {
         h.join().unwrap();
     }
 
+    /// A server answering request 0 twice and id 9 999 once, in one
+    /// write: only the first answer counts, the other two are unexpected.
+    #[test]
+    fn duplicate_and_unknown_answers_are_counted_once_as_unexpected() {
+        use concord_net::{Request, Response};
+        use std::io::Read;
+        use std::net::TcpListener;
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().expect("accept");
+            let mut got = Vec::new();
+            let mut buf = [0u8; 256];
+            while !matches!(wire::decode(&got), Ok(Some(_))) {
+                let n = conn.read(&mut buf).expect("read request");
+                assert!(n > 0, "client closed before sending");
+                got.extend_from_slice(&buf[..n]);
+            }
+            let answer = |id| {
+                Response::completed(&Request {
+                    id,
+                    class: 0,
+                    service_ns: 1_000,
+                    sent_at: Instant::now(),
+                })
+            };
+            let mut out = Vec::new();
+            for id in [0, 0, 9_999] {
+                wire::encode_response(&mut out, id, &answer(id), Status::Ok);
+            }
+            conn.write_all(&out).expect("answer");
+            // Hold the connection until the client closes it.
+            let _ = conn.read_to_end(&mut got);
+        });
+        let cfg = ClientConfig {
+            requests: 1,
+            ..ClientConfig::default()
+        };
+        let report = run(&addr, &cfg, concord_workloads::mix::fixed_1us()).expect("run");
+        server.join().expect("fake server");
+        assert_eq!((report.sent, report.completed), (1, 1));
+        assert_eq!(report.unexpected, 2);
+        assert_eq!(report.unaccounted(), 0);
+        assert_eq!(report.tally.latency_ns.len(), 1);
+        assert_eq!(report.tally.by_class[&0].completed, 1);
+        assert!(report.render().contains("unexpected 2"));
+    }
+
     #[test]
     fn report_accounts_everything() {
         let r = ClientReport {
@@ -417,10 +437,9 @@ mod tests {
             completed: 6,
             rejected: 2,
             failed: 1,
+            unexpected: 0,
             elapsed: Duration::from_secs(1),
-            sojourn_ns: Histogram::with_max(3, 1 << 20),
-            slowdown: SlowdownTracker::new(),
-            by_class: BTreeMap::new(),
+            tally: Tally::default(),
         };
         assert_eq!(r.unaccounted(), 1);
         assert!((r.goodput_rps() - 6.0).abs() < 1e-9);

@@ -461,7 +461,7 @@ pub struct Server {
     shared: Arc<FrontShared>,
     rt: ShardedRuntime,
     front: LoopsFront,
-    admin: Option<crate::admin::AdminPlane>,
+    admin: Option<concord_obs::HttpServer>,
 }
 
 impl Server {
@@ -525,11 +525,12 @@ impl Server {
         let front = LoopsFront::start(listener, shared.clone(), rings)?;
 
         let admin = match &cfg.admin {
-            Some(admin_addr) => {
-                let state =
-                    crate::admin::AdminState::new(shared.clone(), rt.observer(), policy_name);
-                Some(crate::admin::AdminPlane::start(admin_addr, state)?)
-            }
+            Some(admin_addr) => Some(crate::admin::serve(
+                admin_addr,
+                shared.clone(),
+                rt.observer(),
+                policy_name,
+            )?),
             None => None,
         };
 
@@ -550,7 +551,7 @@ impl Server {
     /// The admin plane's bound address, when one was configured
     /// ([`ServerConfig::admin`]; useful with port 0).
     pub fn admin_addr(&self) -> Option<SocketAddr> {
-        self.admin.as_ref().and_then(|a| a.local_addr())
+        self.admin.as_ref().map(|a| a.local_addr())
     }
 
     /// Connections accepted (and fully set up) so far.
@@ -631,7 +632,7 @@ impl Server {
         self.front.finish();
         // The admin plane stayed up through the drain (scrapes keep
         // working while connections flush); stop it last.
-        if let Some(a) = &mut self.admin {
+        if let Some(a) = self.admin.take() {
             a.shutdown();
         }
         let rollup = self.rt.rollup();

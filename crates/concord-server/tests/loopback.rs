@@ -153,7 +153,7 @@ fn loopback_zero_loss_below_admission_threshold() {
     assert_eq!(report.unaccounted(), 0, "zero silent loss below threshold");
     assert_eq!(report.completed, 1_000, "nothing rejected at 2% load");
     assert!(
-        !report.slowdown.is_empty(),
+        !report.tally.slowdown.is_empty(),
         "slowdown percentiles populated"
     );
     assert_conservation(

@@ -14,8 +14,8 @@
 //!   at quiesce.
 //! - [`Trace`]: the merged event stream in emission order, with
 //!   [`Trace::sorted`] for timestamp order.
-//! - [`perfetto`]: Chrome/Perfetto trace-event JSON export
-//!   (hand-rolled, no JSON dependency).
+//! - [`perfetto`]: Chrome/Perfetto trace-event JSON export, written
+//!   through `concord_obs::json`, the workspace's one JSON writer.
 //! - [`binary`]: a compact binary format (`CTRC`) for archival and the
 //!   `concord-trace` analyzer binary. [`write_path`] picks one of the
 //!   two by file extension.

@@ -1,9 +1,10 @@
 //! Chrome/Perfetto trace-event JSON export.
 //!
-//! Hand-rolled writer: the workspace deliberately carries no JSON
-//! dependency, and the trace-event format only needs objects, arrays,
-//! strings of controlled ASCII, and numbers. Output loads in
-//! `chrome://tracing` and [ui.perfetto.dev](https://ui.perfetto.dev).
+//! Each trace event is a [`Json`] value rendered straight into the one
+//! output string (`concord_obs::json`, the workspace's JSON writer), so
+//! export memory is that string and no tree of the whole trace is
+//! built. Output loads in `chrome://tracing` and
+//! [ui.perfetto.dev](https://ui.perfetto.dev).
 //!
 //! Mapping:
 //! - each track becomes a thread (`tid` = track, named `worker N` or
@@ -16,23 +17,34 @@
 //!   (`jbsq depth wN`), derived as in [`crate::derive`].
 
 use crate::event::{lane_of, pack_track, shard_of, EventKind, Trace};
+use concord_obs::json::Json;
 use std::collections::{BTreeSet, HashMap};
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-/// Microsecond timestamp with sub-µs precision, as trace-event wants.
-fn ts_us(ns: u64) -> String {
-    format!("{:.3}", ns as f64 / 1000.0)
+/// A trace-event timestamp or duration: microseconds, from nanoseconds.
+fn us(ns: u64) -> Json {
+    Json::Num(ns as f64 / 1e3)
 }
 
-fn push_event(out: &mut String, first: &mut bool, body: &str) {
-    if !*first {
+fn text(s: impl Into<String>) -> Json {
+    Json::Str(s.into())
+}
+
+/// Appends one event to the `traceEvents` array being written: phase,
+/// process and thread, then `rest`.
+fn emit(out: &mut String, ph: &str, tid: u32, rest: Vec<(&str, Json)>) {
+    let mut fields = vec![
+        ("ph", text(ph)),
+        ("pid", Json::U64(1)),
+        ("tid", Json::U64(tid.into())),
+    ];
+    fields.extend(rest);
+    if !out.ends_with('[') {
         out.push(',');
     }
-    *first = false;
     out.push('\n');
-    out.push_str(body);
+    Json::obj(fields).render_into(out);
 }
 
 fn track_name(trace: &Trace, track: u32) -> String {
@@ -54,29 +66,26 @@ fn track_name(trace: &Trace, track: u32) -> String {
 /// Renders the trace as a trace-event JSON document.
 pub fn to_json(trace: &Trace) -> String {
     let mut out = String::with_capacity(128 + trace.len() * 96);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
+    out.push_str(r#"{"traceEvents":["#);
 
     // Metadata: one process, one named thread per track.
-    push_event(
-        &mut out,
-        &mut first,
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\",\
-         \"args\":{\"name\":\"concord\"}}",
-    );
+    let meta = |what: &str, name: String| {
+        vec![
+            ("name", text(what)),
+            ("args", Json::obj(vec![("name", text(name))])),
+        ]
+    };
+    emit(&mut out, "M", 0, meta("process_name", "concord".into()));
     // Shard 0's full lane set always gets a name; merged traces add
     // whatever packed tracks actually emitted records.
     let mut tracks: BTreeSet<u32> = (0..=trace.dispatcher_track()).collect();
     tracks.extend(trace.records.iter().map(|r| r.track));
     for track in tracks {
-        push_event(
+        emit(
             &mut out,
-            &mut first,
-            &format!(
-                "{{\"ph\":\"M\",\"pid\":1,\"tid\":{track},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                track_name(trace, track)
-            ),
+            "M",
+            track,
+            meta("thread_name", track_name(trace, track)),
         );
     }
 
@@ -93,20 +102,15 @@ pub fn to_json(trace: &Trace) -> String {
             }
             EventKind::Yield | EventKind::Complete => {
                 if let Some((start, id, gen)) = open.remove(&r.track) {
-                    let dur = r.ev.ts_ns.saturating_sub(start);
-                    push_event(
-                        &mut out,
-                        &mut first,
-                        &format!(
-                            "{{\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
-                             \"name\":\"req {id}\",\"cat\":\"slice\",\
-                             \"args\":{{\"gen\":{gen},\"end\":\"{}\"}}}}",
-                            r.track,
-                            ts_us(start),
-                            ts_us(dur),
-                            r.ev.kind().name()
-                        ),
-                    );
+                    let args = vec![("gen", Json::U64(gen)), ("end", text(r.ev.kind().name()))];
+                    let slice = vec![
+                        ("ts", us(start)),
+                        ("dur", us(r.ev.ts_ns.saturating_sub(start))),
+                        ("name", text(format!("req {id}"))),
+                        ("cat", text("slice")),
+                        ("args", Json::obj(args)),
+                    ];
+                    emit(&mut out, "X", r.track, slice);
                 }
             }
             _ => {}
@@ -127,20 +131,15 @@ pub fn to_json(trace: &Trace) -> String {
                 | EventKind::AdmitDrop
         );
         if show {
-            push_event(
-                &mut out,
-                &mut first,
-                &format!(
-                    "{{\"ph\":\"i\",\"pid\":1,\"tid\":{},\"ts\":{},\"s\":\"t\",\
-                     \"name\":\"{}\",\"cat\":\"event\",\
-                     \"args\":{{\"id\":{},\"gen\":{}}}}}",
-                    r.track,
-                    ts_us(r.ev.ts_ns),
-                    kind.name(),
-                    r.ev.id(),
-                    r.ev.gen()
-                ),
-            );
+            let args = vec![("id", Json::U64(r.ev.id())), ("gen", Json::U64(r.ev.gen()))];
+            let instant = vec![
+                ("ts", us(r.ev.ts_ns)),
+                ("s", text("t")),
+                ("name", text(kind.name())),
+                ("cat", text("event")),
+                ("args", Json::obj(args)),
+            ];
+            emit(&mut out, "i", r.track, instant);
         }
     }
 
@@ -155,20 +154,16 @@ pub fn to_json(trace: &Trace) -> String {
                 format!("jbsq depth s{shard} w{w}")
             };
             for &(ts, depth) in timeline {
-                push_event(
-                    &mut out,
-                    &mut first,
-                    &format!(
-                        "{{\"ph\":\"C\",\"pid\":1,\"tid\":{tid},\"ts\":{},\
-                         \"name\":\"{label}\",\"args\":{{\"depth\":{depth}}}}}",
-                        ts_us(ts)
-                    ),
-                );
+                let args = Json::obj(vec![("depth", Json::U64(depth.into()))]);
+                let counter = vec![("ts", us(ts)), ("name", text(&*label)), ("args", args)];
+                emit(&mut out, "C", tid, counter);
             }
         }
     }
 
-    let _ = write!(out, "\n],\"displayTimeUnit\":\"ns\"}}\n");
+    out.push_str("\n]");
+    out.push_str(r#","displayTimeUnit":"ns"}"#);
+    out.push('\n');
     out
 }
 

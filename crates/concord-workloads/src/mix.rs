@@ -216,6 +216,22 @@ pub fn all_named() -> Vec<Mix> {
     ]
 }
 
+/// The command-line names of the paper workloads, `|`-separated.
+pub const NAMES: &str = "bimodal50|bimodal995|fixed1|tpcc|leveldb|zippydb";
+
+/// The paper workload a command line names (one of [`NAMES`]).
+pub fn by_name(name: &str) -> Option<Mix> {
+    Some(match name {
+        "bimodal50" => bimodal_50_1_50_100(),
+        "bimodal995" => bimodal_995_05_05_500(),
+        "fixed1" => fixed_1us(),
+        "tpcc" => tpcc(),
+        "leveldb" => leveldb_get_scan(),
+        "zippydb" => zippydb(),
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +318,20 @@ mod tests {
                 Workload::name(&m)
             );
         }
+    }
+
+    #[test]
+    fn every_name_resolves_to_the_named_set() {
+        let resolved: Vec<String> = NAMES
+            .split('|')
+            .map(|n| Workload::name(&by_name(n).expect(n)).to_string())
+            .collect();
+        let named: Vec<String> = all_named()
+            .iter()
+            .map(|m| Workload::name(m).to_string())
+            .collect();
+        assert_eq!(resolved, named);
+        assert!(by_name("nope").is_none());
     }
 
     #[test]

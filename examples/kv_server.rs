@@ -57,15 +57,15 @@ fn main() {
     );
     println!(
         "  p50  : {:>10.1} us",
-        collector.latency_ns().percentile(50.0) as f64 / 1e3
+        collector.tally().latency_ns.percentile(50.0) as f64 / 1e3
     );
     println!(
         "  p99  : {:>10.1} us",
-        collector.latency_ns().percentile(99.0) as f64 / 1e3
+        collector.tally().latency_ns.percentile(99.0) as f64 / 1e3
     );
     println!(
         "  p99.9: {:>10.1} us",
-        collector.latency_ns().percentile(99.9) as f64 / 1e3
+        collector.tally().latency_ns.percentile(99.9) as f64 / 1e3
     );
 
     println!("\nserver-side lifecycle telemetry:");

@@ -74,18 +74,21 @@ fn main() {
     println!("  received  : {}", collector.received());
     println!(
         "  p50 latency : {:>10.1} us",
-        collector.latency_ns().percentile(50.0) as f64 / 1e3
+        collector.tally().latency_ns.percentile(50.0) as f64 / 1e3
     );
     println!(
         "  p99 latency : {:>10.1} us",
-        collector.latency_ns().percentile(99.0) as f64 / 1e3
+        collector.tally().latency_ns.percentile(99.0) as f64 / 1e3
     );
-    println!("  p99.9 slowdown: {:>8.1}x", collector.slowdown().p999());
+    println!(
+        "  p99.9 slowdown: {:>8.1}x",
+        collector.tally().slowdown.p999()
+    );
 
     println!("\nlatency distribution:");
     print!(
         "{}",
-        concord::metrics::ascii_chart(collector.latency_ns(), 1_000.0, "us", 40)
+        concord::metrics::ascii_chart(&collector.tally().latency_ns, 1_000.0, "us", 40)
     );
 
     println!("\nserver-side lifecycle telemetry (Runtime::telemetry()):");

@@ -1,8 +1,11 @@
 //! The dispatcher thread: ingest, central queue, quantum policing, JBSQ
 //! dispatch, work conservation, and telemetry aggregation.
+//!
+//! Ingest builds unbound tasks ([`Task::fresh`]): the dispatcher writes
+//! no coroutine frame for work a worker will run. Its own [`FramePool`]
+//! serves only the never-started tasks it steals under §3.3.
 
 use crate::admission::AdmissionEvent;
-use crate::app::ConcordApp;
 use crate::central::{jbsq_pick, CentralQueue};
 use crate::clock::Clock;
 use crate::config::RuntimeConfig;
@@ -10,7 +13,7 @@ use crate::preempt::{set_mode, PreemptMode, WorkerShared};
 use crate::quantum::{QuantumController, QuantumTable, SloState};
 use crate::shard::ShardContext;
 use crate::stats::RuntimeStats;
-use crate::task::{Frame, SliceEnd, Task};
+use crate::task::{FramePool, SliceEnd, Task};
 use crate::telemetry::{CompletionRecord, TelemetryHandle, DISPATCHER};
 use crate::transport::{Egress, Ingress, SpscReceiver, SpscSender};
 use crate::worker::WorkerMsg;
@@ -41,9 +44,9 @@ pub struct WorkerSlot {
 
 /// Long-lived state of the dispatcher thread, generic over how requests
 /// arrive (`I`) and how responses leave (`E`).
-pub struct DispatcherLoop<A: ConcordApp, I: Ingress, E: Egress> {
-    /// Application (needed to build tasks at ingest).
-    pub app: Arc<A>,
+pub struct DispatcherLoop<I: Ingress, E: Egress> {
+    /// Frames for the tasks the dispatcher steals and runs itself.
+    pub pool: FramePool,
     /// Runtime configuration.
     pub cfg: RuntimeConfig,
     /// Request source (NIC-model RX ring, TCP admission queue, ...).
@@ -91,25 +94,11 @@ pub struct DispatcherLoop<A: ConcordApp, I: Ingress, E: Egress> {
 /// Power of two so the check is a mask.
 const TRACE_DRAIN_EVERY: u64 = 1024;
 
-/// Upper bound on pooled request frames (one 64 KiB stack each by
-/// default).
-const FRAME_POOL_CAP: usize = 256;
-
 /// Most requests one pass ingests: bounds both the arrivals scratch
 /// (never reallocated) and how stale the pass's clock reading can get
 /// before policing uses it. The rest of a burst waits in the RX ring
 /// for the next pass, a fraction of a microsecond away.
 const INGEST_BATCH: usize = 64;
-
-/// Returns a finished task's frame to the pool, unless the pool is full
-/// or the stack is smaller than the configured size.
-fn pool_frame(pool: &mut Vec<Frame>, frame: Option<Frame>, min_stack: usize) {
-    if let Some(f) = frame {
-        if pool.len() < FRAME_POOL_CAP && f.stack_size() >= min_stack {
-            pool.push(f);
-        }
-    }
-}
 
 /// Counter deltas the dispatcher accumulates in locals and publishes to
 /// the shared [`RuntimeStats`] at most once per loop pass each, so the
@@ -120,7 +109,6 @@ struct PassCounts {
     ingested: u64,
     /// Ingests of one class in a row: `(class, count)`.
     class_run: (u16, u64),
-    stack_reuses: u64,
     dispatched: u64,
     worker_completed: u64,
     requeues: u64,
@@ -157,7 +145,6 @@ impl PassCounts {
     fn flush_ingest(&mut self, stats: &RuntimeStats) {
         publish(&stats.ingested, take(&mut self.ingested));
         self.flush_class_run(stats);
-        publish(&stats.stack_reuses, take(&mut self.stack_reuses));
         publish(&stats.dispatched, take(&mut self.dispatched));
     }
 }
@@ -211,7 +198,7 @@ struct DeferredSignal {
     due_ns: u64,
 }
 
-impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
+impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
     /// Runs until stopped and drained. Consumes the loop state.
     pub fn run(mut self) {
         // The scheduling policy: chooses every entry's priority key
@@ -225,7 +212,6 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
         // O(1) instead of re-summing per poll.
         let mut in_system: usize = 0;
         let mut stolen: Option<Task> = None;
-        let mut frame_pool: Vec<Frame> = Vec::with_capacity(FRAME_POOL_CAP);
         let mut counts = PassCounts::default();
         // One pass's arrivals, between their poll and their stamp.
         let mut arrivals: Vec<concord_net::Request> = Vec::with_capacity(INGEST_BATCH);
@@ -269,16 +255,11 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 while let Some(msg) = self.workers[w].from_worker.pop() {
                     self.workers[w].inflight = self.workers[w].inflight.saturating_sub(1);
                     match msg {
-                        WorkerMsg::Completed {
-                            record,
-                            resp,
-                            frame,
-                        } => {
+                        WorkerMsg::Completed { record, resp } => {
                             in_system = in_system.saturating_sub(1);
                             // A failed request is in `stats.failed`
                             // (bumped by the worker), not here.
                             counts.worker_completed += u64::from(!record.failed);
-                            pool_frame(&mut frame_pool, frame, self.cfg.stack_size);
                             records.push(record);
                             responses.push(resp);
                         }
@@ -355,14 +336,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                 // priority-inversion oracle can replay dispatch
                 // decisions from the trace alone.
                 self.trace_emit(now_ns, EventKind::Arrive, req.id, req.service_ns / 1_000);
-                let frame = match frame_pool.pop() {
-                    Some(frame) => {
-                        counts.stack_reuses += 1;
-                        frame
-                    }
-                    None => Frame::new(&self.app, self.cfg.stack_size),
-                };
-                let task = Task::on_frame(frame, req, now_ns);
+                let task = Task::fresh(req, now_ns);
                 let key = policy.key(task.key_input());
                 central.push_fresh_prio(key, task);
                 progressed = true;
@@ -496,9 +470,11 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                     // its own deque, so the victim (the oldest
                     // not-started entry, same as the old O(n) scan
                     // found) pops from a stable end.
-                    if let Some(task) = central.steal_not_started() {
+                    if let Some(mut task) = central.steal_not_started() {
                         self.stats.stolen.fetch_add(1, Ordering::Relaxed);
                         self.trace_emit(now_ns, EventKind::Steal, task.req.id, 0);
+                        self.pool.bind(&mut task);
+                        publish(&self.stats.stack_reuses, self.pool.take_reuses());
                         stolen = Some(task);
                     }
                 }
@@ -532,7 +508,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                 task.req.id,
                                 u64::from(task.slices),
                             );
-                            self.finish_stolen(task, false, &mut frame_pool);
+                            self.finish_stolen(task, false);
                         }
                         // Saved to the dedicated buffer; resumed when the
                         // dispatcher is next idle. It can never migrate to
@@ -555,7 +531,7 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
                                 task.req.id,
                                 u64::from(task.slices),
                             );
-                            self.finish_stolen(task, true, &mut frame_pool);
+                            self.finish_stolen(task, true);
                         }
                     }
                     progressed = true;
@@ -778,12 +754,12 @@ impl<A: ConcordApp, I: Ingress, E: Egress> DispatcherLoop<A, I, E> {
     }
 
     /// Records and answers a request the dispatcher completed itself.
-    fn finish_stolen(&mut self, task: Task, failed: bool, frame_pool: &mut Vec<Frame>) {
+    fn finish_stolen(&mut self, task: Task, failed: bool) {
         let record = CompletionRecord::from_task(&task, DISPATCHER, failed);
         self.fold_telemetry(&[record], &[]);
         let resp = task.response(&self.clock);
         self.emit(resp);
-        pool_frame(frame_pool, task.into_frame(), self.cfg.stack_size);
+        self.pool.put(task);
     }
 
     /// Pushes a response, retrying briefly if the TX ring is full; a

@@ -8,7 +8,7 @@ use crate::dispatcher::{DispatcherLoop, WorkerSlot};
 use crate::preempt::{SignalAccounting, WorkerShared};
 use crate::quantum::{ControllerConfig, QuantumController, QuantumTable, SloState};
 use crate::stats::RuntimeStats;
-use crate::task::Task;
+use crate::task::{FramePool, Task, FRAME_POOL_CAP};
 use crate::telemetry::{Telemetry, TelemetryHandle, TelemetrySnapshot};
 use crate::transport::{spsc, Egress, Ingress};
 use crate::worker::{WorkerLoop, WorkerMsg};
@@ -149,6 +149,12 @@ impl Runtime {
         };
         let mut trace_lanes = trace_lanes.into_iter();
 
+        // One frame pool per thread that runs tasks (each worker and the
+        // dispatcher), splitting the cap between them.
+        let dyn_app: Arc<dyn ConcordApp> = app.clone();
+        let pool_cap = FRAME_POOL_CAP / (config.n_workers + 1);
+        let frame_pool = || FramePool::new(dyn_app.clone(), config.stack_size, pool_cap);
+
         let mut slots = Vec::with_capacity(config.n_workers);
         let mut worker_handles = Vec::with_capacity(config.n_workers);
         let mut shared_lines = Vec::with_capacity(config.n_workers);
@@ -182,6 +188,7 @@ impl Runtime {
                 stats: stats.clone(),
                 trace: trace_lanes.next(),
                 injector: config.fault_injector.clone(),
+                pool: frame_pool(),
             };
             let app_for_worker = app.clone();
             let handle = std::thread::Builder::new()
@@ -199,7 +206,7 @@ impl Runtime {
         let dispatcher_lane = trace_lanes.next();
 
         let dl = DispatcherLoop {
-            app,
+            pool: frame_pool(),
             rx: ingress,
             tx: egress,
             workers: slots,

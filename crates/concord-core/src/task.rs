@@ -1,8 +1,14 @@
-//! A request bound to its coroutine.
+//! A request and the coroutine frame it runs on.
 //!
-//! Tasks migrate freely: created by the dispatcher, executed on any
-//! worker, possibly finished by a different worker (or by the dispatcher
-//! itself for stolen, non-started requests).
+//! The dispatcher ingests a request as an unbound task
+//! ([`Task::fresh`]): the descriptor and its stamps, no stack. The
+//! thread that runs the task's first slice binds it to a [`Frame`] from
+//! its own [`FramePool`] — a worker for the work it is pushed, the
+//! dispatcher for the never-started work it steals (§3.3). From then on
+//! the frame travels with the task: a preempted task may resume on
+//! another worker, and the thread that finishes it puts the frame back
+//! in *its* pool. So the lines at the top of a stack are written by the
+//! cores that run it, never by the dispatcher on the way in.
 //!
 //! All lifecycle stamps are nanosecond readings of the runtime's
 //! [`Clock`], so under a virtual clock the queueing/service/sojourn
@@ -24,26 +30,82 @@ use concord_uthread::{CoState, Coroutine};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What the dispatcher pools between requests: a coroutine stack and the
+/// What a thread pools between requests: a coroutine stack and the
 /// application handle that runs on it.
-pub struct Frame {
+struct Frame {
     stack: Stack,
     app: Arc<dyn ConcordApp>,
 }
 
-impl Frame {
-    /// A frame on a fresh stack of `stack_size` bytes. The only place the
-    /// request path clones the application handle.
-    pub fn new<A: ConcordApp>(app: &Arc<A>, stack_size: usize) -> Self {
+/// Most frames all of a runtime's pools hold together (one 64 KiB stack
+/// each by default). Each of the `n_workers + 1` pools gets an equal
+/// share, so the bound — and with it the pooled part of the resident
+/// set — does not grow with the worker count.
+pub(crate) const FRAME_POOL_CAP: usize = 256;
+
+/// One thread's finished frames, ready for the next task it starts.
+///
+/// Every thread that runs tasks owns one: each worker, and the
+/// dispatcher for the work it steals. A thread binds from its own pool
+/// and returns a finished task's frame to its own pool, so a frame's
+/// lines stay in the caches of the cores that run it and no pool is
+/// ever shared. A pool miss builds a fresh frame, the only place the
+/// request path clones the application handle.
+pub struct FramePool {
+    frames: Vec<Frame>,
+    cap: usize,
+    app: Arc<dyn ConcordApp>,
+    stack_size: usize,
+    /// Binds to a pooled frame not yet taken by [`FramePool::take_reuses`].
+    reuses: u64,
+}
+
+impl FramePool {
+    /// An empty pool holding at most `cap` frames, building misses on
+    /// stacks of `stack_size` bytes that run `app`.
+    pub fn new(app: Arc<dyn ConcordApp>, stack_size: usize, cap: usize) -> Self {
         Self {
-            stack: Stack::new(stack_size),
-            app: app.clone(),
+            frames: Vec::new(),
+            cap,
+            app,
+            stack_size,
+            reuses: 0,
         }
     }
 
-    /// Size of the frame's stack, bytes.
-    pub fn stack_size(&self) -> usize {
-        self.stack.size()
+    /// Binds an unbound `task` to a pooled frame, or to a fresh one when
+    /// the pool is empty. A task that is already bound keeps its frame.
+    pub fn bind(&mut self, task: &mut Task) {
+        if task.co.is_some() {
+            return;
+        }
+        let frame = match self.frames.pop() {
+            Some(frame) => {
+                self.reuses += 1;
+                frame
+            }
+            None => Frame {
+                stack: Stack::new(self.stack_size),
+                app: self.app.clone(),
+            },
+        };
+        task.bind(frame);
+    }
+
+    /// Takes a finished task's frame back, unless the pool is full or
+    /// the handler panicked (the unwind dropped its application handle).
+    pub fn put(&mut self, task: Task) {
+        if self.frames.len() < self.cap {
+            if let Some(frame) = task.into_frame() {
+                self.frames.push(frame);
+            }
+        }
+    }
+
+    /// Binds to a pooled frame since the last call, for publishing to
+    /// [`RuntimeStats::stack_reuses`](crate::stats::RuntimeStats::stack_reuses).
+    pub fn take_reuses(&mut self) -> u64 {
+        std::mem::take(&mut self.reuses)
     }
 }
 
@@ -60,7 +122,9 @@ struct Outcome {
 pub struct Task {
     /// The request descriptor.
     pub req: Request,
-    co: Coroutine<Outcome>,
+    /// The coroutine running the handler; `None` until the thread that
+    /// runs the first slice binds a frame.
+    co: Option<Coroutine<Outcome>>,
     /// True once any thread has executed part of this task (the dispatcher
     /// may only steal non-started tasks, §3.3).
     pub started: bool,
@@ -96,31 +160,13 @@ pub enum SliceEnd {
 }
 
 impl Task {
-    /// Binds `req` to a fresh coroutine running `app.handle_request`,
-    /// stamped as ingested at clock reading `now_ns`.
-    pub fn new<A: ConcordApp>(app: Arc<A>, req: Request, stack_size: usize, now_ns: u64) -> Self {
-        Self::with_stack(app, req, Stack::new(stack_size), now_ns)
-    }
-
-    /// Like [`Task::new`] but on a recycled stack.
-    pub fn with_stack<A: ConcordApp>(app: Arc<A>, req: Request, stack: Stack, now_ns: u64) -> Self {
-        Self::on_frame(Frame { stack, app }, req, now_ns)
-    }
-
-    /// Binds `req` to a pooled frame (the dispatcher's fast path).
-    pub fn on_frame(frame: Frame, req: Request, now_ns: u64) -> Self {
-        let Frame { stack, app } = frame;
-        let co = Coroutine::with_stack(stack, move |y| {
-            let mut preemptions: u32 = 0;
-            {
-                let mut ctx = RequestContext::new(y, &mut preemptions);
-                app.handle_request(&req, &mut ctx);
-            }
-            Outcome { preemptions, app }
-        });
+    /// An unbound task for `req`, stamped as ingested at clock reading
+    /// `now_ns`: what the dispatcher builds at ingest. It gets its frame
+    /// from [`FramePool::bind`] on the thread that first runs it.
+    pub fn fresh(req: Request, now_ns: u64) -> Self {
         Self {
             req,
-            co,
+            co: None,
             started: false,
             ingested_at_ns: now_ns,
             first_run_ns: None,
@@ -129,6 +175,33 @@ impl Task {
             last_slice_start_ns: 0,
             last_slice_end_ns: 0,
         }
+    }
+
+    /// Binds `req` to a fresh coroutine running `app.handle_request`,
+    /// stamped as ingested at clock reading `now_ns`.
+    pub fn new<A: ConcordApp>(app: Arc<A>, req: Request, stack_size: usize, now_ns: u64) -> Self {
+        Self::with_stack(app, req, Stack::new(stack_size), now_ns)
+    }
+
+    /// Like [`Task::new`] but on a recycled stack.
+    pub fn with_stack<A: ConcordApp>(app: Arc<A>, req: Request, stack: Stack, now_ns: u64) -> Self {
+        let mut task = Self::fresh(req, now_ns);
+        task.bind(Frame { stack, app });
+        task
+    }
+
+    /// Builds the handler's coroutine on `frame`.
+    fn bind(&mut self, frame: Frame) {
+        let Frame { stack, app } = frame;
+        let req = self.req;
+        self.co = Some(Coroutine::with_stack(stack, move |y| {
+            let mut preemptions: u32 = 0;
+            {
+                let mut ctx = RequestContext::new(y, &mut preemptions);
+                app.handle_request(&req, &mut ctx);
+            }
+            Outcome { preemptions, app }
+        }));
     }
 
     /// Runs one slice (until the next yield or completion), reading the
@@ -145,13 +218,21 @@ impl Task {
     /// An application panic is contained here (the coroutine machinery
     /// already stopped it at the coroutine boundary): the slice reports
     /// [`SliceEnd::Failed`] instead of unwinding the runtime thread.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the task was never bound to a frame.
     pub fn run_slice_from(&mut self, clock: &Clock, start_ns: u64) -> SliceEnd {
+        let co = self
+            .co
+            .as_mut()
+            .expect("a task is bound before its first slice");
         self.started = true;
         if self.first_run_ns.is_none() {
             self.first_run_ns = Some(start_ns);
         }
         self.last_slice_start_ns = start_ns;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.co.resume()));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| co.resume()));
         let end_ns = clock.now_ns();
         self.last_slice_end_ns = end_ns;
         self.busy_ns += end_ns.saturating_sub(start_ns);
@@ -188,21 +269,24 @@ impl Task {
 
     /// Total preemptions recorded (valid after completion).
     pub fn preemptions(&self) -> u32 {
-        self.co.result().map_or(0, |o| o.preemptions)
+        self.co
+            .as_ref()
+            .and_then(|co| co.result())
+            .map_or(0, |o| o.preemptions)
     }
 
     /// Recovers the stack for reuse (finished tasks only).
     pub fn recycle(self) -> Option<Stack> {
-        self.co.into_stack()
+        self.co?.into_stack()
     }
 
-    /// Recovers the whole frame for the dispatcher's pool. `None` unless
-    /// the handler returned: a panicked handler's application handle was
-    /// dropped by the unwind, and a suspended one still lives on the
-    /// stack.
-    pub fn into_frame(mut self) -> Option<Frame> {
-        let app = self.co.take_result()?.app;
-        let stack = self.co.into_stack()?;
+    /// Recovers the whole frame for a pool. `None` unless the handler
+    /// returned: a panicked handler's application handle was dropped by
+    /// the unwind, and a suspended one still lives on the stack.
+    fn into_frame(self) -> Option<Frame> {
+        let mut co = self.co?;
+        let app = co.take_result()?.app;
+        let stack = co.into_stack()?;
         Some(Frame { stack, app })
     }
 
@@ -323,6 +407,32 @@ mod tests {
     }
 
     #[test]
+    fn pool_builds_on_a_miss_reuses_after_and_keeps_its_cap() {
+        set_mode(PreemptMode::None);
+        let clock = Clock::monotonic();
+        let mut pool = FramePool::new(Arc::new(SpinApp::new()), 64 * 1024, 1);
+        let mut a = Task::fresh(req(1_000), clock.now_ns());
+        let mut b = Task::fresh(req(1_000), clock.now_ns());
+        pool.bind(&mut a);
+        pool.bind(&mut b);
+        assert_eq!(pool.take_reuses(), 0, "an empty pool builds");
+        assert_eq!(a.run_slice(&clock), SliceEnd::Completed);
+        assert_eq!(b.run_slice(&clock), SliceEnd::Completed);
+        pool.put(a);
+        pool.put(b);
+        let mut c = Task::fresh(req(1_000), clock.now_ns());
+        pool.bind(&mut c);
+        pool.bind(&mut c);
+        assert_eq!(pool.take_reuses(), 1, "a bound task keeps its frame");
+        let mut d = Task::fresh(req(1_000), clock.now_ns());
+        pool.bind(&mut d);
+        assert_eq!(pool.take_reuses(), 0, "the cap dropped the second frame");
+        assert_eq!(c.run_slice(&clock), SliceEnd::Completed);
+        assert_eq!(d.run_slice(&clock), SliceEnd::Completed);
+        assert_eq!(c.preemptions(), 0);
+    }
+
+    #[test]
     fn app_panic_is_contained() {
         struct Bomb;
         impl crate::app::ConcordApp for Bomb {
@@ -336,8 +446,17 @@ mod tests {
         }
         set_mode(PreemptMode::None);
         let clock = Clock::monotonic();
-        let mut t = Task::new(Arc::new(Bomb), req(1_000), 64 * 1024, clock.now_ns());
+        let mut pool = FramePool::new(Arc::new(Bomb), 64 * 1024, 4);
+        let mut t = Task::fresh(req(1_000), clock.now_ns());
+        pool.bind(&mut t);
         assert_eq!(t.run_slice(&clock), SliceEnd::Failed);
+        pool.put(t);
+        pool.bind(&mut Task::fresh(req(1_000), clock.now_ns()));
+        assert_eq!(
+            pool.take_reuses(),
+            0,
+            "the unwind dropped the frame's handle"
+        );
         // The thread survives and can run other tasks.
         let (mut ok, clock) = task(1_000);
         assert_eq!(ok.run_slice(&clock), SliceEnd::Completed);

@@ -1,11 +1,16 @@
 //! The worker thread: pull from the JBSQ local ring, run one slice, report
 //! back.
+//!
+//! A task arrives unbound the first time it reaches a worker; the worker
+//! binds it to a frame from its own [`FramePool`] just before the first
+//! slice, and returns the frame of every task it finishes to the same
+//! pool. The dispatcher never touches a worker's frames.
 
 use crate::clock::Clock;
 use crate::preempt::{set_mode, PreemptMode, WorkerShared};
 use crate::quantum::QuantumTable;
 use crate::stats::RuntimeStats;
-use crate::task::{Frame, SliceEnd, Task};
+use crate::task::{FramePool, SliceEnd, Task};
 use crate::telemetry::CompletionRecord;
 use crate::transport::{SpscReceiver, SpscSender};
 use concord_net::Response;
@@ -19,16 +24,13 @@ use std::sync::Arc;
 /// pops them, so a worker's per-request counter writes stay on its own
 /// [`WorkerStats`](crate::stats::WorkerStats) row.
 pub enum WorkerMsg {
-    /// A request finished.
+    /// A request finished. Its frame stayed behind in the worker's pool.
     Completed {
         /// The request's lifecycle telemetry, folded into the aggregate
         /// before the response is emitted.
         record: CompletionRecord,
         /// Response descriptor for the TX ring.
         resp: Response,
-        /// The task's stack and application handle, handed back for the
-        /// dispatcher's pool (`None` after a contained panic).
-        frame: Option<Frame>,
     },
     /// A request yielded and must be re-queued.
     Requeue {
@@ -66,6 +68,9 @@ pub struct WorkerLoop {
     pub trace: Option<TraceLane>,
     /// Deterministic fault schedule (conformance testing only).
     pub injector: Option<Arc<crate::fault::FaultInjector>>,
+    /// This worker's frames: it binds every task it starts from here and
+    /// returns every task it finishes here.
+    pub pool: FramePool,
 }
 
 impl WorkerLoop {
@@ -86,6 +91,7 @@ impl WorkerLoop {
             }
             match self.local.pop() {
                 Some(mut task) => {
+                    self.pool.bind(&mut task);
                     // Each slice gets a fresh generation: a late signal
                     // claimed against the previous slice carries the old
                     // generation and cannot preempt this one. One clock
@@ -161,6 +167,7 @@ impl WorkerLoop {
                 }
                 None => {
                     if self.stop.load(Ordering::Acquire) {
+                        self.publish_reuses();
                         return;
                     }
                     // Poll-mode worker; yield so single-core hosts make
@@ -188,24 +195,38 @@ impl WorkerLoop {
     }
 
     /// Reports a finished (completed or failed) request: one message
-    /// carrying the telemetry record, the response and the frame.
+    /// carrying the telemetry record and the response. The frame goes
+    /// back to this worker's pool once the message is on its way.
     fn finish(&mut self, task: Task, failed: bool) {
         let record = CompletionRecord::from_task(&task, self.idx, failed);
         let resp = task.response(&self.clock);
-        self.send(WorkerMsg::Completed {
-            record,
-            resp,
-            frame: task.into_frame(),
-        });
+        self.send(WorkerMsg::Completed { record, resp });
+        self.pool.put(task);
     }
 
     /// Pushes one message onto the return ring. The ring cannot be full:
     /// the dispatcher keeps at most `k` tasks outstanding on this worker,
     /// each owes exactly one message, and a slot is only reused after
     /// the dispatcher popped the message that freed it.
+    ///
+    /// When the local ring has run empty, the pool's reuse count is
+    /// published first: batched, and ordered before the message, so
+    /// whoever has seen the response of a worker's last request reads a
+    /// `stack_reuses` that includes that worker's binds.
     fn send(&mut self, msg: WorkerMsg) {
+        if self.local.is_empty() {
+            self.publish_reuses();
+        }
         if self.to_dispatcher.push(msg).is_err() {
             unreachable!("JBSQ bound guarantees return-ring capacity");
+        }
+    }
+
+    /// Adds the pool's unpublished binds to `stack_reuses`.
+    fn publish_reuses(&mut self) {
+        let n = self.pool.take_reuses();
+        if n > 0 {
+            self.stats.stack_reuses.fetch_add(n, Ordering::Relaxed);
         }
     }
 }

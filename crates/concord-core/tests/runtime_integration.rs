@@ -14,6 +14,8 @@ use concord_net::ring::ring;
 use concord_net::{Collector, LoadGen, Request, Response, RttModel};
 use concord_workloads::dist::Dist;
 use concord_workloads::mix::{ClassSpec, Mix};
+
+mod common;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -62,36 +64,23 @@ fn every_request_completes_exactly_once() {
 
 #[test]
 fn long_requests_get_preempted() {
-    // 20 ms requests at a 1 ms quantum, all arriving within the first
-    // few milliseconds: with 20 requests on two JBSQ(2) workers someone
-    // is always waiting, so each must be signaled and yield many times,
-    // and still complete exactly once.
-    let cfg = RuntimeConfig::builder()
-        .small_test()
-        .quantum(Duration::from_millis(1))
-        .build()
-        .expect("valid config");
-    let (stats, collector) = drive(
-        cfg,
-        Arc::new(SpinApp::new()),
-        fixed_us_mix(20_000.0),
-        5_000.0,
-        20,
-    );
-    assert_eq!(collector.received(), 20);
-    assert!(
-        stats.preemptions.load(Ordering::Relaxed) >= 20,
-        "expected many preemptions, saw {}",
-        stats.preemptions.load(Ordering::Relaxed)
+    // Each request is signaled exactly at each of its internal quantum
+    // boundaries (see `common::sliced_burst`), yields there, and still
+    // completes exactly once.
+    let (stats, _) = common::sliced_burst();
+    assert_eq!(stats.completed(), common::REQUESTS);
+    let preemptions = stats.preemptions.load(Ordering::Relaxed);
+    assert_eq!(
+        preemptions,
+        common::PREEMPTIONS,
+        "one preemption per internal quantum boundary"
     );
     assert_eq!(
-        stats.preemptions.load(Ordering::Relaxed),
+        preemptions,
         stats.requeues.load(Ordering::Relaxed),
         "every preemption requeues exactly once"
     );
-    assert!(
-        stats.signals_sent.load(Ordering::Relaxed) >= stats.preemptions.load(Ordering::Relaxed)
-    );
+    assert!(stats.signals_sent.load(Ordering::Relaxed) >= preemptions);
 }
 
 #[test]

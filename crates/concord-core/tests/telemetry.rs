@@ -11,6 +11,8 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
+mod common;
+
 fn fixed_us_mix(us: f64) -> Mix {
     Mix::new(
         format!("Fixed({us})"),
@@ -137,28 +139,21 @@ fn failures_are_recorded_not_lost() {
 
 #[test]
 fn preempted_requests_accumulate_service_across_slices() {
-    // 20 ms requests at a 1 ms quantum, arriving together so each has
-    // waiters behind it: heavily sliced, yet the measured service time
-    // must still cover the full spin (slices add up) and every request
+    // 20 ms requests cut into 1 ms slices (see `common::sliced_burst`):
+    // the measured service time of every request is exactly its 20 ms
+    // of virtual work, summed across 20 slices, and every request
     // appears exactly once.
-    let cfg = RuntimeConfig::builder()
-        .small_test()
-        .quantum(Duration::from_millis(1))
-        .build()
-        .expect("valid config");
-    let (stats, telemetry, _collector) = drive(
-        cfg,
-        Arc::new(SpinApp::new()),
-        fixed_us_mix(20_000.0),
-        5_000.0,
-        20,
+    let (stats, telemetry) = common::sliced_burst();
+    assert_eq!(
+        stats.preemptions.load(Ordering::Relaxed),
+        common::PREEMPTIONS
     );
-    assert!(stats.preemptions.load(Ordering::Relaxed) >= 20);
-    assert_eq!(telemetry.recorded, 20);
-    assert!(
-        telemetry.service_p50_ns() >= 20_000_000,
-        "sliced service undercounted: {}ns",
-        telemetry.service_p50_ns()
+    assert_eq!(telemetry.recorded, common::REQUESTS);
+    let service = &telemetry.breakdown.service;
+    assert_eq!(
+        (service.min(), service.max()),
+        (common::SERVICE_NS, common::SERVICE_NS),
+        "sliced service miscounted"
     );
 }
 

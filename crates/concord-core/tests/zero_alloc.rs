@@ -2,15 +2,24 @@
 //!
 //! A counting global allocator watches every thread of the process while
 //! a closed loop of `Fixed(1)` requests runs through a `Runtime` on
-//! rings: after a warm-up that fills the frame pool and grows every
-//! scratch buffer to its working size, 100 000 further requests — served
-//! by the worker and, because the window exceeds the JBSQ depth, by the
-//! work-conserving dispatcher too — must not reach the allocator at all.
+//! rings, with one worker and then with two: after a warm-up that fills
+//! every thread's frame pool and grows every scratch buffer to its
+//! working size, 100 000 further requests — served by the workers and,
+//! because the window exceeds the JBSQ depth, by the work-conserving
+//! dispatcher too — must not reach the allocator at all, and every one
+//! of them must run on a frame from the pool of the thread that bound it.
+//!
+//! The runtime runs on a frozen virtual clock, so no slice ever expires
+//! and nothing is preempted: each thread binds, finishes and pools one
+//! frame at a time, and its pool never runs dry once warm. (A preempted
+//! task keeps its frame, and may finish on another worker, whose pool
+//! then gains the frame while the first builds a new one until the pools
+//! fill up; that path is not what this file measures.)
 //!
 //! This file holds one test on purpose: the counter is process-wide, so
 //! a second test running beside it would be counted.
 
-use concord_core::{Runtime, RuntimeConfig, SpinApp};
+use concord_core::{Clock, Runtime, RuntimeConfig, SpinApp};
 use concord_net::ring::ring;
 use concord_net::{Request, Response};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -96,13 +105,16 @@ fn closed_loop(
     }
 }
 
-#[test]
-fn steady_state_requests_never_reach_the_allocator() {
+/// Serves `WARM_UP` and then `MEASURED` requests on `workers` workers
+/// and checks the measured window.
+fn serve_warmed_up_window(workers: usize) {
+    let (clock, _frozen) = Clock::manual();
     let cfg = RuntimeConfig::builder()
-        .workers(1)
+        .workers(workers)
         .jbsq_depth(2)
         .quantum(Duration::from_micros(5))
         .work_conserving(true)
+        .clock(clock)
         .trace(false)
         .build()
         .expect("valid configuration");
@@ -112,30 +124,46 @@ fn steady_state_requests_never_reach_the_allocator() {
     let stats = rt.stats();
     let mut next_id = 0;
 
+    // Every counter read here was published before the last warm-up
+    // response was emitted: the dispatcher's per pass, each worker's
+    // binds before its message when its ring ran empty.
     closed_loop(&mut req_tx, &mut resp_rx, &mut next_id, WARM_UP);
     let by_worker = stats.worker_completed.load(Ordering::Relaxed);
     let by_dispatcher = stats.dispatcher_completed.load(Ordering::Relaxed);
+    let ingested = stats.ingested.load(Ordering::Relaxed);
     let reuses = stats.stack_reuses.load(Ordering::Relaxed);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
 
     closed_loop(&mut req_tx, &mut resp_rx, &mut next_id, MEASURED);
 
     let allocations = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let stats = rt.shutdown();
     let by_worker = stats.worker_completed.load(Ordering::Relaxed) - by_worker;
     let by_dispatcher = stats.dispatcher_completed.load(Ordering::Relaxed) - by_dispatcher;
+    let ingested = stats.ingested.load(Ordering::Relaxed) - ingested;
     let reuses = stats.stack_reuses.load(Ordering::Relaxed) - reuses;
-    let stats = rt.shutdown();
 
     assert_eq!(
         allocations, 0,
-        "{allocations} allocations while serving {MEASURED} warmed-up requests"
+        "{workers} worker(s): {allocations} allocations while serving {MEASURED} warmed-up requests"
     );
+    assert_eq!(ingested, MEASURED);
     assert_eq!(by_worker + by_dispatcher, MEASURED);
     assert!(by_worker > 0, "the worker path was not exercised");
     assert!(
         by_dispatcher > 0,
         "the work-conserving dispatcher path was not exercised"
     );
-    assert_eq!(reuses, MEASURED, "every request ran on a pooled frame");
+    assert_eq!(
+        reuses, ingested,
+        "{workers} worker(s): every request ran on a pooled frame"
+    );
+    assert_eq!(stats.preemptions.load(Ordering::Relaxed), 0);
     assert_eq!(stats.failed.load(Ordering::Relaxed), 0);
+}
+
+#[test]
+fn steady_state_requests_never_reach_the_allocator() {
+    serve_warmed_up_window(1);
+    serve_warmed_up_window(2);
 }

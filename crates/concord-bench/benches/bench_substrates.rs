@@ -335,12 +335,12 @@ fn bench_registry(c: &mut Criterion) {
             );
         }
         let src = n.clone();
-        reg.histogram("lat_ns", "scrape-cost probe", &[], move || {
+        reg.per_scrape(move |snap| {
             let mut h = Histogram::new(3);
             for i in 1..128u64 {
                 h.record(i * 1000 + src.load(Ordering::Relaxed) % 97);
             }
-            h
+            snap.push_hist("lat_ns", "scrape-cost probe", &[], &h);
         });
         b.iter(|| black_box(render_prometheus(&black_box(reg.snapshot()))));
     });

@@ -32,7 +32,7 @@ const SIGNAL_WAIT: Duration = Duration::from_secs(2);
 /// dispatcher only signals a slice someone is waiting behind, so use
 /// this mode with a guaranteed backlog
 /// ([`ArrivalKind::Burst`](crate::ArrivalKind::Burst)); a lone request
-/// would sit out [`SIGNAL_WAIT`] at every crossing.
+/// would sit out the two-second signal wait at every crossing.
 ///
 /// Note the clock is shared by all workers: concurrent slices both
 /// advance it, so per-request measurements are exact only in

@@ -166,16 +166,12 @@ fn config_of(
         quantum: Duration::from_micros(case.quantum_us),
         jbsq_depth: case.jbsq_depth,
         work_conserving: case.work_conserving,
-        stack_size: 64 * 1024,
-        dispatcher_slice: Duration::from_micros(case.quantum_us),
-        max_in_flight: 16 * 1024,
         policy: case.policy,
         adaptive_quantum: false,
         quantum_max: Duration::from_micros(case.quantum_us.max(100)),
         quantum_control_interval: Duration::from_millis(10),
         slo: Vec::new(),
         telemetry_report_every: None,
-        probe_period: concord_core::config::DEFAULT_PROBE_PERIOD,
         clock,
         trace: true,
         trace_ring_cap: concord_core::config::DEFAULT_TRACE_RING_CAP,

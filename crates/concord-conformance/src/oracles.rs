@@ -369,8 +369,8 @@ pub fn check_admission(
     v
 }
 
-/// Cross-shard oracles on a quiescent [`ShardedRuntime`]
-/// (`concord_core::ShardedRuntime`) execution:
+/// Cross-shard oracles on a quiescent
+/// [`ShardedRuntime`](concord_core::ShardedRuntime) execution:
 ///
 /// 1. **Cross-shard conservation** — per-shard conservation fails open
 ///    under migration by design (ingest is charged to the polling shard,

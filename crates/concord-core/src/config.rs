@@ -20,29 +20,16 @@ pub struct RuntimeConfig {
     /// (it is always exactly one shard).
     pub num_shards: usize,
     /// Scheduling quantum. Requests running longer than this are signaled
-    /// to yield at their next preemption point.
+    /// to yield at their next preemption point, and a request the
+    /// dispatcher steals (§3.3) self-preempts after one quantum. The
+    /// builder rejects a quantum below [`PROBE_PERIOD`].
     pub quantum: Duration,
-    /// Expected interval between the application's preemption-point
-    /// probes (the paper's instrumentation pass inserts one roughly every
-    /// microsecond of straight-line code). A quantum below this cannot be
-    /// honoured — the signal would always land between probes — so the
-    /// builder rejects `quantum < probe_period`.
-    pub probe_period: Duration,
     /// JBSQ per-worker queue bound `k` (§3.2; the paper uses 2).
     /// 1 is equivalent to a synchronous single queue.
     pub jbsq_depth: usize,
     /// Whether the dispatcher executes requests itself when all worker
     /// queues are full (§3.3).
     pub work_conserving: bool,
-    /// Stack size for request coroutines, bytes.
-    pub stack_size: usize,
-    /// How long the dispatcher may run a stolen request before
-    /// self-preempting to resume its duties.
-    pub dispatcher_slice: Duration,
-    /// Upper bound on requests held inside the runtime (central queue +
-    /// in flight); beyond it, ingress pauses (the RX ring then fills and
-    /// drops, preserving open-loop semantics).
-    pub max_in_flight: usize,
     /// Scheduling policy the dispatcher applies: queue ordering and
     /// whether quanta are policed. Defaults to
     /// [`PolicyKind::PsQuantum`](crate::policy::PolicyKind::PsQuantum),
@@ -56,7 +43,7 @@ pub struct RuntimeConfig {
     /// every class, exactly as before.
     pub adaptive_quantum: bool,
     /// Ceiling the adaptive controller may raise a class's quantum to
-    /// (the floor is `probe_period`). Ignored unless `adaptive_quantum`.
+    /// (the floor is [`PROBE_PERIOD`]). Ignored unless `adaptive_quantum`.
     pub quantum_max: Duration,
     /// Cadence of the quantum/SLO feedback controller.
     pub quantum_control_interval: Duration,
@@ -97,9 +84,13 @@ pub struct RuntimeConfig {
 /// Default per-track trace-ring capacity (events).
 pub const DEFAULT_TRACE_RING_CAP: usize = 64 * 1024;
 
-/// Default preemption-probe period assumed by the presets (1 µs, the
-/// paper's instrumentation granularity).
-pub const DEFAULT_PROBE_PERIOD: Duration = Duration::from_micros(1);
+/// Interval between the application's preemption-point probes: the
+/// paper's instrumentation pass inserts one roughly every microsecond of
+/// straight-line code (§3.1). A quantum below it cannot be honoured —
+/// the signal would always land between probes — so it is both the
+/// smallest quantum the builder accepts and the adaptive controller's
+/// floor.
+pub const PROBE_PERIOD: Duration = Duration::from_micros(1);
 
 /// A [`RuntimeBuilder`] configuration the runtime cannot run with.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -110,13 +101,11 @@ pub enum ConfigError {
     NoShards,
     /// `jbsq_depth(0)`: a zero JBSQ bound can never dispatch anything.
     ZeroJbsqDepth,
-    /// The quantum is shorter than the preemption-probe period, so no
-    /// signal could ever be honoured on time.
+    /// The quantum is shorter than [`PROBE_PERIOD`], so no signal could
+    /// ever be honoured on time.
     QuantumShorterThanProbe {
         /// The configured quantum.
         quantum: Duration,
-        /// The configured probe period it must not undercut.
-        probe_period: Duration,
     },
     /// `adaptive_quantum` with a `quantum_max` below the base quantum:
     /// the controller's clamp range would exclude the configured start
@@ -138,13 +127,10 @@ impl std::fmt::Display for ConfigError {
             Self::NoWorkers => write!(f, "runtime needs at least one worker"),
             Self::NoShards => write!(f, "sharded runtime needs at least one shard"),
             Self::ZeroJbsqDepth => write!(f, "JBSQ depth k must be at least 1"),
-            Self::QuantumShorterThanProbe {
-                quantum,
-                probe_period,
-            } => write!(
+            Self::QuantumShorterThanProbe { quantum } => write!(
                 f,
                 "quantum {quantum:?} is shorter than the preemption-probe \
-                 period {probe_period:?}; signals could never be honoured"
+                 period {PROBE_PERIOD:?}; signals could never be honoured"
             ),
             Self::QuantumMaxBelowQuantum {
                 quantum,
@@ -190,12 +176,8 @@ impl RuntimeBuilder {
                 n_workers: 1,
                 num_shards: 1,
                 quantum: Duration::from_micros(5),
-                probe_period: DEFAULT_PROBE_PERIOD,
                 jbsq_depth: 2,
                 work_conserving: true,
-                stack_size: 64 * 1024,
-                dispatcher_slice: Duration::from_micros(5),
-                max_in_flight: 16 * 1024,
                 policy: crate::policy::PolicyKind::PsQuantum,
                 adaptive_quantum: false,
                 quantum_max: Duration::from_micros(100),
@@ -225,8 +207,6 @@ impl RuntimeBuilder {
         let mut b = Self::new();
         b.cfg.n_workers = 2;
         b.cfg.quantum = Duration::from_millis(1);
-        b.cfg.dispatcher_slice = Duration::from_millis(1);
-        b.cfg.max_in_flight = 4 * 1024;
         b
     }
 
@@ -250,13 +230,6 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Sets the assumed preemption-probe period (validated against the
-    /// quantum at build time).
-    pub fn probe_period(mut self, period: Duration) -> Self {
-        self.cfg.probe_period = period;
-        self
-    }
-
     /// Sets the JBSQ depth `k` (validated ≥ 1 at build time).
     pub fn jbsq_depth(mut self, k: usize) -> Self {
         self.cfg.jbsq_depth = k;
@@ -266,24 +239,6 @@ impl RuntimeBuilder {
     /// Enables or disables dispatcher work conservation.
     pub fn work_conserving(mut self, on: bool) -> Self {
         self.cfg.work_conserving = on;
-        self
-    }
-
-    /// Sets the coroutine stack size in bytes.
-    pub fn stack_size(mut self, bytes: usize) -> Self {
-        self.cfg.stack_size = bytes;
-        self
-    }
-
-    /// Sets the dispatcher's self-preemption slice for stolen requests.
-    pub fn dispatcher_slice(mut self, slice: Duration) -> Self {
-        self.cfg.dispatcher_slice = slice;
-        self
-    }
-
-    /// Sets the in-flight request cap.
-    pub fn max_in_flight(mut self, n: usize) -> Self {
-        self.cfg.max_in_flight = n;
         self
     }
 
@@ -378,10 +333,9 @@ impl RuntimeBuilder {
         if self.cfg.jbsq_depth == 0 {
             return Err(ConfigError::ZeroJbsqDepth);
         }
-        if self.cfg.quantum < self.cfg.probe_period {
+        if self.cfg.quantum < PROBE_PERIOD {
             return Err(ConfigError::QuantumShorterThanProbe {
                 quantum: self.cfg.quantum,
-                probe_period: self.cfg.probe_period,
             });
         }
         if self.cfg.adaptive_quantum && self.cfg.quantum_max < self.cfg.quantum {
@@ -450,7 +404,6 @@ mod tests {
         assert_eq!(c.jbsq_depth, 2);
         assert!(c.work_conserving);
         assert_eq!(c.quantum, Duration::from_micros(5));
-        assert_eq!(c.probe_period, DEFAULT_PROBE_PERIOD);
         assert!(!c.clock.is_virtual(), "production clock is wall time");
     }
 
@@ -460,12 +413,8 @@ mod tests {
         let c = RuntimeConfig::builder()
             .small_test()
             .quantum(Duration::from_micros(100))
-            .probe_period(Duration::from_micros(2))
             .jbsq_depth(3)
             .work_conserving(false)
-            .stack_size(128 * 1024)
-            .dispatcher_slice(Duration::from_micros(50))
-            .max_in_flight(256)
             .policy(crate::policy::PolicyKind::Srpt { noise_pct: 10 })
             .adaptive_quantum(true)
             .quantum_max(Duration::from_millis(2))
@@ -478,12 +427,8 @@ mod tests {
             .expect("valid config");
         assert_eq!(c.n_workers, 2, "small_test preset");
         assert_eq!(c.quantum, Duration::from_micros(100));
-        assert_eq!(c.probe_period, Duration::from_micros(2));
         assert_eq!(c.jbsq_depth, 3);
         assert!(!c.work_conserving);
-        assert_eq!(c.stack_size, 128 * 1024);
-        assert_eq!(c.dispatcher_slice, Duration::from_micros(50));
-        assert_eq!(c.max_in_flight, 256);
         assert_eq!(c.policy, crate::policy::PolicyKind::Srpt { noise_pct: 10 });
         assert!(c.adaptive_quantum);
         assert_eq!(c.quantum_max, Duration::from_millis(2));
@@ -517,14 +462,16 @@ mod tests {
             RuntimeConfig::builder().jbsq_depth(0).build().unwrap_err(),
             ConfigError::ZeroJbsqDepth
         );
-        let err = RuntimeConfig::builder()
-            .quantum(Duration::from_nanos(100))
-            .probe_period(Duration::from_micros(1))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::QuantumShorterThanProbe { .. }));
+        let short = PROBE_PERIOD - Duration::from_nanos(1);
+        let err = RuntimeConfig::builder().quantum(short).build().unwrap_err();
+        assert_eq!(err, ConfigError::QuantumShorterThanProbe { quantum: short });
         // Errors render as human-readable text.
         assert!(err.to_string().contains("probe"));
+        // A quantum of exactly one probe period is the shortest accepted.
+        RuntimeConfig::builder()
+            .quantum(PROBE_PERIOD)
+            .build()
+            .expect("a one-probe quantum is valid");
         let err = RuntimeConfig::builder()
             .adaptive_quantum(true)
             .quantum(Duration::from_micros(50))

@@ -100,6 +100,11 @@ const TRACE_DRAIN_EVERY: u64 = 1024;
 /// for the next pass, a fraction of a microsecond away.
 const INGEST_BATCH: usize = 64;
 
+/// Most requests one dispatcher holds (central queue + in flight);
+/// beyond it, ingest pauses and the RX side fills and sheds, keeping
+/// open-loop load honest.
+const MAX_IN_FLIGHT: usize = 16 * 1024;
+
 /// Counter deltas the dispatcher accumulates in locals and publishes to
 /// the shared [`RuntimeStats`] at most once per loop pass each, so the
 /// per-request cost is a register increment instead of a locked
@@ -136,9 +141,7 @@ impl PassCounts {
     /// `completed() >= n`. Every requeue message is one preemption.
     fn flush_returns(&mut self, stats: &RuntimeStats) {
         publish(&stats.worker_completed, take(&mut self.worker_completed));
-        let requeues = take(&mut self.requeues);
-        publish(&stats.preemptions, requeues);
-        publish(&stats.requeues, requeues);
+        publish(&stats.preemptions, take(&mut self.requeues));
     }
 
     /// Publishes what ingest and JBSQ dispatch did this pass.
@@ -310,9 +313,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                 // count against the cap: they were ingested here and may
                 // come back via reclaim.
                 let parked = shard.as_ref().map_or(0, |c| c.own().len());
-                let room = self
-                    .cfg
-                    .max_in_flight
+                let room = MAX_IN_FLIGHT
                     .saturating_sub(in_system + parked)
                     .min(INGEST_BATCH);
                 self.rx.poll_batch(&mut arrivals, room);
@@ -480,12 +481,13 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                 }
                 if let Some(mut task) = stolen.take() {
                     // One clock read is both the self-preemption
-                    // deadline's origin and the slice's entry stamp.
+                    // deadline's origin and the slice's entry stamp. A
+                    // stolen slice lasts one (base) quantum, as a
+                    // worker's would.
                     let start_ns = self.clock.now_ns();
                     set_mode(PreemptMode::DispatcherDeadline {
                         clock: self.clock.clone(),
-                        deadline_ns: start_ns
-                            .saturating_add(self.cfg.dispatcher_slice.as_nanos() as u64),
+                        deadline_ns: start_ns.saturating_add(self.cfg.quantum.as_nanos() as u64),
                     });
                     let end = task.run_slice_from(&self.clock, start_ns);
                     set_mode(PreemptMode::None);

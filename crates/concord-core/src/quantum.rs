@@ -22,8 +22,8 @@
 //!   (a short class gets a quantum just above its typical service, so
 //!   its requests finish inside one slice and are never preempted; a
 //!   heavy class gets a long quantum, paying less switch overhead),
-//!   clamped to `probe_period..=quantum_max`, with a relative
-//!   hysteresis band so the quantum cannot flap between intervals.
+//!   clamped to `min_ns..=max_ns`, with a relative hysteresis band so
+//!   the quantum cannot flap between intervals.
 //! - [`SloState`]: per-class p99 sojourn budgets plus the controller's
 //!   verdict on which classes are currently blowing them. The admission
 //!   gate consults it to shed *the blowing class* (RETRY) instead of
@@ -180,27 +180,30 @@ impl DecaySketch {
     }
 }
 
-/// Controller tuning knobs, derived from
-/// [`RuntimeConfig`](crate::config::RuntimeConfig).
+/// Service-time percentile a class's quantum targets (low: the point is
+/// that *typical* requests of the class finish in one slice).
+pub const TARGET_PCT: u64 = 25;
+
+/// Relative hysteresis band, percent: a retune only applies when the new
+/// target differs from the current quantum by more than this fraction,
+/// so the table cannot flap between intervals.
+pub const HYSTERESIS_PCT: u64 = 25;
+
+/// Minimum (decayed) samples in a class's sketch before its quantum is
+/// touched.
+pub const MIN_SAMPLES: u64 = 16;
+
+/// Controller settings that differ between the runtime and the
+/// simulator's mirror of it.
 #[derive(Debug, Clone, Copy)]
 pub struct ControllerConfig {
     /// Retune cadence, nanoseconds of runtime clock.
     pub interval_ns: u64,
-    /// Quantum floor (the configured probe period: a quantum below it
-    /// could expire before the worker's first preemption probe).
+    /// Quantum floor (the probe period: a quantum below it could expire
+    /// before the worker's first preemption probe).
     pub min_ns: u64,
     /// Quantum ceiling.
     pub max_ns: u64,
-    /// Service-time percentile the quantum targets (low: the point is
-    /// that *typical* requests of the class finish in one slice).
-    pub target_pct: u64,
-    /// Relative hysteresis band, percent: a retune only applies when
-    /// the new target differs from the current quantum by more than
-    /// this fraction, so the table cannot flap between intervals.
-    pub hysteresis_pct: u64,
-    /// Minimum (decayed) samples in a class's sketch before its quantum
-    /// is touched.
-    pub min_samples: u64,
     /// Whether quanta are retuned at all (SLO tracking alone still
     /// needs the interval machinery).
     pub tune_quanta: bool,
@@ -253,13 +256,13 @@ impl QuantumController {
         self.next_at_ns = now_ns.saturating_add(self.cfg.interval_ns);
         self.intervals += 1;
         for slot in 0..CLASS_SLOTS {
-            if self.cfg.tune_quanta && self.service[slot].total >= self.cfg.min_samples {
+            if self.cfg.tune_quanta && self.service[slot].total >= MIN_SAMPLES {
                 let target = self.service[slot]
-                    .percentile_upper(self.cfg.target_pct)
+                    .percentile_upper(TARGET_PCT)
                     .expect("non-empty sketch")
                     .clamp(self.cfg.min_ns, self.cfg.max_ns);
                 let current = quanta.slot_ns(slot);
-                let band = current / 100 * self.cfg.hysteresis_pct;
+                let band = current / 100 * HYSTERESIS_PCT;
                 if target.abs_diff(current) > band {
                     quanta.set_slot_ns(slot, target);
                     self.retunes += 1;
@@ -357,9 +360,6 @@ mod tests {
             interval_ns,
             min_ns: 1_000,
             max_ns: 100_000,
-            target_pct: 25,
-            hysteresis_pct: 25,
-            min_samples: 8,
             tune_quanta: true,
         }
     }
@@ -453,12 +453,18 @@ mod tests {
         }
         c.poll(3_000, &quanta, &slo);
         assert_eq!(c.retunes, retunes, "within-band target must not retune");
-        // Below min_samples nothing moves.
-        for _ in 0..4 {
+        // Below MIN_SAMPLES nothing moves.
+        for _ in 0..MIN_SAMPLES - 1 {
             c.observe(2, 50_000, 0);
         }
         c.poll(4_000, &quanta, &slo);
         assert_eq!(quanta.get_ns(2), 5_000, "sparse class untouched");
+        // MIN_SAMPLES of them are enough to retune.
+        for _ in 0..MIN_SAMPLES {
+            c.observe(3, 50_000, 0);
+        }
+        c.poll(5_000, &quanta, &slo);
+        assert_eq!(quanta.get_ns(3), 65_536, "dense class retuned");
     }
 
     #[test]

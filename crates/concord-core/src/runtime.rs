@@ -3,7 +3,7 @@
 
 use crate::app::ConcordApp;
 use crate::clock::Clock;
-use crate::config::{RuntimeBuilder, RuntimeConfig};
+use crate::config::{RuntimeBuilder, RuntimeConfig, PROBE_PERIOD};
 use crate::dispatcher::{DispatcherLoop, WorkerSlot};
 use crate::preempt::{SignalAccounting, WorkerShared};
 use crate::quantum::{ControllerConfig, QuantumController, QuantumTable, SloState};
@@ -120,11 +120,8 @@ impl Runtime {
                         .min(u64::MAX as u128) as u64,
                     // The floor is the probe period: a shorter quantum
                     // would expire before the first preemption probe.
-                    min_ns: config.probe_period.as_nanos().min(u64::MAX as u128) as u64,
+                    min_ns: PROBE_PERIOD.as_nanos() as u64,
                     max_ns: config.quantum_max.as_nanos().min(u64::MAX as u128).max(1) as u64,
-                    target_pct: 25,
-                    hysteresis_pct: 25,
-                    min_samples: 16,
                     tune_quanta: config.adaptive_quantum,
                 },
                 clock.now_ns(),
@@ -153,7 +150,7 @@ impl Runtime {
         // dispatcher), splitting the cap between them.
         let dyn_app: Arc<dyn ConcordApp> = app.clone();
         let pool_cap = FRAME_POOL_CAP / (config.n_workers + 1);
-        let frame_pool = || FramePool::new(dyn_app.clone(), config.stack_size, pool_cap);
+        let frame_pool = || FramePool::new(dyn_app.clone(), pool_cap);
 
         let mut slots = Vec::with_capacity(config.n_workers);
         let mut worker_handles = Vec::with_capacity(config.n_workers);

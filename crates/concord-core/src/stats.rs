@@ -146,8 +146,6 @@ pub struct RuntimeStats {
     pub preemptions: AtomicU64,
     /// Requests the dispatcher pushed to workers.
     pub dispatched: AtomicU64,
-    /// Requests re-queued after a yield.
-    pub requeues: AtomicU64,
     /// Requests the dispatcher stole for itself.
     pub stolen: AtomicU64,
     /// Requests ingested from the RX ring.
@@ -237,7 +235,6 @@ impl RuntimeStats {
                 self.expiries_deferred.load(Ordering::Relaxed),
             ),
             ("preemptions", self.preemptions.load(Ordering::Relaxed)),
-            ("requeues", self.requeues.load(Ordering::Relaxed)),
             ("stolen", self.stolen.load(Ordering::Relaxed)),
             ("failed", self.failed.load(Ordering::Relaxed)),
             ("stack_reuses", self.stack_reuses.load(Ordering::Relaxed)),
@@ -320,7 +317,6 @@ mod tests {
             "signals_sent",
             "expiries_deferred",
             "preemptions",
-            "requeues",
             "stolen",
             "failed",
             "stack_reuses",

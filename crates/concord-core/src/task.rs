@@ -2,8 +2,9 @@
 //!
 //! The dispatcher ingests a request as an unbound task
 //! ([`Task::fresh`]): the descriptor and its stamps, no stack. The
-//! thread that runs the task's first slice binds it to a [`Frame`] from
-//! its own [`FramePool`] — a worker for the work it is pushed, the
+//! thread that runs the task's first slice binds it to a frame (a
+//! coroutine stack and the application handle) from its own
+//! [`FramePool`] — a worker for the work it is pushed, the
 //! dispatcher for the never-started work it steals (§3.3). From then on
 //! the frame travels with the task: a preempted task may resume on
 //! another worker, and the thread that finishes it puts the frame back
@@ -14,7 +15,7 @@
 //! [`Clock`], so under a virtual clock the queueing/service/sojourn
 //! telemetry is an exact, deterministic function of the schedule.
 //!
-//! Binding a request to a pooled [`Frame`] allocates nothing and writes
+//! Binding a request to a pooled frame allocates nothing and writes
 //! no shared cache line: the coroutine's control block, the handler
 //! closure and what it returns live inside the frame's stack
 //! (`concord-uthread`), and the frame's application handle is *moved*
@@ -37,10 +38,13 @@ struct Frame {
     app: Arc<dyn ConcordApp>,
 }
 
-/// Most frames all of a runtime's pools hold together (one 64 KiB stack
-/// each by default). Each of the `n_workers + 1` pools gets an equal
-/// share, so the bound — and with it the pooled part of the resident
-/// set — does not grow with the worker count.
+/// Size of every request coroutine's stack, bytes.
+pub const STACK_SIZE: usize = 64 * 1024;
+
+/// Most frames all of a runtime's pools hold together (one
+/// [`STACK_SIZE`] stack each). Each of the `n_workers + 1` pools gets
+/// an equal share, so the bound — and with it the pooled part of the
+/// resident set — does not grow with the worker count.
 pub(crate) const FRAME_POOL_CAP: usize = 256;
 
 /// One thread's finished frames, ready for the next task it starts.
@@ -55,20 +59,18 @@ pub struct FramePool {
     frames: Vec<Frame>,
     cap: usize,
     app: Arc<dyn ConcordApp>,
-    stack_size: usize,
     /// Binds to a pooled frame not yet taken by [`FramePool::take_reuses`].
     reuses: u64,
 }
 
 impl FramePool {
     /// An empty pool holding at most `cap` frames, building misses on
-    /// stacks of `stack_size` bytes that run `app`.
-    pub fn new(app: Arc<dyn ConcordApp>, stack_size: usize, cap: usize) -> Self {
+    /// [`STACK_SIZE`] stacks that run `app`.
+    pub fn new(app: Arc<dyn ConcordApp>, cap: usize) -> Self {
         Self {
             frames: Vec::new(),
             cap,
             app,
-            stack_size,
             reuses: 0,
         }
     }
@@ -85,7 +87,7 @@ impl FramePool {
                 frame
             }
             None => Frame {
-                stack: Stack::new(self.stack_size),
+                stack: Stack::new(STACK_SIZE),
                 app: self.app.clone(),
             },
         };
@@ -328,7 +330,7 @@ mod tests {
         let clock = Clock::monotonic();
         let now = clock.now_ns();
         (
-            Task::new(Arc::new(SpinApp::new()), req(service_ns), 64 * 1024, now),
+            Task::new(Arc::new(SpinApp::new()), req(service_ns), STACK_SIZE, now),
             clock,
         )
     }
@@ -410,7 +412,7 @@ mod tests {
     fn pool_builds_on_a_miss_reuses_after_and_keeps_its_cap() {
         set_mode(PreemptMode::None);
         let clock = Clock::monotonic();
-        let mut pool = FramePool::new(Arc::new(SpinApp::new()), 64 * 1024, 1);
+        let mut pool = FramePool::new(Arc::new(SpinApp::new()), 1);
         let mut a = Task::fresh(req(1_000), clock.now_ns());
         let mut b = Task::fresh(req(1_000), clock.now_ns());
         pool.bind(&mut a);
@@ -446,7 +448,7 @@ mod tests {
         }
         set_mode(PreemptMode::None);
         let clock = Clock::monotonic();
-        let mut pool = FramePool::new(Arc::new(Bomb), 64 * 1024, 4);
+        let mut pool = FramePool::new(Arc::new(Bomb), 4);
         let mut t = Task::fresh(req(1_000), clock.now_ns());
         pool.bind(&mut t);
         assert_eq!(t.run_slice(&clock), SliceEnd::Failed);
@@ -470,7 +472,7 @@ mod tests {
         set_mode(PreemptMode::None);
         let (clock, v) = Clock::manual();
         let app = Arc::new(VirtualSpin(v.clone()));
-        let mut t = Task::new(app, req(300_000), 64 * 1024, clock.now_ns());
+        let mut t = Task::new(app, req(300_000), STACK_SIZE, clock.now_ns());
         assert!(t.first_run_ns.is_none());
         assert_eq!(t.queue_delay(), Duration::ZERO, "not yet started");
         v.advance(Duration::from_millis(2)); // deterministic "queueing"
@@ -521,7 +523,7 @@ mod tests {
             deadline_ns: clock.now_ns() + 100_000,
         });
         let app = Arc::new(SteppedSpin(v));
-        let mut t = Task::new(app, req(2_000_000), 64 * 1024, clock.now_ns());
+        let mut t = Task::new(app, req(2_000_000), STACK_SIZE, clock.now_ns());
         assert_eq!(t.run_slice(&clock), SliceEnd::Preempted);
         assert_eq!(t.busy_ns, 100_000, "yielded at exactly the second check");
         set_mode(PreemptMode::None);

@@ -164,12 +164,12 @@ mod tests {
         reg.counter("req_total", "requests", &[("shard", "0")], || 10);
         reg.counter("req_total", "requests", &[("shard", "1")], || 32);
         reg.gauge("depth", "queue depth", &[], || 7);
-        reg.histogram("lat_ns", "latency", &[("class", "0")], || {
+        reg.per_scrape(|snap| {
             let mut h = Histogram::new(3);
             for v in [100u64, 200, 50_000] {
                 h.record(v);
             }
-            h
+            snap.push_hist("lat_ns", "latency", &[("class", "0")], &h);
         });
         reg
     }

@@ -95,22 +95,6 @@ impl MetricsRegistry {
         });
     }
 
-    /// Registers a histogram series. `read` returns a point-in-time copy
-    /// of the distribution (e.g. a merged clone of per-shard histograms).
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        read: impl Fn() -> Histogram + Send + Sync + 'static,
-    ) {
-        let (name, help, labels) = (name.to_string(), help.to_string(), owned_labels(labels));
-        self.per_scrape(move |snap| {
-            snap.hists
-                .push(HistSample::new(&name, &help, labels.clone(), &read()))
-        });
-    }
-
     /// Registers a per-scrape source: `read` runs at each snapshot, in
     /// registration order with every other source, and appends its
     /// samples (see [`MetricsSnapshot::push_scalar`]).
@@ -175,20 +159,6 @@ pub struct HistSample {
     pub sum: u128,
 }
 
-impl HistSample {
-    /// The sample of histogram `h` as series `name{labels}`.
-    fn new(name: &str, help: &str, labels: Vec<(String, String)>, h: &Histogram) -> HistSample {
-        HistSample {
-            name: name.to_string(),
-            help: help.to_string(),
-            labels,
-            buckets: h.cumulative().collect(),
-            count: h.len(),
-            sum: h.sum(),
-        }
-    }
-}
-
 /// A coherent point-in-time read of every registered source.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
@@ -219,8 +189,14 @@ impl MetricsSnapshot {
 
     /// Appends one histogram series (for per-scrape sources).
     pub fn push_hist(&mut self, name: &str, help: &str, labels: &[(&str, &str)], h: &Histogram) {
-        self.hists
-            .push(HistSample::new(name, help, owned_labels(labels), h));
+        self.hists.push(HistSample {
+            name: name.to_string(),
+            help: help.to_string(),
+            labels: owned_labels(labels),
+            buckets: h.cumulative().collect(),
+            count: h.len(),
+            sum: h.sum(),
+        });
     }
 }
 
@@ -250,12 +226,12 @@ mod tests {
     #[test]
     fn histogram_sources_expose_cumulative_buckets() {
         let reg = MetricsRegistry::new();
-        reg.histogram("lat_ns", "latency", &[], || {
+        reg.per_scrape(|snap| {
             let mut h = Histogram::new(3);
             for v in [10u64, 20, 30] {
                 h.record(v);
             }
-            h
+            snap.push_hist("lat_ns", "latency", &[], &h);
         });
         let snap = reg.snapshot();
         let h = &snap.hists[0];

@@ -95,32 +95,22 @@ impl QueueDiscipline {
     }
 }
 
-/// Mirror of the runtime's adaptive per-class quantum controller
-/// (`concord-core`'s `quantum` module), in nanoseconds of simulated
-/// time. The simulator drives the *same* controller type in the cycle
-/// domain, so sim↔runtime cross-validation covers the control law too.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptiveQuantum {
-    /// Control interval (retune cadence), ns of simulated time.
-    pub interval_ns: u64,
-    /// Quantum floor, ns.
-    pub min_ns: u64,
-    /// Quantum ceiling, ns.
-    pub max_ns: u64,
-}
+/// Interval at which a work-conserving dispatcher's rdtsc probes make it
+/// re-check its dispatching duties while it runs stolen work, ns.
+pub const DISPATCHER_CHECK_NS: u64 = 1_000;
 
-impl AdaptiveQuantum {
-    /// Defaults matching the runtime's: 1 µs floor (the probe period),
-    /// 100 µs ceiling, 1 ms control interval (scaled down from the
-    /// runtime's 10 ms so short simulations see many intervals).
-    pub fn paper_default() -> Self {
-        Self {
-            interval_ns: 1_000_000,
-            min_ns: 1_000,
-            max_ns: 100_000,
-        }
-    }
-}
+/// Control interval of the adaptive-quantum mirror, ns of simulated
+/// time: 1 ms, scaled down from the runtime's 10 ms so short simulations
+/// see many intervals.
+pub const ADAPTIVE_INTERVAL_NS: u64 = 1_000_000;
+
+/// Quantum floor of the adaptive-quantum mirror, ns: the runtime's
+/// probe period.
+pub const ADAPTIVE_MIN_NS: u64 = concord_core::config::PROBE_PERIOD.as_nanos() as u64;
+
+/// Quantum ceiling of the adaptive-quantum mirror, ns: the runtime's
+/// default `quantum_max`.
+pub const ADAPTIVE_MAX_NS: u64 = 100_000;
 
 /// Full configuration of one simulated system.
 #[derive(Clone, Debug, PartialEq)]
@@ -141,21 +131,22 @@ pub struct SystemConfig {
     pub policy: PolicyKind,
     /// Whether the dispatcher steals application work when all worker
     /// queues are full (§3.3). Stolen requests run with rdtsc
-    /// instrumentation and cannot migrate back to workers.
+    /// instrumentation, re-check duties every [`DISPATCHER_CHECK_NS`],
+    /// and cannot migrate back to workers.
     pub work_conserving: bool,
-    /// Interval at which a work-conserving dispatcher's rdtsc probes make
-    /// it re-check its dispatching duties, in nanoseconds.
-    pub dispatcher_check_ns: u64,
     /// Max bookkeeping duties (ingest/completion/requeue) the dispatcher
     /// folds into one batched operation. Batching amortizes per-op costs
     /// (followers cost 1/3 of the first) at the price of coarser-grained
     /// dispatching — §6's throughput-for-latency scalability lever. 1 =
     /// no batching (the default, matching the paper's prototype).
     pub dispatcher_batch: u32,
-    /// Adaptive per-class quantum controller, mirroring the runtime's
-    /// (`None` = the fixed `quantum_ns` applies to every class, as
-    /// before). Ignored when preemption is disabled.
-    pub adaptive: Option<AdaptiveQuantum>,
+    /// Whether the adaptive per-class quantum controller runs: the
+    /// runtime's own (`concord-core`'s `quantum` module), driven in the
+    /// cycle domain with the `ADAPTIVE_*` constants, so sim↔runtime
+    /// cross-validation covers the control law too. Off, the fixed
+    /// `quantum_ns` applies to every class. Ignored when preemption is
+    /// disabled.
+    pub adaptive: bool,
     /// Machine cost model.
     pub cost: CostModel,
 }
@@ -172,9 +163,8 @@ impl SystemConfig {
             queue: QueueDiscipline::SingleQueue,
             policy: PolicyKind::PsQuantum,
             work_conserving: false,
-            dispatcher_check_ns: 1_000,
             dispatcher_batch: 1,
-            adaptive: None,
+            adaptive: false,
             cost: CostModel::paper_default(),
         }
     }
@@ -190,9 +180,8 @@ impl SystemConfig {
             queue: QueueDiscipline::SingleQueue,
             policy: PolicyKind::Fcfs,
             work_conserving: false,
-            dispatcher_check_ns: 1_000,
             dispatcher_batch: 1,
-            adaptive: None,
+            adaptive: false,
             cost: CostModel::paper_default(),
         }
     }
@@ -208,9 +197,8 @@ impl SystemConfig {
             queue: QueueDiscipline::Jbsq(2),
             policy: PolicyKind::PsQuantum,
             work_conserving: true,
-            dispatcher_check_ns: 1_000,
             dispatcher_batch: 1,
-            adaptive: None,
+            adaptive: false,
             cost: CostModel::paper_default(),
         }
     }
@@ -272,10 +260,10 @@ impl SystemConfig {
         self
     }
 
-    /// Arms the adaptive per-class quantum controller (mirror of the
-    /// runtime's; see [`AdaptiveQuantum`]).
-    pub fn with_adaptive(mut self, adaptive: AdaptiveQuantum) -> Self {
-        self.adaptive = Some(adaptive);
+    /// Arms the adaptive per-class quantum controller (see
+    /// [`SystemConfig::adaptive`]).
+    pub fn with_adaptive(mut self) -> Self {
+        self.adaptive = true;
         self
     }
 

@@ -14,7 +14,10 @@
 //! go out late and single-queue workers sit idle longer — exactly the
 //! dynamics the paper measures.
 
-use crate::config::{PreemptMechanism, QueueDiscipline, SystemConfig};
+use crate::config::{
+    PreemptMechanism, QueueDiscipline, SystemConfig, ADAPTIVE_INTERVAL_NS, ADAPTIVE_MAX_NS,
+    ADAPTIVE_MIN_NS, DISPATCHER_CHECK_NS,
+};
 use crate::engine::EventQueue;
 use crate::request::{ReqId, Request};
 use crate::result::SimResult;
@@ -366,7 +369,7 @@ fn run_simulation<'a>(
     assert!(requests >= 1, "need at least one request");
     // The adaptive mirror only makes sense when preemption is enabled
     // (quantum_cycles() == u64::MAX means run-to-completion).
-    let adaptive = cfg.adaptive.filter(|_| cfg.quantum_cycles() != u64::MAX);
+    let adaptive = cfg.adaptive && cfg.quantum_cycles() != u64::MAX;
     let mut sim = Sim {
         cfg,
         arrivals,
@@ -382,19 +385,16 @@ fn run_simulation<'a>(
         latency_ns: Histogram::with_max(3, 1 << 44),
         feed_gap: Histogram::with_max(3, 1 << 40),
         achieved_quantum: Summary::new(),
-        quanta: adaptive.map(|_| QuantumTable::fixed_raw(cfg.quantum_cycles())),
-        controller: adaptive.map(|a| {
+        quanta: adaptive.then(|| QuantumTable::fixed_raw(cfg.quantum_cycles())),
+        controller: adaptive.then(|| {
             QuantumController::new(
                 ControllerConfig {
                     // ns-suffixed fields hold *cycles* here: the
                     // controller is unit-agnostic, and the sim's clock
                     // domain is cycles.
-                    interval_ns: cfg.cost.ns_to_cycles(a.interval_ns).max(1),
-                    min_ns: cfg.cost.ns_to_cycles(a.min_ns).max(1),
-                    max_ns: cfg.cost.ns_to_cycles(a.max_ns).max(1),
-                    target_pct: 25,
-                    hysteresis_pct: 25,
-                    min_samples: 16,
+                    interval_ns: cfg.cost.ns_to_cycles(ADAPTIVE_INTERVAL_NS).max(1),
+                    min_ns: cfg.cost.ns_to_cycles(ADAPTIVE_MIN_NS).max(1),
+                    max_ns: cfg.cost.ns_to_cycles(ADAPTIVE_MAX_NS).max(1),
                     tune_quanta: true,
                 },
                 0,
@@ -893,7 +893,7 @@ impl<'a> Sim<'a> {
             if let Some(req) = self.disp.stolen {
                 let f = 1.0 + cost.rdtsc_proc_overhead();
                 let remaining_wall = ((self.requests[req].remaining as f64) * f).ceil() as u64;
-                let check = cost.ns_to_cycles(self.cfg.dispatcher_check_ns).max(1);
+                let check = cost.ns_to_cycles(DISPATCHER_CHECK_NS).max(1);
                 let wall = remaining_wall.min(check);
                 return Some((DispOp::Slice { wall }, wall, true));
             }
@@ -1173,8 +1173,7 @@ mod tests {
     /// a long one — and stays deterministic across runs.
     #[test]
     fn adaptive_quanta_converge_per_class() {
-        let adaptive = crate::config::AdaptiveQuantum::paper_default();
-        let cfg = SystemConfig::concord(4, 5_000).with_adaptive(adaptive);
+        let cfg = SystemConfig::concord(4, 5_000).with_adaptive();
         let r = simulate(&cfg, mix::bimodal_50_1_50_100(), &params(20_000.0, 8_000));
         assert_eq!(r.completed, 8_000);
         let quanta = r.adaptive_quanta.as_ref().expect("adaptive run");
@@ -1188,8 +1187,8 @@ mod tests {
             quanta[1]
         );
         // Both stay inside the configured clamp (in cycles at 2GHz).
-        let min = cfg.cost.ns_to_cycles(adaptive.min_ns);
-        let max = cfg.cost.ns_to_cycles(adaptive.max_ns);
+        let min = cfg.cost.ns_to_cycles(ADAPTIVE_MIN_NS);
+        let max = cfg.cost.ns_to_cycles(ADAPTIVE_MAX_NS);
         assert!(quanta[0] >= min && quanta[0] <= max, "q0={}", quanta[0]);
         assert!(quanta[1] >= min && quanta[1] <= max, "q1={}", quanta[1]);
         // Determinism: same seed, same converged table.

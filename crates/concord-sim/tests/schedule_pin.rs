@@ -11,7 +11,6 @@
 //! A deliberate model change that moves these numbers must re-record the
 //! tables; the assertion message prints each moved row as a literal.
 
-use concord_sim::config::AdaptiveQuantum;
 use concord_sim::{simulate, SimParams, SystemConfig};
 use concord_workloads::{mix, Workload};
 
@@ -47,7 +46,7 @@ fn presets() -> [SystemConfig; 8] {
         SystemConfig::concord_coop_jbsq(WORKERS, QUANTUM_NS),
         SystemConfig::concord_no_steal(WORKERS, QUANTUM_NS),
         SystemConfig::concord(WORKERS, QUANTUM_NS).with_batch(8),
-        SystemConfig::concord(WORKERS, QUANTUM_NS).with_adaptive(AdaptiveQuantum::paper_default()),
+        SystemConfig::concord(WORKERS, QUANTUM_NS).with_adaptive(),
     ]
 }
 

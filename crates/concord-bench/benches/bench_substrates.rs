@@ -1,74 +1,111 @@
-//! Microbenchmarks of the measurement / queueing / threading substrates:
-//! the costs that make microsecond-scale scheduling viable.
+//! Per-operation costs of the substrates that make microsecond-scale
+//! scheduling viable, on one timer.
+//!
+//! First the benchmark's own isolated per-layer block
+//! (`concord_benchmark::layers::run`, the `*_ns` rows of
+//! `BENCHMARK.json`), then the rows only this bench has, each timed with
+//! the same `concord_benchmark::layers::time_op`. Every number is the
+//! median of its samples, in time per operation.
+//!
+//! `cargo bench -p concord-bench --bench bench_substrates -- FILTER`
+//! runs only the rows whose name contains `FILTER`.
 
+use concord_benchmark::layers::{self, time_op};
+use concord_benchmark::spec::PER_LAYER;
 use concord_core::clock::Clock;
 use concord_core::preempt::{set_mode, should_yield, PreemptMode, WorkerShared};
 use concord_metrics::{Histogram, SlowdownTracker};
-use concord_microbench::{black_box, criterion_group, criterion_main, Criterion};
-use concord_net::ring::ring;
-use concord_uthread::Coroutine;
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn bench_histogram(c: &mut Criterion) {
-    let mut g = c.benchmark_group("histogram");
-    g.bench_function("record", |b| {
-        let mut h = Histogram::new(3);
-        let mut v = 1u64;
-        b.iter(|| {
-            v = v.wrapping_mul(6364136223846793005).wrapping_add(1) % 1_000_000 + 1;
-            h.record(black_box(v));
-        });
-    });
-    g.bench_function("p999_query", |b| {
+/// One sample's length: what the benchmark uses from a 15 s run up.
+const SAMPLE: Duration = Duration::from_millis(10);
+
+struct Bench {
+    filter: Option<String>,
+    /// The per-layer `obs.counter_inc_ns`, printed again beside the bare
+    /// atomic it is the registered half of.
+    counter_inc_ns: Option<f64>,
+}
+
+impl Bench {
+    fn wants(&self, id: &str) -> bool {
+        self.filter.as_deref().is_none_or(|f| id.contains(f))
+    }
+
+    fn print(id: &str, ns: f64) {
+        let (value, unit) = match ns {
+            ns if ns < 1e3 => (ns, "ns"),
+            ns if ns < 1e6 => (ns / 1e3, "us"),
+            ns => (ns / 1e6, "ms"),
+        };
+        println!("{id:<48} {value:>9.2} {unit}");
+    }
+
+    /// Runs `measure` (set-up, one `time_op`, tear-down) if `id` passes
+    /// the filter, and prints what it returns.
+    fn row(&self, id: &str, measure: impl FnOnce() -> f64) {
+        if self.wants(id) {
+            Self::print(id, measure());
+        }
+    }
+}
+
+fn main() {
+    // `cargo bench` passes `--bench`; the first other argument filters.
+    let filter = std::env::args()
+        .skip(1)
+        .find(|a| !a.starts_with('-') && !a.is_empty());
+    let mut b = Bench {
+        filter,
+        counter_inc_ns: None,
+    };
+    per_layer(&mut b);
+    histogram(&b);
+    task(&b);
+    preempt(&b);
+    central_queue(&b);
+    trace(&b);
+    registry(&b);
+    kv(&b);
+    sim(&b);
+    instrument(&b);
+}
+
+fn per_layer(b: &mut Bench) {
+    // `layers::run` times the head of `PER_LAYER`, its rows in ns.
+    let mut timed = PER_LAYER.iter().take_while(|l| l.unit == "ns");
+    if !timed.any(|l| b.wants(l.name)) {
+        return;
+    }
+    for (name, ns) in layers::run(SAMPLE) {
+        if name == "obs.counter_inc_ns" {
+            b.counter_inc_ns = Some(ns);
+        }
+        if b.wants(name) {
+            Bench::print(name, ns);
+        }
+    }
+}
+
+fn histogram(b: &Bench) {
+    b.row("histogram/p999_query", || {
         let mut h = Histogram::new(3);
         for i in 1..100_000u64 {
             h.record(i * 17 % 1_000_000 + 1);
         }
-        b.iter(|| black_box(h.value_at_quantile(0.999)));
+        time_op(SAMPLE, || {
+            black_box(h.value_at_quantile(0.999));
+        })
     });
-    g.bench_function("slowdown_record", |b| {
+    b.row("histogram/slowdown_record", || {
         let mut t = SlowdownTracker::new();
-        b.iter(|| t.record(black_box(1_000), black_box(52_345)));
+        time_op(SAMPLE, || t.record(black_box(1_000), black_box(52_345)))
     });
-    g.finish();
 }
 
-fn bench_ring(c: &mut Criterion) {
-    let mut g = c.benchmark_group("spsc_ring");
-    g.bench_function("push_pop", |b| {
-        let (mut tx, mut rx) = ring::<u64>(1024);
-        b.iter(|| {
-            tx.push(black_box(42)).expect("space");
-            black_box(rx.pop().expect("item"));
-        });
-    });
-    g.finish();
-}
-
-fn bench_coroutine(c: &mut Criterion) {
-    let mut g = c.benchmark_group("uthread");
-    // §3.1: cooperative switches should be ≈100 ns; one resume is two
-    // switches (caller→coroutine→caller).
-    g.bench_function("yield_resume_pair", |b| {
-        let mut co = Coroutine::new(64 * 1024, |y| loop {
-            y.yield_now();
-        });
-        co.resume();
-        b.iter(|| {
-            black_box(co.resume());
-        });
-    });
-    g.bench_function("create_and_complete", |b| {
-        b.iter(|| {
-            let mut co = Coroutine::new(16 * 1024, |_| {});
-            black_box(co.resume());
-        });
-    });
-    g.finish();
-}
-
-fn bench_task(c: &mut Criterion) {
+fn task(b: &Bench) {
     use concord_core::task::Task;
     use concord_core::transport::spsc;
     use concord_core::SpinApp;
@@ -76,38 +113,22 @@ fn bench_task(c: &mut Criterion) {
     use concord_uthread::stack::Stack;
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    // Zero service time: what is left is binding a request to a recycled
-    // stack, one slice, and taking the stack back.
-    let request = || Request {
-        id: 1,
-        class: 0,
-        service_ns: 0,
-        sent_at: std::time::Instant::now(),
-    };
-    let mut g = c.benchmark_group("task");
-    g.bench_function("create_run_recycle_same_thread", |b| {
-        let app = Arc::new(SpinApp::new());
-        let clock = Clock::monotonic();
-        let req = request();
-        let mut stack = Some(Stack::new(64 * 1024));
-        b.iter(|| {
-            let s = stack.take().expect("stack comes back from every task");
-            let mut task = Task::with_stack(app.clone(), req, s, 0);
-            black_box(task.run_slice(&clock));
-            stack = task.recycle();
-        });
-    });
-    // The shape of the real request path: the task is built on one thread
-    // (the dispatcher's role), run and taken apart on another (a worker's),
+    // The shape of the real request path, beside the one-thread
+    // `core.task_run_ns`: the task is built on one thread (the
+    // dispatcher's role), run and taken apart on another (a worker's),
     // and its stack comes back over an SPSC ring. Whatever the build
-    // allocates is freed on the other thread, so this row — unlike the
-    // one above — pays the allocator's cross-thread path and every
-    // reference count two cores share. One iteration is one task; with
-    // JBSQ(2)'s two stacks in flight the slower of the two threads sets
-    // the time.
-    g.bench_function("create_run_recycle_cross_thread", |b| {
+    // allocates is freed on the other thread, so this row pays the
+    // allocator's cross-thread path and every reference count two cores
+    // share. One operation is one task; with JBSQ(2)'s two stacks in
+    // flight the slower of the two threads sets the time.
+    b.row("task/create_run_recycle_cross_thread", || {
         let app = Arc::new(SpinApp::new());
-        let req = request();
+        let req = Request {
+            id: 1,
+            class: 0,
+            service_ns: 0,
+            sent_at: std::time::Instant::now(),
+        };
         let (mut task_tx, mut task_rx) = spsc::<Task>(2);
         let (mut stack_tx, mut stack_rx) = spsc::<Stack>(2);
         for _ in 0..2 {
@@ -129,7 +150,7 @@ fn bench_task(c: &mut Criterion) {
                 }
             })
         };
-        b.iter(|| {
+        let ns = time_op(SAMPLE, || {
             let stack = loop {
                 match stack_rx.pop() {
                     Some(s) => break s,
@@ -141,78 +162,74 @@ fn bench_task(c: &mut Criterion) {
         });
         stop.store(true, Ordering::Release);
         runner.join().expect("runner thread");
+        ns
     });
-    g.finish();
 }
 
-fn bench_preempt(c: &mut Criterion) {
-    let mut g = c.benchmark_group("preempt");
+fn preempt(b: &Bench) {
     // §3.1: one preemption-point check must stay in the ~nanosecond
     // range. The probe carries no fault hook: an injected handler panic
     // lives in the conformance harness's app wrapper, not here.
-    g.bench_function("should_yield_worker_mode", |b| {
-        let shared = Arc::new(WorkerShared::new());
-        set_mode(PreemptMode::Worker(shared.clone()));
-        b.iter(|| black_box(should_yield()));
-        set_mode(PreemptMode::None);
-    });
-    g.bench_function("line_poll_empty", |b| {
-        let shared = WorkerShared::new();
-        b.iter(|| black_box(shared.take_signal_current()));
-    });
-    g.bench_function("begin_end_slice", |b| {
-        let shared = WorkerShared::new();
-        let clock = Clock::monotonic();
-        let quantum = Duration::from_micros(5);
-        b.iter(|| {
-            black_box(shared.begin_slice(&clock, quantum));
-            shared.end_slice();
+    b.row("preempt/should_yield_worker_mode", || {
+        set_mode(PreemptMode::Worker(Arc::new(WorkerShared::new())));
+        let ns = time_op(SAMPLE, || {
+            black_box(should_yield());
         });
+        set_mode(PreemptMode::None);
+        ns
     });
-    g.bench_function("clock_now_monotonic", |b| {
+    b.row("preempt/line_poll_empty", || {
+        let shared = WorkerShared::new();
+        time_op(SAMPLE, || {
+            black_box(shared.take_signal_current());
+        })
+    });
+    b.row("preempt/clock_now_monotonic", || {
         let clock = Clock::monotonic();
-        b.iter(|| black_box(clock.now_ns()));
+        time_op(SAMPLE, || {
+            black_box(clock.now_ns());
+        })
     });
-    g.bench_function("clock_now_virtual", |b| {
+    b.row("preempt/clock_now_virtual", || {
         let (clock, _handle) = Clock::manual();
-        b.iter(|| black_box(clock.now_ns()));
+        time_op(SAMPLE, || {
+            black_box(clock.now_ns());
+        })
     });
     // The collector's idle wait: spin → yield → bounded park instead of
-    // a pure busy-spin. Each iteration times out an empty 50 µs wait, so
+    // a pure busy-spin. Each operation times out an empty 50 µs wait, so
     // the measured cost is the whole backoff ladder — compare CPU time
     // against wall time to see the parking actually yields the core.
-    g.bench_function("collector_idle_timeout_50us", |b| {
-        use concord_net::{ring, Collector, Response, RttModel};
+    b.row("preempt/collector_idle_timeout_50us", || {
+        use concord_net::{ring::ring, Collector, Response, RttModel};
         let (_tx, rx) = ring::<Response>(64);
         let mut collector = Collector::new(rx, RttModel::zero(), 1);
-        b.iter(|| black_box(collector.collect(1, Duration::from_micros(50))));
+        time_op(SAMPLE, || {
+            black_box(collector.collect(1, Duration::from_micros(50)));
+        })
     });
-    g.finish();
 }
 
-fn bench_central_queue(c: &mut Criterion) {
+fn central_queue(b: &Bench) {
     use concord_core::CentralQueue;
 
-    let mut g = c.benchmark_group("central_queue");
     // The steal path (work-conserving dispatcher + inter-shard steals)
     // used to scan the mixed run queue with `position(|t| !t.started)` —
     // O(n) under backlog. The split-deque queue makes it a pop from the
     // fresh deque's end: the two depths below differ 10× and their costs
-    // must be indistinguishable. Each iteration steals one entry and
+    // must be indistinguishable. Each operation steals one entry and
     // pushes a replacement so the depth stays constant.
     for (name, depth) in [
-        ("steal_at_depth_1k", 1_000u64),
-        ("steal_at_depth_10k", 10_000u64),
+        ("central_queue/steal_at_depth_1k", 1_000u64),
+        ("central_queue/steal_at_depth_10k", 10_000u64),
     ] {
-        g.bench_function(name, |b| {
+        b.row(name, || {
             let mut q = CentralQueue::new();
-            for i in 0..depth {
-                q.push_fresh(i);
-            }
-            b.iter(|| {
+            (0..depth).for_each(|i| q.push_fresh(i));
+            time_op(SAMPLE, || {
                 let v = q.steal_not_started().expect("depth is maintained");
                 q.push_fresh(black_box(v));
-            });
+            })
         });
     }
     // Worst case for the old scan: the backlog is almost entirely
@@ -220,108 +237,80 @@ fn bench_central_queue(c: &mut Criterion) {
     // before finding the lone fresh victim. Now the started entries are
     // in their own deque and never touched.
     for (name, depth) in [
-        ("steal_past_1k_started", 1_000u64),
-        ("steal_past_10k_started", 10_000u64),
+        ("central_queue/steal_past_1k_started", 1_000u64),
+        ("central_queue/steal_past_10k_started", 10_000u64),
     ] {
-        g.bench_function(name, |b| {
+        b.row(name, || {
             let mut q = CentralQueue::new();
-            for i in 0..depth {
-                q.push_requeued(i);
-            }
+            (0..depth).for_each(|i| q.push_requeued(i));
             q.push_fresh(depth);
-            b.iter(|| {
+            time_op(SAMPLE, || {
                 let v = q.steal_not_started().expect("one fresh entry");
                 q.push_fresh(black_box(v));
-            });
+            })
         });
     }
     // The idle tripwire reads the not-started count every dispatcher
     // loop; it used to be an O(n) `iter().any()`.
-    g.bench_function("not_started_count_at_10k", |b| {
+    b.row("central_queue/not_started_count_at_10k", || {
         let mut q = CentralQueue::new();
-        for i in 0..10_000u64 {
-            q.push_requeued(i);
-        }
-        b.iter(|| black_box(q.not_started()));
+        (0..10_000u64).for_each(|i| q.push_requeued(i));
+        time_op(SAMPLE, || {
+            black_box(q.not_started());
+        })
     });
-    g.finish();
 }
 
-fn bench_trace(c: &mut Criterion) {
+fn trace(b: &Bench) {
     use concord_trace::{EventKind, TraceCollector, TraceEvent};
 
-    let mut g = c.benchmark_group("trace");
-    // The emit hot path the workers pay per scheduling event: one clock
-    // stamp is already in hand, so this is pack + SPSC ring write. The
-    // `preempt` group is the probe fast path beside it: `should_yield`'s
-    // empty poll touches no trace state.
-    g.bench_function("emit_hot_path", |b| {
-        let (mut collector, mut lanes) = TraceCollector::new(1, 64 * 1024);
-        let mut lane = lanes.remove(0);
-        let mut ts = 0u64;
-        b.iter(|| {
-            ts += 8;
-            let ok = lane.emit(TraceEvent::new(ts, EventKind::Resume, 7, 3));
-            if !ok {
-                // Ring full: drain like the dispatcher tick would, so the
-                // benchmark measures emit cost rather than drop cost.
-                collector.drain();
-            }
-            black_box(ok);
-        });
-    });
     // Overflowed ring: the drop-and-count path taken under a stalled
-    // collector. Must stay as cheap as a successful emit (wait-free).
-    g.bench_function("emit_overflow_drop", |b| {
+    // collector. Must stay as cheap as a successful emit
+    // (`trace.emit_ns`): both are wait-free.
+    b.row("trace/emit_overflow_drop", || {
         let (_collector, mut lanes) = TraceCollector::new(1, 16);
         let mut lane = lanes.remove(0);
         for i in 0..32u64 {
             lane.emit(TraceEvent::new(i, EventKind::Resume, 7, 3));
         }
         let mut ts = 1_000u64;
-        b.iter(|| {
+        time_op(SAMPLE, || {
             ts += 8;
             black_box(lane.emit(TraceEvent::new(ts, EventKind::Resume, 7, 3)));
-        });
+        })
     });
-    g.bench_function("event_pack_unpack", |b| {
+    b.row("trace/event_pack_unpack", || {
         let mut ts = 0u64;
-        b.iter(|| {
+        time_op(SAMPLE, || {
             ts += 8;
             let ev = TraceEvent::new(black_box(ts), EventKind::SignalSeen, 123_456, 42);
             black_box((ev.kind(), ev.id(), ev.gen()));
-        });
+        })
     });
-    g.finish();
 }
 
-fn bench_registry(c: &mut Criterion) {
+fn registry(b: &Bench) {
     use concord_obs::{render_prometheus, MetricsRegistry};
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    let mut g = c.benchmark_group("metrics_registry");
     // The introspection plane's core claim: publication is wait-free
     // because the hot path never changes. A/B: bumping a bare atomic vs
     // bumping the same atomic after it has been registered as a counter
-    // source — the two must be within noise of each other, since the
-    // registry only reads at scrape time.
-    g.bench_function("publish_bare_atomic", |b| {
+    // source (`obs.counter_inc_ns`) — the two must be within noise of
+    // each other, since the registry only reads at scrape time.
+    if b.wants("metrics_registry/publish_bare_atomic") {
         let n = Arc::new(AtomicU64::new(0));
-        b.iter(|| black_box(n.fetch_add(1, Ordering::Relaxed)));
-    });
-    g.bench_function("publish_registered_atomic", |b| {
-        let reg = MetricsRegistry::new();
-        let n = Arc::new(AtomicU64::new(0));
-        let src = n.clone();
-        reg.counter("bench_total", "a/b probe", &[], move || {
-            src.load(Ordering::Relaxed)
+        let ns = time_op(SAMPLE, || {
+            black_box(n.fetch_add(1, Ordering::Relaxed));
         });
-        b.iter(|| black_box(n.fetch_add(1, Ordering::Relaxed)));
-        black_box(reg.snapshot());
-    });
+        Bench::print("metrics_registry/publish_bare_atomic", ns);
+        if let Some(registered) = b.counter_inc_ns {
+            Bench::print("  registered: obs.counter_inc_ns", registered);
+        }
+    }
     // What a scrape costs (read side only, off the hot path): snapshot
     // plus text render of a realistic series count.
-    g.bench_function("snapshot_and_render_64_series", |b| {
+    b.row("metrics_registry/snapshot_and_render_64_series", || {
         let reg = MetricsRegistry::new();
         let n = Arc::new(AtomicU64::new(123_456));
         for i in 0..60 {
@@ -342,20 +331,124 @@ fn bench_registry(c: &mut Criterion) {
             }
             snap.push_hist("lat_ns", "scrape-cost probe", &[], &h);
         });
-        b.iter(|| black_box(render_prometheus(&black_box(reg.snapshot()))));
+        time_op(SAMPLE, || {
+            black_box(render_prometheus(&black_box(reg.snapshot())));
+        })
     });
-    g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_histogram,
-    bench_ring,
-    bench_coroutine,
-    bench_task,
-    bench_preempt,
-    bench_central_queue,
-    bench_trace,
-    bench_registry
-);
-criterion_main!(benches);
+fn kv(b: &Bench) {
+    use concord_kv::Db;
+
+    // These calibrate the service times of the Figure 9/10 simulations
+    // (paper §5.3: GET ≈ 600 ns, PUT ≈ 2.3 µs, SCAN ≈ 500 µs on a
+    // 15k-key in-memory database). Each row gets its own store, so the
+    // put row's many operations cannot grow the scan row's data set.
+    const KEYS: u32 = 15_000;
+    fn populated() -> Db {
+        let db = Db::new();
+        for i in 0..KEYS {
+            db.put(
+                format!("user{i:08}").into_bytes(),
+                format!("value-{i}-0123456789abcdef").into_bytes(),
+            );
+        }
+        db.flush();
+        db
+    }
+    b.row("kv/get_hit", || {
+        let db = populated();
+        let mut i = 0u32;
+        time_op(SAMPLE, || {
+            i = (i + 7919) % KEYS;
+            black_box(db.get(format!("user{i:08}").as_bytes()));
+        })
+    });
+    b.row("kv/get_miss", || {
+        let db = populated();
+        time_op(SAMPLE, || {
+            black_box(db.get(b"user99999999"));
+        })
+    });
+    b.row("kv/put", || {
+        let db = populated();
+        let mut i = 0u32;
+        time_op(SAMPLE, || {
+            i = i.wrapping_add(1);
+            db.put(format!("put{i:08}").into_bytes(), b"v".to_vec());
+        })
+    });
+    b.row("kv/scan_full_15k", || {
+        let db = populated();
+        time_op(SAMPLE, || {
+            black_box(db.scan_all().len());
+        })
+    });
+}
+
+fn sim(b: &Bench) {
+    use concord_sim::{abstract_queue, simulate, SimParams, SystemConfig};
+    use concord_workloads::mix;
+
+    // How fast the discrete-event engine regenerates one figure point:
+    // the paper sweep runs hundreds of them.
+    for (name, cfg) in [
+        (
+            "sim/concord_bimodal_point",
+            SystemConfig::concord(14, 5_000),
+        ),
+        (
+            "sim/shinjuku_bimodal_point",
+            SystemConfig::shinjuku(14, 5_000),
+        ),
+    ] {
+        b.row(name, || {
+            time_op(SAMPLE, || {
+                black_box(simulate(
+                    &cfg,
+                    mix::bimodal_50_1_50_100(),
+                    &SimParams::new(150_000.0, 5_000, 42),
+                ));
+            })
+        });
+    }
+    b.row("sim/abstract_queue_point", || {
+        time_op(SAMPLE, || {
+            black_box(abstract_queue::run(
+                8,
+                abstract_queue::PreemptionModel::Precise { quantum_ns: 5_000 },
+                mix::bimodal_995_05_05_500(),
+                1_000_000.0,
+                5_000,
+                42,
+            ));
+        })
+    });
+}
+
+fn instrument(b: &Bench) {
+    use concord_instrument::analysis::{analyze, AnalysisParams};
+    use concord_instrument::corpus;
+    use concord_instrument::passes::{instrument, PassConfig};
+
+    // The instrumentation pass and the exact gap-moment analysis over
+    // the Table 1 corpus.
+    let program = || corpus::benchmarks()[0].program();
+    b.row("instrument/concord_pass", || {
+        let program = program();
+        time_op(SAMPLE, || {
+            black_box(instrument(&program, &PassConfig::concord_worker()));
+        })
+    });
+    b.row("instrument/gap_analysis", || {
+        let instrumented = instrument(&program(), &PassConfig::concord_worker());
+        time_op(SAMPLE, || {
+            black_box(analyze(&instrumented, &AnalysisParams::default()));
+        })
+    });
+    b.row("instrument/full_table1", || {
+        time_op(SAMPLE, || {
+            black_box(corpus::table1());
+        })
+    });
+}

@@ -492,11 +492,6 @@ impl AdmissionQueue {
         self.closed.store(true, Ordering::Release);
     }
 
-    /// Whether [`AdmissionQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-
     /// Moves all recorded shed events into `out`.
     pub fn drain_events(&self, out: &mut Vec<AdmissionEvent>) {
         while let Some(ev) = self.events.pop() {
@@ -617,7 +612,6 @@ mod tests {
         let q = queue(4, AdmissionPolicy::DropNewest);
         q.offer(req(1, 0));
         q.close();
-        assert!(q.is_closed());
         assert!(matches!(q.offer(req(2, 0)), AdmitOutcome::Rejected));
         // Graceful drain: the admitted request is still served.
         assert_eq!(q.pop().map(|r| r.id), Some(1));

@@ -344,11 +344,6 @@ impl SloState {
             self.blown.fetch_and(!(1 << slot), Ordering::Relaxed);
         }
     }
-
-    /// Bitmask of currently-blown slots (introspection).
-    pub fn blown_mask(&self) -> u64 {
-        self.blown.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]

@@ -249,12 +249,6 @@ impl Runtime {
         self.quanta.clone()
     }
 
-    /// The live per-class SLO budgets and blown-verdict bits (all-zero
-    /// when no `--slo` budgets were configured).
-    pub fn slo_state(&self) -> Arc<SloState> {
-        self.slo.clone()
-    }
-
     /// Asks the dispatcher to stop ingesting and drain, without joining
     /// any thread. [`ShardedRuntime`](crate::shard::ShardedRuntime) uses
     /// this to wind every shard down concurrently before joining them

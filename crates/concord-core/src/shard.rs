@@ -331,11 +331,6 @@ impl ShardedRuntime {
         Some(concord_trace::merge_shard_traces(traces))
     }
 
-    /// One shard's own (unmerged) trace, tracks `0..=n_workers`.
-    pub fn take_shard_trace(&self, shard: usize) -> Option<concord_trace::Trace> {
-        self.shards[shard].take_trace()
-    }
-
     /// Quiesces and returns the final rollup.
     pub fn shutdown(mut self) -> ShardRollup {
         self.quiesce();

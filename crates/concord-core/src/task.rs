@@ -29,7 +29,6 @@ use concord_net::{Request, Response};
 use concord_uthread::stack::Stack;
 use concord_uthread::{CoState, Coroutine};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What a thread pools between requests: a coroutine stack and the
 /// application handle that runs on it.
@@ -244,11 +243,6 @@ impl Task {
             Ok(CoState::Complete) => SliceEnd::Completed,
             Err(_panic) => SliceEnd::Failed,
         }
-    }
-
-    /// Queueing delay (ingest → first execution). Valid once started.
-    pub fn queue_delay(&self) -> Duration {
-        Duration::from_nanos(self.queue_delay_ns())
     }
 
     /// Queueing delay in clock nanoseconds (ingest → first execution).
@@ -474,7 +468,7 @@ mod tests {
         let app = Arc::new(VirtualSpin(v.clone()));
         let mut t = Task::new(app, req(300_000), STACK_SIZE, clock.now_ns());
         assert!(t.first_run_ns.is_none());
-        assert_eq!(t.queue_delay(), Duration::ZERO, "not yet started");
+        assert_eq!(t.queue_delay_ns(), 0, "not yet started");
         v.advance(Duration::from_millis(2)); // deterministic "queueing"
         assert_eq!(t.run_slice(&clock), SliceEnd::Completed);
         assert!(t.first_run_ns.is_some());

@@ -266,11 +266,6 @@ impl Db {
         }
     }
 
-    /// Latest assigned sequence number.
-    pub fn last_sequence(&self) -> u64 {
-        self.seq.load(Ordering::Acquire)
-    }
-
     /// Takes a consistent snapshot at the current sequence.
     pub fn snapshot(&self) -> Snapshot<'_> {
         // Briefly exclude writers so the snapshot sequence is not torn

@@ -41,7 +41,6 @@ pub mod histogram;
 pub mod series;
 pub mod slowdown;
 pub mod summary;
-pub mod throughput;
 
 pub use breakdown::LatencyBreakdown;
 pub use capacity::{find_capacity, CapacityResult, CapacitySearch};
@@ -50,4 +49,3 @@ pub use histogram::Histogram;
 pub use series::{Series, Table};
 pub use slowdown::SlowdownTracker;
 pub use summary::Summary;
-pub use throughput::ThroughputTracker;

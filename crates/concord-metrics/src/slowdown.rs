@@ -47,11 +47,6 @@ impl SlowdownTracker {
         self.hist.record((ratio * SCALE).round() as u64);
     }
 
-    /// Records a pre-computed slowdown ratio.
-    pub fn record_ratio(&mut self, ratio: f64) {
-        self.hist.record((ratio.max(1.0) * SCALE).round() as u64);
-    }
-
     /// Number of recorded requests.
     pub fn len(&self) -> u64 {
         self.hist.len()
@@ -190,11 +185,11 @@ mod tests {
     fn slowdown_precision_resolves_slo_boundary() {
         // The SLO search needs to tell 49x from 51x apart reliably.
         let mut t = SlowdownTracker::new();
-        t.record_ratio(49.0);
+        t.record(100, 4_900);
         let p = t.p999();
         assert!((p - 49.0).abs() < 0.1, "p={p}");
         t.clear();
-        t.record_ratio(51.0);
+        t.record(100, 5_100);
         let p = t.p999();
         assert!((p - 51.0).abs() < 0.1, "p={p}");
     }

@@ -89,11 +89,6 @@ impl Summary {
         self.population_variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest observation, or +∞ if empty.
     pub fn min(&self) -> f64 {
         self.min

@@ -207,7 +207,6 @@ pub struct Collector {
     rtt: RttModel,
     rng: concord_rng::SmallRng,
     tally: Tally,
-    received: u64,
 }
 
 impl Collector {
@@ -219,7 +218,6 @@ impl Collector {
             rtt,
             rng: seeded_rng(seed),
             tally: Tally::default(),
-            received: 0,
         }
     }
 
@@ -231,7 +229,6 @@ impl Collector {
             while let Some(resp) = self.rx[ring].pop() {
                 let e2e = resp.sojourn_ns() + self.rtt.sample(&mut self.rng);
                 self.tally.completed(resp.class, resp.service_ns, e2e);
-                self.received += 1;
                 n += 1;
             }
         }
@@ -250,7 +247,7 @@ impl Collector {
     pub fn collect(&mut self, n: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut idle: u32 = 0;
-        while self.received < n {
+        while self.received() < n {
             if self.poll() == 0 {
                 if Instant::now() > deadline {
                     return false;
@@ -282,9 +279,10 @@ impl Collector {
         }
     }
 
-    /// Responses recorded so far.
+    /// Responses recorded so far: every poll records one completion, and
+    /// a latency past the histogram's range is clamped but still counted.
     pub fn received(&self) -> u64 {
-        self.received
+        self.tally.latency_ns.len()
     }
 
     /// Everything recorded so far: client-observed end-to-end latency,
@@ -430,6 +428,26 @@ mod tests {
         assert!(c.collect(1, Duration::from_secs(5)));
         h.join().expect("producer thread");
         assert_eq!(c.received(), 1);
+    }
+
+    #[test]
+    fn a_latency_past_the_histogram_still_counts_as_received() {
+        let (mut resp_tx, resp_rx) = ring::<Response>(4);
+        let rtt = RttModel {
+            base_ns: 1 << 43,
+            jitter_ns: 0,
+        };
+        let mut c = Collector::new(resp_rx, rtt, 1);
+        let req = Request {
+            id: 1,
+            class: 0,
+            service_ns: 1,
+            sent_at: Instant::now(),
+        };
+        resp_tx.push(Response::completed(&req)).expect("ring space");
+        assert_eq!(c.poll(), 1);
+        assert_eq!(c.received(), 1);
+        assert_eq!(c.tally().latency_ns.clamped(), 1);
     }
 
     #[test]

@@ -172,10 +172,9 @@ struct ReaderShared {
     /// takes it.
     inflight: Mutex<Vec<Option<Slot>>>,
     credits: Option<Credits>,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    failed: AtomicU64,
-    unexpected: AtomicU64,
+    /// Sent requests answered so far, whatever the status: all the drain
+    /// loop needs.
+    answered: AtomicU64,
     /// Nanos since the run started of the last response, for drain-idle
     /// detection.
     last_progress_ns: AtomicU64,
@@ -200,10 +199,7 @@ pub fn run<W: Workload>(
             avail: Mutex::new(cfg.window),
             ret: Condvar::new(),
         }),
-        completed: AtomicU64::new(0),
-        rejected: AtomicU64::new(0),
-        failed: AtomicU64::new(0),
-        unexpected: AtomicU64::new(0),
+        answered: AtomicU64::new(0),
         last_progress_ns: AtomicU64::new(0),
     });
     let start = Instant::now();
@@ -257,10 +253,7 @@ pub fn run<W: Workload>(
     // Drain: wait until every sent request is answered, or responses
     // stop arriving for DRAIN_IDLE_TIMEOUT.
     loop {
-        let answered = shared.completed.load(Ordering::Relaxed)
-            + shared.rejected.load(Ordering::Relaxed)
-            + shared.failed.load(Ordering::Relaxed);
-        if answered >= sent {
+        if shared.answered.load(Ordering::Relaxed) >= sent {
             break;
         }
         let last = shared.last_progress_ns.load(Ordering::Relaxed);
@@ -271,41 +264,52 @@ pub fn run<W: Workload>(
     }
     let elapsed = start.elapsed();
     let _ = stream.shutdown(Shutdown::Both);
-    let mut tally = reader.join().expect("client reader");
+    let mut answers = reader.join().expect("client reader");
 
     for (class, sent) in by_class_sent {
-        tally.by_class.entry(class).or_default().sent = sent;
+        answers.tally.by_class.entry(class).or_default().sent = sent;
     }
     Ok(ClientReport {
         sent,
-        completed: shared.completed.load(Ordering::Relaxed),
-        rejected: shared.rejected.load(Ordering::Relaxed),
-        failed: shared.failed.load(Ordering::Relaxed),
-        unexpected: shared.unexpected.load(Ordering::Relaxed),
+        completed: answers.completed,
+        rejected: answers.rejected,
+        failed: answers.failed,
+        unexpected: answers.unexpected,
         elapsed,
-        tally,
+        tally: answers.tally,
     })
 }
 
-fn reader_loop(mut stream: TcpStream, shared: Arc<ReaderShared>, start: Instant) -> Tally {
+/// What the reader thread saw. It alone classifies answers, so it keeps
+/// these counts to itself and hands them over when it exits.
+#[derive(Default)]
+struct Answers {
+    completed: u64,
+    rejected: u64,
+    failed: u64,
+    unexpected: u64,
+    tally: Tally,
+}
+
+fn reader_loop(mut stream: TcpStream, shared: Arc<ReaderShared>, start: Instant) -> Answers {
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let mut tally = Tally::default();
+    let mut answers = Answers::default();
     let mut buf = concord_wire::RecvBuf::new();
     loop {
         match buf.fill(&mut stream) {
-            Ok(0) => return tally,
+            Ok(0) => return answers,
             Ok(_) => {
                 let mut at = 0;
                 loop {
                     match wire::decode(&buf.data()[at..]) {
                         Ok(Some((Frame::Response(rf), consumed))) => {
                             at += consumed;
-                            record_response(&rf, &shared, &mut tally, start);
+                            record_response(&rf, &shared, &mut answers, start);
                         }
                         Ok(Some((Frame::Request(_), _))) | Err(_) => {
                             // Server sent garbage; nothing sane to do but
                             // stop reading.
-                            return tally;
+                            return answers;
                         }
                         Ok(None) => break,
                     }
@@ -317,7 +321,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<ReaderShared>, start: Instant)
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 continue;
             }
-            Err(_) => return tally,
+            Err(_) => return answers,
         }
     }
 }
@@ -325,7 +329,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<ReaderShared>, start: Instant)
 fn record_response(
     rf: &wire::ResponseFrame<'_>,
     shared: &ReaderShared,
-    tally: &mut Tally,
+    answers: &mut Answers,
     start: Instant,
 ) {
     let now = Instant::now();
@@ -340,7 +344,7 @@ fn record_response(
         .get_mut(rf.id as usize)
         .and_then(Option::take);
     let Some(slot) = slot else {
-        shared.unexpected.fetch_add(1, Ordering::Relaxed);
+        answers.unexpected += 1;
         return;
     };
     if let Some(credits) = &shared.credits {
@@ -348,18 +352,17 @@ fn record_response(
     }
     match rf.status {
         Status::Ok => {
-            shared.completed.fetch_add(1, Ordering::Relaxed);
+            answers.completed += 1;
             let sojourn = now.duration_since(slot.sent_at).as_nanos() as u64;
-            tally.completed(rf.class, slot.service_ns, sojourn);
+            answers.tally.completed(rf.class, slot.service_ns, sojourn);
         }
         Status::Retry => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            tally.rejected(rf.class);
+            answers.rejected += 1;
+            answers.tally.rejected(rf.class);
         }
-        Status::Failed => {
-            shared.failed.fetch_add(1, Ordering::Relaxed);
-        }
+        Status::Failed => answers.failed += 1,
     }
+    shared.answered.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -597,11 +597,6 @@ impl Server {
         self.shared.admissions[0].clone()
     }
 
-    /// Every shard's admission gate, indexed by shard id.
-    pub fn admission_shard(&self, shard: usize) -> Arc<AdmissionQueue> {
-        self.shared.admissions[shard].clone()
-    }
-
     /// Graceful shutdown: close every admission gate (new requests are
     /// answered RETRY), stop accepting, let every already-admitted
     /// request complete, flush every connection's outbox, then join the

@@ -13,7 +13,6 @@ use std::collections::BinaryHeap;
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     next_seq: u64,
-    pushed: u64,
 }
 
 #[derive(Debug)]
@@ -46,7 +45,6 @@ impl<E> EventQueue<E> {
         Self {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            pushed: 0,
         }
     }
 
@@ -54,18 +52,12 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.pushed += 1;
         self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
     /// Pops the earliest event; FIFO among equal timestamps.
     pub fn pop(&mut self) -> Option<(u64, E)> {
         self.heap.pop().map(|Reverse(e)| (e.time, e.event))
-    }
-
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Number of pending events.
@@ -76,11 +68,6 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Total events ever scheduled (for run statistics).
-    pub fn total_pushed(&self) -> u64 {
-        self.pushed
     }
 }
 
@@ -131,23 +118,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.push(42, ());
-        assert_eq!(q.peek_time(), Some(42));
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((42, ())));
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn counts_total_pushed() {
-        let mut q = EventQueue::new();
-        for t in 0..10 {
-            q.push(t, t);
-        }
-        while q.pop().is_some() {}
-        assert_eq!(q.total_pushed(), 10);
     }
 }

@@ -97,11 +97,6 @@ impl TraceCollector {
         }
     }
 
-    /// The configured flight-recorder window, if any.
-    pub fn retain_window_ns(&self) -> Option<u64> {
-        self.retain_ns
-    }
-
     /// Records discarded by flight-recorder compaction so far.
     pub fn aged_out(&self) -> u64 {
         self.aged_out

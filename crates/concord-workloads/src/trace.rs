@@ -58,20 +58,6 @@ impl<A: ArrivalProcess, W: Workload> TraceGenerator<A, W> {
         (0..n).map(|_| self.next_arrival()).collect()
     }
 
-    /// Generates arrivals until `duration_ns` of trace time has elapsed.
-    pub fn take_duration(&mut self, duration_ns: u64) -> Vec<Arrival> {
-        let end = self.now_ns + duration_ns;
-        let mut out = Vec::new();
-        loop {
-            let a = self.next_arrival();
-            if a.time_ns > end {
-                break;
-            }
-            out.push(a);
-        }
-        out
-    }
-
     /// The underlying workload.
     pub fn workload(&self) -> &W {
         &self.workload
@@ -115,11 +101,10 @@ mod tests {
     }
 
     #[test]
-    fn take_duration_respects_window() {
+    fn deterministic_arrivals_keep_a_constant_gap() {
         let mut g = TraceGenerator::new(Deterministic::with_rate(1e6), mix::fixed_1us(), 3);
-        let trace = g.take_duration(1_000_000); // 1 ms at 1 µs gaps → ~1000
-        assert!((995..=1000).contains(&trace.len()), "len={}", trace.len());
-        assert!(trace.last().unwrap().time_ns <= 1_000_000);
+        let trace = g.take_count(1_000); // 1 µs gaps → the 1000th lands at 1 ms
+        assert_eq!(trace.last().unwrap().time_ns, 1_000_000);
     }
 
     #[test]

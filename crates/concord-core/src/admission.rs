@@ -15,8 +15,10 @@
 //!   transport, which answers the client with an explicit RETRY so the
 //!   client can back off instead of timing out.
 //!
-//! The queue is multi-producer (the server's I/O event loops) and
-//! single-consumer (the dispatcher, through [`AdmissionIngress`]). Drops
+//! The queue is multi-producer ([`AdmissionQueue::offer`] from any
+//! thread) and single-consumer (the dispatcher); the TCP server's
+//! per-shard transport offers and takes on the dispatcher's own thread,
+//! so there it is a gate rather than a hand-off. Drops
 //! and rejects are recorded twice: in [`AdmissionCounters`] (folded into
 //! `RuntimeStats::snapshot()`) and as [`AdmissionEvent`]s the dispatcher
 //! drains into the tracer as `ADMIT_DROP` instants.
@@ -24,9 +26,8 @@
 //! Cost per request: a producer takes the queue mutex once per offer
 //! and bumps two relaxed atomics; the dispatcher takes it once per
 //! *batch* ([`AdmissionQueue::pop_batch`]). The queue's length is
-//! mirrored in an atomic, so an empty dispatcher pass, `len()`,
-//! `is_empty()` and the server's depth-comparing router never touch the
-//! mutex.
+//! mirrored in an atomic, so an empty dispatcher pass, `len()` and
+//! `is_empty()` never touch the mutex.
 
 use crate::clock::Clock;
 use crate::quantum::{class_slot, slot_class, SloState, CLASS_SLOTS};
@@ -320,15 +321,15 @@ impl AdmissionCounters {
     }
 }
 
-/// The bounded accept queue between transport reader threads and the
-/// dispatcher. Multi-producer ([`AdmissionQueue::offer`] from any
-/// thread), single-consumer (the dispatcher via [`AdmissionIngress`]).
+/// The bounded admission gate in front of a dispatcher. Multi-producer
+/// ([`AdmissionQueue::offer`] from any thread), single-consumer (the
+/// dispatcher's ingress).
 pub struct AdmissionQueue {
     cfg: AdmissionConfig,
     inner: Mutex<VecDeque<Request>>,
     /// `inner.len()`, stored under the lock after every change and read
     /// without it. A reader may see a value one operation old: fine for
-    /// a depth gauge and a routing hint, and the dispatcher's empty
+    /// a depth gauge, and the dispatcher's empty
     /// check is re-done on its next pass a fraction of a microsecond
     /// later.
     len: AtomicUsize,
@@ -377,14 +378,6 @@ impl AdmissionQueue {
     /// Shared admission counters.
     pub fn counters(&self) -> Arc<AdmissionCounters> {
         self.counters.clone()
-    }
-
-    /// The dispatcher-facing [`Ingress`](crate::transport::Ingress) view
-    /// of this queue.
-    pub fn ingress(self: &Arc<Self>) -> AdmissionIngress {
-        AdmissionIngress {
-            queue: self.clone(),
-        }
     }
 
     /// Offers one request at the gate. Thread-safe; never blocks beyond
@@ -500,44 +493,9 @@ impl AdmissionQueue {
     }
 }
 
-/// The dispatcher-facing half of an [`AdmissionQueue`].
-pub struct AdmissionIngress {
-    queue: Arc<AdmissionQueue>,
-}
-
-impl AdmissionIngress {
-    /// The queue this ingress drains.
-    pub fn queue(&self) -> Arc<AdmissionQueue> {
-        self.queue.clone()
-    }
-}
-
-impl crate::transport::Ingress for AdmissionIngress {
-    fn poll(&mut self) -> Option<Request> {
-        self.queue.pop()
-    }
-
-    fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize) {
-        self.queue.pop_batch(out, room);
-    }
-
-    fn drain_admission(&mut self, out: &mut Vec<AdmissionEvent>) {
-        self.queue.drain_events(out);
-    }
-
-    fn admission_counters(&self) -> Option<Arc<AdmissionCounters>> {
-        Some(self.queue.counters())
-    }
-
-    fn attach_slo(&self, slo: Arc<SloState>) {
-        self.queue.attach_slo(slo);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Ingress;
     use std::time::Instant;
 
     fn req(id: u64, class: u16) -> Request {
@@ -619,19 +577,17 @@ mod tests {
     }
 
     #[test]
-    fn ingress_view_drains_queue_and_events() {
+    fn the_consumer_side_drains_queue_and_events() {
         let q = queue(1, AdmissionPolicy::RejectNewest);
         q.offer(req(1, 0));
         q.offer(req(2, 0));
-        let mut ing = q.ingress();
-        assert_eq!(ing.poll().map(|r| r.id), Some(1));
-        assert!(ing.poll().is_none());
+        assert_eq!(q.pop().map(|r| r.id), Some(1));
+        assert!(q.pop().is_none());
         let mut evs = Vec::new();
-        ing.drain_admission(&mut evs);
+        q.drain_events(&mut evs);
         assert_eq!(evs.len(), 1);
         assert_eq!(evs[0].kind, AdmissionEventKind::Rejected);
-        let c = ing.admission_counters().expect("admitting ingress");
-        assert_eq!(c.offered(), 2);
+        assert_eq!(q.counters().offered(), 2);
     }
 
     #[test]
@@ -644,18 +600,17 @@ mod tests {
         // An eviction swaps the head for the arrival: depth unchanged.
         assert!(matches!(q.offer(req(8, 0)), AdmitOutcome::DroppedOldest(_)));
         assert_eq!(q.len(), 8);
-        let mut ing = q.ingress();
         // `room` bounds what the caller's scratch ends up holding, not
         // what this call adds to it.
         let mut out = vec![req(100, 0)];
-        ing.poll_batch(&mut out, 4);
+        q.pop_batch(&mut out, 4);
         let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
         assert_eq!(ids, [100, 1, 2, 3]);
         assert_eq!(q.len(), 5);
-        ing.poll_batch(&mut out, 4);
+        q.pop_batch(&mut out, 4);
         assert_eq!(out.len(), 4, "no room, nothing taken");
         out.clear();
-        ing.poll_batch(&mut out, 64);
+        q.pop_batch(&mut out, 64);
         let ids: Vec<u64> = out.iter().map(|r| r.id).collect();
         assert_eq!(ids, [4, 5, 6, 7, 8]);
         assert!(q.is_empty() && q.pop().is_none());

@@ -16,8 +16,9 @@ pub struct RuntimeConfig {
     /// [`ShardedRuntime`](crate::shard::ShardedRuntime) starts; each
     /// shard runs its own dispatcher thread, `n_workers` workers, and
     /// one ingress/egress pair, joined by the bounded inter-shard steal
-    /// path. A plain [`Runtime`](crate::Runtime) ignores this field
-    /// (it is always exactly one shard).
+    /// path. A plain [`Runtime`](crate::Runtime) is exactly one shard:
+    /// [`Runtime::start`](crate::Runtime::start) panics on more, and
+    /// [`RuntimeBuilder::start`] returns [`ConfigError::MultiShard`].
     pub num_shards: usize,
     /// Scheduling quantum. Requests running longer than this are signaled
     /// to yield at their next preemption point, and a request the
@@ -119,6 +120,13 @@ pub enum ConfigError {
     /// A zero `quantum_control_interval` with the controller enabled
     /// (adaptive quanta or SLO budgets): the control loop would spin.
     ZeroControlInterval,
+    /// `num_shards > 1` handed to the single-shard
+    /// [`RuntimeBuilder::start`]; a
+    /// [`ShardedRuntime`](crate::shard::ShardedRuntime) starts several.
+    MultiShard {
+        /// The configured shard count.
+        shards: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -144,6 +152,10 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "quantum_control_interval must be non-zero when adaptive \
                  quanta or SLO budgets are enabled"
+            ),
+            Self::MultiShard { shards } => write!(
+                f,
+                "a plain runtime is one shard, not {shards}; start a ShardedRuntime"
             ),
         }
     }
@@ -218,7 +230,7 @@ impl RuntimeBuilder {
 
     /// Sets the number of dispatcher+worker shards (validated ≥ 1 at
     /// build time; only [`ShardedRuntime`](crate::shard::ShardedRuntime)
-    /// consumes it).
+    /// starts more than one).
     pub fn num_shards(mut self, n: usize) -> Self {
         self.cfg.num_shards = n;
         self
@@ -353,7 +365,8 @@ impl RuntimeBuilder {
     }
 
     /// Validates the configuration, then starts the runtime on the given
-    /// app and transport endpoints.
+    /// app and transport endpoints. A plain runtime is one shard, so
+    /// `num_shards > 1` is [`ConfigError::MultiShard`].
     pub fn start<A, I, E>(
         self,
         app: std::sync::Arc<A>,
@@ -365,7 +378,13 @@ impl RuntimeBuilder {
         I: crate::transport::Ingress,
         E: crate::transport::Egress,
     {
-        Ok(crate::Runtime::start(self.build()?, app, ingress, egress))
+        let cfg = self.build()?;
+        if cfg.num_shards > 1 {
+            return Err(ConfigError::MultiShard {
+                shards: cfg.num_shards,
+            });
+        }
+        Ok(crate::Runtime::start(cfg, app, ingress, egress))
     }
 }
 
@@ -446,6 +465,33 @@ mod tests {
             .build()
             .expect("valid config");
         assert_eq!(c.num_shards, 4);
+    }
+
+    /// A plain runtime is one shard: asking it for two used to start
+    /// one and ignore the rest silently.
+    #[test]
+    fn a_plain_runtime_refuses_more_than_one_shard() {
+        use crate::transport::spsc;
+        let (_, rx) = spsc::<concord_net::Request>(8);
+        let (tx, _) = spsc::<concord_net::Response>(8);
+        let err = RuntimeConfig::builder()
+            .num_shards(2)
+            .start(std::sync::Arc::new(crate::SpinApp::new()), rx, tx)
+            .err()
+            .expect("two shards refused before any thread starts");
+        assert_eq!(err, ConfigError::MultiShard { shards: 2 });
+        assert!(err.to_string().contains("ShardedRuntime"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "needs ShardedRuntime::start")]
+    fn runtime_start_panics_on_more_than_one_shard() {
+        use crate::transport::spsc;
+        let (_, rx) = spsc::<concord_net::Request>(8);
+        let (tx, _) = spsc::<concord_net::Response>(8);
+        let mut cfg = RuntimeConfig::small_test();
+        cfg.num_shards = 2;
+        crate::Runtime::start(cfg, std::sync::Arc::new(crate::SpinApp::new()), rx, tx);
     }
 
     #[test]

@@ -49,9 +49,9 @@ pub struct DispatcherLoop<I: Ingress, E: Egress> {
     pub pool: FramePool,
     /// Runtime configuration.
     pub cfg: RuntimeConfig,
-    /// Request source (NIC-model RX ring, TCP admission queue, ...).
+    /// Request source (NIC-model RX ring, a shard's TCP sockets, ...).
     pub rx: I,
-    /// Response sink (NIC-model TX ring, TCP connection writers, ...).
+    /// Response sink (NIC-model TX ring, a shard's TCP sockets, ...).
     pub tx: E,
     /// Per-worker slots.
     pub workers: Vec<WorkerSlot>,
@@ -633,6 +633,10 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                 }
             }
 
+            // The pass's writes: a transport that batches them decides
+            // here what of this pass's emits to send.
+            self.tx.flush();
+
             // 7. Shutdown: once asked to stop and fully drained, release
             //    the workers and exit.
             if self.stop.load(Ordering::Acquire) && !progressed {
@@ -656,6 +660,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                     // after the joins.
                     self.drain_trace();
                     self.workers_stop.store(true, Ordering::Release);
+                    self.tx.finish();
                     return;
                 }
             }

@@ -74,8 +74,8 @@ pub mod transport;
 pub mod worker;
 
 pub use admission::{
-    AdmissionConfig, AdmissionCounters, AdmissionEvent, AdmissionIngress, AdmissionPolicy,
-    AdmissionQueue, AdmitOutcome,
+    AdmissionConfig, AdmissionCounters, AdmissionEvent, AdmissionPolicy, AdmissionQueue,
+    AdmitOutcome,
 };
 pub use app::{ConcordApp, KvApp, RequestContext, SpinApp};
 pub use central::{jbsq_pick, CentralQueue};

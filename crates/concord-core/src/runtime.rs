@@ -52,18 +52,26 @@ impl Runtime {
     /// `config.n_workers` worker threads, serving requests polled from
     /// `ingress` and emitting responses on `egress`. The in-process
     /// NIC-model rings (`concord_net::ring`) implement both traits, as
-    /// does the TCP admission path in `concord-server`.
+    /// does each shard's socket transport in `concord-server`.
     ///
     /// # Panics
     ///
-    /// Panics if `config.n_workers` is zero or thread spawning fails.
-    /// Prefer [`Runtime::builder`], which validates instead.
+    /// Panics if `config.n_workers` is zero, if `config.num_shards` asks
+    /// for more than the one shard a plain runtime is (start a
+    /// [`ShardedRuntime`](crate::shard::ShardedRuntime) for that), or if
+    /// thread spawning fails. Prefer [`Runtime::builder`], which
+    /// validates instead.
     pub fn start<A: ConcordApp, I: Ingress, E: Egress>(
         config: RuntimeConfig,
         app: Arc<A>,
         ingress: I,
         egress: E,
     ) -> Self {
+        assert!(
+            config.num_shards <= 1,
+            "Runtime::start runs one shard; num_shards = {} needs ShardedRuntime::start",
+            config.num_shards
+        );
         Self::start_inner(config, app, ingress, egress, None)
     }
 
@@ -128,8 +136,8 @@ impl Runtime {
             )
         });
         // SLO-aware shedding: hand the blown-verdict bits to the ingress
-        // (a no-op for plain rings; the TCP admission queue sheds blown
-        // classes with RETRY).
+        // (a no-op for plain rings; a TCP shard's admission gate sheds
+        // blown classes with RETRY).
         if slo.any_budget() {
             ingress.attach_slo(slo.clone());
         }

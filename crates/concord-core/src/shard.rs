@@ -29,8 +29,9 @@
 //! request; completion is charged to the shard that ran it. A stolen
 //! task therefore makes the *per-shard* conservation law fail open by
 //! design, and the cross-shard law the conformance oracle checks is the
-//! one that must hold at quiescence:
-//! `Σ ingested == Σ completed + Σ failed + Σ tx_dropped`.
+//! one that must hold at quiescence: `Σ ingested == Σ completed + Σ
+//! failed` (a dropped response's request did complete, so `tx_dropped`
+//! is inside `completed`, not beside it).
 
 use crate::app::ConcordApp;
 use crate::config::RuntimeConfig;
@@ -224,9 +225,9 @@ impl ShardRollup {
 /// inter-shard steal path.
 ///
 /// Each shard gets its own ingress and egress endpoint (index-aligned
-/// with the shard id); a front-end router — e.g. the TCP server's
-/// hash/power-of-two-choices router — decides which shard's ingress a
-/// request enters.
+/// with the shard id); the front end decides which shard's ingress a
+/// request enters — the TCP server places each connection on one shard
+/// at accept.
 pub struct ShardedRuntime {
     shards: Vec<Runtime>,
     links: Arc<Vec<Arc<ShardLink>>>,

@@ -19,7 +19,7 @@
 //!
 //! The original NIC-model rings implement both traits below, so existing
 //! ring-based callers compile unchanged; `concord-server` implements them
-//! over TCP connections.
+//! over the TCP connections each shard's dispatcher owns.
 
 use crate::admission::{AdmissionCounters, AdmissionEvent};
 use concord_net::{Request, Response};
@@ -102,14 +102,24 @@ pub trait Egress: Send + 'static {
     /// after its bounded retry, or at once when the fault injector
     /// rejects it (the `tx_dropped` path). Transports that keep
     /// per-request books settle them here, so a dropped response can
-    /// never pin a connection's resources forever: `concord-server`'s
-    /// event loop counts every request it admitted as *owed* until its
-    /// answer arrives, and this hook pushes the request id into that
-    /// loop's settle inbox instead. Must not block. Default: no-op (the
-    /// NIC-model rings have no books).
+    /// never pin a connection's resources forever: `concord-server`
+    /// counts every request a connection sent as *owed* until its
+    /// answer arrives, and this hook settles it instead. Must not
+    /// block. Default: no-op (the NIC-model rings have no books).
     fn on_drop(&mut self, resp: &Response) {
         let _ = resp;
     }
+
+    /// Called once per dispatcher pass, after the pass's responses were
+    /// sent: a transport that batches its writes makes them here. Must
+    /// not block. Default: no-op.
+    fn flush(&mut self) {}
+
+    /// Called once, after the dispatcher has drained and before its
+    /// thread exits: a transport that owns connections writes out what
+    /// they still hold, waiting a bounded time for slow readers.
+    /// Default: no-op.
+    fn finish(&mut self) {}
 }
 
 /// The NIC-model RX ring is the original ingress.

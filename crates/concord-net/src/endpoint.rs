@@ -1,5 +1,5 @@
 //! The non-blocking socket endpoint every TCP front end is built on:
-//! the server's event loops, the rack proxy and the admin HTTP
+//! the server's dispatchers, the rack proxy and the admin HTTP
 //! listener all queue, write, register and accept through these four
 //! pieces, on a level-triggered [`Poller`].
 //!

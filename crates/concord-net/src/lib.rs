@@ -17,7 +17,7 @@
 //! - [`poll`] (Linux) — a first-party epoll/eventfd wrapper,
 //!   the readiness layer under every TCP endpoint in the workspace.
 //! - [`endpoint`] (Linux) — the non-blocking socket endpoint on that
-//!   poller, written once for the server's event loops, the rack proxy
+//!   poller, written once for the server's dispatchers, the rack proxy
 //!   and the admin HTTP listener: a frame-bounded outbox, the flush that
 //!   writes it, the interest reconcile, and a listener that parks on
 //!   accept failures.

@@ -17,14 +17,12 @@
 //!   reporting until drained, which is what makes the server's
 //!   state machines restartable after partial reads.
 //! - [`Waker`] — an `eventfd` that other threads write to pull a
-//!   blocked [`Poller::wait`] out of its sleep. A write is a syscall on
-//!   the writer's thread and a context switch on the sleeper's, so the
-//!   server's event loop arranges to be written to only while it is
-//!   actually asleep (`concord-server`'s `eventloop` module): with
-//!   requests in flight it polls with a zero timeout instead, and a
-//!   running loop is never woken.
+//!   blocked [`Poller::wait`] out of its sleep (the rack proxy's and the
+//!   admin listener's loops). A write is a syscall on the writer's
+//!   thread and a context switch on the sleeper's; the server's
+//!   dispatchers poll with a zero timeout and are never woken.
 //!
-//! Linux-only, like the event-loop server built on it; the rest of the
+//! Linux-only, like the TCP server built on it; the rest of the
 //! workspace (simulator, in-process rings) stays portable.
 
 use std::io;

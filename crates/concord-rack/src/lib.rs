@@ -9,8 +9,7 @@
 //! power-of-two-choices over cheaply sampled queue depths — two hashed
 //! candidate backends per connection, the less-loaded one per request,
 //! ties keeping the primary so a connection's requests cluster on one
-//! backend (cache affinity), exactly like the server's own `HashP2c`
-//! shard router one layer down.
+//! backend (cache affinity).
 //!
 //! The moving parts:
 //!

@@ -5,7 +5,8 @@
 //!
 //! - **Depth sampling** — for every backend configured with an admin
 //!   address, scrape `GET /statz` and record the summed per-shard
-//!   admission-queue depth via [`BackendTable::record_sample`]. The
+//!   depth (the requests each shard holds) via
+//!   [`BackendTable::record_sample`]. The
 //!   balancer combines the sample with its own in-flight count; when
 //!   the scrape stops succeeding the sample goes stale and the balancer
 //!   falls back to in-band estimation on its own.

@@ -8,7 +8,7 @@
 //!               [--control-interval-ms MS] [--slo CLASS:P99_US[,..]]
 //!               [--admission-cap N]
 //!               [--admission-policy drop-newest|drop-oldest|reject]
-//!               [--loops N] [--admin HOST:PORT] [--report-interval SECS]
+//!               [--admin HOST:PORT] [--report-interval SECS]
 //!               [--trace-retain SECS] [--oneshot] [--trace PATH]
 //! ```
 //!
@@ -16,8 +16,9 @@
 //! alias for one release; the flag was renamed so every Concord binary
 //! that binds a socket spells it the same way).
 //!
-//! All connections are multiplexed over a fixed pool of `--loops` epoll
-//! I/O event loops.
+//! There is no I/O thread: each shard's dispatcher polls the sockets of
+//! the connections placed on it (least connections, at accept) once per
+//! pass.
 //!
 //! `--admin HOST:PORT` starts the introspection plane beside the data
 //! plane: `GET /metrics` (Prometheus text), `GET /healthz`, `GET /statz`
@@ -37,8 +38,8 @@
 //! if PATH ends in `.json`, compact binary otherwise).
 //!
 //! `--shards N` starts N independent dispatcher+worker groups (each with
-//! `--workers` workers) behind a hash/power-of-two-choices connection
-//! router, joined by the bounded inter-shard steal path.
+//! `--workers` workers), each owning the connections placed on it at
+//! accept, joined by the bounded inter-shard steal path.
 //!
 //! `--policy` selects each shard's scheduling policy: `ps` (quantum
 //! processor sharing, the default), `fcfs` (run-to-completion),
@@ -76,7 +77,6 @@ struct Args {
     policy: PolicyKind,
     admission_cap: usize,
     admission_policy: AdmissionPolicy,
-    loops: usize,
     admin: Option<String>,
     report_interval: u64,
     trace_retain: u64,
@@ -139,7 +139,6 @@ fn parse_args() -> Args {
         "reject",
         "overload response at the admission gate",
     )
-    .opt_default("loops", "N", "0", "event loops (0 = one per 4 workers)")
     .opt(
         "admin",
         "HOST:PORT",
@@ -196,7 +195,6 @@ fn parse_args() -> Args {
             )
             .unwrap_or_else(|e| m.fatal(e))
             .expect("defaulted"),
-        loops: m.require("loops").unwrap_or_else(|e| m.fatal(e)),
         admin: m.get("admin").map(String::from),
         report_interval: m.require("report-interval").unwrap_or_else(|e| m.fatal(e)),
         trace_retain: m.require("trace-retain").unwrap_or_else(|e| m.fatal(e)),
@@ -237,10 +235,7 @@ fn print_report(report: &ServerReport, trace_path: Option<&std::path::Path>) {
         report.orphaned_responses,
         report.retries_dropped
     );
-    println!(
-        "io loops: slept {}  in flight at exit {}",
-        report.io.loop_sleeps, report.io.in_flight
-    );
+    println!("io: in flight at exit {}", report.io.in_flight);
     for (shard, adm) in report.admission_per_shard.iter().enumerate() {
         println!(
             "admission shard {shard}: offered {}  shed {}",
@@ -312,12 +307,10 @@ fn serve<A: ConcordApp>(args: &Args, app: Arc<A>) {
         eprintln!("concord-serve: invalid runtime config: {e}");
         exit(2);
     });
-    let mut builder = ServerConfig::builder(runtime)
-        .admission(AdmissionConfig {
-            capacity: args.admission_cap,
-            policy: args.admission_policy,
-        })
-        .event_loops(args.loops);
+    let mut builder = ServerConfig::builder(runtime).admission(AdmissionConfig {
+        capacity: args.admission_cap,
+        policy: args.admission_policy,
+    });
     if let Some(admin) = &args.admin {
         builder = builder.admin(admin.clone());
     }

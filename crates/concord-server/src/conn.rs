@@ -1,5 +1,5 @@
 //! Connection identity and response routing: generation-tagged slots,
-//! kept by the one event loop that owns them.
+//! kept by the one shard dispatcher that owns them.
 //!
 //! The server routes responses back to connections through bits packed
 //! into the request id. The original scheme used a bare 16-bit counter
@@ -10,10 +10,11 @@
 //!
 //! This module replaces the counter with a slot table:
 //!
-//! - a **slot** (16 bits) indexes the table. Event loop `i` of `n` owns
-//!   the slots `s` with `s % n == i` (`owner`), so the slot in a route
-//!   id names the loop that must hear about the request, with no lookup
-//!   and no lock;
+//! - a **slot** (16 bits) indexes the table. Shard `i` of `n` owns the
+//!   slots `s` with `s % n == i` (`owner`), so the slot in a route id
+//!   names the shard that must hear about the request, with no lookup
+//!   and no lock — also when a sibling shard's dispatcher stole the
+//!   request and answers it;
 //! - a **generation** (8 bits) is bumped on every slot reuse and packed
 //!   into the route id next to the slot.
 //!
@@ -24,9 +25,9 @@
 //! the generation wrap, and the generation is what tells a late answer
 //! for a freed slot from one for its live occupant.
 //!
-//! Every book here is a plain field of the owning loop's `ConnTable`:
+//! Every book here is a plain field of the owning shard's `ConnTable`:
 //! a slot's `owed` count, its connection's [`Outbox`] (the shared
-//! `concord_net::endpoint` one, bounded in frames), and the loop's
+//! `concord_net::endpoint` one, bounded in frames), and the shard's
 //! `in_flight`, which always equals the sum of `owed` over its slots.
 //!
 //! The route-id bit layout itself (`16-bit slot | 8-bit generation |
@@ -36,9 +37,9 @@
 use concord_net::endpoint::Outbox;
 use concord_wire::route::MAX_CONNS;
 
-/// The event loop (of `loops`) that owns `slot`.
-pub(crate) fn owner(slot: u16, loops: usize) -> usize {
-    usize::from(slot) % loops
+/// The shard (of `shards`) that owns `slot`.
+pub(crate) fn owner(slot: u16, shards: usize) -> usize {
+    usize::from(slot) % shards
 }
 
 struct Slot {
@@ -50,10 +51,10 @@ struct Slot {
     outbox: Option<Outbox>,
 }
 
-/// One event loop's generation-tagged slots and the books kept on them.
-/// Touched by the owning loop only.
+/// One shard's generation-tagged slots and the books kept on them.
+/// Touched by the owning shard's dispatcher only.
 pub(crate) struct ConnTable {
-    /// This loop's index and the loop count: it owns the slots
+    /// This shard's index and the shard count: it owns the slots
     /// `index, index + stride, index + 2 * stride, ...`.
     index: usize,
     stride: usize,
@@ -66,12 +67,12 @@ pub(crate) struct ConnTable {
 }
 
 impl ConnTable {
-    /// The slots of loop `index` of `loops`, each connection's outbox
+    /// The slots of shard `index` of `shards`, each connection's outbox
     /// bounded at `outbox_cap` frames.
-    pub(crate) fn new(index: usize, loops: usize, outbox_cap: usize) -> Self {
+    pub(crate) fn new(index: usize, shards: usize, outbox_cap: usize) -> Self {
         Self {
             index,
-            stride: loops,
+            stride: shards,
             outbox_cap,
             slots: Vec::new(),
             free: Vec::new(),
@@ -79,7 +80,7 @@ impl ConnTable {
         }
     }
 
-    /// The slot's state, if this loop owns it and `gen` names its
+    /// The slot's state, if this shard owns it and `gen` names its
     /// current occupant.
     fn get(&mut self, slot: u16, gen: u8) -> Option<&mut Slot> {
         if owner(slot, self.stride) != self.index {
@@ -90,7 +91,7 @@ impl ConnTable {
     }
 
     /// Registers a connection: takes a free slot (bumping its
-    /// generation) or grows the table. `None` when every slot this loop
+    /// generation) or grows the table. `None` when every slot this shard
     /// owns is held — the caller should refuse the connection.
     pub(crate) fn register(&mut self) -> Option<(u16, u8)> {
         let outbox = Some(Outbox::new(self.outbox_cap));
@@ -153,7 +154,7 @@ impl ConnTable {
         self.slots[usize::from(slot) / self.stride].owed
     }
 
-    /// Requests admitted through this loop and not yet settled.
+    /// Requests admitted on this shard's connections and not yet settled.
     pub(crate) fn in_flight(&self) -> u64 {
         self.in_flight
     }
@@ -209,12 +210,12 @@ mod tests {
     }
 
     #[test]
-    fn each_loop_owns_its_residue_class() {
+    fn each_shard_owns_its_residue_class() {
         let mut t = ConnTable::new(2, 3, 64);
         let slots: Vec<u16> = (0..4).map(|_| t.register().expect("slot").0).collect();
         assert_eq!(slots, [2, 5, 8, 11]);
         assert!(slots.iter().all(|&s| owner(s, 3) == 2));
-        // Another loop's slot is not this table's to touch.
+        // Another shard's slot is not this table's to touch.
         assert!(t.outbox(3, 0).is_none());
         assert!(!t.settle(4, 0));
         // The last slot is the last one `slot % 3 == 2` fits in 16 bits.

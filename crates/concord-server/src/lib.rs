@@ -5,14 +5,15 @@
 //! - the wire protocol: the length-prefixed binary frames (version 1)
 //!   carrying requests and responses live in the [`concord_wire`] crate,
 //!   shared with the `concord-rack` front-end balancer.
-//! - [`server`]: a [`Server`] that binds a listener, routes each
-//!   connection to one of N scheduler shards (hash with a
-//!   power-of-two-choices fallback on admission-queue depth), feeds
-//!   decoded requests through a per-shard overload-aware admission gate
-//!   into a [`ShardedRuntime`](concord_core::ShardedRuntime), and routes
-//!   responses back to their originating connection through
-//!   generation-tagged slots ([`conn`]). Sockets are serviced by a small
-//!   fixed pool of epoll event loops, whatever the connection count.
+//! - [`server`]: a [`Server`] that binds a listener and serves it from
+//!   N scheduler shards of a [`ShardedRuntime`](concord_core::ShardedRuntime).
+//!   Each shard's dispatcher owns the connections placed on it at
+//!   accept (least connections) and polls their sockets itself, once per
+//!   pass, through its transport: no I/O thread stands between the
+//!   sockets and the scheduler. Decoded requests pass the shard's
+//!   overload-aware admission gate on the same thread, and responses go
+//!   back to their originating connection through generation-tagged
+//!   slots ([`conn`]).
 //! - [`client`]: an open/closed-loop load generator reporting the same
 //!   slowdown percentiles as the in-process collector.
 //!
@@ -45,11 +46,9 @@
 pub mod admin;
 pub mod client;
 pub mod conn;
-mod eventloop;
 pub mod server;
+mod socket;
 
 pub use client::{ClientConfig, ClientReport};
 pub use concord_wire::{Frame, RequestFrame, ResponseFrame, Status, WireError};
-pub use server::{
-    ConfigError, IoStats, RouterPolicy, Server, ServerConfig, ServerConfigBuilder, ServerReport,
-};
+pub use server::{ConfigError, IoStats, Server, ServerConfig, ServerConfigBuilder, ServerReport};

@@ -12,7 +12,7 @@
 
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
 use concord_core::{RuntimeConfig, SpinApp};
-use concord_server::{RouterPolicy, Server, ServerConfig};
+use concord_server::{Server, ServerConfig};
 use concord_wire::frame::{self as wire, Frame};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -43,7 +43,6 @@ fn held_connection_survives_full_conn_id_wrap() {
                 capacity: 1024,
                 policy: AdmissionPolicy::RejectNewest,
             },
-            router: RouterPolicy::HashP2c,
             ..ServerConfig::new(
                 RuntimeConfig::builder()
                     .workers(1)

@@ -3,7 +3,7 @@
 //! affected connection attempt — never the accept path itself. A
 //! connection whose setup fails is refused (slot released, stream
 //! dropped, counted in `refused`) and accepting continues; under EMFILE
-//! the event loop parks the listener and resumes once descriptors free
+//! the dispatcher parks the listener and resumes once descriptors free
 //! up, accepting the connection that was waiting in the backlog.
 //!
 //! Everything runs inside ONE `#[test]` because the rlimit scenario
@@ -69,7 +69,6 @@ fn bind_server(setup_faults: u64) -> Server {
                 capacity: 1024,
                 policy: AdmissionPolicy::RejectNewest,
             },
-            event_loops: 1,
             conn_setup_faults: Arc::new(AtomicU64::new(setup_faults)),
             ..ServerConfig::new(
                 RuntimeConfig::builder()
@@ -164,12 +163,12 @@ fn injected_faults_scenario() {
     assert_eq!(report.orphaned_responses, 0);
 }
 
-/// Real descriptor exhaustion: accept() itself returns EMFILE, the loop
-/// parks the listener, and — once descriptors free up —
+/// Real descriptor exhaustion: accept() itself returns EMFILE, the
+/// dispatcher parks the listener, and — once descriptors free up —
 /// accepts the connection that waited in the backlog. Nothing is
 /// refused; the very stream that arrived during exhaustion completes a
 /// round trip.
-fn eventloop_emfile_scenario() {
+fn emfile_scenario() {
     let server = bind_server(0);
     let addr = server.local_addr();
 
@@ -195,7 +194,7 @@ fn eventloop_emfile_scenario() {
 
     let mut parked = TcpStream::connect(addr).expect("connect during EMFILE");
     parked.set_nodelay(true).expect("nodelay");
-    // Give the loop a few park/retry cycles while the table is full.
+    // Give the dispatcher a few park/retry cycles while the table is full.
     std::thread::sleep(Duration::from_millis(100));
 
     drop(ballast);
@@ -217,5 +216,5 @@ fn eventloop_emfile_scenario() {
 #[test]
 fn ingress_survives_setup_faults_and_descriptor_exhaustion() {
     injected_faults_scenario();
-    eventloop_emfile_scenario();
+    emfile_scenario();
 }

@@ -8,7 +8,7 @@ use concord_core::fault::FaultInjector;
 use concord_core::trace::EventKind;
 use concord_core::{RuntimeConfig, SpinApp};
 use concord_server::client::{self, ClientConfig};
-use concord_server::{RouterPolicy, Server, ServerConfig, ServerReport};
+use concord_server::{Server, ServerConfig, ServerReport};
 use concord_wire::frame::{self as wire, Frame, Status};
 use concord_workloads::mix;
 use std::collections::HashMap;
@@ -25,7 +25,6 @@ fn server_config(capacity: usize, policy: AdmissionPolicy, workers: usize) -> Se
         .expect("valid config");
     ServerConfig {
         admission: AdmissionConfig { capacity, policy },
-        router: RouterPolicy::HashP2c,
         ..ServerConfig::new(runtime)
     }
 }
@@ -52,7 +51,7 @@ fn stat(report: &ServerReport, name: &str) -> u64 {
 fn assert_conservation(report: &ServerReport, sent: u64, completed: u64, rejected: u64) {
     assert_eq!(report.protocol_errors, 0, "clean frames only");
     // However each request left — answered, shed, dropped — it left the
-    // event loops' in-flight ledger too.
+    // shard's in-flight ledger too.
     assert_eq!(report.io.in_flight, 0, "io ledger closes at zero");
 
     // Everything the client sent reached the admission gate.

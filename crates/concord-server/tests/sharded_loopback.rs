@@ -1,21 +1,25 @@
-//! Sharded-server end-to-end: M connections spread over N scheduler
+//! Sharded-server end-to-end: M connections placed over N scheduler
 //! shards through real loopback TCP, checked against the cross-shard
 //! conservation oracle, per-shard JBSQ bounds from the merged trace, and
-//! — under a deliberately skewed router — a live inter-shard steal path.
+//! — with one connection on two shards — a live inter-shard steal path.
 
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
 use concord_core::trace::ShardTraceSummary;
 use concord_core::{RuntimeConfig, SpinApp};
 use concord_server::client::{self, ClientConfig};
-use concord_server::{RouterPolicy, Server, ServerConfig};
+use concord_server::{Server, ServerConfig};
+use concord_wire::frame::{self as wire, Frame};
 use concord_workloads::dist::Dist;
 use concord_workloads::mix::{ClassSpec, Mix};
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 const JBSQ_K: usize = 2;
 
-fn start_server(shards: usize, workers: usize, router: RouterPolicy) -> Server {
+fn start_server(shards: usize, workers: usize) -> Server {
     Server::bind(
         "127.0.0.1:0",
         ServerConfig {
@@ -23,7 +27,6 @@ fn start_server(shards: usize, workers: usize, router: RouterPolicy) -> Server {
                 capacity: 4096,
                 policy: AdmissionPolicy::RejectNewest,
             },
-            router,
             ..ServerConfig::new(
                 RuntimeConfig::builder()
                     .workers(workers)
@@ -92,7 +95,7 @@ fn two_shard_loopback_conserves_twenty_thousand_requests() {
     const CONNS: usize = 8;
     const PER_CONN: u64 = 2_500; // 20k total
 
-    let server = start_server(2, 2, RouterPolicy::HashP2c);
+    let server = start_server(2, 2);
     let addr = server.local_addr().to_string();
     let (sent, completed, rejected, failed, unaccounted) =
         run_clients(&addr, CONNS, PER_CONN, 32, 5.0);
@@ -104,7 +107,8 @@ fn two_shard_loopback_conserves_twenty_thousand_requests() {
     let report = server.shutdown();
     assert_eq!(report.orphaned_responses, 0);
     assert_eq!(report.protocol_errors, 0);
-    // Two dispatchers answered into the loops' ledger; it closed at zero.
+    // Two dispatchers answered into their shards' ledgers; both closed
+    // at zero.
     assert_eq!(report.io.in_flight, 0);
 
     // Cross-shard conservation: everything the shards ingested came out
@@ -114,7 +118,7 @@ fn two_shard_loopback_conserves_twenty_thousand_requests() {
         "cross-shard conservation violated: {:?}",
         report.rollup
     );
-    // The gates and the shards agree: what the routers admitted is what
+    // The gates and the shards agree: what the gates admitted is what
     // the dispatchers ingested.
     let admitted: u64 = report
         .admission_per_shard
@@ -125,7 +129,8 @@ fn two_shard_loopback_conserves_twenty_thousand_requests() {
     // What the clients saw is what the shards did.
     assert_eq!(report.rollup.total_completed(), completed);
 
-    // The hash router spread the connections: no shard sat idle.
+    // Least-connections placement spread the connections: no shard sat
+    // idle.
     for (i, s) in report.rollup.per_shard.iter().enumerate() {
         assert!(
             s.ingested > 0,
@@ -144,18 +149,68 @@ fn two_shard_loopback_conserves_twenty_thousand_requests() {
 }
 
 #[test]
-fn pinned_router_skew_drives_inter_shard_steals() {
-    const CONNS: usize = 4;
-    const PER_CONN: u64 = 150;
+fn two_connections_on_two_shards_are_placed_one_per_shard() {
+    const PER_CONN: u64 = 100;
+    let server = start_server(2, 1);
+    let mut conns: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(server.local_addr()).expect("connect"))
+        .collect();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while server.accepted() < 2 {
+        assert!(std::time::Instant::now() < deadline, "never accepted both");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    for conn in &mut conns {
+        let mut frames = Vec::new();
+        for id in 0..PER_CONN {
+            wire::encode_request(&mut frames, id, 0, 10_000, &[]);
+        }
+        conn.write_all(&frames).expect("send requests");
+        conn.shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+    }
+    for conn in &mut conns {
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        let mut buf = Vec::new();
+        conn.read_to_end(&mut buf).expect("server closes");
+        let (mut answers, mut at) = (0, 0);
+        while let Ok(Some((Frame::Response(rf), used))) = wire::decode(&buf[at..]) {
+            assert_eq!(rf.status, wire::Status::Ok);
+            answers += 1;
+            at += used;
+        }
+        assert_eq!(answers, PER_CONN, "every request answered");
+    }
+    let report = server.shutdown();
+    // Each shard's gate saw exactly one connection's requests, and each
+    // dispatcher ingested them.
+    for (shard, gate) in report.admission_per_shard.iter().enumerate() {
+        assert_eq!(
+            gate.admitted.load(Ordering::Relaxed),
+            PER_CONN,
+            "shard {shard}: {:?}",
+            report.rollup
+        );
+        assert!(report.rollup.per_shard[shard].ingested > 0);
+    }
+    assert!(report.rollup.conservation_holds());
+    assert_eq!(report.io.in_flight, 0);
+}
 
-    // Every connection pinned to shard 0, one worker per shard, 2 ms
-    // requests: shard 0 saturates, sheds never-started work into its
-    // overflow ring, and idle shard 1 steals it.
-    let server = start_server(2, 1, RouterPolicy::Pin(0));
+#[test]
+fn one_connection_on_two_shards_drives_inter_shard_steals() {
+    const PER_CONN: u64 = 600;
+
+    // One connection, so one shard owns all the traffic; one worker per
+    // shard and 2 ms requests: the owner saturates, sheds never-started
+    // work into its overflow ring, and the idle shard steals it and
+    // answers it back through the owner.
+    let server = start_server(2, 1);
     let addr = server.local_addr().to_string();
     let (sent, completed, rejected, failed, unaccounted) =
-        run_clients(&addr, CONNS, PER_CONN, 16, 2_000.0);
-    assert_eq!(sent, CONNS as u64 * PER_CONN);
+        run_clients(&addr, 1, PER_CONN, 16, 2_000.0);
+    assert_eq!(sent, PER_CONN);
     assert_eq!(unaccounted, 0);
     assert_eq!(failed, 0);
     assert_eq!(completed + rejected, sent);
@@ -167,25 +222,28 @@ fn pinned_router_skew_drives_inter_shard_steals() {
         "cross-shard conservation violated: {:?}",
         report.rollup
     );
-    // The pin really skewed ingest onto shard 0...
+    assert_eq!(report.io.in_flight, 0);
+    // One shard ingested everything...
+    let owner = usize::from(report.rollup.per_shard[0].ingested == 0);
+    let thief = 1 - owner;
     assert_eq!(
-        report.admission_per_shard[1]
+        report.admission_per_shard[thief]
             .admitted
-            .load(std::sync::atomic::Ordering::Relaxed),
+            .load(Ordering::Relaxed),
         0
     );
-    assert_eq!(report.rollup.per_shard[1].ingested, 0);
-    // ...and the steal path moved work: shard 1 completed requests it
-    // never ingested.
+    assert_eq!(report.rollup.per_shard[thief].ingested, 0);
+    // ...and the steal path moved work: the other shard completed
+    // requests it never ingested.
     assert!(
         report.rollup.total_steals() > 0,
         "idle shard never stole: {:?}",
         report.rollup
     );
-    assert!(report.rollup.per_shard[1].completed > 0);
+    assert!(report.rollup.per_shard[thief].completed > 0);
     assert_eq!(
-        report.rollup.per_shard[1].steals_in,
-        report.rollup.per_shard[0].steals_out
+        report.rollup.per_shard[thief].steals_in,
+        report.rollup.per_shard[owner].steals_out
     );
     // The merged trace tells the same story as the counters.
     let trace = report.trace.as_ref().expect("tracing armed");

@@ -4,7 +4,7 @@
 
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
 use concord_core::{RuntimeConfig, SpinApp};
-use concord_server::{RouterPolicy, Server, ServerConfig};
+use concord_server::{Server, ServerConfig};
 use concord_testkit::prelude::*;
 use concord_wire::frame::{self as wire, Frame};
 use std::io::{Read, Write};
@@ -20,7 +20,6 @@ fn start_server() -> Server {
                 capacity: 64,
                 policy: AdmissionPolicy::RejectNewest,
             },
-            router: RouterPolicy::HashP2c,
             ..ServerConfig::new(
                 RuntimeConfig::builder()
                     .workers(1)

@@ -213,9 +213,8 @@ fn preempt(b: &Bench) {
 fn central_queue(b: &Bench) {
     use concord_core::CentralQueue;
 
-    // The steal path (work-conserving dispatcher + inter-shard steals)
-    // used to scan the mixed run queue with `position(|t| !t.started)` —
-    // O(n) under backlog. The split-deque queue makes it a pop from the
+    // The work-conserving dispatcher's steal used to scan the mixed run
+    // queue with `position(|t| !t.started)` — O(n) under backlog. The split-deque queue makes it a pop from the
     // fresh deque's end: the two depths below differ 10× and their costs
     // must be indistinguishable. Each operation steals one entry and
     // pushes a replacement so the depth stays constant.

@@ -251,8 +251,8 @@ fn run_runtime(args: Args, rate: f64) {
     println!("\nper-shard counters:");
     for (i, s) in rollup.per_shard.iter().enumerate() {
         println!(
-            "  shard {i}: ingested {} completed {} failed {} offloaded {} reclaimed {} steals_in {} steals_out {}",
-            s.ingested, s.completed, s.failed, s.offloaded, s.reclaimed, s.steals_in, s.steals_out
+            "  shard {i}: ingested {} completed {} failed {} offloaded {} steals_in {}",
+            s.ingested, s.completed, s.failed, s.offloaded, s.steals_in
         );
     }
     println!(

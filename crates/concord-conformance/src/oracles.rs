@@ -372,17 +372,17 @@ pub fn check_admission(
 /// Cross-shard oracles on a quiescent
 /// [`ShardedRuntime`](concord_core::ShardedRuntime) execution:
 ///
-/// 1. **Cross-shard conservation** — per-shard conservation fails open
-///    under migration by design (ingest is charged to the polling shard,
-///    completion to the running shard), so the law that must hold is the
-///    sum: `Σ ingested == Σ completed + Σ failed`.
-/// 2. **Migration books balance** — every task a shard shed into its
-///    overflow ring was reclaimed by the owner or stolen by a sibling:
-///    `offloaded_i == reclaimed_i + steals_out_i` at quiescence, and
-///    thief-side and victim-side tallies agree in total.
-/// 3. **Per-shard JBSQ** — occupancy never exceeded `k` on any worker of
+/// 1. **Cross-shard conservation** — `Σ ingested == Σ completed + Σ
+///    failed`, and every request sent was ingested and answered.
+/// 2. **Per-shard books** — ingest is charged to the polling shard, a
+///    hand-off to the giver (`offloaded`) and the taker (`steals_in`),
+///    completion to the running shard, so each shard balances exactly:
+///    `ingested + steals_in == completed + failed + offloaded`.
+/// 3. **Hand-offs taken once** — `Σ offloaded == Σ steals_in`: no
+///    hand-off was lost in a mailbox, none delivered twice.
+/// 4. **Per-shard JBSQ** — occupancy never exceeded `k` on any worker of
 ///    any shard.
-/// 4. **Trace agreement** — the merged trace's per-shard invariants hold
+/// 5. **Trace agreement** — the merged trace's per-shard invariants hold
 ///    and its inter-shard Steal events match the counters.
 pub fn check_sharded(obs: &crate::harness::ShardedObservation) -> Vec<String> {
     let mut v = Vec::new();
@@ -429,14 +429,14 @@ pub fn check_sharded(obs: &crate::harness::ShardedObservation) -> Vec<String> {
     );
 
     let mut steals_in = 0u64;
-    let mut steals_out = 0u64;
+    let mut offloaded = 0u64;
     for (i, s) in r.per_shard.iter().enumerate() {
         steals_in += s.steals_in;
-        steals_out += s.steals_out;
-        check(&mut v, s.offloaded == s.reclaimed + s.steals_out, || {
+        offloaded += s.offloaded;
+        check(&mut v, s.books_balance(), || {
             format!(
-                "sharded migration: shard {i} offloaded {} != reclaimed {} + steals_out {}",
-                s.offloaded, s.reclaimed, s.steals_out
+                "sharded books: shard {i} ingested {} + steals_in {} != completed {} + failed {} + offloaded {}",
+                s.ingested, s.steals_in, s.completed, s.failed, s.offloaded
             )
         });
         for (w, &qmax) in s.queue_max.iter().enumerate() {
@@ -448,8 +448,8 @@ pub fn check_sharded(obs: &crate::harness::ShardedObservation) -> Vec<String> {
             });
         }
     }
-    check(&mut v, steals_in == steals_out, || {
-        format!("sharded migration: Σ steals_in {steals_in} != Σ steals_out {steals_out}")
+    check(&mut v, offloaded == steals_in, || {
+        format!("sharded hand-off: Σ offloaded {offloaded} != Σ steals_in {steals_in}")
     });
 
     if let Some(s) = obs.trace.as_ref() {
@@ -1107,29 +1107,20 @@ mod tests {
 
     fn clean_sharded_obs() -> crate::harness::ShardedObservation {
         use concord_core::{ShardCounters, ShardRollup};
-        // Shard 0 ingested everything; two never-started tasks migrated
-        // to shard 1 through the overflow ring and completed there.
+        // Shard 0 ingested everything and handed two never-started
+        // tasks to shard 1, which asked for them and completed them.
         let shard0 = ShardCounters {
             ingested: 10,
             completed: 8,
-            failed: 0,
-            tx_dropped: 0,
-            offloaded: 3,
-            reclaimed: 1,
-            steals_in: 0,
-            steals_out: 2,
+            offloaded: 2,
             queue_max: vec![2, 1],
+            ..Default::default()
         };
         let shard1 = ShardCounters {
-            ingested: 0,
             completed: 2,
-            failed: 0,
-            tx_dropped: 0,
-            offloaded: 0,
-            reclaimed: 0,
             steals_in: 2,
-            steals_out: 0,
             queue_max: vec![1, 0],
+            ..Default::default()
         };
         crate::harness::ShardedObservation {
             case: clean_obs().case,
@@ -1163,19 +1154,49 @@ mod tests {
     }
 
     #[test]
-    fn migration_book_imbalance_is_reported() {
+    fn lost_hand_off_is_reported() {
+        // Shard 0 gave a third task that no mailbox delivered.
         let mut obs = clean_sharded_obs();
-        obs.rollup.per_shard[0].reclaimed = 0; // an offloaded task has no fate
+        obs.rollup.per_shard[0].offloaded = 3;
+        obs.rollup.per_shard[0].completed = 7;
         let v = check_sharded(&obs);
-        assert!(v.iter().any(|m| m.contains("sharded migration")), "{v:?}");
+        assert!(
+            v.iter()
+                .any(|m| m.contains("sharded hand-off: Σ offloaded 3 != Σ steals_in 2")),
+            "{v:?}"
+        );
     }
 
     #[test]
-    fn steal_tally_asymmetry_is_reported() {
+    fn over_delivered_hand_off_is_reported() {
+        // Shard 1 took (and ran) one hand-off twice.
         let mut obs = clean_sharded_obs();
-        obs.rollup.per_shard[1].steals_in = 3; // thief claims more than victims lost
+        obs.rollup.per_shard[1].steals_in = 3;
+        obs.rollup.per_shard[1].completed = 3;
         let v = check_sharded(&obs);
-        assert!(v.iter().any(|m| m.contains("steals_in")), "{v:?}");
+        assert!(
+            v.iter()
+                .any(|m| m.contains("sharded hand-off: Σ offloaded 2 != Σ steals_in 3")),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn per_shard_book_imbalance_is_reported() {
+        // A completion charged to the wrong shard: the sums still hold.
+        let mut obs = clean_sharded_obs();
+        obs.rollup.per_shard[0].completed = 9;
+        obs.rollup.per_shard[1].completed = 1;
+        let v = check_sharded(&obs);
+        assert!(
+            v.iter().any(|m| m.contains("sharded books: shard 0")),
+            "{v:?}"
+        );
+        assert!(
+            v.iter().any(|m| m.contains("sharded books: shard 1")),
+            "{v:?}"
+        );
+        assert!(!v.iter().any(|m| m.contains("conservation")), "{v:?}");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!
 //! # Why two deques
 //!
-//! The work-conserving dispatcher (§3.3) and the inter-shard steal path
+//! The work-conserving dispatcher (§3.3) and the cross-shard hand-off
 //! may only take **not-yet-started** work: a started request's coroutine
 //! is affine to its instrumentation domain. The old representation kept
 //! one mixed deque and found a victim with `iter().position(|t|
@@ -168,15 +168,14 @@ impl<T> CentralQueue<T> {
     /// Removes and returns the best-priority never-started item — under
     /// key-0 policies the oldest one, the same victim the old O(n)
     /// `position(|t| !t.started)` scan selected — in O(1). Used by the
-    /// work-conserving dispatcher and the inter-shard steal path, both
-    /// of which must not move started work.
+    /// work-conserving dispatcher, which must not move started work.
     pub fn steal_not_started(&mut self) -> Option<T> {
         self.fresh.pop_front().map(|e| e.item)
     }
 
     /// Removes and returns the **worst-priority** never-started item
-    /// (the youngest, under key-0 policies). The shard offload path
-    /// sheds from this end so the best-ranked local work keeps its
+    /// (the youngest, under key-0 policies). The cross-shard hand-off
+    /// gives from this end so the best-ranked local work keeps its
     /// position in the local order.
     pub fn take_youngest_not_started(&mut self) -> Option<T> {
         self.fresh.pop_back().map(|e| e.item)

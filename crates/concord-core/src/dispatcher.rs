@@ -77,8 +77,8 @@ pub struct DispatcherLoop<I: Ingress, E: Egress> {
     pub slo: Arc<SloState>,
     /// Shard topology when this dispatcher is one of several
     /// ([`ShardedRuntime`](crate::shard::ShardedRuntime)); `None` for a
-    /// plain single-dispatcher runtime. Carries this shard's overflow
-    /// ring (offload/reclaim) and every sibling's (steal).
+    /// plain single-dispatcher runtime. Carries this shard's mailbox
+    /// (ask, take, close) and every sibling's (give).
     pub shard: Option<ShardContext>,
     /// The dispatcher's own scheduling-event lane (`None` when tracing is
     /// disarmed). Carries ARRIVE/DISPATCH/SIGNAL_SENT/STEAL/TX_DROP and
@@ -210,9 +210,9 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
         let mut central: CentralQueue<Task> = CentralQueue::new();
         // Requests currently inside this shard: central queue + worker
         // rings + the dispatcher's own stolen slot + requeue messages in
-        // transit. Maintained incrementally (ingest/steal-in/reclaim
-        // increment; completion/offload decrement) so the ingest gate is
-        // O(1) instead of re-summing per poll.
+        // transit. Maintained incrementally (ingest and a taken hand-off
+        // increment; completion and a given hand-off decrement) so the
+        // ingest gate is O(1) instead of re-summing per poll.
         let mut in_system: usize = 0;
         let mut stolen: Option<Task> = None;
         let mut counts = PassCounts::default();
@@ -309,13 +309,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
             //    ingested before it arrived, however long the OS parked
             //    this thread in between.
             if !self.stop.load(Ordering::Acquire) {
-                // Tasks parked in this shard's own overflow ring still
-                // count against the cap: they were ingested here and may
-                // come back via reclaim.
-                let parked = shard.as_ref().map_or(0, |c| c.own().len());
-                let room = MAX_IN_FLIGHT
-                    .saturating_sub(in_system + parked)
-                    .min(INGEST_BATCH);
+                let room = MAX_IN_FLIGHT.saturating_sub(in_system).min(INGEST_BATCH);
                 self.rx.poll_batch(&mut arrivals, room);
             }
             // The pass's one clock read. It stamps this pass's arrivals
@@ -540,81 +534,50 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                 }
             }
 
-            // 6b. Inter-shard steal path (sharded runtimes only; see
-            //     `shard.rs` for the protocol). Only never-started tasks
-            //     ever migrate, so JBSQ ≤ k and signal-generation
-            //     invariants stay intact per shard.
+            // 6b. Cross-shard hand-off (sharded runtimes only; see
+            //     `shard.rs`). Only never-started tasks move, and only to
+            //     a sibling that asked, so JBSQ ≤ k and signal-generation
+            //     invariants stay intact per shard and nothing is parked.
             if let Some(ctx) = shard.as_ref() {
-                let stopping = self.stop.load(Ordering::Acquire);
-                if ctx.links.len() > 1 && !stopping {
-                    // Offload: workers saturated (work conservation has
-                    // already taken its one task above) — shed the
-                    // youngest never-started work to our overflow ring
-                    // where idle siblings can see it.
-                    while self.all_workers_full()
-                        && central.not_started() > 0
-                        && ctx.own().has_room()
-                    {
-                        let Some(task) = central.take_youngest_not_started() else {
-                            break;
-                        };
-                        match ctx.own().offer(task) {
-                            Ok(()) => {
-                                in_system = in_system.saturating_sub(1);
-                                self.stats.shard_offloaded.fetch_add(1, Ordering::Relaxed);
-                                progressed = true;
-                            }
-                            Err(task) => {
-                                // Raced a concurrent capacity check; keep
-                                // the task local.
-                                let key = policy.key(task.key_input());
-                                central.push_fresh_prio(key, task);
-                                break;
-                            }
-                        }
-                    }
-                    // Steal: this shard is idle with a free JBSQ slot —
-                    // pull one task from the most-loaded sibling's ring.
-                    if central.is_empty() && ctx.own().is_empty() && self.pick_worker().is_some() {
-                        if let Some(victim) = ctx.busiest_sibling() {
-                            if let Some(task) = ctx.links[victim].steal() {
-                                in_system += 1;
-                                self.stats.shard_steals_in.fetch_add(1, Ordering::Relaxed);
-                                // Inter-shard steals carry `1 + victim`
-                                // in the gen field; the work-conserving
-                                // dispatcher steal above uses gen 0.
-                                self.trace_emit(
-                                    now_ns,
-                                    EventKind::Steal,
-                                    task.req.id,
-                                    1 + victim as u64,
-                                );
-                                let key = policy.key(task.key_input());
-                                central.push_fresh_prio(key, task);
-                                progressed = true;
-                            }
-                        }
-                    }
-                }
-                // Reclaim: a worker freed up (or we are draining) while
-                // our own shed work sat unstolen — pull it back. During
-                // shutdown the owner always empties its ring; siblings
-                // only pop, so the ring cannot wedge the drain.
-                while !ctx.own().is_empty()
-                    && (stopping || (central.is_empty() && self.pick_worker().is_some()))
-                {
-                    let Some(task) = ctx.own().reclaim() else {
-                        break;
-                    };
+                // Take what a sibling gave after our ask.
+                if let Some((owner, task)) = ctx.own().take() {
+                    self.accept_handoff(&mut central, now_ns, owner, task);
                     in_system += 1;
-                    self.stats.shard_reclaimed.fetch_add(1, Ordering::Relaxed);
-                    let key = policy.key(task.key_input());
-                    central.push_fresh_prio(key, task);
                     progressed = true;
-                    if !stopping {
-                        break; // one per iteration outside of drain
+                }
+                // Give: workers saturated (work conservation has already
+                // taken its one task above) — answer each sibling's ask
+                // with our youngest never-started task.
+                for (sib, link) in ctx.links.iter().enumerate() {
+                    if !(self.all_workers_full() && central.not_started() > 0) {
+                        break;
+                    }
+                    if sib == ctx.id || !link.asked() {
+                        continue;
+                    }
+                    let task = central
+                        .take_youngest_not_started()
+                        .expect("checked not_started");
+                    match link.give(ctx.id, task) {
+                        Ok(()) => {
+                            in_system = in_system.saturating_sub(1);
+                            self.stats.shard_offloaded.fetch_add(1, Ordering::Relaxed);
+                            progressed = true;
+                        }
+                        // A racing giver answered the ask first, or the
+                        // sibling has drained: keep the task.
+                        Err(task) => {
+                            let key = policy.key(task.key_input());
+                            central.push_fresh_prio(key, task);
+                        }
                     }
                 }
+                // Ask while idle with a free JBSQ slot.
+                ctx.own().ask(
+                    central.is_empty()
+                        && self.pick_worker().is_some()
+                        && !self.stop.load(Ordering::Acquire),
+                );
             }
 
             // Control plane + periodic report, on the pass's clock
@@ -644,11 +607,15 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                     && stolen.is_none()
                     // Every popped message freed its slot, so zero
                     // in flight also means the return rings are empty.
-                    && self.workers.iter().all(|w| w.inflight == 0)
-                    // Sharded: our own overflow ring must be empty too
-                    // (the reclaim step above empties it while draining).
-                    && shard.as_ref().is_none_or(|c| c.own().is_empty());
+                    && self.workers.iter().all(|w| w.inflight == 0);
                 if drained {
+                    // Sharded: close our mailbox, but first run a task a
+                    // sibling gave before it saw us drain.
+                    if let Some((owner, task)) = shard.as_ref().and_then(|c| c.own().close()) {
+                        self.accept_handoff(&mut central, now_ns, owner, task);
+                        in_system += 1;
+                        continue;
+                    }
                     // Flush any still-deferred injected signals so the
                     // signal accounting closes (they land in idle lines
                     // and are swept as obsolete after the join).
@@ -758,6 +725,22 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                 ctrl.observe(r.class, r.service_ns, r.sojourn_ns);
             }
         }
+    }
+
+    /// Queues a never-started task sibling `owner` handed over. STEAL
+    /// carries `1 + owner` in the generation field; the work-conserving
+    /// dispatcher steal (step 6) uses gen 0.
+    fn accept_handoff(
+        &mut self,
+        central: &mut CentralQueue<Task>,
+        now_ns: u64,
+        owner: usize,
+        task: Task,
+    ) {
+        self.stats.shard_steals_in.fetch_add(1, Ordering::Relaxed);
+        self.trace_emit(now_ns, EventKind::Steal, task.req.id, 1 + owner as u64);
+        let key = self.cfg.policy.key(task.key_input());
+        central.push_fresh_prio(key, task);
     }
 
     /// Records and answers a request the dispatcher completed itself.

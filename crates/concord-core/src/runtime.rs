@@ -72,24 +72,14 @@ impl Runtime {
             "Runtime::start runs one shard; num_shards = {} needs ShardedRuntime::start",
             config.num_shards
         );
-        Self::start_inner(config, app, ingress, egress, None)
+        Self::start_shard(config, app, ingress, egress, None)
     }
 
     /// [`Runtime::start`] as one shard of a
     /// [`ShardedRuntime`](crate::shard::ShardedRuntime): identical in
-    /// every way except the dispatcher participates in the inter-shard
-    /// steal path described by `shard`.
-    pub(crate) fn start_sharded<A: ConcordApp, I: Ingress, E: Egress>(
-        config: RuntimeConfig,
-        app: Arc<A>,
-        ingress: I,
-        egress: E,
-        shard: crate::shard::ShardContext,
-    ) -> Self {
-        Self::start_inner(config, app, ingress, egress, Some(shard))
-    }
-
-    fn start_inner<A: ConcordApp, I: Ingress, E: Egress>(
+    /// every way except that, given a `shard` context, the dispatcher
+    /// takes part in the cross-shard hand-off it describes.
+    pub(crate) fn start_shard<A: ConcordApp, I: Ingress, E: Egress>(
         config: RuntimeConfig,
         app: Arc<A>,
         ingress: I,

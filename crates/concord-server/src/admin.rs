@@ -83,7 +83,7 @@ pub(crate) fn serve(
 type Family<T> = (&'static str, &'static str, fn(&T) -> u64);
 
 /// Each shard's scheduler counters.
-const SHARD_COUNTERS: [Family<RuntimeStats>; 10] = [
+const SHARD_COUNTERS: [Family<RuntimeStats>; 9] = [
     (
         "concord_ingested_total",
         "Requests this shard's dispatcher polled from its ingress",
@@ -121,17 +121,12 @@ const SHARD_COUNTERS: [Family<RuntimeStats>; 10] = [
     ),
     (
         "concord_shard_offloaded_total",
-        "Tasks this shard shed into its overflow ring",
+        "Never-started tasks this shard handed to a sibling that asked",
         |s| s.shard_offloaded.load(Ordering::Relaxed),
     ),
     (
-        "concord_shard_reclaimed_total",
-        "Tasks this shard reclaimed from its own overflow ring",
-        |s| s.shard_reclaimed.load(Ordering::Relaxed),
-    ),
-    (
         "concord_shard_steals_total",
-        "Tasks this shard stole from sibling overflow rings",
+        "Tasks this shard took from a sibling after asking",
         |s| s.shard_steals_in.load(Ordering::Relaxed),
     ),
 ];

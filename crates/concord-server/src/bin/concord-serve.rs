@@ -246,9 +246,8 @@ fn print_report(report: &ServerReport, trace_path: Option<&std::path::Path>) {
     if report.rollup.per_shard.len() > 1 {
         for (shard, s) in report.rollup.per_shard.iter().enumerate() {
             println!(
-                "shard {shard}: ingested {}  completed {}  offloaded {}  reclaimed {}  \
-                 steals_in {}  steals_out {}",
-                s.ingested, s.completed, s.offloaded, s.reclaimed, s.steals_in, s.steals_out
+                "shard {shard}: ingested {}  completed {}  offloaded {}  steals_in {}",
+                s.ingested, s.completed, s.offloaded, s.steals_in
             );
         }
         println!(

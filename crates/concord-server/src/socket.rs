@@ -15,7 +15,7 @@
 //! - **Placement** happens once, at accept, by least connections: a
 //!   shard accepts only while no shard serves fewer connections than it
 //!   does, so N connections on N shards land one per shard. Cross-shard
-//!   balance after that is the runtime's steal path alone.
+//!   balance after that is the runtime's cross-shard hand-off alone.
 //! - **Reads** happen in [`Ingress::poll_batch`], once per dispatcher
 //!   pass: one `epoll_wait(0)`, then up to a few fills per readiness
 //!   event into the connection's compacting [`RecvBuf`], with zero-copy
@@ -39,7 +39,7 @@
 //!   reconcile are [`concord_net::endpoint`]'s, shared with the rack
 //!   proxy and the admin listener.
 //! - **Stolen requests** are the one cross-thread path. A sibling whose
-//!   dispatcher stole a request from this shard's overflow ring answers
+//!   dispatcher asked for and was handed a request of this shard answers
 //!   it (or drops it) on its own egress; the slot in the route id names
 //!   this shard as the owner, so the sibling puts the answer in this
 //!   shard's stolen inbox, which the owner takes in once per pass.

@@ -346,7 +346,7 @@ fn statz_depth_counts_the_requests_a_shard_holds() {
     let server = one_worker_shards(2);
     let admin = server.admin_addr().expect("admin plane configured");
     // One connection, so one shard owns all the traffic; 2 ms requests
-    // saturate its worker and the other shard steals.
+    // saturate its worker and the idle shard asks for and runs some.
     let client_cfg = ClientConfig {
         requests: 300,
         window: 16,

@@ -1,7 +1,7 @@
 //! Sharded-server end-to-end: M connections placed over N scheduler
 //! shards through real loopback TCP, checked against the cross-shard
 //! conservation oracle, per-shard JBSQ bounds from the merged trace, and
-//! — with one connection on two shards — a live inter-shard steal path.
+//! — with one connection on two shards — a live cross-shard hand-off.
 
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
 use concord_core::trace::ShardTraceSummary;
@@ -50,15 +50,16 @@ fn fixed_us_mix(us: f64) -> Mix {
 }
 
 /// `conns` concurrent closed-loop clients, each sending `per_conn`
-/// requests; returns `(sent, completed, rejected, failed, unaccounted)`
-/// totals.
+/// requests; returns `(sent, completed, rejected, failed, unaccounted,
+/// unexpected)` totals (an unexpected answer is a duplicate or an id
+/// never sent).
 fn run_clients(
     addr: &str,
     conns: usize,
     per_conn: u64,
     window: usize,
     service_us: f64,
-) -> (u64, u64, u64, u64, u64) {
+) -> (u64, u64, u64, u64, u64, u64) {
     let threads: Vec<_> = (0..conns)
         .map(|c| {
             let addr = addr.to_string();
@@ -78,7 +79,7 @@ fn run_clients(
             })
         })
         .collect();
-    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let mut totals = (0u64, 0u64, 0u64, 0u64, 0u64, 0u64);
     for t in threads {
         let r = t.join().expect("client thread");
         totals.0 += r.sent;
@@ -86,6 +87,7 @@ fn run_clients(
         totals.2 += r.rejected;
         totals.3 += r.failed;
         totals.4 += r.unaccounted();
+        totals.5 += r.unexpected;
     }
     totals
 }
@@ -97,10 +99,11 @@ fn two_shard_loopback_conserves_twenty_thousand_requests() {
 
     let server = start_server(2, 2);
     let addr = server.local_addr().to_string();
-    let (sent, completed, rejected, failed, unaccounted) =
+    let (sent, completed, rejected, failed, unaccounted, unexpected) =
         run_clients(&addr, CONNS, PER_CONN, 32, 5.0);
     assert_eq!(sent, CONNS as u64 * PER_CONN);
     assert_eq!(unaccounted, 0, "every request has a named fate");
+    assert_eq!(unexpected, 0, "no duplicate or unknown answer");
     assert_eq!(failed, 0);
     assert_eq!(completed + rejected, sent);
 
@@ -203,15 +206,17 @@ fn one_connection_on_two_shards_drives_inter_shard_steals() {
     const PER_CONN: u64 = 600;
 
     // One connection, so one shard owns all the traffic; one worker per
-    // shard and 2 ms requests: the owner saturates, sheds never-started
-    // work into its overflow ring, and the idle shard steals it and
+    // shard and 2 ms requests: the idle shard asks, the saturated owner
+    // gives it never-started work, and the idle shard runs it and
     // answers it back through the owner.
     let server = start_server(2, 1);
     let addr = server.local_addr().to_string();
-    let (sent, completed, rejected, failed, unaccounted) =
+    let (sent, completed, rejected, failed, unaccounted, unexpected) =
         run_clients(&addr, 1, PER_CONN, 16, 2_000.0);
     assert_eq!(sent, PER_CONN);
+    // Every request answered exactly once.
     assert_eq!(unaccounted, 0);
+    assert_eq!(unexpected, 0);
     assert_eq!(failed, 0);
     assert_eq!(completed + rejected, sent);
 
@@ -233,17 +238,23 @@ fn one_connection_on_two_shards_drives_inter_shard_steals() {
         0
     );
     assert_eq!(report.rollup.per_shard[thief].ingested, 0);
-    // ...and the steal path moved work: the other shard completed
-    // requests it never ingested.
+    // ...and the hand-off moved work: the other shard completed
+    // requests it never ingested, every hand-off given was taken, and
+    // each shard's books balance.
+    let (o, t) = (
+        &report.rollup.per_shard[owner],
+        &report.rollup.per_shard[thief],
+    );
     assert!(
-        report.rollup.total_steals() > 0,
-        "idle shard never stole: {:?}",
+        t.completed > 0,
+        "idle shard ran nothing: {:?}",
         report.rollup
     );
-    assert!(report.rollup.per_shard[thief].completed > 0);
-    assert_eq!(
-        report.rollup.per_shard[thief].steals_in,
-        report.rollup.per_shard[owner].steals_out
+    assert_eq!(o.offloaded + t.offloaded, o.steals_in + t.steals_in);
+    assert!(
+        o.books_balance() && t.books_balance(),
+        "{:?}",
+        report.rollup
     );
     // The merged trace tells the same story as the counters.
     let trace = report.trace.as_ref().expect("tracing armed");

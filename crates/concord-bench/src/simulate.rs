@@ -213,7 +213,8 @@ fn run_runtime(args: Args, rate: f64) {
     let (resp_tx, resp_rx): (Vec<_>, Vec<_>) = (0..args.shards)
         .map(|_| ring::<Response>(32 * 1024))
         .unzip();
-    let mut rt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), req_rx, resp_tx);
+    let transports = req_rx.into_iter().zip(resp_tx).collect();
+    let mut rt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), transports);
     let gen = LoadGen::start(req_tx, args.workload, rate, args.requests, args.seed);
     let mut collector = Collector::new(resp_rx, RttModel::zero(), args.seed);
     let ok = collector.collect(args.requests, Duration::from_secs(600));

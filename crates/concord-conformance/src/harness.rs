@@ -433,6 +433,8 @@ pub struct ShardedObservation {
     pub rx_dropped: u64,
     /// Responses the collector received (all shards merged).
     pub received: u64,
+    /// Responses the collector received on each shard's egress ring.
+    pub received_per_shard: Vec<u64>,
     /// Whether the collector saw every expected response before timeout.
     pub collected_ok: bool,
     /// Quiescent per-shard counter rows and cross-shard totals.
@@ -455,7 +457,8 @@ pub fn run_runtime_sharded(
     let (req_tx, req_rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| ring::<Request>(4096)).unzip();
     let (resp_tx, resp_rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| ring::<Response>(4096)).unzip();
     let cfg = config_of(case, shards, Clock::monotonic(), None);
-    let mut srt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), req_rx, resp_tx);
+    let transports = req_rx.into_iter().zip(resp_tx).collect();
+    let mut srt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), transports);
 
     let rate = rate_of(case);
     let gen = LoadGen::start_with(
@@ -479,6 +482,7 @@ pub fn run_runtime_sharded(
         sent: report.sent,
         rx_dropped: report.dropped,
         received: collector.received(),
+        received_per_shard: collector.received_per_ring().to_vec(),
         collected_ok,
         rollup: srt.rollup(),
         trace,

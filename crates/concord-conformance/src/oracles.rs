@@ -382,7 +382,10 @@ pub fn check_admission(
 ///    hand-off was lost in a mailbox, none delivered twice.
 /// 4. **Per-shard JBSQ** — occupancy never exceeded `k` on any worker of
 ///    any shard.
-/// 5. **Trace agreement** — the merged trace's per-shard invariants hold
+/// 5. **Answers at home** — each shard's egress ring carried exactly
+///    `ingested − tx_dropped` answers: a request is answered by the shard
+///    that ingested it, whichever shard ran it.
+/// 6. **Trace agreement** — the merged trace's per-shard invariants hold
 ///    and its inter-shard Steal events match the counters.
 pub fn check_sharded(obs: &crate::harness::ShardedObservation) -> Vec<String> {
     let mut v = Vec::new();
@@ -447,6 +450,14 @@ pub fn check_sharded(obs: &crate::harness::ShardedObservation) -> Vec<String> {
                 )
             });
         }
+        let answered = obs.received_per_shard.get(i).copied().unwrap_or(0);
+        let owed = s.ingested - s.tx_dropped.min(s.ingested);
+        check(&mut v, answered == owed, || {
+            format!(
+                "sharded answers: shard {i} egress carried {answered} != ingested {} - tx_dropped {}",
+                s.ingested, s.tx_dropped
+            )
+        });
     }
     check(&mut v, offloaded == steals_in, || {
         format!("sharded hand-off: Σ offloaded {offloaded} != Σ steals_in {steals_in}")
@@ -1128,6 +1139,7 @@ mod tests {
             sent: 10,
             rx_dropped: 0,
             received: 10,
+            received_per_shard: vec![10, 0],
             collected_ok: true,
             rollup: ShardRollup {
                 per_shard: vec![shard0, shard1],
@@ -1194,6 +1206,26 @@ mod tests {
         );
         assert!(
             v.iter().any(|m| m.contains("sharded books: shard 1")),
+            "{v:?}"
+        );
+        assert!(!v.iter().any(|m| m.contains("conservation")), "{v:?}");
+    }
+
+    #[test]
+    fn an_answer_on_the_wrong_shard_is_reported() {
+        // Shard 1 ran a request shard 0 ingested and answered it on its
+        // own egress: every total still holds.
+        let mut obs = clean_sharded_obs();
+        obs.received_per_shard = vec![9, 1];
+        let v = check_sharded(&obs);
+        assert!(
+            v.iter().any(|m| m.contains(
+                "sharded answers: shard 0 egress carried 9 != ingested 10 - tx_dropped 0"
+            )),
+            "{v:?}"
+        );
+        assert!(
+            v.iter().any(|m| m.contains("sharded answers: shard 1")),
             "{v:?}"
         );
         assert!(!v.iter().any(|m| m.contains("conservation")), "{v:?}");

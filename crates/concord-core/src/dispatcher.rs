@@ -42,17 +42,17 @@ pub struct WorkerSlot {
     pub queue_high: usize,
 }
 
-/// Long-lived state of the dispatcher thread, generic over how requests
-/// arrive (`I`) and how responses leave (`E`).
-pub struct DispatcherLoop<I: Ingress, E: Egress> {
+/// Long-lived state of the dispatcher thread, generic over the transport
+/// (`T`) requests arrive on and responses leave by.
+pub struct DispatcherLoop<T: Ingress + Egress> {
     /// Frames for the tasks the dispatcher steals and runs itself.
     pub pool: FramePool,
     /// Runtime configuration.
     pub cfg: RuntimeConfig,
-    /// Request source (NIC-model RX ring, a shard's TCP sockets, ...).
-    pub rx: I,
-    /// Response sink (NIC-model TX ring, a shard's TCP sockets, ...).
-    pub tx: E,
+    /// Request source and response sink (NIC-model rings, a shard's TCP
+    /// sockets, ...): its egress answers exactly what its ingress
+    /// delivered.
+    pub io: T,
     /// Per-worker slots.
     pub workers: Vec<WorkerSlot>,
     /// Aggregated lifecycle telemetry (shared with `Runtime::telemetry`).
@@ -77,8 +77,8 @@ pub struct DispatcherLoop<I: Ingress, E: Egress> {
     pub slo: Arc<SloState>,
     /// Shard topology when this dispatcher is one of several
     /// ([`ShardedRuntime`](crate::shard::ShardedRuntime)); `None` for a
-    /// plain single-dispatcher runtime. Carries this shard's mailbox
-    /// (ask, take, close) and every sibling's (give).
+    /// plain single-dispatcher runtime. Carries this shard's link and
+    /// every sibling's.
     pub shard: Option<ShardContext>,
     /// The dispatcher's own scheduling-event lane (`None` when tracing is
     /// disarmed). Carries ARRIVE/DISPATCH/SIGNAL_SENT/STEAL/TX_DROP and
@@ -201,7 +201,7 @@ struct DeferredSignal {
     due_ns: u64,
 }
 
-impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
+impl<T: Ingress + Egress> DispatcherLoop<T> {
     /// Runs until stopped and drained. Consumes the loop state.
     pub fn run(mut self) {
         // The scheduling policy: chooses every entry's priority key
@@ -214,6 +214,8 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
         // increment; completion and a given hand-off decrement) so the
         // ingest gate is O(1) instead of re-summing per poll.
         let mut in_system: usize = 0;
+        // Own tasks handed to siblings whose answers are not home yet.
+        let mut away: usize = 0;
         let mut stolen: Option<Task> = None;
         let mut counts = PassCounts::default();
         // One pass's arrivals, between their poll and their stamp.
@@ -222,6 +224,8 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
         let mut records: Vec<CompletionRecord> = Vec::with_capacity(64);
         let mut preempt_latencies: Vec<u64> = Vec::with_capacity(64);
         let mut responses: Vec<Response> = Vec::with_capacity(64);
+        // Sharded only: finished tasks a sibling ingested; answers home.
+        let (mut moved, mut homecoming) = (Vec::<Task>::new(), Vec::new());
         // Taken once: cloning the context per iteration would bounce the
         // refcount of the link table every shard's dispatcher shares.
         let shard = self.shard.take();
@@ -266,6 +270,12 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                             records.push(record);
                             responses.push(resp);
                         }
+                        WorkerMsg::Moved { task, failed } => {
+                            in_system = in_system.saturating_sub(1);
+                            counts.worker_completed += u64::from(!failed);
+                            records.push(CompletionRecord::from_task(&task, w, failed));
+                            moved.push(task);
+                        }
                         WorkerMsg::Requeue {
                             task,
                             preempt_latency_ns,
@@ -289,6 +299,9 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                 for resp in responses.drain(..) {
                     self.emit(resp);
                 }
+                for task in moved.drain(..) {
+                    self.answer(shard.as_ref(), &task);
+                }
             }
 
             // 2. Admission events: fold ingress-side sheds into the
@@ -296,7 +309,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
             //    unconditionally — also while stopping, and with tracing
             //    disarmed — so the ingress-side event queue stays
             //    bounded no matter what.
-            self.rx.drain_admission(&mut admission_events);
+            self.io.drain_admission(&mut admission_events);
             for ev in admission_events.drain(..) {
                 self.trace_emit(ev.ts_ns, EventKind::AdmitDrop, ev.id, u64::from(ev.class));
             }
@@ -310,7 +323,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
             //    this thread in between.
             if !self.stop.load(Ordering::Acquire) {
                 let room = MAX_IN_FLIGHT.saturating_sub(in_system).min(INGEST_BATCH);
-                self.rx.poll_batch(&mut arrivals, room);
+                self.io.poll_batch(&mut arrivals, room);
             }
             // The pass's one clock read. It stamps this pass's arrivals
             // (`ingested_at_ns`, ARRIVE), DISPATCH and STEAL events,
@@ -504,7 +517,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                                 task.req.id,
                                 u64::from(task.slices),
                             );
-                            self.finish_stolen(task, false);
+                            self.finish_stolen(shard.as_ref(), task, false);
                         }
                         // Saved to the dedicated buffer; resumed when the
                         // dispatcher is next idle. It can never migrate to
@@ -527,7 +540,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                                 task.req.id,
                                 u64::from(task.slices),
                             );
-                            self.finish_stolen(task, true);
+                            self.finish_stolen(shard.as_ref(), task, true);
                         }
                     }
                     progressed = true;
@@ -538,10 +551,17 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
             //     `shard.rs`). Only never-started tasks move, and only to
             //     a sibling that asked, so JBSQ ≤ k and signal-generation
             //     invariants stay intact per shard and nothing is parked.
+            //     Their answers come back here to be emitted.
             if let Some(ctx) = shard.as_ref() {
+                ctx.own().take_answers(&mut homecoming);
+                away -= homecoming.len();
+                progressed |= !homecoming.is_empty();
+                for resp in homecoming.drain(..) {
+                    self.emit(resp);
+                }
                 // Take what a sibling gave after our ask.
-                if let Some((owner, task)) = ctx.own().take() {
-                    self.accept_handoff(&mut central, now_ns, owner, task);
+                if let Some(task) = ctx.own().take() {
+                    self.accept_handoff(&mut central, now_ns, task);
                     in_system += 1;
                     progressed = true;
                 }
@@ -558,8 +578,11 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                     let task = central
                         .take_youngest_not_started()
                         .expect("checked not_started");
+                    // A task handed on again is not ours to wait for.
+                    let ours = task.home().is_none();
                     match link.give(ctx.id, task) {
                         Ok(()) => {
+                            away += usize::from(ours);
                             in_system = in_system.saturating_sub(1);
                             self.stats.shard_offloaded.fetch_add(1, Ordering::Relaxed);
                             progressed = true;
@@ -598,7 +621,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
 
             // The pass's writes: a transport that batches them decides
             // here what of this pass's emits to send.
-            self.tx.flush();
+            self.io.flush();
 
             // 7. Shutdown: once asked to stop and fully drained, release
             //    the workers and exit.
@@ -607,12 +630,14 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                     && stolen.is_none()
                     // Every popped message freed its slot, so zero
                     // in flight also means the return rings are empty.
-                    && self.workers.iter().all(|w| w.inflight == 0);
+                    && self.workers.iter().all(|w| w.inflight == 0)
+                    // Every answer owed to this shard's egress came home.
+                    && away == 0;
                 if drained {
                     // Sharded: close our mailbox, but first run a task a
                     // sibling gave before it saw us drain.
-                    if let Some((owner, task)) = shard.as_ref().and_then(|c| c.own().close()) {
-                        self.accept_handoff(&mut central, now_ns, owner, task);
+                    if let Some(task) = shard.as_ref().and_then(|c| c.own().close()) {
+                        self.accept_handoff(&mut central, now_ns, task);
                         in_system += 1;
                         continue;
                     }
@@ -627,7 +652,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
                     // after the joins.
                     self.drain_trace();
                     self.workers_stop.store(true, Ordering::Release);
-                    self.tx.finish();
+                    self.io.finish();
                     return;
                 }
             }
@@ -727,29 +752,34 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
         }
     }
 
-    /// Queues a never-started task sibling `owner` handed over. STEAL
-    /// carries `1 + owner` in the generation field; the work-conserving
-    /// dispatcher steal (step 6) uses gen 0.
-    fn accept_handoff(
-        &mut self,
-        central: &mut CentralQueue<Task>,
-        now_ns: u64,
-        owner: usize,
-        task: Task,
-    ) {
+    /// Queues a never-started task a sibling handed over. STEAL carries
+    /// `1 + home` in the generation field, `home` being the shard that
+    /// ingested it; the work-conserving dispatcher steal (step 6) uses
+    /// gen 0.
+    fn accept_handoff(&mut self, central: &mut CentralQueue<Task>, now_ns: u64, task: Task) {
         self.stats.shard_steals_in.fetch_add(1, Ordering::Relaxed);
-        self.trace_emit(now_ns, EventKind::Steal, task.req.id, 1 + owner as u64);
+        let home = task.home().expect("a handed-off task is marked");
+        self.trace_emit(now_ns, EventKind::Steal, task.req.id, 1 + home as u64);
         let key = self.cfg.policy.key(task.key_input());
         central.push_fresh_prio(key, task);
     }
 
     /// Records and answers a request the dispatcher completed itself.
-    fn finish_stolen(&mut self, task: Task, failed: bool) {
+    fn finish_stolen(&mut self, shard: Option<&ShardContext>, mut task: Task, failed: bool) {
         let record = CompletionRecord::from_task(&task, DISPATCHER, failed);
         self.fold_telemetry(&[record], &[]);
+        self.answer(shard, &task);
+        self.pool.put(&mut task);
+    }
+
+    /// Answers a finished task on this shard's egress, or on the egress
+    /// of the sibling that ingested it.
+    fn answer(&mut self, shard: Option<&ShardContext>, task: &Task) {
         let resp = task.response(&self.clock);
-        self.emit(resp);
-        self.pool.put(task);
+        match task.home() {
+            None => self.emit(resp),
+            Some(home) => shard.expect("only shards hand tasks over").links[home].answer(resp),
+        }
     }
 
     /// Pushes a response, retrying briefly if the TX ring is full; a
@@ -766,7 +796,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
         }
         let mut r = resp;
         for _ in 0..budget {
-            match self.tx.send(r) {
+            match self.io.send(r) {
                 Ok(()) => return,
                 Err(back) => {
                     r = back;
@@ -778,7 +808,7 @@ impl<I: Ingress, E: Egress> DispatcherLoop<I, E> {
         // descriptor — but never silently: the loss is counted, the
         // transport settles its per-connection books, and the first
         // drop is announced.
-        self.tx.on_drop(&r);
+        self.io.on_drop(&r);
         let now_ns = self.clock.now_ns();
         self.trace_emit(now_ns, EventKind::TxDrop, r.id, 0);
         let dropped_before = self.stats.tx_dropped.fetch_add(1, Ordering::Relaxed);

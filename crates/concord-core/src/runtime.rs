@@ -50,9 +50,8 @@ impl Runtime {
 
     /// Starts the runtime: one dispatcher thread plus
     /// `config.n_workers` worker threads, serving requests polled from
-    /// `ingress` and emitting responses on `egress`. The in-process
-    /// NIC-model rings (`concord_net::ring`) implement both traits, as
-    /// does each shard's socket transport in `concord-server`.
+    /// `ingress` (e.g. a NIC-model RX ring) and emitting responses on
+    /// `egress` (its TX ring), paired into the dispatcher's transport.
     ///
     /// # Panics
     ///
@@ -72,18 +71,16 @@ impl Runtime {
             "Runtime::start runs one shard; num_shards = {} needs ShardedRuntime::start",
             config.num_shards
         );
-        Self::start_shard(config, app, ingress, egress, None)
+        Self::start_shard(config, app, (ingress, egress), None)
     }
 
-    /// [`Runtime::start`] as one shard of a
-    /// [`ShardedRuntime`](crate::shard::ShardedRuntime): identical in
-    /// every way except that, given a `shard` context, the dispatcher
-    /// takes part in the cross-shard hand-off it describes.
-    pub(crate) fn start_shard<A: ConcordApp, I: Ingress, E: Egress>(
+    /// [`Runtime::start`] over one transport `io`, as one shard of a
+    /// [`ShardedRuntime`](crate::shard::ShardedRuntime) when given a
+    /// `shard` context: the dispatcher then takes part in the hand-off.
+    pub(crate) fn start_shard<A: ConcordApp, T: Ingress + Egress>(
         config: RuntimeConfig,
         app: Arc<A>,
-        ingress: I,
-        egress: E,
+        io: T,
         shard: Option<crate::shard::ShardContext>,
     ) -> Self {
         assert!(config.n_workers >= 1, "need at least one worker");
@@ -97,7 +94,7 @@ impl Runtime {
         // alongside the scheduler's own counters.
         let stats = {
             let mut s = RuntimeStats::with_workers(config.n_workers);
-            s.admission = ingress.admission_counters();
+            s.admission = io.admission_counters();
             Arc::new(s)
         };
         let telemetry: TelemetryHandle = Arc::new(Mutex::new(Telemetry::new()));
@@ -129,7 +126,7 @@ impl Runtime {
         // (a no-op for plain rings; a TCP shard's admission gate sheds
         // blown classes with RETRY).
         if slo.any_budget() {
-            ingress.attach_slo(slo.clone());
+            io.attach_slo(slo.clone());
         }
 
         // One emit lane per track (workers 0..n, dispatcher last); the
@@ -202,8 +199,7 @@ impl Runtime {
 
         let dl = DispatcherLoop {
             pool: frame_pool(),
-            rx: ingress,
-            tx: egress,
+            io,
             workers: slots,
             telemetry: telemetry.clone(),
             clock,

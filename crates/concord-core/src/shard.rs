@@ -13,25 +13,29 @@
 //!   flag. Every pass it takes whatever its mailbox holds.
 //! - **Give** (the saturated owner): with every worker full and
 //!   never-started work queued, the owner consumes a sibling's ask and
-//!   moves its *youngest* never-started task into that sibling's
-//!   mailbox. A closed or still-occupied mailbox refuses, and the owner
-//!   keeps the task. Only never-started tasks move, so a migrated
-//!   coroutine has no generation state and no instrumentation affinity
-//!   to violate.
-//! - **Close** (the drained shard): under the mailbox lock it takes
-//!   anything still there and runs it, and only then marks the mailbox
-//!   closed.
+//!   moves its *youngest* never-started task, marked with the shard that
+//!   ingested it, into that sibling's mailbox. A closed or still-occupied
+//!   mailbox refuses, and the owner keeps the task. Only never-started
+//!   tasks move, so a migrated coroutine has no generation state and no
+//!   instrumentation affinity to violate.
+//! - **Answer** (the taker): it runs the task but puts the response in
+//!   the home shard's link, whose dispatcher emits it: a shard's egress
+//!   carries exactly the answers to what its own ingress delivered.
+//! - **Close** (the drained shard): once all it gave away has come home
+//!   (a taker never waits, so this cannot deadlock), it runs anything
+//!   still in its mailbox, and only then marks the mailbox closed.
 //!
 //! A task leaves its owner only for a shard that asked, so nothing is
 //! ever parked and nothing needs reclaiming.
 //!
-//! Counter model: `ingested` is charged to the shard that polled the
-//! request, `offloaded` to the shard that gave it away, `steals_in` to
-//! the shard that took it, and completion to the shard that ran it. At
-//! quiescence every shard's books balance exactly, `ingested + steals_in
-//! == completed + failed + offloaded`, and every hand-off was taken once,
-//! `Σ offloaded == Σ steals_in` (a dropped response's request did
-//! complete, so `tx_dropped` is inside `completed`, not beside it).
+//! Counter model: `ingested` and the answer (or `tx_dropped`) are charged
+//! to the shard that polled the request, `offloaded` to the shard that
+//! gave it away, `steals_in` to the shard that took it, completion to
+//! the shard that ran it. At quiescence every shard's books balance,
+//! `ingested + steals_in == completed + failed + offloaded`, every
+//! hand-off was taken once, `Σ offloaded == Σ steals_in` (`tx_dropped`
+//! is inside `completed`), and every shard's egress carried `ingested −
+//! tx_dropped` answers.
 
 use crate::app::ConcordApp;
 use crate::config::RuntimeConfig;
@@ -40,11 +44,14 @@ use crate::stats::RuntimeStats;
 use crate::task::Task;
 use crate::telemetry::TelemetrySnapshot;
 use crate::transport::{Egress, Ingress};
+use concord_net::Response;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// One shard's hand-off endpoint: its ask and its one-slot mailbox. The
-/// shard itself asks, takes and closes; a saturated sibling gives.
+/// One shard's hand-off endpoint: its ask, its one-slot mailbox and the
+/// answers that come home to it. The shard itself asks, takes and
+/// closes; a saturated sibling gives, and one that ran its request
+/// answers.
 #[derive(Default)]
 pub struct ShardLink {
     /// Raised by the idle shard; a giver swaps it back to `false`, so
@@ -52,15 +59,20 @@ pub struct ShardLink {
     /// (the task crosses under the mailbox lock), so every access is
     /// `Relaxed`.
     hungry: AtomicBool,
-    /// The handed-off task with its owner's id, and whether the shard
-    /// has drained and accepts no more.
+    /// The mailbox holds answers: written under its lock and read without
+    /// it (a pass with nothing to take costs one load). It publishes no
+    /// data, the answers cross under the lock, so it is `Relaxed`.
+    answered: AtomicBool,
+    /// The handed-off task, whether the shard has drained and accepts
+    /// no more, and the answers that came home.
     mailbox: Mutex<Mailbox>,
 }
 
 #[derive(Default)]
 struct Mailbox {
-    task: Option<(usize, Task)>,
+    task: Option<Task>,
     closed: bool,
+    answers: Vec<Response>,
 }
 
 impl ShardLink {
@@ -78,21 +90,22 @@ impl ShardLink {
         }
     }
 
-    /// Giving side: consumes this shard's ask and moves `task`, owned by
-    /// shard `owner`, into its mailbox. Returns the task back when there
-    /// was no ask, the mailbox still holds an earlier task, or it is
-    /// closed.
-    pub(crate) fn give(&self, owner: usize, task: Task) -> Result<(), Task> {
+    /// Giving side: consumes this shard's ask and moves `task`, marked
+    /// as ingested by shard `owner`, into its mailbox. Returns the task
+    /// back when there was no ask, the mailbox still holds an earlier
+    /// task, or it is closed.
+    pub(crate) fn give(&self, owner: usize, mut task: Task) -> Result<(), Task> {
         let mut mb = self.mailbox.lock().expect("mailbox lock poisoned");
         if mb.closed || mb.task.is_some() || !self.hungry.swap(false, Ordering::Relaxed) {
             return Err(task);
         }
-        mb.task = Some((owner, task));
+        task.mark_home(owner);
+        mb.task = Some(task);
         Ok(())
     }
 
-    /// Asking side: takes the handed-off task and its owner's id, if any.
-    pub(crate) fn take(&self) -> Option<(usize, Task)> {
+    /// Asking side: takes the handed-off task, if any.
+    pub(crate) fn take(&self) -> Option<Task> {
         self.mailbox
             .lock()
             .expect("mailbox lock poisoned")
@@ -104,11 +117,29 @@ impl ShardLink {
     /// is none, closes the mailbox so no give can land after the shard
     /// exits. Returns the task, which the shard must run before it
     /// tries to close again.
-    pub(crate) fn close(&self) -> Option<(usize, Task)> {
+    pub(crate) fn close(&self) -> Option<Task> {
         let mut mb = self.mailbox.lock().expect("mailbox lock poisoned");
         let task = mb.task.take();
         mb.closed = task.is_none();
         task
+    }
+
+    /// Running side: hands this shard the answer to a request it
+    /// ingested and a sibling ran.
+    pub(crate) fn answer(&self, resp: Response) {
+        let mut mb = self.mailbox.lock().expect("mailbox lock poisoned");
+        mb.answers.push(resp);
+        self.answered.store(true, Ordering::Relaxed);
+    }
+
+    /// Home side: swaps the answers that came home into `into` (empty).
+    pub(crate) fn take_answers(&self, into: &mut Vec<Response>) {
+        if !self.answered.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut mb = self.mailbox.lock().expect("mailbox lock poisoned");
+        std::mem::swap(&mut mb.answers, into);
+        self.answered.store(false, Ordering::Relaxed);
     }
 }
 
@@ -194,12 +225,8 @@ impl ShardRollup {
     }
 
     /// The cross-shard conservation law, checked at quiescence:
-    /// `Σ ingested == Σ completed + Σ failed + Σ tx_dropped`.
-    ///
-    /// (`tx_dropped` requests *did* complete but their responses were
-    /// dropped; the per-shard `completed` counter already includes them,
-    /// so the law here is over completions, with `tx_dropped` listed for
-    /// the transport-level variant used by the server tests.)
+    /// `Σ ingested == Σ completed + Σ failed` (a `tx_dropped` request did
+    /// complete, so `completed` already includes it).
     pub fn conservation_holds(&self) -> bool {
         self.total_ingested() == self.total_completed() + self.total_failed()
     }
@@ -208,47 +235,38 @@ impl ShardRollup {
 /// N independent dispatcher+worker groups joined by the cross-shard
 /// hand-off.
 ///
-/// Each shard gets its own ingress and egress endpoint (index-aligned
-/// with the shard id); the front end decides which shard's ingress a
-/// request enters — the TCP server places each connection on one shard
-/// at accept.
+/// Each shard owns one transport, its ingress and egress at once; the
+/// front end decides which shard's ingress a request enters (the TCP
+/// server places each connection on one shard at accept).
 pub struct ShardedRuntime {
     shards: Vec<Runtime>,
 }
 
 impl ShardedRuntime {
-    /// Starts `config.num_shards` runtimes, each consuming one entry of
-    /// `ingresses`/`egresses` (index = shard id).
+    /// Starts `config.num_shards` runtimes, each owning one entry of
+    /// `transports` (index = shard id), e.g. a pair `(rx, tx)` of rings.
     ///
     /// # Panics
     ///
-    /// Panics if the endpoint vectors don't match `config.num_shards`,
+    /// Panics if `transports` does not hold `config.num_shards` entries,
     /// or on the same conditions as [`Runtime::start`].
-    pub fn start<A: ConcordApp, I: Ingress, E: Egress>(
+    pub fn start<A: ConcordApp, T: Ingress + Egress>(
         config: RuntimeConfig,
         app: Arc<A>,
-        ingresses: Vec<I>,
-        egresses: Vec<E>,
+        transports: Vec<T>,
     ) -> Self {
         let n = config.num_shards.max(1);
-        assert_eq!(ingresses.len(), n, "one ingress per shard");
-        assert_eq!(egresses.len(), n, "one egress per shard");
+        assert_eq!(transports.len(), n, "one transport per shard");
         let links: Arc<[ShardLink]> = (0..n).map(|_| ShardLink::default()).collect();
         let mut shards = Vec::with_capacity(n);
-        for (id, (ingress, egress)) in ingresses.into_iter().zip(egresses).enumerate() {
+        for (id, io) in transports.into_iter().enumerate() {
             // One shard has nobody to hand off to: it runs the plain
             // dispatcher loop.
             let ctx = (n > 1).then(|| ShardContext {
                 id,
                 links: links.clone(),
             });
-            shards.push(Runtime::start_shard(
-                config.clone(),
-                app.clone(),
-                ingress,
-                egress,
-                ctx,
-            ));
+            shards.push(Runtime::start_shard(config.clone(), app.clone(), io, ctx));
         }
         Self { shards }
     }
@@ -421,8 +439,9 @@ mod tests {
         r.err().map(|t| t.req.id)
     }
 
+    /// The owner and id of the task the link holds, if any.
     fn taken_id(link: &ShardLink) -> Option<(usize, u64)> {
-        link.take().map(|(owner, t)| (owner, t.req.id))
+        link.take().map(|t| (t.home().expect("marked"), t.req.id))
     }
 
     #[test]
@@ -474,15 +493,53 @@ mod tests {
         let link = ShardLink::default();
         link.ask(true);
         assert!(link.give(1, task(9)).is_ok(), "asked");
-        let (owner, t) = link.close().expect("a task was waiting");
-        assert_eq!((owner, t.req.id), (1, 9));
+        let t = link.close().expect("a task was waiting");
+        assert_eq!((t.home(), t.req.id), (Some(1), 9));
         // Still open until a close finds the slot empty.
         link.ask(true);
         assert!(link.give(1, task(10)).is_ok(), "not closed yet");
-        assert_eq!(link.close().map(|(_, t)| t.req.id), Some(10));
+        assert_eq!(link.close().map(|t| t.req.id), Some(10));
         assert!(link.close().is_none());
         link.ask(true);
         assert!(link.give(1, task(11)).is_err());
+    }
+
+    #[test]
+    fn a_task_keeps_the_mark_of_the_shard_that_ingested_it() {
+        let (first, second) = (ShardLink::default(), ShardLink::default());
+        let t = task(1);
+        assert_eq!(t.home(), None, "ingested here");
+        first.ask(true);
+        assert!(first.give(2, t).is_ok());
+        let t = first.take().expect("given");
+        assert_eq!(t.home(), Some(2));
+        // Handed on by the taker: its answer still goes to shard 2.
+        second.ask(true);
+        assert!(second.give(0, t).is_ok());
+        assert_eq!(taken_id(&second), Some((2, 1)));
+    }
+
+    #[test]
+    fn answers_come_home_in_order_and_only_when_sent() {
+        let link = ShardLink::default();
+        let mut got = Vec::new();
+        link.take_answers(&mut got);
+        assert!(got.is_empty(), "nothing owed");
+        for id in [4, 5] {
+            link.answer(Response::completed(&task(id).req));
+        }
+        link.take_answers(&mut got);
+        assert_eq!(got.iter().map(|r| r.id).collect::<Vec<_>>(), [4, 5]);
+        // The list stays open past a close: a drained taker's answers
+        // still reach a shard that waits for them.
+        assert!(link.close().is_none());
+        got.clear();
+        link.answer(Response::completed(&task(6).req));
+        link.take_answers(&mut got);
+        assert_eq!(got.iter().map(|r| r.id).collect::<Vec<_>>(), [6]);
+        got.clear();
+        link.take_answers(&mut got);
+        assert!(got.is_empty(), "each answer is taken once");
     }
 
     #[test]

@@ -28,6 +28,7 @@ use crate::policy::KeyInput;
 use concord_net::{Request, Response};
 use concord_uthread::stack::Stack;
 use concord_uthread::{CoState, Coroutine};
+use std::num::NonZeroU16;
 use std::sync::Arc;
 
 /// What a thread pools between requests: a coroutine stack and the
@@ -95,9 +96,10 @@ impl FramePool {
 
     /// Takes a finished task's frame back, unless the pool is full or
     /// the handler panicked (the unwind dropped its application handle).
-    pub fn put(&mut self, task: Task) {
+    /// The task is left unbound.
+    pub fn put(&mut self, task: &mut Task) {
         if self.frames.len() < self.cap {
-            if let Some(frame) = task.into_frame() {
+            if let Some(frame) = task.take_frame() {
                 self.frames.push(frame);
             }
         }
@@ -145,6 +147,9 @@ pub struct Task {
     /// preemption-latency histogram, the completion record and the
     /// response's `finished_at`.
     pub last_slice_end_ns: u64,
+    /// 1 + the shard that ingested this request, once handed to a
+    /// sibling. It fits the padding after `started`.
+    home: Option<NonZeroU16>,
 }
 
 /// What a single execution slice ended with.
@@ -175,6 +180,7 @@ impl Task {
             slices: 0,
             last_slice_start_ns: 0,
             last_slice_end_ns: 0,
+            home: None,
         }
     }
 
@@ -276,14 +282,26 @@ impl Task {
         self.co?.into_stack()
     }
 
-    /// Recovers the whole frame for a pool. `None` unless the handler
+    /// Takes the whole frame out for a pool. `None` unless the handler
     /// returned: a panicked handler's application handle was dropped by
     /// the unwind, and a suspended one still lives on the stack.
-    fn into_frame(self) -> Option<Frame> {
-        let mut co = self.co?;
+    fn take_frame(&mut self) -> Option<Frame> {
+        let mut co = self.co.take()?;
         let app = co.take_result()?.app;
         let stack = co.into_stack()?;
         Some(Frame { stack, app })
+    }
+
+    /// The shard that ingested this request, if a sibling handed it here.
+    pub(crate) fn home(&self) -> Option<usize> {
+        self.home.map(|h| usize::from(h.get() - 1))
+    }
+
+    /// Marks the task as ingested by shard `owner`, unless a task handed
+    /// on again already carries its first mark.
+    pub(crate) fn mark_home(&mut self, owner: usize) {
+        let id = u16::try_from(owner + 1).expect("a shard id fits in 16 bits");
+        self.home = self.home.or(NonZeroU16::new(id));
     }
 
     /// Builds the response descriptor for this (completed) task, carrying
@@ -414,8 +432,8 @@ mod tests {
         assert_eq!(pool.take_reuses(), 0, "an empty pool builds");
         assert_eq!(a.run_slice(&clock), SliceEnd::Completed);
         assert_eq!(b.run_slice(&clock), SliceEnd::Completed);
-        pool.put(a);
-        pool.put(b);
+        pool.put(&mut a);
+        pool.put(&mut b);
         let mut c = Task::fresh(req(1_000), clock.now_ns());
         pool.bind(&mut c);
         pool.bind(&mut c);
@@ -446,7 +464,7 @@ mod tests {
         let mut t = Task::fresh(req(1_000), clock.now_ns());
         pool.bind(&mut t);
         assert_eq!(t.run_slice(&clock), SliceEnd::Failed);
-        pool.put(t);
+        pool.put(&mut t);
         pool.bind(&mut Task::fresh(req(1_000), clock.now_ns()));
         assert_eq!(
             pool.take_reuses(),

@@ -1,25 +1,23 @@
 //! Transport abstraction: how requests reach the runtime and responses
 //! leave it.
 //!
-//! The paper's testbed feeds Concord from a kernel-bypass NIC; this
-//! reproduction started with in-process SPSC descriptor rings
-//! (`concord-net`) standing in for the NIC queues. Real deployments need
-//! other front ends — a TCP accept loop (`concord-server`), a replayed
-//! trace, a fuzzer — so the runtime is generic over two small traits:
+//! In-process SPSC descriptor rings (`concord-net`) stand in for the
+//! paper's NIC queues, and `concord-server` puts TCP connections in
+//! their place, so the runtime is generic over two small traits:
 //!
-//! - [`Ingress`]: a non-blocking source of admitted [`Request`]s. The
-//!   dispatcher polls it in its main loop, exactly where it used to pop
-//!   the RX ring. An ingress that performs admission control additionally
-//!   exposes its [`AdmissionCounters`] and a stream of
-//!   [`AdmissionEvent`]s the dispatcher folds into the tracer.
+//! - [`Ingress`]: a non-blocking source of admitted [`Request`]s, polled
+//!   once per dispatcher pass. One that performs admission control also
+//!   exposes its [`AdmissionCounters`] and the [`AdmissionEvent`]s the
+//!   dispatcher folds into the tracer.
 //! - [`Egress`]: a non-blocking sink for [`Response`]s. `send` hands the
-//!   response back on transient backpressure so the dispatcher's bounded
-//!   retry-then-drop policy (and its `tx_dropped` accounting) applies to
-//!   every transport uniformly.
+//!   response back on transient backpressure, so the dispatcher's
+//!   retry-then-drop policy (and `tx_dropped`) applies to every
+//!   transport alike.
 //!
-//! The original NIC-model rings implement both traits below, so existing
-//! ring-based callers compile unchanged; `concord-server` implements them
-//! over the TCP connections each shard's dispatcher owns.
+//! A dispatcher owns one transport value that is both, and its egress
+//! answers exactly what its ingress delivered. A ring implements one
+//! trait, and a pair `(rx, tx)` of rings is a transport;
+//! `concord-server`'s per-shard sockets implement both.
 
 use crate::admission::{AdmissionCounters, AdmissionEvent};
 use concord_net::{Request, Response};
@@ -42,28 +40,16 @@ pub fn spsc<T: Send>(cap: usize) -> (SpscSender<T>, SpscReceiver<T>) {
 
 /// A non-blocking source of requests for the dispatcher.
 ///
-/// `poll` and `poll_batch` are called from the dispatcher's hot loop and
-/// must never block: return `None` (append nothing) when nothing is
-/// pending. Implementations that gate arrivals through an
+/// `poll_batch` is called from the dispatcher's hot loop and must never
+/// block. Implementations that gate arrivals through an
 /// [`AdmissionQueue`](crate::admission::AdmissionQueue) should also
 /// forward its counters and event stream so drops become visible in
 /// [`RuntimeStats`](crate::stats::RuntimeStats) and the trace.
 pub trait Ingress: Send + 'static {
-    /// Returns the next admitted request, or `None` if the transport has
-    /// nothing pending right now.
-    fn poll(&mut self) -> Option<Request>;
-
     /// Appends pending requests to `out` until it holds `room` of them
     /// or nothing more is pending: what the dispatcher calls once per
-    /// pass. Default: [`Ingress::poll`] in a loop, which is all a
-    /// lock-free ring needs; an ingress behind a lock overrides it to
-    /// take the lock once per batch instead of once per request.
-    fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize) {
-        while out.len() < room {
-            let Some(req) = self.poll() else { break };
-            out.push(req);
-        }
-    }
+    /// pass.
+    fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize);
 
     /// Moves any admission events recorded since the last call into
     /// `out`. The dispatcher drains this every loop iteration and emits
@@ -100,12 +86,9 @@ pub trait Egress: Send + 'static {
 
     /// Called exactly once when the dispatcher gives up on a response
     /// after its bounded retry, or at once when the fault injector
-    /// rejects it (the `tx_dropped` path). Transports that keep
-    /// per-request books settle them here, so a dropped response can
-    /// never pin a connection's resources forever: `concord-server`
-    /// counts every request a connection sent as *owed* until its
-    /// answer arrives, and this hook settles it instead. Must not
-    /// block. Default: no-op (the NIC-model rings have no books).
+    /// rejects it (the `tx_dropped` path). A transport that keeps
+    /// per-request books (`concord-server` counts a request *owed* until
+    /// answered) settles them here. Must not block. Default: no-op.
     fn on_drop(&mut self, resp: &Response) {
         let _ = resp;
     }
@@ -115,17 +98,21 @@ pub trait Egress: Send + 'static {
     /// not block. Default: no-op.
     fn flush(&mut self) {}
 
-    /// Called once, after the dispatcher has drained and before its
-    /// thread exits: a transport that owns connections writes out what
-    /// they still hold, waiting a bounded time for slow readers.
-    /// Default: no-op.
+    /// Called once, after the dispatcher has drained (every request this
+    /// transport delivered, also one a sibling ran, has been answered or
+    /// dropped through it) and before its thread exits: a transport that
+    /// owns connections writes out what they still hold, waiting a
+    /// bounded time for slow readers. Default: no-op.
     fn finish(&mut self) {}
 }
 
 /// The NIC-model RX ring is the original ingress.
 impl Ingress for SpscReceiver<Request> {
-    fn poll(&mut self) -> Option<Request> {
-        self.pop()
+    fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize) {
+        while out.len() < room {
+            let Some(req) = self.pop() else { break };
+            out.push(req);
+        }
     }
 }
 
@@ -133,6 +120,43 @@ impl Ingress for SpscReceiver<Request> {
 impl Egress for SpscSender<Response> {
     fn send(&mut self, resp: Response) -> Result<(), Response> {
         self.push(resp)
+    }
+}
+
+/// An ingress and an egress paired into one transport.
+impl<I: Ingress, E: Egress> Ingress for (I, E) {
+    fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize) {
+        self.0.poll_batch(out, room);
+    }
+
+    fn drain_admission(&mut self, out: &mut Vec<AdmissionEvent>) {
+        self.0.drain_admission(out);
+    }
+
+    fn admission_counters(&self) -> Option<Arc<AdmissionCounters>> {
+        self.0.admission_counters()
+    }
+
+    fn attach_slo(&self, slo: Arc<crate::quantum::SloState>) {
+        self.0.attach_slo(slo);
+    }
+}
+
+impl<I: Ingress, E: Egress> Egress for (I, E) {
+    fn send(&mut self, resp: Response) -> Result<(), Response> {
+        self.1.send(resp)
+    }
+
+    fn on_drop(&mut self, resp: &Response) {
+        self.1.on_drop(resp);
+    }
+
+    fn flush(&mut self) {
+        self.1.flush();
+    }
+
+    fn finish(&mut self) {
+        self.1.finish();
     }
 }
 
@@ -153,11 +177,16 @@ mod tests {
     #[test]
     fn ring_endpoints_implement_the_traits() {
         let (mut tx, mut rx) = spsc::<Request>(8);
-        tx.push(req(7)).expect("space");
-        // Through the trait, as the dispatcher sees it.
-        let polled = Ingress::poll(&mut rx).expect("one request");
-        assert_eq!(polled.id, 7);
-        assert!(Ingress::poll(&mut rx).is_none());
+        for id in 7..10 {
+            tx.push(req(id)).expect("space");
+        }
+        // Through the trait, as the dispatcher sees it: at most `room`.
+        let mut polled = Vec::new();
+        rx.poll_batch(&mut polled, 2);
+        assert_eq!(polled.iter().map(|r| r.id).collect::<Vec<_>>(), [7, 8]);
+        rx.poll_batch(&mut polled, 8);
+        rx.poll_batch(&mut polled, 8);
+        assert_eq!(polled.len(), 3, "then what is left, then nothing");
         assert!(rx.admission_counters().is_none(), "plain rings don't admit");
 
         let (mut etx, mut erx) = spsc::<Response>(2);

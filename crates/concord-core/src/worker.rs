@@ -32,6 +32,14 @@ pub enum WorkerMsg {
         /// Response descriptor for the TX ring.
         resp: Response,
     },
+    /// A request a sibling shard ingested finished; the dispatcher
+    /// records it and sends the answer home.
+    Moved {
+        /// The finished task, without its frame.
+        task: Task,
+        /// The handler panicked.
+        failed: bool,
+    },
     /// A request yielded and must be re-queued.
     Requeue {
         /// The suspended task.
@@ -196,12 +204,18 @@ impl WorkerLoop {
 
     /// Reports a finished (completed or failed) request: one message
     /// carrying the telemetry record and the response. The frame goes
-    /// back to this worker's pool once the message is on its way.
-    fn finish(&mut self, task: Task, failed: bool) {
+    /// back to this worker's pool once the message is on its way. A
+    /// request a sibling shard ingested goes back as its shell instead.
+    fn finish(&mut self, mut task: Task, failed: bool) {
+        if task.home().is_some() {
+            self.pool.put(&mut task);
+            self.send(WorkerMsg::Moved { task, failed });
+            return;
+        }
         let record = CompletionRecord::from_task(&task, self.idx, failed);
         let resp = task.response(&self.clock);
         self.send(WorkerMsg::Completed { record, resp });
-        self.pool.put(task);
+        self.pool.put(&mut task);
     }
 
     /// Pushes one message onto the return ring. The ring cannot be full:

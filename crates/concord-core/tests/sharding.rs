@@ -2,10 +2,10 @@
 //! cross-shard hand-off, and the per-shard and cross-shard conservation
 //! laws.
 //!
-//! A handed-off request completes (and answers) on the thief shard, so
-//! per-ring response counts are not predictable — the tests poll every
-//! shard's egress ring and assert over the totals, exactly the way the
-//! cross-shard oracle does.
+//! A handed-off request completes on the shard that took it, but its
+//! answer leaves by the egress of the shard that ingested it: each
+//! shard's ring carries exactly the answers to what its own ring
+//! delivered.
 
 use concord_core::{Runtime, RuntimeConfig, ShardedRuntime, SpinApp};
 use concord_net::ring::{ring, Consumer};
@@ -59,8 +59,7 @@ fn balanced_shards_complete_everything_and_conserve() {
     let srt = ShardedRuntime::start(
         cfg,
         Arc::new(SpinApp::new()),
-        vec![req_rx0, req_rx1],
-        vec![resp_tx0, resp_tx1],
+        vec![(req_rx0, resp_tx0), (req_rx1, resp_tx1)],
     );
     assert_eq!(srt.num_shards(), 2);
 
@@ -86,7 +85,8 @@ fn skewed_load_hands_off_to_the_idle_shard_exactly_once() {
     // Everything lands on shard 0: one worker, 2 ms requests, far over
     // capacity. Idle shard 1 asks, and the saturated owner gives it
     // never-started work; every shard's books balance exactly and every
-    // request is answered once, by whichever shard ran it.
+    // request is answered once, on shard 0's ring, whichever shard ran
+    // it.
     const TOTAL: u64 = 150;
     let cfg = RuntimeConfig::builder()
         .small_test()
@@ -104,33 +104,37 @@ fn skewed_load_hands_off_to_the_idle_shard_exactly_once() {
     let srt = ShardedRuntime::start(
         cfg,
         Arc::new(SpinApp::new()),
-        vec![req_rx0, req_rx1],
-        vec![resp_tx0, resp_tx1],
+        vec![(req_rx0, resp_tx0), (req_rx1, resp_tx1)],
     );
 
     let gen = LoadGen::start(req_tx0, fixed_us_mix(2_000.0), 5_000.0, TOTAL, 7);
     let _quiet = req_tx1; // shard 1's ingress stays open and empty
     let mut rings = [resp_rx0, resp_rx1];
     let mut ids = Vec::new();
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while (ids.len() as u64) < TOTAL && Instant::now() < deadline {
-        for rx in rings.iter_mut() {
+    let mut per_ring = [0u64; 2];
+    let mut pop_all = |rings: &mut [Consumer<Response>; 2], ids: &mut Vec<u64>| {
+        for (ring, rx) in rings.iter_mut().enumerate() {
             while let Some(resp) = rx.pop() {
                 ids.push(resp.id);
+                per_ring[ring] += 1;
             }
         }
+    };
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while (ids.len() as u64) < TOTAL && Instant::now() < deadline {
+        pop_all(&mut rings, &mut ids);
         std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(gen.join().dropped, 0);
 
     let rollup = srt.shutdown();
     // Nothing more arrives after quiescence: no answer was sent twice.
-    for rx in rings.iter_mut() {
-        while let Some(resp) = rx.pop() {
-            ids.push(resp.id);
-        }
-    }
+    pop_all(&mut rings, &mut ids);
     assert_eq!(ids.len() as u64, TOTAL, "answers: {rollup:?}");
+    // The owner's egress answered everything its ingress delivered, also
+    // what shard 1 ran; shard 1's ring delivered nothing and answered
+    // nothing.
+    assert_eq!(per_ring, [TOTAL, 0], "answers per ring: {rollup:?}");
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len() as u64, TOTAL, "a request was answered twice");
@@ -160,7 +164,7 @@ fn single_shard_config_matches_plain_runtime_shape() {
     let cfg = RuntimeConfig::small_test();
     let (req_tx, req_rx) = ring::<Request>(4096);
     let (resp_tx, resp_rx) = ring::<Response>(4096);
-    let srt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), vec![req_rx], vec![resp_tx]);
+    let srt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), vec![(req_rx, resp_tx)]);
     let gen = LoadGen::start(req_tx, fixed_us_mix(10.0), 10_000.0, 200, 3);
     let mut rings = [resp_rx];
     let got = drain_responses(&mut rings, 200, Duration::from_secs(60));

@@ -204,6 +204,8 @@ impl LoadGen {
 /// Client-side response collector.
 pub struct Collector {
     rx: Vec<Consumer<Response>>,
+    /// Responses recorded from each ring of `rx`.
+    per_ring: Vec<u64>,
     rtt: RttModel,
     rng: concord_rng::SmallRng,
     tally: Tally,
@@ -213,8 +215,10 @@ impl Collector {
     /// Creates a collector reading from `rx` — one ring, or several — and
     /// charging `rtt` per sample.
     pub fn new(rx: impl Into<Vec<Consumer<Response>>>, rtt: RttModel, seed: u64) -> Self {
+        let rx: Vec<_> = rx.into();
         Self {
-            rx: rx.into(),
+            per_ring: vec![0; rx.len()],
+            rx,
             rtt,
             rng: seeded_rng(seed),
             tally: Tally::default(),
@@ -225,10 +229,11 @@ impl Collector {
     /// many were recorded.
     pub fn poll(&mut self) -> usize {
         let mut n = 0;
-        for ring in 0..self.rx.len() {
-            while let Some(resp) = self.rx[ring].pop() {
+        for (ring, rx) in self.rx.iter_mut().enumerate() {
+            while let Some(resp) = rx.pop() {
                 let e2e = resp.sojourn_ns() + self.rtt.sample(&mut self.rng);
                 self.tally.completed(resp.class, resp.service_ns, e2e);
+                self.per_ring[ring] += 1;
                 n += 1;
             }
         }
@@ -283,6 +288,12 @@ impl Collector {
     /// a latency past the histogram's range is clamped but still counted.
     pub fn received(&self) -> u64 {
         self.tally.latency_ns.len()
+    }
+
+    /// Responses recorded so far from each ring, in the order the rings
+    /// were given.
+    pub fn received_per_ring(&self) -> &[u64] {
+        &self.per_ring
     }
 
     /// Everything recorded so far: client-observed end-to-end latency,
@@ -466,6 +477,7 @@ mod tests {
         assert_eq!(server0.join().expect("server 0"), 500);
         assert_eq!(server1.join().expect("server 1"), 500);
         assert_eq!(c.received(), 1_000);
+        assert_eq!(c.received_per_ring(), [500, 500], "each ring's own answers");
     }
 
     #[test]

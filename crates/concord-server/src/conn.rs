@@ -1,46 +1,34 @@
 //! Connection identity and response routing: generation-tagged slots,
 //! kept by the one shard dispatcher that owns them.
 //!
-//! The server routes responses back to connections through bits packed
-//! into the request id. The original scheme used a bare 16-bit counter
-//! as the connection id, which wraps after 65,536 accepts: a response
-//! still in flight for a closed connection would then be delivered to
-//! whatever *new* connection had been assigned the reused id —
-//! cross-connection delivery, the worst kind of silent corruption.
+//! The server routes each answer back to its connection through bits
+//! packed into the request id (`16-bit slot | 8-bit generation | 40-bit
+//! client id`, laid out in [`concord_wire::route`] and shared with the
+//! rack front end):
 //!
-//! This module replaces the counter with a slot table:
-//!
-//! - a **slot** (16 bits) indexes the table. Shard `i` of `n` owns the
-//!   slots `s` with `s % n == i` (`owner`), so the slot in a route id
-//!   names the shard that must hear about the request, with no lookup
-//!   and no lock — also when a sibling shard's dispatcher stole the
-//!   request and answers it;
-//! - a **generation** (8 bits) is bumped on every slot reuse and packed
-//!   into the route id next to the slot.
+//! - a **slot** indexes the table. Shard `i` of `n` owns the slots `s`
+//!   with `s % n == i`, so route ids are unique across shards
+//!   and a merged trace, whose STEAL events follow a request onto the
+//!   sibling that ran it, names each request once. Answers need no
+//!   routing between shards: the runtime brings a handed-off request's
+//!   answer home to the shard that read it;
+//! - a **generation** is bumped on every slot reuse, so a late answer
+//!   for a slot's previous connection is told from one for its live
+//!   occupant.
 //!
 //! A slot outlives its connection: a torn-down connection's slot returns
 //! to the free list only once every request it had admitted has been
-//! settled — answered (the answer orphans), dropped, or evicted. A
-//! route id can therefore never name a slot's next occupant, whatever
-//! the generation wrap, and the generation is what tells a late answer
-//! for a freed slot from one for its live occupant.
+//! settled — answered (the answer orphans), dropped, or evicted. A route
+//! id can therefore never name a slot's next occupant, whatever the
+//! generation wrap: no answer is ever delivered to the wrong connection.
 //!
 //! Every book here is a plain field of the owning shard's `ConnTable`:
 //! a slot's `owed` count, its connection's [`Outbox`] (the shared
 //! `concord_net::endpoint` one, bounded in frames), and the shard's
 //! `in_flight`, which always equals the sum of `owed` over its slots.
-//!
-//! The route-id bit layout itself (`16-bit slot | 8-bit generation |
-//! 40-bit client id`) lives in [`concord_wire::route`], shared with the
-//! rack front end.
 
 use concord_net::endpoint::Outbox;
 use concord_wire::route::MAX_CONNS;
-
-/// The shard (of `shards`) that owns `slot`.
-pub(crate) fn owner(slot: u16, shards: usize) -> usize {
-    usize::from(slot) % shards
-}
 
 struct Slot {
     gen: u8,
@@ -83,7 +71,7 @@ impl ConnTable {
     /// The slot's state, if this shard owns it and `gen` names its
     /// current occupant.
     fn get(&mut self, slot: u16, gen: u8) -> Option<&mut Slot> {
-        if owner(slot, self.stride) != self.index {
+        if usize::from(slot) % self.stride != self.index {
             return None;
         }
         let s = self.slots.get_mut(usize::from(slot) / self.stride)?;
@@ -214,7 +202,7 @@ mod tests {
         let mut t = ConnTable::new(2, 3, 64);
         let slots: Vec<u16> = (0..4).map(|_| t.register().expect("slot").0).collect();
         assert_eq!(slots, [2, 5, 8, 11]);
-        assert!(slots.iter().all(|&s| owner(s, 3) == 2));
+        assert!(slots.iter().all(|&s| s % 3 == 2));
         // Another shard's slot is not this table's to touch.
         assert!(t.outbox(3, 0).is_none());
         assert!(!t.settle(4, 0));

@@ -16,8 +16,8 @@
 //! the server rewrites each client id into
 //! `slot << 48 | generation << 40 | client_id` before ingest and strips
 //! it again at encode time, so the runtime stays oblivious to
-//! connections. The slot also names the owning shard, so a request a
-//! sibling stole is answered back to its owner. A slot is held until
+//! connections. A request a sibling shard ran is answered by the shard
+//! that read it: the runtime brings the answer home. A slot is held until
 //! every answer owed on it has arrived, so an answer for a connection
 //! that is gone is counted as an orphan, never delivered to the slot's
 //! next occupant.
@@ -194,7 +194,7 @@ impl FrontShared {
     ) -> FrontShared {
         FrontShared {
             stop: AtomicBool::new(false),
-            shards: admissions.iter().map(|_| ShardShared::new()).collect(),
+            shards: admissions.iter().map(|_| ShardShared::default()).collect(),
             admissions,
             stats: OnceLock::new(),
             outbox_cap: outbox_cap.max(1),
@@ -340,7 +340,7 @@ impl Server {
         let sockets = (0..n_shards)
             .map(|shard| ShardSockets::new(shard, &listener, &shared))
             .collect::<std::io::Result<Vec<_>>>()?;
-        let rt = ShardedRuntime::start(cfg.runtime, app, sockets.clone(), sockets);
+        let rt = ShardedRuntime::start(cfg.runtime, app, sockets);
         let _ = shared
             .stats
             .set((0..n_shards).map(|s| rt.stats(s)).collect());
@@ -430,9 +430,9 @@ impl Server {
         self.shared.stop.store(true, Ordering::Release);
         // 2. Graceful drain: wait until every shard has stopped reading
         //    and ingested what its gate admitted, then quiesce the shards
-        //    (concurrently — each drains its in-flight requests, then
-        //    flushes its connections and waits for the answers siblings
-        //    owe it before its dispatcher exits).
+        //    (concurrently — each drains its in-flight requests, takes
+        //    home the answers to those a sibling ran, then flushes its
+        //    connections before its dispatcher exits).
         let deadline = Instant::now() + Duration::from_secs(30);
         let reading = |s: &FrontShared| {
             s.shards.iter().any(|s| !s.stopped()) || s.admissions.iter().any(|a| !a.is_empty())

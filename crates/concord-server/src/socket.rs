@@ -1,16 +1,16 @@
 //! The socket transport: each shard's dispatcher owns its connections.
 //!
 //! A [`ShardSockets`] is one shard's [`Ingress`] and [`Egress`] at once,
-//! both run on that shard's dispatcher thread, the way the in-process
+//! one plain value that shard's dispatcher owns, the way the in-process
 //! NIC-model rings stand in for the paper's RX and TX queues. It owns a
 //! [`Poller`], a [`Listener`] over the shared socket (registered in
 //! every shard's poller; the accept race is benign — losers see
 //! `WouldBlock` — and parked out of the poller for a beat when `accept`
 //! fails, e.g. on descriptor exhaustion), and — the one-owner rule —
 //! everything about the connections placed on it: their sockets, their
-//! slots in its own [`ConnTable`] (shard `i` of `n` hands out the slots
-//! `s % n == i`), every connection's owed count and outbox, and its
-//! `in_flight` count, all plain fields no other thread touches.
+//! slots in its own [`ConnTable`], every connection's owed count and
+//! outbox, and its `in_flight` count, all plain fields no other thread
+//! touches.
 //!
 //! - **Placement** happens once, at accept, by least connections: a
 //!   shard accepts only while no shard serves fewer connections than it
@@ -26,41 +26,36 @@
 //!   rejected, it is answered RETRY into the outbox. The dispatcher then
 //!   takes what the gate admitted, as many as the pass has room for.
 //! - **Answers** are encoded by [`Egress::send`] straight into their
-//!   connection's outbox, and the books settled. [`Egress::flush`], at
-//!   the end of every pass, writes every outbox touched since the last
-//!   write once a pass encodes no answer (none was joining them) or
-//!   sheds a request with RETRY, or once the waiting answers have been
-//!   joined by as many as the most requests in flight behind them: one
-//!   `write` per connection,
-//!   `EPOLLOUT` interest only when the socket fills. An answer whose
-//!   outbox is still full after one flush is dropped into the shard's
-//!   `tx_dropped` at once; `send` never hands a response back, so the
-//!   dispatcher never spins on a socket. The outbox, the write loop and the interest
-//!   reconcile are [`concord_net::endpoint`]'s, shared with the rack
-//!   proxy and the admin listener.
-//! - **Stolen requests** are the one cross-thread path. A sibling whose
-//!   dispatcher asked for and was handed a request of this shard answers
-//!   it (or drops it) on its own egress; the slot in the route id names
-//!   this shard as the owner, so the sibling puts the answer in this
-//!   shard's stolen inbox, which the owner takes in once per pass.
+//!   connection's outbox, and the books settled — also for a request a
+//!   sibling shard ran, whose answer the runtime brings home to this
+//!   shard's dispatcher. [`Egress::flush`], at the end of every pass,
+//!   writes every outbox touched since the last write once a pass
+//!   encodes no answer (none was joining them) or sheds a request with
+//!   RETRY, or once the waiting answers have been joined by as many as
+//!   the most requests in flight behind them: one `write` per
+//!   connection, `EPOLLOUT` interest only when the socket fills. An
+//!   answer whose outbox is still full after one flush is dropped into
+//!   the shard's `tx_dropped` at once; `send` never hands a response
+//!   back, so the dispatcher never spins on a socket. The outbox, the
+//!   write loop and the interest reconcile are
+//!   [`concord_net::endpoint`]'s, shared with the rack proxy and the
+//!   admin listener.
 //! - **Retirement**: a connection leaves when the client has
 //!   half-closed, nothing is owed, and its outbox has flushed. Protocol
 //!   errors and write failures abort it at once; either way its slot
 //!   stays held until every answer still owed on it has arrived (and
-//!   orphaned), so a route id never outlives its slot's generation.
+//!   orphaned), so a route id never outlives its slot's generation. A
+//!   half-closed connection that still owes responses is deregistered
+//!   from epoll (level-triggered `EPOLLRDHUP` would re-report the
+//!   half-close forever) and serviced when an answer or settle reaches
+//!   it.
 //!
-//! A half-closed connection that still owes responses is *deregistered*
-//! from epoll entirely (level-triggered `EPOLLRDHUP` would re-report the
-//! half-close forever) and is serviced when an answer or settle for it
-//! arrives.
-//!
-//! Idling is the dispatcher's own: on a pass with nothing to do it takes
-//! its `yield_now` step, and the transport's `epoll_wait` never blocks.
-//! [`Egress::finish`], called once the dispatcher has drained, flushes
-//! what the connections still hold and waits (bounded) for the answers
-//! siblings still owe this shard.
+//! Idling is the dispatcher's own `yield_now`; the transport's
+//! `epoll_wait` never blocks. [`Egress::finish`], called once the
+//! dispatcher has drained, flushes what the connections still hold,
+//! waiting a bounded time for clients that stop reading.
 
-use crate::conn::{owner, ConnTable};
+use crate::conn::ConnTable;
 use crate::server::FrontShared;
 use concord_core::admission::{AdmissionCounters, AdmissionEvent, AdmissionQueue, AdmitOutcome};
 use concord_core::transport::{Egress, Ingress};
@@ -76,7 +71,7 @@ use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Token of the shared listener in every shard's poller.
@@ -91,25 +86,12 @@ fn conn_token(slot: u16, gen: u8) -> u64 {
     u64::from(slot) | (u64::from(gen) << 16)
 }
 
-/// How a request a sibling shard ran ends, for the shard that owns its
-/// connection.
-enum Settle {
-    Answered(Response),
-    Dropped(u64),
-}
-
 /// What one shard's transport shares with other threads: the counts
-/// placement and observers read, and the inbox siblings answer stolen
-/// requests into.
+/// placement and observers read.
+#[derive(Default)]
 pub(crate) struct ShardShared {
     /// Connections this shard serves (least-connections placement).
     conns: AtomicUsize,
-    /// Answers and drops for this shard's requests that a sibling ran.
-    stolen: Mutex<Vec<Settle>>,
-    /// `stolen` is non-empty. Set and cleared under its lock, read by the
-    /// owner every pass without it: a stale `false` only puts the take
-    /// off to a later pass.
-    stolen_pending: AtomicBool,
     /// The shard has seen the stop flag and reads no more requests.
     stopped: AtomicBool,
     in_flight: AtomicU64,
@@ -117,35 +99,6 @@ pub(crate) struct ShardShared {
 }
 
 impl ShardShared {
-    pub(crate) fn new() -> ShardShared {
-        ShardShared {
-            conns: AtomicUsize::new(0),
-            stolen: Mutex::new(Vec::new()),
-            stolen_pending: AtomicBool::new(false),
-            stopped: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
-            live: AtomicUsize::new(0),
-        }
-    }
-
-    /// A sibling settles one of this shard's requests.
-    fn push_stolen(&self, settle: Settle) {
-        let mut inbox = self.stolen.lock().expect("stolen inbox");
-        inbox.push(settle);
-        self.stolen_pending.store(true, Ordering::Release);
-    }
-
-    /// Owner side: swaps the inbox into `into` (which is empty), taking
-    /// the lock only when something is there.
-    fn take_stolen(&self, into: &mut Vec<Settle>) {
-        if !self.stolen_pending.load(Ordering::Acquire) {
-            return;
-        }
-        let mut inbox = self.stolen.lock().expect("stolen inbox");
-        std::mem::swap(&mut *inbox, into);
-        self.stolen_pending.store(false, Ordering::Relaxed);
-    }
-
     /// Requests admitted on this shard's connections and not yet
     /// settled, as of its dispatcher's last pass.
     pub(crate) fn in_flight(&self) -> u64 {
@@ -171,8 +124,6 @@ struct Books {
     shard: usize,
     table: ConnTable,
     gate: Arc<AdmissionQueue>,
-    /// Scratch the stolen inbox is swapped into.
-    stolen: Vec<Settle>,
     /// Connections an answer, a settle or a socket event reached since
     /// they were last serviced: flushed, and retired if finished, when
     /// [`Books::due`] says so.
@@ -193,7 +144,6 @@ impl Books {
             shard,
             table: ConnTable::new(shard, shards, outbox_cap),
             gate,
-            stolen: Vec::new(),
             touched: Vec::new(),
             emitted: false,
             shed: false,
@@ -416,8 +366,7 @@ impl Net {
     }
 
     /// One pass's socket work: stop if asked, take in every ready
-    /// socket, re-open a parked listener, and take in what siblings
-    /// settled.
+    /// socket, and re-open a parked listener.
     fn pump(&mut self, events: &mut Events) {
         if self.shared.stats.get().is_none() {
             // The runtime's counters are not wired yet; the backlog
@@ -434,7 +383,6 @@ impl Net {
             // Connections may have queued while parked.
             self.accept_burst();
         }
-        self.take_stolen();
     }
 
     fn handle(&mut self, events: &Events) {
@@ -517,20 +465,9 @@ impl Net {
         }
     }
 
-    /// The shard whose connection sent request `id`.
-    fn home(&self, id: u64) -> usize {
-        owner(split_route_id(id).0, self.shared.shards.len())
-    }
-
-    /// One answer from this shard's dispatcher. An answer for a
-    /// sibling's connection (a request this shard stole) goes to that
-    /// shard's inbox.
+    /// One answer from this shard's dispatcher, for one of its
+    /// connections.
     fn send(&mut self, resp: Response) {
-        let home = self.home(resp.id);
-        if home != self.books.shard {
-            self.shared.shards[home].push_stolen(Settle::Answered(resp));
-            return;
-        }
         let conns = &mut self.conns;
         self.books.answer(&self.shared, &resp, |slot, out| {
             if let Some(conn) = conns.get_mut(&slot) {
@@ -539,29 +476,6 @@ impl Net {
                 let _ = flush(&mut conn.stream, out);
             }
         });
-    }
-
-    /// This shard's dispatcher gave up on the answer to `id`.
-    fn dropped(&mut self, id: u64) {
-        let home = self.home(id);
-        if home == self.books.shard {
-            self.books.settle(id);
-        } else {
-            self.shared.shards[home].push_stolen(Settle::Dropped(id));
-        }
-    }
-
-    /// Takes in what siblings settled for this shard since the last pass.
-    fn take_stolen(&mut self) {
-        let mut stolen = std::mem::take(&mut self.books.stolen);
-        self.shared.shards[self.books.shard].take_stolen(&mut stolen);
-        for settle in stolen.drain(..) {
-            match settle {
-                Settle::Answered(resp) => self.send(resp),
-                Settle::Dropped(id) => self.books.settle(id),
-            }
-        }
-        self.books.stolen = stolen;
     }
 
     /// Services every touched connection once they are due (`force`:
@@ -599,23 +513,19 @@ impl Net {
         self.me().stopped.store(true, Ordering::Release);
     }
 
-    /// The final flush, once the dispatcher has drained: writes out what
-    /// the connections hold and takes in the answers siblings still owe,
-    /// until every connection has retired and nothing is in flight, or
-    /// the grace period force-closes the stragglers.
+    /// The final flush, once the dispatcher has drained and so answered
+    /// or dropped everything it took in: writes out what the connections
+    /// hold until every connection has retired, or the grace period
+    /// force-closes the stragglers.
     fn finish(&mut self, events: &mut Events) {
         self.stop_reading();
         let deadline = Instant::now() + DRAIN_GRACE;
-        loop {
-            self.take_stolen();
-            self.flush_touched(true);
-            let done = self.conns.is_empty() && self.books.table.in_flight() == 0;
-            if done || Instant::now() >= deadline {
-                break;
-            }
+        self.flush_touched(true);
+        while !self.conns.is_empty() && Instant::now() < deadline {
             if self.poller.wait(events, 1).unwrap_or(0) > 0 {
                 self.handle(events);
             }
+            self.flush_touched(true);
         }
         let slots: Vec<u16> = self.conns.keys().copied().collect();
         for slot in slots {
@@ -675,19 +585,11 @@ impl Net {
     }
 }
 
-struct ShardIo {
+/// One shard's transport: its dispatcher's [`Ingress`] and [`Egress`]
+/// in one value, which that dispatcher owns.
+pub(crate) struct ShardSockets {
     events: Events,
     net: Net,
-}
-
-/// One shard's transport: its dispatcher's [`Ingress`] and [`Egress`],
-/// two handles onto the same sockets and books. Both are only ever used
-/// on that dispatcher's thread, so the lock between them is never
-/// contended.
-#[derive(Clone)]
-pub(crate) struct ShardSockets {
-    io: Arc<Mutex<ShardIo>>,
-    gate: Arc<AdmissionQueue>,
 }
 
 impl ShardSockets {
@@ -701,77 +603,56 @@ impl ShardSockets {
         let poller = Poller::new()?;
         let listener = Listener::register(listener.clone(), &poller, TOKEN_LISTENER)?;
         let gate = shared.admissions[shard].clone();
-        let books = Books::new(shard, shared.shards.len(), gate.clone(), shared.outbox_cap);
-        let net = Net {
-            shared: shared.clone(),
-            poller,
-            listener,
-            conns: HashMap::new(),
-            books,
-            stopping: false,
-        };
+        let books = Books::new(shard, shared.shards.len(), gate, shared.outbox_cap);
         Ok(ShardSockets {
-            io: Arc::new(Mutex::new(ShardIo {
-                events: Events::with_capacity(256),
-                net,
-            })),
-            gate,
+            events: Events::with_capacity(256),
+            net: Net {
+                shared: shared.clone(),
+                poller,
+                listener,
+                conns: HashMap::new(),
+                books,
+                stopping: false,
+            },
         })
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ShardIo> {
-        self.io.lock().expect("shard sockets")
-    }
-
-    fn pump(&self) {
-        let mut io = self.lock();
-        let io = &mut *io;
-        io.net.pump(&mut io.events);
     }
 }
 
 impl Ingress for ShardSockets {
-    fn poll(&mut self) -> Option<Request> {
-        self.pump();
-        self.gate.pop()
-    }
-
     fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize) {
-        self.pump();
-        self.gate.pop_batch(out, room);
+        self.net.pump(&mut self.events);
+        self.net.books.gate.pop_batch(out, room);
     }
 
     fn drain_admission(&mut self, out: &mut Vec<AdmissionEvent>) {
-        self.gate.drain_events(out);
+        self.net.books.gate.drain_events(out);
     }
 
     fn admission_counters(&self) -> Option<Arc<AdmissionCounters>> {
-        Some(self.gate.counters())
+        Some(self.net.books.gate.counters())
     }
 
     fn attach_slo(&self, slo: Arc<SloState>) {
-        self.gate.attach_slo(slo);
+        self.net.books.gate.attach_slo(slo);
     }
 }
 
 impl Egress for ShardSockets {
     fn send(&mut self, resp: Response) -> Result<(), Response> {
-        self.lock().net.send(resp);
+        self.net.send(resp);
         Ok(())
     }
 
     fn on_drop(&mut self, resp: &Response) {
-        self.lock().net.dropped(resp.id);
+        self.net.books.settle(resp.id);
     }
 
     fn flush(&mut self) {
-        self.lock().net.flush_touched(false);
+        self.net.flush_touched(false);
     }
 
     fn finish(&mut self) {
-        let mut io = self.lock();
-        let io = &mut *io;
-        io.net.finish(&mut io.events);
+        self.net.finish(&mut self.events);
     }
 }
 
@@ -802,12 +683,17 @@ mod tests {
             let socket = Arc::new(TcpListener::bind("127.0.0.1:0").expect("bind"));
             let nets = (0..gates.len())
                 .map(|shard| {
-                    let sockets = ShardSockets::new(shard, &socket, &shared).expect("poller");
-                    let io = Arc::try_unwrap(sockets.io).ok().expect("one handle");
-                    io.into_inner().expect("lock").net
+                    ShardSockets::new(shard, &socket, &shared)
+                        .expect("poller")
+                        .net
                 })
                 .collect();
             Rig { shared, nets }
+        }
+
+        /// The shard whose table holds `slot`.
+        fn owner(&self, slot: u16) -> usize {
+            usize::from(slot) % self.nets.len()
         }
 
         /// What `accept_burst` does to the books of `shard`.
@@ -823,7 +709,7 @@ mod tests {
                 service_ns: 1_000,
                 sent_at: Instant::now(),
             };
-            let shard = owner(slot, self.nets.len());
+            let shard = self.owner(slot);
             self.nets[shard].books.admit(&self.shared, req);
         }
 
@@ -832,22 +718,18 @@ mod tests {
             self.nets[shard].books.gate.pop().expect("admitted")
         }
 
-        /// The dispatcher of `on` answers `req` and ends its pass.
-        fn answer(&mut self, on: usize, req: &Request) {
-            self.nets[on].send(Response::completed(req));
-            self.nets[on].flush_touched(true);
-        }
-
-        /// One pass of `shard` taking in what siblings settled.
-        fn take_stolen(&mut self, shard: usize) {
-            self.nets[shard].take_stolen();
+        /// The dispatcher of the shard that ingested `req` answers it
+        /// and ends its pass.
+        fn answer(&mut self, req: &Request) {
+            let shard = self.owner(split_route_id(req.id).0);
+            self.nets[shard].send(Response::completed(req));
             self.nets[shard].flush_touched(true);
         }
 
         /// Writes `(slot, gen)`'s outbox out whole; the client ids and
         /// statuses of the frames it held.
         fn flush(&mut self, (slot, gen): (u16, u8)) -> Vec<(u64, Status)> {
-            let shard = owner(slot, self.nets.len());
+            let shard = self.owner(slot);
             let out = self.nets[shard]
                 .books
                 .table
@@ -898,7 +780,7 @@ mod tests {
         rig.request(a, 0);
         assert_eq!(rig.ledger(0), (1, 1));
         let req = rig.ingest(0);
-        rig.answer(0, &req);
+        rig.answer(&req);
         assert_eq!(rig.ledger(0), (0, 0));
         assert_eq!(rig.flush(a), [(0, Status::Ok)]);
 
@@ -914,35 +796,21 @@ mod tests {
         // An answer into a full outbox: dropped, counted in the shard's
         // `tx_dropped`, and settled all the same.
         let first = rig.ingest(0);
-        rig.answer(0, &first);
+        rig.answer(&first);
         assert_eq!(rig.ledger(0), (1, 1));
         assert_eq!(rig.counters(), (1, 1, 0));
         assert_eq!(rig.flush(a), [(3, Status::Retry)]);
         let second = rig.ingest(0);
-        rig.answer(0, &second);
+        rig.answer(&second);
         assert_eq!(rig.ledger(0), (0, 0));
         assert_eq!(rig.flush(a), [(2, Status::Ok)]);
 
         // The dispatcher gives up on an answer: the drop settles it.
         rig.request(a, 5);
         let lost = rig.ingest(0);
-        rig.nets[0].dropped(lost.id);
+        rig.nets[0].books.settle(lost.id);
         assert_eq!(rig.ledger(0), (0, 0));
         assert!(rig.flush(a).is_empty());
-
-        // A request shard 1 stole: its answer and its drop reach shard 0
-        // through the stolen inbox, and nothing else moves on shard 1.
-        rig.request(a, 6);
-        rig.request(a, 7);
-        let stolen = rig.ingest(0);
-        let dropped = rig.ingest(0);
-        rig.answer(1, &stolen);
-        rig.nets[1].dropped(dropped.id);
-        assert_eq!(rig.ledger(0), (2, 2), "in the inbox, not yet taken in");
-        assert_eq!(rig.ledger(1), (0, 0));
-        rig.take_stolen(0);
-        assert_eq!(rig.ledger(0), (0, 0));
-        assert_eq!(rig.flush(a), [(6, Status::Ok)]);
 
         // An abort with answers still outstanding: they stay in flight
         // until they arrive, then orphan.
@@ -955,7 +823,7 @@ mod tests {
         assert_eq!(rig.nets[0].books.table.live(), 1, "the slot is still held");
         for _ in 0..2 {
             let late = rig.ingest(0);
-            rig.answer(0, &late);
+            rig.answer(&late);
         }
         assert_eq!(rig.ledger(0), (0, 0));
         assert_eq!(rig.counters(), (1, 1, 2));
@@ -1022,7 +890,7 @@ mod tests {
         assert_eq!(rig.ledger(0), (1, 1), "a's request was evicted");
         assert_eq!(rig.nets[0].books.table.owed(a.0), 0);
         let req = rig.ingest(0);
-        rig.answer(0, &req);
+        rig.answer(&req);
         assert_eq!(rig.ledger(0), (0, 0));
         assert!(rig.flush(a).is_empty(), "an eviction is never answered");
         assert_eq!(rig.flush(b), [(0, Status::Ok)]);
@@ -1044,7 +912,7 @@ mod tests {
         assert_ne!(b.0, a.0, "the slot is held by what it is owed");
         for _ in 0..K {
             let late = rig.ingest(0);
-            rig.answer(0, &late);
+            rig.answer(&late);
         }
         assert_eq!(rig.counters(), (0, 0, K), "the late answers orphan");
         assert!(rig.flush(b).is_empty(), "never cross-delivered");

@@ -307,7 +307,8 @@ impl TraceSummary {
 /// per shard plus the inter-shard steal traffic the merge makes visible.
 ///
 /// Inter-shard steals are `STEAL` events with `gen > 0` (the thief's
-/// dispatcher records `gen = 1 + victim_shard`); the work-conserving
+/// dispatcher records `gen = 1 + victim_shard`, the victim being the
+/// shard that ingested the request); the work-conserving
 /// dispatcher's own central-queue steals keep `gen = 0` and stay out of
 /// these counts.
 #[derive(Clone, Debug)]

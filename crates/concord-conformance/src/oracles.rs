@@ -326,7 +326,7 @@ pub fn check_trace(obs: &RuntimeObservation) -> Vec<String> {
     v
 }
 
-/// Admission-gate oracles, for any ingress that fronts the runtime with
+/// Admission-gate oracles, for any transport that fronts the runtime with
 /// an [`AdmissionQueue`](concord_core::AdmissionQueue) (the TCP server,
 /// or an in-process gate):
 ///
@@ -347,10 +347,7 @@ pub fn check_admission(
     let per_class = counters.per_class();
 
     let class_admitted: u64 = per_class.values().map(|c| c.admitted).sum();
-    let class_shed: u64 = per_class
-        .values()
-        .map(|c| c.dropped_newest + c.dropped_oldest + c.rejected)
-        .sum();
+    let class_shed: u64 = per_class.values().map(|c| c.shed()).sum();
     check(&mut v, class_admitted == admitted, || {
         format!("admission: per-class admitted {class_admitted} != total {admitted}")
     });

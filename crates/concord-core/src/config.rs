@@ -15,8 +15,7 @@ pub struct RuntimeConfig {
     /// Number of dispatcher+worker shards a
     /// [`ShardedRuntime`](crate::shard::ShardedRuntime) starts; each
     /// shard runs its own dispatcher thread, `n_workers` workers, and
-    /// one ingress/egress pair, joined by the bounded inter-shard steal
-    /// path. A plain [`Runtime`](crate::Runtime) is exactly one shard:
+    /// one transport, joined by the bounded inter-shard steal path. A plain [`Runtime`](crate::Runtime) is exactly one shard:
     /// [`Runtime::start`](crate::Runtime::start) panics on more, and
     /// [`RuntimeBuilder::start`] returns [`ConfigError::MultiShard`].
     pub num_shards: usize,
@@ -365,26 +364,21 @@ impl RuntimeBuilder {
     }
 
     /// Validates the configuration, then starts the runtime on the given
-    /// app and transport endpoints. A plain runtime is one shard, so
+    /// app and NIC-model rings. A plain runtime is one shard, so
     /// `num_shards > 1` is [`ConfigError::MultiShard`].
-    pub fn start<A, I, E>(
+    pub fn start<A: crate::app::ConcordApp>(
         self,
         app: std::sync::Arc<A>,
-        ingress: I,
-        egress: E,
-    ) -> Result<crate::Runtime, ConfigError>
-    where
-        A: crate::app::ConcordApp,
-        I: crate::transport::Ingress,
-        E: crate::transport::Egress,
-    {
+        rx: crate::transport::SpscReceiver<concord_net::Request>,
+        tx: crate::transport::SpscSender<concord_net::Response>,
+    ) -> Result<crate::Runtime, ConfigError> {
         let cfg = self.build()?;
         if cfg.num_shards > 1 {
             return Err(ConfigError::MultiShard {
                 shards: cfg.num_shards,
             });
         }
-        Ok(crate::Runtime::start(cfg, app, ingress, egress))
+        Ok(crate::Runtime::start(cfg, app, rx, tx))
     }
 }
 

@@ -15,7 +15,7 @@ use crate::shard::ShardContext;
 use crate::stats::RuntimeStats;
 use crate::task::{FramePool, SliceEnd, Task};
 use crate::telemetry::{CompletionRecord, TelemetryHandle, DISPATCHER};
-use crate::transport::{Egress, Ingress, SpscReceiver, SpscSender};
+use crate::transport::{SpscReceiver, SpscSender, Transport};
 use crate::worker::WorkerMsg;
 use concord_net::Response;
 use concord_trace::{EventKind, TraceCollector, TraceEvent, TraceLane};
@@ -44,14 +44,13 @@ pub struct WorkerSlot {
 
 /// Long-lived state of the dispatcher thread, generic over the transport
 /// (`T`) requests arrive on and responses leave by.
-pub struct DispatcherLoop<T: Ingress + Egress> {
+pub struct DispatcherLoop<T: Transport> {
     /// Frames for the tasks the dispatcher steals and runs itself.
     pub pool: FramePool,
     /// Runtime configuration.
     pub cfg: RuntimeConfig,
     /// Request source and response sink (NIC-model rings, a shard's TCP
-    /// sockets, ...): its egress answers exactly what its ingress
-    /// delivered.
+    /// sockets, ...): it answers exactly what it delivered.
     pub io: T,
     /// Per-worker slots.
     pub workers: Vec<WorkerSlot>,
@@ -201,7 +200,7 @@ struct DeferredSignal {
     due_ns: u64,
 }
 
-impl<T: Ingress + Egress> DispatcherLoop<T> {
+impl<T: Transport> DispatcherLoop<T> {
     /// Runs until stopped and drained. Consumes the loop state.
     pub fn run(mut self) {
         // The scheduling policy: chooses every entry's priority key
@@ -307,8 +306,8 @@ impl<T: Ingress + Egress> DispatcherLoop<T> {
             // 2. Admission events: fold ingress-side sheds into the
             //    trace (ADMIT_DROP, class in the generation field). Runs
             //    unconditionally — also while stopping, and with tracing
-            //    disarmed — so the ingress-side event queue stays
-            //    bounded no matter what.
+            //    disarmed — so the gate's event list stays bounded no
+            //    matter what.
             self.io.drain_admission(&mut admission_events);
             for ev in admission_events.drain(..) {
                 self.trace_emit(ev.ts_ns, EventKind::AdmitDrop, ev.id, u64::from(ev.class));

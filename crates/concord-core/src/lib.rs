@@ -94,7 +94,7 @@ pub use shard::ShardObserver;
 pub use shard::{ShardCounters, ShardRollup, ShardedRuntime};
 pub use stats::{RuntimeStats, WorkerStats, WorkerStatsSnapshot};
 pub use telemetry::{ClassTelemetry, CompletionRecord, TelemetrySnapshot};
-pub use transport::{Egress, Ingress};
+pub use transport::Transport;
 
 /// Re-export of the scheduling-event tracer (`concord-trace`) so
 /// downstream users of [`Runtime::take_trace`] can reach

@@ -18,7 +18,7 @@
 //! no-lost-preemption invariant.
 
 use crate::clock::Clock;
-use concord_sync::CachePadded;
+use concord_net::CachePadded;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

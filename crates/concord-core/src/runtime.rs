@@ -10,8 +10,9 @@ use crate::quantum::{ControllerConfig, QuantumController, QuantumTable, SloState
 use crate::stats::RuntimeStats;
 use crate::task::{FramePool, Task, FRAME_POOL_CAP};
 use crate::telemetry::{Telemetry, TelemetryHandle, TelemetrySnapshot};
-use crate::transport::{spsc, Egress, Ingress};
+use crate::transport::{spsc, SpscReceiver, SpscSender, Transport};
 use crate::worker::{WorkerLoop, WorkerMsg};
+use concord_net::{Request, Response};
 use concord_trace::{Trace, TraceCollector};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -50,8 +51,8 @@ impl Runtime {
 
     /// Starts the runtime: one dispatcher thread plus
     /// `config.n_workers` worker threads, serving requests polled from
-    /// `ingress` (e.g. a NIC-model RX ring) and emitting responses on
-    /// `egress` (its TX ring), paired into the dispatcher's transport.
+    /// the NIC-model RX ring `rx` and emitting responses on its TX ring
+    /// `tx`, paired into the dispatcher's transport.
     ///
     /// # Panics
     ///
@@ -60,27 +61,27 @@ impl Runtime {
     /// [`ShardedRuntime`](crate::shard::ShardedRuntime) for that), or if
     /// thread spawning fails. Prefer [`Runtime::builder`], which
     /// validates instead.
-    pub fn start<A: ConcordApp, I: Ingress, E: Egress>(
+    pub fn start<A: ConcordApp>(
         config: RuntimeConfig,
         app: Arc<A>,
-        ingress: I,
-        egress: E,
+        rx: SpscReceiver<Request>,
+        tx: SpscSender<Response>,
     ) -> Self {
         assert!(
             config.num_shards <= 1,
             "Runtime::start runs one shard; num_shards = {} needs ShardedRuntime::start",
             config.num_shards
         );
-        Self::start_shard(config, app, (ingress, egress), None)
+        Self::start_shard(config, app, (rx, tx), None)
     }
 
     /// [`Runtime::start`] over one transport `io`, as one shard of a
     /// [`ShardedRuntime`](crate::shard::ShardedRuntime) when given a
     /// `shard` context: the dispatcher then takes part in the hand-off.
-    pub(crate) fn start_shard<A: ConcordApp, T: Ingress + Egress>(
+    pub(crate) fn start_shard<A: ConcordApp, T: Transport>(
         config: RuntimeConfig,
         app: Arc<A>,
-        io: T,
+        mut io: T,
         shard: Option<crate::shard::ShardContext>,
     ) -> Self {
         assert!(config.n_workers >= 1, "need at least one worker");
@@ -89,7 +90,7 @@ impl Runtime {
         let clock: Clock = config.clock.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let workers_stop = Arc::new(AtomicBool::new(false));
-        // Link the ingress's admission counters (if it has any) into the
+        // Link the transport's admission counters (if it has any) into the
         // stats object so `RuntimeStats::snapshot()` reports admission
         // alongside the scheduler's own counters.
         let stats = {
@@ -122,7 +123,7 @@ impl Runtime {
                 clock.now_ns(),
             )
         });
-        // SLO-aware shedding: hand the blown-verdict bits to the ingress
+        // SLO-aware shedding: hand the blown-verdict bits to the transport
         // (a no-op for plain rings; a TCP shard's admission gate sheds
         // blown classes with RETRY).
         if slo.any_budget() {

@@ -43,7 +43,7 @@ use crate::runtime::{Runtime, RuntimeObserver};
 use crate::stats::RuntimeStats;
 use crate::task::Task;
 use crate::telemetry::TelemetrySnapshot;
-use crate::transport::{Egress, Ingress};
+use crate::transport::Transport;
 use concord_net::Response;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -235,9 +235,9 @@ impl ShardRollup {
 /// N independent dispatcher+worker groups joined by the cross-shard
 /// hand-off.
 ///
-/// Each shard owns one transport, its ingress and egress at once; the
-/// front end decides which shard's ingress a request enters (the TCP
-/// server places each connection on one shard at accept).
+/// Each shard owns one transport; the front end decides which shard's
+/// transport a request enters (the TCP server places each connection on
+/// one shard at accept).
 pub struct ShardedRuntime {
     shards: Vec<Runtime>,
 }
@@ -250,7 +250,7 @@ impl ShardedRuntime {
     ///
     /// Panics if `transports` does not hold `config.num_shards` entries,
     /// or on the same conditions as [`Runtime::start`].
-    pub fn start<A: ConcordApp, T: Ingress + Egress>(
+    pub fn start<A: ConcordApp, T: Transport>(
         config: RuntimeConfig,
         app: Arc<A>,
         transports: Vec<T>,

@@ -192,7 +192,7 @@ pub struct RuntimeStats {
     /// Latched by the first TX drop so it is logged exactly once.
     pub tx_drop_logged: AtomicBool,
     /// Admission-gate counters, linked by `Runtime::start` when the
-    /// ingress performs admission control (`None` for plain rings).
+    /// transport performs admission control (`None` for plain rings).
     /// Shared with the gate itself, so these are live values.
     pub admission: Option<Arc<AdmissionCounters>>,
     /// Per-worker breakdowns, indexed by worker id.

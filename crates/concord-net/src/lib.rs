@@ -7,7 +7,8 @@
 //! an open-loop Poisson load generator — entirely in process:
 //!
 //! - [`mod@ring`] — a bounded single-producer/single-consumer descriptor ring
-//!   built from scratch on atomics (the NIC RX/TX queue model);
+//!   built from scratch on atomics (the NIC RX/TX queue model), and the
+//!   [`CachePadded`] wrapper that keeps its indices apart;
 //! - [`packet`] — request/response descriptors with timestamps;
 //! - [`rtt`] — a fixed-plus-jitter round-trip-time model (the paper's
 //!   testbed measures ≈10 µs client-observed RTT);
@@ -23,9 +24,6 @@
 //!   accept failures.
 //! - [`signal`] (Linux) — SIGINT/SIGTERM → shutdown-flag plumbing for
 //!   graceful server drain, bound through the same minimal FFI shim.
-//! - [`sock`] (Linux) — `SO_REUSEADDR` listener binding so a restarted
-//!   server can re-bind its port through the previous owner's
-//!   `TIME_WAIT`, bound through the same minimal FFI shim.
 
 #![warn(missing_docs)]
 
@@ -39,10 +37,8 @@ pub mod ring;
 pub mod rtt;
 #[cfg(target_os = "linux")]
 pub mod signal;
-#[cfg(target_os = "linux")]
-pub mod sock;
 
 pub use loadgen::{Collector, LoadGen, LoadGenReport};
 pub use packet::{Request, Response};
-pub use ring::{ring, Consumer, Producer};
+pub use ring::{ring, CachePadded, Consumer, Producer};
 pub use rtt::RttModel;

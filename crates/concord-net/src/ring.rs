@@ -7,11 +7,36 @@
 //! Counters increase monotonically and are masked into the (power-of-two)
 //! buffer, so full/empty are distinguished without a spare slot.
 
-use concord_sync::CachePadded;
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// Pads and aligns a value to 128 bytes, the common prefetch-pair size
+/// on x86-64 (two 64-byte lines) and the line size on apple-silicon, so
+/// two hot atomics written by different cores never false-share: the
+/// ring's indices here, the preemption word in `concord-core`.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct CachePadded<T> {
+    value: T,
+}
+
+impl<T> CachePadded<T> {
+    /// Wraps `value` in its own cache-line pair.
+    pub const fn new(value: T) -> Self {
+        Self { value }
+    }
+}
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
 
 struct Shared<T> {
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
@@ -175,6 +200,12 @@ impl<T: Send> Drop for Consumer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cache_padded_is_big_and_aligned() {
+        assert!(std::mem::align_of::<CachePadded<u64>>() >= 128);
+        assert_eq!(*CachePadded::new(7u64), 7);
+    }
 
     #[test]
     fn fifo_order_single_thread() {

@@ -5,7 +5,7 @@
 //!   text 0.0.4.
 //! - `GET /healthz` answers `{"status":"ok","uptime_s":…}` with 200 while
 //!   the tier's health predicate holds, and `"unavailable"` with 503
-//!   otherwise (a server whose gates are closed, a rack with no backend
+//!   otherwise (a server that is shutting down, a rack with no backend
 //!   accepting work).
 //!
 //! Routing is on the bare path: a query string never changes the route.

@@ -6,13 +6,12 @@
 //!              [--quantum-us US]
 //! ```
 //!
-//! Functionally a stripped-down `concord-serve` hosting the spin app,
-//! with one load-bearing difference: the listener is bound with
-//! `SO_REUSEADDR` (`concord_net::sock::bind_reuse`), so a backend that
-//! was SIGKILLed can restart on the *same* port immediately — through
-//! the previous process's lingering `TIME_WAIT` sockets — which is
-//! exactly what the rack's kill-and-restart conservation test does.
-//! Runs until SIGINT/SIGTERM, then drains gracefully.
+//! A stripped-down `concord-serve` hosting the spin app. Its listener,
+//! like every `std` listener on Linux, has `SO_REUSEADDR` set, so a
+//! backend that was SIGKILLed can restart on the *same* port at once —
+//! through the previous process's lingering `TIME_WAIT` sockets — which
+//! is what the rack's kill-and-restart conservation test does. Runs
+//! until SIGINT/SIGTERM, then drains gracefully.
 
 use concord_args::Parser;
 use concord_core::{PolicyKind, RuntimeConfig, SpinApp};
@@ -72,14 +71,8 @@ fn main() {
         exit(2);
     });
 
-    // SO_REUSEADDR so a restart can reclaim the port a SIGKILLed
-    // predecessor left in TIME_WAIT.
-    let listener = concord_net::sock::bind_reuse(&listen).unwrap_or_else(|e| {
+    let server = Server::bind(&listen, cfg, Arc::new(SpinApp::new())).unwrap_or_else(|e| {
         eprintln!("rack-backend: bind {listen}: {e}");
-        exit(1);
-    });
-    let server = Server::serve(listener, cfg, Arc::new(SpinApp::new())).unwrap_or_else(|e| {
-        eprintln!("rack-backend: serve: {e}");
         exit(1);
     });
     println!("rack-backend serving on {}", server.local_addr());

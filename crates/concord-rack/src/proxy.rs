@@ -339,9 +339,11 @@ pub struct Rack {
 }
 
 impl Rack {
-    /// Binds the client listener on `addr` and starts the rack.
+    /// Binds the client listener on `addr` and starts the rack. `std`
+    /// sets `SO_REUSEADDR`, so a restarted rack rebinds its port through
+    /// the previous process's `TIME_WAIT` sockets.
     pub fn bind(addr: &str, cfg: RackConfig) -> io::Result<Rack> {
-        let listener = concord_net::sock::bind_reuse(addr)?;
+        let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 /// Reserves a distinct loopback port by binding ephemeral and dropping
 /// the listener. The tiny reuse race is acceptable in tests; the
-/// backend binds with SO_REUSEADDR anyway.
+/// backend's `std` listener has SO_REUSEADDR set anyway.
 fn reserve_port() -> u16 {
     let l = TcpListener::bind("127.0.0.1:0").expect("reserve port");
     let port = l.local_addr().expect("addr").port();

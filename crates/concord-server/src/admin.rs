@@ -16,8 +16,8 @@
 //!   connection counters, and the
 //!   latency/preemption/slowdown histograms with cumulative buckets,
 //!   plus per-class labeled series.
-//! - `GET /healthz` — `{"status":"ok"}` plus uptime while the admission
-//!   gates are open; `"unavailable"` (503) once shutdown has closed them.
+//! - `GET /healthz` — `{"status":"ok"}` plus uptime while the server
+//!   reads requests; `"unavailable"` (503) once shutdown has begun.
 //! - `GET /statz` — the dashboard document `concord-top` renders:
 //!   server identity, cross-shard totals, per-shard rows and per-class
 //!   latency percentiles, as JSON.
@@ -178,26 +178,26 @@ fn register(
             let s = observer.stats(shard).clone();
             reg.counter(name, help, labels, move || read(&s));
         }
-        let q = shared.admissions[shard].clone();
-        let qc = q.counters();
+        let qc = shared.admission[shard].clone();
         reg.counter(
             "concord_admission_admitted_total",
             "Requests the shard's admission gate admitted",
             labels,
             move || qc.admitted.load(Ordering::Relaxed),
         );
-        let qc = q.counters();
+        let qc = shared.admission[shard].clone();
         reg.counter(
             "concord_admission_shed_total",
-            "Requests the shard's admission gate shed (dropped or rejected)",
+            "Requests the shard's admission gate shed with RETRY",
             labels,
             move || qc.shed(),
         );
+        let f = shared.clone();
         reg.gauge(
             "concord_admission_depth",
             "Requests waiting in the shard's admission queue",
             labels,
-            move || q.len() as u64,
+            move || f.shards[shard].depth() as u64,
         );
         let f = shared.clone();
         reg.gauge(
@@ -258,11 +258,11 @@ fn per_class(
         }
     }
     let mut admitted = Admitted::new();
-    for q in shared.admissions.iter() {
-        for (class, a) in q.counters().per_class() {
+    for q in &shared.admission {
+        for (class, a) in q.per_class() {
             let e = admitted.entry(class).or_default();
             e.0 += a.admitted;
-            e.1 += a.dropped_newest + a.dropped_oldest + a.rejected + a.slo_shed;
+            e.1 += a.shed();
             e.2 += a.slo_shed;
         }
     }
@@ -422,7 +422,7 @@ fn statz(
     let rollup = observer.rollup();
     let tels = telemetry(observer);
     let (classes, admitted) = per_class(shared, &tels);
-    let shed: u64 = shared.admissions.iter().map(|q| q.counters().shed()).sum();
+    let shed: u64 = shared.admission.iter().map(|q| q.shed()).sum();
     let mut preemptions = 0u64;
     let mut expiries_deferred = 0u64;
     let mut shards = Vec::with_capacity(observer.num_shards());

@@ -7,7 +7,6 @@
 //!               [--adaptive-quantum] [--quantum-max-us US]
 //!               [--control-interval-ms MS] [--slo CLASS:P99_US[,..]]
 //!               [--admission-cap N]
-//!               [--admission-policy drop-newest|drop-oldest|reject]
 //!               [--admin HOST:PORT] [--report-interval SECS]
 //!               [--trace-retain SECS] [--oneshot] [--trace PATH]
 //! ```
@@ -55,6 +54,9 @@
 //! a class whose observed p99 blows its budget is shed at the admission
 //! gate (clients see RETRY) until its tail recovers. `--slo` works with
 //! or without `--adaptive-quantum`.
+//!
+//! `--admission-cap N` bounds each shard's admission gate: a request
+//! that finds N waiting is answered RETRY.
 
 use concord_args::Parser;
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
@@ -76,7 +78,6 @@ struct Args {
     slo: Vec<(u16, u64)>,
     policy: PolicyKind,
     admission_cap: usize,
-    admission_policy: AdmissionPolicy,
     admin: Option<String>,
     report_interval: u64,
     trace_retain: u64,
@@ -131,13 +132,7 @@ fn parse_args() -> Args {
         "admission-cap",
         "N",
         "4096",
-        "admission queue capacity per shard",
-    )
-    .opt_default(
-        "admission-policy",
-        "drop-newest|drop-oldest|reject",
-        "reject",
-        "overload response at the admission gate",
+        "admission queue capacity per shard (past it: RETRY)",
     )
     .opt(
         "admin",
@@ -187,14 +182,6 @@ fn parse_args() -> Args {
             .unwrap_or_else(|e| m.fatal(e))
             .expect("defaulted"),
         admission_cap: m.require("admission-cap").unwrap_or_else(|e| m.fatal(e)),
-        admission_policy: m
-            .choice(
-                "admission-policy",
-                "drop-newest|drop-oldest|reject",
-                AdmissionPolicy::parse,
-            )
-            .unwrap_or_else(|e| m.fatal(e))
-            .expect("defaulted"),
         admin: m.get("admin").map(String::from),
         report_interval: m.require("report-interval").unwrap_or_else(|e| m.fatal(e)),
         trace_retain: m.require("trace-retain").unwrap_or_else(|e| m.fatal(e)),
@@ -308,7 +295,7 @@ fn serve<A: ConcordApp>(args: &Args, app: Arc<A>) {
     });
     let mut builder = ServerConfig::builder(runtime).admission(AdmissionConfig {
         capacity: args.admission_cap,
-        policy: args.admission_policy,
+        policy: AdmissionPolicy::RejectNewest,
     });
     if let Some(admin) = &args.admin {
         builder = builder.admin(admin.clone());
@@ -325,14 +312,13 @@ fn serve<A: ConcordApp>(args: &Args, app: Arc<A>) {
         }
     };
     println!(
-        "serving {} on {} ({} shards x {} workers, policy {}, admission {} {})",
+        "serving {} on {} ({} shards x {} workers, policy {}, admission {})",
         args.app,
         server.local_addr(),
         args.shards,
         args.workers,
         args.policy,
-        args.admission_cap,
-        args.admission_policy.name()
+        args.admission_cap
     );
     if let Some(admin) = server.admin_addr() {
         println!("admin on {admin} (/metrics /healthz /statz, POST /trace/dump)");

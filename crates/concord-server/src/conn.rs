@@ -18,7 +18,7 @@
 //!
 //! A slot outlives its connection: a torn-down connection's slot returns
 //! to the free list only once every request it had admitted has been
-//! settled — answered (the answer orphans), dropped, or evicted. A route
+//! settled — answered (the answer orphans) or dropped. A route
 //! id can therefore never name a slot's next occupant, whatever the
 //! generation wrap: no answer is ever delivered to the wrong connection.
 //!
@@ -117,8 +117,8 @@ impl ConnTable {
         self.in_flight += 1;
     }
 
-    /// One request owed on `(slot, gen)` is settled: answered, dropped
-    /// or evicted. `false` (and nothing settled) when nothing is owed
+    /// One request owed on `(slot, gen)` is settled: answered or
+    /// dropped. `false` (and nothing settled) when nothing is owed
     /// there under that generation.
     pub(crate) fn settle(&mut self, slot: u16, gen: u8) -> bool {
         let Some(s) = self.get(slot, gen).filter(|s| s.owed > 0) else {

@@ -10,7 +10,10 @@
 //! request passes the shard's [`AdmissionQueue`] gate on the same
 //! thread, and its answers are encoded into its outbox and written by
 //! that thread too. Below the socket layer sit each shard's
-//! generation-tagged slot table ([`crate::conn`]) and its gate.
+//! generation-tagged slot table ([`crate::conn`]) and its gate, both
+//! owned by the shard's transport; other threads read the gates'
+//! [`AdmissionCounters`] and what each transport publishes at the end of
+//! its dispatcher's pass.
 //!
 //! Responses are routed back to their connection through the request id:
 //! the server rewrites each client id into
@@ -47,7 +50,8 @@ pub struct ServerConfig {
     /// Scheduler configuration; `runtime.num_shards` dispatcher+worker
     /// groups are started, each behind its own admission queue.
     pub runtime: RuntimeConfig,
-    /// Admission-queue bound and overflow policy (applied per shard).
+    /// Admission-queue bound (applied per shard); past it a request is
+    /// answered RETRY.
     pub admission: AdmissionConfig,
     /// Bound on encoded frames a connection's outbox may hold; an
     /// answer that finds it full after a flush is dropped and counted in
@@ -124,7 +128,7 @@ pub struct ServerConfigBuilder {
 }
 
 impl ServerConfigBuilder {
-    /// Sets the per-shard admission gate bound and overflow policy.
+    /// Sets the per-shard admission gate bound.
     pub fn admission(mut self, admission: AdmissionConfig) -> Self {
         self.cfg.admission = admission;
         self
@@ -167,7 +171,9 @@ pub(crate) struct FrontShared {
     pub(crate) stop: AtomicBool,
     /// Each shard's transport state other threads read, indexed by shard.
     pub(crate) shards: Vec<ShardShared>,
-    pub(crate) admissions: Vec<Arc<AdmissionQueue>>,
+    /// Each shard's admission counters, indexed by shard; the gates
+    /// themselves live in the shards' transports.
+    pub(crate) admission: Vec<Arc<AdmissionCounters>>,
     /// Each shard's runtime counters, set once the runtime has started
     /// (a transport accepts nothing before): an answer dropped on a full
     /// outbox is counted in its shard's `tx_dropped`.
@@ -188,14 +194,14 @@ pub(crate) struct FrontShared {
 
 impl FrontShared {
     fn new(
-        admissions: Vec<Arc<AdmissionQueue>>,
+        admission: Vec<Arc<AdmissionCounters>>,
         outbox_cap: usize,
         setup_faults: Arc<AtomicU64>,
     ) -> FrontShared {
         FrontShared {
             stop: AtomicBool::new(false),
-            shards: admissions.iter().map(|_| ShardShared::default()).collect(),
-            admissions,
+            shards: admission.iter().map(|_| ShardShared::default()).collect(),
+            admission,
             stats: OnceLock::new(),
             outbox_cap: outbox_cap.max(1),
             accepted: AtomicU64::new(0),
@@ -221,21 +227,18 @@ impl FrontShared {
     }
 
     /// A front end with no runtime behind it, one shard per entry of
-    /// `gates`, each outbox bounded at `outbox_cap` frames, for tests
+    /// `admission`, each outbox bounded at `outbox_cap` frames, for tests
     /// that drive the books directly.
     #[cfg(test)]
-    pub(crate) fn for_test(gates: &[AdmissionConfig], outbox_cap: usize) -> FrontShared {
-        let shared = FrontShared::new(
-            gates
-                .iter()
-                .map(|&g| AdmissionQueue::new(g, concord_core::Clock::monotonic()))
-                .collect(),
-            outbox_cap,
-            Arc::new(AtomicU64::new(0)),
-        );
+    pub(crate) fn for_test(
+        admission: Vec<Arc<AdmissionCounters>>,
+        outbox_cap: usize,
+    ) -> FrontShared {
+        let shards = admission.len();
+        let shared = FrontShared::new(admission, outbox_cap, Arc::new(AtomicU64::new(0)));
         let _ = shared
             .stats
-            .set(gates.iter().map(|_| Arc::default()).collect());
+            .set((0..shards).map(|_| Arc::default()).collect());
         shared
     }
 
@@ -251,7 +254,7 @@ impl FrontShared {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IoStats {
     /// Requests a connection sent that were admitted and are not yet
-    /// settled — answered, dropped or evicted (`concord_io_in_flight`).
+    /// settled — answered or dropped (`concord_io_in_flight`).
     /// It is zero once the server is quiet.
     pub in_flight: u64,
 }
@@ -305,40 +308,33 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts serving `app` on
     /// `cfg.runtime.num_shards` Concord dispatcher groups, each behind
-    /// its own admission gate.
+    /// its own admission gate. `std` sets `SO_REUSEADDR` on the listener,
+    /// so a restarted server takes its old port back through the
+    /// previous process's `TIME_WAIT` sockets.
     pub fn bind<A: ConcordApp>(
         addr: &str,
         cfg: ServerConfig,
         app: Arc<A>,
     ) -> std::io::Result<Server> {
-        Server::serve(TcpListener::bind(addr)?, cfg, app)
-    }
-
-    /// Starts serving on a listener the caller already bound — e.g. one
-    /// from [`concord_net::sock::bind_reuse`], so a restarted backend
-    /// can take its old port back through the previous process's
-    /// `TIME_WAIT` sockets.
-    pub fn serve<A: ConcordApp>(
-        listener: TcpListener,
-        cfg: ServerConfig,
-        app: Arc<A>,
-    ) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let policy_name = cfg.runtime.policy.to_string();
         let n_shards = cfg.runtime.num_shards.max(1);
-        let admissions: Vec<Arc<AdmissionQueue>> = (0..n_shards)
+        let gates: Vec<AdmissionQueue> = (0..n_shards)
             .map(|_| AdmissionQueue::new(cfg.admission, cfg.runtime.clock.clone()))
             .collect();
         let shared = Arc::new(FrontShared::new(
-            admissions,
+            gates.iter().map(AdmissionQueue::counters).collect(),
             cfg.outbox_cap,
             cfg.conn_setup_faults.clone(),
         ));
         let listener = Arc::new(listener);
-        let sockets = (0..n_shards)
-            .map(|shard| ShardSockets::new(shard, &listener, &shared))
+        let sockets = gates
+            .into_iter()
+            .enumerate()
+            .map(|(shard, gate)| ShardSockets::new(shard, gate, &listener, &shared))
             .collect::<std::io::Result<Vec<_>>>()?;
         let rt = ShardedRuntime::start(cfg.runtime, app, sockets);
         let _ = shared
@@ -412,31 +408,24 @@ impl Server {
         self.rt.rollup()
     }
 
-    /// Shard 0's admission gate (the whole gate when `num_shards == 1`).
-    pub fn admission(&self) -> Arc<AdmissionQueue> {
-        self.shared.admissions[0].clone()
-    }
-
-    /// Graceful shutdown: close every admission gate (new requests are
-    /// answered RETRY), stop accepting, let every already-admitted
-    /// request complete, flush every connection's outbox, then join the
-    /// shards and return the final accounting.
+    /// Graceful shutdown: stop accepting and reading, let every
+    /// already-admitted request complete, flush every connection's
+    /// outbox, then join the shards and return the final accounting.
     pub fn shutdown(mut self) -> ServerReport {
-        // 1. No new work: gates reject, and each shard stops accepting
-        //    and drops read interest on its next pass.
-        for a in self.shared.admissions.iter() {
-            a.close();
-        }
+        // 1. No new work: each shard stops accepting and reading on its
+        //    next pass.
         self.shared.stop.store(true, Ordering::Release);
         // 2. Graceful drain: wait until every shard has stopped reading
         //    and ingested what its gate admitted, then quiesce the shards
         //    (concurrently — each drains its in-flight requests, takes
         //    home the answers to those a sibling ran, then flushes its
-        //    connections before its dispatcher exits).
+        //    connections before its dispatcher exits). A shard publishes
+        //    its gate's depth at the end of every pass; the last depth it
+        //    published before it set `stopped` is never too low, because
+        //    it was read after the last offer: nothing is offered after
+        //    `stop_reading`, so the gate only empties from there.
         let deadline = Instant::now() + Duration::from_secs(30);
-        let reading = |s: &FrontShared| {
-            s.shards.iter().any(|s| !s.stopped()) || s.admissions.iter().any(|a| !a.is_empty())
-        };
+        let reading = |s: &FrontShared| s.shards.iter().any(|s| !s.stopped() || s.depth() > 0);
         while reading(&self.shared) && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -456,13 +445,8 @@ impl Server {
             orphaned_responses: self.shared.orphaned.load(Ordering::Relaxed),
             retries_dropped: self.shared.retries_dropped.load(Ordering::Relaxed),
             io: self.shared.io_stats(),
-            admission: self.shared.admissions[0].counters(),
-            admission_per_shard: self
-                .shared
-                .admissions
-                .iter()
-                .map(|a| a.counters())
-                .collect(),
+            admission: self.shared.admission[0].clone(),
+            admission_per_shard: self.shared.admission.clone(),
             stats: self.rt.stats(0),
             rollup,
             telemetry,
@@ -506,7 +490,7 @@ mod tests {
 
     #[test]
     fn setup_faults_count_down_to_zero() {
-        let shared = FrontShared::for_test(&[], 1);
+        let shared = FrontShared::for_test(Vec::new(), 1);
         shared.setup_faults.store(2, Ordering::Relaxed);
         assert!(shared.take_setup_fault());
         assert!(shared.take_setup_fault());

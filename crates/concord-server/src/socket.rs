@@ -1,22 +1,23 @@
 //! The socket transport: each shard's dispatcher owns its connections.
 //!
-//! A [`ShardSockets`] is one shard's [`Ingress`] and [`Egress`] at once,
-//! one plain value that shard's dispatcher owns, the way the in-process
-//! NIC-model rings stand in for the paper's RX and TX queues. It owns a
+//! A [`ShardSockets`] is one shard's [`Transport`]: one plain value that
+//! shard's dispatcher owns, the way the in-process NIC-model rings stand
+//! in for the paper's RX and TX queues. It owns a
 //! [`Poller`], a [`Listener`] over the shared socket (registered in
 //! every shard's poller; the accept race is benign — losers see
 //! `WouldBlock` — and parked out of the poller for a beat when `accept`
 //! fails, e.g. on descriptor exhaustion), and — the one-owner rule —
 //! everything about the connections placed on it: their sockets, their
 //! slots in its own [`ConnTable`], every connection's owed count and
-//! outbox, and its `in_flight` count, all plain fields no other thread
-//! touches.
+//! outbox, its `in_flight` count and its admission gate, all plain
+//! fields no other thread touches. Other threads read only what it
+//! publishes into its [`ShardShared`] at the end of every pass.
 //!
 //! - **Placement** happens once, at accept, by least connections: a
 //!   shard accepts only while no shard serves fewer connections than it
 //!   does, so N connections on N shards land one per shard. Cross-shard
 //!   balance after that is the runtime's cross-shard hand-off alone.
-//! - **Reads** happen in [`Ingress::poll_batch`], once per dispatcher
+//! - **Reads** happen in [`Transport::poll_batch`], once per dispatcher
 //!   pass: one `epoll_wait(0)`, then up to a few fills per readiness
 //!   event into the connection's compacting [`RecvBuf`], with zero-copy
 //!   frame decode straight out of the buffer; a fill that leaves room in
@@ -25,10 +26,10 @@
 //!   the spot: admitted, it is owed an answer and counted in flight;
 //!   rejected, it is answered RETRY into the outbox. The dispatcher then
 //!   takes what the gate admitted, as many as the pass has room for.
-//! - **Answers** are encoded by [`Egress::send`] straight into their
+//! - **Answers** are encoded by [`Transport::send`] straight into their
 //!   connection's outbox, and the books settled — also for a request a
 //!   sibling shard ran, whose answer the runtime brings home to this
-//!   shard's dispatcher. [`Egress::flush`], at the end of every pass,
+//!   shard's dispatcher. [`Transport::flush`], at the end of every pass,
 //!   writes every outbox touched since the last write once a pass
 //!   encodes no answer (none was joining them) or sheds a request with
 //!   RETRY, or once the waiting answers have been joined by as many as
@@ -51,14 +52,14 @@
 //!   it.
 //!
 //! Idling is the dispatcher's own `yield_now`; the transport's
-//! `epoll_wait` never blocks. [`Egress::finish`], called once the
+//! `epoll_wait` never blocks. [`Transport::finish`], called once the
 //! dispatcher has drained, flushes what the connections still hold,
 //! waiting a bounded time for clients that stop reading.
 
 use crate::conn::ConnTable;
 use crate::server::FrontShared;
 use concord_core::admission::{AdmissionCounters, AdmissionEvent, AdmissionQueue, AdmitOutcome};
-use concord_core::transport::{Egress, Ingress};
+use concord_core::transport::Transport;
 use concord_core::SloState;
 use concord_net::endpoint::{flush, Flush, Listener, Outbox, Registration};
 use concord_net::poll::{Events, Poller};
@@ -96,9 +97,16 @@ pub(crate) struct ShardShared {
     stopped: AtomicBool,
     in_flight: AtomicU64,
     live: AtomicUsize,
+    depth: AtomicUsize,
 }
 
 impl ShardShared {
+    /// Requests waiting in the shard's admission gate, as of its
+    /// dispatcher's last pass.
+    pub(crate) fn depth(&self) -> usize {
+        self.depth.load(Ordering::Relaxed)
+    }
+
     /// Requests admitted on this shard's connections and not yet
     /// settled, as of its dispatcher's last pass.
     pub(crate) fn in_flight(&self) -> u64 {
@@ -123,7 +131,7 @@ impl ShardShared {
 struct Books {
     shard: usize,
     table: ConnTable,
-    gate: Arc<AdmissionQueue>,
+    gate: AdmissionQueue,
     /// Connections an answer, a settle or a socket event reached since
     /// they were last serviced: flushed, and retired if finished, when
     /// [`Books::due`] says so.
@@ -139,7 +147,7 @@ struct Books {
 }
 
 impl Books {
-    fn new(shard: usize, shards: usize, gate: Arc<AdmissionQueue>, outbox_cap: usize) -> Books {
+    fn new(shard: usize, shards: usize, gate: AdmissionQueue, outbox_cap: usize) -> Books {
         Books {
             shard,
             table: ConnTable::new(shard, shards, outbox_cap),
@@ -179,19 +187,14 @@ impl Books {
     }
 
     /// Offers one decoded request from a live connection to the gate and
-    /// books the outcome: admitted, the request is owed an answer; shed
-    /// with RETRY, it is answered on the spot, and a RETRY that finds the
-    /// outbox full is counted so the rejection stays conserved; evicting
-    /// an older request, that one is settled unanswered.
+    /// books the outcome: admitted, the request is owed an answer; shed,
+    /// it is answered RETRY on the spot, and a RETRY that finds the
+    /// outbox full is counted so the rejection stays conserved.
     fn admit(&mut self, shared: &FrontShared, req: Request) {
         let (slot, gen, cid) = split_route_id(req.id);
         let (class, service_ns) = (req.class, req.service_ns);
         match self.gate.offer(req) {
             AdmitOutcome::Admitted => self.table.owe(slot),
-            AdmitOutcome::DroppedOldest(old) => {
-                self.table.owe(slot);
-                self.settle(old.id);
-            }
             AdmitOutcome::Rejected | AdmitOutcome::SloShed => {
                 let queued = self
                     .table
@@ -203,12 +206,10 @@ impl Books {
                     shared.retries_dropped.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            AdmitOutcome::DroppedNewest => {}
         }
     }
 
-    /// Request `id` ends unanswered: dropped by a dispatcher, or evicted
-    /// from the gate.
+    /// Request `id` ends unanswered: the dispatcher dropped its answer.
     fn settle(&mut self, id: u64) {
         let (slot, gen, _) = split_route_id(id);
         self.table.settle(slot, gen);
@@ -492,6 +493,7 @@ impl Net {
         me.in_flight
             .store(self.books.table.in_flight(), Ordering::Relaxed);
         me.live.store(self.books.table.live(), Ordering::Relaxed);
+        me.depth.store(self.books.gate.len(), Ordering::Relaxed);
     }
 
     /// Stops accepting and reading. Every connection is treated as
@@ -585,8 +587,7 @@ impl Net {
     }
 }
 
-/// One shard's transport: its dispatcher's [`Ingress`] and [`Egress`]
-/// in one value, which that dispatcher owns.
+/// One shard's transport, which that shard's dispatcher owns.
 pub(crate) struct ShardSockets {
     events: Events,
     net: Net,
@@ -594,15 +595,15 @@ pub(crate) struct ShardSockets {
 
 impl ShardSockets {
     /// Shard `shard`'s transport over the shared `listener`, feeding
-    /// `shared.admissions[shard]`.
+    /// `gate`.
     pub(crate) fn new(
         shard: usize,
+        gate: AdmissionQueue,
         listener: &Arc<TcpListener>,
         shared: &Arc<FrontShared>,
     ) -> std::io::Result<ShardSockets> {
         let poller = Poller::new()?;
         let listener = Listener::register(listener.clone(), &poller, TOKEN_LISTENER)?;
-        let gate = shared.admissions[shard].clone();
         let books = Books::new(shard, shared.shards.len(), gate, shared.outbox_cap);
         Ok(ShardSockets {
             events: Events::with_capacity(256),
@@ -618,7 +619,7 @@ impl ShardSockets {
     }
 }
 
-impl Ingress for ShardSockets {
+impl Transport for ShardSockets {
     fn poll_batch(&mut self, out: &mut Vec<Request>, room: usize) {
         self.net.pump(&mut self.events);
         self.net.books.gate.pop_batch(out, room);
@@ -632,12 +633,10 @@ impl Ingress for ShardSockets {
         Some(self.net.books.gate.counters())
     }
 
-    fn attach_slo(&self, slo: Arc<SloState>) {
+    fn attach_slo(&mut self, slo: Arc<SloState>) {
         self.net.books.gate.attach_slo(slo);
     }
-}
 
-impl Egress for ShardSockets {
     fn send(&mut self, resp: Response) -> Result<(), Response> {
         self.net.send(resp);
         Ok(())
@@ -660,6 +659,7 @@ impl Egress for ShardSockets {
 mod tests {
     use super::*;
     use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
+    use concord_core::Clock;
 
     /// A front end no dispatcher runs: every shard's books are driven by
     /// hand on this thread, one real call at a time, and read back
@@ -671,19 +671,28 @@ mod tests {
         nets: Vec<Net>,
     }
 
-    fn gate(capacity: usize, policy: AdmissionPolicy) -> AdmissionConfig {
-        AdmissionConfig { capacity, policy }
-    }
-
     impl Rig {
-        /// One shard per entry of `gates`, every outbox bounded at
-        /// `outbox_cap` frames.
-        fn new(gates: &[AdmissionConfig], outbox_cap: usize) -> Rig {
-            let shared = Arc::new(FrontShared::for_test(gates, outbox_cap));
+        /// One shard per entry of `gates`, each gate admitting that many
+        /// requests, every outbox bounded at `outbox_cap` frames.
+        fn new(gates: &[usize], outbox_cap: usize) -> Rig {
+            let gates: Vec<AdmissionQueue> = gates
+                .iter()
+                .map(|&capacity| {
+                    let cfg = AdmissionConfig {
+                        capacity,
+                        policy: AdmissionPolicy::RejectNewest,
+                    };
+                    AdmissionQueue::new(cfg, Clock::monotonic())
+                })
+                .collect();
+            let counters = gates.iter().map(AdmissionQueue::counters).collect();
+            let shared = Arc::new(FrontShared::for_test(counters, outbox_cap));
             let socket = Arc::new(TcpListener::bind("127.0.0.1:0").expect("bind"));
-            let nets = (0..gates.len())
-                .map(|shard| {
-                    ShardSockets::new(shard, &socket, &shared)
+            let nets = gates
+                .into_iter()
+                .enumerate()
+                .map(|(shard, gate)| {
+                    ShardSockets::new(shard, gate, &socket, &shared)
                         .expect("poller")
                         .net
                 })
@@ -769,11 +778,7 @@ mod tests {
     #[test]
     fn the_ledger_balances_after_every_step() {
         // Shard 0's gate rejects past two; every outbox holds one frame.
-        let gates = [
-            gate(2, AdmissionPolicy::RejectNewest),
-            gate(2, AdmissionPolicy::RejectNewest),
-        ];
-        let mut rig = Rig::new(&gates, 1);
+        let mut rig = Rig::new(&[2, 2], 1);
         let a = rig.connect(0);
 
         // Admit, then answer.
@@ -820,6 +825,7 @@ mod tests {
         assert_eq!(rig.ledger(0), (2, 2));
         rig.nets[0].flush_touched(true);
         assert_eq!(rig.shared.io_stats().in_flight, 2, "published each pass");
+        assert_eq!(rig.shared.shards[0].depth(), 2, "both wait in the gate");
         assert_eq!(rig.nets[0].books.table.live(), 1, "the slot is still held");
         for _ in 0..2 {
             let late = rig.ingest(0);
@@ -829,6 +835,7 @@ mod tests {
         assert_eq!(rig.counters(), (1, 1, 2));
         assert_eq!(rig.nets[0].books.table.live(), 0);
         assert_eq!(rig.shared.io_stats().in_flight, 0);
+        assert_eq!(rig.shared.shards[0].depth(), 0);
     }
 
     /// Answers wait while every pass encodes another and fewer have come
@@ -836,7 +843,7 @@ mod tests {
     /// enough answers, makes them due.
     #[test]
     fn answers_wait_only_while_more_are_coming() {
-        let mut rig = Rig::new(&[gate(16, AdmissionPolicy::RejectNewest)], 64);
+        let mut rig = Rig::new(&[16], 64);
         let a = rig.connect(0);
         for cid in 0..5 {
             rig.request(a, cid);
@@ -861,7 +868,7 @@ mod tests {
     /// pass that shed its request.
     #[test]
     fn a_retry_is_written_in_the_pass_that_shed_its_request() {
-        let mut rig = Rig::new(&[gate(2, AdmissionPolicy::RejectNewest)], 64);
+        let mut rig = Rig::new(&[2], 64);
         let a = rig.connect(0);
         for cid in 0..2 {
             rig.request(a, cid);
@@ -878,31 +885,13 @@ mod tests {
         assert!(rig.nets[0].books.due(false), "two answers and a RETRY");
     }
 
-    /// A `DropOldest` eviction settles its victim on the spot: the gate
-    /// and the books are on the same thread.
-    #[test]
-    fn an_eviction_settles_its_victim() {
-        let mut rig = Rig::new(&[gate(1, AdmissionPolicy::DropOldest)], 8);
-        let a = rig.connect(0);
-        let b = rig.connect(0);
-        rig.request(a, 0);
-        rig.request(b, 0);
-        assert_eq!(rig.ledger(0), (1, 1), "a's request was evicted");
-        assert_eq!(rig.nets[0].books.table.owed(a.0), 0);
-        let req = rig.ingest(0);
-        rig.answer(&req);
-        assert_eq!(rig.ledger(0), (0, 0));
-        assert!(rig.flush(a).is_empty(), "an eviction is never answered");
-        assert_eq!(rig.flush(b), [(0, Status::Ok)]);
-    }
-
     /// Regression: an abort used to free the slot at once, so the next
     /// accept reissued it while answers for the old connection were
     /// still in the runtime.
     #[test]
     fn a_slot_is_not_reissued_while_answers_are_owed_on_it() {
         const K: u64 = 3;
-        let mut rig = Rig::new(&[gate(16, AdmissionPolicy::RejectNewest)], 8);
+        let mut rig = Rig::new(&[16], 8);
         let a = rig.connect(0);
         for cid in 0..K {
             rig.request(a, cid);

@@ -213,4 +213,8 @@ fn blown_class_is_shed_with_retry_while_cheap_class_completes() {
             .load(std::sync::atomic::Ordering::Relaxed)
             + report.admission.shed()
     );
+    // So does the conformance oracle, whose per-class shed counts the
+    // SLO sheds too.
+    let violations = concord_conformance::check_admission(&report.admission, None);
+    assert!(violations.is_empty(), "admission oracle: {violations:?}");
 }

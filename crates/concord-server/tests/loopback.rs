@@ -17,22 +17,25 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn server_config(capacity: usize, policy: AdmissionPolicy, workers: usize) -> ServerConfig {
+fn server_config(capacity: usize, workers: usize) -> ServerConfig {
     let runtime = RuntimeConfig::builder()
         .workers(workers)
         .quantum(Duration::from_micros(100))
         .build()
         .expect("valid config");
     ServerConfig {
-        admission: AdmissionConfig { capacity, policy },
+        admission: AdmissionConfig {
+            capacity,
+            policy: AdmissionPolicy::RejectNewest,
+        },
         ..ServerConfig::new(runtime)
     }
 }
 
-fn start_server(capacity: usize, policy: AdmissionPolicy, workers: usize) -> Server {
+fn start_server(capacity: usize, workers: usize) -> Server {
     Server::bind(
         "127.0.0.1:0",
-        server_config(capacity, policy, workers),
+        server_config(capacity, workers),
         Arc::new(SpinApp::new()),
     )
     .expect("bind loopback")
@@ -88,21 +91,18 @@ fn assert_conservation(report: &ServerReport, sent: u64, completed: u64, rejecte
         "every emitted response is observed or counted"
     );
 
-    // Sheds at the gate are either rejected (answered RETRY, observed by
-    // the client) or dropped (counted server-side). A RETRY that found
-    // the connection's outbox full is counted in `retries_dropped`, so
-    // the rejection ledger still balances exactly.
-    let dropped = rows["admit_dropped_newest"] + rows["admit_dropped_oldest"];
+    // Every shed at the gate is answered RETRY (observed by the client).
+    // A RETRY that found the connection's outbox full is counted in
+    // `retries_dropped`, so the rejection ledger still balances exactly.
     assert_eq!(
         rejected + report.retries_dropped,
-        rows["admit_rejected"],
+        report.admission.shed(),
         "every reject was answered or counted"
     );
     assert_eq!(
         sent,
         completed
             + rejected
-            + dropped
             + report.retries_dropped
             + stat(report, "tx_dropped")
             + report.orphaned_responses
@@ -133,7 +133,7 @@ fn assert_trace_agreement(report: &ServerReport) {
 
 #[test]
 fn loopback_zero_loss_below_admission_threshold() {
-    let server = start_server(4096, AdmissionPolicy::RejectNewest, 2);
+    let server = start_server(4096, 2);
     let addr = server.local_addr().to_string();
     let report = client::run(
         &addr,
@@ -166,7 +166,7 @@ fn loopback_zero_loss_below_admission_threshold() {
 
 #[test]
 fn loopback_closed_loop_completes_everything() {
-    let server = start_server(4096, AdmissionPolicy::RejectNewest, 1);
+    let server = start_server(4096, 1);
     let addr = server.local_addr().to_string();
     let report = client::run(
         &addr,
@@ -199,7 +199,7 @@ fn overload_rejects_are_answered_not_lost() {
     // One slow worker (50/100µs bimodal), a 4-deep gate, and an open
     // loop far beyond capacity: most requests must be turned away — and
     // every one of them must come back as RETRY, not silence.
-    let server = start_server(4, AdmissionPolicy::RejectNewest, 1);
+    let server = start_server(4, 1);
     let addr = server.local_addr().to_string();
     let report = client::run(
         &addr,
@@ -226,50 +226,8 @@ fn overload_rejects_are_answered_not_lost() {
 }
 
 #[test]
-fn drop_newest_sheds_are_counted_not_silent() {
-    let server = start_server(4, AdmissionPolicy::DropNewest, 1);
-    let addr = server.local_addr().to_string();
-    let report = client::run(
-        &addr,
-        &ClientConfig {
-            requests: 2_000,
-            rate_rps: 100_000.0,
-            window: 0,
-            seed: 17,
-        },
-        mix::bimodal_50_1_50_100(),
-    )
-    .expect("client run");
-    let server_report = server.shutdown();
-
-    // Drops are silent on the wire by design — but the client's
-    // unaccounted tally must match the server's counted drops exactly.
-    let rows: HashMap<String, u64> = server_report
-        .admission
-        .snapshot_rows()
-        .into_iter()
-        .collect();
-    assert!(rows["admit_dropped_newest"] > 0, "overload must drop");
-    assert_eq!(
-        report.unaccounted(),
-        rows["admit_dropped_newest"]
-            + stat(&server_report, "tx_dropped")
-            + server_report.orphaned_responses
-            + stat(&server_report, "failed"),
-        "every missing response maps to a server-side counter"
-    );
-    assert_conservation(
-        &server_report,
-        report.sent,
-        report.completed,
-        report.rejected,
-    );
-    assert_trace_agreement(&server_report);
-}
-
-#[test]
 fn graceful_shutdown_while_idle_reports_cleanly() {
-    let server = start_server(64, AdmissionPolicy::RejectNewest, 1);
+    let server = start_server(64, 1);
     let report = server.shutdown();
     assert_eq!(report.accepted, 0);
     assert_eq!(report.admission.offered(), 0);
@@ -386,7 +344,7 @@ fn full_outbox_retry_drops_are_counted() {
         "127.0.0.1:0",
         ServerConfig {
             outbox_cap: 2,
-            ..server_config(1, AdmissionPolicy::RejectNewest, 1)
+            ..server_config(1, 1)
         },
         Arc::new(SpinApp::new()),
     )

@@ -41,8 +41,9 @@
 //! use std::sync::Arc;
 //! use std::time::Duration;
 //!
-//! // NIC-model rings between the "client" and the server; any
-//! // `Ingress`/`Egress` pair (e.g. a TCP front end) works the same way.
+//! // NIC-model rings between the "client" and the server: the
+//! // dispatcher owns the pair as its `Transport`, as a TCP front end's
+//! // dispatchers own their sockets.
 //! let (req_tx, req_rx) = ring::<Request>(4096);
 //! let (resp_tx, resp_rx) = ring::<Response>(4096);
 //!
@@ -85,8 +86,7 @@ pub use concord_workloads as workloads;
 /// ```
 pub mod prelude {
     pub use concord_core::{
-        ConfigError, Egress, Ingress, Runtime, RuntimeBuilder, RuntimeConfig, SpinApp,
-        TelemetrySnapshot,
+        ConfigError, Runtime, RuntimeBuilder, RuntimeConfig, SpinApp, TelemetrySnapshot, Transport,
     };
     pub use concord_net::{Collector, LoadGen, Request, Response, RttModel};
 }

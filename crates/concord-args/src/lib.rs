@@ -13,11 +13,10 @@
 //!
 //! let m = Parser::new("demo", "A demo binary.")
 //!     .opt_default("listen", "HOST:PORT", "127.0.0.1:7070", "listen address")
-//!     .alias("addr", "listen") // old spelling keeps working
 //!     .opt_default("shards", "N", "1", "scheduler shards")
 //!     .opt("admin", "HOST:PORT", "admin-plane address (off when absent)")
 //!     .switch("oneshot", "serve one client session then exit")
-//!     .try_parse(&["--addr".into(), "0.0.0.0:9000".into(), "--oneshot".into()])
+//!     .try_parse(&["--listen".into(), "0.0.0.0:9000".into(), "--oneshot".into()])
 //!     .unwrap();
 //! assert_eq!(m.get("listen"), Some("0.0.0.0:9000"));
 //! assert_eq!(m.require::<usize>("shards").unwrap(), 1);
@@ -26,10 +25,10 @@
 //! ```
 //!
 //! Shared semantics across the binaries: `--listen HOST:PORT` is the
-//! data-plane address everywhere (`--addr` stays as an alias for one
-//! release), `--admin HOST:PORT` is the introspection plane, `--shards`
-//! and `--policy` mean the same thing wherever they appear, and
-//! `--help`/`-h` prints a uniform flag table and exits 0.
+//! data-plane address everywhere, `--admin HOST:PORT` is the
+//! introspection plane, `--shards` and `--policy` mean the same thing
+//! wherever they appear, and `--help`/`-h` prints a uniform flag table
+//! and exits 0.
 //!
 //! Parse errors are values ([`ArgError`]) so they are unit-testable;
 //! binaries call [`Parser::parse_env`], which converts any error into
@@ -87,9 +86,6 @@ struct Flag {
     meta: Option<&'static str>,
     default: Option<&'static str>,
     help: &'static str,
-    /// Alternate spellings that resolve to `name` (e.g. `addr` for
-    /// `listen`). Shown in help so the migration is discoverable.
-    aliases: Vec<&'static str>,
 }
 
 /// A declarative flag-set: build with [`Parser::opt`]/[`Parser::switch`],
@@ -128,7 +124,6 @@ impl Parser {
             meta: Some(meta),
             default: None,
             help,
-            aliases: Vec::new(),
         })
     }
 
@@ -145,7 +140,6 @@ impl Parser {
             meta: Some(meta),
             default: Some(default),
             help,
-            aliases: Vec::new(),
         })
     }
 
@@ -156,30 +150,15 @@ impl Parser {
             meta: None,
             default: None,
             help,
-            aliases: Vec::new(),
         })
     }
 
-    /// Makes `--alias` an alternate spelling of the most recently
-    /// relevant canonical flag `of` (e.g. `.alias("addr", "listen")`).
-    pub fn alias(mut self, alias: &'static str, of: &'static str) -> Self {
-        let flag = self
-            .flags
-            .iter_mut()
-            .find(|f| f.name == of)
-            .unwrap_or_else(|| panic!("alias '{alias}' of undeclared flag --{of}"));
-        flag.aliases.push(alias);
-        self
-    }
-
     fn lookup(&self, name: &str) -> Option<&Flag> {
-        self.flags
-            .iter()
-            .find(|f| f.name == name || f.aliases.contains(&name))
+        self.flags.iter().find(|f| f.name == name)
     }
 
     /// The `--help` text: about line, usage line, then one row per flag
-    /// with metavar, default, and aliases.
+    /// with metavar and default.
     pub fn help(&self) -> String {
         use fmt::Write;
         let mut rows: Vec<(String, String)> = Vec::new();
@@ -191,9 +170,6 @@ impl Parser {
             let mut rhs = f.help.to_string();
             if let Some(d) = f.default {
                 let _ = write!(rhs, " [default: {d}]");
-            }
-            for a in &f.aliases {
-                let _ = write!(rhs, " [alias: --{a}]");
             }
             rows.push((lhs, rhs));
         }
@@ -377,7 +353,6 @@ mod tests {
     fn demo() -> Parser {
         Parser::new("demo", "A demo.")
             .opt_default("listen", "HOST:PORT", "127.0.0.1:7070", "listen address")
-            .alias("addr", "listen")
             .opt_default("shards", "N", "1", "shards")
             .opt("admin", "HOST:PORT", "admin plane")
             .switch("oneshot", "exit after one session")
@@ -390,14 +365,6 @@ mod tests {
         assert_eq!(m.require::<usize>("shards").unwrap(), 4);
         assert_eq!(m.get("admin"), None);
         assert!(!m.has("oneshot"));
-    }
-
-    #[test]
-    fn aliases_resolve_to_canonical_name() {
-        let m = demo().try_parse(&argv(&["--addr", "0.0.0.0:1"])).unwrap();
-        assert_eq!(m.get("listen"), Some("0.0.0.0:1"));
-        // The alias itself is not a key.
-        assert_eq!(m.get("addr"), None);
     }
 
     #[test]
@@ -446,11 +413,10 @@ mod tests {
     }
 
     #[test]
-    fn help_lists_flags_defaults_and_aliases() {
+    fn help_lists_flags_and_defaults() {
         let h = demo().help();
         assert!(h.contains("--listen HOST:PORT"), "{h}");
         assert!(h.contains("[default: 127.0.0.1:7070]"), "{h}");
-        assert!(h.contains("[alias: --addr]"), "{h}");
         assert!(h.contains("--oneshot"), "{h}");
         let m = demo().try_parse(&argv(&["-h"])).unwrap();
         assert!(m.help_requested());

@@ -6,16 +6,17 @@
 //! ideal worker capacity) sets the offered load; `--load 0.7` is the
 //! default. `--shards N` runs N dispatcher+worker groups: in simulation
 //! each shard is an independent instance at `rate / N` with merged
-//! metrics; with `--runtime` the real `ShardedRuntime` runs behind the
+//! metrics; with `--runtime` the real runtime's shards run behind the
 //! load generator's round-robin deal and the report adds per-shard
 //! counters plus the cross-shard conservation check. `--runtime` replaces
 //! the simulation with a real dispatcher+workers run (spin server) and
 //! prints the lifecycle telemetry from `Runtime::telemetry()`;
-//! `--report-secs` additionally enables the periodic reporter at that
-//! interval. `--trace PATH` writes the scheduling-event trace of the run —
-//! Perfetto JSON if PATH ends in `.json`, the compact binary format
-//! otherwise — from the simulator or the real runtime's per-core rings;
-//! sharded traces pack the shard id into the track word.
+//! `--report-secs S` additionally prints each shard's telemetry to
+//! stderr every S seconds while the run collects. `--trace PATH` writes
+//! the scheduling-event trace of the run — Perfetto JSON if PATH ends in
+//! `.json`, the compact binary format otherwise — from the simulator or
+//! the real runtime's per-core rings; sharded traces pack the shard id
+//! into the track word.
 //!
 //! `--policy` selects the scheduling policy in *both* engines, which take
 //! the same `PolicyKind` and key their queues with the same code: `ps`
@@ -25,7 +26,7 @@
 //! error), and `boost[:US]` (arrival-time-shifted priority, Yu & Scully).
 
 use concord_args::{ArgError, Matches, Parser};
-use concord_core::{PolicyKind, RuntimeConfig, ShardedRuntime, SpinApp};
+use concord_core::{PolicyKind, Runtime, RuntimeConfig, RuntimeObserver, SpinApp};
 use concord_net::{ring, Collector, LoadGen, Request, Response, RttModel};
 use concord_sim::experiments::ideal_capacity_rps;
 use concord_sim::{SimParams, SystemConfig};
@@ -34,6 +35,7 @@ use concord_workloads::Workload;
 use std::path::{Path, PathBuf};
 use std::process::exit;
 use std::str::FromStr;
+use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -112,8 +114,8 @@ fn system_by_name(name: &str, workers: usize, quantum_ns: u64) -> Option<SystemC
 
 /// Parses `repro simulate`'s flags; `Ok(None)` when `--help` was asked
 /// for. Inputs no run could serve — zero workers, shards or requests, a
-/// non-positive rate or load — are rejected here rather than panicking
-/// later.
+/// non-positive rate, load or report interval — are rejected here rather
+/// than panicking or spinning later.
 fn parse(argv: &[String]) -> Result<Option<Args>, ArgError> {
     let m = parser().try_parse(argv)?;
     if m.help_requested() {
@@ -135,7 +137,10 @@ fn parse(argv: &[String]) -> Result<Option<Args>, ArgError> {
         policy: chosen(&m, "policy", POLICIES, PolicyKind::parse)?,
         batch: m.require("batch")?,
         runtime: m.has("runtime"),
-        report_secs: m.opt("report-secs")?,
+        report_secs: m
+            .get("report-secs")
+            .map(|_| positive(&m, "report-secs"))
+            .transpose()?,
         trace: m.get("trace").map(PathBuf::from),
     }))
 }
@@ -182,14 +187,11 @@ pub fn main(argv: &[String]) {
 /// report per-shard counters and the cross-shard conservation check.
 fn run_runtime(args: Args, rate: f64) {
     let quantum_ns = (args.quantum_us * 1_000.0) as u64;
-    let mut builder = RuntimeConfig::builder()
+    let builder = RuntimeConfig::builder()
         .paper_defaults(args.workers)
         .num_shards(args.shards)
         .policy(args.policy)
         .quantum(Duration::from_nanos(quantum_ns.max(1)));
-    if let Some(secs) = args.report_secs {
-        builder = builder.telemetry_report_every(Duration::from_secs_f64(secs));
-    }
     let cfg = builder.build().unwrap_or_else(|e| {
         eprintln!("repro simulate: invalid runtime config: {e}");
         exit(2);
@@ -213,14 +215,28 @@ fn run_runtime(args: Args, rate: f64) {
     let (resp_tx, resp_rx): (Vec<_>, Vec<_>) = (0..args.shards)
         .map(|_| ring::<Response>(32 * 1024))
         .unzip();
-    let transports = req_rx.into_iter().zip(resp_tx).collect();
-    let mut rt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), transports);
+    let transports = req_rx.into_iter().zip(resp_tx);
+    let mut rt = Runtime::start_shards(cfg, Arc::new(SpinApp::new()), transports);
     let gen = LoadGen::start(req_tx, args.workload, rate, args.requests, args.seed);
     let mut collector = Collector::new(resp_rx, RttModel::zero(), args.seed);
-    let ok = collector.collect(args.requests, Duration::from_secs(600));
+    let (observer, (collecting, wait)) = (rt.observer(), channel::<()>());
+    let ok = std::thread::scope(|s| {
+        if let Some(secs) = args.report_secs {
+            let every = Duration::from_secs_f64(secs);
+            // Every `every` until collection ends and drops `collecting`.
+            s.spawn(move || {
+                while wait.recv_timeout(every) == Err(RecvTimeoutError::Timeout) {
+                    report_telemetry(&observer);
+                }
+            });
+        }
+        let ok = collector.collect(args.requests, Duration::from_secs(600));
+        drop(collecting);
+        ok
+    });
     let report = gen.join();
-    let telemetry = rt.telemetry(0);
-    let stats = rt.stats(0);
+    let telemetry = rt.telemetry();
+    let stats = rt.stats();
     rt.quiesce();
     if let Some(path) = &args.trace {
         match rt.take_trace() {
@@ -228,7 +244,7 @@ fn run_runtime(args: Args, rate: f64) {
             None => eprintln!("trace: tracer disarmed in RuntimeConfig, nothing to write"),
         }
     }
-    let rollup = rt.shutdown();
+    let rollup = rt.rollup();
 
     println!();
     println!(
@@ -268,6 +284,17 @@ fn run_runtime(args: Args, rate: f64) {
             "VIOLATED"
         }
     );
+}
+
+/// Prints every shard's telemetry report that has anything in it to
+/// stderr.
+fn report_telemetry(observer: &RuntimeObserver) {
+    for shard in 0..observer.num_shards() {
+        let snap = observer.telemetry(shard);
+        if snap.recorded > 0 {
+            eprintln!("{}", snap.render());
+        }
+    }
 }
 
 /// Runs the configuration through the simulator and prints the slowdown
@@ -434,12 +461,15 @@ mod tests {
     }
 
     #[test]
-    fn non_positive_rate_or_load_is_rejected() {
+    fn non_positive_rate_load_or_report_secs_is_rejected() {
         assert_eq!(rejected(&["--rate", "0"]), "rate");
         assert_eq!(rejected(&["--rate", "-5"]), "rate");
         assert_eq!(rejected(&["--load", "-1"]), "load");
         assert_eq!(rejected(&["--load", "0"]), "load");
         assert_eq!(rejected(&["--load", "NaN"]), "load");
+        // A zero interval would spin the report thread.
+        assert_eq!(rejected(&["--report-secs", "0"]), "report-secs");
+        assert_eq!(rejected(&["--report-secs", "-1"]), "report-secs");
     }
 
     #[test]

@@ -5,8 +5,8 @@ use crate::apps::PanicOnApp;
 use crate::case::{ArrivalKind, CaseConfig, FaultKind};
 use concord_core::preempt::SignalAccounting;
 use concord_core::{
-    Clock, ConcordApp, FaultInjector, Runtime, RuntimeConfig, RuntimeStats, ShardRollup,
-    ShardedRuntime, SpinApp, TelemetrySnapshot,
+    Clock, ConcordApp, FaultInjector, Runtime, RuntimeConfig, RuntimeStats, ShardRollup, SpinApp,
+    TelemetrySnapshot,
 };
 use concord_net::ring::{ring, Producer};
 use concord_net::{Collector, LoadGen, Request, Response, RttModel};
@@ -171,7 +171,6 @@ fn config_of(
         quantum_max: Duration::from_micros(case.quantum_us.max(100)),
         quantum_control_interval: Duration::from_millis(10),
         slo: Vec::new(),
-        telemetry_report_every: None,
         clock,
         trace: true,
         trace_ring_cap: concord_core::config::DEFAULT_TRACE_RING_CAP,
@@ -400,7 +399,7 @@ impl Rig {
             trace_dropped: stats.trace_dropped.load(Ordering::Relaxed),
             admission_shed: stats.admission.as_ref().map_or(0, |a| a.shed()),
             ingested_by_class: stats.ingested_by_class.nonzero(),
-            quanta_ns: rt.quanta().snapshot_ns().to_vec(),
+            quanta_ns: rt.observer().quanta(0).snapshot_ns().to_vec(),
             trace,
             raw_trace,
         }
@@ -409,7 +408,7 @@ impl Rig {
 
 /// Shard count for conformance executions: `CONCORD_SHARDS` in the
 /// environment (default 1). Values above 1 make [`run_case`] additionally
-/// drive every fault-free case through a [`ShardedRuntime`] and check the
+/// drive every fault-free case through a sharded [`Runtime`] and check the
 /// cross-shard oracles.
 pub fn conf_shards() -> usize {
     std::env::var("CONCORD_SHARDS")
@@ -443,7 +442,7 @@ pub struct ShardedObservation {
     pub trace: Option<concord_trace::ShardTraceSummary>,
 }
 
-/// Runs a fault-free case through a [`ShardedRuntime`]: the load
+/// Runs a fault-free case through a sharded [`Runtime`]: the load
 /// generator deals arrivals round-robin over the shards' ingress rings,
 /// the collector drains every shard's egress ring, and the quiescent
 /// rollup plus the merged trace feed
@@ -457,8 +456,8 @@ pub fn run_runtime_sharded(
     let (req_tx, req_rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| ring::<Request>(4096)).unzip();
     let (resp_tx, resp_rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| ring::<Response>(4096)).unzip();
     let cfg = config_of(case, shards, Clock::monotonic(), None);
-    let transports = req_rx.into_iter().zip(resp_tx).collect();
-    let mut srt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), transports);
+    let transports = req_rx.into_iter().zip(resp_tx);
+    let mut srt = Runtime::start_shards(cfg, Arc::new(SpinApp::new()), transports);
 
     let rate = rate_of(case);
     let gen = LoadGen::start_with(

@@ -366,8 +366,8 @@ pub fn check_admission(
     v
 }
 
-/// Cross-shard oracles on a quiescent
-/// [`ShardedRuntime`](concord_core::ShardedRuntime) execution:
+/// Cross-shard oracles on a quiescent sharded
+/// [`Runtime`](concord_core::Runtime) execution:
 ///
 /// 1. **Cross-shard conservation** — `Σ ingested == Σ completed + Σ
 ///    failed`, and every request sent was ingested and answered.

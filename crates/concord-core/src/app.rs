@@ -16,11 +16,12 @@ use std::time::{Duration, Instant};
 /// explicit equivalent of the probes Concord's compiler pass inserts — or
 /// use helpers such as [`RequestContext::spin_for`] that embed the checks.
 pub trait ConcordApp: Send + Sync + 'static {
-    /// One-time global initialization, called before any thread starts.
+    /// One-time global initialization, called once per runtime (not per
+    /// shard) before any thread starts.
     fn setup(&self) {}
 
     /// Per-worker initialization, called on each worker thread before it
-    /// serves requests. `core` is the worker index.
+    /// serves requests. `core` is the worker's index within its shard.
     fn setup_worker(&self, core: usize) {
         let _ = core;
     }

@@ -12,12 +12,12 @@ use std::time::Duration;
 pub struct RuntimeConfig {
     /// Number of worker threads (per shard, when sharded).
     pub n_workers: usize,
-    /// Number of dispatcher+worker shards a
-    /// [`ShardedRuntime`](crate::shard::ShardedRuntime) starts; each
-    /// shard runs its own dispatcher thread, `n_workers` workers, and
-    /// one transport, joined by the bounded inter-shard steal path. A plain [`Runtime`](crate::Runtime) is exactly one shard:
-    /// [`Runtime::start`](crate::Runtime::start) panics on more, and
-    /// [`RuntimeBuilder::start`] returns [`ConfigError::MultiShard`].
+    /// Number of dispatcher+worker shards the
+    /// [`Runtime`](crate::Runtime) runs; each shard runs its own
+    /// dispatcher thread, `n_workers` workers, and one transport, joined
+    /// by the cross-shard hand-off ([`crate::shard`]).
+    /// [`Runtime::start_shards`](crate::Runtime::start_shards) takes one
+    /// transport per shard.
     pub num_shards: usize,
     /// Scheduling quantum. Requests running longer than this are signaled
     /// to yield at their next preemption point, and a request the
@@ -52,9 +52,6 @@ pub struct RuntimeConfig {
     /// budget is shed at admission with RETRY until its windowed p99
     /// falls back under budget. Empty (the default) disables shedding.
     pub slo: Vec<(u16, u64)>,
-    /// If set, the dispatcher prints a human-readable telemetry report
-    /// (queueing/service/sojourn percentiles) to stderr at this interval.
-    pub telemetry_report_every: Option<Duration>,
     /// Time source for every deadline and telemetry stamp in the runtime.
     /// Defaults to monotonic wall time; tests install a
     /// [`VirtualClock`](crate::clock::VirtualClock) for determinism.
@@ -97,7 +94,7 @@ pub const PROBE_PERIOD: Duration = Duration::from_micros(1);
 pub enum ConfigError {
     /// `workers(0)`: the dispatcher needs at least one worker to feed.
     NoWorkers,
-    /// `num_shards(0)`: a sharded runtime needs at least one shard.
+    /// `num_shards(0)`: a runtime needs at least one shard.
     NoShards,
     /// `jbsq_depth(0)`: a zero JBSQ bound can never dispatch anything.
     ZeroJbsqDepth,
@@ -119,20 +116,13 @@ pub enum ConfigError {
     /// A zero `quantum_control_interval` with the controller enabled
     /// (adaptive quanta or SLO budgets): the control loop would spin.
     ZeroControlInterval,
-    /// `num_shards > 1` handed to the single-shard
-    /// [`RuntimeBuilder::start`]; a
-    /// [`ShardedRuntime`](crate::shard::ShardedRuntime) starts several.
-    MultiShard {
-        /// The configured shard count.
-        shards: usize,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::NoWorkers => write!(f, "runtime needs at least one worker"),
-            Self::NoShards => write!(f, "sharded runtime needs at least one shard"),
+            Self::NoShards => write!(f, "runtime needs at least one shard"),
             Self::ZeroJbsqDepth => write!(f, "JBSQ depth k must be at least 1"),
             Self::QuantumShorterThanProbe { quantum } => write!(
                 f,
@@ -152,10 +142,6 @@ impl std::fmt::Display for ConfigError {
                 "quantum_control_interval must be non-zero when adaptive \
                  quanta or SLO budgets are enabled"
             ),
-            Self::MultiShard { shards } => write!(
-                f,
-                "a plain runtime is one shard, not {shards}; start a ShardedRuntime"
-            ),
         }
     }
 }
@@ -165,9 +151,9 @@ impl std::error::Error for ConfigError {}
 /// Validated builder for [`RuntimeConfig`].
 ///
 /// Starts from the paper's per-field defaults with one worker; chain
-/// setters, then call [`RuntimeBuilder::build`] for the config or
-/// [`Runtime::builder`](crate::Runtime::builder)'s
-/// [`start`](RuntimeBuilder::start) to validate and launch in one step.
+/// setters, then call [`RuntimeBuilder::build`] for the config —
+/// invalid combinations (zero workers, `k == 0`, quantum below the probe
+/// period) come back as `Err(ConfigError)` instead of a panic at start.
 #[derive(Clone, Debug)]
 pub struct RuntimeBuilder {
     cfg: RuntimeConfig,
@@ -194,7 +180,6 @@ impl RuntimeBuilder {
                 quantum_max: Duration::from_micros(100),
                 quantum_control_interval: Duration::from_millis(10),
                 slo: Vec::new(),
-                telemetry_report_every: None,
                 clock: Clock::monotonic(),
                 trace: true,
                 trace_ring_cap: DEFAULT_TRACE_RING_CAP,
@@ -228,8 +213,7 @@ impl RuntimeBuilder {
     }
 
     /// Sets the number of dispatcher+worker shards (validated ≥ 1 at
-    /// build time; only [`ShardedRuntime`](crate::shard::ShardedRuntime)
-    /// starts more than one).
+    /// build time).
     pub fn num_shards(mut self, n: usize) -> Self {
         self.cfg.num_shards = n;
         self
@@ -291,12 +275,6 @@ impl RuntimeBuilder {
     /// Replaces the full per-class SLO budget list.
     pub fn slo(mut self, budgets: Vec<(u16, u64)>) -> Self {
         self.cfg.slo = budgets;
-        self
-    }
-
-    /// Enables the periodic telemetry reporter at the given interval.
-    pub fn telemetry_report_every(mut self, every: Duration) -> Self {
-        self.cfg.telemetry_report_every = Some(every);
         self
     }
 
@@ -362,24 +340,6 @@ impl RuntimeBuilder {
         }
         Ok(self.cfg)
     }
-
-    /// Validates the configuration, then starts the runtime on the given
-    /// app and NIC-model rings. A plain runtime is one shard, so
-    /// `num_shards > 1` is [`ConfigError::MultiShard`].
-    pub fn start<A: crate::app::ConcordApp>(
-        self,
-        app: std::sync::Arc<A>,
-        rx: crate::transport::SpscReceiver<concord_net::Request>,
-        tx: crate::transport::SpscSender<concord_net::Response>,
-    ) -> Result<crate::Runtime, ConfigError> {
-        let cfg = self.build()?;
-        if cfg.num_shards > 1 {
-            return Err(ConfigError::MultiShard {
-                shards: cfg.num_shards,
-            });
-        }
-        Ok(crate::Runtime::start(cfg, app, rx, tx))
-    }
 }
 
 impl RuntimeConfig {
@@ -434,7 +394,6 @@ mod tests {
             .quantum_control_interval(Duration::from_millis(5))
             .slo_budget(0, 200)
             .slo_budget(7, 5_000)
-            .telemetry_report_every(Duration::from_secs(1))
             .clock(clock)
             .build()
             .expect("valid config");
@@ -447,7 +406,6 @@ mod tests {
         assert_eq!(c.quantum_max, Duration::from_millis(2));
         assert_eq!(c.quantum_control_interval, Duration::from_millis(5));
         assert_eq!(c.slo, vec![(0, 200), (7, 5_000)]);
-        assert_eq!(c.telemetry_report_every, Some(Duration::from_secs(1)));
         assert!(c.clock.is_virtual());
     }
 
@@ -461,24 +419,8 @@ mod tests {
         assert_eq!(c.num_shards, 4);
     }
 
-    /// A plain runtime is one shard: asking it for two used to start
-    /// one and ignore the rest silently.
     #[test]
-    fn a_plain_runtime_refuses_more_than_one_shard() {
-        use crate::transport::spsc;
-        let (_, rx) = spsc::<concord_net::Request>(8);
-        let (tx, _) = spsc::<concord_net::Response>(8);
-        let err = RuntimeConfig::builder()
-            .num_shards(2)
-            .start(std::sync::Arc::new(crate::SpinApp::new()), rx, tx)
-            .err()
-            .expect("two shards refused before any thread starts");
-        assert_eq!(err, ConfigError::MultiShard { shards: 2 });
-        assert!(err.to_string().contains("ShardedRuntime"), "{err}");
-    }
-
-    #[test]
-    #[should_panic(expected = "needs ShardedRuntime::start")]
+    #[should_panic(expected = "one transport per shard")]
     fn runtime_start_panics_on_more_than_one_shard() {
         use crate::transport::spsc;
         let (_, rx) = spsc::<concord_net::Request>(8);
@@ -543,15 +485,6 @@ mod tests {
         assert!(!c.adaptive_quantum);
         assert!(c.slo.is_empty());
         assert!(!c.quantum_control_interval.is_zero());
-    }
-
-    #[test]
-    fn reporter_defaults_off() {
-        assert_eq!(
-            RuntimeConfig::paper_defaults(2).telemetry_report_every,
-            None
-        );
-        assert_eq!(RuntimeConfig::small_test().telemetry_report_every, None);
     }
 
     #[test]

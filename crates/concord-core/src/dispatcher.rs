@@ -74,10 +74,9 @@ pub struct DispatcherLoop<T: Transport> {
     /// Per-class SLO budgets and blown-verdict bits, shared with the
     /// admission gate (it sheds classes whose bit is set).
     pub slo: Arc<SloState>,
-    /// Shard topology when this dispatcher is one of several
-    /// ([`ShardedRuntime`](crate::shard::ShardedRuntime)); `None` for a
-    /// plain single-dispatcher runtime. Carries this shard's link and
-    /// every sibling's.
+    /// Shard topology when this dispatcher is one of several shards of
+    /// a [`Runtime`](crate::Runtime); `None` for a one-shard runtime.
+    /// Carries this shard's link and every sibling's.
     pub shard: Option<ShardContext>,
     /// The dispatcher's own scheduling-event lane (`None` when tracing is
     /// disarmed). Carries ARRIVE/DISPATCH/SIGNAL_SENT/STEAL/TX_DROP and
@@ -159,39 +158,6 @@ fn publish(counter: &AtomicU64, delta: u64) {
     }
 }
 
-/// Periodic-interval timer for the dispatcher's telemetry report.
-///
-/// The contract is "first fire one full interval after the loop
-/// started": the timer is seeded from the loop's own start timestamp,
-/// never from 0 — seeding at 0 would make the first report fire
-/// immediately on any clock that has already advanced (i.e. always),
-/// regardless of the configured interval.
-#[derive(Debug)]
-pub struct ReportTimer {
-    every_ns: u64,
-    last_ns: u64,
-}
-
-impl ReportTimer {
-    /// A timer whose first fire is one `every` after `now_ns`.
-    pub fn new(every: std::time::Duration, now_ns: u64) -> Self {
-        Self {
-            every_ns: every.as_nanos().min(u64::MAX as u128) as u64,
-            last_ns: now_ns,
-        }
-    }
-
-    /// Whether a full interval elapsed; resets the timer when it did.
-    pub fn due(&mut self, now_ns: u64) -> bool {
-        if now_ns.saturating_sub(self.last_ns) >= self.every_ns {
-            self.last_ns = now_ns;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 /// A preemption signal the fault injector deferred: deliver to `worker`
 /// for generation `gen` once the clock reaches `due_ns`.
 struct DeferredSignal {
@@ -229,12 +195,6 @@ impl<T: Transport> DispatcherLoop<T> {
         // refcount of the link table every shard's dispatcher shares.
         let shard = self.shard.take();
         let mut admission_events: Vec<AdmissionEvent> = Vec::new();
-        // Seeded from the loop's start so the first report waits one
-        // full interval (see `ReportTimer`).
-        let mut report = self
-            .cfg
-            .telemetry_report_every
-            .map(|every| ReportTimer::new(every, self.clock.now_ns()));
         let mut deferred: Vec<DeferredSignal> = Vec::new();
         let mut iter: u64 = 0;
         loop {
@@ -602,20 +562,11 @@ impl<T: Transport> DispatcherLoop<T> {
                 );
             }
 
-            // Control plane + periodic report, on the pass's clock
-            // reading. The controller retunes the per-class quanta and
-            // refreshes the SLO verdicts at its own cadence.
+            // Control plane, on the pass's clock reading. The controller
+            // retunes the per-class quanta and refreshes the SLO verdicts
+            // at its own cadence.
             if let Some(ctrl) = self.controller.as_mut() {
                 ctrl.poll(now_ns, &self.quanta, &self.slo);
-            }
-            // Periodic human-readable telemetry report, if configured.
-            if let Some(timer) = report.as_mut() {
-                if timer.due(now_ns) {
-                    let snap = self.telemetry.lock().expect("lock poisoned").snapshot();
-                    if snap.recorded > 0 {
-                        eprintln!("{}", snap.render());
-                    }
-                }
             }
 
             // The pass's writes: a transport that batches them decides
@@ -818,50 +769,5 @@ impl<T: Transport> DispatcherLoop<T> {
                 r.id
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::ReportTimer;
-    use crate::clock::Clock;
-    use std::time::Duration;
-
-    /// Regression: the report timer is seeded from the loop's start
-    /// timestamp, so the first report waits one full interval even when
-    /// the clock had already advanced before the loop started. A timer
-    /// seeded at 0 would fire immediately on the first iteration,
-    /// making `--report-interval` a lie for the first report.
-    #[test]
-    fn first_report_waits_one_full_interval() {
-        let (clock, v) = Clock::manual();
-        // The runtime has been up for a while before this dispatcher
-        // loop starts (exactly the state that broke the 0-seeded timer).
-        v.advance(Duration::from_secs(5));
-        let mut t = ReportTimer::new(Duration::from_secs(1), clock.now_ns());
-        assert!(!t.due(clock.now_ns()), "must not fire at loop start");
-        v.advance(Duration::from_millis(999));
-        assert!(!t.due(clock.now_ns()), "interval not yet elapsed");
-        v.advance(Duration::from_millis(1));
-        assert!(t.due(clock.now_ns()), "fires after one full interval");
-        assert!(!t.due(clock.now_ns()), "firing resets the timer");
-        v.advance(Duration::from_secs(1));
-        assert!(t.due(clock.now_ns()), "steady-state cadence holds");
-    }
-
-    /// Pins the failure mode itself: a 0-seeded timer on an
-    /// already-advanced clock fires immediately at loop start instead
-    /// of waiting out its interval.
-    #[test]
-    fn zero_seeded_timer_fires_immediately() {
-        let (clock, v) = Clock::manual();
-        v.advance(Duration::from_secs(5));
-        let mut skewed = ReportTimer::new(Duration::from_secs(1), 0);
-        assert!(
-            skewed.due(clock.now_ns()),
-            "this is the bug the loop-start seed avoids"
-        );
-        let mut seeded = ReportTimer::new(Duration::from_secs(1), clock.now_ns());
-        assert!(!seeded.due(clock.now_ns()), "the seeded timer waits");
     }
 }

@@ -11,6 +11,12 @@
 //! *preemption points*; a preempted request's coroutine is handed back to
 //! the dispatcher and may resume on any worker.
 //!
+//! A [`Runtime`] is `num_shards` such dispatcher+worker groups, each
+//! serving its own transport ([`Runtime::start_shards`]); an idle shard
+//! takes never-started work from a saturated sibling only when it asks
+//! ([`shard`]). [`Runtime::start`] is the one-shard case over a ring
+//! pair.
+//!
 //! The paper's compiler pass inserts those preemption points
 //! automatically; in this reproduction applications call
 //! [`RequestContext::preempt_point`] explicitly (or use helpers like
@@ -88,10 +94,8 @@ pub use quantum::{
     class_slot, fold_class, ControllerConfig, QuantumController, QuantumTable, SloState,
     CLASS_SLOTS,
 };
-pub use runtime::Runtime;
-pub use runtime::RuntimeObserver;
-pub use shard::ShardObserver;
-pub use shard::{ShardCounters, ShardRollup, ShardedRuntime};
+pub use runtime::{Runtime, RuntimeObserver};
+pub use shard::{ShardCounters, ShardRollup};
 pub use stats::{RuntimeStats, WorkerStats, WorkerStatsSnapshot};
 pub use telemetry::{ClassTelemetry, CompletionRecord, TelemetrySnapshot};
 pub use transport::Transport;

@@ -1,92 +1,236 @@
-//! Runtime assembly: spawn the dispatcher and workers, wire the
-//! transport.
+//! Runtime assembly: spawn every shard's dispatcher and workers, wire
+//! each shard's transport, and read back what the shards publish.
+//!
+//! A [`Runtime`] is `config.num_shards` shards. Each shard is one
+//! dispatcher thread, `config.n_workers` worker threads and one
+//! transport; shards meet only at the cross-shard hand-off
+//! ([`crate::shard`]). One shard passes no link, so its dispatcher runs
+//! the plain single-dispatcher loop.
 
 use crate::app::ConcordApp;
 use crate::clock::Clock;
-use crate::config::{RuntimeBuilder, RuntimeConfig, PROBE_PERIOD};
+use crate::config::{RuntimeConfig, PROBE_PERIOD};
 use crate::dispatcher::{DispatcherLoop, WorkerSlot};
 use crate::preempt::{SignalAccounting, WorkerShared};
 use crate::quantum::{ControllerConfig, QuantumController, QuantumTable, SloState};
+use crate::shard::{ShardContext, ShardCounters, ShardLink, ShardRollup};
 use crate::stats::RuntimeStats;
 use crate::task::{FramePool, Task, FRAME_POOL_CAP};
 use crate::telemetry::{Telemetry, TelemetryHandle, TelemetrySnapshot};
 use crate::transport::{spsc, SpscReceiver, SpscSender, Transport};
 use crate::worker::{WorkerLoop, WorkerMsg};
 use concord_net::{Request, Response};
-use concord_trace::{Trace, TraceCollector};
+use concord_trace::{merge_shard_traces, Trace, TraceCollector};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::thread::JoinHandle;
 
-/// A running Concord instance.
+/// A running Concord instance: `config.num_shards` dispatcher+worker
+/// shards, each serving one transport.
 ///
-/// Construct with [`Runtime::start`]; stop with [`Runtime::shutdown`],
-/// which drains all in-flight requests before returning. Lifecycle
-/// telemetry (queueing/service/sojourn distributions) is available at any
-/// time through [`Runtime::telemetry`].
+/// Construct with [`Runtime::start`] (one shard over a ring pair) or
+/// [`Runtime::start_shards`] (one transport per shard); stop with
+/// [`Runtime::shutdown`] or [`Runtime::quiesce`], which drain all
+/// in-flight requests first. [`Runtime::stats`] and
+/// [`Runtime::telemetry`] read shard 0, the whole runtime at one shard;
+/// [`Runtime::rollup`] and [`Runtime::observer`] cover every shard.
 pub struct Runtime {
+    shards: Vec<Shard>,
+}
+
+/// One dispatcher and its workers.
+struct Shard {
+    /// Raised to make the dispatcher drain and exit.
     stop: Arc<AtomicBool>,
+    published: Published,
+    shared: Vec<Arc<WorkerShared>>,
+    dispatcher: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+/// What one shard publishes: the `Arc`s a [`RuntimeObserver`] shares.
+#[derive(Clone)]
+struct Published {
     stats: Arc<RuntimeStats>,
     telemetry: TelemetryHandle,
     quanta: Arc<QuantumTable>,
     slo: Arc<SloState>,
-    shared: Vec<Arc<WorkerShared>>,
-    dispatcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     /// Scheduling-event collector; `None` when the tracer is disarmed
     /// via `RuntimeConfig::builder().trace(..)`.
     trace: Option<Arc<Mutex<TraceCollector>>>,
 }
 
 impl Runtime {
-    /// A validated [`RuntimeBuilder`]: chain setters, then
-    /// [`build`](RuntimeBuilder::build) the config or
-    /// [`start`](RuntimeBuilder::start) the runtime directly — invalid
-    /// combinations (zero workers, `k == 0`, quantum below the probe
-    /// period) come back as `Err(ConfigError)` instead of a panic.
-    pub fn builder() -> RuntimeBuilder {
-        RuntimeBuilder::new()
-    }
-
-    /// Starts the runtime: one dispatcher thread plus
-    /// `config.n_workers` worker threads, serving requests polled from
-    /// the NIC-model RX ring `rx` and emitting responses on its TX ring
-    /// `tx`, paired into the dispatcher's transport.
+    /// Starts one shard — one dispatcher thread plus `config.n_workers`
+    /// worker threads — serving requests polled from the NIC-model RX
+    /// ring `rx` and emitting responses on its TX ring `tx`.
     ///
     /// # Panics
     ///
-    /// Panics if `config.n_workers` is zero, if `config.num_shards` asks
-    /// for more than the one shard a plain runtime is (start a
-    /// [`ShardedRuntime`](crate::shard::ShardedRuntime) for that), or if
-    /// thread spawning fails. Prefer [`Runtime::builder`], which
-    /// validates instead.
+    /// As [`Runtime::start_shards`] with one transport: if
+    /// `config.num_shards` is not 1.
     pub fn start<A: ConcordApp>(
         config: RuntimeConfig,
         app: Arc<A>,
         rx: SpscReceiver<Request>,
         tx: SpscSender<Response>,
     ) -> Self {
-        assert!(
-            config.num_shards <= 1,
-            "Runtime::start runs one shard; num_shards = {} needs ShardedRuntime::start",
-            config.num_shards
-        );
-        Self::start_shard(config, app, (rx, tx), None)
+        // An array, not a `Vec`: no heap block for one transport (see
+        // the heap note in `start_shards`).
+        Self::start_shards(config, app, [(rx, tx)])
     }
 
-    /// [`Runtime::start`] over one transport `io`, as one shard of a
-    /// [`ShardedRuntime`](crate::shard::ShardedRuntime) when given a
-    /// `shard` context: the dispatcher then takes part in the hand-off.
-    pub(crate) fn start_shard<A: ConcordApp, T: Transport>(
+    /// Starts `config.num_shards` shards, shard `i` owning the `i`-th of
+    /// `transports` (e.g. a pair `(rx, tx)` of rings, or a TCP shard's
+    /// sockets). The front end decides which shard's transport a request
+    /// enters. [`ConcordApp::setup`] runs once, before any thread starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transports` does not hold `config.num_shards` entries,
+    /// if `config.n_workers` is zero, or if thread spawning fails.
+    /// [`RuntimeConfig::builder`] validates the config instead of
+    /// panicking.
+    pub fn start_shards<A: ConcordApp, T: Transport>(
         config: RuntimeConfig,
         app: Arc<A>,
-        mut io: T,
-        shard: Option<crate::shard::ShardContext>,
+        transports: impl IntoIterator<Item = T, IntoIter: ExactSizeIterator>,
     ) -> Self {
+        let transports = transports.into_iter();
+        let n = transports.len();
+        assert_eq!(n, config.num_shards, "one transport per shard");
         assert!(config.n_workers >= 1, "need at least one worker");
         app.setup();
+        // One shard has nobody to hand off to: it gets no link.
+        let links: Option<Arc<[ShardLink]>> =
+            (n > 1).then(|| (0..n).map(|_| ShardLink::default()).collect());
+        // `shards` allocates after its first shard's own blocks, not
+        // before them as `collect` would: the benchmark's `setup_s`
+        // follows the allocator's heap layout, and a block ahead of the
+        // shard's (or a temporary `Vec` of transports) moved it.
+        let mut shards = Vec::new();
+        for (id, io) in transports.enumerate() {
+            let ctx = links.as_ref().map(|links| ShardContext {
+                id,
+                links: links.clone(),
+            });
+            let shard = Shard::start(config.clone(), &app, io, ctx);
+            shards.reserve_exact(n - id);
+            shards.push(shard);
+        }
+        Self { shards }
+    }
 
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Shard 0's live counters (the whole runtime at one shard).
+    pub fn stats(&self) -> Arc<RuntimeStats> {
+        self.shards[0].published.stats.clone()
+    }
+
+    /// Point-in-time copy of shard 0's request-lifecycle telemetry:
+    /// queueing delay, measured service time and sojourn histograms
+    /// (p50/p99/p99.9 accessors) plus slowdown.
+    ///
+    /// Each record reaches the dispatcher inside its completion message
+    /// and is folded in before the response is emitted, so a snapshot
+    /// taken after the collector has observed `n` responses covers at
+    /// least those `n` requests.
+    pub fn telemetry(&self) -> TelemetrySnapshot {
+        self.shards[0].published.telemetry()
+    }
+
+    /// Per-shard counter rows plus the cross-shard totals. Final after
+    /// [`Runtime::quiesce`]; mid-run values are live and may be
+    /// mid-hand-off.
+    pub fn rollup(&self) -> ShardRollup {
+        rollup(self.shards.iter().map(|s| &s.published))
+    }
+
+    /// Sum of every worker's signal-fate tally (consumed / obsolete /
+    /// stale) over every shard. At quiescence (after
+    /// [`Runtime::quiesce`], which also sweeps still-parked signals) the
+    /// conformance oracle asserts `total() == signals_sent` —
+    /// injector-suppressed stores never increment `signals_sent` and are
+    /// tallied separately in `signals_dropped_injected`.
+    pub fn signal_accounting(&self) -> SignalAccounting {
+        let mut sum = SignalAccounting::default();
+        for s in self.shards.iter().flat_map(|s| &s.shared) {
+            let a = s.signal_accounting();
+            sum.consumed += a.consumed;
+            sum.obsolete += a.obsolete;
+            sum.stale += a.stale;
+        }
+        sum
+    }
+
+    /// Stops every shard from ingesting, then drains each one's
+    /// in-flight requests and joins its threads, leaving the runtime
+    /// queryable: after this returns, [`Runtime::stats`],
+    /// [`Runtime::telemetry`], [`Runtime::rollup`] and
+    /// [`Runtime::signal_accounting`] are final (quiescent) values.
+    /// Every shard is stopped before any is joined, so a shard waiting
+    /// for answers a sibling owes it is never waiting on a sibling that
+    /// was not told to drain. Idempotent.
+    pub fn quiesce(&mut self) {
+        for shard in &self.shards {
+            shard.stop.store(true, Ordering::Release);
+        }
+        for shard in &mut self.shards {
+            shard.quiesce();
+        }
+    }
+
+    /// Takes the collected scheduling-event trace, leaving an empty one
+    /// behind: one shard's trace as it is, several merged into one with
+    /// the shard id packed into each record's track word (`track = shard
+    /// << 16 | lane`). Returns `None` when tracing was disarmed via
+    /// `RuntimeConfig::builder().trace(..)`. Call after
+    /// [`Runtime::quiesce`] for a complete trace; calling mid-run yields
+    /// whatever the collectors have drained so far plus everything still
+    /// parked in the lanes.
+    pub fn take_trace(&self) -> Option<Trace> {
+        merged(self.shards.iter().filter_map(|s| {
+            let c = s.published.trace.as_ref()?;
+            Some(c.lock().expect("lock poisoned").take_trace())
+        }))
+    }
+
+    /// Stops ingesting, drains every in-flight request, joins all threads
+    /// and returns shard 0's final counters.
+    pub fn shutdown(mut self) -> Arc<RuntimeStats> {
+        self.quiesce();
+        self.stats()
+    }
+
+    /// A read-only handle onto every shard's published state — live
+    /// stats atomics, telemetry snapshots, and the flight-recorder
+    /// window — for the introspection plane (an admin thread scraping
+    /// `/metrics` or `/statz`, or a periodic report). The observer only
+    /// shares `Arc`s: it stays valid while the threads run and keeps the
+    /// final counters readable after shutdown, but never blocks the data
+    /// plane beyond the same short telemetry/collector locks the runtime
+    /// itself takes.
+    pub fn observer(&self) -> RuntimeObserver {
+        RuntimeObserver {
+            shards: self.shards.iter().map(|s| s.published.clone()).collect(),
+        }
+    }
+}
+
+impl Shard {
+    /// Spawns one shard's workers and dispatcher over the transport
+    /// `io`; `shard` carries the hand-off links when there are siblings.
+    fn start<A: ConcordApp, T: Transport>(
+        config: RuntimeConfig,
+        app: &Arc<A>,
+        mut io: T,
+        shard: Option<ShardContext>,
+    ) -> Self {
         let clock: Clock = config.clock.clone();
         let stop = Arc::new(AtomicBool::new(false));
         let workers_stop = Arc::new(AtomicBool::new(false));
@@ -222,87 +366,36 @@ impl Runtime {
 
         Self {
             stop,
-            stats,
-            telemetry,
-            quanta,
-            slo,
+            published: Published {
+                stats,
+                telemetry,
+                quanta,
+                slo,
+                trace: trace_collector,
+            },
             shared: shared_lines,
             dispatcher: Some(dispatcher),
             workers: worker_handles,
-            trace: trace_collector,
         }
     }
 
-    /// Shared runtime counters (live).
-    pub fn stats(&self) -> Arc<RuntimeStats> {
-        self.stats.clone()
-    }
-
-    /// The live per-class quantum table (fixed at the configured quantum
-    /// unless `adaptive_quantum` armed the controller).
-    pub fn quanta(&self) -> Arc<QuantumTable> {
-        self.quanta.clone()
-    }
-
-    /// Asks the dispatcher to stop ingesting and drain, without joining
-    /// any thread. [`ShardedRuntime`](crate::shard::ShardedRuntime) uses
-    /// this to wind every shard down concurrently before joining them
-    /// one by one; follow with [`Runtime::quiesce`].
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// Point-in-time copy of the request-lifecycle telemetry: queueing
-    /// delay, measured service time and sojourn histograms (p50/p99/p99.9
-    /// accessors) plus slowdown.
-    ///
-    /// Each record reaches the dispatcher inside its completion message
-    /// and is folded in before the response is emitted, so a snapshot
-    /// taken after the collector has observed `n` responses covers at
-    /// least those `n` requests.
-    pub fn telemetry(&self) -> TelemetrySnapshot {
-        let mut t = self.telemetry.lock().expect("lock poisoned");
-        t.records_dropped = self.stats.telemetry_dropped.load(Ordering::Relaxed);
-        t.snapshot()
-    }
-
-    /// Sum of every worker's signal-fate tally (consumed / obsolete /
-    /// stale). At quiescence (after [`Runtime::shutdown`], which also
-    /// sweeps still-parked signals) the conformance oracle asserts
-    /// `total() == signals_sent` — injector-suppressed stores never
-    /// increment `signals_sent` and are tallied separately in
-    /// `signals_dropped_injected`.
-    pub fn signal_accounting(&self) -> SignalAccounting {
-        let mut sum = SignalAccounting::default();
-        for s in &self.shared {
-            let a = s.signal_accounting();
-            sum.consumed += a.consumed;
-            sum.obsolete += a.obsolete;
-            sum.stale += a.stale;
-        }
-        sum
-    }
-
-    /// Stops ingesting, drains every in-flight request and joins all
-    /// threads, leaving the runtime queryable: after this returns,
-    /// [`Runtime::stats`], [`Runtime::telemetry`] and
-    /// [`Runtime::signal_accounting`] are final (quiescent) values.
-    /// Idempotent.
-    pub fn quiesce(&mut self) {
-        self.stop.store(true, Ordering::Release);
+    /// Joins this (already stopped) shard's threads and publishes its
+    /// final signal fates and trace events.
+    fn quiesce(&mut self) {
         if let Some(d) = self.dispatcher.take() {
             d.join().expect("dispatcher thread");
         }
         for w in self.workers.drain(..) {
             w.join().expect("worker thread");
         }
+        let stats = &self.published.stats;
         // All threads quiesced: account any signal that landed after its
         // worker's final slice, then publish the per-worker signal fates
         // into the stats rows so they survive this Runtime being dropped.
         for (i, s) in self.shared.iter().enumerate() {
             s.sweep_pending();
             let a = s.signal_accounting();
-            if let Some(ws) = self.stats.per_worker.get(i) {
+            if let Some(ws) = stats.per_worker.get(i) {
                 ws.signals_consumed.store(a.consumed, Ordering::Relaxed);
                 ws.signals_obsolete.store(a.obsolete, Ordering::Relaxed);
                 ws.signals_stale.store(a.stale, Ordering::Relaxed);
@@ -310,107 +403,123 @@ impl Runtime {
         }
         // Sweep any events still parked in worker lanes (the dispatcher's
         // final drain ran before the workers were released).
-        if let Some(c) = &self.trace {
+        if let Some(c) = &self.published.trace {
             c.lock().expect("lock poisoned").drain();
         }
     }
-
-    /// Takes the collected scheduling-event trace, leaving an empty one
-    /// behind. Returns `None` when tracing was disarmed via
-    /// `RuntimeConfig::builder().trace(..)`. Call after [`Runtime::quiesce`] for
-    /// a complete trace; calling mid-run yields whatever the collector
-    /// has drained so far plus everything still parked in the lanes.
-    pub fn take_trace(&self) -> Option<Trace> {
-        self.trace
-            .as_ref()
-            .map(|c| c.lock().expect("lock poisoned").take_trace())
-    }
-
-    /// Stops ingesting, drains every in-flight request, joins all threads
-    /// and returns the final counters.
-    pub fn shutdown(mut self) -> Arc<RuntimeStats> {
-        self.quiesce();
-        self.stats.clone()
-    }
-
-    /// A read-only handle onto this runtime's published state — live
-    /// stats atomics, telemetry snapshots, and the flight-recorder
-    /// window — for the introspection plane (an admin thread scraping
-    /// `/metrics` or `/statz`). The observer only shares `Arc`s: it
-    /// stays valid while the threads run and keeps the final counters
-    /// readable after shutdown, but never blocks the data plane beyond
-    /// the same short telemetry/collector locks the runtime itself
-    /// takes.
-    pub fn observer(&self) -> RuntimeObserver {
-        RuntimeObserver {
-            stats: self.stats.clone(),
-            telemetry: self.telemetry.clone(),
-            quanta: self.quanta.clone(),
-            slo: self.slo.clone(),
-            trace: self.trace.clone(),
-        }
-    }
 }
 
-/// Read-only view of a [`Runtime`]'s published state, detachable from
-/// the runtime's own lifetime. Obtained via [`Runtime::observer`] (or
-/// [`ShardedRuntime::observer`](crate::shard::ShardedRuntime::observer)
-/// for one per shard); cloneable and `Send`, so an admin listener can
-/// hold one on its own thread while the control path retains the
-/// `Runtime` (whose `shutdown` consumes it).
-#[derive(Clone)]
-pub struct RuntimeObserver {
-    stats: Arc<RuntimeStats>,
-    telemetry: TelemetryHandle,
-    quanta: Arc<QuantumTable>,
-    slo: Arc<SloState>,
-    trace: Option<Arc<Mutex<TraceCollector>>>,
-}
-
-impl RuntimeObserver {
-    /// Shared runtime counters (live atomics — coherent enough for
-    /// monitoring, not a point-in-time snapshot).
-    pub fn stats(&self) -> &Arc<RuntimeStats> {
-        &self.stats
-    }
-
-    /// Point-in-time telemetry snapshot; same semantics as
-    /// [`Runtime::telemetry`] (including the dropped-record fold).
-    pub fn telemetry(&self) -> TelemetrySnapshot {
+impl Published {
+    fn telemetry(&self) -> TelemetrySnapshot {
         let mut t = self.telemetry.lock().expect("lock poisoned");
         t.records_dropped = self.stats.telemetry_dropped.load(Ordering::Relaxed);
         t.snapshot()
     }
+}
 
-    /// The live per-class quantum table.
-    pub fn quanta(&self) -> &Arc<QuantumTable> {
-        &self.quanta
+/// The counter rows of `shards`, in shard order.
+fn rollup<'a>(shards: impl Iterator<Item = &'a Published>) -> ShardRollup {
+    let per_shard = shards
+        .map(|p| {
+            let s = &p.stats;
+            ShardCounters {
+                ingested: s.ingested.load(Ordering::Relaxed),
+                completed: s.completed(),
+                failed: s.failed.load(Ordering::Relaxed),
+                tx_dropped: s.tx_dropped.load(Ordering::Relaxed),
+                offloaded: s.shard_offloaded.load(Ordering::Relaxed),
+                reclaimed: 0,
+                steals_in: s.shard_steals_in.load(Ordering::Relaxed),
+                queue_max: s
+                    .per_worker
+                    .iter()
+                    .map(|w| w.queue_max.load(Ordering::Relaxed))
+                    .collect(),
+            }
+        })
+        .collect();
+    ShardRollup { per_shard }
+}
+
+/// One shard's trace as it is, several merged (`track = shard << 16 |
+/// lane`), none as `None`.
+fn merged(traces: impl Iterator<Item = Trace>) -> Option<Trace> {
+    let mut traces: Vec<Trace> = traces.collect();
+    match traces.len() {
+        0 | 1 => traces.pop(),
+        _ => Some(merge_shard_traces(traces)),
+    }
+}
+
+/// Read-only view of every shard of a [`Runtime`], detachable from the
+/// runtime's own lifetime. Obtained via [`Runtime::observer`];
+/// cloneable and `Send`, so an admin listener or a report loop can hold
+/// one on its own thread while the control path retains the `Runtime`
+/// (whose `shutdown` consumes it).
+#[derive(Clone)]
+pub struct RuntimeObserver {
+    shards: Vec<Published>,
+}
+
+impl RuntimeObserver {
+    /// Number of shards observed.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
     }
 
-    /// The live per-class SLO state.
-    pub fn slo(&self) -> &Arc<SloState> {
-        &self.slo
+    /// One shard's counters (live atomics — coherent enough for
+    /// monitoring, not a point-in-time snapshot).
+    pub fn stats(&self, shard: usize) -> &Arc<RuntimeStats> {
+        &self.shards[shard].stats
     }
 
-    /// Freezes and copies the flight-recorder window (drain + compact +
-    /// clone) without consuming the collector — the recorder keeps
-    /// rolling. `None` when tracing is disarmed.
+    /// One shard's point-in-time telemetry snapshot (including per-class
+    /// rows); same semantics as [`Runtime::telemetry`].
+    pub fn telemetry(&self, shard: usize) -> TelemetrySnapshot {
+        self.shards[shard].telemetry()
+    }
+
+    /// One shard's live per-class quantum table (adaptive or fixed).
+    pub fn quanta(&self, shard: usize) -> &Arc<QuantumTable> {
+        &self.shards[shard].quanta
+    }
+
+    /// One shard's SLO budget/blown state.
+    pub fn slo(&self, shard: usize) -> &Arc<SloState> {
+        &self.shards[shard].slo
+    }
+
+    /// Per-shard counter rows plus cross-shard totals; live (may be
+    /// mid-hand-off), final once the runtime has quiesced.
+    pub fn rollup(&self) -> ShardRollup {
+        rollup(self.shards.iter())
+    }
+
+    /// Freezes and copies every shard's flight-recorder window (drain +
+    /// compact + clone) without consuming any collector — the recorders
+    /// keep rolling — merged as [`Runtime::take_trace`] merges. `None`
+    /// when tracing is disarmed.
     pub fn trace_snapshot(&self) -> Option<Trace> {
-        self.trace
-            .as_ref()
-            .map(|c| c.lock().expect("lock poisoned").snapshot_window())
+        merged(self.shards.iter().filter_map(|p| {
+            let c = p.trace.as_ref()?;
+            Some(c.lock().expect("lock poisoned").snapshot_window())
+        }))
     }
 }
 
 impl Drop for Runtime {
     fn drop(&mut self) {
         // Best-effort stop if the user forgot to call shutdown().
-        self.stop.store(true, Ordering::Release);
-        if let Some(d) = self.dispatcher.take() {
-            let _ = d.join();
+        for shard in &self.shards {
+            shard.stop.store(true, Ordering::Release);
         }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+        for shard in &mut self.shards {
+            if let Some(d) = shard.dispatcher.take() {
+                let _ = d.join();
+            }
+            for w in shard.workers.drain(..) {
+                let _ = w.join();
+            }
         }
     }
 }

@@ -1,9 +1,9 @@
-//! Sharding: N independent dispatcher+worker groups joined by one
-//! cross-shard hand-off.
+//! The cross-shard hand-off that joins a [`Runtime`](crate::Runtime)'s
+//! shards, and the per-shard counters it is checked by.
 //!
-//! Each shard is a complete single-dispatcher runtime — today's
-//! `DispatcherLoop` unchanged at its core — so every per-shard invariant
-//! (JBSQ ≤ k, signal-generation tagging) holds exactly as before. The
+//! Each shard is one dispatcher and its workers, running the same
+//! `DispatcherLoop` a one-shard runtime runs, so every per-shard
+//! invariant (JBSQ ≤ k, signal-generation tagging) holds per shard. The
 //! only coupling is the [`ShardLink`]: a one-slot mailbox per shard
 //! through which **never-started** work moves to a shard that asked for
 //! it (RackSched-style: balance by placement, take work only when idle).
@@ -37,13 +37,7 @@
 //! is inside `completed`), and every shard's egress carried `ingested −
 //! tx_dropped` answers.
 
-use crate::app::ConcordApp;
-use crate::config::RuntimeConfig;
-use crate::runtime::{Runtime, RuntimeObserver};
-use crate::stats::RuntimeStats;
 use crate::task::Task;
-use crate::telemetry::TelemetrySnapshot;
-use crate::transport::Transport;
 use concord_net::Response;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -191,7 +185,8 @@ impl ShardCounters {
     }
 }
 
-/// Cross-shard rollup of a [`ShardedRuntime`]'s counters.
+/// Per-shard counter rows of a [`Runtime`](crate::Runtime), and their
+/// cross-shard totals.
 #[derive(Clone, Debug, Default)]
 pub struct ShardRollup {
     /// One row per shard.
@@ -229,192 +224,6 @@ impl ShardRollup {
     /// complete, so `completed` already includes it).
     pub fn conservation_holds(&self) -> bool {
         self.total_ingested() == self.total_completed() + self.total_failed()
-    }
-}
-
-/// N independent dispatcher+worker groups joined by the cross-shard
-/// hand-off.
-///
-/// Each shard owns one transport; the front end decides which shard's
-/// transport a request enters (the TCP server places each connection on
-/// one shard at accept).
-pub struct ShardedRuntime {
-    shards: Vec<Runtime>,
-}
-
-impl ShardedRuntime {
-    /// Starts `config.num_shards` runtimes, each owning one entry of
-    /// `transports` (index = shard id), e.g. a pair `(rx, tx)` of rings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `transports` does not hold `config.num_shards` entries,
-    /// or on the same conditions as [`Runtime::start`].
-    pub fn start<A: ConcordApp, T: Transport>(
-        config: RuntimeConfig,
-        app: Arc<A>,
-        transports: Vec<T>,
-    ) -> Self {
-        let n = config.num_shards.max(1);
-        assert_eq!(transports.len(), n, "one transport per shard");
-        let links: Arc<[ShardLink]> = (0..n).map(|_| ShardLink::default()).collect();
-        let mut shards = Vec::with_capacity(n);
-        for (id, io) in transports.into_iter().enumerate() {
-            // One shard has nobody to hand off to: it runs the plain
-            // dispatcher loop.
-            let ctx = (n > 1).then(|| ShardContext {
-                id,
-                links: links.clone(),
-            });
-            shards.push(Runtime::start_shard(config.clone(), app.clone(), io, ctx));
-        }
-        Self { shards }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard's live counters.
-    pub fn stats(&self, shard: usize) -> Arc<RuntimeStats> {
-        self.shards[shard].stats()
-    }
-
-    /// One shard's lifecycle-telemetry snapshot.
-    pub fn telemetry(&self, shard: usize) -> TelemetrySnapshot {
-        self.shards[shard].telemetry()
-    }
-
-    /// Quiescent per-shard counter rows plus the cross-shard totals.
-    /// Meaningful after [`ShardedRuntime::quiesce`]; mid-run values are
-    /// live and may be mid-migration.
-    pub fn rollup(&self) -> ShardRollup {
-        self.observer().rollup()
-    }
-
-    /// A read-only handle onto every shard's published state for the
-    /// introspection plane. Cloneable and `Send`; the admin thread
-    /// holds one while the control path keeps the `ShardedRuntime`
-    /// itself (whose [`shutdown`](Self::shutdown) consumes it).
-    pub fn observer(&self) -> ShardObserver {
-        ShardObserver {
-            shards: self.shards.iter().map(Runtime::observer).collect(),
-        }
-    }
-
-    /// Stops every shard concurrently (so siblings keep draining while
-    /// the first shard winds down), then joins them all. Idempotent.
-    pub fn quiesce(&mut self) {
-        for rt in &self.shards {
-            rt.request_stop();
-        }
-        for rt in &mut self.shards {
-            rt.quiesce();
-        }
-    }
-
-    /// Takes every shard's scheduling-event trace and merges them into
-    /// one, with the shard id packed into each record's track word
-    /// (`track = shard << 16 | lane`). Returns `None` when tracing is
-    /// disarmed.
-    pub fn take_trace(&self) -> Option<concord_trace::Trace> {
-        let traces: Vec<concord_trace::Trace> = self
-            .shards
-            .iter()
-            .filter_map(|rt| rt.take_trace())
-            .collect();
-        if traces.is_empty() {
-            return None;
-        }
-        Some(concord_trace::merge_shard_traces(traces))
-    }
-
-    /// Quiesces and returns the final rollup.
-    pub fn shutdown(mut self) -> ShardRollup {
-        self.quiesce();
-        self.rollup()
-    }
-}
-
-/// Read-only view of every shard's published state, detachable from the
-/// [`ShardedRuntime`]'s lifetime (it only shares `Arc`s). Obtained via
-/// [`ShardedRuntime::observer`]; the admin listener uses it to build
-/// `/metrics` and `/statz` responses and to export the flight-recorder
-/// window without owning the runtime.
-#[derive(Clone)]
-pub struct ShardObserver {
-    shards: Vec<RuntimeObserver>,
-}
-
-impl ShardObserver {
-    /// Number of shards observed.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// One shard's live counters.
-    pub fn stats(&self, shard: usize) -> &Arc<RuntimeStats> {
-        self.shards[shard].stats()
-    }
-
-    /// One shard's lifecycle-telemetry snapshot (including per-class
-    /// rows).
-    pub fn telemetry(&self, shard: usize) -> TelemetrySnapshot {
-        self.shards[shard].telemetry()
-    }
-
-    /// One shard's live per-class quantum table (adaptive or fixed).
-    pub fn quanta(&self, shard: usize) -> &Arc<crate::quantum::QuantumTable> {
-        self.shards[shard].quanta()
-    }
-
-    /// One shard's SLO budget/blown state.
-    pub fn slo(&self, shard: usize) -> &Arc<crate::quantum::SloState> {
-        self.shards[shard].slo()
-    }
-
-    /// Per-shard counter rows plus cross-shard totals; live (may be
-    /// mid-migration), final once the runtime has quiesced.
-    pub fn rollup(&self) -> ShardRollup {
-        let per_shard = self
-            .shards
-            .iter()
-            .map(|rt| {
-                let s = rt.stats();
-                ShardCounters {
-                    ingested: s.ingested.load(Ordering::Relaxed),
-                    completed: s.completed(),
-                    failed: s.failed.load(Ordering::Relaxed),
-                    tx_dropped: s.tx_dropped.load(Ordering::Relaxed),
-                    offloaded: s.shard_offloaded.load(Ordering::Relaxed),
-                    reclaimed: 0,
-                    steals_in: s.shard_steals_in.load(Ordering::Relaxed),
-                    queue_max: s
-                        .per_worker
-                        .iter()
-                        .map(|w| w.queue_max.load(Ordering::Relaxed))
-                        .collect(),
-                }
-            })
-            .collect();
-        ShardRollup { per_shard }
-    }
-
-    /// Freezes and merges every shard's flight-recorder window into one
-    /// trace (`track = shard << 16 | lane`) without consuming any
-    /// collector — the recorders keep rolling. Returns `None` when
-    /// tracing is disarmed.
-    pub fn trace_snapshot(&self) -> Option<concord_trace::Trace> {
-        let traces: Vec<concord_trace::Trace> = self
-            .shards
-            .iter()
-            .filter_map(|rt| rt.trace_snapshot())
-            .collect();
-        if traces.is_empty() {
-            return None;
-        }
-        Some(concord_trace::merge_shard_traces(traces))
     }
 }
 

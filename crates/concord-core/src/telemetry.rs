@@ -340,8 +340,9 @@ impl TelemetrySnapshot {
         self.preemption_latency.percentile(99.9)
     }
 
-    /// Renders the human-readable report printed by the periodic reporter
-    /// and the examples.
+    /// Renders the human-readable report that `concord-serve
+    /// --report-interval`, `repro simulate --report-secs` and the
+    /// examples print.
     pub fn render(&self) -> String {
         let mut out = format!(
             "telemetry: {} recorded ({} failed, {} records dropped)\n{}",

@@ -1,4 +1,4 @@
-//! ShardedRuntime end-to-end tests: N dispatcher+worker groups, the
+//! Sharded `Runtime` end-to-end tests: N dispatcher+worker groups, the
 //! cross-shard hand-off, and the per-shard and cross-shard conservation
 //! laws.
 //!
@@ -7,11 +7,12 @@
 //! shard's ring carries exactly the answers to what its own ring
 //! delivered.
 
-use concord_core::{Runtime, RuntimeConfig, ShardedRuntime, SpinApp};
+use concord_core::{ConcordApp, RequestContext, Runtime, RuntimeConfig, SpinApp};
 use concord_net::ring::{ring, Consumer};
 use concord_net::{LoadGen, Request, Response};
 use concord_workloads::dist::Dist;
 use concord_workloads::mix::{ClassSpec, Mix};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,12 +57,12 @@ fn balanced_shards_complete_everything_and_conserve() {
     let (resp_tx0, resp_rx0) = ring::<Response>(8192);
     let (resp_tx1, resp_rx1) = ring::<Response>(8192);
 
-    let srt = ShardedRuntime::start(
+    let mut rt = Runtime::start_shards(
         cfg,
         Arc::new(SpinApp::new()),
         vec![(req_rx0, resp_tx0), (req_rx1, resp_tx1)],
     );
-    assert_eq!(srt.num_shards(), 2);
+    assert_eq!(rt.num_shards(), 2);
 
     let gen0 = LoadGen::start(req_tx0, fixed_us_mix(20.0), 10_000.0, PER_SHARD, 1);
     let gen1 = LoadGen::start(req_tx1, fixed_us_mix(20.0), 10_000.0, PER_SHARD, 2);
@@ -71,7 +72,8 @@ fn balanced_shards_complete_everything_and_conserve() {
     assert_eq!(gen1.join().dropped, 0);
     assert_eq!(got, 2 * PER_SHARD, "lost responses");
 
-    let rollup = srt.shutdown();
+    rt.quiesce();
+    let rollup = rt.rollup();
     assert_eq!(rollup.total_ingested(), 2 * PER_SHARD);
     assert!(rollup.conservation_holds(), "{rollup:?}");
     // Balanced load: each shard ingested its own stream.
@@ -101,7 +103,7 @@ fn skewed_load_hands_off_to_the_idle_shard_exactly_once() {
     let (resp_tx0, resp_rx0) = ring::<Response>(8192);
     let (resp_tx1, resp_rx1) = ring::<Response>(8192);
 
-    let srt = ShardedRuntime::start(
+    let mut rt = Runtime::start_shards(
         cfg,
         Arc::new(SpinApp::new()),
         vec![(req_rx0, resp_tx0), (req_rx1, resp_tx1)],
@@ -127,7 +129,8 @@ fn skewed_load_hands_off_to_the_idle_shard_exactly_once() {
     }
     assert_eq!(gen.join().dropped, 0);
 
-    let rollup = srt.shutdown();
+    rt.quiesce();
+    let rollup = rt.rollup();
     // Nothing more arrives after quiescence: no answer was sent twice.
     pop_all(&mut rings, &mut ids);
     assert_eq!(ids.len() as u64, TOTAL, "answers: {rollup:?}");
@@ -158,49 +161,67 @@ fn skewed_load_hands_off_to_the_idle_shard_exactly_once() {
 }
 
 #[test]
-fn single_shard_config_matches_plain_runtime_shape() {
-    // num_shards = 1 through the sharded front door behaves like the
-    // plain runtime: no offloads, no steals, same conservation law.
-    let cfg = RuntimeConfig::small_test();
+fn one_shard_never_hands_off() {
+    // One shard has no link and runs the plain dispatcher loop: the
+    // shard counters exist but never move, and its one rollup row obeys
+    // the same conservation law as a sharded run's.
     let (req_tx, req_rx) = ring::<Request>(4096);
     let (resp_tx, resp_rx) = ring::<Response>(4096);
-    let srt = ShardedRuntime::start(cfg, Arc::new(SpinApp::new()), vec![(req_rx, resp_tx)]);
-    let gen = LoadGen::start(req_tx, fixed_us_mix(10.0), 10_000.0, 200, 3);
-    let mut rings = [resp_rx];
-    let got = drain_responses(&mut rings, 200, Duration::from_secs(60));
-    assert_eq!(gen.join().dropped, 0);
-    assert_eq!(got, 200);
-    let rollup = srt.shutdown();
-    assert!(rollup.conservation_holds());
-    let s = &rollup.per_shard[0];
-    assert_eq!((s.offloaded, s.steals_in), (0, 0));
-}
-
-#[test]
-fn plain_runtime_reports_zero_shard_counters() {
-    // The unsharded path must be bit-identical to before: the shard
-    // counters exist but never move.
-    let (req_tx, req_rx) = ring::<Request>(1024);
-    let (resp_tx, mut resp_rx) = ring::<Response>(1024);
-    let rt = Runtime::start(
+    let mut rt = Runtime::start(
         RuntimeConfig::small_test(),
         Arc::new(SpinApp::new()),
         req_rx,
         resp_tx,
     );
-    let gen = LoadGen::start(req_tx, fixed_us_mix(10.0), 10_000.0, 100, 5);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let mut got = 0;
-    while got < 100 && Instant::now() < deadline {
-        while resp_rx.pop().is_some() {
-            got += 1;
-        }
-        std::thread::yield_now();
+    let gen = LoadGen::start(req_tx, fixed_us_mix(10.0), 10_000.0, 200, 3);
+    let got = drain_responses(&mut [resp_rx], 200, Duration::from_secs(60));
+    assert_eq!(gen.join().dropped, 0);
+    assert_eq!(got, 200);
+    rt.quiesce();
+    let rollup = rt.rollup();
+    assert!(rollup.conservation_holds(), "{rollup:?}");
+    assert_eq!(rollup.per_shard.len(), 1);
+    let s = &rollup.per_shard[0];
+    assert_eq!((s.ingested, s.offloaded, s.steals_in), (200, 0, 0));
+}
+
+#[test]
+fn setup_runs_once_per_runtime_and_setup_worker_once_per_worker() {
+    #[derive(Default)]
+    struct SetupProbe {
+        setups: AtomicU64,
+        worker_setups: AtomicU64,
+        /// Worker set-ups that ran before the runtime's `setup`.
+        early: AtomicU64,
     }
-    gen.join();
-    assert_eq!(got, 100);
-    let stats = rt.shutdown();
-    use std::sync::atomic::Ordering;
-    assert_eq!(stats.shard_offloaded.load(Ordering::Relaxed), 0);
-    assert_eq!(stats.shard_steals_in.load(Ordering::Relaxed), 0);
+    impl ConcordApp for SetupProbe {
+        fn setup(&self) {
+            self.setups.fetch_add(1, Ordering::SeqCst);
+        }
+        fn setup_worker(&self, _core: usize) {
+            if self.setups.load(Ordering::SeqCst) == 0 {
+                self.early.fetch_add(1, Ordering::SeqCst);
+            }
+            self.worker_setups.fetch_add(1, Ordering::SeqCst);
+        }
+        fn handle_request(&self, _req: &Request, _ctx: &mut RequestContext<'_, '_>) -> u64 {
+            0
+        }
+    }
+    let cfg = RuntimeConfig::builder()
+        .small_test()
+        .workers(2)
+        .num_shards(2)
+        .build()
+        .expect("valid config");
+    let (req_txs, req_rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| ring::<Request>(8)).unzip();
+    let (resp_txs, _resp_rxs): (Vec<_>, Vec<_>) = (0..2).map(|_| ring::<Response>(8)).unzip();
+    let app = Arc::new(SetupProbe::default());
+    let mut rt = Runtime::start_shards(cfg, app.clone(), req_rxs.into_iter().zip(resp_txs));
+    // Quiescing joins every worker, so each has run its set-up.
+    rt.quiesce();
+    drop(req_txs);
+    assert_eq!(app.setups.load(Ordering::SeqCst), 1, "once per runtime");
+    assert_eq!(app.worker_setups.load(Ordering::SeqCst), 4, "2 shards x 2");
+    assert_eq!(app.early.load(Ordering::SeqCst), 0, "setup runs first");
 }

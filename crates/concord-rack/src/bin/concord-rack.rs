@@ -55,7 +55,6 @@ fn main() {
         "127.0.0.1:8070",
         "client-facing address",
     )
-    .alias("addr", "listen")
     .opt(
         "admin",
         "HOST:PORT",

@@ -26,7 +26,6 @@ fn main() {
         "A minimal Concord backend for rack experiments and tests.",
     )
     .opt_default("listen", "HOST:PORT", "127.0.0.1:0", "data-plane address")
-    .alias("addr", "listen")
     .opt(
         "admin",
         "HOST:PORT",

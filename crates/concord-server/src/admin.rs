@@ -26,7 +26,7 @@
 //!   returns the retained window as Perfetto JSON.
 
 use crate::server::FrontShared;
-use concord_core::{ClassTelemetry, RuntimeStats, ShardObserver, TelemetrySnapshot};
+use concord_core::{ClassTelemetry, RuntimeObserver, RuntimeStats, TelemetrySnapshot};
 use concord_metrics::Histogram;
 use concord_obs::admin::{self, Route};
 use concord_obs::http::{HttpResponse, HttpServer};
@@ -43,7 +43,7 @@ use std::time::Instant;
 pub(crate) fn serve(
     addr: &str,
     shared: Arc<FrontShared>,
-    observer: ShardObserver,
+    observer: RuntimeObserver,
     policy: String,
 ) -> io::Result<HttpServer> {
     let started = Instant::now();
@@ -167,7 +167,7 @@ const FRONT_COUNTERS: [Family<FrontShared>; 5] = [
 fn register(
     reg: &MetricsRegistry,
     shared: &Arc<FrontShared>,
-    observer: &ShardObserver,
+    observer: &RuntimeObserver,
     policy: &str,
     started: Instant,
 ) {
@@ -234,7 +234,7 @@ fn register(
 }
 
 /// Each shard's telemetry snapshot, in shard order.
-fn telemetry(observer: &ShardObserver) -> Vec<TelemetrySnapshot> {
+fn telemetry(observer: &RuntimeObserver) -> Vec<TelemetrySnapshot> {
     (0..observer.num_shards())
         .map(|s| observer.telemetry(s))
         .collect()
@@ -274,7 +274,7 @@ fn per_class(
 /// lock `Runtime::telemetry()` does). The merged latency distributions
 /// come first, then the per-class labeled series — classes appear as
 /// traffic does, so these cannot be registered up front.
-fn scrape(shared: &FrontShared, observer: &ShardObserver, snap: &mut MetricsSnapshot) {
+fn scrape(shared: &FrontShared, observer: &RuntimeObserver, snap: &mut MetricsSnapshot) {
     use MetricKind::{Counter, Gauge};
     let tels = telemetry(observer);
     snap.push_hist(
@@ -415,7 +415,7 @@ fn us(ns: u64) -> Json {
 
 fn statz(
     shared: &FrontShared,
-    observer: &ShardObserver,
+    observer: &RuntimeObserver,
     policy: &str,
     started: Instant,
 ) -> HttpResponse {

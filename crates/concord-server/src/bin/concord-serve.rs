@@ -11,9 +11,8 @@
 //!               [--trace-retain SECS] [--oneshot] [--trace PATH]
 //! ```
 //!
-//! `--listen` is the data-plane address (`--addr` remains an accepted
-//! alias for one release; the flag was renamed so every Concord binary
-//! that binds a socket spells it the same way).
+//! `--listen` is the data-plane address, spelled as in every Concord
+//! binary that binds a socket.
 //!
 //! There is no I/O thread: each shard's dispatcher polls the sockets of
 //! the connections placed on it (least connections, at accept) once per
@@ -25,8 +24,9 @@
 //! (the flight-recorder window as Perfetto JSON). `--trace-retain SECS`
 //! turns the tracer into a flight recorder that keeps only the trailing
 //! window, so a long-running server can stay armed with bounded memory.
-//! `--report-interval SECS` prints the telemetry report periodically
-//! (0, the default, is off).
+//! `--report-interval SECS` prints each shard's telemetry report to
+//! stderr every SECS from start, from the main thread's wait loop (0,
+//! the default, is off).
 //!
 //! `--oneshot` serves until at least one client has connected and all
 //! clients have finished sending, then shuts down gracefully and prints
@@ -60,11 +60,11 @@
 
 use concord_args::Parser;
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
-use concord_core::{ConcordApp, PolicyKind, RuntimeConfig};
+use concord_core::{ConcordApp, PolicyKind, RuntimeConfig, RuntimeObserver};
 use concord_server::{Server, ServerConfig, ServerReport};
 use std::process::exit;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct Args {
     listen: String,
@@ -96,7 +96,6 @@ fn parse_args() -> Args {
         "127.0.0.1:7070",
         "data-plane address",
     )
-    .alias("addr", "listen")
     .opt_default("app", "spin|kv", "spin", "application to host")
     .opt_default("workers", "N", "2", "workers per shard")
     .opt_default("shards", "N", "1", "scheduler shards")
@@ -266,6 +265,17 @@ fn print_report(report: &ServerReport, trace_path: Option<&std::path::Path>) {
     }
 }
 
+/// Prints every shard's telemetry report that has anything in it to
+/// stderr.
+fn report_telemetry(observer: &RuntimeObserver) {
+    for shard in 0..observer.num_shards() {
+        let snap = observer.telemetry(shard);
+        if snap.recorded > 0 {
+            eprintln!("{}", snap.render());
+        }
+    }
+}
+
 fn serve<A: ConcordApp>(args: &Args, app: Arc<A>) {
     let mut builder = RuntimeConfig::builder()
         .workers(args.workers)
@@ -282,9 +292,6 @@ fn serve<A: ConcordApp>(args: &Args, app: Arc<A>) {
     }
     if !args.slo.is_empty() {
         builder = builder.slo(args.slo.clone());
-    }
-    if args.report_interval > 0 {
-        builder = builder.telemetry_report_every(Duration::from_secs(args.report_interval));
     }
     if args.trace_retain > 0 {
         builder = builder.trace_retain(Duration::from_secs(args.trace_retain));
@@ -328,19 +335,17 @@ fn serve<A: ConcordApp>(args: &Args, app: Arc<A>) {
     if let Err(e) = concord_net::signal::install_shutdown_handler() {
         eprintln!("concord-serve: signal handler: {e}");
     }
-    if args.oneshot {
-        // Serve until at least one client connected and all clients have
-        // half-closed, then drain and report.
-        while (server.accepted() == 0 || server.active_connections() > 0)
-            && !concord_net::signal::shutdown_requested()
-        {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-    } else {
-        // Long-running mode: park the main thread until a signal asks
-        // for the drain.
-        while !concord_net::signal::shutdown_requested() {
-            std::thread::sleep(Duration::from_millis(50));
+    // Serve until a signal asks for the drain, or with --oneshot until
+    // at least one client connected and all clients have half-closed;
+    // print the periodic report meanwhile.
+    let served = || args.oneshot && server.accepted() > 0 && server.active_connections() == 0;
+    let (observer, every) = (server.observer(), Duration::from_secs(args.report_interval));
+    let mut reported = Instant::now();
+    while !served() && !concord_net::signal::shutdown_requested() {
+        std::thread::sleep(Duration::from_millis(20));
+        if args.report_interval > 0 && reported.elapsed() >= every {
+            reported = Instant::now();
+            report_telemetry(&observer);
         }
     }
     if let Some(sig) = concord_net::signal::shutdown_cause() {

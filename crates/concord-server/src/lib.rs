@@ -6,7 +6,7 @@
 //!   carrying requests and responses live in the [`concord_wire`] crate,
 //!   shared with the `concord-rack` front-end balancer.
 //! - [`server`]: a [`Server`] that binds a listener and serves it from
-//!   N scheduler shards of a [`ShardedRuntime`](concord_core::ShardedRuntime).
+//!   the N scheduler shards of a [`Runtime`](concord_core::Runtime).
 //!   Each shard's dispatcher owns the connections placed on it at
 //!   accept (least connections) and polls their sockets itself, once per
 //!   pass, through its transport: no I/O thread stands between the

@@ -33,8 +33,8 @@
 use crate::socket::{ShardShared, ShardSockets};
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy, AdmissionQueue};
 use concord_core::{
-    AdmissionCounters, ConcordApp, RuntimeConfig, RuntimeStats, ShardRollup, ShardedRuntime,
-    TelemetrySnapshot,
+    AdmissionCounters, ConcordApp, Runtime, RuntimeConfig, RuntimeObserver, RuntimeStats,
+    ShardRollup, TelemetrySnapshot,
 };
 use concord_net::endpoint::DEFAULT_OUTBOX_CAP;
 use std::net::{SocketAddr, TcpListener};
@@ -301,7 +301,7 @@ pub struct ServerReport {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<FrontShared>,
-    rt: ShardedRuntime,
+    rt: Runtime,
     admin: Option<concord_obs::HttpServer>,
 }
 
@@ -336,16 +336,17 @@ impl Server {
             .enumerate()
             .map(|(shard, gate)| ShardSockets::new(shard, gate, &listener, &shared))
             .collect::<std::io::Result<Vec<_>>>()?;
-        let rt = ShardedRuntime::start(cfg.runtime, app, sockets);
+        let rt = Runtime::start_shards(cfg.runtime, app, sockets);
+        let observer = rt.observer();
         let _ = shared
             .stats
-            .set((0..n_shards).map(|s| rt.stats(s)).collect());
+            .set((0..n_shards).map(|s| observer.stats(s).clone()).collect());
 
         let admin = match &cfg.admin {
             Some(admin_addr) => Some(crate::admin::serve(
                 admin_addr,
                 shared.clone(),
-                rt.observer(),
+                observer,
                 policy_name,
             )?),
             None => None,
@@ -400,7 +401,13 @@ impl Server {
     /// Shard 0's live runtime counters (the whole runtime when
     /// `num_shards == 1`).
     pub fn stats(&self) -> Arc<RuntimeStats> {
-        self.rt.stats(0)
+        self.rt.stats()
+    }
+
+    /// A read-only view of every shard's counters and telemetry, for a
+    /// report loop or monitor on another thread.
+    pub fn observer(&self) -> RuntimeObserver {
+        self.rt.observer()
     }
 
     /// Live cross-shard counter rollup.
@@ -431,7 +438,7 @@ impl Server {
         }
         self.rt.quiesce();
         let trace = self.rt.take_trace();
-        let telemetry = self.rt.telemetry(0);
+        let telemetry = self.rt.telemetry();
         // The admin plane stayed up through the drain (scrapes keep
         // working while connections flush); stop it last.
         if let Some(a) = self.admin.take() {
@@ -447,7 +454,7 @@ impl Server {
             io: self.shared.io_stats(),
             admission: self.shared.admission[0].clone(),
             admission_per_shard: self.shared.admission.clone(),
-            stats: self.rt.stats(0),
+            stats: self.rt.stats(),
             rollup,
             telemetry,
             trace,

@@ -1,10 +1,11 @@
-//! The documents pass `concord-serve` and `concord-client` only flags
-//! those binaries take: every `--flag` after either name, up to the end
-//! of its command, is one that binary's `--help` names.
+//! The documents and the CI workflow pass `concord-serve` and
+//! `concord-client` only flags those binaries take: every `--flag` after
+//! either name, up to the end of its command, is one that binary's
+//! `--help` names.
 
 use std::process::Command;
 
-const DOCS: [&str; 2] = ["README.md", "DESIGN.md"];
+const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".github/workflows/ci.yml"];
 
 const BINS: [(&str, &str); 2] = [
     ("concord-serve", env!("CARGO_BIN_EXE_concord-serve")),

@@ -272,7 +272,7 @@ pub fn simulate_traced<W: Workload>(
 
 /// Runs `shards` independent copies of `cfg`, splitting the offered load
 /// evenly across them, and merges the per-shard results with
-/// [`SimResult::absorb`]. This models the `ShardedRuntime` deployment
+/// [`SimResult::absorb`]. This models the sharded `Runtime` deployment
 /// shape — N dispatcher+worker groups, each a full Concord instance —
 /// under a perfectly balanced router; per-shard arrival streams use
 /// decorrelated seeds so shards do not see lock-step arrivals.

@@ -6,7 +6,7 @@ use crate::case::{ArrivalKind, CaseConfig, FaultKind};
 use concord_core::preempt::SignalAccounting;
 use concord_core::{
     Clock, ConcordApp, FaultInjector, Runtime, RuntimeConfig, RuntimeStats, ShardRollup, SpinApp,
-    TelemetrySnapshot,
+    TelemetrySnapshot, WorkerStatsSnapshot,
 };
 use concord_net::ring::{ring, Producer};
 use concord_net::{Collector, LoadGen, Request, Response, RttModel};
@@ -15,35 +15,15 @@ use concord_workloads::arrival::Deterministic;
 use concord_workloads::dist::Dist;
 use concord_workloads::mix::{ClassSpec, Mix};
 use concord_workloads::{Poisson, TraceGenerator, Workload};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One per-worker counter row of a runtime execution — the full
-/// [`WorkerStatsSnapshot`](concord_core::WorkerStatsSnapshot), including
-/// the per-fate signal counters.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkerRow {
-    /// Requests completed on this worker.
-    pub completed: u64,
-    /// Slices preempted on this worker.
-    pub preempted: u64,
-    /// Contained failures on this worker.
-    pub failed: u64,
-    /// JBSQ occupancy high watermark.
-    pub queue_max: u64,
-    /// Signals consumed by this worker's probes.
-    pub signals_consumed: u64,
-    /// Signals that landed on an idle line.
-    pub signals_obsolete: u64,
-    /// Signals that arrived for an already-ended generation.
-    pub signals_stale: u64,
-    /// Trace events this worker dropped on ring overflow.
-    pub trace_dropped: u64,
-}
-
-/// Everything the oracles need to know about one runtime execution.
+/// Everything the oracles need to know about one runtime execution, over
+/// all of its shards: counters are summed over shards, per-worker rows
+/// are shard-major (index `shard × n_workers + worker`).
 #[derive(Clone, Debug)]
 pub struct RuntimeObservation {
     /// The case that produced this run.
@@ -52,8 +32,10 @@ pub struct RuntimeObservation {
     pub sent: u64,
     /// Requests the load generator failed to enqueue (RX ring full).
     pub rx_dropped: u64,
-    /// Responses the collector received.
+    /// Responses the collector received (all shards' TX rings).
     pub received: u64,
+    /// Responses the collector received on each shard's TX ring.
+    pub received_per_shard: Vec<u64>,
     /// Whether the collector saw every expected response before timeout.
     pub collected_ok: bool,
     /// Responses the harness expected (requests minus injected TX drops).
@@ -81,10 +63,12 @@ pub struct RuntimeObservation {
     pub work_conservation_violations: u64,
     /// Summed signal fates across workers (post-sweep).
     pub acct: SignalAccounting,
-    /// Per-worker counter rows.
-    pub per_worker: Vec<WorkerRow>,
-    /// Final lifecycle telemetry.
+    /// Per-worker counter rows, shard-major.
+    pub per_worker: Vec<WorkerStatsSnapshot>,
+    /// Final lifecycle telemetry, every shard's snapshot merged.
     pub telemetry: TelemetrySnapshot,
+    /// Quiescent per-shard counter rows (ingest, completion, hand-offs).
+    pub rollup: ShardRollup,
     /// Trace events dropped to ring overflow (all tracks).
     pub trace_dropped: u64,
     /// Requests shed at the admission gate (0 when the ingress has no
@@ -95,10 +79,12 @@ pub struct RuntimeObservation {
     /// [`concord_core::telemetry::OTHER_CLASS`]) — the ingest side of
     /// the per-class conservation law.
     pub ingested_by_class: Vec<(u16, u64)>,
-    /// Final per-class quantum table, nanoseconds by slot (fixed
-    /// everywhere unless the case ran with the adaptive controller).
+    /// Final per-class quantum tables, nanoseconds by slot, shard after
+    /// shard (fixed everywhere unless the case ran with the adaptive
+    /// controller).
     pub quanta_ns: Vec<u64>,
-    /// Derived observables of the quiescent scheduling-event trace.
+    /// Derived observables of the quiescent scheduling-event trace
+    /// (merged over shards).
     pub trace: Option<concord_trace::TraceSummary>,
     /// The raw quiescent trace, for oracles that replay event order
     /// (the per-policy priority-inversion and FIFO-completion checks)
@@ -152,17 +138,15 @@ pub fn injector_of(case: &CaseConfig) -> Option<Arc<FaultInjector>> {
 }
 
 /// The runtime configuration a case runs under, traced with the whole
-/// run retained: `shards` dispatcher+worker groups, time from `clock`,
-/// faults from `injector`.
+/// run retained: time from `clock`, faults from `injector`.
 fn config_of(
     case: &CaseConfig,
-    shards: usize,
     clock: Clock,
     injector: Option<Arc<FaultInjector>>,
 ) -> RuntimeConfig {
     RuntimeConfig {
         n_workers: case.n_workers,
-        num_shards: shards,
+        num_shards: case.shards,
         quantum: Duration::from_micros(case.quantum_us),
         jbsq_depth: case.jbsq_depth,
         work_conserving: case.work_conserving,
@@ -252,18 +236,19 @@ pub fn run_runtime_tuned<A: ConcordApp>(
     rig.finish()
 }
 
-/// One case's runtime wired to its rings, driven step by step: tests
-/// that need a scripted arrival pattern (a closed loop, "B arrives while
-/// A has run three quanta") push requests and collect responses by hand
-/// and still get the full [`RuntimeObservation`] every oracle reads.
-/// Requests may be pushed before [`Rig::start`]; they are then all
-/// waiting in the RX ring when the dispatcher first polls it.
+/// One case's runtime wired to its rings — one ring pair per shard —
+/// driven step by step: tests that need a scripted arrival pattern (a
+/// closed loop, "B arrives while A has run three quanta") push requests
+/// and collect responses by hand and still get the full
+/// [`RuntimeObservation`] every oracle reads. Requests may be pushed
+/// before [`Rig::start`]; they are then all waiting in the RX rings when
+/// the dispatchers first poll them.
 pub struct Rig {
     case: CaseConfig,
     injector: Option<Arc<FaultInjector>>,
     boot: Option<Box<dyn FnOnce() -> Runtime>>,
     rt: Option<Runtime>,
-    req_tx: Option<Producer<Request>>,
+    req_tx: Option<Vec<Producer<Request>>>,
     collector: Collector,
     sent: u64,
     rx_dropped: u64,
@@ -282,17 +267,20 @@ impl Rig {
         app: Arc<A>,
         tune: impl FnOnce(&mut RuntimeConfig),
     ) -> Self {
-        let (req_tx, req_rx) = ring::<Request>(4096);
-        let (resp_tx, resp_rx) = ring::<Response>(4096);
+        let (req_tx, req_rx): (Vec<_>, Vec<_>) =
+            (0..case.shards).map(|_| ring::<Request>(4096)).unzip();
+        let (resp_tx, resp_rx): (Vec<_>, Vec<_>) =
+            (0..case.shards).map(|_| ring::<Response>(4096)).unzip();
+        let transports = req_rx.into_iter().zip(resp_tx);
         let injector = injector_of(case);
-        let mut cfg = config_of(case, 1, clock, injector.clone());
+        let mut cfg = config_of(case, clock, injector.clone());
         tune(&mut cfg);
         let boot: Box<dyn FnOnce() -> Runtime> = match case.fault {
             FaultKind::PanicOn { request } => {
                 let app = Arc::new(PanicOnApp::new(app, request % case.requests.max(1)));
-                Box::new(move || Runtime::start(cfg, app, req_rx, resp_tx))
+                Box::new(move || Runtime::start_shards(cfg, app, transports))
             }
-            _ => Box::new(move || Runtime::start(cfg, app, req_rx, resp_tx)),
+            _ => Box::new(move || Runtime::start_shards(cfg, app, transports)),
         };
         Self {
             case: case.clone(),
@@ -314,11 +302,15 @@ impl Rig {
         self.rt = Some(boot());
     }
 
-    /// Enqueues one request on the RX ring (a full ring counts as an RX
-    /// drop, as with the open-loop generator).
+    /// Enqueues one request on the next shard's RX ring, round-robin (a
+    /// full ring counts as an RX drop, as with the open-loop generator).
     pub fn push(&mut self, req: Request) {
-        let tx = self.req_tx.as_mut().expect("RX ring handed to a generator");
-        match tx.push(req) {
+        let txs = self
+            .req_tx
+            .as_mut()
+            .expect("RX rings handed to a generator");
+        let next = (self.sent + self.rx_dropped) as usize % txs.len();
+        match txs[next].push(req) {
             Ok(()) => self.sent += 1,
             Err(_) => self.rx_dropped += 1,
         }
@@ -333,7 +325,7 @@ impl Rig {
         ok
     }
 
-    /// The started runtime's live counters.
+    /// The started runtime's live counters (shard 0's).
     pub fn stats(&self) -> Arc<RuntimeStats> {
         self.rt.as_ref().expect("rig not started").stats()
     }
@@ -343,31 +335,32 @@ impl Rig {
         self.injector.as_ref()
     }
 
-    /// Quiesces the runtime and gathers everything the oracles read.
+    /// Quiesces the runtime and gathers everything the oracles read,
+    /// summed (or merged) over its shards.
     pub fn finish(mut self) -> RuntimeObservation {
         let mut rt = self.rt.take().expect("rig not started");
         rt.quiesce();
-        let stats = rt.stats();
-        let telemetry = rt.telemetry();
-        let acct = rt.signal_accounting();
+        let observer = rt.observer();
+        let stats: Vec<&Arc<RuntimeStats>> = (0..observer.num_shards())
+            .map(|i| observer.stats(i))
+            .collect();
+        let sum = |read: fn(&RuntimeStats) -> u64| stats.iter().map(|s| read(s)).sum::<u64>();
+
+        let mut telemetry = observer.telemetry(0);
+        for i in 1..observer.num_shards() {
+            telemetry.merge(&observer.telemetry(i));
+        }
 
         let per_worker = stats
-            .per_worker
             .iter()
-            .map(|w| {
-                let s = w.snapshot();
-                WorkerRow {
-                    completed: s.completed,
-                    preempted: s.preempted,
-                    failed: s.failed,
-                    queue_max: s.queue_max,
-                    signals_consumed: s.signals_consumed,
-                    signals_obsolete: s.signals_obsolete,
-                    signals_stale: s.signals_stale,
-                    trace_dropped: s.trace_dropped,
-                }
-            })
+            .flat_map(|s| &s.per_worker)
+            .map(|w| w.snapshot())
             .collect();
+
+        let mut ingested_by_class = BTreeMap::new();
+        for (class, n) in stats.iter().flat_map(|s| s.ingested_by_class.nonzero()) {
+            *ingested_by_class.entry(class).or_insert(0) += n;
+        }
 
         let raw_trace = rt.take_trace();
         let trace = raw_trace
@@ -379,112 +372,34 @@ impl Rig {
             sent: self.sent,
             rx_dropped: self.rx_dropped,
             received: self.collector.received(),
+            received_per_shard: self.collector.received_per_ring().to_vec(),
             collected_ok: self.collected_ok,
             expected: self.expected,
-            ingested: stats.ingested.load(Ordering::Relaxed),
-            completed: stats.completed(),
-            failed: stats.failed.load(Ordering::Relaxed),
-            tx_dropped: stats.tx_dropped.load(Ordering::Relaxed),
-            telemetry_dropped: stats.telemetry_dropped.load(Ordering::Relaxed),
-            signals_sent: stats.signals_sent.load(Ordering::Relaxed),
-            expiries_deferred: stats.expiries_deferred.load(Ordering::Relaxed),
-            signals_dropped_injected: stats.signals_dropped_injected.load(Ordering::Relaxed),
-            preemptions: stats.preemptions.load(Ordering::Relaxed),
-            work_conservation_violations: stats
-                .work_conservation_violations
-                .load(Ordering::Relaxed),
-            acct,
+            ingested: sum(|s| s.ingested.load(Ordering::Relaxed)),
+            completed: sum(RuntimeStats::completed),
+            failed: sum(|s| s.failed.load(Ordering::Relaxed)),
+            tx_dropped: sum(|s| s.tx_dropped.load(Ordering::Relaxed)),
+            telemetry_dropped: sum(|s| s.telemetry_dropped.load(Ordering::Relaxed)),
+            signals_sent: sum(|s| s.signals_sent.load(Ordering::Relaxed)),
+            expiries_deferred: sum(|s| s.expiries_deferred.load(Ordering::Relaxed)),
+            signals_dropped_injected: sum(|s| s.signals_dropped_injected.load(Ordering::Relaxed)),
+            preemptions: sum(|s| s.preemptions.load(Ordering::Relaxed)),
+            work_conservation_violations: sum(|s| {
+                s.work_conservation_violations.load(Ordering::Relaxed)
+            }),
+            acct: rt.signal_accounting(),
             per_worker,
             telemetry,
-            trace_dropped: stats.trace_dropped.load(Ordering::Relaxed),
-            admission_shed: stats.admission.as_ref().map_or(0, |a| a.shed()),
-            ingested_by_class: stats.ingested_by_class.nonzero(),
-            quanta_ns: rt.observer().quanta(0).snapshot_ns().to_vec(),
+            rollup: rt.rollup(),
+            trace_dropped: sum(|s| s.trace_dropped.load(Ordering::Relaxed)),
+            admission_shed: sum(|s| s.admission.as_ref().map_or(0, |a| a.shed())),
+            ingested_by_class: ingested_by_class.into_iter().collect(),
+            quanta_ns: (0..observer.num_shards())
+                .flat_map(|i| observer.quanta(i).snapshot_ns().to_vec())
+                .collect(),
             trace,
             raw_trace,
         }
-    }
-}
-
-/// Shard count for conformance executions: `CONCORD_SHARDS` in the
-/// environment (default 1). Values above 1 make [`run_case`] additionally
-/// drive every fault-free case through a sharded [`Runtime`] and check the
-/// cross-shard oracles.
-pub fn conf_shards() -> usize {
-    std::env::var("CONCORD_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-        .max(1)
-}
-
-/// Everything the cross-shard oracles need to know about one sharded
-/// runtime execution.
-#[derive(Clone, Debug)]
-pub struct ShardedObservation {
-    /// The case that produced this run.
-    pub case: CaseConfig,
-    /// Shards the runtime ran.
-    pub shards: usize,
-    /// Requests the load generator enqueued.
-    pub sent: u64,
-    /// Requests the load generator failed to enqueue (RX ring full).
-    pub rx_dropped: u64,
-    /// Responses the collector received (all shards merged).
-    pub received: u64,
-    /// Responses the collector received on each shard's egress ring.
-    pub received_per_shard: Vec<u64>,
-    /// Whether the collector saw every expected response before timeout.
-    pub collected_ok: bool,
-    /// Quiescent per-shard counter rows and cross-shard totals.
-    pub rollup: ShardRollup,
-    /// Per-shard invariants derived from the merged trace.
-    pub trace: Option<concord_trace::ShardTraceSummary>,
-}
-
-/// Runs a fault-free case through a sharded [`Runtime`]: the load
-/// generator deals arrivals round-robin over the shards' ingress rings,
-/// the collector drains every shard's egress ring, and the quiescent
-/// rollup plus the merged trace feed
-/// [`check_sharded`](crate::oracles::check_sharded).
-pub fn run_runtime_sharded(
-    case: &CaseConfig,
-    shards: usize,
-    timeout: Duration,
-) -> ShardedObservation {
-    let shards = shards.max(1);
-    let (req_tx, req_rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| ring::<Request>(4096)).unzip();
-    let (resp_tx, resp_rx): (Vec<_>, Vec<_>) = (0..shards).map(|_| ring::<Response>(4096)).unzip();
-    let cfg = config_of(case, shards, Clock::monotonic(), None);
-    let transports = req_rx.into_iter().zip(resp_tx);
-    let mut srt = Runtime::start_shards(cfg, Arc::new(SpinApp::new()), transports);
-
-    let rate = rate_of(case);
-    let gen = LoadGen::start_with(
-        req_tx,
-        Poisson::with_rate(rate),
-        mix_of(case),
-        case.requests,
-        case.seed,
-    );
-    let mut collector = Collector::new(resp_rx, RttModel::zero(), case.seed);
-    let collected_ok = collector.collect(case.requests, timeout);
-    let report = gen.join();
-
-    srt.quiesce();
-    let trace = srt
-        .take_trace()
-        .map(|t| concord_trace::ShardTraceSummary::from_trace(&t));
-    ShardedObservation {
-        case: case.clone(),
-        shards,
-        sent: report.sent,
-        rx_dropped: report.dropped,
-        received: collector.received(),
-        received_per_shard: collector.received_per_ring().to_vec(),
-        collected_ok,
-        rollup: srt.rollup(),
-        trace,
     }
 }
 
@@ -506,25 +421,19 @@ pub fn run_sim(case: &CaseConfig) -> SimResult {
 
 /// Runs one case end to end and returns every oracle violation found.
 ///
-/// Oracles always run on the runtime execution. Fault-free Poisson cases
-/// additionally run the simulator, check its oracles, and cross-validate
-/// the two latency distributions. With `CONCORD_SHARDS` > 1 in the
-/// environment, fault-free cases also run through a sharded runtime and
-/// the cross-shard oracles.
+/// Oracles always run on the runtime execution, at the case's shard
+/// count. Fault-free one-shard Poisson cases additionally run the
+/// simulator, which models one dispatcher group, check its oracles, and
+/// cross-validate the two latency distributions.
 pub fn run_case(case: &CaseConfig, timeout: Duration) -> Vec<String> {
     let obs = run_runtime(case, timeout);
     let mut violations = crate::oracles::check_runtime(&obs);
     violations.extend(crate::oracles::check_trace(&obs));
     violations.extend(crate::oracles::check_policy(&obs));
-    if case.fault == FaultKind::None && case.arrival == ArrivalKind::Poisson {
+    if case.fault == FaultKind::None && case.arrival == ArrivalKind::Poisson && case.shards == 1 {
         let sim = run_sim(case);
         violations.extend(crate::oracles::check_sim(&sim, case));
         violations.extend(crate::oracles::check_cross(&obs, &sim));
-    }
-    let shards = conf_shards();
-    if shards > 1 && case.fault == FaultKind::None {
-        let sharded = run_runtime_sharded(case, shards, timeout);
-        violations.extend(crate::oracles::check_sharded(&sharded));
     }
     violations
 }

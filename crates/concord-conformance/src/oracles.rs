@@ -16,7 +16,8 @@ fn check(violations: &mut Vec<String>, ok: bool, msg: impl FnOnce() -> String) {
     }
 }
 
-/// Runtime oracles (all five paper invariants) on a quiescent execution.
+/// Runtime oracles (all five paper invariants) on a quiescent execution
+/// of any shard count.
 pub fn check_runtime(obs: &RuntimeObservation) -> Vec<String> {
     let mut v = Vec::new();
 
@@ -59,12 +60,48 @@ pub fn check_runtime(obs: &RuntimeObservation) -> Vec<String> {
         },
     );
 
-    // 2. Bounded queues: JBSQ occupancy never exceeded k on any worker.
+    // 1b. Per-shard books: ingest is charged to the polling shard, a
+    //     hand-off to the giver (`offloaded`) and the taker
+    //     (`steals_in`), completion to the running shard, so each shard
+    //     balances exactly; no hand-off is lost in a mailbox or taken
+    //     twice; and each shard's TX ring carries the answers to what
+    //     that shard ingested, whichever shard ran it. At one shard
+    //     these restate the laws above.
+    let mut offloaded = 0u64;
+    let mut steals_in = 0u64;
+    for (i, s) in obs.rollup.per_shard.iter().enumerate() {
+        offloaded += s.offloaded;
+        steals_in += s.steals_in;
+        check(&mut v, s.books_balance(), || {
+            format!(
+                "books: shard {i} ingested {} + steals_in {} != completed {} + failed {} + offloaded {}",
+                s.ingested, s.steals_in, s.completed, s.failed, s.offloaded
+            )
+        });
+        let answered = obs.received_per_shard.get(i).copied().unwrap_or(0);
+        let owed = s.ingested - s.tx_dropped.min(s.ingested);
+        check(&mut v, answered == owed, || {
+            format!(
+                "answers: shard {i} TX ring carried {answered} != ingested {} - tx_dropped {}",
+                s.ingested, s.tx_dropped
+            )
+        });
+    }
+    check(&mut v, offloaded == steals_in, || {
+        format!("hand-off: Σ offloaded {offloaded} != Σ steals_in {steals_in}")
+    });
+
+    // 2. Bounded queues: JBSQ occupancy never exceeded k on any worker
+    //    of any shard.
+    let n = obs.case.n_workers.max(1);
     for (i, w) in obs.per_worker.iter().enumerate() {
         check(&mut v, w.queue_max <= obs.case.jbsq_depth as u64, || {
             format!(
-                "jbsq bound: worker {i} reached occupancy {} > k={}",
-                w.queue_max, obs.case.jbsq_depth
+                "jbsq bound: shard {} worker {} reached occupancy {} > k={}",
+                i / n,
+                i % n,
+                w.queue_max,
+                obs.case.jbsq_depth
             )
         });
     }
@@ -229,6 +266,10 @@ impl RuntimeObservation {
 /// carried — so agreement here means the events faithfully describe what
 /// the scheduler did.
 ///
+/// A multi-shard run's trace is the shards' traces merged; it is read
+/// shard by shard, and its inter-shard `STEAL` events must match the
+/// hand-offs the counters took.
+///
 /// With `trace_dropped > 0` (overflow under a stalled collector) only the
 /// structural per-track timestamp monotonicity is checked: a lossy trace
 /// cannot support exact replay accounting.
@@ -259,8 +300,11 @@ pub fn check_trace(obs: &RuntimeObservation) -> Vec<String> {
     for (i, &occ) in s.max_occupancy.iter().enumerate() {
         check(&mut v, u64::from(occ) <= obs.case.jbsq_depth as u64, || {
             format!(
-                "trace: replayed occupancy {} on worker {i} > k={}",
-                occ, obs.case.jbsq_depth
+                "trace: replayed occupancy {} on shard {} worker {} > k={}",
+                occ,
+                i / s.n_workers,
+                i % s.n_workers,
+                obs.case.jbsq_depth
             )
         });
     }
@@ -281,6 +325,13 @@ pub fn check_trace(obs: &RuntimeObservation) -> Vec<String> {
             )
         });
     }
+    let steals_in: u64 = obs.rollup.per_shard.iter().map(|r| r.steals_in).sum();
+    check(&mut v, s.total_steals() == steals_in, || {
+        format!(
+            "trace: {} inter-shard STEAL events but counters took {steals_in} hand-offs",
+            s.total_steals()
+        )
+    });
     check(&mut v, s.worker_yields == obs.preemptions, || {
         format!(
             "trace: {} worker YIELDs but preemptions counter is {}",
@@ -360,114 +411,6 @@ pub fn check_admission(
             format!(
                 "admission: {} ADMIT_DROP trace events but shed counter is {shed}",
                 s.count(EventKind::AdmitDrop)
-            )
-        });
-    }
-    v
-}
-
-/// Cross-shard oracles on a quiescent sharded
-/// [`Runtime`](concord_core::Runtime) execution:
-///
-/// 1. **Cross-shard conservation** — `Σ ingested == Σ completed + Σ
-///    failed`, and every request sent was ingested and answered.
-/// 2. **Per-shard books** — ingest is charged to the polling shard, a
-///    hand-off to the giver (`offloaded`) and the taker (`steals_in`),
-///    completion to the running shard, so each shard balances exactly:
-///    `ingested + steals_in == completed + failed + offloaded`.
-/// 3. **Hand-offs taken once** — `Σ offloaded == Σ steals_in`: no
-///    hand-off was lost in a mailbox, none delivered twice.
-/// 4. **Per-shard JBSQ** — occupancy never exceeded `k` on any worker of
-///    any shard.
-/// 5. **Answers at home** — each shard's egress ring carried exactly
-///    `ingested − tx_dropped` answers: a request is answered by the shard
-///    that ingested it, whichever shard ran it.
-/// 6. **Trace agreement** — the merged trace's per-shard invariants hold
-///    and its inter-shard Steal events match the counters.
-pub fn check_sharded(obs: &crate::harness::ShardedObservation) -> Vec<String> {
-    let mut v = Vec::new();
-    let r = &obs.rollup;
-
-    check(&mut v, obs.collected_ok, || {
-        format!(
-            "sharded: collector timed out at {} of {} responses",
-            obs.received, obs.sent
-        )
-    });
-    check(&mut v, obs.rx_dropped == 0, || {
-        format!(
-            "sharded: {} requests dropped on the RX ring",
-            obs.rx_dropped
-        )
-    });
-    check(&mut v, r.total_ingested() == obs.sent, || {
-        format!(
-            "sharded conservation: Σ ingested {} != sent {}",
-            r.total_ingested(),
-            obs.sent
-        )
-    });
-    check(&mut v, r.conservation_holds(), || {
-        format!(
-            "sharded conservation: Σ ingested {} != Σ completed {} + Σ failed {}",
-            r.total_ingested(),
-            r.total_completed(),
-            r.total_failed()
-        )
-    });
-    check(
-        &mut v,
-        obs.received == r.total_ingested() - r.total_tx_dropped().min(r.total_ingested()),
-        || {
-            format!(
-                "sharded conservation: received {} != Σ ingested {} - Σ tx_dropped {}",
-                obs.received,
-                r.total_ingested(),
-                r.total_tx_dropped()
-            )
-        },
-    );
-
-    let mut steals_in = 0u64;
-    let mut offloaded = 0u64;
-    for (i, s) in r.per_shard.iter().enumerate() {
-        steals_in += s.steals_in;
-        offloaded += s.offloaded;
-        check(&mut v, s.books_balance(), || {
-            format!(
-                "sharded books: shard {i} ingested {} + steals_in {} != completed {} + failed {} + offloaded {}",
-                s.ingested, s.steals_in, s.completed, s.failed, s.offloaded
-            )
-        });
-        for (w, &qmax) in s.queue_max.iter().enumerate() {
-            check(&mut v, qmax <= obs.case.jbsq_depth as u64, || {
-                format!(
-                    "sharded jbsq bound: shard {i} worker {w} reached occupancy {} > k={}",
-                    qmax, obs.case.jbsq_depth
-                )
-            });
-        }
-        let answered = obs.received_per_shard.get(i).copied().unwrap_or(0);
-        let owed = s.ingested - s.tx_dropped.min(s.ingested);
-        check(&mut v, answered == owed, || {
-            format!(
-                "sharded answers: shard {i} egress carried {answered} != ingested {} - tx_dropped {}",
-                s.ingested, s.tx_dropped
-            )
-        });
-    }
-    check(&mut v, offloaded == steals_in, || {
-        format!("sharded hand-off: Σ offloaded {offloaded} != Σ steals_in {steals_in}")
-    });
-
-    if let Some(s) = obs.trace.as_ref() {
-        for msg in s.check(Some(obs.case.jbsq_depth as u32)) {
-            v.push(format!("sharded trace: {msg}"));
-        }
-        check(&mut v, s.total_steals() == steals_in, || {
-            format!(
-                "sharded trace: {} Steal events but counters say {steals_in}",
-                s.total_steals()
             )
         });
     }
@@ -619,12 +562,14 @@ pub fn check_cross(obs: &RuntimeObservation, sim: &SimResult) -> Vec<String> {
 /// * **`Boost`** — the same replay with the boosted-arrival key
 ///   `t_arrive − B²/size` (Yu & Scully).
 ///
-/// The replay oracles need a loss-free raw trace and skip silently when
-/// the tracer is disarmed or overflowed.
+/// The replay oracles need a loss-free one-shard raw trace and skip
+/// silently when the tracer is disarmed or overflowed, or when the run
+/// had several shards: a hand-off removes a task from its owner's queue
+/// with no event on the owner's track, so no one-queue replay holds.
 pub fn check_policy(obs: &RuntimeObservation) -> Vec<String> {
     use concord_core::PolicyKind;
     let mut v = Vec::new();
-    let replayable = obs.trace_dropped == 0;
+    let replayable = obs.trace_dropped == 0 && obs.case.shards == 1;
     match obs.case.policy {
         PolicyKind::PsQuantum => {}
         PolicyKind::Fcfs => {
@@ -905,6 +850,7 @@ mod tests {
             load_pct: 10,
             fault: FaultKind::None,
             policy: concord_core::PolicyKind::PsQuantum,
+            shards: 1,
         };
         let telemetry = {
             let mut t = concord_core::telemetry::Telemetry::new();
@@ -932,6 +878,7 @@ mod tests {
             sent: 10,
             rx_dropped: 0,
             received: 10,
+            received_per_shard: vec![10],
             collected_ok: true,
             expected: 10,
             ingested: 10,
@@ -953,7 +900,7 @@ mod tests {
                 stale: 0,
             },
             per_worker: vec![
-                crate::harness::WorkerRow {
+                concord_core::WorkerStatsSnapshot {
                     completed: 6,
                     preempted: 2,
                     failed: 0,
@@ -963,7 +910,7 @@ mod tests {
                     signals_stale: 0,
                     trace_dropped: 0,
                 },
-                crate::harness::WorkerRow {
+                concord_core::WorkerStatsSnapshot {
                     completed: 4,
                     preempted: 0,
                     failed: 0,
@@ -975,6 +922,14 @@ mod tests {
                 },
             ],
             telemetry,
+            rollup: concord_core::ShardRollup {
+                per_shard: vec![concord_core::ShardCounters {
+                    ingested: 10,
+                    completed: 10,
+                    queue_max: vec![2, 1],
+                    ..Default::default()
+                }],
+            },
             trace_dropped: 0,
             trace: None,
             raw_trace: None,
@@ -1113,65 +1068,48 @@ mod tests {
         assert!(v.is_empty(), "lossy trace must skip count checks: {v:?}");
     }
 
-    fn clean_sharded_obs() -> crate::harness::ShardedObservation {
-        use concord_core::{ShardCounters, ShardRollup};
-        // Shard 0 ingested everything and handed two never-started
-        // tasks to shard 1, which asked for them and completed them.
-        let shard0 = ShardCounters {
-            ingested: 10,
-            completed: 8,
-            offloaded: 2,
-            queue_max: vec![2, 1],
-            ..Default::default()
-        };
-        let shard1 = ShardCounters {
-            completed: 2,
-            steals_in: 2,
-            queue_max: vec![1, 0],
-            ..Default::default()
-        };
-        crate::harness::ShardedObservation {
-            case: clean_obs().case,
-            shards: 2,
-            sent: 10,
-            rx_dropped: 0,
-            received: 10,
-            received_per_shard: vec![10, 0],
-            collected_ok: true,
-            rollup: ShardRollup {
-                per_shard: vec![shard0, shard1],
+    /// [`clean_obs`] on two shards: shard 0 ingested everything and
+    /// handed two never-started tasks to shard 1, which asked for them,
+    /// completed them and sent their answers home through shard 0.
+    fn clean_two_shard_obs() -> RuntimeObservation {
+        use concord_core::ShardCounters;
+        let mut obs = clean_obs();
+        obs.case.shards = 2;
+        obs.received_per_shard = vec![10, 0];
+        obs.rollup.per_shard = vec![
+            ShardCounters {
+                ingested: 10,
+                completed: 8,
+                offloaded: 2,
+                queue_max: vec![2, 1],
+                ..Default::default()
             },
-            trace: None,
-        }
+            ShardCounters {
+                completed: 2,
+                steals_in: 2,
+                queue_max: vec![1, 0],
+                ..Default::default()
+            },
+        ];
+        obs
     }
 
     #[test]
     fn clean_sharded_observation_passes() {
-        let v = check_sharded(&clean_sharded_obs());
+        let v = check_runtime(&clean_two_shard_obs());
         assert!(v.is_empty(), "unexpected violations: {v:?}");
-    }
-
-    #[test]
-    fn cross_shard_conservation_violation_is_reported() {
-        let mut obs = clean_sharded_obs();
-        obs.rollup.per_shard[1].completed = 1; // one stolen task vanished
-        let v = check_sharded(&obs);
-        assert!(
-            v.iter().any(|m| m.contains("sharded conservation")),
-            "{v:?}"
-        );
     }
 
     #[test]
     fn lost_hand_off_is_reported() {
         // Shard 0 gave a third task that no mailbox delivered.
-        let mut obs = clean_sharded_obs();
+        let mut obs = clean_two_shard_obs();
         obs.rollup.per_shard[0].offloaded = 3;
         obs.rollup.per_shard[0].completed = 7;
-        let v = check_sharded(&obs);
+        let v = check_runtime(&obs);
         assert!(
             v.iter()
-                .any(|m| m.contains("sharded hand-off: Σ offloaded 3 != Σ steals_in 2")),
+                .any(|m| m.contains("hand-off: Σ offloaded 3 != Σ steals_in 2")),
             "{v:?}"
         );
     }
@@ -1179,13 +1117,13 @@ mod tests {
     #[test]
     fn over_delivered_hand_off_is_reported() {
         // Shard 1 took (and ran) one hand-off twice.
-        let mut obs = clean_sharded_obs();
+        let mut obs = clean_two_shard_obs();
         obs.rollup.per_shard[1].steals_in = 3;
         obs.rollup.per_shard[1].completed = 3;
-        let v = check_sharded(&obs);
+        let v = check_runtime(&obs);
         assert!(
             v.iter()
-                .any(|m| m.contains("sharded hand-off: Σ offloaded 2 != Σ steals_in 3")),
+                .any(|m| m.contains("hand-off: Σ offloaded 2 != Σ steals_in 3")),
             "{v:?}"
         );
     }
@@ -1193,47 +1131,57 @@ mod tests {
     #[test]
     fn per_shard_book_imbalance_is_reported() {
         // A completion charged to the wrong shard: the sums still hold.
-        let mut obs = clean_sharded_obs();
+        let mut obs = clean_two_shard_obs();
         obs.rollup.per_shard[0].completed = 9;
         obs.rollup.per_shard[1].completed = 1;
-        let v = check_sharded(&obs);
-        assert!(
-            v.iter().any(|m| m.contains("sharded books: shard 0")),
-            "{v:?}"
-        );
-        assert!(
-            v.iter().any(|m| m.contains("sharded books: shard 1")),
-            "{v:?}"
-        );
+        let v = check_runtime(&obs);
+        assert!(v.iter().any(|m| m.contains("books: shard 0")), "{v:?}");
+        assert!(v.iter().any(|m| m.contains("books: shard 1")), "{v:?}");
         assert!(!v.iter().any(|m| m.contains("conservation")), "{v:?}");
     }
 
     #[test]
     fn an_answer_on_the_wrong_shard_is_reported() {
         // Shard 1 ran a request shard 0 ingested and answered it on its
-        // own egress: every total still holds.
-        let mut obs = clean_sharded_obs();
+        // own TX ring: every total still holds.
+        let mut obs = clean_two_shard_obs();
         obs.received_per_shard = vec![9, 1];
-        let v = check_sharded(&obs);
+        let v = check_runtime(&obs);
         assert!(
-            v.iter().any(|m| m.contains(
-                "sharded answers: shard 0 egress carried 9 != ingested 10 - tx_dropped 0"
-            )),
+            v.iter()
+                .any(|m| m
+                    .contains("answers: shard 0 TX ring carried 9 != ingested 10 - tx_dropped 0")),
             "{v:?}"
         );
-        assert!(
-            v.iter().any(|m| m.contains("sharded answers: shard 1")),
-            "{v:?}"
-        );
+        assert!(v.iter().any(|m| m.contains("answers: shard 1")), "{v:?}");
         assert!(!v.iter().any(|m| m.contains("conservation")), "{v:?}");
     }
 
     #[test]
-    fn per_shard_jbsq_overflow_is_reported() {
-        let mut obs = clean_sharded_obs();
-        obs.rollup.per_shard[1].queue_max[0] = 9;
-        let v = check_sharded(&obs);
-        assert!(v.iter().any(|m| m.contains("sharded jbsq bound")), "{v:?}");
+    fn jbsq_overflow_names_the_shard() {
+        let mut obs = clean_two_shard_obs();
+        obs.per_worker.push(obs.per_worker[0]);
+        obs.per_worker.push(obs.per_worker[1]);
+        obs.per_worker[2].queue_max = 9;
+        let v = check_runtime(&obs);
+        assert!(
+            v.iter()
+                .any(|m| m.contains("jbsq bound: shard 1 worker 0 reached occupancy 9")),
+            "{v:?}"
+        );
+    }
+
+    #[test]
+    fn trace_steals_must_match_the_hand_offs() {
+        // matching_trace() records no inter-shard STEAL, but the two-shard
+        // counters took two hand-offs.
+        let mut obs = clean_two_shard_obs();
+        obs.trace = Some(matching_trace());
+        let v = check_trace(&obs);
+        assert_eq!(
+            v,
+            vec!["trace: 0 inter-shard STEAL events but counters took 2 hand-offs".to_string()]
+        );
     }
 
     /// Builds a dispatcher-track-only trace from `(kind, id, gen, ts)`

@@ -33,6 +33,7 @@ fn bimodal_case() -> CaseConfig {
         load_pct: 40,
         fault: FaultKind::None,
         policy: PolicyKind::PsQuantum,
+        shards: 1,
     }
 }
 

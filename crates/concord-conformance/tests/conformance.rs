@@ -11,8 +11,8 @@
 use concord_conformance::case::shrink;
 use concord_conformance::harness::{load_corpus, run_runtime_with};
 use concord_conformance::{
-    check_runtime, check_sharded, run_case, run_runtime, run_runtime_sharded, ArrivalKind,
-    CaseConfig, FaultKind, FrozenApp, VirtualSpinApp,
+    check_runtime, run_case, run_runtime, ArrivalKind, CaseConfig, FaultKind, FrozenApp,
+    VirtualSpinApp,
 };
 use concord_core::clock::VirtualClock;
 use concord_core::Clock;
@@ -47,6 +47,7 @@ fn base_case() -> CaseConfig {
         load_pct: 40,
         fault: FaultKind::None,
         policy: concord_core::PolicyKind::PsQuantum,
+        shards: 1,
     }
 }
 
@@ -84,6 +85,7 @@ fn random_sweep_holds_all_oracles() {
     for i in 0..budget {
         // The base offset keeps the sweep disjoint from corpus seeds.
         let case = CaseConfig::generate(0x5eed_0000 + i);
+        println!("sweep {i}/{budget}: cc {case}");
         let violations = run_case(&case, TIMEOUT);
         if violations.is_empty() {
             continue;
@@ -358,26 +360,14 @@ fn virtual_spin_preempts_deterministically() {
     assert!(v.is_empty(), "oracles: {v:?}");
 }
 
-/// The cross-shard oracles on a live two-shard execution: conservation
-/// summed over shards, migration books balanced, per-shard JBSQ, and the
-/// merged trace agreeing with the counters. Runs unconditionally (the
-/// `CONCORD_SHARDS` env only extends `run_case`), so the sharded path is
-/// covered on every CI run.
+/// A two-shard case through `run_case`: conservation summed over
+/// shards, each shard's books, every hand-off taken once, every answer
+/// on its home ring, per-shard JBSQ, and the merged trace agreeing with
+/// the counters — the same oracles every case runs.
 #[test]
-fn two_shard_runtime_holds_cross_shard_oracles() {
+fn two_shard_case_holds_every_oracle() {
     let mut case = base_case();
     case.requests = 400;
-    let obs = run_runtime_sharded(&case, 2, TIMEOUT);
-    assert_eq!(obs.shards, 2);
-    let violations = check_sharded(&obs);
-    assert!(
-        violations.is_empty(),
-        "cross-shard oracle violations for `cc {}`:\n  {}",
-        case.encode(),
-        violations.join("\n  ")
-    );
-    // The round-robin splitter fed both shards.
-    for (i, s) in obs.rollup.per_shard.iter().enumerate() {
-        assert!(s.ingested > 0, "shard {i} starved: {:?}", obs.rollup);
-    }
+    case.shards = 2;
+    assert_clean(&case);
 }

@@ -8,7 +8,7 @@
 //! JBSQ ≤ k oracles unchanged.
 
 use concord_conformance::{
-    check_policy, check_runtime, run_case, ArrivalKind, CaseConfig, FaultKind, Rig,
+    check_policy, check_runtime, run_case, run_runtime, ArrivalKind, CaseConfig, FaultKind, Rig,
     RuntimeObservation, VirtualSpinApp,
 };
 use concord_core::clock::VirtualClock;
@@ -38,6 +38,7 @@ fn base_case() -> CaseConfig {
         load_pct: 40,
         fault: FaultKind::None,
         policy: PolicyKind::PsQuantum,
+        shards: 1,
     }
 }
 
@@ -270,18 +271,21 @@ fn return_ring_holds_k_messages_through_a_dispatcher_stall() {
     assert_oracles_clean(&obs);
 }
 
-/// A pre-filled burst through `run_case`: the gate is open from the
-/// first iteration to the last-but-one request, and with
-/// `CONCORD_SHARDS=2` the same burst also runs sharded under the
-/// cross-shard oracles.
-#[test]
-fn burst_backlog_holds_all_oracles() {
+fn burst_case() -> CaseConfig {
     let mut case = base_case();
     case.quantum_us = 50;
     case.n_workers = 2;
     case.long_us = 150;
     case.requests = 150;
     case.work_conserving = true;
+    case
+}
+
+/// A pre-filled burst through `run_case`: the gate is open from the
+/// first iteration to the last-but-one request.
+#[test]
+fn burst_backlog_holds_all_oracles() {
+    let case = burst_case();
     let violations = run_case(&case, TIMEOUT);
     assert!(
         violations.is_empty(),
@@ -289,4 +293,23 @@ fn burst_backlog_holds_all_oracles() {
         case.encode(),
         violations.join("\n  ")
     );
+}
+
+/// The same burst on two shards: both RX rings are full before either
+/// dispatcher starts, every shard ingests its half, and every oracle —
+/// the per-shard books, hand-offs and home answers among them — holds.
+#[test]
+fn two_shard_burst_backlog_holds_all_oracles() {
+    let mut case = burst_case();
+    case.shards = 2;
+    let obs = run_runtime(&case, TIMEOUT);
+    for (i, s) in obs.rollup.per_shard.iter().enumerate() {
+        assert!(
+            s.ingested > 0,
+            "shard {i} ingested nothing: {:?}",
+            obs.rollup
+        );
+    }
+    assert_eq!(obs.rollup.per_shard.len(), 2);
+    assert_oracles_clean(&obs);
 }

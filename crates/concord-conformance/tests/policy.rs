@@ -1,14 +1,13 @@
 //! The per-policy conformance battery: every scheduling policy through
 //! the five shared invariant oracles plus its own promise — FCFS's
 //! silence and FIFO order, SRPT's and Boost's priority-inversion bounds,
-//! quantum-PS's "short requests are never preempted" — on single-shard,
+//! quantum-PS's "short requests are never preempted" — on one-shard,
 //! two-shard, virtual-time, and fault-injected executions.
 
 use concord_conformance::harness::{run_runtime_with, run_sim};
 use concord_conformance::VirtualSpinApp;
 use concord_conformance::{
-    check_policy, check_runtime, check_sharded, run_case, run_runtime, run_runtime_sharded,
-    ArrivalKind, CaseConfig, FaultKind,
+    check_policy, check_runtime, run_case, run_runtime, ArrivalKind, CaseConfig, FaultKind,
 };
 use concord_core::clock::VirtualClock;
 use concord_core::{Clock, PolicyKind};
@@ -35,6 +34,7 @@ fn base_case() -> CaseConfig {
         load_pct: 40,
         fault: FaultKind::None,
         policy: PolicyKind::PsQuantum,
+        shards: 1,
     }
 }
 
@@ -61,22 +61,18 @@ fn all_policies_pass_every_oracle() {
     }
 }
 
-/// The same battery on a two-shard runtime: cross-shard conservation,
-/// migration books, and per-shard JBSQ hold under every policy. Runs
-/// unconditionally, so sharded policy coverage doesn't depend on the
-/// `CONCORD_SHARDS` environment override.
+/// The same battery on a two-shard runtime: conservation, each shard's
+/// books, hand-offs taken once, answers on their home rings and
+/// per-shard JBSQ hold under every policy (the simulator cross-check and
+/// the one-queue replays stay one-shard).
 #[test]
-fn all_policies_hold_cross_shard_oracles() {
+fn all_policies_pass_every_oracle_on_two_shards() {
     for policy in PolicyKind::ALL {
         let mut case = base_case();
         case.policy = policy;
         case.requests = 300;
-        let obs = run_runtime_sharded(&case, 2, TIMEOUT);
-        let violations = check_sharded(&obs);
-        assert!(
-            violations.is_empty(),
-            "cross-shard violations under {policy}: {violations:?}"
-        );
+        case.shards = 2;
+        assert_clean(&case);
     }
 }
 

@@ -274,6 +274,23 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
+    /// Folds another shard's snapshot into this one: the distributions
+    /// and per-class rows merge, the counts add, and `taken_at` keeps the
+    /// later of the two. Merging every shard's snapshot gives the
+    /// snapshot of one aggregate fed every shard's records.
+    pub fn merge(&mut self, other: &TelemetrySnapshot) {
+        self.breakdown.merge(&other.breakdown);
+        self.recorded += other.recorded;
+        self.failures += other.failures;
+        self.records_dropped += other.records_dropped;
+        self.timestamp_regressions += other.timestamp_regressions;
+        self.preemption_latency.merge(&other.preemption_latency);
+        for (class, c) in &other.per_class {
+            self.per_class.entry(*class).or_default().merge(c);
+        }
+        self.taken_at = self.taken_at.max(other.taken_at);
+    }
+
     /// Median queueing delay, nanoseconds.
     pub fn queueing_p50_ns(&self) -> u64 {
         self.breakdown.queueing_ns(0.50)
@@ -563,6 +580,33 @@ mod tests {
             sa.per_class[&OTHER_CLASS].completed,
             40 - MAX_TRACKED_CLASSES as u64
         );
+    }
+
+    #[test]
+    fn merged_shard_snapshots_equal_one_aggregate_of_every_record() {
+        let mut shards = [Telemetry::new(), Telemetry::new()];
+        let mut whole = Telemetry::new();
+        for i in 0..40u64 {
+            let mut r = rec(100 * i, 1_000 + 37 * i, i % 7 == 0);
+            r.class = (i % 3) as u16;
+            r.worker = (i % 2) as usize;
+            r.completed_at_ns = 1_000 * i;
+            shards[r.worker].record(&r);
+            whole.record(&r);
+            if i % 5 == 0 {
+                shards[r.worker].record_preemption_latency(10 * i);
+                whole.record_preemption_latency(10 * i);
+            }
+        }
+        shards[1].records_dropped = 2;
+        whole.records_dropped = 2;
+        let mut merged = shards[0].snapshot();
+        merged.merge(&shards[1].snapshot());
+        let mut whole = whole.snapshot();
+        whole.taken_at = merged.taken_at;
+        assert_eq!(format!("{merged:?}"), format!("{whole:?}"));
+        assert_eq!(merged.recorded, 40);
+        assert_eq!(merged.per_class.len(), 3);
     }
 
     #[test]

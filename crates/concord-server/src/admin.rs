@@ -26,8 +26,7 @@
 //!   returns the retained window as Perfetto JSON.
 
 use crate::server::FrontShared;
-use concord_core::{ClassTelemetry, RuntimeObserver, RuntimeStats, TelemetrySnapshot};
-use concord_metrics::Histogram;
+use concord_core::{RuntimeObserver, RuntimeStats, TelemetrySnapshot};
 use concord_obs::admin::{self, Route};
 use concord_obs::http::{HttpResponse, HttpServer};
 use concord_obs::json::Json;
@@ -240,23 +239,24 @@ fn telemetry(observer: &RuntimeObserver) -> Vec<TelemetrySnapshot> {
         .collect()
 }
 
+/// Every shard's telemetry merged into one snapshot (a runtime has at
+/// least one shard).
+fn merged(tels: &[TelemetrySnapshot]) -> TelemetrySnapshot {
+    let (first, rest) = tels.split_first().expect("at least one shard");
+    let mut out = first.clone();
+    for t in rest {
+        out.merge(t);
+    }
+    out
+}
+
 /// Per-class admission tallies summed across the per-shard gates:
 /// `(admitted, shed, slo_shed)`.
 type Admitted = BTreeMap<u16, (u64, u64, u64)>;
 
-/// The per-class rows `/metrics` and `/statz` both report: completion
-/// telemetry merged class-wise across shards, and the admission gates'
-/// per-class tallies.
-fn per_class(
-    shared: &FrontShared,
-    tels: &[TelemetrySnapshot],
-) -> (BTreeMap<u16, ClassTelemetry>, Admitted) {
-    let mut classes: BTreeMap<u16, ClassTelemetry> = BTreeMap::new();
-    for t in tels {
-        for (class, c) in &t.per_class {
-            classes.entry(*class).or_default().merge(c);
-        }
-    }
+/// The admission gates' per-class tallies, which `/metrics` and `/statz`
+/// both report beside the merged per-class completion telemetry.
+fn admitted(shared: &FrontShared) -> Admitted {
     let mut admitted = Admitted::new();
     for q in &shared.admission {
         for (class, a) in q.per_class() {
@@ -266,7 +266,7 @@ fn per_class(
             e.2 += a.slo_shed;
         }
     }
-    (classes, admitted)
+    admitted
 }
 
 /// The per-scrape source: every telemetry-derived series, from one
@@ -276,39 +276,40 @@ fn per_class(
 /// traffic does, so these cannot be registered up front.
 fn scrape(shared: &FrontShared, observer: &RuntimeObserver, snap: &mut MetricsSnapshot) {
     use MetricKind::{Counter, Gauge};
-    let tels = telemetry(observer);
+    let total = merged(&telemetry(observer));
     snap.push_hist(
         "concord_queueing_delay_ns",
         "Ingest to first execution, nanoseconds",
         &[],
-        &merged(&tels, |t| &t.breakdown.queueing),
+        &total.breakdown.queueing,
     );
     snap.push_hist(
         "concord_service_time_ns",
         "Measured busy time per request, nanoseconds",
         &[],
-        &merged(&tels, |t| &t.breakdown.service),
+        &total.breakdown.service,
     );
     snap.push_hist(
         "concord_sojourn_ns",
         "Ingest to completion, nanoseconds",
         &[],
-        &merged(&tels, |t| &t.breakdown.sojourn),
+        &total.breakdown.sojourn,
     );
     snap.push_hist(
         "concord_slowdown_hundredths",
         "Sojourn over nominal service time, in hundredths (150 = 1.5x)",
         &[],
-        &merged(&tels, |t| t.breakdown.slowdown.histogram()),
+        total.breakdown.slowdown.histogram(),
     );
     snap.push_hist(
         "concord_preemption_latency_ns",
         "Signal store to yield, nanoseconds, one sample per preemption",
         &[],
-        &merged(&tels, |t| &t.preemption_latency),
+        &total.preemption_latency,
     );
-    let (classes, admitted) = per_class(shared, &tels);
-    for (class, c) in &classes {
+    let classes = &total.per_class;
+    let admitted = admitted(shared);
+    for (class, c) in classes {
         let class = class.to_string();
         let labels = [("class", class.as_str())];
         snap.push_scalar(
@@ -421,7 +422,8 @@ fn statz(
 ) -> HttpResponse {
     let rollup = observer.rollup();
     let tels = telemetry(observer);
-    let (classes, admitted) = per_class(shared, &tels);
+    let classes = merged(&tels).per_class;
+    let admitted = admitted(shared);
     let shed: u64 = shared.admission.iter().map(|q| q.shed()).sum();
     let mut preemptions = 0u64;
     let mut expiries_deferred = 0u64;
@@ -501,17 +503,4 @@ fn statz(
         ("classes", Json::Arr(class_rows)),
     ]);
     HttpResponse::ok("application/json", doc.render())
-}
-
-/// Merges one telemetry-derived histogram across every shard.
-fn merged(
-    tels: &[TelemetrySnapshot],
-    pick: impl Fn(&TelemetrySnapshot) -> &Histogram,
-) -> Histogram {
-    let mut hists = tels.iter().map(pick);
-    let mut out = hists.next().cloned().unwrap_or_else(|| Histogram::new(3));
-    for h in hists {
-        out.merge(h);
-    }
-    out
 }

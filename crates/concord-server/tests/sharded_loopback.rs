@@ -4,7 +4,7 @@
 //! — with one connection on two shards — a live cross-shard hand-off.
 
 use concord_core::admission::{AdmissionConfig, AdmissionPolicy};
-use concord_core::trace::ShardTraceSummary;
+use concord_core::trace::TraceSummary;
 use concord_core::{RuntimeConfig, SpinApp};
 use concord_server::client::{self, ClientConfig};
 use concord_server::{Server, ServerConfig};
@@ -145,8 +145,8 @@ fn two_shard_loopback_conserves_twenty_thousand_requests() {
     // Per-shard invariants from the merged trace: event monotonicity,
     // signal/yield matching, and JBSQ <= k inside every shard.
     let trace = report.trace.as_ref().expect("tracing armed");
-    let summary = ShardTraceSummary::from_trace(trace);
-    assert_eq!(summary.n_shards(), 2);
+    let summary = TraceSummary::from_trace(trace);
+    assert_eq!(summary.n_shards, 2);
     let violations = summary.check(Some(JBSQ_K as u32));
     assert!(violations.is_empty(), "trace violations: {violations:?}");
 }
@@ -258,7 +258,7 @@ fn one_connection_on_two_shards_drives_inter_shard_steals() {
     );
     // The merged trace tells the same story as the counters.
     let trace = report.trace.as_ref().expect("tracing armed");
-    let summary = ShardTraceSummary::from_trace(trace);
+    let summary = TraceSummary::from_trace(trace);
     assert_eq!(
         summary.total_steals(),
         report.rollup.total_steals(),

@@ -273,9 +273,12 @@ pub fn simulate_traced<W: Workload>(
 /// Runs `shards` independent copies of `cfg`, splitting the offered load
 /// evenly across them, and merges the per-shard results with
 /// [`SimResult::absorb`]. This models the sharded `Runtime` deployment
-/// shape — N dispatcher+worker groups, each a full Concord instance —
-/// under a perfectly balanced router; per-shard arrival streams use
-/// decorrelated seeds so shards do not see lock-step arrivals.
+/// shape — N dispatcher+worker groups, each a full Concord instance — as
+/// independent shards, each offered `rate/N`, with no hand-off between
+/// them (the runtime places connections by least connections at accept
+/// and moves only work an idle shard asks for); per-shard arrival
+/// streams use decorrelated seeds so shards do not see lock-step
+/// arrivals.
 pub fn simulate_sharded<W: Workload + Clone>(
     cfg: &SystemConfig,
     workload: W,
@@ -1458,18 +1461,13 @@ mod tests {
 
     #[test]
     fn sharded_traced_sim_packs_shard_ids_into_tracks() {
-        use concord_trace::ShardTraceSummary;
+        use concord_trace::TraceSummary;
         let cfg = SystemConfig::concord(2, 5_000);
         let p = params(30_000.0, 2_000);
         let (r, trace) = simulate_sharded_traced(&cfg, mix::tpcc(), &p, 2);
-        let summary = ShardTraceSummary::from_trace(&trace);
-        assert_eq!(summary.per_shard.len(), 2, "both shards present in trace");
-        let arrives: u64 = summary
-            .per_shard
-            .iter()
-            .map(|s| s.count(concord_trace::EventKind::Arrive))
-            .sum();
-        assert_eq!(arrives, r.arrivals);
+        let summary = TraceSummary::from_trace(&trace);
+        assert_eq!(summary.n_shards, 2, "both shards present in trace");
+        assert_eq!(summary.count(concord_trace::EventKind::Arrive), r.arrivals);
         // Independent shards never steal from each other in the sim.
         assert_eq!(summary.total_steals(), 0);
     }

@@ -8,10 +8,10 @@
 //!
 //! `summarize` prints the derived observables; `export` writes
 //! Perfetto/chrome://tracing JSON; `check` re-runs the trace-visible
-//! invariants — per shard, for a merged multi-shard trace — and exits
-//! non-zero on any violation.
+//! invariants and exits non-zero on any violation. Both read a merged
+//! multi-shard trace shard by shard.
 
-use concord_trace::{binary, perfetto, ShardTraceSummary, TraceSummary};
+use concord_trace::{binary, perfetto, TraceSummary};
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
@@ -81,17 +81,13 @@ fn main() {
                 }
             }
             let trace = load(&input);
-            let summary = ShardTraceSummary::from_trace(&trace);
+            let summary = TraceSummary::from_trace(&trace);
             let violations = summary.check(jbsq);
             if violations.is_empty() {
                 println!(
                     "ok: {} events, {} matched preemptions, no violations",
                     trace.len(),
-                    summary
-                        .per_shard
-                        .iter()
-                        .map(|s| s.matched_preemptions)
-                        .sum::<u64>()
+                    summary.matched_preemptions
                 );
             } else {
                 for v in &violations {

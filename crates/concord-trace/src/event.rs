@@ -156,8 +156,8 @@ pub fn lane_of(track: u32) -> u32 {
 /// trace's index in `traces`). All shards must have the same worker
 /// count; the merged trace keeps that per-shard `n_workers`, so
 /// [`Trace::dispatcher_track`] remains the per-shard dispatcher *lane*.
-/// Use [`shard_of`]/[`lane_of`] to split records back out (or
-/// [`crate::derive::ShardTraceSummary`], which does it for you).
+/// Use [`shard_of`]/[`lane_of`] to split records back out;
+/// [`crate::derive::TraceSummary`] reads a merged trace shard by shard.
 pub fn merge_shard_traces(traces: Vec<Trace>) -> Trace {
     let n_workers = traces.first().map_or(0, |t| t.n_workers);
     let mut merged = Trace::new(n_workers);
@@ -214,6 +214,16 @@ impl Trace {
     /// The dispatcher's track index.
     pub fn dispatcher_track(&self) -> u32 {
         self.n_workers as u32
+    }
+
+    /// Number of shards the trace spans: one past the highest shard id
+    /// in any track word, 1 for an unmerged or empty trace.
+    pub fn n_shards(&self) -> usize {
+        self.records
+            .iter()
+            .map(|r| shard_of(r.track) as usize + 1)
+            .max()
+            .unwrap_or(1)
     }
 
     /// Number of records.

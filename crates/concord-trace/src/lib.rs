@@ -21,9 +21,11 @@
 //!   two by file extension.
 //! - [`TraceSummary`]: trace-derived observables — the signal-to-yield
 //!   preemption-latency histogram, per-worker queue-depth timelines, the
-//!   dispatcher work-conservation gauge (`Overhead_d`) — plus
-//!   [`TraceSummary::check`], which re-derives JBSQ ≤ k and signal-fate
-//!   accounting *from events alone*.
+//!   dispatcher work-conservation gauge (`Overhead_d`), inter-shard
+//!   steals — plus [`TraceSummary::check`], which re-derives JBSQ ≤ k
+//!   and signal-fate accounting *from events alone*. It reads any shard
+//!   count: a merged trace is keyed by (shard, lane), a one-shard trace
+//!   is the case of one shard.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +37,7 @@ pub mod event;
 pub mod perfetto;
 
 pub use collector::{TraceCollector, TraceLane};
-pub use derive::{split_shards, ShardTraceSummary, TraceSummary};
+pub use derive::{split_shards, TraceSummary};
 pub use event::{
     lane_of, merge_shard_traces, pack_track, shard_of, EventKind, Trace, TraceEvent, TraceRecord,
 };

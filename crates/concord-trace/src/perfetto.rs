@@ -143,21 +143,23 @@ pub fn to_json(trace: &Trace) -> String {
         }
     }
 
-    // Per-worker JBSQ occupancy counters, derived per shard so a merged
+    // Per-worker JBSQ occupancy counters, shard-major, so a merged
     // multi-shard trace gets a series per (shard, worker) lane.
-    for (shard, sub) in crate::derive::split_shards(trace).iter().enumerate() {
-        for (w, timeline) in crate::derive::queue_depth_timelines(sub).iter().enumerate() {
-            let tid = pack_track(shard as u32, w as u32);
-            let label = if shard == 0 {
-                format!("jbsq depth w{w}")
-            } else {
-                format!("jbsq depth s{shard} w{w}")
-            };
-            for &(ts, depth) in timeline {
-                let args = Json::obj(vec![("depth", Json::U64(depth.into()))]);
-                let counter = vec![("ts", us(ts)), ("name", text(&*label)), ("args", args)];
-                emit(&mut out, "C", tid, counter);
-            }
+    for (i, timeline) in crate::derive::queue_depth_timelines(trace)
+        .iter()
+        .enumerate()
+    {
+        let (shard, w) = (i / trace.n_workers, i % trace.n_workers);
+        let tid = pack_track(shard as u32, w as u32);
+        let label = if shard == 0 {
+            format!("jbsq depth w{w}")
+        } else {
+            format!("jbsq depth s{shard} w{w}")
+        };
+        for &(ts, depth) in timeline {
+            let args = Json::obj(vec![("depth", Json::U64(depth.into()))]);
+            let counter = vec![("ts", us(ts)), ("name", text(&*label)), ("args", args)];
+            emit(&mut out, "C", tid, counter);
         }
     }
 

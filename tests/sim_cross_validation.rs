@@ -145,6 +145,7 @@ fn runtime_and_sim_agree_per_policy() {
             load_pct: 40,
             fault: FaultKind::None,
             policy,
+            shards: 1,
         };
         let obs = run_runtime(&case, std::time::Duration::from_secs(20));
         assert!(obs.collected_ok, "{policy}: collector timed out");

@@ -38,7 +38,4 @@ pub mod oracles;
 pub use apps::{FrozenApp, VirtualSpinApp};
 pub use case::{ArrivalKind, CaseConfig, FaultKind};
 pub use harness::{run_case, run_runtime, run_runtime_with, run_sim, Rig, RuntimeObservation};
-pub use oracles::{
-    check_admission, check_cross, check_policy, check_rack, check_runtime, check_sim,
-    RackClientTotals,
-};
+pub use oracles::{check_admission, check_cross, check_policy, check_runtime, check_sim};

@@ -733,102 +733,6 @@ fn check_fresh_priority(
     v
 }
 
-/// What the rack's clients observed in aggregate, summed across every
-/// connection of a loopback run. Callers must have let every client
-/// drain (wait for a response to each sent request) before tallying.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RackClientTotals {
-    /// Requests written to rack connections.
-    pub sent: u64,
-    /// Ok responses received.
-    pub completed: u64,
-    /// RETRY responses received (backend admission, rack-local
-    /// rejection, or failover — the client cannot tell them apart).
-    pub rejected: u64,
-    /// Failed-status responses received.
-    pub failed: u64,
-    /// Requests with no response of any kind.
-    pub unaccounted: u64,
-}
-
-/// Rack-tier conservation oracle: the front-end balancer's ledger and
-/// its clients' ledgers must agree *exactly*, even across backend
-/// deaths mid-load.
-///
-/// 1. **Rack-internal identities** — `requests_in == forwarded +
-///    rejected_local` and every forwarded request settled exactly once
-///    ([`concord_rack::RackReport::check`]).
-/// 2. **Quiescence** — nothing pending at exit, nothing unaccounted on
-///    any client (which also rules out cross-connection misdelivery:
-///    a response delivered to the wrong connection leaves a hole in
-///    the rightful owner's per-id ledger).
-/// 3. **Ledger agreement** — Σ client-sent == requests_in, and each
-///    client-visible disposition matches the rack counter that
-///    produced it (`relayed_ok`/`relayed_failed`; RETRYs pool
-///    `relayed_retry + failed_over + rejected_local`).
-/// 4. **No silent drops** — `relay_dropped == 0` (clients drained, so
-///    no response may have been addressed to a vanished connection)
-///    and `orphaned == 0` (no response matched an already-settled
-///    request).
-pub fn check_rack(report: &concord_rack::RackReport, clients: &RackClientTotals) -> Vec<String> {
-    let mut v = Vec::new();
-    if let Err(why) = report.check() {
-        v.push(format!("rack: {why}"));
-    }
-    check(&mut v, report.pending_at_exit == 0, || {
-        format!(
-            "rack: {} requests still pending at exit",
-            report.pending_at_exit
-        )
-    });
-    check(&mut v, clients.unaccounted == 0, || {
-        format!(
-            "rack clients: {} requests got no response (loss or misdelivery)",
-            clients.unaccounted
-        )
-    });
-    check(&mut v, clients.sent == report.requests_in, || {
-        format!(
-            "rack ledger: clients sent {} but rack decoded {}",
-            clients.sent, report.requests_in
-        )
-    });
-    check(&mut v, clients.completed == report.relayed_ok, || {
-        format!(
-            "rack ledger: clients saw {} Ok but rack relayed {}",
-            clients.completed, report.relayed_ok
-        )
-    });
-    check(&mut v, clients.failed == report.relayed_failed, || {
-        format!(
-            "rack ledger: clients saw {} Failed but rack relayed {}",
-            clients.failed, report.relayed_failed
-        )
-    });
-    let retries = report.relayed_retry + report.failed_over + report.rejected_local;
-    check(&mut v, clients.rejected == retries, || {
-        format!(
-            "rack ledger: clients saw {} RETRY but rack produced {} \
-             (relayed {} + failed_over {} + rejected_local {})",
-            clients.rejected,
-            retries,
-            report.relayed_retry,
-            report.failed_over,
-            report.rejected_local
-        )
-    });
-    check(&mut v, report.relay_dropped == 0, || {
-        format!(
-            "rack: {} responses dropped for vanished clients in a drained run",
-            report.relay_dropped
-        )
-    });
-    check(&mut v, report.orphaned == 0, || {
-        format!("rack: {} orphaned responses", report.orphaned)
-    });
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1329,59 +1233,5 @@ mod tests {
         if std::env::var("CONCORD_CONF_TOL").is_err() {
             assert_eq!(cross_tolerance(), 100.0);
         }
-    }
-
-    #[test]
-    fn rack_oracle_accepts_a_balanced_run_and_names_each_break() {
-        let report = concord_rack::RackReport {
-            requests_in: 100,
-            forwarded: 95,
-            rejected_local: 5,
-            relayed_ok: 90,
-            relayed_failed: 1,
-            relayed_retry: 2,
-            failed_over: 2,
-            relay_dropped: 0,
-            orphaned: 0,
-            protocol_errors: 0,
-            conns_accepted: 4,
-            pending_at_exit: 0,
-        };
-        let clients = RackClientTotals {
-            sent: 100,
-            completed: 90,
-            rejected: 9, // relayed_retry 2 + failed_over 2 + rejected_local 5
-            failed: 1,
-            unaccounted: 0,
-        };
-        assert!(check_rack(&report, &clients).is_empty());
-
-        // Each perturbation trips a distinct, named violation.
-        let mut r = report;
-        r.relayed_ok = 89; // breaks the internal egress identity
-        assert!(check_rack(&r, &clients)
-            .iter()
-            .any(|m| m.contains("egress identity")));
-
-        let mut c = clients;
-        c.unaccounted = 1;
-        c.completed = 89;
-        assert!(check_rack(&report, &c)
-            .iter()
-            .any(|m| m.contains("no response")));
-
-        let mut c = clients;
-        c.rejected = 8;
-        assert!(check_rack(&report, &c).iter().any(|m| m.contains("RETRY")));
-
-        let mut r = report;
-        r.pending_at_exit = 3;
-        r.forwarded += 3;
-        r.requests_in += 3;
-        let mut c = clients;
-        c.sent += 3;
-        c.unaccounted = 3;
-        let v = check_rack(&r, &c);
-        assert!(v.iter().any(|m| m.contains("pending at exit")));
     }
 }

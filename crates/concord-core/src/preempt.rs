@@ -84,12 +84,6 @@ impl PreemptLine {
         self.word.swap(token(gen), Ordering::AcqRel) != 0
     }
 
-    /// Worker side: cheap poll without consuming the signal. True only if
-    /// the pending signal targets slice `gen`.
-    pub fn is_signaled(&self, gen: u64) -> bool {
-        self.word.load(Ordering::Relaxed) == token(gen)
-    }
-
     /// Worker side: consume the signal if it targets slice `gen`,
     /// classifying what was found.
     ///
@@ -472,11 +466,9 @@ mod tests {
     #[test]
     fn line_signal_roundtrip() {
         let l = PreemptLine::new();
-        assert!(!l.is_signaled(0));
+        assert!(!l.take_signal(0));
         l.signal(0);
-        assert!(l.is_signaled(0));
         assert!(l.take_signal(0));
-        assert!(!l.is_signaled(0));
         assert!(!l.take_signal(0));
     }
 
@@ -492,7 +484,6 @@ mod tests {
     fn signal_for_other_generation_is_rejected_and_discarded() {
         let l = PreemptLine::new();
         l.signal(3);
-        assert!(!l.is_signaled(4));
         assert_eq!(l.poll(4), SignalPoll::Stale, "stale signal must not yield");
         // And it does not linger for a later poll either.
         assert_eq!(l.poll(3), SignalPoll::Empty);

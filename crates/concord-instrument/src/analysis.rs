@@ -66,11 +66,6 @@ impl Report {
     pub fn lag_std_us(&self) -> f64 {
         self.lag_std_cycles / (self.ghz * 1_000.0)
     }
-
-    /// Mean yield lag in microseconds.
-    pub fn lag_mean_us(&self) -> f64 {
-        self.lag_mean_cycles / (self.ghz * 1_000.0)
-    }
 }
 
 /// Accumulates probe-gap moments while walking the dynamic execution.
@@ -417,7 +412,6 @@ mod tests {
             lag_std_cycles: 4_000.0,
             ghz: 2.0,
         };
-        assert!((r.lag_mean_us() - 1.0).abs() < 1e-12);
         assert!((r.lag_std_us() - 2.0).abs() < 1e-12);
     }
 

@@ -45,9 +45,7 @@ pub mod analysis;
 pub mod corpus;
 pub mod ir;
 pub mod passes;
-pub mod printer;
 
 pub use analysis::{analyze, AnalysisParams, Report};
 pub use ir::{Function, Program, Segment};
 pub use passes::{instrument, InstrumentedProgram, PassConfig, ProbeKind};
-pub use printer::{pass_stats, print_instrumented, print_program};

@@ -332,6 +332,53 @@ mod tests {
         assert!(body.iter().any(|s| matches!(s, ISeg::LoopBlock { .. })));
     }
 
+    /// Static (probes, loop blocks, externals) in one function body.
+    fn placements(segs: &[ISeg]) -> (usize, usize, usize) {
+        segs.iter().fold((0, 0, 0), |(p, l, e), s| match s {
+            ISeg::Probe => (p + 1, l, e),
+            ISeg::External { .. } => (p, l, e + 1),
+            ISeg::LoopBlock { body, .. } => {
+                let (bp, bl, be) = placements(body);
+                (p + bp, l + 1 + bl, e + be)
+            }
+            _ => (p, l, e),
+        })
+    }
+
+    #[test]
+    fn placements_per_function_follow_the_rules() {
+        let sample = Program::new(vec![
+            Function::new(
+                "main",
+                vec![
+                    Segment::Straight(50),
+                    Segment::Loop {
+                        body: vec![Segment::Straight(10)],
+                        trips: 100,
+                    },
+                    Segment::External { instrs: 500 },
+                    Segment::Call { callee: 1 },
+                ],
+            ),
+            Function::new("helper", vec![Segment::Straight(30)]),
+        ]);
+        let worker = instrument(&sample, &PassConfig::concord_worker());
+        assert_eq!(worker.config.probe, ProbeKind::CacheLinePoll);
+        let [main, helper] = &worker.functions[..] else {
+            panic!("two functions in, two out");
+        };
+        assert_eq!(main.name, "main");
+        // entry + back-edge + 2 around the external = 4.
+        assert_eq!(placements(&main.body), (4, 1, 1));
+        assert_eq!(helper.name, "helper");
+        assert_eq!(placements(&helper.body), (1, 0, 0)); // entry only
+
+        // The dispatcher pass places the same probes, as `rdtsc` checks.
+        let disp = instrument(&sample, &PassConfig::concord_dispatcher());
+        assert_eq!(disp.config.probe, ProbeKind::Rdtsc);
+        assert_eq!(placements(&disp.functions[0].body).0, 4);
+    }
+
     #[test]
     fn probe_costs_match_paper() {
         assert_eq!(ProbeKind::CacheLinePoll.cycles(), 2);

@@ -511,11 +511,6 @@ impl Db {
             last_seq: self.seq.load(Ordering::Acquire),
         }
     }
-
-    /// Number of live keys (full-scan based; test/bench helper).
-    pub fn live_keys(&self) -> usize {
-        self.scan_all().len()
-    }
 }
 
 impl Default for Db {
@@ -601,7 +596,7 @@ mod tests {
         let stats = db.stats();
         assert!(stats.compactions >= 1, "stats={stats:?}");
         assert!(stats.runs <= 3 + 1, "stats={stats:?}");
-        assert_eq!(db.live_keys(), 10);
+        assert_eq!(db.scan_all().len(), 10);
     }
 
     #[test]
@@ -617,7 +612,7 @@ mod tests {
         db.put(b"pad1".to_vec(), b"x".to_vec());
         db.put(b"pad2".to_vec(), b"x".to_vec());
         assert_eq!(db.get(b"k"), None);
-        assert_eq!(db.live_keys(), 3);
+        assert_eq!(db.scan_all().len(), 3);
         // With no live snapshots, only the latest version per key remains,
         // and k's tombstone is gone entirely.
         let total_versions: usize = {
@@ -884,6 +879,6 @@ mod tests {
         for r in readers {
             r.join().expect("reader");
         }
-        assert_eq!(db.live_keys(), 1_200);
+        assert_eq!(db.scan_all().len(), 1_200);
     }
 }

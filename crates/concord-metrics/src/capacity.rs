@@ -55,12 +55,6 @@ impl CapacitySearch {
         self.slo = slo;
         self
     }
-
-    /// Sets the bisection tolerance.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Self {
-        self.tolerance = tolerance;
-        self
-    }
 }
 
 /// Finds the maximum load for which `measure(load)` stays at or below the
@@ -156,9 +150,10 @@ mod tests {
 
     #[test]
     fn finds_the_slo_crossing() {
-        let cfg = CapacitySearch::new(1.0, 1000.0)
-            .with_slo(50.0)
-            .with_tolerance(0.005);
+        let cfg = CapacitySearch {
+            tolerance: 0.005,
+            ..CapacitySearch::new(1.0, 1000.0).with_slo(50.0)
+        };
         let r = find_capacity(&cfg, mm1_tail(500.0)).unwrap();
         // 5/(1-x/500)=50 => x=450.
         assert!(
@@ -193,7 +188,7 @@ mod tests {
 
     #[test]
     fn probe_count_is_bounded() {
-        let cfg = CapacitySearch::new(1.0, 1000.0).with_tolerance(0.01);
+        let cfg = CapacitySearch::new(1.0, 1000.0); // 1% tolerance
         let r = find_capacity(&cfg, mm1_tail(500.0)).unwrap();
         assert!(r.probes < 40, "probes={}", r.probes);
     }

@@ -101,11 +101,6 @@ impl Histogram {
         self.sigfigs
     }
 
-    /// The highest trackable value; larger recorded values are clamped.
-    pub fn max_trackable(&self) -> u64 {
-        self.max_value
-    }
-
     /// Number of recorded values.
     pub fn len(&self) -> u64 {
         self.total
@@ -116,7 +111,7 @@ impl Histogram {
         self.total == 0
     }
 
-    /// Number of values that exceeded [`Histogram::max_trackable`] and were
+    /// Number of values that exceeded the highest trackable value and were
     /// clamped to it.
     pub fn clamped(&self) -> u64 {
         self.clamped

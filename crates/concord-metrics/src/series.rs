@@ -29,30 +29,6 @@ impl Series {
         self.points.push((x, y));
     }
 
-    /// Linear interpolation of y at `x`; clamps outside the domain.
-    ///
-    /// Returns `None` for an empty series.
-    pub fn interpolate(&self, x: f64) -> Option<f64> {
-        let first = self.points.first()?;
-        if x <= first.0 {
-            return Some(first.1);
-        }
-        let last = self.points.last()?;
-        if x >= last.0 {
-            return Some(last.1);
-        }
-        let idx = self
-            .points
-            .windows(2)
-            .position(|w| w[0].0 <= x && x <= w[1].0)?;
-        let (x0, y0) = self.points[idx];
-        let (x1, y1) = self.points[idx + 1];
-        if x1 == x0 {
-            return Some(y0);
-        }
-        Some(y0 + (y1 - y0) * (x - x0) / (x1 - x0))
-    }
-
     /// The largest x whose interpolated y stays at or below `ceiling`,
     /// scanning the recorded points in order. Returns `None` if even the
     /// first point exceeds the ceiling.
@@ -162,32 +138,6 @@ mod tests {
             s.push(f64::from(i) * 10.0, f64::from(i) * 5.0);
         }
         s
-    }
-
-    #[test]
-    fn interpolate_hits_recorded_points() {
-        let s = ramp();
-        assert_eq!(s.interpolate(50.0), Some(25.0));
-        assert_eq!(s.interpolate(0.0), Some(0.0));
-        assert_eq!(s.interpolate(100.0), Some(50.0));
-    }
-
-    #[test]
-    fn interpolate_between_points() {
-        let s = ramp();
-        assert_eq!(s.interpolate(55.0), Some(27.5));
-    }
-
-    #[test]
-    fn interpolate_clamps_outside_domain() {
-        let s = ramp();
-        assert_eq!(s.interpolate(-5.0), Some(0.0));
-        assert_eq!(s.interpolate(1e9), Some(50.0));
-    }
-
-    #[test]
-    fn interpolate_empty_is_none() {
-        assert_eq!(Series::new("e").interpolate(1.0), None);
     }
 
     #[test]

@@ -75,15 +75,6 @@ impl Summary {
         }
     }
 
-    /// Sample variance (divides by n−1), or 0.0 with fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
@@ -137,7 +128,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]
@@ -146,7 +136,6 @@ mod tests {
         s.record(3.5);
         assert_eq!(s.mean(), 3.5);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), 3.5);
         assert_eq!(s.max(), 3.5);
     }

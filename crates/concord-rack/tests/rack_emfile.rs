@@ -3,21 +3,24 @@
 //! failing `accept` instead of spinning on it, and once descriptors free
 //! up each accepts the connection that waited in its backlog.
 //!
-//! One `#[test]` in its own binary: it lowers the process-wide
+//! One real `#[test]` in its own binary: it lowers the process-wide
 //! descriptor limit and measures the process's CPU time, so nothing else
-//! may run beside it. The backend is a `rack-backend` child process — a
+//! may run beside it (`backend` returns at once in this process). The
+//! backend is this binary re-executed as a child process (`common`) — a
 //! `concord-server` whose dispatcher and workers poll by design — so
 //! its CPU time is not this process's.
 
 #![cfg(target_os = "linux")]
 
+mod common;
+
+use common::BackendProc;
 use concord_rack::{BackendSpec, Rack, RackConfig};
 use concord_wire::frame::{self as wire, Frame};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::FromRawFd;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 // Minimal FFI (std links libc; no crate needed).
@@ -90,15 +93,6 @@ impl Drop for LimitGuard {
     }
 }
 
-/// The backend process, killed on drop so a failing test leaks nothing.
-struct Backend(Child);
-impl Drop for Backend {
-    fn drop(&mut self) {
-        let _ = self.0.kill();
-        let _ = self.0.wait();
-    }
-}
-
 /// A TCP socket made now and connected by [`connect_to`] later:
 /// connecting takes no descriptor, so it can reach a listener while the
 /// process has none left.
@@ -150,20 +144,18 @@ fn read_until(conn: &mut TcpStream, mut done: impl FnMut(&[u8]) -> bool) -> Vec<
 }
 
 #[test]
+fn backend() {
+    common::serve_if_asked();
+}
+
+#[test]
 fn rack_listeners_park_under_descriptor_exhaustion() {
     let port = {
         let l = TcpListener::bind("127.0.0.1:0").expect("reserve port");
         l.local_addr().expect("addr").port()
     };
     let data = format!("127.0.0.1:{port}");
-    let _backend = Backend(
-        Command::new(env!("CARGO_BIN_EXE_rack-backend"))
-            .args(["--listen", &data, "--workers", "1"])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn rack-backend"),
-    );
+    let _backend = BackendProc::spawn(&data, None, 1, 1);
     let cfg = RackConfig::builder(vec![BackendSpec {
         addr: data,
         admin: None,

@@ -232,16 +232,12 @@ pub mod rngs {
             Self { s }
         }
     }
-
-    /// The workspace has no cryptographic needs; `StdRng` is an alias so
-    /// call sites that conventionally name `StdRng` keep reading naturally.
-    pub type StdRng = SmallRng;
 }
 
 pub use rngs::SmallRng;
 
 pub mod prelude {
-    pub use crate::rngs::{SmallRng, StdRng};
+    pub use crate::rngs::SmallRng;
     pub use crate::{Rng, RngCore, SeedableRng};
 }
 

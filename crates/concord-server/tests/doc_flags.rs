@@ -1,11 +1,16 @@
-//! The documents and the CI workflow pass `concord-serve` and
-//! `concord-client` only flags those binaries take: every `--flag` after
+//! The documents, the CI workflow and the verify skill pass
+//! `concord-serve` and `concord-client` only flags those binaries take: every `--flag` after
 //! either name, up to the end of its command, is one that binary's
 //! `--help` names.
 
 use std::process::Command;
 
-const DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".github/workflows/ci.yml"];
+const DOCS: [&str; 4] = [
+    "README.md",
+    "DESIGN.md",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+];
 
 const BINS: [(&str, &str); 2] = [
     ("concord-serve", env!("CARGO_BIN_EXE_concord-serve")),

@@ -1,4 +1,7 @@
-//! The paper's §2.1 analytical throughput-overhead model (Eqs. 1–4).
+//! The paper's §2.1 analytical throughput-overhead model: the
+//! per-worker overhead of Eq. 2, built from Eq. 3's per-preemption
+//! costs. No figure plots Eq. 1's whole-system average or Eq. 4's
+//! per-request finish term, so neither is here.
 //!
 //! These closed forms serve two purposes: they generate the pure
 //! mechanism-overhead figures (Fig. 2, Fig. 12, Fig. 15, which the paper
@@ -25,34 +28,6 @@ impl PreemptCosts {
     pub fn total(&self) -> u64 {
         self.notif + self.switch + self.next
     }
-}
-
-/// Eq. 2: per-worker overhead for requests of `s_cycles` service time under
-/// quantum `q_cycles`.
-///
-/// `c_proc_frac` is the instrumentation fraction (`c_proc / S`); `pre` the
-/// per-preemption costs; `fin` the per-request finish cost
-/// (`c_switch + c_next`, Eq. 4).
-pub fn overhead_worker(
-    s_cycles: u64,
-    q_cycles: u64,
-    c_proc_frac: f64,
-    pre: PreemptCosts,
-    fin: u64,
-) -> f64 {
-    let s = s_cycles as f64;
-    let n_pre = if q_cycles == 0 || q_cycles == u64::MAX {
-        0
-    } else {
-        s_cycles / q_cycles
-    };
-    (c_proc_frac * s + (n_pre * pre.total()) as f64 + fin as f64) / s
-}
-
-/// Eq. 1: whole-system overhead with `n` workers and one dispatcher whose
-/// own overhead is `overhead_d` (1.0 when fully dedicated).
-pub fn overhead_system(n: usize, overhead_w: f64, overhead_d: f64) -> f64 {
-    (n as f64 * overhead_w + overhead_d) / (n as f64 + 1.0)
 }
 
 /// Fig. 2 / Fig. 15: pure *notification + instrumentation* overhead of a
@@ -219,37 +194,5 @@ mod tests {
             shinjuku > coop_sq && coop_sq > concord,
             "shinjuku={shinjuku} coop_sq={coop_sq} concord={concord}"
         );
-    }
-
-    #[test]
-    fn eq1_dedicated_dispatcher_penalty() {
-        // §2.2.3: with 3 workers and a fully dedicated dispatcher, 1/4 of
-        // the machine does no application work.
-        let o = overhead_system(3, 0.0, 1.0);
-        assert!((o - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eq2_no_preemption_reduces_to_fin_term() {
-        let pre = PreemptCosts {
-            notif: 0,
-            switch: 0,
-            next: 0,
-        };
-        let o = overhead_worker(10_000, u64::MAX, 0.0, pre, 500);
-        assert!((o - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eq2_overhead_scales_inverse_to_quantum() {
-        let pre = PreemptCosts {
-            notif: 1200,
-            switch: 400,
-            next: 400,
-        };
-        let s = 1_000_000;
-        let a = overhead_worker(s, 4_000, 0.0, pre, 0);
-        let b = overhead_worker(s, 8_000, 0.0, pre, 0);
-        assert!((a / b - 2.0).abs() < 0.02, "a={a} b={b}");
     }
 }

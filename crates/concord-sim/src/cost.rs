@@ -124,11 +124,6 @@ impl CostModel {
         cycles as f64 / self.ghz
     }
 
-    /// Converts cycles to (fractional) microseconds under this clock.
-    pub fn cycles_to_us(&self, cycles: u64) -> f64 {
-        self.cycles_to_ns(cycles) / 1_000.0
-    }
-
     /// Cycles between two consecutive probes given the instrumentation
     /// density (`probe_spacing_instrs / ipc`).
     pub fn probe_spacing_cycles(&self) -> u64 {
@@ -163,7 +158,6 @@ mod tests {
         let c = CostModel::paper_default();
         assert_eq!(c.ns_to_cycles(1_000), 2_000);
         assert_eq!(c.cycles_to_ns(2_000), 1_000.0);
-        assert_eq!(c.cycles_to_us(10_000), 5.0);
     }
 
     #[test]

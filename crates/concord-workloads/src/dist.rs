@@ -72,13 +72,6 @@ impl Dist {
         }
     }
 
-    /// An exponential distribution with mean `us` microseconds.
-    pub fn exponential_us(us: f64) -> Self {
-        Dist::Exponential {
-            mean_ns: us * 1_000.0,
-        }
-    }
-
     /// Draws one sample in nanoseconds (always ≥ 1).
     pub fn sample(&self, rng: &mut SmallRng) -> u64 {
         let v = match *self {
@@ -214,7 +207,7 @@ mod tests {
 
     #[test]
     fn exponential_mean_converges() {
-        let d = Dist::exponential_us(10.0);
+        let d = Dist::Exponential { mean_ns: 10_000.0 };
         let m = sample_mean(&d, 200_000);
         assert!((m - 10_000.0).abs() / 10_000.0 < 0.02, "mean={m}");
     }
@@ -222,7 +215,7 @@ mod tests {
     #[test]
     fn exponential_is_heavy_above_mean() {
         // P(X > mean) = 1/e ≈ 0.368 for an exponential.
-        let d = Dist::exponential_us(5.0);
+        let d = Dist::Exponential { mean_ns: 5_000.0 };
         let mut rng = seeded_rng(3);
         let n = 100_000;
         let above = (0..n).filter(|_| d.sample(&mut rng) > 5_000).count();
@@ -370,7 +363,7 @@ mod tests {
     fn samples_are_never_zero() {
         for d in [
             Dist::Fixed { ns: 0 },
-            Dist::exponential_us(0.001),
+            Dist::Exponential { mean_ns: 1.0 },
             Dist::TruncatedNormal {
                 mean_ns: 1.0,
                 std_ns: 100.0,
@@ -386,7 +379,7 @@ mod tests {
 
     #[test]
     fn seeded_streams_are_reproducible() {
-        let d = Dist::exponential_us(3.0);
+        let d = Dist::Exponential { mean_ns: 3_000.0 };
         let mut a = seeded_rng(99);
         let mut b = seeded_rng(99);
         for _ in 0..1_000 {

@@ -78,25 +78,6 @@ impl Mix {
         let prev = if i == 0 { 0.0 } else { self.cumulative[i - 1] };
         self.cumulative[i] - prev
     }
-
-    /// Squared coefficient of variation of the service time — the standard
-    /// dispersion measure (light-tailed ≈ ≤1, the paper's heavy workloads
-    /// reach into the hundreds).
-    pub fn scv(&self) -> f64 {
-        // For a mixture of (mostly fixed) classes: E[S], E[S^2] by class.
-        let mean: f64 = (0..self.classes.len())
-            .map(|i| self.probability(i) * self.classes[i].dist.mean_ns())
-            .sum();
-        let second: f64 = (0..self.classes.len())
-            .map(|i| {
-                let m = self.classes[i].dist.mean_ns();
-                // Approximation: treat each class as its mean (exact for
-                // Fixed classes, which is all the paper's mixes use).
-                self.probability(i) * m * m
-            })
-            .sum();
-        (second - mean * mean) / (mean * mean)
-    }
 }
 
 impl Workload for Mix {
@@ -204,18 +185,6 @@ pub fn zippydb() -> Mix {
     )
 }
 
-/// Every named paper workload, for sweep-style tests and benches.
-pub fn all_named() -> Vec<Mix> {
-    vec![
-        bimodal_50_1_50_100(),
-        bimodal_995_05_05_500(),
-        fixed_1us(),
-        tpcc(),
-        leveldb_get_scan(),
-        zippydb(),
-    ]
-}
-
 /// The command-line names of the paper workloads, `|`-separated.
 pub const NAMES: &str = "bimodal50|bimodal995|fixed1|tpcc|leveldb|zippydb";
 
@@ -299,18 +268,8 @@ mod tests {
     }
 
     #[test]
-    fn dispersion_ranks_workloads_as_the_paper_describes() {
-        // §5.3: the LevelDB 50/50 workload has greater dispersion (~1000x
-        // spread) than the microbenchmarks; Fixed(1) has none.
-        assert_eq!(fixed_1us().scv(), 0.0);
-        assert!(bimodal_50_1_50_100().scv() > 0.5);
-        assert!(leveldb_get_scan().scv() > bimodal_50_1_50_100().scv());
-        assert!(bimodal_995_05_05_500().scv() > tpcc().scv());
-    }
-
-    #[test]
     fn probabilities_sum_to_one() {
-        for m in all_named() {
+        for m in NAMES.split('|').map(|n| by_name(n).expect(n)) {
             let total: f64 = (0..m.classes().len()).map(|i| m.probability(i)).sum();
             assert!(
                 (total - 1.0).abs() < 1e-12,
@@ -326,11 +285,17 @@ mod tests {
             .split('|')
             .map(|n| Workload::name(&by_name(n).expect(n)).to_string())
             .collect();
-        let named: Vec<String> = all_named()
-            .iter()
-            .map(|m| Workload::name(m).to_string())
-            .collect();
-        assert_eq!(resolved, named);
+        assert_eq!(
+            resolved,
+            [
+                "Bimodal(50:1,50:100)",
+                "Bimodal(99.5:0.5,0.5:500)",
+                "Fixed(1)",
+                "TPCC",
+                "LevelDB(50:GET,50:SCAN)",
+                "LevelDB(ZippyDB)",
+            ]
+        );
         assert!(by_name("nope").is_none());
     }
 
